@@ -14,7 +14,8 @@ Tracks the engine's performance trajectory with a standard suite:
   traced objects per collection) for the remembered-set frontier vs the
   full-scan baseline, asserting both produce pickle-equal summaries.
 * ``trace_compile_load`` — workload rebuild vs trace compile vs binary
-  save/load, demonstrating the compiled-trace speedup.
+  save/load, demonstrating the compiled-trace speedup, plus ``emit_s``: the
+  engine's route, the generator writing straight into the trace columns.
 * ``sweep_trace_cache`` — a small multi-spec sweep through the trace
   cache, reporting builds and hit rates.
 * ``multi_tenant_replay`` — replay throughput (events/s) on an
@@ -378,7 +379,12 @@ def bench_collection_throughput(quick: bool, repeats: int, telemetry=None) -> di
 
 
 def bench_trace_compile_load(quick: bool, repeats: int, telemetry=None) -> dict:
-    """Workload rebuild vs compile vs binary save/load."""
+    """Workload rebuild vs compile vs binary save/load.
+
+    ``rebuild_s`` + ``compile_s`` is the event-object route (generate a
+    list, then encode it); ``emit_s`` is the route the engine takes — the
+    generator writing straight into the trace columns.
+    """
     from repro.sim.spec import build_workload
     from repro.workload.compiled import CompiledTrace, compile_trace
 
@@ -388,6 +394,10 @@ def bench_trace_compile_load(quick: bool, repeats: int, telemetry=None) -> dict:
         repeats, lambda: list(build_workload(spec.workload, 0))
     )
     compile_s, trace = _best_of(repeats, lambda: compile_trace(events))
+    emit_s, emitted = _best_of(
+        repeats, lambda: compile_trace(build_workload(spec.workload, 0))
+    )
+    assert len(emitted) == len(events)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bench.trace"
         save_s, _ = _best_of(repeats, lambda: trace.save(path))
@@ -404,6 +414,7 @@ def bench_trace_compile_load(quick: bool, repeats: int, telemetry=None) -> dict:
         )
         tel.tracer.record("rebuild", rebuild_s, events=len(events))
         tel.tracer.record("compile", compile_s)
+        tel.tracer.record("emit", emit_s)
         tel.tracer.record("save", save_s)
         tel.tracer.record("load", load_s, file_bytes=file_bytes)
         tel.close()
@@ -411,6 +422,7 @@ def bench_trace_compile_load(quick: bool, repeats: int, telemetry=None) -> dict:
         "events": len(events),
         "rebuild_s": round(rebuild_s, 4),
         "compile_s": round(compile_s, 4),
+        "emit_s": round(emit_s, 4),
         "save_s": round(save_s, 4),
         "load_s": round(load_s, 4),
         "file_bytes": file_bytes,
@@ -859,7 +871,8 @@ def _format_report(doc: dict) -> str:
     tcl = r["trace_compile_load"]
     lines.append(
         f"  trace_compile_load: rebuild {tcl['rebuild_s']:.3f}s, "
-        f"compile {tcl['compile_s']:.3f}s, load {tcl['load_s']:.4f}s "
+        f"compile {tcl['compile_s']:.3f}s, emit {tcl['emit_s']:.3f}s, "
+        f"load {tcl['load_s']:.4f}s "
         f"({tcl['load_speedup_vs_rebuild']:g}x faster than rebuild, "
         f"{tcl['file_bytes']:,} bytes)"
     )

@@ -15,7 +15,7 @@ accounting — the collector never sees it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
 
 from repro.storage.object_model import ObjectId, ObjectKind
 
@@ -122,6 +122,87 @@ TraceEvent = Union[
     CommitTransactionEvent,
     AbortTransactionEvent,
 ]
+
+
+class TraceSink(Protocol):
+    """What a trace generator writes into: one method per event it emits.
+
+    Arguments are the fields of the matching event class. Generators that
+    write through a sink run unchanged into event objects
+    (:class:`EventSink`) or straight into compiled-trace columns
+    (:class:`repro.workload.compiled.TraceBuilder`).
+    """
+
+    def create(
+        self,
+        oid: ObjectId,
+        size: int,
+        kind: ObjectKind,
+        pointers: tuple[tuple[str, Optional[ObjectId]], ...] = (),
+    ) -> None: ...
+
+    def write(
+        self,
+        src: ObjectId,
+        slot: str,
+        target: Optional[ObjectId],
+        dies: tuple[ObjectId, ...] = (),
+    ) -> None: ...
+
+    def access(self, oid: ObjectId) -> None: ...
+
+    def root(self, oid: ObjectId) -> None: ...
+
+    def phase(self, name: str) -> None: ...
+
+
+class EventSink:
+    """The :class:`TraceSink` that builds event objects."""
+
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
+
+    def create(
+        self,
+        oid: ObjectId,
+        size: int,
+        kind: ObjectKind,
+        pointers: tuple[tuple[str, Optional[ObjectId]], ...] = (),
+    ) -> None:
+        self.events.append(CreateEvent(oid, size, kind, pointers))
+
+    def write(
+        self,
+        src: ObjectId,
+        slot: str,
+        target: Optional[ObjectId],
+        dies: tuple[ObjectId, ...] = (),
+    ) -> None:
+        self.events.append(PointerWriteEvent(src, slot, target, dies))
+
+    def access(self, oid: ObjectId) -> None:
+        self.events.append(AccessEvent(oid))
+
+    def root(self, oid: ObjectId) -> None:
+        self.events.append(RootEvent(oid))
+
+    def phase(self, name: str) -> None:
+        self.events.append(PhaseMarkerEvent(name))
+
+
+def stream_events(
+    steps: Callable[[TraceSink], Iterator[None]],
+) -> Iterator[TraceEvent]:
+    """Run a step generator into an :class:`EventSink`, streaming its events.
+
+    ``steps(out)`` emits into ``out`` and yields whenever it reaches a point
+    where it may be suspended; only the events of one step are ever buffered.
+    """
+    sink = EventSink()
+    for _ in steps(sink):
+        yield from sink.events
+        sink.events.clear()
+    yield from sink.events
 
 
 @dataclass

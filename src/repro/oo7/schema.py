@@ -19,6 +19,14 @@ source owns them — so death cascades are acyclic and partitioned collection
 can always reclaim them (possibly over several collections, as floating
 garbage drains).
 
+Every mutation exists once, as an ``emit_*`` method (or the
+``generate_steps`` step generator) writing into a
+:class:`~repro.events.TraceSink`; the event-returning public methods run the
+same code into an :class:`~repro.events.EventSink`.
+
+Dead nodes leave every list at the moment they die, so ``parts``,
+``out_conns`` and ``in_conns`` hold alive nodes only.
+
 All node classes use identity equality (``eq=False``): the graph is cyclic
 through back-references and nodes are mutable bookkeeping records, not
 values.
@@ -30,14 +38,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.events import EventSink, TraceEvent, TraceSink, stream_events
 from repro.oo7.config import OO7Config
 from repro.storage.object_model import ObjectId, ObjectKind
-from repro.events import (
-    CreateEvent,
-    PointerWriteEvent,
-    RootEvent,
-    TraceEvent,
-)
 
 
 @dataclass(eq=False)
@@ -65,10 +68,10 @@ class AtomicPartNode:
     dead: bool = False
 
     def alive_out_conns(self) -> list[ConnectionNode]:
-        return [c for c in self.out_conns if not c.dead]
+        return list(self.out_conns)
 
     def alive_in_conns(self) -> list[ConnectionNode]:
-        return [c for c in self.in_conns if not c.dead]
+        return list(self.in_conns)
 
 
 @dataclass(eq=False)
@@ -81,20 +84,23 @@ class CompositeNode:
     parts: list[AtomicPartNode] = field(default_factory=list)
     free_part_slots: list[str] = field(default_factory=list)
     next_part_slot: int = 0
+    root: Optional[AtomicPartNode] = None
+    #: Set when a deletion left a part short of ``NumConnPerAtomic``
+    #: connections (nothing to retarget to); the next insertion repairs it.
+    needs_repair: bool = False
 
     def alive_parts(self) -> list[AtomicPartNode]:
-        return [p for p in self.parts if not p.dead]
+        return list(self.parts)
 
     def deletable_parts(self) -> list[AtomicPartNode]:
         """Alive parts that may be deleted (the root part always stays)."""
-        return [p for p in self.parts if not p.dead and not p.is_root_part]
+        return [p for p in self.parts if not p.is_root_part]
 
     @property
     def root_part(self) -> AtomicPartNode:
-        for part in self.parts:
-            if part.is_root_part:
-                return part
-        raise RuntimeError(f"composite {self.oid} has no root part")
+        if self.root is None:
+            raise RuntimeError(f"composite {self.oid} has no root part")
+        return self.root
 
 
 @dataclass(eq=False)
@@ -174,14 +180,14 @@ class Oo7Graph:
         """All alive atomic parts, in composite order."""
         parts: list[AtomicPartNode] = []
         for composite in self.composites:
-            parts.extend(composite.alive_parts())
+            parts.extend(composite.parts)
         return parts
 
     def alive_connection_count(self) -> int:
         return sum(
-            len(part.alive_out_conns())
+            len(part.out_conns)
             for composite in self.composites
-            for part in composite.alive_parts()
+            for part in composite.parts
         )
 
     # ------------------------------------------------------------------
@@ -196,10 +202,14 @@ class Oo7Graph:
         allocation pinning covers the gap); a collection may therefore fire
         at any point during generation without reclaiming live data.
         """
-        for _module_index in range(self.config.num_modules):
-            yield from self._generate_module()
+        return stream_events(self.generate_steps)
 
-    def _generate_module(self) -> Iterator[TraceEvent]:
+    def generate_steps(self, out: TraceSink) -> Iterator[None]:
+        """GenDB into ``out``, one step per composite part."""
+        for _module_index in range(self.config.num_modules):
+            yield from self._generate_module(out)
+
+    def _generate_module(self, out: TraceSink) -> Iterator[None]:
         cfg = self.config
         # Module (a database root) and its manual.
         module = ModuleNode(
@@ -207,37 +217,39 @@ class Oo7Graph:
             manual_oid=0,  # assigned below
         )
         self.modules.append(module)
-        yield CreateEvent(module.oid, cfg.module_size, ObjectKind.MODULE)
-        yield RootEvent(module.oid)
+        out.create(module.oid, cfg.module_size, ObjectKind.MODULE)
+        out.root(module.oid)
         module.manual_oid = self._new_oid(cfg.manual_size)
-        yield CreateEvent(module.manual_oid, cfg.manual_size, ObjectKind.MANUAL)
-        yield PointerWriteEvent(module.oid, "manual", module.manual_oid)
+        out.create(module.manual_oid, cfg.manual_size, ObjectKind.MANUAL)
+        out.write(module.oid, "manual", module.manual_oid)
 
-        yield from self._generate_assembly_tree(module)
-        yield from self._generate_composites(module)
-        yield from self._wire_extra_assembly_slots(module)
+        self._generate_assembly_tree(module, out)
+        yield from self._generate_composites(module, out)
+        self._wire_extra_assembly_slots(module, out)
 
-    def _generate_assembly_tree(self, module: ModuleNode) -> Iterator[TraceEvent]:
+    def _generate_assembly_tree(self, module: ModuleNode, out: TraceSink) -> None:
         cfg = self.config
         root = AssemblyNode(oid=self._new_oid(cfg.assembly_size), level=0)
         module.root_assembly = root
         module.assemblies.append(root)
         self.assemblies.append(root)
-        yield CreateEvent(root.oid, cfg.assembly_size, ObjectKind.ASSEMBLY)
-        yield PointerWriteEvent(module.oid, "assembly", root.oid)
+        out.create(root.oid, cfg.assembly_size, ObjectKind.ASSEMBLY)
+        out.write(module.oid, "assembly", root.oid)
 
         frontier = [root]
         for level in range(1, cfg.num_assm_levels):
             next_frontier: list[AssemblyNode] = []
             for parent in frontier:
                 for child_index in range(cfg.num_assm_per_assm):
-                    child = AssemblyNode(oid=self._new_oid(cfg.assembly_size), level=level)
+                    child = AssemblyNode(
+                        oid=self._new_oid(cfg.assembly_size), level=level
+                    )
                     parent.children.append(child)
                     module.assemblies.append(child)
                     self.assemblies.append(child)
                     next_frontier.append(child)
-                    yield CreateEvent(child.oid, cfg.assembly_size, ObjectKind.ASSEMBLY)
-                    yield PointerWriteEvent(parent.oid, f"sub{child_index}", child.oid)
+                    out.create(child.oid, cfg.assembly_size, ObjectKind.ASSEMBLY)
+                    out.write(parent.oid, f"sub{child_index}", child.oid)
             frontier = next_frontier
 
     def base_assemblies(self) -> list[AssemblyNode]:
@@ -245,7 +257,9 @@ class Oo7Graph:
         leaf_level = self.config.num_assm_levels - 1
         return [a for a in self.assemblies if a.level == leaf_level]
 
-    def _generate_composites(self, module: ModuleNode) -> Iterator[TraceEvent]:
+    def _generate_composites(
+        self, module: ModuleNode, out: TraceSink
+    ) -> Iterator[None]:
         """Create a module's composites, linking each into one of the
         module's base assemblies immediately.
 
@@ -260,41 +274,36 @@ class Oo7Graph:
             slot = f"comp{len(base.composites)}"
 
             doc_oid = self._new_oid(cfg.document_size)
-            yield CreateEvent(doc_oid, cfg.document_size, ObjectKind.DOCUMENT)
+            out.create(doc_oid, cfg.document_size, ObjectKind.DOCUMENT)
             composite = CompositeNode(
                 oid=self._new_oid(cfg.composite_part_size), index=index, doc_oid=doc_oid
             )
             module.composites.append(composite)
             self.composites.append(composite)
-            yield CreateEvent(
+            out.create(
                 composite.oid,
                 cfg.composite_part_size,
                 ObjectKind.COMPOSITE_PART,
-                pointers=(("doc", doc_oid),),
+                (("doc", doc_oid),),
             )
-            yield PointerWriteEvent(base.oid, slot, composite.oid)
+            out.write(base.oid, slot, composite.oid)
             base.composites.append(composite)
 
-            yield from self._generate_atomic_parts(composite)
+            self._generate_atomic_parts(composite, out)
+            yield
 
-    def _generate_atomic_parts(self, composite: CompositeNode) -> Iterator[TraceEvent]:
+    def _generate_atomic_parts(self, composite: CompositeNode, out: TraceSink) -> None:
         cfg = self.config
         # First all parts (so connection targets exist), then the connections.
         for part_index in range(cfg.num_atomic_per_comp):
-            part = self._create_part_node(composite, is_root=(part_index == 0))
-            yield from self._emit_part_creation(part)
-        parts = composite.alive_parts()
+            self._emit_part(composite, out, is_root=(part_index == 0))
+        parts = composite.parts
         for position, part in enumerate(parts):
             # One ring connection keeps the conn-graph connected for DFS...
-            ring_target = parts[(position + 1) % len(parts)]
-            targets = [ring_target]
+            self._emit_connection(part, parts[(position + 1) % len(parts)], out)
             # ...plus random same-composite targets for the rest.
-            targets.extend(
-                self._random_conn_target(part, parts)
-                for _ in range(cfg.num_conn_per_atomic - 1)
-            )
-            for target in targets:
-                yield from self._emit_connection(part, target)
+            for _ in range(cfg.num_conn_per_atomic - 1):
+                self._emit_connection(part, self._random_conn_target(part, parts), out)
 
     def _random_conn_target(
         self, part: AtomicPartNode, candidates: list[AtomicPartNode]
@@ -305,66 +314,59 @@ class Oo7Graph:
             if target is not part:
                 return target
 
-    def _wire_extra_assembly_slots(self, module: ModuleNode) -> Iterator[TraceEvent]:
+    def _wire_extra_assembly_slots(self, module: ModuleNode, out: TraceSink) -> None:
         """Fill a module's remaining base-assembly slots with its own
         composites, chosen at random."""
         cfg = self.config
         for base in module.base_assemblies():
             while len(base.composites) < cfg.num_comp_per_assm:
                 composite = self.rng.choice(module.composites)
-                slot = f"comp{len(base.composites)}"
-                yield PointerWriteEvent(base.oid, slot, composite.oid)
+                out.write(base.oid, f"comp{len(base.composites)}", composite.oid)
                 base.composites.append(composite)
 
     # ------------------------------------------------------------------
     # Part creation (shared by GenDB and the reorganisation phases)
     # ------------------------------------------------------------------
 
-    def _create_part_node(self, composite: CompositeNode, is_root: bool = False) -> AtomicPartNode:
+    def _emit_part(
+        self, composite: CompositeNode, out: TraceSink, is_root: bool = False
+    ) -> AtomicPartNode:
         if composite.free_part_slots:
             slot = composite.free_part_slots.pop()
         else:
             slot = f"part{composite.next_part_slot}"
             composite.next_part_slot += 1
-        part = AtomicPartNode(
-            oid=self._new_oid(self.config.atomic_part_size),
-            composite=composite,
-            slot=slot,
-            is_root_part=is_root,
-        )
+        size = self.config.atomic_part_size
+        part = AtomicPartNode(self._new_oid(size), composite, slot, is_root)
         composite.parts.append(part)
+        if is_root:
+            composite.root = part
+        out.create(part.oid, size, ObjectKind.ATOMIC_PART, (("partOf", composite.oid),))
+        out.write(composite.oid, slot, part.oid)
         return part
 
-    def _emit_part_creation(self, part: AtomicPartNode) -> Iterator[TraceEvent]:
-        yield CreateEvent(
-            part.oid,
-            self.config.atomic_part_size,
-            ObjectKind.ATOMIC_PART,
-            pointers=(("partOf", part.composite.oid),),
-        )
-        yield PointerWriteEvent(part.composite.oid, part.slot, part.oid)
-
     def _emit_connection(
-        self, src: AtomicPartNode, dst: AtomicPartNode
-    ) -> Iterator[TraceEvent]:
-        conn = ConnectionNode(
-            oid=self._new_oid(self.config.connection_size),
-            src=src,
-            dst=dst,
-            slot=f"conn{src.next_conn_slot}",
-        )
+        self, src: AtomicPartNode, dst: AtomicPartNode, out: TraceSink
+    ) -> None:
+        size = self.config.connection_size
+        slot = f"conn{src.next_conn_slot}"
         src.next_conn_slot += 1
+        conn = ConnectionNode(self._new_oid(size), src, dst, slot)
         src.out_conns.append(conn)
         dst.in_conns.append(conn)
-        yield CreateEvent(
-            conn.oid,
-            self.config.connection_size,
-            ObjectKind.CONNECTION,
-            pointers=(("to", dst.oid),),
-        )
-        yield PointerWriteEvent(src.oid, conn.slot, conn.oid)
+        out.create(conn.oid, size, ObjectKind.CONNECTION, (("to", dst.oid),))
+        out.write(src.oid, slot, conn.oid)
 
-    def insert_part(self, composite: CompositeNode) -> tuple[AtomicPartNode, list[TraceEvent]]:
+    def insert_part(
+        self, composite: CompositeNode
+    ) -> tuple[AtomicPartNode, list[TraceEvent]]:
+        """:meth:`emit_insert_part`, returning the events it emits."""
+        sink = EventSink()
+        return self.emit_insert_part(composite, sink), sink.events
+
+    def emit_insert_part(
+        self, composite: CompositeNode, out: TraceSink
+    ) -> AtomicPartNode:
         """Insert one new atomic part with fresh connections into ``composite``.
 
         Connection targets are random alive parts of the composite, so later
@@ -376,27 +378,31 @@ class Oo7Graph:
         single part (deletion had nothing left to retarget to) gets fresh
         connections once targets exist again.
         """
-        candidates = composite.alive_parts()
-        part = self._create_part_node(composite)
-        events = list(self._emit_part_creation(part))
+        candidates = list(composite.parts)
+        part = self._emit_part(composite, out)
         for _ in range(self.config.num_conn_per_atomic):
-            target = self._random_conn_target(part, candidates)
-            events.extend(self._emit_connection(part, target))
+            self._emit_connection(part, self._random_conn_target(part, candidates), out)
 
-        for deficient in candidates:
-            repair_targets = [p for p in composite.alive_parts() if p is not deficient]
-            if not repair_targets:
-                continue
-            while len(deficient.alive_out_conns()) < self.config.num_conn_per_atomic:
-                target = self._random_conn_target(deficient, repair_targets)
-                events.extend(self._emit_connection(deficient, target))
-        return part, events
+        if composite.needs_repair:
+            composite.needs_repair = False
+            for deficient in candidates:
+                repair_targets = [p for p in composite.parts if p is not deficient]
+                while len(deficient.out_conns) < self.config.num_conn_per_atomic:
+                    target = self._random_conn_target(deficient, repair_targets)
+                    self._emit_connection(deficient, target, out)
+        return part
 
     # ------------------------------------------------------------------
     # Document replacement
     # ------------------------------------------------------------------
 
     def replace_document(self, composite: CompositeNode) -> list[TraceEvent]:
+        """:meth:`emit_replace_document`, returning the events it emits."""
+        sink = EventSink()
+        self.emit_replace_document(composite, sink)
+        return sink.events
+
+    def emit_replace_document(self, composite: CompositeNode, out: TraceSink) -> None:
         """Replace a composite's document with a freshly written one.
 
         This is §2.1's "a single overwrite may disconnect very large objects
@@ -408,16 +414,20 @@ class Oo7Graph:
         old_doc = composite.doc_oid
         new_doc = self._new_oid(self.config.document_size)
         composite.doc_oid = new_doc
-        return [
-            CreateEvent(new_doc, self.config.document_size, ObjectKind.DOCUMENT),
-            PointerWriteEvent(composite.oid, "doc", new_doc, dies=(old_doc,)),
-        ]
+        out.create(new_doc, self.config.document_size, ObjectKind.DOCUMENT)
+        out.write(composite.oid, "doc", new_doc, (old_doc,))
 
     # ------------------------------------------------------------------
     # Part deletion
     # ------------------------------------------------------------------
 
     def delete_part(self, part: AtomicPartNode) -> list[TraceEvent]:
+        """:meth:`emit_delete_part`, returning the events it emits."""
+        sink = EventSink()
+        self.emit_delete_part(part, sink)
+        return sink.events
+
+    def emit_delete_part(self, part: AtomicPartNode, out: TraceSink) -> None:
         """Delete an atomic part, emitting the disconnection events.
 
         The deletion first *retargets* every incoming connection: the
@@ -435,42 +445,43 @@ class Oo7Graph:
         if part.dead:
             raise ValueError(f"part {part.oid} is already dead")
         if part.is_root_part:
-            raise ValueError(f"part {part.oid} is a composite root part and cannot be deleted")
+            raise ValueError(
+                f"part {part.oid} is a composite root part and cannot be deleted"
+            )
 
         composite = part.composite
-        events: list[TraceEvent] = []
-        for conn in part.alive_in_conns():
+        composite.parts.remove(part)
+        survivors = composite.parts
+        # A retarget picks among the survivors other than the connection's
+        # own source: draw an index into that list without building it.
+        choices = range(len(survivors) - 1)
+        in_conns = part.in_conns
+        part.in_conns = []
+        for conn in in_conns:
             source = conn.src
-            part.in_conns.remove(conn)
-            replacement_targets = [
-                p for p in composite.alive_parts() if p is not source and p is not part
-            ]
-            if replacement_targets:
-                target = self.rng.choice(replacement_targets)
+            if choices:
+                index = self.rng.choice(choices)
+                if index >= survivors.index(source):
+                    index += 1
+                target = survivors[index]
                 conn.dst = target
                 target.in_conns.append(conn)
-                events.append(PointerWriteEvent(conn.oid, "to", target.oid))
+                out.write(conn.oid, "to", target.oid)
             else:
                 # Degenerate composite: nothing left to point at — the
                 # neighbour's connection dies with its target.
                 conn.dead = True
                 source.out_conns.remove(conn)
-                events.append(
-                    PointerWriteEvent(source.oid, conn.slot, None, dies=(conn.oid,))
-                )
+                composite.needs_repair = True
+                out.write(source.oid, conn.slot, None, (conn.oid,))
 
-        out_dies = []
-        for conn in part.alive_out_conns():
+        dies = [part.oid]
+        for conn in part.out_conns:
             conn.dead = True
             conn.dst.in_conns.remove(conn)
-            out_dies.append(conn.oid)
+            dies.append(conn.oid)
+        part.out_conns = []
 
-        events.append(
-            PointerWriteEvent(
-                composite.oid, part.slot, None, dies=(part.oid, *out_dies)
-            )
-        )
+        out.write(composite.oid, part.slot, None, tuple(dies))
         part.dead = True
-        composite.parts.remove(part)
         composite.free_part_slots.append(part.slot)
-        return events

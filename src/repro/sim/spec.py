@@ -229,7 +229,9 @@ register_policy("saga", _build_saga)
 
 
 def _build_oo7(seed: int, config: OO7Config, **kwargs) -> Iterable[TraceEvent]:
-    return Oo7Application(config, seed=seed, **kwargs).events()
+    # The application itself, not ``.events()``: iterating it streams the
+    # events, and ``compile_trace`` can take its ``emit_trace`` route.
+    return Oo7Application(config, seed=seed, **kwargs)
 
 
 register_workload("oo7", _build_oo7)

@@ -6,16 +6,16 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.events import TraceEvent, TraceSink, stream_events
 from repro.oo7.config import OO7Config
 from repro.oo7.schema import Oo7Graph
-from repro.events import TraceEvent
 from repro.workload.phases import (
     PHASE_ORDER,
-    doc_churn_phase,
-    gen_db_phase,
-    reorg1_phase,
-    reorg2_phase,
-    traverse_phase,
+    doc_churn_steps,
+    gen_db_steps,
+    reorg1_steps,
+    reorg2_steps,
+    traverse_steps,
 )
 
 
@@ -37,9 +37,10 @@ class Oo7Application:
             nodes" disconnected by single overwrites). Zero (the default)
             gives exactly the paper's four-phase application.
 
-    The application is a one-shot generator: iterate :meth:`events` once. The
-    underlying :class:`~repro.oo7.schema.Oo7Graph` stays accessible for
-    inspection after (or during) the run.
+    The application is a one-shot generator: iterate :meth:`events` (or the
+    application itself) once, or call :meth:`emit_trace` once. The underlying
+    :class:`~repro.oo7.schema.Oo7Graph` stays accessible for inspection
+    after (or during) the run.
     """
 
     config: OO7Config
@@ -84,15 +85,26 @@ class Oo7Application:
 
     def events(self) -> Iterator[TraceEvent]:
         """The full trace: GenDB, Reorg1[, DocChurn], Traverse, Reorg2[, DocChurn]."""
-        yield from gen_db_phase(self.graph)
-        yield from reorg1_phase(self.graph, self.rng, self.delete_fraction)
+        return stream_events(self._steps)
+
+    __iter__ = events
+
+    def emit_trace(self, out: TraceSink) -> None:
+        """Write the same trace into ``out`` without building event objects."""
+        for _ in self._steps(out):
+            pass
+
+    def _steps(self, out: TraceSink) -> Iterator[None]:
+        graph, rng = self.graph, self.rng
+        yield from gen_db_steps(graph, out)
+        yield from reorg1_steps(graph, rng, self.delete_fraction, out)
         if self.doc_churn_fraction > 0:
-            yield from doc_churn_phase(
-                self.graph, self.rng, self.doc_churn_fraction, name="DocChurn1"
+            yield from doc_churn_steps(
+                graph, rng, self.doc_churn_fraction, "DocChurn1", out
             )
-        yield from traverse_phase(self.graph)
-        yield from reorg2_phase(self.graph, self.rng, self.delete_fraction)
+        yield from traverse_steps(graph, out)
+        yield from reorg2_steps(graph, rng, self.delete_fraction, out)
         if self.doc_churn_fraction > 0:
-            yield from doc_churn_phase(
-                self.graph, self.rng, self.doc_churn_fraction, name="DocChurn2"
+            yield from doc_churn_steps(
+                graph, rng, self.doc_churn_fraction, "DocChurn2", out
             )

@@ -14,6 +14,10 @@ protocol collapses that: a workload is anything that exposes
   workload is* (not how it is implemented), digestible by
   :func:`repro.canonical.canonical_value`.
 
+A workload may also offer ``emit_trace(out)``, which writes the same trace
+into a :class:`~repro.events.TraceSink` without building event objects;
+:func:`~repro.workload.compiled.compile_trace` uses it when present.
+
 :func:`repro.workload.trace_cache.trace_fingerprint` and
 :class:`~repro.workload.trace_cache.TraceCache` consume exactly this
 surface, so any conforming workload — OO7, synthetic, transactional,
@@ -46,6 +50,15 @@ class WorkloadSpec(Protocol):
     generating, so a second call on the same instance is undefined.
     Construct a fresh instance — same constructor arguments, same seed,
     byte-identical trace — to replay.
+
+    Optional, and therefore not a member of the protocol:
+    ``emit_trace(out: TraceSink) -> None`` emits the trace ``events()``
+    would yield — the same events in the same order, equally one-shot — as
+    calls on ``out``. :func:`~repro.workload.compiled.compile_trace` looks
+    for it with ``getattr`` and, when it is there, lets the workload fill the
+    trace columns directly instead of iterating ``events()``.
+    :class:`~repro.workload.application.Oo7Application` offers it; the
+    synthetic, grammar and tenant workloads do not.
     """
 
     #: Seed every randomised choice derives from; two instances constructed

@@ -99,10 +99,19 @@ class CompiledTrace:
     """
 
     __slots__ = (
-        "ops", "arg0", "arg1", "strings",
-        "create_kind", "create_ptr_start", "ptr_slots", "ptr_targets",
-        "write_slot", "write_dies_start", "dies",
-        "_materialized", "_batch_cache",
+        "ops",
+        "arg0",
+        "arg1",
+        "strings",
+        "create_kind",
+        "create_ptr_start",
+        "ptr_slots",
+        "ptr_targets",
+        "write_slot",
+        "write_dies_start",
+        "dies",
+        "_materialized",
+        "_batch_cache",
     )
 
     def __init__(
@@ -262,9 +271,16 @@ class CompiledTrace:
     # CompiledTraceError (callers such as TraceCache treat that as a miss).
 
     _COLUMNS = (
-        "ops", "arg0", "arg1",
-        "create_kind", "create_ptr_start", "ptr_slots", "ptr_targets",
-        "write_slot", "write_dies_start", "dies",
+        "ops",
+        "arg0",
+        "arg1",
+        "create_kind",
+        "create_ptr_start",
+        "ptr_slots",
+        "ptr_targets",
+        "write_slot",
+        "write_dies_start",
+        "dies",
     )
 
     def save(self, target: Union[str, Path, IO[bytes]]) -> None:
@@ -292,11 +308,9 @@ class CompiledTrace:
             body += raw
         target.write(_MAGIC)
         target.write(
-            struct.pack(
-                "<HIQ", TRACE_FORMAT_VERSION, zlib.crc32(bytes(body)), len(body)
-            )
+            struct.pack("<HIQ", TRACE_FORMAT_VERSION, zlib.crc32(body), len(body))
         )
-        target.write(bytes(body))
+        target.write(body)
 
     @classmethod
     def load(cls, source: Union[str, Path, IO[bytes]]) -> "CompiledTrace":
@@ -374,9 +388,7 @@ class CompiledTrace:
             itemsize = array(typecode).itemsize
             raw = take(raw_len)
             if raw_len % itemsize:
-                raise CompiledTraceError(
-                    f"column {name!r} has a partial trailing item"
-                )
+                raise CompiledTraceError(f"column {name!r} has a partial trailing item")
             if zero_copy:
                 columns.append(raw.cast(typecode))
             else:
@@ -399,89 +411,139 @@ class CompiledTrace:
         return total
 
 
+class TraceBuilder:
+    """The one encoder of :class:`CompiledTrace`: owns the column layout and
+    the string interning.
+
+    It is a :class:`~repro.events.TraceSink`, so a generator that emits
+    through a sink fills the columns directly; :meth:`add` encodes an event
+    object. :meth:`finish` hands the columns over.
+    """
+
+    def __init__(self) -> None:
+        self.ops = array("b")
+        self.arg0 = array("q")
+        self.arg1 = array("q")
+        self.strings: list[str] = []
+        self.create_kind = array("q")
+        self.create_ptr_start = array("q", [0])
+        self.ptr_slots = array("q")
+        self.ptr_targets = array("q")
+        self.write_slot = array("q")
+        self.write_dies_start = array("q", [0])
+        self.dies = array("q")
+        self._intern: dict[str, int] = {}
+
+    def _string_index(self, text: str) -> int:
+        index = self._intern.get(text)
+        if index is None:
+            index = self._intern[text] = len(self.strings)
+            self.strings.append(text)
+        return index
+
+    def _simple(self, op: int, operand: int) -> None:
+        self.ops.append(op)
+        self.arg0.append(operand)
+        self.arg1.append(0)
+
+    def create(
+        self,
+        oid: int,
+        size: int,
+        kind: ObjectKind,
+        pointers: tuple[tuple[str, Optional[int]], ...] = (),
+    ) -> None:
+        self.ops.append(_OP_CREATE)
+        self.arg0.append(oid)
+        self.arg1.append(size)
+        # ``_value_`` is ``.value`` without the descriptor call.
+        self.create_kind.append(self._string_index(kind._value_))
+        for slot, target in pointers:
+            self.ptr_slots.append(self._string_index(slot))
+            self.ptr_targets.append(_NONE if target is None else target)
+        self.create_ptr_start.append(len(self.ptr_slots))
+
+    def write(
+        self,
+        src: int,
+        slot: str,
+        target: Optional[int],
+        dies: tuple[int, ...] = (),
+    ) -> None:
+        self.ops.append(_OP_WRITE)
+        self.arg0.append(src)
+        self.arg1.append(_NONE if target is None else target)
+        self.write_slot.append(self._string_index(slot))
+        if dies:
+            self.dies.extend(dies)
+        self.write_dies_start.append(len(self.dies))
+
+    def access(self, oid: int) -> None:
+        self._simple(_OP_ACCESS, oid)
+
+    def root(self, oid: int) -> None:
+        self._simple(_OP_ROOT, oid)
+
+    def phase(self, name: str) -> None:
+        self._simple(_OP_PHASE, self._string_index(name))
+
+    def add(self, event: TraceEvent) -> None:
+        """Encode one event object."""
+        cls = type(event)
+        if cls is AccessEvent:
+            self._simple(_OP_ACCESS, event.oid)
+        elif cls is PointerWriteEvent:
+            self.write(event.src, event.slot, event.target, event.dies)
+        elif cls is CreateEvent:
+            self.create(event.oid, event.size, event.kind, event.pointers)
+        elif cls is UpdateEvent:
+            self._simple(_OP_UPDATE, event.oid)
+        elif cls is RootEvent:
+            self._simple(_OP_ROOT, event.oid)
+        elif cls is PhaseMarkerEvent:
+            self.phase(event.name)
+        elif cls is IdleEvent:
+            self._simple(_OP_IDLE, event.ticks)
+        elif cls is BeginTransactionEvent:
+            self._simple(_OP_BEGIN, event.txid)
+        elif cls is CommitTransactionEvent:
+            self._simple(_OP_COMMIT, event.txid)
+        elif cls is AbortTransactionEvent:
+            self._simple(_OP_ABORT, event.txid)
+        else:
+            raise TypeError(f"cannot compile unknown trace event {event!r}")
+
+    def finish(self) -> CompiledTrace:
+        return CompiledTrace(
+            self.ops,
+            self.arg0,
+            self.arg1,
+            self.strings,
+            self.create_kind,
+            self.create_ptr_start,
+            self.ptr_slots,
+            self.ptr_targets,
+            self.write_slot,
+            self.write_dies_start,
+            self.dies,
+        )
+
+
 def compile_trace(events: Iterable[TraceEvent]) -> CompiledTrace:
     """Materialise an event stream into a :class:`CompiledTrace`.
 
     Consumes the iterable once. Replaying the result is event-for-event
     equal to the original stream (tests assert this property under
-    Hypothesis-generated traces).
+    Hypothesis-generated traces). A workload that offers ``emit_trace(out)``
+    (see :class:`repro.workload.base.WorkloadSpec`) writes straight into the
+    columns instead of being iterated; the trace is the same.
     """
-    ops = array("b")
-    arg0 = array("q")
-    arg1 = array("q")
-    strings: list[str] = []
-    intern: dict[str, int] = {}
-    create_kind = array("q")
-    create_ptr_start = array("q", [0])
-    ptr_slots = array("q")
-    ptr_targets = array("q")
-    write_slot = array("q")
-    write_dies_start = array("q", [0])
-    dies = array("q")
-
-    def intern_string(text: str) -> int:
-        index = intern.get(text)
-        if index is None:
-            index = len(strings)
-            intern[text] = index
-            strings.append(text)
-        return index
-
-    for event in events:
-        cls = type(event)
-        if cls is AccessEvent:
-            ops.append(_OP_ACCESS)
-            arg0.append(event.oid)
-            arg1.append(0)
-        elif cls is PointerWriteEvent:
-            ops.append(_OP_WRITE)
-            arg0.append(event.src)
-            arg1.append(_NONE if event.target is None else event.target)
-            write_slot.append(intern_string(event.slot))
-            dies.extend(event.dies)
-            write_dies_start.append(len(dies))
-        elif cls is CreateEvent:
-            ops.append(_OP_CREATE)
-            arg0.append(event.oid)
-            arg1.append(event.size)
-            create_kind.append(intern_string(event.kind.value))
-            for slot, target in event.pointers:
-                ptr_slots.append(intern_string(slot))
-                ptr_targets.append(_NONE if target is None else target)
-            create_ptr_start.append(len(ptr_slots))
-        elif cls is UpdateEvent:
-            ops.append(_OP_UPDATE)
-            arg0.append(event.oid)
-            arg1.append(0)
-        elif cls is RootEvent:
-            ops.append(_OP_ROOT)
-            arg0.append(event.oid)
-            arg1.append(0)
-        elif cls is PhaseMarkerEvent:
-            ops.append(_OP_PHASE)
-            arg0.append(intern_string(event.name))
-            arg1.append(0)
-        elif cls is IdleEvent:
-            ops.append(_OP_IDLE)
-            arg0.append(event.ticks)
-            arg1.append(0)
-        elif cls is BeginTransactionEvent:
-            ops.append(_OP_BEGIN)
-            arg0.append(event.txid)
-            arg1.append(0)
-        elif cls is CommitTransactionEvent:
-            ops.append(_OP_COMMIT)
-            arg0.append(event.txid)
-            arg1.append(0)
-        elif cls is AbortTransactionEvent:
-            ops.append(_OP_ABORT)
-            arg0.append(event.txid)
-            arg1.append(0)
-        else:
-            raise TypeError(f"cannot compile unknown trace event {event!r}")
-
-    return CompiledTrace(
-        ops, arg0, arg1, strings,
-        create_kind, create_ptr_start, ptr_slots, ptr_targets,
-        write_slot, write_dies_start, dies,
-    )
+    builder = TraceBuilder()
+    emit_trace = getattr(events, "emit_trace", None)
+    if emit_trace is not None:
+        emit_trace(builder)
+    else:
+        add = builder.add
+        for event in events:
+            add(event)
+    return builder.finish()

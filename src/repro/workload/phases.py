@@ -19,6 +19,11 @@ The paper deviates from [YNY94] in two ways we reproduce: the traversal sits
 *between* the reorganisations (to sharpen the phase transition), and Reorg2
 deletes half rather than all parts (so both reorganisations do comparable
 work).
+
+Each phase is written once, as a ``*_steps`` step generator that emits into
+a :class:`~repro.events.TraceSink` and yields where it may be suspended (see
+:func:`repro.events.stream_events`); the ``*_phase`` functions stream the
+same steps as event objects.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
+from repro.events import TraceEvent, TraceSink, stream_events
 from repro.oo7.schema import AtomicPartNode, CompositeNode, Oo7Graph
-from repro.events import AccessEvent, PhaseMarkerEvent, TraceEvent
 
 #: Canonical phase names, in application order.
 PHASE_GENDB = "GenDB"
@@ -39,8 +44,12 @@ PHASE_ORDER = (PHASE_GENDB, PHASE_REORG1, PHASE_TRAVERSE, PHASE_REORG2)
 
 def gen_db_phase(graph: Oo7Graph) -> Iterator[TraceEvent]:
     """Phase 1: generate the initial database."""
-    yield PhaseMarkerEvent(PHASE_GENDB)
-    yield from graph.generate()
+    return stream_events(lambda out: gen_db_steps(graph, out))
+
+
+def gen_db_steps(graph: Oo7Graph, out: TraceSink) -> Iterator[None]:
+    out.phase(PHASE_GENDB)
+    yield from graph.generate_steps(out)
 
 
 def _pick_victims(
@@ -62,14 +71,20 @@ def reorg1_phase(
     parts are created consecutively, the heap's sequential placement keeps
     them clustered with each other.
     """
-    yield PhaseMarkerEvent(PHASE_REORG1)
+    return stream_events(lambda out: reorg1_steps(graph, rng, delete_fraction, out))
+
+
+def reorg1_steps(
+    graph: Oo7Graph, rng: random.Random, delete_fraction: float, out: TraceSink
+) -> Iterator[None]:
+    out.phase(PHASE_REORG1)
     for composite in graph.composites:
         victims = _pick_victims(composite, rng, delete_fraction)
         for part in victims:
-            yield from graph.delete_part(part)
+            graph.emit_delete_part(part, out)
         for _ in victims:
-            _part, events = graph.insert_part(composite)
-            yield from events
+            graph.emit_insert_part(composite, out)
+        yield
 
 
 def traverse_phase(graph: Oo7Graph) -> Iterator[TraceEvent]:
@@ -81,43 +96,49 @@ def traverse_phase(graph: Oo7Graph) -> Iterator[TraceEvent]:
     Every alive part and every traversed connection is accessed exactly once
     per composite visit.
     """
-    yield PhaseMarkerEvent(PHASE_TRAVERSE)
+    return stream_events(lambda out: traverse_steps(graph, out))
+
+
+def traverse_steps(graph: Oo7Graph, out: TraceSink) -> Iterator[None]:
+    out.phase(PHASE_TRAVERSE)
     visited_composites: set[int] = set()
     for module in graph.modules:
-        yield AccessEvent(module.oid)
+        out.access(module.oid)
         # Walk the module's assembly tree depth-first.
-        stack = [module.root_assembly]
+        root = module.root_assembly
+        stack = [root] if root is not None else []
         while stack:
             assembly = stack.pop()
-            yield AccessEvent(assembly.oid)
+            out.access(assembly.oid)
             stack.extend(reversed(assembly.children))
             for composite in assembly.composites:
                 # Shared composites are traversed once (first encounter).
                 if composite.oid in visited_composites:
                     continue
                 visited_composites.add(composite.oid)
-                yield from _traverse_composite(composite)
+                _traverse_composite(composite, out)
+                yield
 
 
-def _traverse_composite(composite: CompositeNode) -> Iterator[TraceEvent]:
-    yield AccessEvent(composite.oid)
-    seen: set[int] = set()
+def _traverse_composite(composite: CompositeNode, out: TraceSink) -> None:
+    access = out.access
+    access(composite.oid)
     root = composite.root_part
+    seen = {root.oid}
     stack = [root]
-    seen.add(root.oid)
     while stack:
         part = stack.pop()
-        yield AccessEvent(part.oid)
-        for conn in part.alive_out_conns():
-            yield AccessEvent(conn.oid)
-            if conn.dst.oid not in seen and not conn.dst.dead:
+        access(part.oid)
+        for conn in part.out_conns:
+            access(conn.oid)
+            if conn.dst.oid not in seen:
                 seen.add(conn.dst.oid)
                 stack.append(conn.dst)
     # Parts not reachable through connections are still held by the composite.
-    for part in composite.alive_parts():
+    for part in composite.parts:
         if part.oid not in seen:
             seen.add(part.oid)
-            yield AccessEvent(part.oid)
+            access(part.oid)
 
 
 def doc_churn_phase(
@@ -133,12 +154,19 @@ def doc_churn_phase(
     deletion. Mixing this phase into a workload stresses the FGS/HB
     estimator with a bimodal garbage-per-overwrite distribution.
     """
+    return stream_events(lambda out: doc_churn_steps(graph, rng, fraction, name, out))
+
+
+def doc_churn_steps(
+    graph: Oo7Graph, rng: random.Random, fraction: float, name: str, out: TraceSink
+) -> Iterator[None]:
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    yield PhaseMarkerEvent(name)
+    out.phase(name)
     count = max(1, int(len(graph.composites) * fraction))
     for composite in rng.sample(graph.composites, count):
-        yield from graph.replace_document(composite)
+        graph.emit_replace_document(composite, out)
+        yield
 
 
 def reorg2_phase(
@@ -155,7 +183,13 @@ def reorg2_phase(
     parts across many partitions — "breaking any clustering of atomic parts
     for a given composite part".
     """
-    yield PhaseMarkerEvent(PHASE_REORG2)
+    return stream_events(lambda out: reorg2_steps(graph, rng, delete_fraction, out))
+
+
+def reorg2_steps(
+    graph: Oo7Graph, rng: random.Random, delete_fraction: float, out: TraceSink
+) -> Iterator[None]:
+    out.phase(PHASE_REORG2)
     composites = graph.composites
     victims_by_composite = {
         composite.oid: _pick_victims(composite, rng, delete_fraction)
@@ -174,18 +208,18 @@ def reorg2_phase(
         for position, composite in enumerate(composites):
             victims = victims_by_composite[composite.oid]
             if round_index < len(victims):
-                yield from graph.delete_part(victims[round_index])
+                graph.emit_delete_part(victims[round_index], out)
                 deleted += 1
             # Insert into a composite half the ring away, if it still has quota.
             target = composites[(position + offset) % len(composites)]
             if insert_quota[target.oid] > 0 and inserted < deleted:
                 insert_quota[target.oid] -= 1
                 inserted += 1
-                _part, events = graph.insert_part(target)
-                yield from events
+                graph.emit_insert_part(target, out)
+            yield
     # Flush any remaining insertions (quota not consumed in the main sweep).
     for composite in composites:
         while insert_quota[composite.oid] > 0:
             insert_quota[composite.oid] -= 1
-            _part, events = graph.insert_part(composite)
-            yield from events
+            graph.emit_insert_part(composite, out)
+        yield

@@ -226,8 +226,9 @@ class TraceCache:
         events = getattr(workload, "events", None)
         if callable(events):
             # An instantiated protocol workload generates its own trace
-            # (one-shot — but the compiled result is cached immediately).
-            return events()
+            # (one-shot — but the compiled result is cached immediately);
+            # one that offers ``emit_trace`` is handed to compile_trace whole.
+            return workload if hasattr(workload, "emit_trace") else events()
         # Local import: repro.sim.spec imports repro.workload generators, so
         # a module-scope import here would close an import cycle.
         from repro.sim.spec import build_workload

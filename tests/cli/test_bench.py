@@ -57,6 +57,8 @@ def test_suite_document_shape(quick_doc):
 def test_compiled_load_beats_rebuild(quick_doc):
     tcl = quick_doc["results"]["trace_compile_load"]
     assert tcl["load_s"] < tcl["rebuild_s"]
+    # The engine's route (generator straight into columns) is reported too.
+    assert tcl["emit_s"] > 0
 
 
 def test_regression_gate(quick_doc):

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from repro.events import CreateEvent, PointerWriteEvent, RootEvent
+from repro.oo7.builder import apply_event
 from repro.oo7.config import TINY
 from repro.oo7.schema import Oo7Graph
+from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.object_model import ObjectKind
 
 
@@ -241,3 +243,65 @@ def test_insert_part_targets_are_preexisting_alive_parts(graph):
     new_part, _events = graph.insert_part(composite)
     for conn in new_part.alive_out_conns():
         assert conn.dst in before
+
+
+# ----------------------------------------------------------------------
+# Degenerate composite: churned down to its root part, then repaired
+# ----------------------------------------------------------------------
+
+
+def _reachable_connections(store: ObjectStore) -> int:
+    return sum(
+        1
+        for oid in store.reachable_from_roots()
+        if store.objects[oid].kind == ObjectKind.CONNECTION
+    )
+
+
+def test_composite_churned_to_its_root_is_repaired_by_insertion():
+    graph = Oo7Graph(TINY, rng=random.Random(7))
+    store = ObjectStore(StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4))
+    for event in graph.generate():
+        apply_event(store, event)
+    composite = graph.composites[0]
+    root = composite.root_part
+
+    victims = composite.deletable_parts()
+    for part in victims[:-1]:
+        for event in graph.delete_part(part):
+            apply_event(store, event)
+    # Two parts left: every connection of the root targets the last victim.
+    last = victims[-1]
+    root_conns = last.alive_in_conns()
+    assert len(root_conns) == TINY.num_conn_per_atomic
+    assert all(conn.src is root for conn in root_conns)
+
+    events = graph.delete_part(last)
+    for event in events:
+        apply_event(store, event)
+    # Nothing to retarget to: the root's connections die with their target.
+    assert events[:-1] == [
+        PointerWriteEvent(root.oid, conn.slot, None, dies=(conn.oid,))
+        for conn in root_conns
+    ]
+    assert all(conn.dead for conn in root_conns)
+    assert composite.alive_parts() == [root]
+    assert root.alive_out_conns() == [] and root.alive_in_conns() == []
+    assert graph.alive_connection_count() == _reachable_connections(store)
+    assert store.check_death_annotations() == set()
+
+    new_part, events = graph.insert_part(composite)
+    for event in events:
+        apply_event(store, event)
+    # The insertion wires the new part and repairs the root's deficit.
+    assert composite.alive_parts() == [root, new_part]
+    for part in composite.alive_parts():
+        assert len(part.alive_out_conns()) == TINY.num_conn_per_atomic
+    assert {conn.dst for conn in root.alive_out_conns()} == {new_part}
+    assert graph.alive_connection_count() == _reachable_connections(store)
+    assert store.check_death_annotations() == set()
+
+    # Repaired means repaired: a further insertion adds only its own wiring.
+    _part, events = graph.insert_part(composite)
+    creates = [e for e in events if isinstance(e, CreateEvent)]
+    assert len(creates) == 1 + TINY.num_conn_per_atomic

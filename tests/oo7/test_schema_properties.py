@@ -15,6 +15,7 @@ from repro.oo7.builder import apply_event
 from repro.oo7.config import OO7Config
 from repro.oo7.schema import Oo7Graph
 from repro.storage.heap import ObjectStore, StoreConfig
+from repro.storage.object_model import ObjectKind
 
 SMALL_GRAPH = OO7Config(
     num_atomic_per_comp=5,
@@ -26,10 +27,41 @@ SMALL_GRAPH = OO7Config(
 )
 STORE_CFG = StoreConfig(page_size=512, partition_pages=4, buffer_pages=4)
 
+#: One churn step. An int deletes (even) or inserts (odd) a single part. A
+#: ``(composite, delete fraction)`` pair is that composite's Reorg1 step:
+#: delete the fraction, reinsert as many. At 1.0 the composite is churned
+#: down to its root part — the degenerate path where neighbour connections
+#: die for want of a retarget, and the next insertion repairs the deficit.
+_operations = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=1000),
+        st.tuples(
+            st.integers(min_value=0, max_value=SMALL_GRAPH.num_comp_per_module - 1),
+            st.sampled_from([0.5, 0.75, 1.0]),
+        ),
+    ),
+    max_size=40,
+)
+
 
 def _churn(graph: Oo7Graph, store: ObjectStore, operations, rng: random.Random):
     """Apply a random churn sequence, returning events applied."""
     for op in operations:
+        if isinstance(op, tuple):
+            index, fraction = op
+            composite = graph.composites[index]
+            candidates = composite.deletable_parts()
+            victims = rng.sample(candidates, int(len(candidates) * fraction))
+            for victim in victims:
+                for event in graph.delete_part(victim):
+                    apply_event(store, event)
+            # Reinsert one fewer: composites shrink over repeated steps, so
+            # some end the run as a lone root still carrying its deficit.
+            for _ in victims[1:]:
+                _part, events = graph.insert_part(composite)
+                for event in events:
+                    apply_event(store, event)
+            continue
         composite = graph.composites[op % len(graph.composites)]
         if op % 2 == 0:
             victims = composite.deletable_parts()
@@ -44,10 +76,7 @@ def _churn(graph: Oo7Graph, store: ObjectStore, operations, rng: random.Random):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**16),
-    st.lists(st.integers(min_value=0, max_value=1000), max_size=40),
-)
+@given(st.integers(min_value=0, max_value=2**16), _operations)
 def test_death_annotations_always_match_reachability(seed, operations):
     rng = random.Random(seed)
     graph = Oo7Graph(SMALL_GRAPH, rng=rng)
@@ -59,10 +88,7 @@ def test_death_annotations_always_match_reachability(seed, operations):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**16),
-    st.lists(st.integers(min_value=0, max_value=1000), max_size=40),
-)
+@given(st.integers(min_value=0, max_value=2**16), _operations)
 def test_structural_invariants_under_churn(seed, operations):
     rng = random.Random(seed)
     graph = Oo7Graph(SMALL_GRAPH, rng=rng)
@@ -99,10 +125,7 @@ def test_structural_invariants_under_churn(seed, operations):
 
 
 @settings(max_examples=15, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**16),
-    st.lists(st.integers(min_value=0, max_value=1000), max_size=30),
-)
+@given(st.integers(min_value=0, max_value=2**16), _operations)
 def test_store_graph_agreement_under_churn(seed, operations):
     """The store's pointer state mirrors the logical graph exactly."""
     rng = random.Random(seed)
@@ -120,3 +143,9 @@ def test_store_graph_agreement_under_churn(seed, operations):
             for conn in part.alive_out_conns():
                 assert part_obj.pointers[conn.slot] == conn.oid
                 assert store.objects[conn.oid].pointers["to"] == conn.dst.oid
+    reachable_connections = sum(
+        1
+        for oid in store.reachable_from_roots()
+        if store.objects[oid].kind == ObjectKind.CONNECTION
+    )
+    assert graph.alive_connection_count() == reachable_connections

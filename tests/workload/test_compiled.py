@@ -41,6 +41,7 @@ from repro.sim.spec import (
 from repro.storage.heap import StoreConfig
 from repro.storage.object_model import ObjectKind
 from repro.tx.recovery import RedoLog, recover
+from repro.workload.application import Oo7Application
 from repro.workload.compiled import (
     TRACE_FORMAT_VERSION,
     CompiledTrace,
@@ -147,6 +148,40 @@ def test_oo7_trace_compiles_exactly():
     events = list(build_workload(spec.workload, 0))
     trace = compile_trace(events)
     assert list(trace) == events
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    num_modules=st.integers(min_value=1, max_value=2),
+    connectivity=st.integers(min_value=1, max_value=4),
+    delete_fraction=st.sampled_from([0.5, 1.0]),
+    doc_churn_fraction=st.sampled_from([0.0, 0.5]),
+)
+@settings(max_examples=15, deadline=None)
+def test_oo7_trace_compiles_exactly_through_both_routes(
+    seed, num_modules, connectivity, delete_fraction, doc_churn_fraction
+):
+    """``emit_trace`` straight into the columns and ``events()`` through
+    the event encoder are one generator: they agree column for column."""
+    config = dataclasses.replace(
+        TINY, num_modules=num_modules, num_conn_per_atomic=connectivity
+    )
+
+    def application():
+        return Oo7Application(
+            config,
+            seed=seed,
+            delete_fraction=delete_fraction,
+            doc_churn_fraction=doc_churn_fraction,
+        )
+
+    events = list(application().events())
+    streamed = compile_trace(events)
+    direct = compile_trace(application())
+    assert direct.strings == streamed.strings
+    for column in CompiledTrace._COLUMNS:
+        assert getattr(direct, column) == getattr(streamed, column), column
+    assert list(direct) == events
 
 
 def test_simulation_summary_byte_identical_from_compiled_trace(tmp_path):
