@@ -5,17 +5,21 @@ survivor trace and the mutating reclamation — inside the trigger's
 stop-the-world window, on the replay thread. This module decouples them:
 
 1. **Snapshot.** When the trigger's *margin* window opens (a configurable
-   fraction of the interval before the due point), the scheduler predicts
-   the likely victim partitions and snapshots each one's frontier — the
+   fraction of the interval before the due point), and again at each
+   wake-up after it — every wake-up halves the remaining distance to the
+   trigger, the last landing one clock tick before it — the scheduler
+   predicts the likely victim partition and snapshots its frontier — the
    conservative roots and external fix-up pages the
    :class:`~repro.gc.remembered.RememberedSetIndex` maintains incrementally
-   — together with the store's trace epochs at that instant.
-2. **Trace.** Workers Cheney-trace the snapshots over a read-only view of
-   the heap (the flat :class:`~repro.storage.objtable.PlacementTable`
-   columns and the object table) while the replay / stream-admission loop
-   keeps running. With ``workers > 1`` the traces fan out to threads; with
-   ``workers == 1`` they run inline at the pump point. Either way the trace
-   happens *outside* the collection pause.
+   — together with the store's trace epochs at that instant. A snapshot
+   whose epochs still hold is kept, not retaken.
+2. **Trace.** The snapshot is Cheney-traced over the live heap (the object
+   table and the victim's resident set), *outside* the collection pause:
+   the primary prediction inline at the pump point, so the trace is paid
+   on the replay thread but not inside the stop-the-world window. With
+   ``workers > 1``, once the primary prediction is seen to move between
+   pumps, up to ``workers - 1`` further candidates are traced on threads
+   while the replay / stream-admission loop keeps running.
 3. **Validate + ordered apply.** When the trigger actually fires, the
    scheduler joins any outstanding workers (apply never races a trace),
    re-checks the victim's trace epochs, and applies reclamation through
@@ -68,9 +72,14 @@ if TYPE_CHECKING:
 COLLECTION_MODES = ("serial", "parallel")
 
 #: Default margin: the fraction of the trigger interval before the due
-#: point at which speculative tracing starts. Smaller margins leave less
-#: time for the victim to be mutated (higher speculation hit rates) but
-#: less overlap; the value only shifts wall-clock, never results.
+#: point at which the simulator starts waking the scheduler. It is the
+#: width of the window in which the geometric wake-ups happen (each one
+#: halves the remaining distance to the trigger, so a window of ``m``
+#: clock ticks costs about ``log2(m) + 1`` pumps), and the head start a
+#: thread-traced extra gets before the pause. The primary prediction is
+#: traced inline at the pump, so a wider window buys it nothing: it only
+#: leaves the first trace more time to go stale. The value shifts
+#: wall-clock only, never results.
 DEFAULT_GC_MARGIN = 0.25
 
 
@@ -148,13 +157,15 @@ class ParallelCollectionScheduler:
             result) is exactly the serial trigger order.
         selection: The run's partition-selection policy, probed
             non-mutatingly to predict victims.
-        workers: Fan-out width. ``1`` traces inline at the pump point;
-            ``N > 1`` snapshots up to N candidate partitions and traces
-            them on N ephemeral threads. Results are identical at any
-            value (speculation is validated before use); only wall-clock
-            differs.
+        workers: Fan-out width. ``1`` traces the primary prediction
+            inline at the pump point; ``N > 1`` additionally snapshots up
+            to N - 1 other candidate partitions on ephemeral threads once
+            the primary prediction is seen to move between pumps. Results
+            are identical at any value (speculation is validated before
+            use); only wall-clock differs.
         margin: Fraction of the trigger interval before the due point at
-            which the simulator pumps speculative traces.
+            which the simulator starts pumping speculative traces (see
+            :data:`DEFAULT_GC_MARGIN`).
     """
 
     def __init__(
@@ -175,6 +186,9 @@ class ParallelCollectionScheduler:
         self.workers = workers
         self.margin = margin
         self._pending: dict[PartitionId, _Speculation] = {}
+        #: The primary prediction of the previous pump of this trigger
+        #: cycle (``None`` before the cycle's first pump).
+        self._predicted: Optional[PartitionId] = None
         #: Observability counters (telemetry-only — never part of summaries
         #: or reports). Snapshot validity depends on the store's epoch
         #: counters, not thread timing, so these are deterministic at
@@ -195,8 +209,11 @@ class ParallelCollectionScheduler:
     def pump(self) -> None:
         """Speculatively trace up to ``workers`` likely victim partitions.
 
-        Called by the simulator when the margin window opens (and by the
-        service between admitted events). Touches no mutable store state —
+        Called from :meth:`repro.sim.simulator.Simulation._collect` and
+        from nowhere else: the replay loops — and the service's admission
+        loop, which drives the same method — land there when the clock
+        reaches a margin wake-up, the first at the margin point and each
+        later one halfway to the trigger. Touches no mutable store state —
         a pump can never change what the run computes.
         """
         self.pumps += 1
@@ -208,17 +225,26 @@ class ParallelCollectionScheduler:
             if pending.thread is not None:
                 pending.thread.join()
                 pending.thread = None
-        victims = self.predict_victims()
+        primary = peek_selection(self.selection, self.store)
+        if primary is None:
+            return
+        # Extras are breadth insurance against a prediction miss, and each
+        # costs a thread that shares the interpreter with replay. While the
+        # primary prediction holds from one pump to the next there is
+        # nothing to insure; they are traced once it is seen to move.
+        moved = self._predicted is not None and primary != self._predicted
+        self._predicted = primary
+        victims = self.predict_victims(primary) if moved else [primary]
         for index, pid in enumerate(victims):
             current = self._pending.get(pid)
             if current is not None:
                 if self._valid(current):
                     continue
                 if index > 0:
-                    # Stale *extra* snapshots are not refreshed per tick —
-                    # they are breadth insurance against a prediction miss,
-                    # and validation discards them at apply anyway. Only
-                    # the primary earns the per-tick re-trace.
+                    # Stale *extra* snapshots are not refreshed — they are
+                    # breadth insurance against a prediction miss, and
+                    # validation discards them at apply anyway. Only the
+                    # primary earns a re-trace at each wake-up.
                     continue
             spec = self._snapshot(pid)
             self._pending[pid] = spec
@@ -238,17 +264,14 @@ class ParallelCollectionScheduler:
                 )
                 spec.thread.start()
 
-    def predict_victims(self) -> list[PartitionId]:
+    def predict_victims(self, primary: PartitionId) -> list[PartitionId]:
         """Up to ``workers`` non-overlapping candidate partitions.
 
-        The selection policy's own (non-mutating) prediction first, then
-        the next most-overwritten collectable partitions — the same signal
-        UPDATEDPOINTER ranks by — as speculative breadth against
-        prediction misses.
+        ``primary`` — the selection policy's own (non-mutating) prediction
+        — first, then the next most-overwritten collectable partitions —
+        the same signal UPDATEDPOINTER ranks by — as speculative breadth
+        against prediction misses.
         """
-        primary = peek_selection(self.selection, self.store)
-        if primary is None:
-            return []
         victims = [primary]
         extra = self.workers - 1
         if extra > 0:
@@ -287,6 +310,7 @@ class ParallelCollectionScheduler:
         # their reads raises (caught, marks the orphan failed) but cannot
         # corrupt interpreter state or influence any result.
         self._pending.clear()
+        self._predicted = None
         if spec is not None and spec.thread is not None:
             spec.thread.join()
 

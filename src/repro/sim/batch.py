@@ -20,6 +20,9 @@ form instead, in one of two modes:
   is provably frozen across the run. Eligibility is conservative
   (:func:`_fast_eligible`): any hook, fault injector, redo log, retained
   event series, or subclassed component routes to guarded mode instead.
+  ``collection="parallel"`` runs are eligible: the kernels keep the
+  store's trace epochs in step, and the scheduler's margin wake-ups are
+  ordinary run boundaries.
 
 * **guarded mode** (:func:`_replay_guarded`) — a per-event loop over the
   same columns that calls the real store/transaction/sampler methods in
@@ -292,11 +295,6 @@ def _fast_eligible(sim) -> bool:
     return (
         sim.faults is None
         and sim.redo_log is None
-        # Parallel collection pumps speculative traces at the margin point
-        # and validates them against store.trace_epochs; fast mode inlines
-        # the mutation kernels that maintain those epochs, so parallel-mode
-        # runs replay guarded (the guarded path calls the real methods).
-        and sim._par is None
         and not sim.config.keep_event_series
         and sampler._series_countdown is None
         and not isinstance(sim.policy, OpportunisticPolicy)
@@ -458,6 +456,29 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
     the locals *flush* back and the boundary is handled with the real
     methods (``sim._collect``, :func:`_replay_guarded`). No closures: the
     hot names must stay plain locals, not cells.
+
+    Thread safety under ``collection="parallel"``. Speculative traces read
+    the heap while this loop runs, so what they read must never be stale
+    in a local. Three readers:
+
+    * ``ParallelCollectionScheduler._snapshot`` and victim prediction run
+      on this thread, from ``sim._collect`` — after the boundary flush, so
+      they see exactly what the scalar loop would show them.
+    * ``_trace_into`` (``breadth_first_order`` + ``plan_compaction``) runs
+      inline at the pump, or on a worker thread while events apply. It
+      reads ``store.objects``, each object's ``pointers`` and ``size``,
+      and the victim's ``residents`` — all mutated in place here, never
+      mirrored. The mirrored state (``cur_fill``, ``tcount``, the I/O,
+      buffer, garbage and sampler accumulators) is scalar bookkeeping no
+      trace or plan looks at; a plan derives its own fill from survivor
+      sizes.
+    * Validation reads ``store.trace_epochs`` / ``compaction_epoch`` at
+      the trigger, again after the flush. The kernels bump ``epochs`` at
+      the sites ``ObjectStore.create / write_pointer / register_root /
+      _unpin / _remember_edge / _forget_edge`` do, in the same event as
+      the mutation, so a worker that raced a mutation (torn read or
+      ``RuntimeError`` from a resized dict/set) is discarded exactly as
+      it is on the guarded route.
     """
     ops = cache.ops
     g0 = cache.arg0
@@ -502,6 +523,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
     unlinked = store.unlinked
     roots = store.roots
     dead_bytes = store.dead_bytes
+    epochs = store.trace_epochs           # appended to in place, never rebound
     rem_roots = rem._roots
     rem_pins = rem._pins
     rem_sources = rem._sources
@@ -621,6 +643,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                     slot = strings[wsl[wi]]
                     old = optrs.get(slot)
                     optrs[slot] = tgt
+                    epochs[sp] += 1
                     first = soff // page_size
                     last = (soff + ssz - 1) // page_size
                     while first <= last:
@@ -658,8 +681,11 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                         if old_pid >= 0:
                             partitions[old_pid].pointer_overwrites += 1
                             if old_pid != sp:
-                                # Partition.forget + forget_source, with the
-                                # same found/absent branch placements.
+                                # _forget_edge: Partition.forget +
+                                # forget_source, with the same found/absent
+                                # branch placements; the epoch bump is
+                                # unconditional, as there.
+                                epochs[old_pid] += 1
                                 inc = partitions[old_pid].incoming
                                 srcs = inc.get(old)
                                 if srcs is not None:
@@ -689,7 +715,10 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                             pd = rem_pins.get(tp)
                             if pd is not None:
                                 pd.discard(tgt)
+                            if tp >= 0:
+                                epochs[tp] += 1
                         if tp >= 0 and tp != sp:
+                            epochs[tp] += 1
                             inc2 = partitions[tp].incoming
                             srcs2 = inc2.get(tgt)
                             if srcs2 is None:
@@ -927,6 +956,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                         cur_pins_add = cur_pins.add
                     else:
                         cur_pins_add(oid)
+                    epochs[pid] += 1
                     first = off // page_size
                     last = (off + size - 1) // page_size
                     while first <= last:
@@ -991,7 +1021,10 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                                 pd2 = rem_pins.get(tp)
                                 if pd2 is not None:
                                     pd2.discard(tgt)
+                                if tp >= 0:
+                                    epochs[tp] += 1
                             if tp >= 0 and tp != pid:
+                                epochs[tp] += 1
                                 inc2 = partitions[tp].incoming
                                 srcs2 = inc2.get(tgt)
                                 if srcs2 is None:
@@ -1019,11 +1052,15 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                         rem_roots[rp] = {a}
                     else:
                         rr.add(a)
+                    if rp >= 0:
+                        epochs[rp] += 1
                     if a in unlinked:
                         unlinked.discard(a)
                         pd = rem_pins.get(rp)
                         if pd is not None:
                             pd.discard(a)
+                        if rp >= 0:
+                            epochs[rp] += 1
 
                 elif op == 5:  # PHASE — not sampled, no trigger check
                     sampler.phase = name = strings[a]

@@ -248,7 +248,8 @@ class SimulationConfig:
         collection: How triggered collections execute. ``"serial"``
             (default) traces and reclaims inside the trigger window on the
             replay thread; ``"parallel"`` pre-traces likely victims
-            speculatively while replay continues (the scheduler of
+            speculatively before the trigger, at wake-ups that halve the
+            remaining distance to it (the scheduler of
             :mod:`repro.gc.parallel`), validates each speculative trace
             against the store's trace epochs at the due point, and applies
             reclamation in the exact serial order. Results are identical
@@ -256,9 +257,11 @@ class SimulationConfig:
             property-tested), so this field — and ``gc_workers`` — is
             excluded from experiment fingerprints like ``reachability``
             and ``replay``.
-        gc_workers: Fan-out width for ``collection="parallel"``: how many
-            candidate partitions are snapshotted per pump, and (when > 1)
-            how many tracing threads run them. Affects wall-clock only.
+        gc_workers: Fan-out width for ``collection="parallel"``: the
+            predicted victim is traced inline at the pump; when > 1, up to
+            ``gc_workers - 1`` further candidates are traced on threads
+            once the prediction moves between pumps. Affects wall-clock
+            only.
     """
 
     store: StoreConfig = field(default_factory=StoreConfig)
@@ -604,13 +607,18 @@ class Simulation:
         par = self._par
         if par is not None and not force and self._clock() < self._real_due_at:
             # Margin window: the trigger has not fired yet. Snapshot and
-            # trace likely victims while replay continues, refreshing any
-            # snapshot the mutator invalidated, then wake again at the
-            # next clock tick (staleness at apply is thereby bounded by
-            # the final tick's mutations). Pumps are read-only, so the
-            # extra wake-ups can never change what the run computes.
+            # trace likely victims, refreshing any snapshot the mutator
+            # invalidated, then wake again halfway to the real deadline.
+            # The halving schedule costs O(log margin) pumps instead of
+            # one per tick, and its last wake-up still lands one tick
+            # before the trigger, so staleness at apply stays bounded by
+            # the final tick's mutations. Pumps are read-only, so the
+            # wake-ups can never change what the run computes.
             par.pump()
-            self._due_at = min(self._real_due_at, self._clock() + 1.0)
+            now = self._clock()
+            self._due_at = min(
+                self._real_due_at, now + max(1.0, (self._real_due_at - now) // 2)
+            )
             return
         if self.collector.collections_performed >= self.config.max_collections:
             raise RuntimeError(

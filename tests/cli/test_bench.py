@@ -61,6 +61,17 @@ def test_compiled_load_beats_rebuild(quick_doc):
     assert tcl["emit_s"] > 0
 
 
+def test_parallel_collection_reports_both_sides_of_the_trade(quick_doc):
+    pc = quick_doc["results"]["parallel_collection"]
+    assert pc["summaries_match"] is True
+    for mode in ("serial", "parallel"):
+        assert pc[mode]["wall_s"] >= pc[mode]["gc_wall_s"] > 0
+        assert pc[mode]["events_per_s"] > 0
+    assert pc["replay_slowdown"] == pytest.approx(
+        pc["parallel"]["wall_s"] / pc["serial"]["wall_s"], abs=0.006
+    )
+
+
 def test_regression_gate(quick_doc):
     # Identical runs never regress.
     assert check_regression(quick_doc, quick_doc, 0.30) == []

@@ -13,7 +13,9 @@ prediction.
 """
 
 import dataclasses
+import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from repro.gc.selection import (
     make_selection_policy,
 )
 from repro.oo7.config import TINY
+from repro.sim import batch
 from repro.sim.cache import spec_fingerprint
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.sim.spec import (
@@ -52,6 +55,7 @@ from repro.sim.spec import (
     build_workload,
 )
 from repro.storage.heap import ObjectStore, StoreConfig
+from repro.storage.validation import validate_store
 from repro.tx.recovery import RedoLog, recover
 from repro.workload.compiled import compile_trace
 from repro.workload.presets import PresetWorkload
@@ -69,9 +73,9 @@ def _config(**overrides) -> SimulationConfig:
 
 
 def _run(workload_events, *, selection="updated-pointer", rate=40.0, seed=7,
-         **overrides):
+         policy=None, **overrides):
     sim = Simulation(
-        policy=FixedRatePolicy(rate),
+        policy=policy or FixedRatePolicy(rate),
         selection=make_selection_policy(selection, seed=seed),
         config=_config(**overrides),
     )
@@ -128,8 +132,8 @@ def test_parallel_matches_serial_full_reachability():
 
 
 def test_parallel_matches_serial_under_batched_replay():
-    """Parallel sims take the guarded per-event interpreter; results match
-    the scalar serial loop over the same compiled trace."""
+    """Parallel sims take the fused interpreter; results match the scalar
+    serial loop over the same compiled trace."""
     events = _preset_events()
     trace = compile_trace(events)
     serial = _outcome(*_run(events, replay="scalar"))
@@ -137,6 +141,180 @@ def test_parallel_matches_serial_under_batched_replay():
         *_run(trace, replay="auto", collection="parallel", gc_workers=4)
     )
     assert parallel == serial
+
+
+@pytest.mark.parametrize(
+    "policy_spec",
+    [
+        PolicySpec("fixed", {"overwrites_per_collection": 25.0}),
+        PolicySpec("saga", {"garbage_fraction": 0.10}),
+        PolicySpec("saio", {"io_fraction": 0.10}),
+    ],
+    ids=["fixed", "saga", "saio"],
+)
+@pytest.mark.parametrize("transactional", [False, True], ids=["plain", "tx-spans"])
+def test_fast_path_parallel_matches_serial(policy_spec, transactional):
+    """Fused replay under parallel collection, on both trigger clocks
+    (overwrites for fixed/SAGA, application I/O for SAIO) and across the
+    fast -> guarded -> fast handoff around every transaction span."""
+    if transactional:
+        spec = TransactionalSpec(transactions=400, abort_probability=0.4)
+        events = TransactionalWorkload(spec, seed=3, initial_clusters=20).events()
+    else:
+        events = _preset_events()
+    trace = compile_trace(events)
+    serial = _outcome(
+        *_run(trace, policy=build_policy(policy_spec, 0), replay="auto")
+    )
+    for workers in (1, 2):
+        sim, res = _run(
+            trace,
+            policy=build_policy(policy_spec, 0),
+            replay="auto",
+            collection="parallel",
+            gc_workers=workers,
+        )
+        assert _outcome(sim, res) == serial
+        assert res.summary.collections > 0, "the workload must trigger GC"
+        assert sim._par.pumps > 0
+        if not transactional:
+            # (Collections deferred to a commit find the victim mutated by
+            # the transaction itself; only the plain trace must hit.)
+            assert sim._par.speculation_hits > 0, sim._par.stats()
+
+
+# ------------------------------------------------- fast path + wake-ups
+
+
+def test_stock_parallel_simulation_is_fast_eligible():
+    sim = Simulation(
+        policy=FixedRatePolicy(40.0),
+        config=_config(replay="auto", collection="parallel", gc_workers=2),
+    )
+    assert batch._fast_eligible(sim)
+
+
+def test_speculation_counters_equal_fast_and_guarded(monkeypatch):
+    """At gc_workers=1 the scheduler's counters are a function of the trace:
+    the fused interpreter must produce the ones the per-event route does."""
+    trace = compile_trace(_preset_events())
+    fast_spans = []
+    replay_fast = batch._replay_fast
+
+    def spy(sim, *args):
+        fast_spans.append(sim)
+        return replay_fast(sim, *args)
+
+    monkeypatch.setattr(batch, "_replay_fast", spy)
+    sim_f, res_f = _run(trace, replay="auto", collection="parallel")
+    assert fast_spans == [sim_f], "the parallel run must replay fused"
+
+    monkeypatch.setattr(batch, "_fast_eligible", lambda sim: False)
+    sim_g, res_g = _run(trace, replay="auto", collection="parallel")
+    assert fast_spans == [sim_f], "the reference run must replay guarded"
+
+    assert sim_f._par.stats() == sim_g._par.stats()
+    assert sim_f._par.speculation_hits > 0
+    assert _outcome(sim_f, res_f) == _outcome(sim_g, res_g)
+    assert sim_f.store.trace_epochs == sim_g.store.trace_epochs
+    assert sim_f.store.compaction_epoch == sim_g.store.compaction_epoch
+
+
+def test_worker_threads_racing_the_fused_loop_cannot_change_results():
+    """Stress: extras traced on threads at *every* pump, with the
+    interpreter switching threads ~every bytecode burst, while the fused
+    loop mutates the heap they read. Whatever a worker saw, validation
+    must discard every trace a mutation overlapped."""
+    trace = compile_trace(_preset_events())
+    serial = _outcome(*_run(trace, replay="auto"))
+    sim = Simulation(
+        policy=FixedRatePolicy(40.0),
+        config=_config(replay="auto", collection="parallel", gc_workers=4),
+    )
+    assert batch._fast_eligible(sim)
+    par = sim._par
+    pump = par.pump
+
+    def restless_pump():
+        par._predicted = -1  # "the prediction moved": trace the extras too
+        pump()
+
+    par.pump = restless_pump
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = sim.run(trace)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _outcome(sim, result) == serial
+    assert par.speculative_traces > 2 * result.summary.collections
+    validate_store(sim.store, strict=True)
+
+
+def _recording_sim(policy, **overrides):
+    """A parallel simulation (gc_workers=1) that records ``(clock,
+    deadline)`` at every pump and the deadline of every collection."""
+    sim = Simulation(policy=policy, config=_config(collection="parallel", **overrides))
+    par = sim._par
+    pumps, deadlines = [], []
+    pump, collect = par.pump, par.collect
+
+    def recording_pump():
+        pumps.append((sim._clock(), sim._real_due_at))
+        pump()
+
+    def recording_collect(pid):
+        deadlines.append(sim._real_due_at)
+        return collect(pid)
+
+    par.pump = recording_pump
+    par.collect = recording_collect
+    return sim, pumps, deadlines
+
+
+def test_pumps_per_collection_are_logarithmic_in_the_margin():
+    rate = 32.0
+    sim, pumps, deadlines = _recording_sim(FixedRatePolicy(rate), replay="auto")
+    res = sim.run(compile_trace(_preset_events()))
+    assert res.summary.collections >= 10
+    bound = math.log2(rate * DEFAULT_GC_MARGIN) + 2
+    # +1: the trace may end inside a margin window that never fires.
+    assert sim._par.pumps <= (res.summary.collections + 1) * bound
+    assert sim._par.pumps == len(pumps)
+    # The overwrite clock moves one tick at a time, so every cycle passes
+    # through the tick before its deadline and must have been pumped there.
+    pumped = set(pumps)
+    for due in deadlines:
+        assert (due - 1.0, due) in pumped
+
+
+def test_last_wake_up_lands_one_tick_before_the_trigger():
+    """Application-I/O clock: one event can advance it by several ticks, so
+    a cycle may jump over its last tick — but whenever the clock does take
+    that value, the scheduler was pumped there."""
+    sim, pumps, deadlines = _recording_sim(
+        build_policy(PolicySpec("saio", {"io_fraction": 0.10}), 0), replay="scalar"
+    )
+    # The scalar loop samples after every event and before the trigger
+    # check: spy on the clock there.
+    seen = set()
+    sample = sim.sampler.on_event
+
+    def spy(store, iostats):
+        seen.add(sim._clock())
+        sample(store, iostats)
+
+    sim.sampler.on_event = spy
+    res = sim.run(_preset_events())
+    assert res.summary.collections >= 5
+    pumped = set(pumps)
+    passed_through = 0
+    for due in deadlines:
+        last_tick = float(math.ceil(due) - 1)
+        if last_tick in seen:
+            passed_through += 1
+            assert (last_tick, due) in pumped
+    assert passed_through > 0
 
 
 def test_parallel_matches_serial_transactional_rollback():
@@ -333,11 +511,52 @@ def test_mutations_bump_trace_epochs():
     after_write = list(store.trace_epochs)
     assert after_write != before  # the overwrite itself bumps
 
+    # The fused interpreter inlines these mutators: the same mutations as
+    # one compiled trace must leave the same epochs, bump for bump.
+    sim = Simulation(policy=FixedRatePolicy(1e9), config=_config(replay="auto"))
+    assert batch._fast_eligible(sim)
+    sim.run(
+        compile_trace(
+            [
+                CreateEvent(oid=a, size=64),
+                RootEvent(oid=a),
+                CreateEvent(oid=b, size=64),
+                PointerWriteEvent(src=a, slot="x", target=b),
+                PointerWriteEvent(src=a, slot="x", target=None, dies=(b,)),
+            ]
+        )
+    )
+    assert sim.store.trace_epochs == after_write
+
     before_ep = store.compaction_epoch
     from repro.gc.collector import CopyingCollector
 
     CopyingCollector(store).collect(pid)
     assert store.compaction_epoch > before_ep
+
+
+def test_fast_path_bumps_epochs_across_partitions():
+    """Boundary edges bump the *target's* partition (remember at the
+    store, forget at the overwrite — found or not), as the store does."""
+    # 16 KB partitions: three 6000-byte objects land in two partitions.
+    events = [
+        CreateEvent(oid=1, size=6000),
+        RootEvent(oid=1),
+        CreateEvent(oid=2, size=6000),
+        CreateEvent(oid=3, size=6000, pointers=(("back", 1),)),
+        PointerWriteEvent(src=1, slot="far", target=3),
+        PointerWriteEvent(src=1, slot="far", target=2),
+        PointerWriteEvent(src=3, slot="back", target=None),
+        RootEvent(oid=3),
+    ]
+    scalar = Simulation(policy=FixedRatePolicy(1e9), config=_config())
+    scalar.run(events)
+    assert len(scalar.store.partitions) == 2
+    fused = Simulation(policy=FixedRatePolicy(1e9), config=_config(replay="auto"))
+    assert batch._fast_eligible(fused)
+    fused.run(compile_trace(events))
+    assert fused.store.trace_epochs == scalar.store.trace_epochs
+    assert all(epoch > 0 for epoch in fused.store.trace_epochs)
 
 
 def test_stale_speculation_is_discarded():
