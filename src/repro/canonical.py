@@ -22,18 +22,15 @@ import enum
 from typing import Any, Mapping
 
 #: Dataclass fields excluded from canonical material, by class name.
-#: ``SimulationConfig.reachability`` selects *how* the collection frontier is
-#: computed, ``SimulationConfig.replay`` selects *which interpreter* drives
-#: the trace, and ``SimulationConfig.collection`` / ``gc_workers`` select
-#: how collections are executed (serial, or speculatively pre-traced by N
+#: ``SimulationConfig.replay`` selects *which interpreter* drives the trace
+#: and ``SimulationConfig.collection`` / ``gc_workers`` select how
+#: collections are executed (serial, or speculatively pre-traced by N
 #: workers and validated at apply) — none changes *what* is simulated: each
 #: mode produces identical results (property-tested), so including them
 #: would split the result cache and invalidate every fingerprint minted
 #: before the fields existed.
 CANONICAL_EXCLUDED_FIELDS: dict[str, frozenset[str]] = {
-    "SimulationConfig": frozenset(
-        {"reachability", "replay", "collection", "gc_workers"}
-    ),
+    "SimulationConfig": frozenset({"replay", "collection", "gc_workers"}),
 }
 
 

@@ -403,12 +403,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--run-timeout", type=float, default=None)
     parser.add_argument(
         "--replay",
-        choices=("auto", "batched", "scalar"),
+        choices=("auto", "scalar"),
         default="auto",
         help=(
-            "replay interpreter: auto (batched where eligible), batched, "
-            "or scalar — all three produce identical reports; the replay "
-            "choice is excluded from result-cache fingerprints"
+            "replay interpreter: auto (batched where eligible) or scalar — "
+            "both produce identical reports; the replay choice is excluded "
+            "from result-cache fingerprints"
         ),
     )
     parser.add_argument(

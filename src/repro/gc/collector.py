@@ -28,21 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gc.remembered import full_scan_frontier
 from repro.storage.buffer import PageId
 from repro.storage.heap import CompactionPlan, ObjectStore
 from repro.storage.iostats import IOCategory
 from repro.storage.object_model import ObjectId
 from repro.storage.partition import PartitionId
 from repro.storage.traversal import breadth_first_order
-
-#: Valid ``reachability`` modes: ``"remembered"`` derives each collection's
-#: frontier from the store's incremental index (O(partition + boundary));
-#: ``"full"`` recomputes it from a whole-heap scan per collection (O(heap)).
-#: Both produce identical results — the switch exists for A/B verification
-#: and for the ``collection_throughput`` benchmark.
-REACHABILITY_MODES = ("remembered", "full")
-
 
 @dataclass(frozen=True)
 class CollectionResult:
@@ -93,25 +84,18 @@ class CollectionResult:
 class CopyingCollector:
     """Collects one partition at a time with Cheney copying compaction.
 
+    Each collection's frontier (conservative roots + external fix-up
+    pages) is read from the store's incrementally maintained
+    remembered-set index in O(partition + boundary);
+    :func:`repro.gc.remembered.full_scan_frontier` is the O(heap)
+    from-scratch reference the tests compare it against.
+
     Args:
         store: The heap to collect.
-        reachability: How each collection's frontier (conservative roots +
-            external fix-up pages) is derived — see
-            :data:`REACHABILITY_MODES`. The default ``"remembered"`` reads
-            the store's incrementally maintained index; ``"full"`` is the
-            from-scratch whole-heap baseline kept for A/B verification.
-            Within-partition tracing is identical in both modes, and so are
-            all results (summaries are pickle-equal, property-tested).
     """
 
-    def __init__(self, store: ObjectStore, reachability: str = "remembered") -> None:
-        if reachability not in REACHABILITY_MODES:
-            raise ValueError(
-                f"reachability must be one of {REACHABILITY_MODES}, "
-                f"got {reachability!r}"
-            )
+    def __init__(self, store: ObjectStore) -> None:
         self._store = store
-        self.reachability = reachability
         self.collections_performed = 0
         self.total_reclaimed_bytes = 0
         #: Objects traced (visited by the survivor scan) across all
@@ -137,12 +121,8 @@ class CopyingCollector:
         that) — ``collect(pid)`` is always ``prepare`` + ``apply``.
         """
         store = self._store
-        if self.reachability == "full":
-            roots, fixup_pages = full_scan_frontier(store, pid)
-        else:
-            roots = store.partition_roots(pid)
-            fixup_pages = store.external_source_pages(pid)
-        return self._trace_survivors(pid, roots), fixup_pages
+        roots = store.partition_roots(pid)
+        return self._trace_survivors(pid, roots), store.external_source_pages(pid)
 
     def apply(
         self,
@@ -220,47 +200,14 @@ class CopyingCollector:
         """
         store = self._store
         reachable = store.reachable_from(store.roots | store.unlinked)
-        results = []
-        for partition in store.partitions:
-            pid = partition.pid
-            po_before = partition.pointer_overwrites
-            overwrite_clock = store.pointer_overwrites
-            pages_before = partition.used_pages(store.config.page_size)
-            survivors = sorted(partition.residents & reachable)
-            fixup_pages = store.external_source_pages(pid)
-            self.traced_objects_total += len(survivors)
-            self.heap_objects_total += len(store.objects)
-
-            reads_before = store.iostats.collector.reads
-            writes_before = store.iostats.collector.writes
-            store.buffer.invalidate_partition(pid, IOCategory.COLLECTOR)
-            store.iostats.record_read(IOCategory.COLLECTOR, pages_before)
-            reclaimed_objects = len(partition.residents) - len(survivors)
-            reclaimed_bytes = store.compact_partition(pid, survivors)
-            store.iostats.record_write(
-                IOCategory.COLLECTOR, partition.used_pages(store.config.page_size)
+        return [
+            self.apply(
+                partition.pid,
+                sorted(partition.residents & reachable),
+                store.external_source_pages(partition.pid),
             )
-            fixups = len(fixup_pages)
-            store.iostats.record_read(IOCategory.COLLECTOR, fixups)
-            store.iostats.record_write(IOCategory.COLLECTOR, fixups)
-
-            results.append(
-                CollectionResult(
-                    collection_number=self.collections_performed,
-                    partition=pid,
-                    reclaimed_bytes=reclaimed_bytes,
-                    reclaimed_objects=reclaimed_objects,
-                    live_bytes=partition.fill,
-                    live_objects=len(survivors),
-                    gc_reads=store.iostats.collector.reads - reads_before,
-                    gc_writes=store.iostats.collector.writes - writes_before,
-                    pointer_overwrites_at_selection=po_before,
-                    overwrite_clock=overwrite_clock,
-                )
-            )
-            self.collections_performed += 1
-            self.total_reclaimed_bytes += reclaimed_bytes
-        return results
+            for partition in store.partitions
+        ]
 
     # ------------------------------------------------------------------
     # Internals

@@ -34,8 +34,7 @@ equals what an inline trace would compute, results are **identical to the
 serial collector at any worker count**: pickle-equal summaries, identical
 iostats, identical crash/recovery drills. Worker count and margin affect
 wall-clock only — which is why ``collection=`` / ``gc_workers=`` are
-excluded from result-cache fingerprints, exactly like ``reachability=``
-and ``replay=``.
+excluded from result-cache fingerprints, exactly like ``replay=``.
 
 Conservatism is unchanged from the serial collector: a remembered-in
 reference is a root even when its source is garbage, so cross-partition
@@ -49,7 +48,6 @@ import threading
 from typing import TYPE_CHECKING, Optional
 
 from repro.gc.collector import CollectionResult, CopyingCollector
-from repro.gc.remembered import full_scan_frontier
 from repro.gc.selection import (
     MostGarbageOracleSelection,
     PartitionSelectionPolicy,
@@ -348,17 +346,12 @@ class ParallelCollectionScheduler:
         sorted here — the same stable order the serial trace enqueues.
         """
         store = self.store
-        if self.collector.reachability == "full":
-            roots, fixup_pages = full_scan_frontier(store, pid)
-        else:
-            roots = store.partition_roots(pid)
-            fixup_pages = store.external_source_pages(pid)
         return _Speculation(
             pid=pid,
             partition_epoch=store.trace_epochs[pid],
             compaction_epoch=store.compaction_epoch,
-            roots=sorted(roots),
-            fixup_pages=fixup_pages,
+            roots=sorted(store.partition_roots(pid)),
+            fixup_pages=store.external_source_pages(pid),
         )
 
     def _trace_into(self, spec: _Speculation) -> None:

@@ -29,17 +29,16 @@ handlers never touch the index directly.
 **Conservatism caveat** (the paper's stated limitation): remembered-in
 references are treated as roots even when the referencing object is itself
 garbage in another partition, so *cross-partition garbage cycles* are never
-reclaimed by partition collection — under either reachability mode — and
-are only recovered by :meth:`~repro.gc.collector.CopyingCollector.
-collect_global`'s whole-database marking pass. The oracle garbage
+reclaimed by partition collection and are only recovered by
+:meth:`~repro.gc.collector.CopyingCollector.collect_global`'s
+whole-database marking pass. The oracle garbage
 accounting and the estimator/telemetry layers all report against this same
 definition of reclaimable garbage.
 
-:func:`full_scan_frontier` is the from-scratch baseline behind
-``SimulationConfig(reachability="full")``: it recomputes the identical
-frontier by scanning the entire heap per collection (O(heap)), which the
-A/B property tests and the ``collection_throughput`` benchmark compare the
-incremental path against.
+:func:`full_scan_frontier` is the from-scratch reference: it recomputes
+the identical frontier by scanning the entire heap (O(heap)). No
+production path calls it; the property tests compare the incremental
+index against it at every mutation and collection point.
 """
 
 from __future__ import annotations
@@ -212,9 +211,8 @@ def full_scan_frontier(
       least one pointer into ``pid`` (compaction relocates their referents,
       so each needs a read-modify-write).
 
-    This is the ``reachability="full"`` baseline: O(heap) per collection,
-    result-identical to ``"remembered"`` (property-tested), and the
-    denominator of the ``collection_throughput`` benchmark's speedup.
+    O(heap) per call — the test oracle for the incremental frontier, never
+    on a production path.
     """
     partition = store.partitions[pid]
     residents = partition.residents

@@ -188,13 +188,10 @@ class GcService:
         sim = self.sim
         svc = self.service
         store = sim.store
-        iostats = store.iostats
         tx = sim.tx
         run_started = time.monotonic()
         report = ServiceReport(next_index=start_index)
         events = self.stream.events_from(start_index)
-        sim._event_index = start_index - 1
-        sim._tx_start_index = None
         rate = svc.target_ops_per_s
         max_events = svc.max_events
         obs = self.obs
@@ -207,7 +204,7 @@ class GcService:
             )
         stopped = "end-of-stream"
         try:
-            sim._schedule(sim.policy.first_trigger(store, iostats))
+            sim._start(start_index)
             for event in events:
                 sim._event_index += 1
                 sim._event_applied = False
@@ -246,12 +243,7 @@ class GcService:
                         time.sleep(ahead)
                         report.paced_sleep_s += ahead
         except SimulatedCrash as crash:
-            crash.event_index = sim._event_index
-            crash.resume_index = (
-                sim._tx_start_index
-                if tx.in_transaction and sim._tx_start_index is not None
-                else sim._event_index + (0 if not sim._event_applied else 1)
-            )
+            sim._annotate_crash(crash)
             raise
         # Quiescent stop: flush a final checkpoint so a restart replays
         # nothing. (A malformed finite stream ending mid-transaction skips

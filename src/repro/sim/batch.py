@@ -1,4 +1,4 @@
-"""Batched trace replay: a vectorized interpreter over compiled columns.
+"""Batched trace replay: a fused interpreter over compiled columns.
 
 The scalar loop in :mod:`repro.sim.simulator` decodes one
 :class:`~repro.events.TraceEvent` dataclass per event and dispatches it
@@ -7,17 +7,16 @@ of events per policy cell) the per-event overhead — event allocation,
 handler dispatch, attribute traffic on the store/sampler/buffer objects —
 dominates wall time. This module replays a
 :class:`~repro.workload.compiled.CompiledTrace` directly from its columnar
-form instead, in one of two modes:
+form instead; :meth:`repro.sim.simulator.Simulation.run` picks one of two
+modes:
 
 * **fast mode** (:func:`_replay_fast`) — a fused interpreter that hoists
   every piece of hot mutable state (I/O ledgers, buffer LRU, sampler
   accumulators, garbage totals, the trigger clock) into plain locals,
-  applies events with inlined copies of the store's kernels, and only
-  *flushes* the locals back to the real objects at **run boundaries**: a
-  GC trigger firing, a transaction span, a deadline check, or the end of
-  the trace. Homogeneous ACCESS/UPDATE runs (from the precomputed
-  run-length index) are applied as bulk operations when the trigger clock
-  is provably frozen across the run. Eligibility is conservative
+  applies events one at a time with inlined copies of the store's
+  kernels, and only *flushes* the locals back to the real objects at
+  **run boundaries**: a GC trigger firing, a transaction span, a deadline
+  check, or the end of the trace. Eligibility is conservative
   (:func:`_fast_eligible`): any hook, fault injector, redo log, retained
   event series, or subclassed component routes to guarded mode instead.
   ``collection="parallel"`` runs are eligible: the kernels keep the
@@ -36,39 +35,19 @@ pickle-equal and final store state matches field for field (property-
 tested in ``tests/sim/test_batch_replay.py``). Bitwise float equality
 holds because every floating-point operation of the scalar path —
 garbage-fraction divisions and the sampler's sequential ``total +=``
-folds — is reproduced operation for operation; bulk runs reuse the one
-unchanged quotient and fold it sequentially (:func:`_fold_add`, which
-uses ``numpy.add.accumulate`` — a documented left fold — never pairwise
-``numpy.sum``).
+folds — is reproduced operation for operation.
 
-NumPy is optional (the ``[perf]`` extra): when importable it accelerates
-the cache-building kernels (run-length index, prefix counts, fold), and
-the pure-``array`` fallbacks compute bit-identical results (A/B-tested by
-monkeypatching :data:`_HAVE_NUMPY`).
-
-Error paths: a :class:`~repro.storage.heap.StoreError` raised mid-batch
+Error paths: a :class:`~repro.storage.heap.StoreError` raised mid-event
 (only malformed traces do this) flushes the mirrored counters before
-propagating, so the store is left observationally consistent; page
-touches of a partially applied bulk run are the one accepted divergence
-from scalar error-state.
+propagating, so the store is left observationally consistent.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
-
-try:  # pragma: no cover - exercised via the monkeypatched fallback tests
-    import numpy as _np
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    _HAVE_NUMPY = False
 
 from repro.core.extensions import OpportunisticPolicy
 from repro.core.rate_policy import TimeBase
-from repro.faults.injector import SimulatedCrash
 from repro.gc.remembered import RememberedSetIndex
 from repro.sim.metrics import Sampler
 from repro.storage.buffer import BufferPool
@@ -91,49 +70,16 @@ _MISS = object()
 #: guarded loop (and the scalar loop) check once per event.
 _DEADLINE_STRIDE = 4096
 
-#: Minimum homogeneous ACCESS/UPDATE run length worth taking the bulk path.
-_BULK_MIN_RUN = 4
-
 
 def _timeout():
-    # Local import: repro.sim.engine imports the simulator at module scope,
-    # and the simulator lazily imports this module — a module-scope import
-    # of the engine here would still be safe, but keeping it lazy keeps
-    # batch importable without pulling the whole engine/spec stack.
+    # Local import: repro.sim.engine imports the simulator, which imports
+    # this module — a module-scope import of the engine would be a cycle.
     from repro.sim.engine import RunTimeoutError
 
     return RunTimeoutError("simulation run exceeded run_timeout")
 
 
-# ----------------------------------------------------------------------
-# Kernels: run index, prefix counts, sequential float fold
-#
-# Each has a numpy and a pure-python form computing identical results;
-# _HAVE_NUMPY selects at call time so tests can flip it.
-# ----------------------------------------------------------------------
-
-
-def _run_ends_python(ops: list) -> list:
-    """``run_end[i]`` = end (exclusive) of the homogeneous opcode run at i."""
-    n = len(ops)
-    ends = [n] * n
-    for i in range(n - 2, -1, -1):
-        ends[i] = ends[i + 1] if ops[i] == ops[i + 1] else i + 1
-    return ends
-
-
-def _run_ends_numpy(ops: list) -> list:
-    n = len(ops)
-    if n == 0:
-        return []
-    a = _np.asarray(ops, dtype=_np.int64)
-    starts = _np.flatnonzero(a[1:] != a[:-1]) + 1
-    bounds = _np.concatenate((starts, [n]))
-    lengths = _np.diff(_np.concatenate(([0], bounds)))
-    return _np.repeat(bounds, lengths).tolist()
-
-
-def _max_create_oid_python(ops: list, arg0: list) -> int:
+def _max_create_oid(ops: list, arg0: list) -> int:
     best = 0
     for i, op in enumerate(ops):
         if op == 0 and arg0[i] > best:
@@ -141,44 +87,17 @@ def _max_create_oid_python(ops: list, arg0: list) -> int:
     return best
 
 
-def _max_create_oid_numpy(ops: list, arg0: list) -> int:
-    a = _np.asarray(ops, dtype=_np.int64)
-    creates = _np.asarray(arg0, dtype=_np.int64)[a == 0]
-    return int(creates.max()) if creates.size else 0
-
-
 def _prefix_counts(ops: list, start: int) -> tuple[int, int]:
     """(creates, writes) among ``ops[:start]`` — the running sub-column
     cursors a mid-trace resume must start from."""
     if start <= 0:
         return 0, 0
-    if _HAVE_NUMPY and start >= 4096:
-        a = _np.asarray(ops[:start], dtype=_np.int64)
-        return int((a == 0).sum()), int((a == 3).sum())
     head = ops[:start]
     return head.count(0), head.count(3)
 
 
-def _fold_add(total: float, value: float, count: int) -> float:
-    """``count`` sequential IEEE-754 additions of ``value`` onto ``total``.
-
-    Must stay a left fold: the scalar sampler adds one ``value`` per event,
-    and pairwise summation (``numpy.sum``) rounds differently.
-    ``ufunc.accumulate`` is documented to apply the operator sequentially,
-    so the numpy form is bitwise-equal to the loop.
-    """
-    if _HAVE_NUMPY and count >= 32:
-        arr = _np.empty(count + 1, dtype=_np.float64)
-        arr[0] = total
-        arr[1:] = value
-        return float(_np.add.accumulate(arr)[-1])
-    for _ in range(count):
-        total += value
-    return total
-
-
 # ----------------------------------------------------------------------
-# Batch cache: plain-list column views + run index, memoised per trace
+# Batch cache: plain-list column views, memoised per trace
 # ----------------------------------------------------------------------
 
 
@@ -195,7 +114,7 @@ class _BatchCache:
         "ops", "arg0", "arg1",
         "create_kind", "create_ptr_start", "ptr_slots", "ptr_targets",
         "write_slot", "write_dies_start", "dies",
-        "run_end", "max_oid", "kinds",
+        "max_oid", "kinds",
     )
 
 
@@ -217,66 +136,15 @@ def _ensure_cache(trace: CompiledTrace) -> _BatchCache:
         cache.write_slot = _as_list(trace.write_slot)
         cache.write_dies_start = _as_list(trace.write_dies_start)
         cache.dies = _as_list(trace.dies)
-        if _HAVE_NUMPY:
-            cache.run_end = _run_ends_numpy(cache.ops)
-            cache.max_oid = _max_create_oid_numpy(cache.ops, cache.arg0)
-        else:
-            cache.run_end = _run_ends_python(cache.ops)
-            cache.max_oid = _max_create_oid_python(cache.ops, cache.arg0)
+        cache.max_oid = _max_create_oid(cache.ops, cache.arg0)
         cache.kinds = {}
         trace._batch_cache = cache
     return cache
 
 
 # ----------------------------------------------------------------------
-# Entry point
+# Mode selection
 # ----------------------------------------------------------------------
-
-
-def run_batched(sim, trace: CompiledTrace, start_index: int = 0,
-                deadline: Optional[float] = None):
-    """Replay ``trace`` on ``sim`` through the batched interpreter.
-
-    Drop-in equivalent of the scalar body of
-    :meth:`repro.sim.simulator.Simulation.run` — same ``start_index``
-    resume semantics, same :class:`SimulatedCrash` annotation, same
-    result construction.
-    """
-    from repro.sim.simulator import SimulationResult
-
-    if start_index < 0:
-        raise ValueError(f"start_index must be >= 0, got {start_index}")
-    cache = _ensure_cache(trace)
-    n = len(cache.ops)
-    ci, wi = _prefix_counts(cache.ops, start_index)
-    sim._event_index = start_index - 1
-    sim._tx_start_index = None
-    store = sim.store
-    try:
-        sim._schedule(sim.policy.first_trigger(store, store.iostats))
-        if _fast_eligible(sim):
-            _replay_fast(sim, trace, cache, start_index, n, ci, wi, deadline)
-        else:
-            _replay_guarded(
-                sim, trace, cache, start_index, n, ci, wi, deadline, False
-            )
-    except SimulatedCrash as crash:
-        crash.event_index = sim._event_index
-        crash.resume_index = (
-            sim._tx_start_index
-            if sim.tx.in_transaction and sim._tx_start_index is not None
-            else sim._event_index + (0 if not sim._event_applied else 1)
-        )
-        raise
-    result = SimulationResult(
-        summary=sim.sampler.summary(store, store.iostats),
-        sampler=sim.sampler,
-        store=store,
-        policy=sim.policy,
-    )
-    if sim.obs is not None:
-        sim.obs.on_run_end(sim, result)
-    return result
 
 
 def _fast_eligible(sim) -> bool:
@@ -490,7 +358,6 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
     wsl = cache.write_slot
     wds = cache.write_dies_start
     dls = cache.dies
-    run_end = cache.run_end
     kinds = cache.kinds
     strings = trace.strings
     none = _NONE
@@ -610,6 +477,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
         span = False
         timed_out = False
         budget = _DEADLINE_STRIDE
+        raised = True
 
         try:
             while i < n:
@@ -759,82 +627,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
 
                 elif op == 1 or op == 2:  # ACCESS / UPDATE
                     dirty = op == 2
-                    j = run_end[i]
-                    if (
-                        j - i >= _BULK_MIN_RUN
-                        and sig
-                        and base_kind != 2
-                        and (po < due if base_kind == 0 else alloc_clock < due)
-                    ):
-                        # Bulk run: the trigger clock (overwrites or
-                        # allocation) is frozen across pure reads/updates
-                        # and significance already started, so per-event
-                        # sampling collapses to one fold of the unchanged
-                        # garbage fraction and the trigger cannot fire
-                        # mid-run.
-                        cnt = j - i
-                        k = i
-                        while k < j:
-                            oidk = g0[k]
-                            k += 1
-                            if 0 <= oidk < dense and (pk := tparts[oidk]) >= 0:
-                                offk = toffs[oidk]
-                                szk = tsizes[oidk]
-                            else:
-                                if objects_get(oidk) is None:
-                                    raise StoreError(f"unknown object {oidk}")
-                                pk, offk, szk = table.locate(oidk)
-                            first = offk // page_size
-                            last = (offk + szk - 1) // page_size
-                            while first <= last:
-                                if pk == mru_pid and first == mru_page:
-                                    first += 1
-                                    hits += 1
-                                    if dirty and not mru_dirty:
-                                        pages[(pk, mru_page)] = True
-                                        mru_dirty = True
-                                    continue
-                                pg = (pk, first)
-                                mru_pid = pk
-                                mru_page = first
-                                first += 1
-                                wasd = pages_pop(pg, miss)
-                                if wasd is not miss:
-                                    hits += 1
-                                    mru_dirty = wasd or dirty
-                                    pages[pg] = mru_dirty
-                                else:
-                                    misses += 1
-                                    while npages > bufcap1:
-                                        npages -= 1
-                                        if pop_lru(False)[1]:
-                                            app_w += 1
-                                    app_r += 1
-                                    npages += 1
-                                    pages[pg] = dirty
-                                    mru_dirty = dirty
-                        i = j
-                        ev_i += cnt
-                        ga_count += cnt
-                        ga_total = _fold_add(ga_total, gf, cnt)
-                        if gf < ga_min:
-                            ga_min = gf
-                        if gf > ga_max:
-                            ga_max = gf
-                        g_count += cnt
-                        g_total = _fold_add(g_total, gf, cnt)
-                        if gf < g_min:
-                            g_min = gf
-                        if gf > g_max:
-                            g_max = gf
-                        budget -= cnt
-                        if budget <= 0:
-                            budget = _DEADLINE_STRIDE
-                            if deadline is not None and monotonic() >= deadline:
-                                timed_out = True
-                                break
-                        continue
-                    # Scalar access/update: placement lookup + page touch.
+                    # Placement lookup + page touch.
                     if 0 <= a < dense and (pk := tparts[a]) >= 0:
                         offk = toffs[a]
                         szk = tsizes[a]
@@ -1138,11 +931,12 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                     if deadline is not None and monotonic() >= deadline:
                         timed_out = True
                         break
-        except BaseException:
-            # Error flush: event i failed mid-application. Counters are
-            # written back so the store stays observationally consistent
-            # (scalar error-state parity on everything except page touches
-            # of a partially applied bulk run).
+            raised = False
+        finally:
+            # ---- flush: write mirrored locals back -------------------
+            # Also on the way out of a raise (event i failed part-way), so
+            # the store stays observationally consistent: scalar
+            # error-state parity.
             if cur_pid >= 0:
                 cur_part.fill = cur_fill
             store._next_oid = next_oid
@@ -1170,40 +964,8 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
             g.total = g_total
             g.minimum = g_min
             g.maximum = g_max
-            sim._event_index = i
-            sim._event_applied = False
-            raise
-
-        # ---- flush: write mirrored locals back -----------------------
-        if cur_pid >= 0:
-            cur_part.fill = cur_fill
-        store._next_oid = next_oid
-        store._allocated_bytes = alloc_bytes
-        store.bytes_allocated_total = alloc_clock
-        store.pointer_overwrites = po
-        store.pointer_stores = pstores
-        garbage.total_generated = tot_gen
-        if tcount:
-            table._count += tcount
-        bstats.hits = hits
-        bstats.misses = misses
-        app_led.reads = app_r
-        app_led.writes = app_w
-        rem.edges = rem_edges
-        rem.remembers_total = rem_rem
-        rem.forgets_total = rem_forg
-        sampler.event_index = ev_i
-        sampler._significant_started = sig
-        ga.count = ga_count
-        ga.total = ga_total
-        ga.minimum = ga_min
-        ga.maximum = ga_max
-        g.count = g_count
-        g.total = g_total
-        g.minimum = g_min
-        g.maximum = g_max
-        sim._event_index = i - 1
-        sim._event_applied = True
+            sim._event_index = i if raised else i - 1
+            sim._event_applied = not raised
 
         if timed_out:
             raise _timeout()

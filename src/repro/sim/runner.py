@@ -17,16 +17,13 @@ Two entry points exist:
 
 All three factory protocols are **seed-aware**: the factory is called with
 the run's seed so seed-dependent construction (e.g. randomised selection
-policies) stays reproducible. Zero-argument policy factories are still
-accepted for backward compatibility, with a :class:`DeprecationWarning`.
+policies) stays reproducible.
 """
 
 from __future__ import annotations
 
-import inspect
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.rate_policy import RatePolicy
 from repro.gc.selection import PartitionSelectionPolicy, UpdatedPointerSelection
@@ -37,40 +34,10 @@ from repro.events import TraceEvent
 #: Builds the trace for a given seed.
 TraceFactory = Callable[[int], Iterable[TraceEvent]]
 #: Builds a fresh policy instance for a given seed (policies are stateful;
-#: never share them). Zero-argument factories are deprecated but accepted.
+#: never share them).
 PolicyFactory = Callable[[int], RatePolicy]
-#: The deprecated zero-argument policy factory protocol.
-LegacyPolicyFactory = Callable[[], RatePolicy]
 #: Builds a fresh selection policy for a given seed.
 SelectionFactory = Callable[[int], PartitionSelectionPolicy]
-
-
-def _adapt_policy_factory(
-    factory: Union[PolicyFactory, LegacyPolicyFactory],
-) -> PolicyFactory:
-    """Return a seed-aware factory, shimming zero-arg legacy factories.
-
-    A factory is *legacy* exactly when it is callable with no arguments —
-    that is how the old protocol invoked it, so factories like
-    ``lambda: Policy()`` or ``lambda rate=r: Policy(rate)`` (closure state
-    smuggled through argument defaults) keep their old meaning. Anything
-    that *requires* an argument is treated as seed-aware.
-    """
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins / C callables: assume seed-aware
-        return factory  # type: ignore[return-value]
-    try:
-        signature.bind()
-    except TypeError:
-        return factory  # requires an argument: already seed-aware
-    warnings.warn(
-        "zero-argument policy factories are deprecated; make the factory "
-        "seed-aware (Callable[[int], RatePolicy])",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return lambda seed: factory()  # type: ignore[call-arg]
 
 
 @dataclass(frozen=True)
@@ -209,7 +176,7 @@ def run_one(
 
 
 def run_seeds(
-    policy_factory: Union[PolicyFactory, LegacyPolicyFactory],
+    policy_factory: PolicyFactory,
     trace_factory: TraceFactory,
     seeds: Sequence[int],
     selection_factory: Optional[SelectionFactory] = None,
@@ -219,8 +186,7 @@ def run_seeds(
     """Run one experimental setting across several seeds and aggregate.
 
     Args:
-        policy_factory: Called with each seed for a fresh policy
-            (zero-argument factories still work, with a DeprecationWarning).
+        policy_factory: Called with each seed for a fresh policy.
         trace_factory: Called with each seed for a fresh workload trace.
         seeds: The seeds (the paper uses 10 per data point).
         selection_factory: Partition selection per seed (default
@@ -231,14 +197,19 @@ def run_seeds(
     """
     if not seeds:
         raise ValueError("at least one seed is required")
-    make_policy = _adapt_policy_factory(policy_factory)
     aggregate = AggregateResult(summaries=[])
     for seed in seeds:
         selection = (
             selection_factory(seed) if selection_factory else UpdatedPointerSelection()
         )
+        try:
+            policy = policy_factory(seed)
+        except TypeError as exc:
+            raise TypeError(
+                "policy factories take the seed (Callable[[int], RatePolicy])"
+            ) from exc
         result = run_one(
-            policy=make_policy(seed),
+            policy=policy,
             trace=trace_factory(seed),
             selection=selection,
             config=config,

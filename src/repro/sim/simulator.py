@@ -29,6 +29,7 @@ from repro.faults.injector import FaultInjector, SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.gc.collector import CollectionResult, CopyingCollector
 from repro.gc.selection import PartitionSelectionPolicy, UpdatedPointerSelection
+from repro.sim import batch
 from repro.sim.metrics import Sampler, SimulationSummary
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.tx.recovery import RedoLog
@@ -46,6 +47,7 @@ from repro.events import (
     UpdateEvent,
 )
 from repro.tx.manager import TransactionManager
+from repro.workload.compiled import CompiledTrace
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.telemetry import RunTelemetry
@@ -224,27 +226,19 @@ class SimulationConfig:
             log covers the whole trace. Logical logging charges no I/O, so
             enabling it never changes simulation results — it only makes
             crash–recover–continue drills possible.
-        reachability: How the collector derives each collection's frontier
-            (conservative roots + external fix-up pages). ``"remembered"``
-            (default) reads the store's incrementally maintained
-            remembered-set index in O(partition + boundary); ``"full"``
-            recomputes it from a whole-heap scan per collection. Results are
-            identical in both modes (summaries are pickle-equal,
-            property-tested); the switch exists for A/B verification and the
-            ``collection_throughput`` benchmark. Excluded from experiment
-            fingerprints for the same reason — see
-            :mod:`repro.sim.spec`.
         replay: Which replay interpreter drives the run. ``"auto"``
             (default) uses the batched interpreter of :mod:`repro.sim.batch`
             whenever the trace is a
             :class:`~repro.workload.compiled.CompiledTrace` and the
             simulation is the stock :class:`Simulation` class, falling back
-            to the scalar per-event loop otherwise; ``"batched"`` compiles
-            plain event traces first and then requires the batched path;
-            ``"scalar"`` forces the per-event loop. Both interpreters are
+            to the scalar per-event loop otherwise (a caller that wants the
+            batched path on plain events passes them through
+            :func:`~repro.workload.compiled.compile_trace` first);
+            ``"scalar"`` forces the per-event loop — the oracle the tests
+            and benchmarks compare against. Both interpreters are
             result-identical (summaries pickle-equal, property-tested), so
-            this field — like ``reachability`` — is excluded from experiment
-            fingerprints.
+            this field is excluded from experiment fingerprints — see
+            :mod:`repro.canonical`.
         collection: How triggered collections execute. ``"serial"``
             (default) traces and reclaims inside the trigger window on the
             replay thread; ``"parallel"`` pre-traces likely victims
@@ -255,8 +249,7 @@ class SimulationConfig:
             reclamation in the exact serial order. Results are identical
             in both modes at any worker count (pickle-equal summaries,
             property-tested), so this field — and ``gc_workers`` — is
-            excluded from experiment fingerprints like ``reachability``
-            and ``replay``.
+            excluded from experiment fingerprints like ``replay``.
         gc_workers: Fan-out width for ``collection="parallel"``: the
             predicted victim is traced inline at the pump; when > 1, up to
             ``gc_workers - 1`` further candidates are traced on threads
@@ -273,7 +266,6 @@ class SimulationConfig:
     enable_wal: bool = False
     wal_page_size: int = 8 * 1024
     enable_redo_log: bool = False
-    reachability: str = "remembered"
     replay: str = "auto"
     collection: str = "serial"
     gc_workers: int = 1
@@ -331,17 +323,14 @@ class Simulation:
             ``fault_hook`` idiom, so the disabled path costs nothing).
         """
         self.config = config or SimulationConfig()
-        if self.config.replay not in ("auto", "batched", "scalar"):
+        if self.config.replay not in ("auto", "scalar"):
             raise ValueError(
-                f"replay must be 'auto', 'batched' or 'scalar', "
-                f"got {self.config.replay!r}"
+                f"replay must be 'auto' or 'scalar', got {self.config.replay!r}"
             )
         self.policy = policy
         self.selection = selection or UpdatedPointerSelection()
         self.store = store if store is not None else ObjectStore(self.config.store)
-        self.collector = CopyingCollector(
-            self.store, reachability=self.config.reachability
-        )
+        self.collector = CopyingCollector(self.store)
         if self.config.collection not in ("serial", "parallel"):
             raise ValueError(
                 f"collection must be 'serial' or 'parallel', "
@@ -427,29 +416,75 @@ class Simulation:
         ``resume_index`` a continuation must restart from (the begin of the
         transaction in flight, or the next unprocessed event).
         """
-        replay = self.config.replay
-        # Subclasses may override _apply/_dispatch/_note_activity; the
-        # batched interpreter inlines those hooks, so anything other than
-        # the stock Simulation class replays scalar.
-        if replay != "scalar" and type(self) is Simulation:
-            from repro.workload.compiled import CompiledTrace, compile_trace
-
-            if isinstance(trace, CompiledTrace):
-                compiled = trace
-            elif replay == "batched":
-                compiled = compile_trace(trace)
+        try:
+            self._start(start_index)
+            # Subclasses may override _apply/_dispatch/_note_activity; the
+            # batched interpreter inlines those hooks, so anything other
+            # than the stock Simulation class replays scalar.
+            if (
+                self.config.replay != "scalar"
+                and type(self) is Simulation
+                and isinstance(trace, CompiledTrace)
+            ):
+                cache = batch._ensure_cache(trace)
+                end = len(cache.ops)
+                ci, wi = batch._prefix_counts(cache.ops, start_index)
+                if batch._fast_eligible(self):
+                    batch._replay_fast(
+                        self, trace, cache, start_index, end, ci, wi, deadline
+                    )
+                else:
+                    batch._replay_guarded(
+                        self, trace, cache, start_index, end, ci, wi, deadline, False
+                    )
             else:
-                compiled = None
-            if compiled is not None:
-                from repro.sim.batch import run_batched
+                self._replay_events(trace, start_index, deadline)
+        except SimulatedCrash as crash:
+            self._annotate_crash(crash)
+            raise
+        return self._finish()
 
-                return run_batched(self, compiled, start_index, deadline)
+    def _start(self, start_index: int) -> None:
+        """Run prologue shared by every driver: position the event index
+        at ``start_index`` and arm the policy's first trigger."""
+        if start_index < 0:
+            raise ValueError(f"start_index must be >= 0, got {start_index}")
+        self._event_index = start_index - 1
+        self._tx_start_index = None
+        self._schedule(self.policy.first_trigger(self.store, self.store.iostats))
+
+    def _annotate_crash(self, crash: SimulatedCrash) -> None:
+        """Stamp an injected crash with where a continuation restarts: the
+        begin of the transaction in flight, else the first unapplied event."""
+        crash.event_index = self._event_index
+        crash.resume_index = (
+            self._tx_start_index
+            if self.tx.in_transaction and self._tx_start_index is not None
+            else self._event_index + (0 if not self._event_applied else 1)
+        )
+
+    def _finish(self) -> SimulationResult:
+        result = SimulationResult(
+            summary=self.sampler.summary(self.store, self.store.iostats),
+            sampler=self.sampler,
+            store=self.store,
+            policy=self.policy,
+        )
+        if self.obs is not None:
+            self.obs.on_run_end(self, result)
+        return result
+
+    def _replay_events(
+        self,
+        trace: Iterable[TraceEvent],
+        start_index: int,
+        deadline: Optional[float],
+    ) -> None:
+        """The scalar loop: one event object at a time through ``_apply``."""
         if deadline is not None:
             trace = _deadline_guard(trace, deadline)
         if start_index:
             trace = itertools.islice(iter(trace), start_index, None)
-        self._event_index = start_index - 1
-        self._tx_start_index = None
         # Hot-loop hoists: bound methods and invariant objects looked up
         # once instead of once per event. Bound lookups still honour
         # subclass overrides of _apply/_handle_idle/sampler.on_event.
@@ -467,56 +502,37 @@ class Simulation:
             note_activity = self._note_activity  # subclass hook
         elif isinstance(self.policy, OpportunisticPolicy):
             note_activity = self.policy.note_activity
-        try:
-            self._schedule(self.policy.first_trigger(store, iostats))
-            for event in trace:
-                self._event_index += 1
-                # Tracks whether the current event's application finished;
-                # decides if a crash resumes at this event or the next one.
-                self._event_applied = False
-                apply_event(event)
-                self._event_applied = True
-                cls = event.__class__
-                kind = run_kinds.get(cls)
-                if kind is None:
-                    if isinstance(event, PhaseMarkerEvent):
-                        kind = 1
-                    elif isinstance(event, IdleEvent):
-                        kind = 2
-                    else:
-                        kind = 0
-                    _bounded_memo(run_kinds, cls, kind)
-                if kind:
-                    if kind == 1:
-                        continue
-                    handle_idle(event.ticks)
+        for event in trace:
+            self._event_index += 1
+            # Tracks whether the current event's application finished;
+            # decides if a crash resumes at this event or the next one.
+            self._event_applied = False
+            apply_event(event)
+            self._event_applied = True
+            cls = event.__class__
+            kind = run_kinds.get(cls)
+            if kind is None:
+                if isinstance(event, PhaseMarkerEvent):
+                    kind = 1
+                elif isinstance(event, IdleEvent):
+                    kind = 2
+                else:
+                    kind = 0
+                _bounded_memo(run_kinds, cls, kind)
+            if kind:
+                if kind == 1:
                     continue
-                if note_activity is not None:
-                    note_activity()
-                sample_event(store, iostats)
-                if tx.in_transaction:
-                    # The database is never collected mid-transaction (§3.2's
-                    # whole-database-lock model); triggers fire at commit/abort.
-                    continue
-                while clock() >= self._due_at:
-                    collect()
-        except SimulatedCrash as crash:
-            crash.event_index = self._event_index
-            crash.resume_index = (
-                self._tx_start_index
-                if self.tx.in_transaction and self._tx_start_index is not None
-                else self._event_index + (0 if not self._event_applied else 1)
-            )
-            raise
-        result = SimulationResult(
-            summary=self.sampler.summary(self.store, self.store.iostats),
-            sampler=self.sampler,
-            store=self.store,
-            policy=self.policy,
-        )
-        if self.obs is not None:
-            self.obs.on_run_end(self, result)
-        return result
+                handle_idle(event.ticks)
+                continue
+            if note_activity is not None:
+                note_activity()
+            sample_event(store, iostats)
+            if tx.in_transaction:
+                # The database is never collected mid-transaction (§3.2's
+                # whole-database-lock model); triggers fire at commit/abort.
+                continue
+            while clock() >= self._due_at:
+                collect()
 
     # ------------------------------------------------------------------
     # Event application

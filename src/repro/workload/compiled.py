@@ -140,7 +140,7 @@ class CompiledTrace:
         self.write_dies_start = write_dies_start
         self.dies = dies
         self._materialized: Optional[tuple[TraceEvent, ...]] = None
-        # Memoised column views + run index for the batched interpreter
+        # Memoised column views for the batched interpreter
         # (repro.sim.batch); built on first batched replay of this trace.
         self._batch_cache = None
 

@@ -220,10 +220,6 @@ def _remap_event(event: TraceEvent, stride: int, offset: int, prefix: str) -> Tr
     return event  # IdleEvent
 
 
-#: Valid ``TenantMix`` merge implementations.
-MERGE_MODES = ("bisect", "choices")
-
-
 class TenantMix:
     """Interleaves N tenant streams into one deterministic trace.
 
@@ -235,31 +231,11 @@ class TenantMix:
         config: The multi-tenant scenario.
         seed: Seed for the interleave draws *and* (via
             :func:`tenant_seed`) every tenant's own generator.
-        merge_mode: How the weighted tenant draw is implemented.
-            ``"bisect"`` (default) keeps the cumulative-weight table cached
-            across steps and draws in O(log k) per merge step, rebuilding
-            the table only when a tenant exhausts; ``"choices"`` is the
-            original O(k)-per-step ``random.choices`` path, kept for A/B
-            verification. Both consume exactly one ``random()`` per draw
-            over float-identical cumulative sums, so the merged traces are
-            **byte-identical** (property-tested) — which is why the mode
-            is deliberately excluded from ``canonical_material``: it can
-            never change the trace, so it must not split cache entries.
     """
 
-    def __init__(
-        self,
-        config: TenantMixConfig,
-        seed: int = 0,
-        merge_mode: str = "bisect",
-    ) -> None:
-        if merge_mode not in MERGE_MODES:
-            raise GrammarError(
-                f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}"
-            )
+    def __init__(self, config: TenantMixConfig, seed: int = 0) -> None:
         self.config = config
         self.seed = seed
-        self.merge_mode = merge_mode
 
     def canonical_material(self) -> dict[str, Any]:
         return {"workload": "tenant-mix", "config": self.config, "seed": self.seed}
@@ -291,8 +267,6 @@ class TenantMix:
         streams: list[Iterator[TraceEvent]] = [
             workload.events() for workload in self.tenant_workloads()
         ]
-        if self.merge_mode == "choices":
-            return self._merge_choices(streams)
         return self._merge_bisect(streams)
 
     def stream(self, max_live_clusters: int = 512) -> Iterator[TraceEvent]:
@@ -366,33 +340,6 @@ class TenantMix:
                         cum_weights = list(accumulate(weights))
                         total = cum_weights[-1] + 0.0
                         hi = len(cum_weights) - 1
-                    break
-                yield _remap_event(event, stride, index, tenants[index].name)
-                if isinstance(event, BeginTransactionEvent):
-                    in_transaction = True
-                elif isinstance(event, (CommitTransactionEvent, AbortTransactionEvent)):
-                    in_transaction = False
-                if not in_transaction:
-                    break
-
-    def _merge_choices(
-        self, streams: list[Iterator[TraceEvent]]
-    ) -> Iterator[TraceEvent]:
-        """The original ``random.choices`` merge (A/B reference path)."""
-        tenants = self.config.tenants
-        stride = len(tenants)
-        rng = random.Random(self.seed)
-        live = list(range(stride))
-        weights = [tenants[i].weight for i in live]
-        while live:
-            pick = rng.choices(range(len(live)), weights=weights)[0]
-            index = live[pick]
-            in_transaction = False
-            while True:
-                event = next(streams[index], None)
-                if event is None:
-                    del live[pick]
-                    del weights[pick]
                     break
                 yield _remap_event(event, stride, index, tenants[index].name)
                 if isinstance(event, BeginTransactionEvent):

@@ -45,7 +45,7 @@ def test_suite_document_shape(quick_doc):
     assert quick_doc["results"]["trace_compile_load"]["load_s"] >= 0
     throughput = quick_doc["results"]["collection_throughput"]
     assert throughput["remembered"]["collections_per_s"] > 0
-    assert throughput["summaries_match"] is True
+    assert set(throughput) == {"events", "remembered"}
     # Sweeping 3 specs over 1 seed shares one trace: a single build.
     assert quick_doc["results"]["sweep_trace_cache"]["trace_builds"] == 1
     replay = quick_doc["results"]["multi_tenant_replay"]

@@ -36,6 +36,7 @@ from repro.gc.parallel import (
     ParallelCollectionScheduler,
     peek_selection,
 )
+from repro.gc.remembered import full_scan_frontier
 from repro.gc.selection import (
     PartitionSelectionPolicy,
     RandomSelection,
@@ -121,14 +122,26 @@ def test_speculation_actually_engages():
     )
 
 
-def test_parallel_matches_serial_full_reachability():
-    """Speculation must respect the full-scan frontier mode too."""
+def test_parallel_matches_serial_full_reachability(monkeypatch):
+    """Every speculative snapshot's frontier equals the full-scan oracle's,
+    and the run built on those snapshots matches the serial one."""
+    snapshot = ParallelCollectionScheduler._snapshot
+    checked = []
+
+    def checking_snapshot(self, pid):
+        spec = snapshot(self, pid)
+        roots, fixup_pages = full_scan_frontier(self.store, pid)
+        assert spec.roots == sorted(roots)
+        assert spec.fixup_pages == fixup_pages
+        checked.append(pid)
+        return spec
+
+    monkeypatch.setattr(ParallelCollectionScheduler, "_snapshot", checking_snapshot)
     events = _preset_events()
-    serial = _outcome(*_run(events, reachability="full"))
-    parallel = _outcome(
-        *_run(events, reachability="full", collection="parallel", gc_workers=2)
-    )
+    serial = _outcome(*_run(events))
+    parallel = _outcome(*_run(events, collection="parallel", gc_workers=2))
     assert parallel == serial
+    assert checked, "no snapshot was taken"
 
 
 def test_parallel_matches_serial_under_batched_replay():

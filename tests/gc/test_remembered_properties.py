@@ -3,14 +3,15 @@
 The contract of :mod:`repro.gc.remembered`: after *any* sequence of store
 mutations, the incrementally maintained per-partition frontier (roots,
 allocation pins, distinct boundary sources) equals what a full heap scan
-recomputes from scratch — and therefore both reachability modes trace the
-identical survivor set. Plus the documented conservatism caveat: a
-cross-partition garbage cycle is retained by partition collection under
-*both* modes and reclaimed only by ``collect_global``.
+recomputes from scratch — and therefore both derivations trace the
+identical survivor set. :func:`full_scan_frontier` is the oracle: no
+production path calls it, every check here compares the collector's
+frontier against it. Plus the documented conservatism caveat: a
+cross-partition garbage cycle is retained by partition collection (the
+oracle agrees it must be) and reclaimed only by ``collect_global``.
 """
 
 import pickle
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,24 @@ from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
 
 CFG = StoreConfig(page_size=128, partition_pages=4, buffer_pages=3)
+
+
+def _check_frontier_at_collections(store, collector):
+    """Wrap ``collector.prepare`` so every collection first asserts that
+    the full-scan oracle derives the frontier production is about to use.
+    Returns the list of partitions checked."""
+    prepare = collector.prepare
+    checked = []
+
+    def checking_prepare(pid):
+        scan_roots, scan_pages = full_scan_frontier(store, pid)
+        assert store.partition_roots(pid) == scan_roots
+        assert store.external_source_pages(pid) == scan_pages
+        checked.append(pid)
+        return prepare(pid)
+
+    collector.prepare = checking_prepare
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +191,16 @@ def test_remembered_index_equals_brute_force_boundary(ops):
 @settings(max_examples=25, deadline=None)
 @given(op_sequences())
 def test_both_reachability_modes_reclaim_identically(ops):
-    """Replaying one mutation sequence against a ``remembered`` store and a
-    ``full`` store — collecting the same partitions at the same points —
-    leaves byte-identical heaps and identical garbage accounting."""
-    stores = []
-    for mode in ("remembered", "full"):
-        store = ObjectStore(CFG)
-        runner = _apply_ops(store, CopyingCollector(store, reachability=mode), ops)
-        for _ in runner:
-            pass
-        stores.append(store)
-    remembered, full = stores
-    assert set(remembered.objects) == set(full.objects)
-    assert remembered.placements == full.placements
-    assert remembered.garbage == full.garbage
-    assert remembered.actual_garbage_bytes == full.actual_garbage_bytes
+    """At every collection point of a mutation sequence, the full-scan
+    oracle and the incremental index hand the collector the same frontier
+    — so a collector built on either would reclaim identically."""
+    store = ObjectStore(CFG)
+    collector = CopyingCollector(store)
+    checked = _check_frontier_at_collections(store, collector)
+    for _ in _apply_ops(store, collector, ops):
+        pass
+    assert len(checked) == collector.collections_performed
+    assert validate_store(store).ok
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +230,21 @@ def _cyclic_cross_partition_store():
 def test_cross_partition_cycle_is_retained_by_both_modes():
     """Partition collection never reclaims a cross-partition garbage cycle:
     each member is remembered-in from the other partition, so it is a
-    conservative root there — under the incremental index and under the
-    full-scan baseline alike. This is the documented cost of O(partition)
+    conservative root there — by the incremental index and by the
+    full-scan oracle alike. This is the documented cost of O(partition)
     collection, not a remembered-set defect."""
-    for mode in ("remembered", "full"):
-        store, root, a, b = _cyclic_cross_partition_store()
-        collector = CopyingCollector(store, reachability=mode)
-        for _round in range(3):
-            for pid in range(len(store.partitions)):
-                collector.collect(pid)
-        assert set(store.objects) == {root, a, b}, mode
-        # The oracle agrees the cycle is garbage — it is *uncollected*, not
-        # live: actual garbage stays on the books until a global pass.
-        assert store.actual_garbage_bytes == 600
-        assert validate_store(store).ok
+    store, root, a, b = _cyclic_cross_partition_store()
+    collector = CopyingCollector(store)
+    checked = _check_frontier_at_collections(store, collector)
+    for _round in range(3):
+        for pid in range(len(store.partitions)):
+            collector.collect(pid)
+    assert len(checked) == 3 * len(store.partitions)
+    assert set(store.objects) == {root, a, b}
+    # The garbage accounting agrees the cycle is garbage — it is
+    # *uncollected*, not live: it stays on the books until a global pass.
+    assert store.actual_garbage_bytes == 600
+    assert validate_store(store).ok
 
 
 def test_collect_global_reclaims_the_cycle():
@@ -243,41 +258,31 @@ def test_collect_global_reclaims_the_cycle():
 
 
 # ---------------------------------------------------------------------------
-# Mode A/B on a real experiment cell
+# Oracle check on a real experiment cell
 # ---------------------------------------------------------------------------
 
 
-def _run_cell(reachability: str) -> bytes:
+def _run_cell(check_frontier: bool) -> bytes:
     from repro.experiments.common import oo7_spec
     from repro.oo7.config import TINY
     from repro.sim.spec import PolicySpec, build_workload
     from repro.sim.simulator import Simulation
 
     spec = oo7_spec(PolicySpec("fixed", {"overwrites_per_collection": 40.0}), TINY, 2)
-    spec = replace(spec, sim=replace(spec.sim, reachability=reachability))
     policy, _, selection = spec.resolve(0)
     sim = Simulation(policy=policy, selection=selection, config=spec.sim)
-    return pickle.dumps(sim.run(build_workload(spec.workload, 0)).summary)
+    if check_frontier:
+        checked = _check_frontier_at_collections(sim.store, sim.collector)
+    summary = sim.run(build_workload(spec.workload, 0)).summary
+    if check_frontier:
+        assert len(checked) == summary.collections > 0, "the cell must collect"
+    return pickle.dumps(summary)
 
 
 def test_modes_produce_pickle_identical_summaries():
-    assert _run_cell("remembered") == _run_cell("full")
-
-
-def test_reachability_mode_does_not_perturb_fingerprints():
-    """The switch is a pure implementation A/B: cached results must be
-    shared across modes, so the spec fingerprint ignores ``reachability``."""
-    from repro.experiments.common import oo7_spec
-    from repro.oo7.config import TINY
-    from repro.sim.cache import spec_fingerprint
-    from repro.sim.spec import PolicySpec
-
-    spec = oo7_spec(PolicySpec("fixed", {"overwrites_per_collection": 40.0}), TINY, 2)
-    prints = {
-        spec_fingerprint(replace(spec, sim=replace(spec.sim, reachability=mode)), 0)
-        for mode in ("remembered", "full")
-    }
-    assert len(prints) == 1
+    """On a real OO7 cell the oracle agrees with the index at every
+    collection, and attaching the check changes nothing."""
+    assert _run_cell(check_frontier=True) == _run_cell(check_frontier=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """The batched replay interpreter must be invisible.
 
-``repro.sim.batch`` slices a :class:`~repro.workload.compiled.
-CompiledTrace` into runs and replays them with bulk kernels; these tests
+``repro.sim.batch`` replays a :class:`~repro.workload.compiled.
+CompiledTrace` straight from its columns with fused kernels; these tests
 pin the contract that makes it safe to enable by default: byte-identical
 ``SimulationSummary`` pickles and identical committed store state versus
 the scalar per-event loop — across preset, grammar and tenant-mix
-workloads, from any ``start_index``, under crash/recovery drills, with
-and without numpy, and with no effect on result-cache fingerprints or
-service-mode backpressure decisions.
+workloads, from any ``start_index``, under crash/recovery drills, and
+with no effect on result-cache fingerprints or service-mode backpressure
+decisions. "Batched" below means ``replay="auto"`` over a compiled trace.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ from repro.events import (
     AccessEvent,
     CreateEvent,
     PointerWriteEvent,
+    RootEvent,
     UpdateEvent,
 )
 from repro.faults.drill import state_digest
@@ -88,7 +89,7 @@ def _assert_equivalent(spec, events, *, seed=0):
     """Scalar over the event list == batched over the compiled trace."""
     trace = compile_trace(events)
     sim_s, res_s = _run(spec, events, replay="scalar", seed=seed)
-    sim_b, res_b = _run(spec, trace, replay="batched", seed=seed)
+    sim_b, res_b = _run(spec, trace, replay="auto", seed=seed)
     assert pickle.dumps(res_b.summary) == pickle.dumps(res_s.summary)
     assert _state(sim_b) == _state(sim_s)
     return res_s
@@ -146,7 +147,7 @@ def _self_contained_events():
 @given(start=st.integers(min_value=0, max_value=18))
 @settings(max_examples=30, deadline=None)
 def test_start_index_lands_mid_batch(start):
-    """Resume from any offset — including inside a bulk run — matches.
+    """Resume from any offset — including inside an opcode run — matches.
 
     Both interpreters must agree on the outcome (summary and state on
     success, error type and message on failure) for every start offset.
@@ -162,7 +163,7 @@ def test_start_index_lands_mid_batch(start):
             return ("error", type(err).__name__, str(err))
         return ("ok", pickle.dumps(res.summary), _state(sim))
 
-    assert outcome(trace, "batched") == outcome(events, "scalar")
+    assert outcome(trace, "auto") == outcome(events, "scalar")
 
 
 def test_crash_drill_resume_matches_scalar():
@@ -213,7 +214,7 @@ def test_crash_drill_resume_matches_scalar():
         return resumes, state_digest(sim.store), pickle.dumps(summary)
 
     resumes_s, digest_s, summary_s = drilled(events, "scalar")
-    resumes_b, digest_b, summary_b = drilled(trace, "batched")
+    resumes_b, digest_b, summary_b = drilled(trace, "auto")
     assert resumes_s, "the plan must actually crash the run"
     assert resumes_b == resumes_s
     assert digest_b == digest_s
@@ -226,22 +227,33 @@ def test_crash_drill_resume_matches_scalar():
     )
 
 
-# ------------------------------------------------- numpy independence
+# ------------------------------------------------- long read runs
 
 
-def test_pure_python_fallback_is_byte_identical(monkeypatch):
-    """Forcing the numpy kernels off must not change a single byte."""
-    spec = _spec(rate=80.0)
-    events = list(build_workload(spec.workload, 0))
+def test_long_read_run_under_saga_matches_scalar():
+    """A long homogeneous ACCESS run under an overwrite-clock policy.
 
-    def batched_summary():
-        sim, res = _run(spec, compile_trace(events), replay="batched")
-        return pickle.dumps(res.summary), _state(sim)
-
-    with_default = batched_summary()
-    monkeypatch.setattr("repro.sim.batch._HAVE_NUMPY", False)
-    without_numpy = batched_summary()
-    assert without_numpy == with_default
+    The trigger clock is frozen across the run and the sampler folds the
+    same garbage fraction once per event; the fused kernel must reproduce
+    that fold bit for bit, before and after the preamble ends mid-trace.
+    """
+    events = [CreateEvent(oid=i, size=200) for i in range(1, 41)]
+    events.extend(RootEvent(oid=i) for i in (1, 2))
+    events.append(PointerWriteEvent(src=1, slot="a", target=3))
+    for round_ in range(12):
+        victim = 3 + round_
+        events.append(PointerWriteEvent(src=1, slot="a", target=victim + 1,
+                                        dies=(victim,)))
+        events.extend(AccessEvent(oid=1 + (k % 2)) for k in range(300))
+        events.extend(UpdateEvent(oid=2) for _ in range(50))
+    spec = _spec()
+    spec = dataclasses.replace(
+        spec,
+        policy=PolicySpec("saga", {"garbage_fraction": 0.05, "initial_interval": 2}),
+        sim=dataclasses.replace(spec.sim, preamble_collections=2),
+    )
+    result = _assert_equivalent(spec, events)
+    assert result.summary.collections > 2, "the run must pass its preamble"
 
 
 # ------------------------------------------------- fingerprints / config
@@ -257,18 +269,19 @@ def test_replay_choice_does_not_change_fingerprint():
             ),
             seed=0,
         )
-        for replay in ("auto", "batched", "scalar")
+        for replay in ("auto", "scalar")
     }
     assert len(prints) == 1
 
 
 def test_invalid_replay_value_rejected():
     spec = _spec()
-    with pytest.raises(ValueError, match="replay"):
-        Simulation(
-            policy=build_policy(spec.policy, 0),
-            config=dataclasses.replace(spec.sim, replay="vectorised"),
-        )
+    for replay in ("vectorised", "batched"):
+        with pytest.raises(ValueError, match="replay"):
+            Simulation(
+                policy=build_policy(spec.policy, 0),
+                config=dataclasses.replace(spec.sim, replay=replay),
+            )
 
 
 # ------------------------------------------------- service backpressure
@@ -302,6 +315,6 @@ def test_service_backpressure_identical_across_interpreters():
         return fields
 
     scalar = report_for("scalar")
-    batched = report_for("batched")
+    auto = report_for("auto")
     assert scalar["backpressure"]["shed_events"] > 0, "the drill must shed"
-    assert batched == scalar
+    assert auto == scalar

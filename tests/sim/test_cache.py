@@ -120,6 +120,31 @@ def test_fingerprint_ignores_label():
     )
 
 
+def test_fingerprint_golden_values():
+    """Literal cache keys for one OO7 and one tenant-mix spec.
+
+    A change that moves these orphans every result cache in the field:
+    only a deliberate format/version bump may edit the literals. Adding
+    or removing a result-neutral ``SimulationConfig`` knob must not.
+    """
+    from repro.workload.tenants import tenant_mix
+
+    assert spec_fingerprint(tiny_spec(), 0) == (
+        "4686fb726a3f468f77f296c199235a47b2f5c14be657411d886ec77a6be8df15"
+    )
+    mix = ExperimentSpec(
+        policy=PolicySpec("saga", {"garbage_fraction": 0.1}),
+        workload=WorkloadSpec(
+            "tenant-mix",
+            {"config": tenant_mix(["oltp-churn", "read-browse"], scale=0.2)},
+        ),
+        sim=SIM,
+    )
+    assert spec_fingerprint(mix, 3) == (
+        "ede13fde5da6f3000c6179daf3e706c09a345319340fb0ea4fceb482bc1efe0f"
+    )
+
+
 def test_fingerprint_invalidates_on_any_input_change(run):
     base = spec_fingerprint(tiny_spec(), 0)
     assert spec_fingerprint(tiny_spec(), 1) != base  # seed

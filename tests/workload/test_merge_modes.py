@@ -1,24 +1,29 @@
-"""A/B: the bisect k-way merge is byte-identical to ``random.choices``.
+"""The bisect k-way merge is byte-identical to a ``random.choices`` merge.
 
-The ``bisect`` path exists purely as an O(log k)-per-step optimisation of
-the original O(k) ``random.choices`` draw; both consume exactly one
-``rng.random()`` per merge step over float-identical cumulative sums, so
-the merged traces must be **equal event-for-event** — including across
-tenant-exhaustion rebuilds of the draw table. Because the mode can never
-change the trace, it is excluded from ``canonical_material`` and must not
-split trace-cache entries.
+``TenantMix.events()`` draws tenants through a cached cumulative-weight
+table in O(log k) per step. That is purely an optimisation of the obvious
+O(k) ``random.choices`` draw, kept here as the reference: both consume
+exactly one ``rng.random()`` per merge step over float-identical
+cumulative sums, so the merged traces must be **equal event-for-event** —
+including across tenant-exhaustion rebuilds of the draw table.
 """
 
 import itertools
+import random
 
 import pytest
 
+from repro.events import (
+    AbortTransactionEvent,
+    BeginTransactionEvent,
+    CommitTransactionEvent,
+)
 from repro.workload.grammar import OpMix, PhaseBlock, WorkloadConfig
 from repro.workload.tenants import (
-    MERGE_MODES,
     TenantMix,
     TenantMixConfig,
     TenantSpec,
+    _remap_event,
     tenant_mix,
 )
 
@@ -54,35 +59,45 @@ def _uneven_mix():
     )
 
 
+def _choices_merge(config, seed):
+    """The reference merge: one ``random.choices`` draw per step."""
+    mix = TenantMix(config, seed=seed)
+    tenants = config.tenants
+    stride = len(tenants)
+    streams = [workload.events() for workload in mix.tenant_workloads()]
+    rng = random.Random(seed)
+    live = list(range(stride))
+    weights = [tenant.weight for tenant in tenants]
+    while live:
+        pick = rng.choices(range(len(live)), weights=weights)[0]
+        index = live[pick]
+        in_transaction = False
+        while True:
+            event = next(streams[index], None)
+            if event is None:
+                del live[pick]
+                del weights[pick]
+                break
+            yield _remap_event(event, stride, index, tenants[index].name)
+            if isinstance(event, BeginTransactionEvent):
+                in_transaction = True
+            elif isinstance(event, (CommitTransactionEvent, AbortTransactionEvent)):
+                in_transaction = False
+            if not in_transaction:
+                break
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1999])
 def test_merge_modes_are_byte_identical(seed):
-    a = list(TenantMix(_uneven_mix(), seed=seed, merge_mode="bisect").events())
-    b = list(TenantMix(_uneven_mix(), seed=seed, merge_mode="choices").events())
-    assert a == b
+    merged = list(TenantMix(_uneven_mix(), seed=seed).events())
+    assert merged == list(_choices_merge(_uneven_mix(), seed))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_merge_modes_identical_on_profiles(seed):
     config = tenant_mix(["oltp-churn", "read-browse"], scale=0.2)
-    a = list(TenantMix(config, seed=seed, merge_mode="bisect").events())
-    b = list(TenantMix(config, seed=seed, merge_mode="choices").events())
-    assert a == b
-
-
-def test_merge_mode_excluded_from_canonical_material():
-    config = _uneven_mix()
-    materials = {
-        mode: TenantMix(config, seed=5, merge_mode=mode).canonical_material()
-        for mode in MERGE_MODES
-    }
-    assert materials["bisect"] == materials["choices"]
-
-
-def test_unknown_merge_mode_rejected():
-    from repro.workload.grammar import GrammarError
-
-    with pytest.raises(GrammarError):
-        TenantMix(_uneven_mix(), merge_mode="heap")
+    merged = list(TenantMix(config, seed=seed).events())
+    assert merged == list(_choices_merge(config, seed))
 
 
 def test_unbounded_stream_draw_matches_bisect_semantics():

@@ -21,7 +21,7 @@ STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_presets_generate_valid_workloads(name):
-    phases = make_preset(name, scale=0.2)
+    phases = make_preset(name, scale=0.2).phases
     workload = SyntheticWorkload(phases, seed=0, initial_clusters=20)
     events = list(workload.events())
     markers = [e.name for e in events if isinstance(e, PhaseMarkerEvent)]

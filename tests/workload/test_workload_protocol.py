@@ -113,24 +113,17 @@ def test_trace_cache_consumes_protocol_workloads(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Deprecated preset surface
+# Preset surface
 # ----------------------------------------------------------------------
 
 
-def test_make_preset_returns_workload_and_warns_on_list_use():
+def test_make_preset_returns_workload():
     preset = make_preset("steady-churn", scale=0.01)
     assert isinstance(preset, PresetWorkload)
-    with pytest.warns(DeprecationWarning):
-        phases = list(preset)
-    assert phases == preset.phases
-    with pytest.warns(DeprecationWarning):
-        assert len(preset) == len(preset.phases)
-    with pytest.warns(DeprecationWarning):
-        assert preset[0] == preset.phases[0]
-    # The old idiom — passing the "list" to SyntheticWorkload — still works.
-    with pytest.warns(DeprecationWarning):
-        workload = SyntheticWorkload(list(preset), seed=0)
-    assert list(workload.events())
+    assert preset.phases == steady_churn(0.01)
+    # A preset is a workload, not a list of phases: the list shim is gone.
+    with pytest.raises(TypeError):
+        iter(preset)
 
 
 def test_make_preset_unknown_name_lists_choices():
