@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +60,15 @@ class FileDigest:
             return None
         return sum(errors) / len(errors)
 
+    @property
+    def checkpoint_stalls_ms(self) -> List[float]:
+        """Wall time of each service checkpoint window that recorded one."""
+        return [
+            float(e["stall_ms"])
+            for e in self.events
+            if e.get("name") == "checkpoint" and "stall_ms" in e
+        ]
+
 
 def digest_file(path: Path) -> FileDigest:
     """Load and bucket one telemetry file's records."""
@@ -88,6 +98,10 @@ def digest_file(path: Path) -> FileDigest:
 # ----------------------------------------------------------------------
 # Formatting
 # ----------------------------------------------------------------------
+
+
+def _p50_max(values_ms: Sequence[float]) -> str:
+    return f"p50 {statistics.median(values_ms):.3f} ms, max {max(values_ms):.3f} ms"
 
 
 def _format_spans(digest: FileDigest, limit: int = 8) -> str:
@@ -124,6 +138,11 @@ def format_file_digest(digest: FileDigest) -> str:
         if error is not None:
             line += f", mean |estimator error| {error:.4f}"
         lines.append(line)
+        pauses = [float(c.get("wall_s", 0.0)) * 1e3 for c in digest.collections]
+        lines.append(f"  gc pauses: {_p50_max(pauses)}")
+    stalls = digest.checkpoint_stalls_ms
+    if stalls:
+        lines.append(f"  checkpoints: {len(stalls)}, stall {_p50_max(stalls)}")
     if digest.summary is not None:
         summary = digest.summary
         lines.append(

@@ -383,21 +383,24 @@ class GcService:
         checkpoint + full suffix intact and recovery unaffected.
         """
         sim = self.sim
+        obs = self.obs
+        started = time.perf_counter() if obs is not None else 0.0
         snapshot = build_checkpoint(sim.store, sim._event_index + 1)
         if sim.tx.wal is not None:
             sim.tx.wal.checkpoint(snapshot.estimated_bytes)
         dropped = sim.redo_log.install_checkpoint(snapshot)
         self._events_since_checkpoint = 0
         report.checkpoints += 1
-        if self.obs is not None:
-            self.obs.event(
+        if obs is not None:
+            obs.event(
                 "checkpoint",
                 event_index=snapshot.event_index,
-                objects=len(snapshot.objects),
+                objects=len(snapshot.oids),
                 log_records_dropped=dropped,
                 heap_bytes=sim.store.db_size,
+                stall_ms=round((time.perf_counter() - started) * 1e3, 3),
             )
-            self.obs.metrics.counter("service.checkpoints").inc()
+            obs.metrics.counter("service.checkpoints").inc()
 
     # ------------------------------------------------------------------
     # Reporting

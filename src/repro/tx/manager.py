@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from repro.storage.heap import ObjectStore
-from repro.storage.object_model import ObjectId, ObjectKind
+from repro.storage.object_model import ObjectId, ObjectKind, StoredObject
 from repro.tx.recovery import RedoLog
 from repro.tx.wal import WriteAheadLog
 
@@ -42,13 +42,13 @@ class TransactionState(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
-class _UndoCreate:
+# Undo records are plain tuples: the service builds one per mutating
+# operation and drops them all at the next commit.
+class _UndoCreate(NamedTuple):
     oid: ObjectId
 
 
-@dataclass(frozen=True)
-class _UndoPointerWrite:
+class _UndoPointerWrite(NamedTuple):
     src: ObjectId
     slot: str
     old_target: Optional[ObjectId]
@@ -58,8 +58,7 @@ class _UndoPointerWrite:
     died: tuple[ObjectId, ...]
 
 
-@dataclass(frozen=True)
-class _UndoRoot:
+class _UndoRoot(NamedTuple):
     oid: ObjectId
 
 
@@ -105,7 +104,7 @@ class TransactionManager:
         #: ``tx.begin`` / ``tx.commit`` / ``tx.abort`` sites — always
         #: *before* the boundary's state change, so a crash at ``tx.commit``
         #: loses the transaction (its commit record never becomes durable).
-        self.fault_hook = None
+        self.fault_hook: Optional[Callable[[str], None]] = None
         self._next_txid = 1
         self.current: Optional[Transaction] = None
         self.committed = 0
@@ -129,9 +128,10 @@ class TransactionManager:
 
     def begin(self, txid: Optional[int] = None) -> Transaction:
         self._fire("tx.begin")
-        if self.in_transaction:
+        current = self.current
+        if current is not None and current.active:
             raise TransactionError(
-                f"transaction {self.current.txid} is still active; "
+                f"transaction {current.txid} is still active; "
                 "nested transactions are not supported"
             )
         if txid is None:
@@ -184,13 +184,14 @@ class TransactionManager:
         return txn
 
     def _require_active(self, txid: Optional[int]) -> Transaction:
-        if not self.in_transaction:
+        current = self.current
+        if current is None or not current.active:
             raise TransactionError("no active transaction")
-        if txid is not None and self.current.txid != txid:
+        if txid is not None and current.txid != txid:
             raise TransactionError(
-                f"transaction id mismatch: active {self.current.txid}, got {txid}"
+                f"transaction id mismatch: active {current.txid}, got {txid}"
             )
-        return self.current
+        return current
 
     # ------------------------------------------------------------------
     # Operations (proxied to the store, with undo logging)
@@ -205,7 +206,7 @@ class TransactionManager:
     ) -> ObjectId:
         txn = self._require_active(None)
         new_oid = self.store.create(size=size, kind=kind, pointers=pointers, oid=oid)
-        txn.undo_log.append(_UndoCreate(oid=new_oid))
+        txn.undo_log.append(_UndoCreate(new_oid))
         txn.operations += 1
         self._log("create")
         if self.redo_log is not None:
@@ -233,7 +234,7 @@ class TransactionManager:
         old_target = src_obj.pointers.get(slot)
         overwrote = old_target is not None
         fgs_partition = None
-        if overwrote:
+        if old_target is not None:
             placement = self.store.placements.get(old_target)
             if placement is not None:
                 fgs_partition = placement.partition
@@ -248,13 +249,13 @@ class TransactionManager:
         self.store.write_pointer(src, slot, target, dies=dies)
         txn.undo_log.append(
             _UndoPointerWrite(
-                src=src,
-                slot=slot,
-                old_target=old_target,
-                slot_existed=slot_existed,
-                overwrote=overwrote,
-                fgs_partition=fgs_partition,
-                died=fresh_deaths,
+                src,
+                slot,
+                old_target,
+                slot_existed,
+                overwrote,
+                fgs_partition,
+                fresh_deaths,
             )
         )
         txn.operations += 1
@@ -262,7 +263,7 @@ class TransactionManager:
         if self.redo_log is not None:
             self.redo_log.write(txn.txid, src, slot, target, fresh_deaths)
 
-    def access(self, oid: ObjectId):
+    def access(self, oid: ObjectId) -> StoredObject:
         """Reads need no undo but are offered for a uniform interface."""
         return self.store.access(oid)
 
@@ -279,7 +280,7 @@ class TransactionManager:
         already_root = oid in self.store.roots
         self.store.register_root(oid)
         if not already_root:
-            txn.undo_log.append(_UndoRoot(oid=oid))
+            txn.undo_log.append(_UndoRoot(oid))
         txn.operations += 1
         self._log("root")
         if self.redo_log is not None and not already_root:

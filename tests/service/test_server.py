@@ -131,6 +131,36 @@ def test_graceful_shutdown_drains_and_resumes():
     assert state_digest(second.sim.store) == ref_report.final_digest
 
 
+def test_checkpoint_telemetry_round_trips_through_repro_metrics(tmp_path):
+    """Each checkpoint event carries its stall and the snapshot's object
+    count; ``repro metrics`` prints count and p50/max stall from the file."""
+    from repro.obs.report import digest_file, format_file_digest
+    from repro.obs.telemetry import RunTelemetry
+
+    obs = RunTelemetry(tmp_path / "serve.jsonl", kind="service", label="ckpt")
+    service = GcService(
+        policy=build_policy(POLICY, 7),
+        stream=finite_stream(_events()),
+        service=ServiceConfig(max_events=8000, checkpoint_every_events=2000),
+        obs=obs,
+    )
+    report = service.run()
+    digest = digest_file(obs.close())
+
+    checkpoints = [e for e in digest.events if e["name"] == "checkpoint"]
+    assert len(checkpoints) == report.checkpoints
+    assert all(e["stall_ms"] > 0 for e in checkpoints)
+    last = service.sim.redo_log.last_checkpoint()
+    assert checkpoints[-1]["objects"] == len(last.oids)
+    assert len(last.oids) == len(service.sim.store.objects)
+    stalls = digest.checkpoint_stalls_ms
+    assert stalls == [e["stall_ms"] for e in checkpoints]
+    text = format_file_digest(digest)
+    assert f"checkpoints: {report.checkpoints}, stall p50 " in text
+    assert f"max {max(stalls):.3f} ms" in text
+    assert "gc pauses: p50 " in text
+
+
 def test_pacing_is_wall_clock_only():
     events = _events(600)
     paced = _service(

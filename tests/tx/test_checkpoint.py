@@ -1,11 +1,12 @@
 """Checkpoint records: build, install, restore, and suffix-only recovery."""
 
+import dataclasses
+
 import pytest
 
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.tx.manager import TransactionManager
 from repro.tx.recovery import (
-    CheckpointSnapshot,
     RedoLog,
     build_checkpoint,
     recover,
@@ -17,9 +18,8 @@ CFG = StoreConfig(page_size=256, partition_pages=4, buffer_pages=8)
 
 
 def _empty_snapshot(event_index, **overrides):
-    fields = dict(objects=(), pointers=(), roots=(), unlinked=())
-    fields.update(overrides)
-    return CheckpointSnapshot(event_index=event_index, **fields)
+    empty = build_checkpoint(ObjectStore(CFG), event_index)
+    return dataclasses.replace(empty, **overrides)
 
 
 def _view(store: ObjectStore):
@@ -203,8 +203,14 @@ def test_estimated_bytes_scales_with_content():
     empty = _empty_snapshot(0)
     full = _empty_snapshot(
         0,
-        objects=tuple((i, 64, "generic", False) for i in range(100)),
-        pointers=tuple((i, "next", i + 1) for i in range(100)),
+        oids=tuple(range(100)),
+        sizes=(64,) * 100,
+        kinds=("generic",) * 100,
+        dead=(False,) * 100,
+        pointer_srcs=tuple(range(100)),
+        pointer_slots=("next",) * 100,
+        pointer_targets=tuple(range(1, 101)),
         roots=(1, 2, 3),
     )
-    assert full.estimated_bytes > empty.estimated_bytes
+    assert empty.estimated_bytes == 64
+    assert full.estimated_bytes == 64 + 48 * 100 + 24 * 100 + 8 * 3

@@ -14,6 +14,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gc.collector import CopyingCollector
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.tx.manager import TransactionManager
 from repro.tx.recovery import RedoLog, build_checkpoint, recover, recover_with_info
@@ -58,13 +59,24 @@ _op = st.sampled_from(["create", "root", "pointer", "update", "kill"])
 _transaction = st.tuples(st.lists(_op, min_size=1, max_size=6), st.booleans())
 _history = st.lists(_transaction, min_size=1, max_size=8)
 
+#: The same histories plus writes that declare a death ("die").
+_op_with_deaths = st.sampled_from(
+    ["create", "root", "pointer", "update", "kill", "die"]
+)
+_history_with_deaths = st.lists(
+    st.tuples(st.lists(_op_with_deaths, min_size=1, max_size=6), st.booleans()),
+    min_size=1,
+    max_size=8,
+)
 
-def _execute(history, rng_choices):
+
+def _execute(history, rng_choices, at_boundary=None):
     """Run the history; return the log and the transaction boundaries.
 
     Boundaries are (records_durable_so_far, live_committed_state) pairs
     taken between transactions — the only positions the service builds
-    checkpoints at.
+    checkpoints at. ``at_boundary(store, log, pick)`` runs at each of them
+    (it may collect and checkpoint, like the service does).
     """
     store = ObjectStore(CFG)
     log = RedoLog()
@@ -92,6 +104,11 @@ def _execute(history, rng_choices):
             elif op == "kill":
                 src = choose(live)
                 manager.write_pointer(src, f"slot{next(pick) % 3}", None)
+            elif op == "die":
+                src, victim = choose(live), choose(live)
+                manager.write_pointer(
+                    src, f"slot{next(pick) % 3}", None, dies=(victim,)
+                )
             else:  # update
                 manager.update(choose(live))
         if commits:
@@ -100,6 +117,9 @@ def _execute(history, rng_choices):
         else:
             manager.abort()
         boundaries.append((len(log.records), _committed_view(store)))
+        if at_boundary is not None:
+            at_boundary(store, log, pick)
+            durable = [oid for oid in durable if oid in store.objects]
     return store, log, boundaries
 
 
@@ -165,3 +185,76 @@ def test_checkpointed_recovery_survives_a_torn_suffix(history, rng_choices):
 
     recovered = recover(compacted, store_config=CFG)
     assert _committed_view(recovered) == _committed_view(live)
+
+
+# ----------------------------------------------------------------------
+# The columnar snapshot against the row-shaped builder it replaced
+# ----------------------------------------------------------------------
+
+
+def _row_checkpoint(store: ObjectStore):
+    """The old builder, kept as the oracle: one tuple per object and slot."""
+    objects = tuple(
+        (oid, obj.size, obj.kind.value, obj.dead)
+        for oid, obj in sorted(store.objects.items())
+    )
+    pointers = tuple(
+        (oid, slot, target)
+        for oid, obj in sorted(store.objects.items())
+        for slot, target in sorted(obj.pointers.items())
+    )
+    return objects, pointers
+
+
+def _row_estimated_bytes(objects, pointers, roots, unlinked) -> int:
+    return (
+        64
+        + 48 * len(objects)
+        + 24 * len(pointers)
+        + 8 * (len(roots) + len(unlinked))
+    )
+
+
+@given(
+    history=_history_with_deaths,
+    rng_choices=st.lists(
+        st.integers(min_value=0, max_value=2**16), min_size=64, max_size=64
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_columns_equal_the_row_builder_and_round_trip(history, rng_choices):
+    """At every boundary of a history with deaths and collections between
+    transactions: the columns zip to the old rows, the modelled size is the
+    old formula's, and a store recovered from the truncated log snapshots
+    to the very snapshot it was recovered from."""
+    checked = []
+
+    def checkpoint_like_the_service(store, log, pick):
+        if next(pick) % 2 and store.partitions:
+            CopyingCollector(store).collect(next(pick) % len(store.partitions))
+        snapshot = build_checkpoint(store, event_index=len(checked))
+        objects, pointers = _row_checkpoint(store)
+        assert (
+            tuple(zip(snapshot.oids, snapshot.sizes, snapshot.kinds, snapshot.dead))
+            == objects
+        )
+        assert (
+            tuple(
+                zip(
+                    snapshot.pointer_srcs,
+                    snapshot.pointer_slots,
+                    snapshot.pointer_targets,
+                )
+            )
+            == pointers
+        )
+        assert snapshot.estimated_bytes == _row_estimated_bytes(
+            objects, pointers, snapshot.roots, snapshot.unlinked
+        )
+        log.install_checkpoint(snapshot)
+        recovered = recover(log, store_config=CFG)
+        assert build_checkpoint(recovered, event_index=len(checked)) == snapshot
+        checked.append(snapshot)
+
+    _execute(history, rng_choices, at_boundary=checkpoint_like_the_service)
+    assert len(checked) == len(history)
