@@ -151,9 +151,19 @@ class TraceSink(Protocol):
 
     def access(self, oid: ObjectId) -> None: ...
 
+    def update(self, oid: ObjectId) -> None: ...
+
     def root(self, oid: ObjectId) -> None: ...
 
     def phase(self, name: str) -> None: ...
+
+    def idle(self, ticks: int = 1) -> None: ...
+
+    def begin(self, txid: int) -> None: ...
+
+    def commit(self, txid: int) -> None: ...
+
+    def abort(self, txid: int) -> None: ...
 
 
 class EventSink:
@@ -183,11 +193,26 @@ class EventSink:
     def access(self, oid: ObjectId) -> None:
         self.events.append(AccessEvent(oid))
 
+    def update(self, oid: ObjectId) -> None:
+        self.events.append(UpdateEvent(oid))
+
     def root(self, oid: ObjectId) -> None:
         self.events.append(RootEvent(oid))
 
     def phase(self, name: str) -> None:
         self.events.append(PhaseMarkerEvent(name))
+
+    def idle(self, ticks: int = 1) -> None:
+        self.events.append(IdleEvent(ticks))
+
+    def begin(self, txid: int) -> None:
+        self.events.append(BeginTransactionEvent(txid))
+
+    def commit(self, txid: int) -> None:
+        self.events.append(CommitTransactionEvent(txid))
+
+    def abort(self, txid: int) -> None:
+        self.events.append(AbortTransactionEvent(txid))
 
 
 def stream_events(

@@ -6,15 +6,17 @@ event streams — the ROADMAP's online posture. The pieces:
 
 * :mod:`repro.service.config` — :class:`ServiceConfig`, the service knobs
   (pacing, checkpoint cadence, heap/log bounds, backpressure mode);
-* :mod:`repro.service.stream` — replayable unbounded event streams over
-  the grammar/tenant streaming generators (``events_from(start_index)``
-  is the unbounded analogue of ``CompiledTrace.replay``);
+* :mod:`repro.service.stream` — replayable unbounded streams over the
+  grammar/tenant streaming generators, served as bounded column chunks
+  (``chunks_from(start_index)`` / ``events_from(start_index)`` are the
+  unbounded analogue of ``CompiledTrace.replay``);
 * :mod:`repro.service.backpressure` — admission control that keeps the
   modelled heap under a hard bound by forcing collections and, as a last
   resort, shedding incoming work (degradation counters in ``repro.obs``);
-* :mod:`repro.service.server` — :class:`GcService`, the event loop:
-  periodic WAL checkpoints + redo-log truncation, graceful drain on
-  SIGTERM, telemetry heartbeats;
+* :mod:`repro.service.server` — :class:`GcService`, the chunk loop over
+  the guarded column interpreter: admission control, periodic WAL
+  checkpoints + redo-log truncation, graceful drain on SIGTERM,
+  telemetry heartbeats;
 * :mod:`repro.service.soak` — crash-soak drills: kill the service at
   fault-plan-chosen points, recover from checkpoint + log suffix, resume
   the stream at the exact event index, and assert byte-identical

@@ -34,23 +34,22 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.rate_policy import RatePolicy
-from repro.events import (
-    AbortTransactionEvent,
-    CommitTransactionEvent,
-    CreateEvent,
-    IdleEvent,
-    PhaseMarkerEvent,
-    PointerWriteEvent,
-    TraceEvent,
-)
 from repro.faults.injector import SimulatedCrash
 from repro.gc.selection import PartitionSelectionPolicy
 from repro.service.backpressure import AdmissionController, BackpressureStats
 from repro.service.config import ServiceConfig
-from repro.service.stream import EventStream
+from repro.service.stream import EventStream, stream_chunks
+from repro.sim import batch
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.storage.heap import ObjectStore
 from repro.tx.recovery import RedoLog, build_checkpoint
+from repro.workload.compiled import (
+    _OP_ABORT as _ABORT,
+    _OP_COMMIT as _COMMIT,
+    _OP_CREATE as _CREATE,
+    _OP_PHASE as _PHASE,
+    _OP_WRITE as _WRITE,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.telemetry import RunTelemetry
@@ -152,6 +151,12 @@ class GcService:
         self._shed_oids: set = set()
         self._shed_txid: Optional[int] = None
         self._events_since_checkpoint = 0
+        # Per-run state the interpreter's guard points share.
+        self._report = ServiceReport()
+        self._run_started = 0.0
+        self._stopped = ""
+        #: Column views of the chunk being served (what ``_admit`` reads).
+        self._columns: Optional[batch._BatchCache] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -178,22 +183,23 @@ class GcService:
         """Consume the stream from ``start_index`` until a stop condition.
 
         Stop conditions: the stream ends, ``service.max_events`` stream
-        events were consumed, or shutdown was requested — the latter two
-        drain the in-flight transaction first, so the stop point is always
+        events were consumed, or shutdown was requested — the latter
+        drains the in-flight transaction first, so the stop point is
         quiescent and the final checkpoint covers everything applied.
         An injected crash propagates as
         :class:`~repro.faults.injector.SimulatedCrash` annotated with the
         resume index, like :meth:`Simulation.run`.
+
+        The stream arrives as column chunks, and each chunk goes through
+        the guarded column interpreter (:func:`repro.sim.batch.
+        _replay_guarded`) — the loop finite drills and transaction spans
+        run on — with the service's own rules as its guard points:
+        :meth:`_admit` before an event, :meth:`_after_event` behind it.
         """
         sim = self.sim
-        svc = self.service
-        store = sim.store
-        tx = sim.tx
-        run_started = time.monotonic()
-        report = ServiceReport(next_index=start_index)
-        events = self.stream.events_from(start_index)
-        rate = svc.target_ops_per_s
-        max_events = svc.max_events
+        self._run_started = time.monotonic()
+        self._report = report = ServiceReport(next_index=start_index)
+        self._stopped = ""
         obs = self.obs
         if obs is not None:
             obs.event(
@@ -202,153 +208,150 @@ class GcService:
                 start_index=start_index,
                 policy=sim.policy.describe(),
             )
-        stopped = "end-of-stream"
+        admit = self._admit if self.admission is not None else None
         try:
             sim._start(start_index)
-            for event in events:
-                sim._event_index += 1
-                sim._event_applied = False
-                report.events_seen += 1
-                applied = self._process(event)
-                sim._event_applied = True
-                if applied:
-                    report.events_applied += 1
-                    self._events_since_checkpoint += 1
-                occupancy = store.db_size
-                if occupancy > report.heap_peak_bytes:
-                    report.heap_peak_bytes = occupancy
-                if not tx.in_transaction:
-                    while sim._clock() >= sim._due_at:
-                        sim._collect()
-                    if self._checkpoint_due():
-                        self._checkpoint(report)
-                    if self._shutdown_requested:
-                        stopped = "shutdown"
-                        break
-                # max_events is an exact window boundary, honoured even
-                # mid-transaction: soak drills rely on every segment
-                # consuming precisely the same absolute stream window as
-                # the reference, whatever index a segment started from.
-                # (Graceful shutdown, by contrast, drains to quiescence.)
-                if max_events is not None and report.events_seen >= max_events:
-                    stopped = "max-events"
+            for chunk, offset in stream_chunks(self.stream, start_index):
+                self._columns = cache = batch._ensure_cache(chunk)
+                creates, writes = batch._prefix_counts(cache.ops, offset)
+                batch._replay_guarded(
+                    sim, chunk, cache, offset, len(cache.ops), creates, writes,
+                    None, False, admit, self._after_event,
+                )
+                if self._stopped:
                     break
-                if rate is not None:
-                    ahead = (
-                        run_started
-                        + report.events_seen / rate
-                        - time.monotonic()
-                    )
-                    if ahead > 0.001:
-                        time.sleep(ahead)
-                        report.paced_sleep_s += ahead
         except SimulatedCrash as crash:
             sim._annotate_crash(crash)
             raise
         # Quiescent stop: flush a final checkpoint so a restart replays
         # nothing. (A malformed finite stream ending mid-transaction skips
         # it — checkpoints are only ever taken between transactions.)
-        if not tx.in_transaction and report.events_applied:
+        if not sim.tx.in_transaction and report.events_applied:
             self._checkpoint(report)
-        report.stopped = stopped
+        report.stopped = self._stopped or "end-of-stream"
         report.next_index = start_index + report.events_seen
-        report.wall_s = time.monotonic() - run_started
+        report.wall_s = time.monotonic() - self._run_started
         self._finalise(report)
         return report
 
     # ------------------------------------------------------------------
-    # Event admission and application
+    # Guard points of the chunk interpreter
     # ------------------------------------------------------------------
 
-    def _process(self, event: TraceEvent) -> bool:
-        """Apply one stream event, or shed it. True when applied."""
-        admission = self.admission
-        if admission is None:
-            self.sim._apply(event)
-            self._sample(event)
+    def _after_event(self, applied: bool, quiescent: bool) -> bool:
+        """Behind every stream event, shed ones included: cadence and stop
+        rules. True stops the run after this event."""
+        report = self._report
+        svc = self.service
+        report.events_seen += 1
+        if applied:
+            report.events_applied += 1
+            self._events_since_checkpoint += 1
+        occupancy = self.sim.store.db_size
+        if occupancy > report.heap_peak_bytes:
+            report.heap_peak_bytes = occupancy
+        if quiescent:
+            if (
+                self._events_since_checkpoint >= svc.checkpoint_every_events
+                or self._log_backlogged()
+            ):
+                self._checkpoint(report)
+            if self._shutdown_requested:
+                self._stopped = "shutdown"
+                return True
+        # max_events is an exact window boundary, honoured even
+        # mid-transaction: soak drills rely on every segment consuming
+        # precisely the same absolute stream window as the reference,
+        # whatever index a segment started from. (Graceful shutdown, by
+        # contrast, drains to quiescence.)
+        if svc.max_events is not None and report.events_seen >= svc.max_events:
+            self._stopped = "max-events"
             return True
+        rate = svc.target_ops_per_s
+        if rate is not None:
+            ahead = self._run_started + report.events_seen / rate - time.monotonic()
+            if ahead > 0.001:
+                time.sleep(ahead)
+                report.paced_sleep_s += ahead
+        return False
+
+    def _admit(self, op: int, a: int, i: int, ci: int, wi: int) -> bool:
+        """Admission control in front of event ``i`` of the current chunk
+        (opcode ``op``, first operand ``a``; ``ci``/``wi`` index its create
+        or write sub-columns). False sheds the event."""
         shed = self._shed_oids
-        cls = event.__class__
+        if not shed and op != _CREATE and self._shed_txid is None:
+            return True  # nothing shed so far, nothing to allocate
+        admission = self.admission
+        stats = admission.stats
+        cols = self._columns
         # Skip the remainder of a shed transaction block.
         if self._shed_txid is not None:
-            if cls is CommitTransactionEvent or cls is AbortTransactionEvent:
-                if event.txid == self._shed_txid:
-                    self._shed_txid = None
-                    admission.stats.shed_events += 1
-                    return False
-            admission.stats.shed_events += 1
-            self._note_shed_references(event)
+            stats.shed_events += 1
+            if (op == _COMMIT or op == _ABORT) and a == self._shed_txid:
+                self._shed_txid = None
+            else:
+                self._note_shed(op, a, wi)
             return False
-        # Cascade: anything referencing a shed object is itself shed (the
-        # store has never seen those oids, so applying would fault).
-        if shed and self._references_shed(event):
-            admission.stats.shed_events += 1
-            self._note_shed_references(event)
-            return False
+        if shed:
+            # Cascade: anything referencing a shed object is itself shed
+            # (the store has never seen those oids, so applying would
+            # fault).
+            if op == _CREATE:
+                targets = cols.ptr_targets
+                lo = cols.create_ptr_start[ci]
+                hi = cols.create_ptr_start[ci + 1]
+                references = any(targets[j] in shed for j in range(lo, hi))
+            elif op == _WRITE:
+                references = a in shed or cols.arg1[i] in shed
+            else:
+                references = op < _PHASE and a in shed
+            if references:
+                stats.shed_events += 1
+                self._note_shed(op, a, wi)
+                return False
         # Admission: allocations must fit under the heap bound.
-        if cls is CreateEvent:
-            if not admission.admit(self.sim.store, event.size):
-                admission.stats.shed_events += 1
-                admission.stats.shed_objects += 1
-                shed.add(event.oid)
-                if self.sim.tx.in_transaction:
+        if op == _CREATE:
+            if not admission.admit(self.sim.store, cols.arg1[i]):
+                stats.shed_events += 1
+                stats.shed_objects += 1
+                shed.add(a)
+                tx = self.sim.tx
+                if tx.in_transaction:
                     # Transactions are atomic: a rejected allocation sheds
                     # the whole block. Undo what already applied and skip
                     # to the block's end.
-                    txid = self.sim.tx.current.txid
-                    self.sim.tx.abort(txid)
+                    txid = tx.current.txid
+                    tx.abort(txid)
                     self._shed_txid = txid
-                    admission.stats.shed_transactions += 1
+                    stats.shed_transactions += 1
                 if self.obs is not None:
                     self.obs.metrics.counter("service.backpressure.sheds").inc()
                 return False
-        self.sim._apply(event)
-        self._prune_ledger(event)
-        self._sample(event)
+        elif shed and op == _WRITE:
+            self._prune_shed(wi)
         return True
 
-    def _sample(self, event: TraceEvent) -> None:
-        sim = self.sim
-        cls = event.__class__
-        if cls is PhaseMarkerEvent:
-            return
-        if cls is IdleEvent:
-            sim._handle_idle(event.ticks)
-            return
-        sim._note_activity()
-        sim.sampler.on_event(sim.store, sim.store.iostats)
-
-    def _references_shed(self, event: TraceEvent) -> bool:
-        shed = self._shed_oids
-        cls = event.__class__
-        if cls is CreateEvent:
-            return any(
-                target is not None and target in shed
-                for _slot, target in event.pointers
-            )
-        if cls is PointerWriteEvent:
-            return event.src in shed or (
-                event.target is not None and event.target in shed
-            )
-        oid = getattr(event, "oid", None)
-        return oid is not None and oid in shed
-
-    def _note_shed_references(self, event: TraceEvent) -> None:
+    def _note_shed(self, op: int, a: int, wi: int) -> None:
         """Cascade and prune the shed ledger for a skipped event."""
-        if event.__class__ is CreateEvent:
-            self._shed_oids.add(event.oid)
+        if op == _CREATE:
+            self._shed_oids.add(a)
             self.admission.stats.shed_objects += 1
-        self._prune_ledger(event)
+        elif op == _WRITE and self._shed_oids:
+            self._prune_shed(wi)
 
-    def _prune_ledger(self, event: TraceEvent) -> None:
+    def _prune_shed(self, wi: int) -> None:
         """Drop shed oids once their death is announced by the stream.
 
         A ``dies`` annotation is the stream's statement that no later
         event references those objects, so the ledger can forget them —
         this is what keeps shed-set memory bounded over unbounded streams.
         """
-        if self._shed_oids and event.__class__ is PointerWriteEvent and event.dies:
-            self._shed_oids.difference_update(event.dies)
+        cols = self._columns
+        lo = cols.write_dies_start[wi]
+        hi = cols.write_dies_start[wi + 1]
+        if lo != hi:
+            self._shed_oids.difference_update(cols.dies[lo:hi])
 
     # ------------------------------------------------------------------
     # Durability and collection
@@ -364,15 +367,11 @@ class GcService:
         self.sim._collect(force=True)
         return store.db_size < before
 
-    def _checkpoint_due(self) -> bool:
-        svc = self.service
-        if self._events_since_checkpoint >= svc.checkpoint_every_events:
-            return True
-        return (
-            svc.max_log_records is not None
-            and self.sim.redo_log is not None
-            and self.sim.redo_log.suffix_length > svc.max_log_records
-        )
+    def _log_backlogged(self) -> bool:
+        """The redo-log suffix outgrew ``max_log_records``: checkpoint
+        early, whatever the event cadence says."""
+        bound = self.service.max_log_records
+        return bound is not None and self.sim.redo_log.suffix_length > bound
 
     def _checkpoint(self, report: ServiceReport) -> None:
         """Snapshot, pay the WAL cost, truncate the log (quiescent only).

@@ -28,7 +28,10 @@ modes:
   exactly the scalar order. It skips only the event-object decode and
   handler dispatch, so it composes with fault injection, WAL/redo
   logging, opportunistic policies and retained series. Fast mode also
-  drops into guarded mode for the span of each explicit transaction.
+  drops into guarded mode for the span of each explicit transaction, and
+  the long-running service (:mod:`repro.service.server`) serves every
+  chunk of its stream through it, hanging admission control and its
+  checkpoint/stop rules on the loop's two guard points.
 
 Both modes are **result-identical to the scalar loop**: summaries are
 pickle-equal and final store state matches field for field (property-
@@ -187,7 +190,7 @@ def _fast_eligible(sim) -> bool:
 
 
 def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
-                    until_tx_close):
+                    until_tx_close, admit=None, after=None):
     """Apply events ``[i, end)`` via the store's real methods, in exactly
     the scalar loop's order.
 
@@ -196,6 +199,14 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
     ``until_tx_close`` set, returns right after the first event that
     leaves no transaction open (fast mode's transaction-span handoff).
     Returns the advanced ``(i, ci, wi)``.
+
+    ``admit`` and ``after`` are the guard points a caller that does more
+    than replay (the service) hangs its own rules on. ``admit(op, a, i,
+    ci, wi)`` runs before event ``i`` is applied, with the event index
+    already advanced and the event marked unapplied; returning False
+    skips the event. ``after(applied, quiescent)`` runs once per event,
+    skipped ones included, after the trigger check; returning True stops
+    the replay after this event.
     """
     ops = cache.ops
     g0 = cache.arg0
@@ -219,7 +230,7 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
     handle_idle = sim._handle_idle
     clock = sim._clock
     collect = sim._collect
-    redo = sim.redo_log
+    autocommit = tx.autocommit if sim.redo_log is not None else None
     note_activity = (
         sim.policy.note_activity
         if isinstance(sim.policy, OpportunisticPolicy)
@@ -234,58 +245,65 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
         a = g0[i]
         sim._event_index += 1
         sim._event_applied = False
-        if op == 5:  # PHASE
-            on_phase(strings[a])
-            sim._event_applied = True
-            i += 1
-            continue
-        if op == 6:  # IDLE
-            sim._event_applied = True
-            handle_idle(a)
-            i += 1
-            continue
-        if op < 5:  # database event: create/access/update/write/root
-            auto = redo is not None and op != 1 and not tx.in_transaction
-            if auto:
+        applied = admit is None or admit(op, a, i, ci, wi)
+        if not applied:
+            if op == 0:
+                ci += 1
+            elif op == 3:
+                wi += 1
+        elif op < 5:  # database event: create/access/update/write/root
+            open_tx = tx.in_transaction  # a database event leaves it as it is
+            if open_tx:
+                sink = tx
+            elif op == 1 or autocommit is None:
+                sink = store
+            else:
+                # With a redo log, a mutation outside a transaction commits
+                # as a singleton; negative txids never collide with the
+                # trace's own.
+                sink = None
                 txid = sim._auto_txid
                 sim._auto_txid = txid - 1
-                tx.begin(txid)
-                sim._tx_start_index = sim._event_index
-                sink = tx
-            else:
-                sink = tx if tx.in_transaction else store
             if op == 1:
                 sink.access(a)
             elif op == 3:
                 tgt = g1[i]
-                lo = wds[wi]
-                hi = wds[wi + 1]
-                sink.write_pointer(
-                    a,
-                    strings[wsl[wi]],
-                    None if tgt == none else tgt,
-                    dies=tuple(dls[lo:hi]),
-                )
+                if tgt == none:
+                    tgt = None
+                slot = strings[wsl[wi]]
+                dies = tuple(dls[wds[wi]:wds[wi + 1]])
                 wi += 1
+                if sink is None:
+                    autocommit(txid, "write", a, slot=slot, target=tgt, dies=dies)
+                else:
+                    sink.write_pointer(a, slot, tgt, dies=dies)
             elif op == 0:
                 ki = ck[ci]
                 kind = kinds.get(ki)
                 if kind is None:
                     kind = kinds.setdefault(ki, ObjectKind(strings[ki]))
-                lo = cps[ci]
-                hi = cps[ci + 1]
                 pointers = {}
-                for j in range(lo, hi):
+                for j in range(cps[ci], cps[ci + 1]):
                     t = ptg[j]
                     pointers[strings[psl[j]]] = None if t == none else t
-                sink.create(size=g1[i], kind=kind, pointers=pointers, oid=a)
                 ci += 1
+                if sink is None:
+                    autocommit(
+                        txid, "create", a, size=g1[i], kind=kind, pointers=pointers
+                    )
+                else:
+                    sink.create(size=g1[i], kind=kind, pointers=pointers, oid=a)
+            elif sink is None:
+                autocommit(txid, "update" if op == 2 else "root", a)
             elif op == 2:
                 sink.update(a)
             else:
                 sink.register_root(a)
-            if auto:
-                tx.commit(txid)
+        elif op == 5:
+            on_phase(strings[a])
+        elif op == 6:
+            sim._event_applied = True
+            handle_idle(a)
         elif op == 7:
             tx.begin(a)
             sim._tx_start_index = sim._event_index
@@ -298,14 +316,21 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
             raise CompiledTraceError(f"unknown opcode {op} at event {i}")
         sim._event_applied = True
         i += 1
-        if note_activity is not None:
-            note_activity()
-        sample_event(store, iostats)
-        if tx.in_transaction:
-            continue
-        while clock() >= sim._due_at:
-            collect()
-        if until_tx_close:
+        if applied and op != 5 and op != 6:
+            if note_activity is not None:
+                note_activity()
+            sample_event(store, iostats)
+            quiescent = not (open_tx if op < 5 else tx.in_transaction)
+        elif after is None:
+            continue  # plain replay: markers and idle ticks check nothing
+        else:
+            quiescent = not tx.in_transaction
+        if quiescent:
+            while clock() >= sim._due_at:
+                collect()
+            if until_tx_close:
+                return i, ci, wi
+        if after is not None and after(applied, quiescent):
             return i, ci, wi
     return i, ci, wi
 

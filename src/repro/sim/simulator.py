@@ -178,8 +178,24 @@ _RUN_KINDS = {cls: 0 for cls in _EVENT_HANDLERS}
 _RUN_KINDS[PhaseMarkerEvent] = 1
 _RUN_KINDS[IdleEvent] = 2
 
-#: Per-class memo of "mutates durable logical state" (redo-log auto-commit).
-_MUTATING_MEMO: dict[type, bool] = {}
+#: Events whose application mutates durable logical state, with the
+#: :meth:`TransactionManager.autocommit` operation each one is.
+_AUTOCOMMIT_OPS = (
+    (PointerWriteEvent, "write"),
+    (CreateEvent, "create"),
+    (UpdateEvent, "update"),
+    (RootEvent, "root"),
+)
+
+#: Per-class memo of the redo-log auto-commit operation (None: not mutating).
+_MUTATING_MEMO: dict[type, Optional[str]] = {}
+
+
+def _autocommit_op(event: TraceEvent) -> Optional[str]:
+    for base, op in _AUTOCOMMIT_OPS:
+        if isinstance(event, base):
+            return op
+    return None
 
 
 def _deadline_guard(trace, deadline: float):
@@ -538,9 +554,6 @@ class Simulation:
     # Event application
     # ------------------------------------------------------------------
 
-    #: Events whose application mutates durable logical state.
-    _MUTATING = (PointerWriteEvent, CreateEvent, UpdateEvent, RootEvent)
-
     def _apply(self, event: TraceEvent) -> None:
         # With redo logging enabled, mutations outside an explicit
         # transaction are auto-committed as singleton transactions so the
@@ -551,18 +564,24 @@ class Simulation:
         tx = self.tx
         if self.redo_log is not None and not tx.in_transaction:
             cls = event.__class__
-            mutating = _MUTATING_MEMO.get(cls)
-            if mutating is None:
-                mutating = _bounded_memo(
-                    _MUTATING_MEMO, cls, isinstance(event, self._MUTATING)
-                )
-            if mutating:
+            op = _MUTATING_MEMO.get(cls, _MUTATING_MEMO)
+            if op is _MUTATING_MEMO:  # unseen class (None is a memoised answer)
+                op = _bounded_memo(_MUTATING_MEMO, cls, _autocommit_op(event))
+            if op is not None:
                 txid = self._auto_txid
                 self._auto_txid -= 1
-                tx.begin(txid)
-                self._tx_start_index = self._event_index
-                self._dispatch(event, tx)
-                tx.commit(txid)
+                if op == "write":
+                    tx.autocommit(
+                        txid, op, event.src,
+                        slot=event.slot, target=event.target, dies=event.dies,
+                    )
+                elif op == "create":
+                    tx.autocommit(
+                        txid, op, event.oid,
+                        size=event.size, kind=event.kind, pointers=dict(event.pointers),
+                    )
+                else:
+                    tx.autocommit(txid, op, event.oid)
                 return
         self._dispatch(event, tx if tx.in_transaction else self.store)
 

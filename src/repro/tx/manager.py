@@ -64,6 +64,9 @@ class _UndoRoot(NamedTuple):
 
 _UndoRecord = Union[_UndoCreate, _UndoPointerWrite, _UndoRoot]
 
+#: Operations :meth:`TransactionManager.autocommit` applies, by WAL record type.
+_AUTOCOMMIT_OPS = frozenset({"create", "write", "update", "root"})
+
 
 @dataclass
 class Transaction:
@@ -182,6 +185,89 @@ class TransactionManager:
         if self.wal is not None:
             self.wal.force()
         return txn
+
+    def autocommit(
+        self,
+        txid: int,
+        op: str,
+        oid: ObjectId,
+        *,
+        size: int = 0,
+        kind: ObjectKind = ObjectKind.GENERIC,
+        pointers: Optional[dict[str, Optional[ObjectId]]] = None,
+        slot: str = "",
+        target: Optional[ObjectId] = None,
+        dies: Sequence[ObjectId] = (),
+    ) -> None:
+        """``begin(txid)``, one operation, ``commit(txid)`` — in one call.
+
+        ``op`` is the operation's WAL record type: ``"create"`` (``oid``,
+        ``size``, ``kind``, ``pointers``), ``"write"`` (``oid`` is the
+        source; ``slot``, ``target``, ``dies``), ``"update"`` or ``"root"``
+        (``oid``). Fault sites, WAL records, the commit force and redo
+        records are those of the three calls, in the same order; what is
+        skipped is the :class:`Transaction` and its undo record, which
+        nothing could ever use — a singleton transaction has no way to
+        abort between its operation and its commit.
+        """
+        if op not in _AUTOCOMMIT_OPS:
+            raise ValueError(f"autocommit cannot apply operation {op!r}")
+        hook = self.fault_hook
+        wal = self.wal
+        redo = self.redo_log
+        store = self.store
+        if hook is not None:
+            hook("tx.begin")
+        current = self.current
+        if current is not None and current.active:
+            raise TransactionError(
+                f"transaction {current.txid} is still active; "
+                "nested transactions are not supported"
+            )
+        if txid >= self._next_txid:
+            self._next_txid = txid + 1
+        if wal is not None:
+            wal.append("begin")
+        if redo is not None:
+            redo.begin(txid)
+        if op == "create":
+            oid = store.create(size=size, kind=kind, pointers=pointers, oid=oid)
+            if wal is not None:
+                wal.append("create")
+            if redo is not None:
+                redo.create(txid, oid, size, kind, tuple((pointers or {}).items()))
+        elif op == "write":
+            objects = store.objects
+            if oid not in objects:
+                raise TransactionError(f"unknown object {oid}")
+            # As in write_pointer: log the deaths this write declares.
+            fresh_deaths = tuple(
+                [d for d in dies if d in objects and not objects[d].dead]
+            )
+            store.write_pointer(oid, slot, target, dies=dies)
+            if wal is not None:
+                wal.append("write")
+            if redo is not None:
+                redo.write(txid, oid, slot, target, fresh_deaths)
+        elif op == "update":
+            store.update(oid)
+            if wal is not None:
+                wal.append("update")
+        else:
+            already_root = oid in store.roots
+            store.register_root(oid)
+            if wal is not None:
+                wal.append("root")
+            if redo is not None and not already_root:
+                redo.root(txid, oid)
+        if hook is not None:
+            hook("tx.commit")
+        if wal is not None:
+            wal.append("commit")
+            wal.force()
+        if redo is not None:
+            redo.commit(txid)
+        self.committed += 1
 
     def _require_active(self, txid: Optional[int]) -> Transaction:
         current = self.current

@@ -57,8 +57,10 @@ class WorkloadSpec(Protocol):
     calls on ``out``. :func:`~repro.workload.compiled.compile_trace` looks
     for it with ``getattr`` and, when it is there, lets the workload fill the
     trace columns directly instead of iterating ``events()``.
-    :class:`~repro.workload.application.Oo7Application` offers it; the
-    synthetic, grammar and tenant workloads do not.
+    :class:`~repro.workload.application.Oo7Application`,
+    :class:`~repro.workload.grammar.GrammarWorkload` and
+    :class:`~repro.workload.tenants.TenantMix` offer it; the synthetic and
+    transactional workloads do not.
     """
 
     #: Seed every randomised choice derives from; two instances constructed

@@ -417,7 +417,9 @@ class TraceBuilder:
 
     It is a :class:`~repro.events.TraceSink`, so a generator that emits
     through a sink fills the columns directly; :meth:`add` encodes an event
-    object. :meth:`finish` hands the columns over.
+    object. :meth:`finish` hands the columns over and starts the builder
+    afresh, string table included, so one builder can cut a long stream
+    into chunks.
     """
 
     def __init__(self) -> None:
@@ -481,11 +483,26 @@ class TraceBuilder:
     def access(self, oid: int) -> None:
         self._simple(_OP_ACCESS, oid)
 
+    def update(self, oid: int) -> None:
+        self._simple(_OP_UPDATE, oid)
+
     def root(self, oid: int) -> None:
         self._simple(_OP_ROOT, oid)
 
     def phase(self, name: str) -> None:
         self._simple(_OP_PHASE, self._string_index(name))
+
+    def idle(self, ticks: int = 1) -> None:
+        self._simple(_OP_IDLE, ticks)
+
+    def begin(self, txid: int) -> None:
+        self._simple(_OP_BEGIN, txid)
+
+    def commit(self, txid: int) -> None:
+        self._simple(_OP_COMMIT, txid)
+
+    def abort(self, txid: int) -> None:
+        self._simple(_OP_ABORT, txid)
 
     def add(self, event: TraceEvent) -> None:
         """Encode one event object."""
@@ -514,7 +531,7 @@ class TraceBuilder:
             raise TypeError(f"cannot compile unknown trace event {event!r}")
 
     def finish(self) -> CompiledTrace:
-        return CompiledTrace(
+        trace = CompiledTrace(
             self.ops,
             self.arg0,
             self.arg1,
@@ -527,6 +544,8 @@ class TraceBuilder:
             self.write_dies_start,
             self.dies,
         )
+        self.__init__()
+        return trace
 
 
 def compile_trace(events: Iterable[TraceEvent]) -> CompiledTrace:

@@ -35,19 +35,12 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import Any, Iterator, Optional, Union
 
-from repro.events import (
-    AccessEvent,
-    CreateEvent,
-    IdleEvent,
-    PhaseMarkerEvent,
-    PointerWriteEvent,
-    RootEvent,
-    TraceEvent,
-    UpdateEvent,
-)
+from repro.events import TraceEvent, TraceSink, stream_events
 from repro.storage.object_model import ObjectId, ObjectKind
 
 #: Bump when the config schema changes shape; ``from_dict`` rejects other
@@ -174,6 +167,20 @@ def distribution_from_dict(payload: Any) -> Distribution:
         return cls(**params)
     except TypeError as exc:
         raise GrammarError(f"distribution {kind!r}: {exc}") from None
+
+
+def draw_table(weights: list[float]) -> tuple[list[float], float, int]:
+    """``(cum_weights, total, hi)`` such that ``population[bisect(cum_weights,
+    rng.random() * total, 0, hi)]`` is ``rng.choices(population, weights)[0]``.
+
+    ``random.choices`` rebuilds its cumulative sums on every call — O(k) per
+    draw. This is the identical table (``itertools.accumulate`` over the same
+    weights, so every float sum is bit-equal) built once by the caller, who
+    then spends one ``rng.random()`` and one bisect per draw, as the stdlib
+    does: O(log k), byte-identical output.
+    """
+    cum_weights = list(accumulate(weights))
+    return cum_weights, cum_weights[-1] + 0.0, len(cum_weights) - 1
 
 
 def _sample_int(dist: Distribution, rng: random.Random, minimum: int = 1) -> int:
@@ -556,40 +563,55 @@ class GrammarWorkload:
 
     def events(self) -> Iterator[TraceEvent]:
         """The full trace (one-shot)."""
-        yield from self._setup()
-        for phase in self.config.phases:
-            for repetition in range(phase.repeat):
-                name = (
-                    phase.name
-                    if phase.repeat == 1
-                    else f"{phase.name}#{repetition}"
-                )
-                yield PhaseMarkerEvent(name)
-                yield from self._run_phase(phase)
+        return stream_events(self.steps)
+
+    __iter__ = events
+
+    def emit_trace(self, out: TraceSink) -> None:
+        """Write the same trace into ``out`` without building event objects."""
+        for _ in self.steps(out):
+            pass
 
     def stream(self, max_live_clusters: int = 512) -> Iterator[TraceEvent]:
-        """An unbounded trace with bounded generator memory (one-shot).
+        """An unbounded trace with bounded generator memory (one-shot):
+        :meth:`steps` in streaming mode, run into event objects."""
+        return stream_events(lambda out: self.steps(out, max_live_clusters))
 
-        Cycles the config's phase list forever (phase markers are suffixed
-        ``@cycle`` so telemetry stays attributable) while keeping the
-        generator's own state O(``max_live_clusters``): per-oid size
-        tracking is disabled and whenever a create pushes the live-cluster
-        registry past the cap, the oldest-half region immediately sheds one
-        cluster (a normal delete, so the emitted trace stays coherent and
-        the store's garbage signals behave like steady-state churn).
+    def steps(
+        self, out: TraceSink, max_live_clusters: Optional[int] = None
+    ) -> Iterator[None]:
+        """The one generator body: emit into ``out``, yielding after every
+        sink call (a tenant mix interleaves at that granularity).
+
+        With ``max_live_clusters`` unset this is the finite trace. Set, it
+        is the unbounded stream: the config's phase list cycles forever
+        (phase markers are suffixed ``@cycle`` so telemetry stays
+        attributable) while the generator's own state stays
+        O(``max_live_clusters``): per-oid size tracking is disabled and
+        whenever a create pushes the live-cluster registry past the cap,
+        the oldest-half region immediately sheds one cluster (a normal
+        delete, so the emitted trace stays coherent and the store's garbage
+        signals behave like steady-state churn).
 
         The stream is a pure function of (config, seed, max_live_clusters):
-        re-instantiating the workload and islicing from any index resumes
-        it exactly — the service's crash–recover–continue path relies on
-        this the way finite drills rely on ``CompiledTrace.replay``.
+        re-instantiating the workload and skipping to any index resumes it
+        exactly — the service's crash–recover–continue path relies on this
+        the way finite drills rely on ``CompiledTrace.replay``.
         """
-        if max_live_clusters < 1:
-            raise GrammarError(
-                f"max_live_clusters must be >= 1, got {max_live_clusters}"
-            )
-        self._track_sizes = False
-        self._reuse_slots = True
-        yield from self._setup()
+        cap = max_live_clusters
+        if cap is not None:
+            if cap < 1:
+                raise GrammarError(f"max_live_clusters must be >= 1, got {cap}")
+            self._track_sizes = False
+            self._reuse_slots = True
+        self.registry_oid = self._new_oid(64)
+        out.create(self.registry_oid, 64, ObjectKind.GENERIC)
+        yield
+        out.root(self.registry_oid)
+        yield
+        first = self.config.phases[0]
+        for _ in range(self.config.initial_clusters):
+            yield from self._create_cluster(first, out)
         cycle = 0
         while True:
             for phase in self.config.phases:
@@ -599,55 +621,48 @@ class GrammarWorkload:
                         if phase.repeat == 1
                         else f"{phase.name}#{repetition}"
                     )
-                    yield PhaseMarkerEvent(f"{name}@{cycle}")
-                    yield from self._run_phase(phase, cap=max_live_clusters)
+                    out.phase(name if cap is None else f"{name}@{cycle}")
+                    yield
+                    yield from self._run_phase(phase, out, cap)
+            if cap is None:
+                return
             cycle += 1
 
-    def _setup(self) -> Iterator[TraceEvent]:
-        self.registry_oid = self._new_oid(64)
-        yield CreateEvent(self.registry_oid, 64, ObjectKind.GENERIC)
-        yield RootEvent(self.registry_oid)
-        first = self.config.phases[0]
-        for _ in range(self.config.initial_clusters):
-            yield from self._create_cluster(first)
-
     def _run_phase(
-        self, phase: PhaseBlock, cap: Optional[int] = None
-    ) -> Iterator[TraceEvent]:
-        weights = phase.mix.weights()
-        rng = self.rng
+        self, phase: PhaseBlock, out: TraceSink, cap: Optional[int]
+    ) -> Iterator[None]:
+        cum_weights, total, hi = draw_table(phase.mix.weights())
+        random_ = self.rng.random
+        rate = self.config.ops_per_second
         for _ in range(phase.operations):
-            op = rng.choices(OPERATIONS, weights=weights)[0]
+            op = OPERATIONS[bisect(cum_weights, random_() * total, 0, hi)]
             if op == "create":
-                yield from self._create_cluster(phase)
+                yield from self._create_cluster(phase, out)
                 if cap is not None and len(self.clusters) > cap:
                     # Streaming bound: shed one cluster per overflow so the
                     # registry never exceeds the cap (steady-state churn).
-                    yield from self._delete_cluster(phase)
+                    yield from self._delete_cluster(phase, out)
             elif op == "delete":
-                yield from self._delete_cluster(phase)
+                yield from self._delete_cluster(phase, out)
             elif op == "trim":
-                yield from self._trim_cluster(phase)
+                yield from self._trim_cluster(phase, out)
             elif op == "access":
-                yield from self._access_cluster(phase)
+                yield from self._access_cluster(phase, out)
             elif op == "update":
-                yield from self._update_member(phase)
+                yield from self._update_member(phase, out)
             elif op == "pointer_churn":
-                yield from self._churn_pointer(phase)
+                yield from self._churn_pointer(phase, out)
             else:
-                yield IdleEvent()
-            yield from self._pace()
-
-    def _pace(self) -> Iterator[TraceEvent]:
-        """Interleave idle ticks so the trace models ``ops_per_second``."""
-        rate = self.config.ops_per_second
-        if rate is None:
-            return
-        self._idle_debt += TICKS_PER_SECOND / rate
-        whole = int(self._idle_debt)
-        if whole >= 1:
-            self._idle_debt -= whole
-            yield IdleEvent(ticks=whole)
+                out.idle()
+                yield
+            if rate is not None:
+                # Interleave idle ticks so the trace models ``ops_per_second``.
+                self._idle_debt += TICKS_PER_SECOND / rate
+                whole = int(self._idle_debt)
+                if whole >= 1:
+                    self._idle_debt -= whole
+                    out.idle(whole)
+                    yield
 
     # ------------------------------------------------------------------
     # Operations (linked-cluster shapes, as in SyntheticWorkload)
@@ -666,7 +681,7 @@ class GrammarWorkload:
         index = _skewed_index(self.rng, len(self.clusters), phase.hot_key_skew)
         return self.clusters[index]
 
-    def _create_cluster(self, phase: PhaseBlock) -> Iterator[TraceEvent]:
+    def _create_cluster(self, phase: PhaseBlock, out: TraceSink) -> Iterator[None]:
         """Create a chain tail-first, then root its head in the registry."""
         rng = self.rng
         cluster_size = _sample_int(phase.cluster_size, rng)
@@ -676,7 +691,8 @@ class GrammarWorkload:
         for _ in range(cluster_size):
             oid = self._new_oid(object_size)
             pointers = (("next", successor),) if successor is not None else ()
-            yield CreateEvent(oid, object_size, ObjectKind.GENERIC, pointers=pointers)
+            out.create(oid, object_size, ObjectKind.GENERIC, pointers)
+            yield
             members.append(oid)
             successor = oid
         members.reverse()  # head first
@@ -686,24 +702,24 @@ class GrammarWorkload:
         else:
             slot = f"cluster{self._next_slot}"
             self._next_slot += 1
-        yield PointerWriteEvent(self.registry_oid, slot, members[0])
+        out.write(self.registry_oid, slot, members[0])
+        yield
         self.clusters.append(
             _Cluster(slot=slot, members=members, member_size=object_size)
         )
 
-    def _delete_cluster(self, phase: PhaseBlock) -> Iterator[TraceEvent]:
+    def _delete_cluster(self, phase: PhaseBlock, out: TraceSink) -> Iterator[None]:
         """Detach an entire cluster with a single overwrite."""
         if not self.clusters:
             return
         index = _skewed_index(self.rng, len(self.clusters), phase.hot_key_skew)
         cluster = self.clusters.pop(index)
-        yield PointerWriteEvent(
-            self.registry_oid, cluster.slot, None, dies=tuple(cluster.members)
-        )
+        out.write(self.registry_oid, cluster.slot, None, tuple(cluster.members))
+        yield
         if self._reuse_slots:
             self._free_slots.append(cluster.slot)
 
-    def _trim_cluster(self, phase: PhaseBlock) -> Iterator[TraceEvent]:
+    def _trim_cluster(self, phase: PhaseBlock, out: TraceSink) -> Iterator[None]:
         """Cut off a suffix of a cluster with a single overwrite."""
         candidates = [c for c in self.clusters if len(c.members) >= 2]
         if not candidates:
@@ -714,25 +730,28 @@ class GrammarWorkload:
         dead = cluster.members[keep:]
         if not dead:
             return
-        yield PointerWriteEvent(cluster.members[keep - 1], "next", None, dies=tuple(dead))
+        out.write(cluster.members[keep - 1], "next", None, tuple(dead))
+        yield
         del cluster.members[keep:]
 
-    def _access_cluster(self, phase: PhaseBlock) -> Iterator[TraceEvent]:
+    def _access_cluster(self, phase: PhaseBlock, out: TraceSink) -> Iterator[None]:
         """Read every member of a (skew-chosen) cluster, head to tail."""
         cluster = self._pick_cluster(phase)
         if cluster is None:
             return
         for oid in cluster.members:
-            yield AccessEvent(oid)
+            out.access(oid)
+            yield
 
-    def _update_member(self, phase: PhaseBlock) -> Iterator[TraceEvent]:
+    def _update_member(self, phase: PhaseBlock, out: TraceSink) -> Iterator[None]:
         """Dirty one member of a (skew-chosen) cluster — no garbage."""
         cluster = self._pick_cluster(phase)
         if cluster is None:
             return
-        yield UpdateEvent(cluster.members[self.rng.randrange(len(cluster.members))])
+        out.update(cluster.members[self.rng.randrange(len(cluster.members))])
+        yield
 
-    def _churn_pointer(self, phase: PhaseBlock) -> Iterator[TraceEvent]:
+    def _churn_pointer(self, phase: PhaseBlock, out: TraceSink) -> Iterator[None]:
         """Overwrite a registry slot with the value it already holds.
 
         Advances the overwrite clock without creating any garbage — the
@@ -742,4 +761,5 @@ class GrammarWorkload:
         cluster = self._pick_cluster(phase)
         if cluster is None:
             return
-        yield PointerWriteEvent(self.registry_oid, cluster.slot, cluster.members[0])
+        out.write(self.registry_oid, cluster.slot, cluster.members[0])
+        yield

@@ -33,21 +33,9 @@ import json
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from repro.events import (
-    AbortTransactionEvent,
-    AccessEvent,
-    BeginTransactionEvent,
-    CommitTransactionEvent,
-    CreateEvent,
-    PhaseMarkerEvent,
-    PointerWriteEvent,
-    RootEvent,
-    TraceEvent,
-    UpdateEvent,
-)
+from repro.events import TraceEvent, TraceSink, stream_events
 from repro.workload.grammar import (
     Choice,
     Fixed,
@@ -57,6 +45,7 @@ from repro.workload.grammar import (
     PhaseBlock,
     Uniform,
     WorkloadConfig,
+    draw_table,
 )
 
 #: Bump when the tenant-mix schema changes shape.
@@ -179,45 +168,68 @@ class TenantMixConfig:
 # ----------------------------------------------------------------------
 
 
-def _remap_event(event: TraceEvent, stride: int, offset: int, prefix: str) -> TraceEvent:
-    """Remap one tenant event into the shared id/marker space.
+class _TenantSink:
+    """Remaps one tenant's emissions into the shared id/marker space.
 
     Object ids map ``oid → oid * stride + offset`` (disjoint residue
     classes per tenant); transaction ids likewise; phase markers gain the
-    ``tenant/`` prefix. Events without ids (idle) pass through unchanged.
+    ``tenant/`` prefix; idle ticks pass through unchanged. ``open`` is true
+    while the tenant has a transaction open.
     """
 
-    def oid(value):
-        return value * stride + offset
+    def __init__(self, out: TraceSink, stride: int, offset: int, prefix: str) -> None:
+        self.out = out
+        self.stride = stride
+        self.offset = offset
+        self.prefix = prefix
+        self.open = False
 
-    if isinstance(event, CreateEvent):
-        pointers = tuple(
-            (slot, None if target is None else oid(target))
-            for slot, target in event.pointers
+    def create(self, oid, size, kind, pointers=()):
+        s, o = self.stride, self.offset
+        if pointers:
+            pointers = tuple(
+                [(slot, None if t is None else t * s + o) for slot, t in pointers]
+            )
+        self.out.create(oid * s + o, size, kind, pointers)
+
+    def write(self, src, slot, target, dies=()):
+        s, o = self.stride, self.offset
+        if dies:
+            dies = tuple([d * s + o for d in dies])
+        self.out.write(
+            src * s + o, slot, None if target is None else target * s + o, dies
         )
-        return CreateEvent(oid(event.oid), event.size, event.kind, pointers=pointers)
-    if isinstance(event, AccessEvent):
-        return AccessEvent(oid(event.oid))
-    if isinstance(event, UpdateEvent):
-        return UpdateEvent(oid(event.oid))
-    if isinstance(event, PointerWriteEvent):
-        return PointerWriteEvent(
-            oid(event.src),
-            event.slot,
-            None if event.target is None else oid(event.target),
-            dies=tuple(oid(d) for d in event.dies),
-        )
-    if isinstance(event, RootEvent):
-        return RootEvent(oid(event.oid))
-    if isinstance(event, PhaseMarkerEvent):
-        return PhaseMarkerEvent(f"{prefix}/{event.name}")
-    if isinstance(event, BeginTransactionEvent):
-        return BeginTransactionEvent(oid(event.txid))
-    if isinstance(event, CommitTransactionEvent):
-        return CommitTransactionEvent(oid(event.txid))
-    if isinstance(event, AbortTransactionEvent):
-        return AbortTransactionEvent(oid(event.txid))
-    return event  # IdleEvent
+
+    def access(self, oid):
+        self.out.access(oid * self.stride + self.offset)
+
+    def update(self, oid):
+        self.out.update(oid * self.stride + self.offset)
+
+    def root(self, oid):
+        self.out.root(oid * self.stride + self.offset)
+
+    def phase(self, name):
+        self.out.phase(f"{self.prefix}/{name}")
+
+    def idle(self, ticks=1):
+        self.out.idle(ticks)
+
+    def begin(self, txid):
+        self.open = True
+        self.out.begin(txid * self.stride + self.offset)
+
+    def commit(self, txid):
+        self.open = False
+        self.out.commit(txid * self.stride + self.offset)
+
+    def abort(self, txid):
+        self.open = False
+        self.out.abort(txid * self.stride + self.offset)
+
+
+#: ``next(steps, _DONE)``: a step generator yields None at every step.
+_DONE = object()
 
 
 class TenantMix:
@@ -256,97 +268,71 @@ class TenantMix:
         return list(zip(self.config.tenants, self.tenant_workloads()))
 
     def events(self) -> Iterator[TraceEvent]:
-        """The merged trace (one-shot).
+        """The merged trace (one-shot)."""
+        return stream_events(self.steps)
 
-        Each step draws a live tenant (seeded, weighted by
-        ``TenantSpec.weight``) and emits its next event, remapped into the
-        shared id space. A tenant inside a transaction keeps emitting until
-        it commits or aborts, so transaction blocks stay contiguous.
-        Exhausted tenants leave the draw; the trace ends when all are done.
-        """
-        streams: list[Iterator[TraceEvent]] = [
-            workload.events() for workload in self.tenant_workloads()
-        ]
-        return self._merge_bisect(streams)
+    __iter__ = events
+
+    def emit_trace(self, out: TraceSink) -> None:
+        """Write the merged trace into ``out`` without building event objects."""
+        for _ in self.steps(out):
+            pass
 
     def stream(self, max_live_clusters: int = 512) -> Iterator[TraceEvent]:
-        """The merged **unbounded** stream (one-shot, bounded memory).
+        """The merged **unbounded** stream (one-shot, bounded memory):
+        :meth:`steps` in streaming mode, run into event objects."""
+        return stream_events(lambda out: self.steps(out, max_live_clusters))
 
-        Every tenant runs its :meth:`~repro.workload.grammar.
-        GrammarWorkload.stream` — cycling phases forever with at most
-        ``max_live_clusters`` live clusters each — and the draw table is
-        built exactly once (no tenant ever exhausts). Like the finite
-        trace, the stream is a pure function of (config, seed, cap):
-        re-instantiating the mix and islicing reproduces any suffix, which
+    def steps(
+        self, out: TraceSink, max_live_clusters: Optional[int] = None
+    ) -> Iterator[None]:
+        """The merge: emit into ``out``, yielding after every sink call.
+
+        Each step draws a live tenant (seeded, weighted by
+        ``TenantSpec.weight``) and lets it emit its next event, remapped
+        into the shared id space by a :class:`_TenantSink`. A tenant inside
+        a transaction keeps emitting until it commits or aborts, so
+        transaction blocks stay contiguous. Exhausted tenants leave the
+        draw; the trace ends when all are done. With ``max_live_clusters``
+        set every tenant runs its unbounded stream (cycling phases forever
+        with at most that many live clusters each) and none ever exhausts.
+        Either way the output is a pure function of (config, seed, cap):
+        re-instantiating the mix and skipping reproduces any suffix, which
         is what lets a recovered service resume mid-stream.
+
+        The draw is a k-way merge over a cached cumulative-weight table
+        (:func:`~repro.workload.grammar.draw_table`), rebuilt only when a
+        tenant exhausts — at most k rebuilds per trace.
         """
         tenants = self.config.tenants
         stride = len(tenants)
-        rng = random.Random(self.seed)
-        streams = [
-            workload.stream(max_live_clusters)
-            for workload in self.tenant_workloads()
+        sinks = [
+            _TenantSink(out, stride, index, tenant.name)
+            for index, tenant in enumerate(tenants)
         ]
-        weights = [tenant.weight for tenant in tenants]
-        cum_weights = list(accumulate(weights))
-        total = cum_weights[-1] + 0.0
-        hi = stride - 1
-        random_ = rng.random
-        while True:
-            index = bisect(cum_weights, random_() * total, 0, hi)
-            in_transaction = False
-            while True:
-                event = next(streams[index])
-                yield _remap_event(event, stride, index, tenants[index].name)
-                if isinstance(event, BeginTransactionEvent):
-                    in_transaction = True
-                elif isinstance(event, (CommitTransactionEvent, AbortTransactionEvent)):
-                    in_transaction = False
-                if not in_transaction:
-                    break
-
-    def _merge_bisect(
-        self, streams: list[Iterator[TraceEvent]]
-    ) -> Iterator[TraceEvent]:
-        """K-way merge with a cached cumulative-weight table.
-
-        ``random.choices`` rebuilds its cumulative sums on every call —
-        O(k) per merge step. This path computes the identical table once
-        (``itertools.accumulate`` over the same weights list, so every
-        float sum is bit-equal), draws with one ``rng.random()`` through
-        the same ``bisect(cum, u * total, 0, hi)`` the stdlib uses, and
-        rebuilds only when a tenant exhausts — O(log k) per step, at most
-        k rebuilds per trace, byte-identical output.
-        """
-        tenants = self.config.tenants
-        stride = len(tenants)
+        streams = [
+            workload.steps(sink, max_live_clusters)
+            for workload, sink in zip(self.tenant_workloads(), sinks)
+        ]
         rng = random.Random(self.seed)
         live = list(range(stride))
         weights = [tenants[i].weight for i in live]
-        cum_weights = list(accumulate(weights))
-        total = cum_weights[-1] + 0.0
-        hi = len(cum_weights) - 1
+        cum_weights, total, hi = draw_table(weights)
         random_ = rng.random
         while live:
             pick = bisect(cum_weights, random_() * total, 0, hi)
             index = live[pick]
-            in_transaction = False
+            step = streams[index]
+            sink = sinks[index]
             while True:
-                event = next(streams[index], None)
-                if event is None:
+                if next(step, _DONE) is _DONE:
                     del live[pick]
                     del weights[pick]
                     if live:
-                        cum_weights = list(accumulate(weights))
-                        total = cum_weights[-1] + 0.0
-                        hi = len(cum_weights) - 1
+                        cum_weights, total, hi = draw_table(weights)
                     break
-                yield _remap_event(event, stride, index, tenants[index].name)
-                if isinstance(event, BeginTransactionEvent):
-                    in_transaction = True
-                elif isinstance(event, (CommitTransactionEvent, AbortTransactionEvent)):
-                    in_transaction = False
-                if not in_transaction:
+                yield
+                if not sink.open:
                     break
 
 

@@ -9,7 +9,7 @@ from repro.service.config import ServiceConfig
 from repro.service.server import GcService
 from repro.service.stream import grammar_stream
 from repro.sim.spec import PolicySpec, build_policy
-from repro.storage.heap import ObjectStore, StoreConfig
+from repro.storage.heap import ObjectStore, StoreConfig, StoreError
 from repro.workload.tenants import make_profile
 
 POLICY = PolicySpec("fixed", {"overwrites_per_collection": 200.0})
@@ -142,3 +142,30 @@ def test_shed_cascade_keeps_stream_coherent():
     assert report.backpressure.shed_events > report.backpressure.shed_objects
     # The ledger prunes on death annotations; it must not grow unboundedly.
     assert len(service._shed_oids) < 5_000
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=StoreError,
+    reason="admission forces collections inside an open transaction, which "
+    "reclaims objects the block itself declared dead; its abort then cannot "
+    "resurrect them (ROADMAP item 4)",
+)
+def test_forced_collection_inside_a_transaction_leaves_its_deaths_undoable():
+    from repro.service.stream import finite_stream
+    from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
+
+    workload = TransactionalWorkload(
+        TransactionalSpec(transactions=120, abort_probability=0.2),
+        seed=11,
+        initial_clusters=10,
+    )
+    service = GcService(
+        policy=build_policy(POLICY, 3),
+        stream=finite_stream(list(workload.events())),
+        service=ServiceConfig(
+            checkpoint_every_events=700, max_heap_bytes=14_000, backpressure="shed"
+        ),
+    )
+    report = service.run()
+    assert report.heap_peak_bytes <= 14_000

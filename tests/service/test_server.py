@@ -82,20 +82,18 @@ def test_graceful_shutdown_drains_and_resumes():
     """Shutdown stops at a quiescent point; a successor resumes exactly."""
     events = _events()
     trigger_at = 3111
-    holder = {}
+    first = _service(finite_stream(events, label="shutdown-test"), max_events=None)
+    sample = first.sim.sampler.on_event
 
-    def factory():
-        def gen():
-            for index, event in enumerate(events):
-                if index == trigger_at:
-                    holder["svc"].request_shutdown()
-                yield event
+    def sample_then_signal(store, iostats):
+        # A SIGTERM landing while event ``trigger_at`` is being served. (The
+        # stream runs up to a chunk ahead of the service, so the signal
+        # cannot come from the generator.)
+        sample(store, iostats)
+        if first.sim._event_index >= trigger_at:
+            first.request_shutdown()
 
-        return gen()
-
-    stream = ReplayableStream(factory=factory, label="shutdown-test")
-    first = _service(stream, max_events=None)
-    holder["svc"] = first
+    first.sim.sampler.on_event = sample_then_signal
     report = first.run()
     assert report.stopped == "shutdown"
     assert trigger_at <= report.events_seen < len(events)

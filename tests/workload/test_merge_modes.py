@@ -1,6 +1,6 @@
 """The bisect k-way merge is byte-identical to a ``random.choices`` merge.
 
-``TenantMix.events()`` draws tenants through a cached cumulative-weight
+``TenantMix.steps()`` draws tenants through a cached cumulative-weight
 table in O(log k) per step. That is purely an optimisation of the obvious
 O(k) ``random.choices`` draw, kept here as the reference: both consume
 exactly one ``rng.random()`` per merge step over float-identical
@@ -13,17 +13,13 @@ import random
 
 import pytest
 
-from repro.events import (
-    AbortTransactionEvent,
-    BeginTransactionEvent,
-    CommitTransactionEvent,
-)
+from repro.events import stream_events
 from repro.workload.grammar import OpMix, PhaseBlock, WorkloadConfig
 from repro.workload.tenants import (
     TenantMix,
     TenantMixConfig,
     TenantSpec,
-    _remap_event,
+    _TenantSink,
     tenant_mix,
 )
 
@@ -64,27 +60,33 @@ def _choices_merge(config, seed):
     mix = TenantMix(config, seed=seed)
     tenants = config.tenants
     stride = len(tenants)
-    streams = [workload.events() for workload in mix.tenant_workloads()]
-    rng = random.Random(seed)
-    live = list(range(stride))
-    weights = [tenant.weight for tenant in tenants]
-    while live:
-        pick = rng.choices(range(len(live)), weights=weights)[0]
-        index = live[pick]
-        in_transaction = False
-        while True:
-            event = next(streams[index], None)
-            if event is None:
-                del live[pick]
-                del weights[pick]
-                break
-            yield _remap_event(event, stride, index, tenants[index].name)
-            if isinstance(event, BeginTransactionEvent):
-                in_transaction = True
-            elif isinstance(event, (CommitTransactionEvent, AbortTransactionEvent)):
-                in_transaction = False
-            if not in_transaction:
-                break
+
+    def steps(out):
+        sinks = [
+            _TenantSink(out, stride, index, tenant.name)
+            for index, tenant in enumerate(tenants)
+        ]
+        streams = [
+            workload.steps(sink)
+            for workload, sink in zip(mix.tenant_workloads(), sinks)
+        ]
+        done = object()
+        rng = random.Random(seed)
+        live = list(range(stride))
+        weights = [tenant.weight for tenant in tenants]
+        while live:
+            pick = rng.choices(range(len(live)), weights=weights)[0]
+            index = live[pick]
+            while True:
+                if next(streams[index], done) is done:
+                    del live[pick]
+                    del weights[pick]
+                    break
+                yield
+                if not sinks[index].open:
+                    break
+
+    return stream_events(steps)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1999])

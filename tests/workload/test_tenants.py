@@ -3,15 +3,20 @@
 import pytest
 
 from repro.events import (
+    AbortTransactionEvent,
+    AccessEvent,
     BeginTransactionEvent,
     CommitTransactionEvent,
     CreateEvent,
+    EventSink,
     IdleEvent,
     PhaseMarkerEvent,
     PointerWriteEvent,
     RootEvent,
+    UpdateEvent,
     iterate_trace,
 )
+from repro.storage.object_model import ObjectKind
 from repro.workload.grammar import (
     GrammarError,
     GrammarWorkload,
@@ -26,7 +31,7 @@ from repro.workload.tenants import (
     TenantMix,
     TenantMixConfig,
     TenantSpec,
-    _remap_event,
+    _TenantSink,
     make_profile,
     tenant_mix,
     tenant_seed,
@@ -105,20 +110,42 @@ def test_mix_from_dict_rejects_bad_payloads():
 
 
 def test_remap_event_covers_ids_markers_and_idle():
-    create = CreateEvent(5, 64, pointers=(("next", 3), ("null", None)))
-    mapped = _remap_event(create, stride=4, offset=1, prefix="t")
-    assert mapped.oid == 21
-    assert mapped.pointers == (("next", 13), ("null", None))
+    out = EventSink()
+    sink = _TenantSink(out, stride=4, offset=1, prefix="t")
 
-    write = PointerWriteEvent(2, "slot", 7, dies=(3, 4))
-    mapped = _remap_event(write, stride=4, offset=1, prefix="t")
-    assert (mapped.src, mapped.target, mapped.dies) == (9, 29, (13, 17))
+    sink.create(5, 64, ObjectKind.GENERIC, (("next", 3), ("null", None)))
+    sink.write(2, "slot", 7, (3, 4))
+    sink.write(2, "slot", None)
+    sink.access(1)
+    sink.update(1)
+    sink.root(1)
+    sink.phase("load")
+    sink.idle(3)
+    assert out.events == [
+        CreateEvent(21, 64, pointers=(("next", 13), ("null", None))),
+        PointerWriteEvent(9, "slot", 29, dies=(13, 17)),
+        PointerWriteEvent(9, "slot", None),
+        AccessEvent(5),
+        UpdateEvent(5),
+        RootEvent(5),
+        PhaseMarkerEvent("t/load"),
+        IdleEvent(ticks=3),
+    ]
 
-    assert _remap_event(RootEvent(1), 4, 1, "t").oid == 5
-    assert _remap_event(PhaseMarkerEvent("load"), 4, 1, "t").name == "t/load"
-    assert _remap_event(BeginTransactionEvent(2), 4, 1, "t").txid == 9
-    idle = IdleEvent(ticks=3)
-    assert _remap_event(idle, 4, 1, "t") is idle
+    out.events.clear()
+    sink.begin(2)
+    assert sink.open
+    sink.commit(2)
+    assert not sink.open
+    sink.begin(3)
+    sink.abort(3)
+    assert not sink.open
+    assert out.events == [
+        BeginTransactionEvent(9),
+        CommitTransactionEvent(9),
+        BeginTransactionEvent(13),
+        AbortTransactionEvent(13),
+    ]
 
 
 def test_interleaved_oid_spaces_are_disjoint():
@@ -191,13 +218,14 @@ def test_transactions_stay_contiguous():
     class _TxWorkload:
         """Two transactions with a marker inside each."""
 
-        def events(self):
-            yield BeginTransactionEvent(1)
-            yield CreateEvent(1, 64)
-            yield CommitTransactionEvent(1)
-            yield BeginTransactionEvent(2)
-            yield CreateEvent(2, 64)
-            yield CommitTransactionEvent(2)
+        def steps(self, out, max_live_clusters=None):
+            for txid in (1, 2):
+                out.begin(txid)
+                yield
+                out.create(txid, 64, ObjectKind.GENERIC)
+                yield
+                out.commit(txid)
+                yield
 
     mix = TenantMix(_mix(2), seed=0)
     # Substitute one tenant's stream with the transactional one.
