@@ -30,7 +30,7 @@ def run_policy(policy, seed=7):
     simulation = Simulation(
         policy=policy, config=SimulationConfig(preamble_collections=2)
     )
-    return simulation.run(application.events()).summary
+    return simulation.run(application).summary
 
 
 def main() -> None:

@@ -32,7 +32,7 @@ def run_estimator(estimator, seed=3):
         policy=policy, config=SimulationConfig(preamble_collections=10)
     )
     application = Oo7Application(SMALL_PRIME, seed=seed)
-    return simulation.run(application.events())
+    return simulation.run(application)
 
 
 def main() -> None:

@@ -25,7 +25,7 @@ def main() -> None:
         policy=policy,
         config=SimulationConfig(preamble_collections=2),
     )
-    result = simulation.run(application.events())
+    result = simulation.run(application)
     summary = result.summary
 
     print(f"policy:                {policy.describe()}")

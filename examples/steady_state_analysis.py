@@ -38,7 +38,7 @@ def main() -> None:
         policy=FixedRatePolicy(RATE),
         config=SimulationConfig(preamble_collections=5),
     )
-    result = simulation.run(Oo7Application(SMALL_PRIME, seed=5).events())
+    result = simulation.run(Oo7Application(SMALL_PRIME, seed=5))
     summary = result.summary
     records = result.collections[5:]
     measured_yield = sum(r.reclaimed_bytes for r in records) / len(records)

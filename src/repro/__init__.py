@@ -16,7 +16,7 @@ Quickstart::
 
     app = Oo7Application(TINY, seed=1)
     sim = Simulation(policy=SaioPolicy(io_fraction=0.10))
-    result = sim.run(app.events())
+    result = sim.run(app)
     print(result.summary.gc_io_fraction)  # ≈ 0.10
 """
 

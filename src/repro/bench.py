@@ -7,9 +7,10 @@ Tracks the engine's performance trajectory with a standard suite:
 * ``traverse_replay`` — replay of a prebuilt compiled trace only (no
   build), the pure inner-loop throughput number in events/second under
   the default batched interpreter.
-* ``batch_replay`` — scalar vs batched interpreter on the same compiled
-  trace: events/s per mode, speedup, opcode run-length histogram, and a
-  pickle-equality assertion on the two summaries.
+* ``batch_replay`` — guarded (``replay="scalar"``) vs fused (``batched``)
+  interpreter on the same compiled trace: events/s per mode, speedup,
+  opcode run-length histogram, and a pickle-equality assertion on the two
+  summaries.
 * ``collection_throughput`` — collector-only throughput (collections/s and
   traced objects per collection) of the remembered-set frontier.
 * ``trace_compile_load`` — workload rebuild vs trace compile vs binary
@@ -202,7 +203,7 @@ def bench_traverse_replay(quick: bool, repeats: int, telemetry=None) -> dict:
     :mod:`repro.sim.batch` — the configuration every experiment runner
     replays under. A sparse fixed rate keeps collection cost low so the
     per-event replay path dominates. (``batch_replay`` below reports the
-    scalar interpreter on the same trace, with the speedup.)
+    guarded interpreter on the same trace, with the speedup.)
     """
     from repro.sim.spec import build_workload
     from repro.workload.compiled import compile_trace
@@ -227,14 +228,14 @@ def bench_traverse_replay(quick: bool, repeats: int, telemetry=None) -> dict:
 
 
 def bench_batch_replay(quick: bool, repeats: int, telemetry=None) -> dict:
-    """Scalar vs batched interpreter on the same prebuilt compiled trace.
+    """Guarded vs fused interpreter on the same prebuilt compiled trace.
 
-    Both modes replay the identical trace under the identical policy; the
-    scalar leg drives the per-event dispatch loop, the batched leg the
-    run-sliced interpreter of :mod:`repro.sim.batch`. Summaries must stay
-    pickle-equal — the speedup is never bought with a behaviour change.
-    The opcode run-length histogram (power-of-two buckets) shows the run
-    structure the batched interpreter exploits.
+    Both legs replay the identical trace under the identical policy; the
+    ``scalar`` leg (``replay="scalar"``) drives the guarded per-event loop
+    over the store's real methods, the ``batched`` leg the fused kernels
+    of :mod:`repro.sim.batch`. Summaries must stay pickle-equal — the
+    speedup is never bought with a behaviour change. The opcode run-length
+    histogram (power-of-two buckets) shows the trace's run structure.
     """
     import pickle
     from dataclasses import replace
@@ -268,7 +269,7 @@ def bench_batch_replay(quick: bool, repeats: int, telemetry=None) -> dict:
     scalar_spec = replace(spec, sim=replace(spec.sim, replay="scalar"))
 
     def scalar():
-        return _new_simulation(scalar_spec, 0).run(events).summary
+        return _new_simulation(scalar_spec, 0).run(trace).summary
 
     def batched():  # replay="auto" over the compiled trace
         return _new_simulation(spec, 0).run(trace).summary

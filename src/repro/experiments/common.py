@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.oo7.config import SMALL_PRIME, OO7Config
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import ExperimentSpec, PolicySpec, SelectionSpec, WorkloadSpec
 from repro.storage.heap import StoreConfig
-from repro.workload.application import Oo7Application
-from repro.events import TraceEvent
 
 #: Preamble used for SAGA / fixed-rate experiments (the paper's choice).
 SAGA_PREAMBLE = 10
@@ -67,15 +65,6 @@ def paper_store_config() -> StoreConfig:
 
 def sim_config(preamble: int, **kwargs) -> SimulationConfig:
     return SimulationConfig(store=paper_store_config(), preamble_collections=preamble, **kwargs)
-
-
-def oo7_trace_factory(config: OO7Config):
-    """A trace factory (seed → events) over the given OO7 configuration."""
-
-    def factory(seed: int) -> Iterable[TraceEvent]:
-        return Oo7Application(config, seed=seed).events()
-
-    return factory
 
 
 def oo7_spec(

@@ -406,9 +406,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("auto", "scalar"),
         default="auto",
         help=(
-            "replay interpreter: auto (batched where eligible) or scalar — "
-            "both produce identical reports; the replay choice is excluded "
-            "from result-cache fingerprints"
+            "replay interpreter: auto (fused kernels where eligible) or "
+            "scalar (always the guarded per-event loop) — both produce "
+            "identical reports; the replay choice is excluded from "
+            "result-cache fingerprints"
         ),
     )
     parser.add_argument(

@@ -1,14 +1,13 @@
-"""Batched trace replay: a fused interpreter over compiled columns.
+"""Trace replay: the two interpreters over compiled columns.
 
-The scalar loop in :mod:`repro.sim.simulator` decodes one
-:class:`~repro.events.TraceEvent` dataclass per event and dispatches it
-through the store's public methods. At trace scale (hundreds of thousands
-of events per policy cell) the per-event overhead — event allocation,
-handler dispatch, attribute traffic on the store/sampler/buffer objects —
-dominates wall time. This module replays a
-:class:`~repro.workload.compiled.CompiledTrace` directly from its columnar
-form instead; :meth:`repro.sim.simulator.Simulation.run` picks one of two
-modes:
+Every run replays a :class:`~repro.workload.compiled.CompiledTrace`
+directly from its columnar form — :meth:`repro.sim.simulator.Simulation.run`
+compiles anything else it is handed first — so no
+:class:`~repro.events.TraceEvent` dataclass is decoded or dispatched per
+event. At trace scale (hundreds of thousands of events per policy cell)
+that per-event overhead — event allocation, handler dispatch, attribute
+traffic on the store/sampler/buffer objects — used to dominate wall time.
+``Simulation.run`` picks one of two modes:
 
 * **fast mode** (:func:`_replay_fast`) — a fused interpreter that hoists
   every piece of hot mutable state (I/O ledgers, buffer LRU, sampler
@@ -18,27 +17,30 @@ modes:
   **run boundaries**: a GC trigger firing, a transaction span, a deadline
   check, or the end of the trace. Eligibility is conservative
   (:func:`_fast_eligible`): any hook, fault injector, redo log, retained
-  event series, or subclassed component routes to guarded mode instead.
+  event series, or subclassed component routes to guarded mode instead,
+  as does ``replay="scalar"``.
   ``collection="parallel"`` runs are eligible: the kernels keep the
   store's trace epochs in step, and the scheduler's margin wake-ups are
   ordinary run boundaries.
 
 * **guarded mode** (:func:`_replay_guarded`) — a per-event loop over the
-  same columns that calls the real store/transaction/sampler methods in
-  exactly the scalar order. It skips only the event-object decode and
-  handler dispatch, so it composes with fault injection, WAL/redo
-  logging, opportunistic policies and retained series. Fast mode also
+  same columns that calls the real store/transaction/sampler methods, one
+  event at a time: apply, sample, then check the trigger outside
+  transactions. It composes with fault injection, WAL/redo logging,
+  opportunistic policies and retained series. Fast mode also
   drops into guarded mode for the span of each explicit transaction, and
   the long-running service (:mod:`repro.service.server`) serves every
   chunk of its stream through it, hanging admission control and its
   checkpoint/stop rules on the loop's two guard points.
 
-Both modes are **result-identical to the scalar loop**: summaries are
-pickle-equal and final store state matches field for field (property-
-tested in ``tests/sim/test_batch_replay.py``). Bitwise float equality
-holds because every floating-point operation of the scalar path —
-garbage-fraction divisions and the sampler's sequential ``total +=``
-folds — is reproduced operation for operation.
+Both modes are **result-identical to each other and to the test
+oracle** — the slow-and-obvious event-object loop in
+``tests/event_oracle.py``: summaries are pickle-equal and final store
+state matches field for field (property-tested in
+``tests/sim/test_batch_replay.py``). Bitwise float equality holds because
+every floating-point operation of the per-event path — garbage-fraction
+divisions and the sampler's sequential ``total +=`` folds — is reproduced
+operation for operation.
 
 Error paths: a :class:`~repro.storage.heap.StoreError` raised mid-event
 (only malformed traces do this) flushes the mirrored counters before
@@ -70,7 +72,7 @@ _BASE_ALLOCATED = TimeBase.ALLOCATED
 _MISS = object()
 
 #: Deadline checks are amortised over this many events in fast mode; the
-#: guarded loop (and the scalar loop) check once per event.
+#: guarded loop checks once per event.
 _DEADLINE_STRIDE = 4096
 
 
@@ -191,8 +193,8 @@ def _fast_eligible(sim) -> bool:
 
 def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
                     until_tx_close, admit=None, after=None):
-    """Apply events ``[i, end)`` via the store's real methods, in exactly
-    the scalar loop's order.
+    """Apply events ``[i, end)`` via the store's real methods, one event
+    at a time.
 
     ``ci``/``wi`` are the running create/write sub-column cursors (passed
     between fast and guarded spans rather than recomputed). With
@@ -356,7 +358,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
 
     * ``ParallelCollectionScheduler._snapshot`` and victim prediction run
       on this thread, from ``sim._collect`` — after the boundary flush, so
-      they see exactly what the scalar loop would show them.
+      they see exactly what the guarded loop would show them.
     * ``_trace_into`` (``breadth_first_order`` + ``plan_compaction``) runs
       inline at the pump, or on a worker thread while events apply. It
       reads ``store.objects``, each object's ``pointers`` and ``size``,
@@ -481,7 +483,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
         lgf = miss  # last gf folded into min/max; miss forces a compare
         npages = len(pages)
         # Most-recently-used page mirror: a touch of the page that is
-        # already at the back of the LRU is order-preserving in the scalar
+        # already at the back of the LRU is order-preserving in the guarded
         # path too (pop + reinsert of the back element), so it collapses to
         # a hit count and, at most, a dirty upgrade. Sequential creates and
         # traversals hit this constantly.
@@ -960,7 +962,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
         finally:
             # ---- flush: write mirrored locals back -------------------
             # Also on the way out of a raise (event i failed part-way), so
-            # the store stays observationally consistent: scalar
+            # the store stays observationally consistent: guarded
             # error-state parity.
             if cur_pid >= 0:
                 cur_part.fill = cur_fill

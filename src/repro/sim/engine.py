@@ -230,9 +230,8 @@ def _simulate(
         policy=policy, selection=selection, config=spec.sim, faults=faults,
         obs=obs,
     )
-    # The deadline is handed to the run itself (scalar replay wraps the
-    # trace in a per-event guard; batched replay checks it in-loop) so the
-    # CompiledTrace columns stay visible to the interpreter choice.
+    # The deadline is handed to the run itself: both interpreters check
+    # it in-loop.
     if obs is not None:
         with obs.span("simulate"):
             result = sim.run(trace, deadline=deadline)

@@ -13,11 +13,15 @@ then replays a trace:
 
 Idle events additionally give opportunistic policies (§5) a chance to
 volunteer extra collections.
+
+Event objects are an input format, not an execution path:
+:meth:`Simulation.run` compiles whatever it is given into a
+:class:`~repro.workload.compiled.CompiledTrace` and the loop above runs over
+its columns, in one of the two interpreters of :mod:`repro.sim.batch`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.core.extensions import OpportunisticPolicy
 from repro.core.rate_policy import PolicyContext, RatePolicy, TimeBase, Trigger
+from repro.events import TraceEvent
 from repro.faults.injector import FaultInjector, SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.gc.collector import CollectionResult, CopyingCollector
@@ -32,190 +37,12 @@ from repro.gc.selection import PartitionSelectionPolicy, UpdatedPointerSelection
 from repro.sim import batch
 from repro.sim.metrics import Sampler, SimulationSummary
 from repro.storage.heap import ObjectStore, StoreConfig
-from repro.tx.recovery import RedoLog
-from repro.events import (
-    AbortTransactionEvent,
-    AccessEvent,
-    BeginTransactionEvent,
-    CommitTransactionEvent,
-    CreateEvent,
-    IdleEvent,
-    PhaseMarkerEvent,
-    PointerWriteEvent,
-    RootEvent,
-    TraceEvent,
-    UpdateEvent,
-)
 from repro.tx.manager import TransactionManager
-from repro.workload.compiled import CompiledTrace
+from repro.tx.recovery import RedoLog
+from repro.workload.compiled import CompiledTrace, compile_trace
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.telemetry import RunTelemetry
-
-
-# ----------------------------------------------------------------------
-# Event dispatch (hot path)
-#
-# The replay loop applies one handler per trace event; with tens of
-# thousands of events per run an isinstance chain is measurable. Handlers
-# are keyed by *exact* event class; unknown subclasses resolve through the
-# original isinstance order once and are memoised, so behaviour is
-# unchanged for exotic event hierarchies.
-# ----------------------------------------------------------------------
-
-
-def _h_pointer_write(sim: "Simulation", event, sink) -> None:
-    sink.write_pointer(event.src, event.slot, event.target, dies=event.dies)
-
-
-def _h_create(sim: "Simulation", event, sink) -> None:
-    sink.create(
-        size=event.size,
-        kind=event.kind,
-        pointers=dict(event.pointers),
-        oid=event.oid,
-    )
-
-
-def _h_access(sim: "Simulation", event, sink) -> None:
-    sink.access(event.oid)
-
-
-def _h_update(sim: "Simulation", event, sink) -> None:
-    sink.update(event.oid)
-
-
-def _h_root(sim: "Simulation", event, sink) -> None:
-    sink.register_root(event.oid)
-
-
-def _h_begin(sim: "Simulation", event, sink) -> None:
-    sim.tx.begin(event.txid)
-    sim._tx_start_index = sim._event_index
-
-
-def _h_commit(sim: "Simulation", event, sink) -> None:
-    sim.tx.commit(event.txid)
-
-
-def _h_abort(sim: "Simulation", event, sink) -> None:
-    sim.tx.abort(event.txid)
-
-
-def _h_phase(sim: "Simulation", event, sink) -> None:
-    sim.sampler.on_phase(event.name)
-
-
-def _h_idle(sim: "Simulation", event, sink) -> None:
-    pass  # Quiescence: no store activity.
-
-
-#: Exact-class handler table; extended lazily for subclasses.
-_EVENT_HANDLERS = {
-    PointerWriteEvent: _h_pointer_write,
-    CreateEvent: _h_create,
-    AccessEvent: _h_access,
-    UpdateEvent: _h_update,
-    RootEvent: _h_root,
-    BeginTransactionEvent: _h_begin,
-    CommitTransactionEvent: _h_commit,
-    AbortTransactionEvent: _h_abort,
-    PhaseMarkerEvent: _h_phase,
-    IdleEvent: _h_idle,
-}
-
-#: isinstance resolution order for event subclasses — matches the original
-#: dispatch chain exactly.
-_HANDLER_ORDER = (
-    (PointerWriteEvent, _h_pointer_write),
-    (CreateEvent, _h_create),
-    (AccessEvent, _h_access),
-    (UpdateEvent, _h_update),
-    (RootEvent, _h_root),
-    (BeginTransactionEvent, _h_begin),
-    (CommitTransactionEvent, _h_commit),
-    (AbortTransactionEvent, _h_abort),
-    (PhaseMarkerEvent, _h_phase),
-    (IdleEvent, _h_idle),
-)
-
-
-#: Cap on memoised event classes per dispatch table. The memo keys are class
-#: objects, so an unbounded table would pin every event subclass ever seen
-#: (and grow without limit) for the life of the process — a real leak for
-#: long-lived processes and test suites that mint event classes dynamically.
-#: Ordinary traces only use the ten builtin classes and never hit the cap.
-_DYNAMIC_CLASS_LIMIT = 256
-
-#: The statically registered event classes; never evicted from any memo.
-_BUILTIN_EVENT_CLASSES = frozenset(_EVENT_HANDLERS)
-
-
-def _bounded_memo(table: dict, cls: type, value):
-    """Insert ``table[cls] = value``, evicting dynamic entries at the cap.
-
-    The hit path stays a plain dict ``get``; the eviction sweep runs only
-    when a *new* dynamic (non-builtin) class is inserted past the cap.
-    """
-    if cls not in _BUILTIN_EVENT_CLASSES and len(table) >= _DYNAMIC_CLASS_LIMIT:
-        for key in [k for k in table if k not in _BUILTIN_EVENT_CLASSES]:
-            del table[key]
-    table[cls] = value
-    return value
-
-
-def _resolve_handler(cls: type):
-    """Memoise the handler for an event subclass (original chain order)."""
-    for base, handler in _HANDLER_ORDER:
-        if issubclass(cls, base):
-            return _bounded_memo(_EVENT_HANDLERS, cls, handler)
-    raise TypeError(f"unknown trace event class {cls!r}")
-
-
-#: Event kinds the run loop special-cases, memoised per class.
-#: 0 = normal database event, 1 = phase marker, 2 = idle.
-_RUN_KINDS = {cls: 0 for cls in _EVENT_HANDLERS}
-_RUN_KINDS[PhaseMarkerEvent] = 1
-_RUN_KINDS[IdleEvent] = 2
-
-#: Events whose application mutates durable logical state, with the
-#: :meth:`TransactionManager.autocommit` operation each one is.
-_AUTOCOMMIT_OPS = (
-    (PointerWriteEvent, "write"),
-    (CreateEvent, "create"),
-    (UpdateEvent, "update"),
-    (RootEvent, "root"),
-)
-
-#: Per-class memo of the redo-log auto-commit operation (None: not mutating).
-_MUTATING_MEMO: dict[type, Optional[str]] = {}
-
-
-def _autocommit_op(event: TraceEvent) -> Optional[str]:
-    for base, op in _AUTOCOMMIT_OPS:
-        if isinstance(event, base):
-            return op
-    return None
-
-
-def _deadline_guard(trace, deadline: float):
-    """Yield ``trace``'s events until the monotonic ``deadline`` passes.
-
-    The portable timeout mechanism for the scalar replay loop: one clock
-    read per event, no signals — works on every platform (SIGALRM does not
-    exist on Windows), in worker threads (``signal.signal`` is
-    main-thread-only), and composes with any number of concurrent runs.
-    Granularity is one event, which is the simulation's natural unit of
-    forward progress. The batched interpreter enforces the same deadline
-    itself (:mod:`repro.sim.batch`).
-    """
-    monotonic = time.monotonic
-    for event in trace:
-        if monotonic() >= deadline:
-            from repro.sim.engine import RunTimeoutError
-
-            raise RunTimeoutError("simulation run exceeded run_timeout")
-        yield event
 
 
 @dataclass
@@ -242,19 +69,19 @@ class SimulationConfig:
             log covers the whole trace. Logical logging charges no I/O, so
             enabling it never changes simulation results — it only makes
             crash–recover–continue drills possible.
-        replay: Which replay interpreter drives the run. ``"auto"``
-            (default) uses the batched interpreter of :mod:`repro.sim.batch`
-            whenever the trace is a
-            :class:`~repro.workload.compiled.CompiledTrace` and the
-            simulation is the stock :class:`Simulation` class, falling back
-            to the scalar per-event loop otherwise (a caller that wants the
-            batched path on plain events passes them through
-            :func:`~repro.workload.compiled.compile_trace` first);
-            ``"scalar"`` forces the per-event loop — the oracle the tests
-            and benchmarks compare against. Both interpreters are
-            result-identical (summaries pickle-equal, property-tested), so
-            this field is excluded from experiment fingerprints — see
-            :mod:`repro.canonical`.
+        replay: Which column interpreter of :mod:`repro.sim.batch` drives
+            the run. ``"auto"`` (default) takes the fused interpreter
+            whenever the run is eligible for it (no fault injector, redo
+            log, retained series or opportunistic policy) and the guarded
+            one otherwise; ``"scalar"`` never enters the fused interpreter
+            — every event goes one at a time through the store's real
+            methods. Whatever :meth:`Simulation.run` is handed (events, a
+            workload, a compiled trace) is compiled to columns first, so
+            the choice never depends on the input's type. Both
+            interpreters are result-identical (summaries pickle-equal,
+            property-tested against an independent event-object loop under
+            ``tests/``), so this field is excluded from experiment
+            fingerprints — see :mod:`repro.canonical`.
         collection: How triggered collections execute. ``"serial"``
             (default) traces and reclaims inside the trigger window on the
             replay thread; ``"parallel"`` pre-traces likely victims
@@ -415,6 +242,14 @@ class Simulation:
     ) -> SimulationResult:
         """Replay a trace to completion and return the results.
 
+        ``trace`` is a :class:`~repro.workload.compiled.CompiledTrace` or
+        anything :func:`~repro.workload.compiled.compile_trace` accepts —
+        an iterable of events, or a workload offering ``emit_trace``. It is
+        compiled whole before the policy is armed or the store touched, so
+        a source that fails (a generator that raises, an unknown event
+        class, a truncated trace file) leaves the simulation as it was. A
+        caller that replays one trace many times compiles it once itself.
+
         ``start_index`` skips the first events of the trace while keeping
         event indices absolute — a crash-recovery drill passes the full
         trace together with the crash's ``resume_index`` so the resumed run
@@ -422,39 +257,28 @@ class Simulation:
 
         ``deadline`` is a ``time.monotonic`` instant after which the run
         raises :class:`~repro.sim.engine.RunTimeoutError`; the engine passes
-        its per-run timeout this way so the batched interpreter can enforce
-        it without the trace being wrapped in a per-event generator (which
-        would hide the :class:`~repro.workload.compiled.CompiledTrace`
-        columns the batched path reads).
+        its per-run timeout this way and the interpreters check it in-loop.
 
         An injected crash propagates as :class:`~repro.faults.injector.
         SimulatedCrash`, annotated with the current ``event_index`` and the
         ``resume_index`` a continuation must restart from (the begin of the
         transaction in flight, or the next unprocessed event).
         """
+        if not isinstance(trace, CompiledTrace):
+            trace = compile_trace(trace)
         try:
             self._start(start_index)
-            # Subclasses may override _apply/_dispatch/_note_activity; the
-            # batched interpreter inlines those hooks, so anything other
-            # than the stock Simulation class replays scalar.
-            if (
-                self.config.replay != "scalar"
-                and type(self) is Simulation
-                and isinstance(trace, CompiledTrace)
-            ):
-                cache = batch._ensure_cache(trace)
-                end = len(cache.ops)
-                ci, wi = batch._prefix_counts(cache.ops, start_index)
-                if batch._fast_eligible(self):
-                    batch._replay_fast(
-                        self, trace, cache, start_index, end, ci, wi, deadline
-                    )
-                else:
-                    batch._replay_guarded(
-                        self, trace, cache, start_index, end, ci, wi, deadline, False
-                    )
+            cache = batch._ensure_cache(trace)
+            end = len(cache.ops)
+            ci, wi = batch._prefix_counts(cache.ops, start_index)
+            if self.config.replay != "scalar" and batch._fast_eligible(self):
+                batch._replay_fast(
+                    self, trace, cache, start_index, end, ci, wi, deadline
+                )
             else:
-                self._replay_events(trace, start_index, deadline)
+                batch._replay_guarded(
+                    self, trace, cache, start_index, end, ci, wi, deadline, False
+                )
         except SimulatedCrash as crash:
             self._annotate_crash(crash)
             raise
@@ -490,108 +314,6 @@ class Simulation:
             self.obs.on_run_end(self, result)
         return result
 
-    def _replay_events(
-        self,
-        trace: Iterable[TraceEvent],
-        start_index: int,
-        deadline: Optional[float],
-    ) -> None:
-        """The scalar loop: one event object at a time through ``_apply``."""
-        if deadline is not None:
-            trace = _deadline_guard(trace, deadline)
-        if start_index:
-            trace = itertools.islice(iter(trace), start_index, None)
-        # Hot-loop hoists: bound methods and invariant objects looked up
-        # once instead of once per event. Bound lookups still honour
-        # subclass overrides of _apply/_handle_idle/sampler.on_event.
-        apply_event = self._apply
-        handle_idle = self._handle_idle
-        sample_event = self.sampler.on_event
-        store = self.store
-        iostats = store.iostats
-        tx = self.tx
-        clock = self._clock
-        collect = self._collect
-        run_kinds = _RUN_KINDS
-        note_activity = None
-        if type(self)._note_activity is not Simulation._note_activity:
-            note_activity = self._note_activity  # subclass hook
-        elif isinstance(self.policy, OpportunisticPolicy):
-            note_activity = self.policy.note_activity
-        for event in trace:
-            self._event_index += 1
-            # Tracks whether the current event's application finished;
-            # decides if a crash resumes at this event or the next one.
-            self._event_applied = False
-            apply_event(event)
-            self._event_applied = True
-            cls = event.__class__
-            kind = run_kinds.get(cls)
-            if kind is None:
-                if isinstance(event, PhaseMarkerEvent):
-                    kind = 1
-                elif isinstance(event, IdleEvent):
-                    kind = 2
-                else:
-                    kind = 0
-                _bounded_memo(run_kinds, cls, kind)
-            if kind:
-                if kind == 1:
-                    continue
-                handle_idle(event.ticks)
-                continue
-            if note_activity is not None:
-                note_activity()
-            sample_event(store, iostats)
-            if tx.in_transaction:
-                # The database is never collected mid-transaction (§3.2's
-                # whole-database-lock model); triggers fire at commit/abort.
-                continue
-            while clock() >= self._due_at:
-                collect()
-
-    # ------------------------------------------------------------------
-    # Event application
-    # ------------------------------------------------------------------
-
-    def _apply(self, event: TraceEvent) -> None:
-        # With redo logging enabled, mutations outside an explicit
-        # transaction are auto-committed as singleton transactions so the
-        # redo log covers the entire trace (recovery would otherwise lose
-        # them). Auto-commit txids are negative — they can never collide
-        # with trace txids. Logical logging charges no I/O, so results are
-        # unchanged.
-        tx = self.tx
-        if self.redo_log is not None and not tx.in_transaction:
-            cls = event.__class__
-            op = _MUTATING_MEMO.get(cls, _MUTATING_MEMO)
-            if op is _MUTATING_MEMO:  # unseen class (None is a memoised answer)
-                op = _bounded_memo(_MUTATING_MEMO, cls, _autocommit_op(event))
-            if op is not None:
-                txid = self._auto_txid
-                self._auto_txid -= 1
-                if op == "write":
-                    tx.autocommit(
-                        txid, op, event.src,
-                        slot=event.slot, target=event.target, dies=event.dies,
-                    )
-                elif op == "create":
-                    tx.autocommit(
-                        txid, op, event.oid,
-                        size=event.size, kind=event.kind, pointers=dict(event.pointers),
-                    )
-                else:
-                    tx.autocommit(txid, op, event.oid)
-                return
-        self._dispatch(event, tx if tx.in_transaction else self.store)
-
-    def _dispatch(self, event: TraceEvent, sink) -> None:
-        cls = event.__class__
-        handler = _EVENT_HANDLERS.get(cls)
-        if handler is None:
-            handler = _resolve_handler(cls)
-        handler(self, event, sink)
-
     # ------------------------------------------------------------------
     # Collection triggering
     # ------------------------------------------------------------------
@@ -617,9 +339,6 @@ class Simulation:
         if base is TimeBase.ALLOCATED:
             return self._clock_allocated
         return self._clock_app_io
-
-    def _read_clock(self, base: TimeBase) -> float:
-        return self._clock_reader(base)()
 
     def _schedule(self, trigger: Trigger) -> None:
         self._trigger = trigger
@@ -724,10 +443,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # Quiescence / opportunism
     # ------------------------------------------------------------------
-
-    def _note_activity(self) -> None:
-        if isinstance(self.policy, OpportunisticPolicy):
-            self.policy.note_activity()
 
     def _handle_idle(self, ticks: int = 1) -> None:
         if not isinstance(self.policy, OpportunisticPolicy):

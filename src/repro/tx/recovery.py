@@ -273,9 +273,6 @@ class RedoLog:
     def root(self, txid: int, oid: ObjectId) -> None:
         self.append(RedoRecord("root", txid, oid))
 
-    def committed_txids(self) -> set[int]:
-        return {r.txid for r in self.records if r.kind == "commit"}
-
     def truncate_uncommitted(self) -> int:
         """Drop records of transactions that neither committed nor aborted.
 

@@ -12,18 +12,18 @@ representation the original system used ([CWZ93]-style trace files):
   for opcodes / object ids / sizes, one interned string table for slot
   names and phase names, flattened pointer and death lists with offset
   tables);
-* replaying a compiled trace yields exactly the same
-  :class:`~repro.events.TraceEvent` dataclasses the generator produced, so
-  simulations driven from a compiled trace are **byte-identical** to
-  generator-driven runs;
+* iterating a compiled trace decodes exactly the same
+  :class:`~repro.events.TraceEvent` dataclasses the generator produced;
+  simulations never do — :meth:`~repro.sim.simulator.Simulation.run`
+  compiles whatever it is given and replays the columns
+  (:mod:`repro.sim.batch`), so a run is the same whichever form it was
+  handed;
 * :meth:`CompiledTrace.save` / :meth:`CompiledTrace.load` give the trace a
   versioned, checksummed binary on-disk format that loads orders of
   magnitude faster than re-running the OO7 builder.
 
 The representation is immutable once compiled, so one compiled trace can
-drive any number of concurrent or sequential simulation runs
-(:meth:`CompiledTrace.materialize` memoises the decoded event tuple for
-repeat replays in the same process).
+drive any number of concurrent or sequential simulation runs.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ class CompiledTrace:
         "write_slot",
         "write_dies_start",
         "dies",
-        "_materialized",
         "_batch_cache",
     )
 
@@ -139,9 +138,8 @@ class CompiledTrace:
         self.write_slot = write_slot
         self.write_dies_start = write_dies_start
         self.dies = dies
-        self._materialized: Optional[tuple[TraceEvent, ...]] = None
-        # Memoised column views for the batched interpreter
-        # (repro.sim.batch); built on first batched replay of this trace.
+        # Memoised column views for the interpreters (repro.sim.batch);
+        # built on the first replay of this trace.
         self._batch_cache = None
 
     # ------------------------------------------------------------------
@@ -152,20 +150,7 @@ class CompiledTrace:
         return len(self.ops)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        if self._materialized is not None:
-            return iter(self._materialized)
         return self.replay()
-
-    def materialize(self) -> tuple[TraceEvent, ...]:
-        """Decode the whole trace once and memoise the event tuple.
-
-        Events are frozen dataclasses, so sharing one decoded tuple across
-        any number of replays in the same process is safe; subsequent
-        iteration skips decoding entirely.
-        """
-        if self._materialized is None:
-            self._materialized = tuple(self.replay())
-        return self._materialized
 
     def replay(self, start_index: int = 0) -> Iterator[TraceEvent]:
         """Stream the events back, optionally skipping a prefix.

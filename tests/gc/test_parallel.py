@@ -6,8 +6,9 @@ store's trace epochs before use; these tests pin the contract that makes
 ``collection="parallel"`` safe to enable at any worker count:
 byte-identical ``SimulationSummary`` pickles and identical committed
 store state versus the serial collector — across selection policies,
-worker counts, interpreters (scalar and batched replay), transactional
-rollback, crash/recovery drills and service mode — with no effect on
+worker counts, interpreters (guarded and fused, and the event-object
+oracle of ``tests/event_oracle.py``), transactional rollback,
+crash/recovery drills and service mode — with no effect on
 result-cache fingerprints and no mutation of policy state by victim
 prediction.
 """
@@ -62,24 +63,32 @@ from repro.workload.compiled import compile_trace
 from repro.workload.presets import PresetWorkload
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
+from event_oracle import replay_events
+
 STORE = StoreConfig(page_size=2048, partition_pages=8, buffer_pages=8)
 
 # ---------------------------------------------------------------- helpers
 
 
 def _config(**overrides) -> SimulationConfig:
+    # replay="scalar": the guarded per-event loop, where the scheduler's
+    # spies below see every event; the fused route is asked for by name.
     defaults = dict(store=STORE, preamble_collections=0, replay="scalar")
     defaults.update(overrides)
     return SimulationConfig(**defaults)
 
 
-def _run(workload_events, *, selection="updated-pointer", rate=40.0, seed=7,
-         policy=None, **overrides):
-    sim = Simulation(
+def _sim(*, selection="updated-pointer", rate=40.0, seed=7, policy=None,
+         **overrides):
+    return Simulation(
         policy=policy or FixedRatePolicy(rate),
         selection=make_selection_policy(selection, seed=seed),
         config=_config(**overrides),
     )
+
+
+def _run(workload_events, **kwargs):
+    sim = _sim(**kwargs)
     result = sim.run(workload_events)
     return sim, result
 
@@ -145,11 +154,12 @@ def test_parallel_matches_serial_full_reachability(monkeypatch):
 
 
 def test_parallel_matches_serial_under_batched_replay():
-    """Parallel sims take the fused interpreter; results match the scalar
-    serial loop over the same compiled trace."""
+    """Parallel sims take the fused interpreter; results match the serial
+    event-object oracle over the same events."""
     events = _preset_events()
     trace = compile_trace(events)
-    serial = _outcome(*_run(events, replay="scalar"))
+    oracle = _sim()
+    serial = _outcome(oracle, replay_events(oracle, events))
     parallel = _outcome(
         *_run(trace, replay="auto", collection="parallel", gc_workers=4)
     )
@@ -308,7 +318,7 @@ def test_last_wake_up_lands_one_tick_before_the_trigger():
     sim, pumps, deadlines = _recording_sim(
         build_policy(PolicySpec("saio", {"io_fraction": 0.10}), 0), replay="scalar"
     )
-    # The scalar loop samples after every event and before the trigger
+    # The guarded loop samples after every event and before the trigger
     # check: spy on the clock there.
     seen = set()
     sample = sim.sampler.on_event
@@ -562,13 +572,13 @@ def test_fast_path_bumps_epochs_across_partitions():
         PointerWriteEvent(src=3, slot="back", target=None),
         RootEvent(oid=3),
     ]
-    scalar = Simulation(policy=FixedRatePolicy(1e9), config=_config())
-    scalar.run(events)
-    assert len(scalar.store.partitions) == 2
+    oracle = Simulation(policy=FixedRatePolicy(1e9), config=_config())
+    replay_events(oracle, events)
+    assert len(oracle.store.partitions) == 2
     fused = Simulation(policy=FixedRatePolicy(1e9), config=_config(replay="auto"))
     assert batch._fast_eligible(fused)
     fused.run(compile_trace(events))
-    assert fused.store.trace_epochs == scalar.store.trace_epochs
+    assert fused.store.trace_epochs == oracle.store.trace_epochs
     assert all(epoch > 0 for epoch in fused.store.trace_epochs)
 
 

@@ -1,7 +1,7 @@
 """The event-at-a-time service loop, kept as the oracle of the chunk loop.
 
 Until the service moved onto column chunks this *was* ``GcService.run``:
-one event object at a time through ``_process`` → ``_apply`` → dispatch →
+one event object at a time through ``_process`` → apply → dispatch →
 ``tx.*``, with the auto-commit bracket written out as three calls
 (``begin`` → operation → ``commit``). It is slow and obvious, which is the
 point: ``test_chunk_loop_oracle.py`` runs it next to the production loop
@@ -9,7 +9,10 @@ and requires the same report, the same summary, the same log and — for an
 injected crash — the same ``event_index`` / ``resume_index``.
 
 Nothing here reads a column: events come from ``stream.events_from`` and
-are told apart by class.
+are told apart by class. What one event does is ``tests/event_oracle.py``'s
+business (the replay oracle every interpreter is compared against); this
+module adds the service's rules around it — admission, shedding,
+checkpoints, pacing.
 """
 
 import time
@@ -21,13 +24,11 @@ from repro.events import (
     IdleEvent,
     PhaseMarkerEvent,
     PointerWriteEvent,
-    RootEvent,
-    UpdateEvent,
 )
 from repro.faults.injector import SimulatedCrash
 from repro.service.server import GcService, ServiceReport
 
-_MUTATING = (PointerWriteEvent, CreateEvent, UpdateEvent, RootEvent)
+from event_oracle import apply_event, note_activity
 
 
 class EventLoopService(GcService):
@@ -106,25 +107,11 @@ class EventLoopService(GcService):
             and self.sim.redo_log.suffix_length > svc.max_log_records
         )
 
-    def _apply(self, event) -> None:
-        """``Simulation._apply`` with the bracket as three calls."""
-        sim = self.sim
-        tx = sim.tx
-        if not tx.in_transaction and isinstance(event, _MUTATING):
-            txid = sim._auto_txid
-            sim._auto_txid -= 1
-            tx.begin(txid)
-            sim._tx_start_index = sim._event_index
-            sim._dispatch(event, tx)
-            tx.commit(txid)
-            return
-        sim._dispatch(event, tx if tx.in_transaction else sim.store)
-
     def _process(self, event) -> bool:
         """Apply one stream event, or shed it. True when applied."""
         admission = self.admission
         if admission is None:
-            self._apply(event)
+            apply_event(self.sim, event)
             self._sample(event)
             return True
         shed = self._shed_oids
@@ -158,7 +145,7 @@ class EventLoopService(GcService):
                 if self.obs is not None:
                     self.obs.metrics.counter("service.backpressure.sheds").inc()
                 return False
-        self._apply(event)
+        apply_event(self.sim, event)
         self._prune_ledger(event)
         self._sample(event)
         return True
@@ -171,7 +158,7 @@ class EventLoopService(GcService):
         if cls is IdleEvent:
             sim._handle_idle(event.ticks)
             return
-        sim._note_activity()
+        note_activity(sim)
         sim.sampler.on_event(sim.store, sim.store.iostats)
 
     def _references_shed(self, event) -> bool:

@@ -1,13 +1,17 @@
-"""The batched replay interpreter must be invisible.
+"""The column interpreters must be invisible.
 
 ``repro.sim.batch`` replays a :class:`~repro.workload.compiled.
-CompiledTrace` straight from its columns with fused kernels; these tests
-pin the contract that makes it safe to enable by default: byte-identical
-``SimulationSummary`` pickles and identical committed store state versus
-the scalar per-event loop — across preset, grammar and tenant-mix
-workloads, from any ``start_index``, under crash/recovery drills, and
-with no effect on result-cache fingerprints or service-mode backpressure
-decisions. "Batched" below means ``replay="auto"`` over a compiled trace.
+CompiledTrace` straight from its columns — fused kernels where the run is
+eligible, the guarded per-event loop otherwise — and ``Simulation.run``
+compiles whatever else it is handed at the door. These tests pin the
+contract: byte-identical ``SimulationSummary`` pickles and identical
+committed store state versus ``tests/event_oracle.py``, the event-object
+loop that reads no column — across preset, grammar and tenant-mix
+workloads, from any ``start_index``, under crash/recovery drills, with a
+redo log, an opportunistic policy or a retained series attached — plus
+what ``replay="scalar"`` means (never the fused interpreter), what the
+door does with a source that fails, and that none of it reaches
+result-cache fingerprints.
 """
 
 import dataclasses
@@ -18,9 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.estimators import OracleEstimator
+from repro.core.extensions import OpportunisticPolicy
+from repro.core.fixed import FixedRatePolicy
 from repro.events import (
     AccessEvent,
+    BeginTransactionEvent,
+    CommitTransactionEvent,
     CreateEvent,
+    IdleEvent,
+    PhaseMarkerEvent,
     PointerWriteEvent,
     RootEvent,
     UpdateEvent,
@@ -29,8 +40,8 @@ from repro.faults.drill import state_digest
 from repro.faults.injector import FaultInjector, SimulatedCrash
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.oo7.config import TINY
-from repro.service.server import GcService, ServiceConfig
 from repro.service.stream import grammar_stream, tenant_stream
+from repro.sim import batch
 from repro.sim.cache import spec_fingerprint
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.sim.spec import (
@@ -45,6 +56,10 @@ from repro.storage.heap import StoreConfig, StoreError
 from repro.tx.recovery import RedoLog, recover
 from repro.workload.compiled import compile_trace
 from repro.workload.tenants import make_profile, tenant_mix
+from repro.workload.tracefile import TraceFormatError, read_trace, write_trace
+from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
+
+from event_oracle import replay_events, store_fields
 
 # ---------------------------------------------------------------- helpers
 
@@ -62,37 +77,56 @@ def _spec(rate=50.0, **sim_overrides):
     )
 
 
+def _sim(spec, *, replay="auto", seed=0, make_policy=None, **kwargs):
+    return Simulation(
+        policy=make_policy() if make_policy else build_policy(spec.policy, seed),
+        selection=build_selection(spec.selection, seed),
+        config=dataclasses.replace(spec.sim, replay=replay),
+        **kwargs,
+    )
+
+
 def _run(spec, replayable, *, replay, seed=0, start_index=0):
     """One simulation under an explicit interpreter choice."""
-    config = dataclasses.replace(spec.sim, replay=replay)
-    sim = Simulation(
-        policy=build_policy(spec.policy, seed),
-        selection=build_selection(spec.selection, seed),
-        config=config,
-    )
+    sim = _sim(spec, replay=replay, seed=seed)
     result = sim.run(replayable, start_index=start_index)
     return sim, result
 
 
-def _state(sim):
-    """Committed state plus the speculation epochs no digest covers.
+def _oracle(spec, events, *, seed=0, start_index=0):
+    """The same simulation driven by the event-object loop."""
+    sim = _sim(spec, seed=seed)
+    result = replay_events(sim, events, start_index=start_index)
+    return sim, result
 
-    The fast interpreter inlines the store's mutators, so the per-partition
-    trace epochs and the compaction epoch only match the scalar loop's if
-    its kernels bump them at the same sites.
+
+def _state(sim):
+    """Committed state plus every store field the kernels write, and the
+    sampler's phase ledger.
+
+    The fast interpreter inlines the store's mutators, so counters, the
+    per-partition trace epochs, remembered sets and buffer contents only
+    match the oracle's if its kernels touch them at the same sites.
     """
-    store = sim.store
-    return state_digest(store), tuple(store.trace_epochs), store.compaction_epoch
+    sampler = sim.sampler
+    return (
+        state_digest(sim.store),
+        store_fields(sim.store),
+        (sampler.event_index, sampler.phase, dict(sampler.phase_boundaries)),
+    )
 
 
 def _assert_equivalent(spec, events, *, seed=0):
-    """Scalar over the event list == batched over the compiled trace."""
+    """The oracle over the event list == each column interpreter over the
+    compiled trace (``auto`` is fused for these specs, ``scalar`` guarded)."""
     trace = compile_trace(events)
-    sim_s, res_s = _run(spec, events, replay="scalar", seed=seed)
-    sim_b, res_b = _run(spec, trace, replay="auto", seed=seed)
-    assert pickle.dumps(res_b.summary) == pickle.dumps(res_s.summary)
-    assert _state(sim_b) == _state(sim_s)
-    return res_s
+    sim_o, res_o = _oracle(spec, events, seed=seed)
+    summary, state = pickle.dumps(res_o.summary), _state(sim_o)
+    for replay in ("auto", "scalar"):
+        sim_c, res_c = _run(spec, trace, replay=replay, seed=seed)
+        assert pickle.dumps(res_c.summary) == summary, replay
+        assert _state(sim_c) == state, replay
+    return res_o
 
 
 # ------------------------------------------------- workload equivalence
@@ -118,13 +152,81 @@ def test_tenant_mix_equivalence():
     _assert_equivalent(_spec(rate=40.0), events)
 
 
-def test_plain_event_list_under_auto_stays_scalar():
-    """replay='auto' only engages batching for an already-compiled trace."""
-    spec = _spec()
-    events = list(build_workload(spec.workload, 0))
-    _, res_auto = _run(spec, events, replay="auto")
-    _, res_scalar = _run(spec, events, replay="scalar")
-    assert pickle.dumps(res_auto.summary) == pickle.dumps(res_scalar.summary)
+def test_equivalence_when_the_preamble_never_ends():
+    """With the cold-start preamble still open at the end of the trace the
+    summary reads the all-events accumulators, not the significant ones."""
+    spec = _spec(rate=200.0)
+    spec = dataclasses.replace(
+        spec, sim=dataclasses.replace(spec.sim, preamble_collections=10**6)
+    )
+    result = _assert_equivalent(spec, list(build_workload(spec.workload, 0)))
+    assert result.summary.garbage_fraction_mean > 0
+
+
+# ------------------------------------------------- guarded-only features
+
+
+def _churn_with_idle():
+    """Churn with two quiet ticks after every cycle and four after every
+    fifth: under ``idle_threshold=3`` only the long pauses may collect,
+    and only if activity in between resets the quiet count."""
+    events = [CreateEvent(oid=1, size=50), RootEvent(oid=1)]
+    for oid in range(2, 42):
+        events.append(CreateEvent(oid=oid, size=600))
+        events.append(PointerWriteEvent(src=1, slot="x", target=oid))
+        events.append(PointerWriteEvent(src=1, slot="x", target=None, dies=(oid,)))
+        events.append(IdleEvent(ticks=4 if oid % 5 == 0 else 2))
+    return events
+
+
+def _opportunistic(rate=12):
+    return OpportunisticPolicy(
+        FixedRatePolicy(rate), OracleEstimator(), idle_threshold=3, min_garbage_bytes=100
+    )
+
+
+def _guarded_case(case):
+    """(spec, events, policy factory or None) for one guarded-only feature."""
+    if case == "redo-log+wal":
+        # Transaction spans with aborts, and bare mutations around them
+        # that the redo log auto-commits.
+        workload = TransactionalSpec(transactions=80, abort_probability=0.3)
+        events = TransactionalWorkload(workload, seed=3, initial_clusters=20).events()
+        return _spec(rate=25.0, enable_redo_log=True, enable_wal=True), events, None
+    if case == "opportunistic":
+        return _spec(), _churn_with_idle(), _opportunistic
+    spec = _spec(rate=25.0, keep_event_series=True, series_stride=7)
+    return spec, build_workload(spec.workload, 0), None
+
+
+@pytest.mark.parametrize("case", ["redo-log+wal", "opportunistic", "retained-series"])
+def test_guarded_features_match_the_oracle(case):
+    """Everything that keeps a run off the fused interpreter — a redo log
+    (every bare mutation auto-commits), idle ticks under an opportunistic
+    policy, a retained event series — through the guarded loop, against
+    the oracle: same summary, state, log records and series."""
+    spec, events, make_policy = _guarded_case(case)
+    events = list(events)
+    sim_o = _sim(spec, make_policy=make_policy)
+    sim_g = _sim(spec, make_policy=make_policy)
+    assert not batch._fast_eligible(sim_g)
+    res_o = replay_events(sim_o, events)
+    res_g = sim_g.run(compile_trace(events))
+    assert pickle.dumps(res_g.summary) == pickle.dumps(res_o.summary)
+    assert _state(sim_g) == _state(sim_o)
+    assert res_o.summary.collections > 0, "the case must trigger GC"
+    if case == "redo-log+wal":
+        assert sim_g.redo_log.records == sim_o.redo_log.records
+        assert sim_g.tx.wal.stats == sim_o.tx.wal.stats
+        assert any(r.txid < 0 for r in sim_o.redo_log.records), "no auto-commit"
+        assert any(r.txid > 0 for r in sim_o.redo_log.records), "no explicit tx"
+    elif case == "opportunistic":
+        # One per long pause: the short ones never reach the threshold.
+        assert sim_o.policy.opportunistic_collections == 8
+        assert sim_g.policy.opportunistic_collections == 8
+    else:
+        assert res_o.event_series
+        assert res_g.event_series == res_o.event_series
 
 
 # ------------------------------------------------- start_index / resume
@@ -149,82 +251,131 @@ def _self_contained_events():
 def test_start_index_lands_mid_batch(start):
     """Resume from any offset — including inside an opcode run — matches.
 
-    Both interpreters must agree on the outcome (summary and state on
-    success, error type and message on failure) for every start offset.
+    Both column interpreters must agree with the oracle on the outcome
+    (summary and state on success, error type and message on failure) for
+    every start offset.
     """
     spec = _spec(rate=500.0)
     events = _self_contained_events()
     trace = compile_trace(events)
 
-    def outcome(replayable, replay):
+    def outcome(run):
         try:
-            sim, res = _run(spec, replayable, replay=replay, start_index=start)
+            sim, res = run()
         except StoreError as err:
             return ("error", type(err).__name__, str(err))
         return ("ok", pickle.dumps(res.summary), _state(sim))
 
-    assert outcome(trace, "auto") == outcome(events, "scalar")
+    expected = outcome(lambda: _oracle(spec, events, start_index=start))
+    for replay in ("auto", "scalar"):
+        assert expected == outcome(
+            lambda: _run(spec, trace, replay=replay, start_index=start)
+        )
+
+
+def _drilled(spec, plan, run, make_policy=None):
+    """Crash, recover from the redo log, resume at ``resume_index`` — until
+    ``run(sim, start_index)`` completes. Returns where each crash stopped
+    and resumed, and everything the drill leaves behind."""
+    injector = FaultInjector(plan)
+    log = RedoLog()
+
+    def sim(store=None):
+        return _sim(
+            spec, make_policy=make_policy, faults=injector, store=store, redo_log=log
+        )
+
+    current = sim()
+    start = 0
+    crashes = []
+    while True:
+        try:
+            run(current, start)
+            break
+        except SimulatedCrash as crash:
+            assert len(crashes) < 10, "unexpectedly many crashes"
+            recovered = recover(log, store_config=spec.sim.store)
+            log.truncate_uncommitted()
+            start = crash.resume_index
+            crashes.append((crash.event_index, start))
+            current = sim(recovered)
+    summary = current.sampler.summary(current.store, current.store.iostats)
+    return crashes, state_digest(current.store), pickle.dumps(summary), log.records
+
+
+def _assert_drills_agree(spec, events, plan, make_policy=None):
+    """The oracle's drill == the production drill over the compiled trace;
+    returns the trace and the ``(event_index, resume_index)`` pairs."""
+    trace = compile_trace(events)
+    oracle = _drilled(
+        spec,
+        plan,
+        lambda sim, start: replay_events(sim, events, start_index=start),
+        make_policy,
+    )
+    columns = _drilled(
+        spec, plan, lambda sim, start: sim.run(trace, start_index=start), make_policy
+    )
+    assert oracle[0], "the plan must actually crash the run"
+    assert columns == oracle
+    return trace, columns[0]
 
 
 def test_crash_drill_resume_matches_scalar():
-    """A crash drill resumed mid-trace is identical under both interpreters.
+    """A crash drill resumed mid-trace is identical to the scalar oracle's.
 
-    With faults and a redo log attached the batched path takes its
-    guarded per-event interpreter; the resume index must land strictly
-    inside an opcode run so the drill exercises a mid-batch restart.
+    With faults and a redo log attached the run takes the guarded
+    interpreter; the resume index must land strictly inside an opcode run
+    so the drill exercises a mid-batch restart.
     """
-    spec = _spec(rate=30.0)
-    config = dataclasses.replace(spec.sim, enable_redo_log=True)
+    spec = _spec(rate=30.0, enable_redo_log=True)
     events = list(build_workload(spec.workload, 0))
-    trace = compile_trace(events)
     plan = FaultPlan(faults=(FaultSpec(site="gc.collect", at=2),))
-
-    def drilled(replayable, replay):
-        injector = FaultInjector(plan)
-        log = RedoLog()
-        drill_config = dataclasses.replace(config, replay=replay)
-        sim = Simulation(
-            policy=build_policy(spec.policy, 0),
-            selection=build_selection(spec.selection, 0),
-            config=drill_config,
-            faults=injector,
-            redo_log=log,
-        )
-        start = 0
-        resumes = []
-        while True:
-            try:
-                sim.run(replayable, start_index=start)
-                break
-            except SimulatedCrash as crash:
-                assert len(resumes) < 10, "unexpectedly many crashes"
-                recovered = recover(log, store_config=config.store)
-                log.truncate_uncommitted()
-                start = crash.resume_index
-                resumes.append(start)
-                sim = Simulation(
-                    policy=build_policy(spec.policy, 0),
-                    selection=build_selection(spec.selection, 0),
-                    config=drill_config,
-                    faults=injector,
-                    store=recovered,
-                    redo_log=log,
-                )
-        summary = sim.sampler.summary(sim.store, sim.store.iostats)
-        return resumes, state_digest(sim.store), pickle.dumps(summary)
-
-    resumes_s, digest_s, summary_s = drilled(events, "scalar")
-    resumes_b, digest_b, summary_b = drilled(trace, "auto")
-    assert resumes_s, "the plan must actually crash the run"
-    assert resumes_b == resumes_s
-    assert digest_b == digest_s
-    assert summary_b == summary_s
+    trace, crashes = _assert_drills_agree(spec, events, plan)
     # The drill is only a mid-batch test if some resume index lands
     # strictly inside a run of same-opcode events.
     ops = trace.ops
-    assert any(0 < i < len(ops) and ops[i] == ops[i - 1] for i in resumes_b), (
-        "no resume index landed inside an opcode run"
+    assert any(
+        0 < i < len(ops) and ops[i] == ops[i - 1] for _index, i in crashes
+    ), "no resume index landed inside an opcode run"
+
+
+def test_crash_inside_a_transaction_resumes_at_its_begin():
+    """A crash at an explicit transaction's commit re-executes the whole
+    block: ``resume_index`` is the block's begin, not the failed event."""
+    spec = _spec(rate=25.0, enable_redo_log=True)
+    workload = TransactionalSpec(transactions=40, abort_probability=0.0)
+    events = list(TransactionalWorkload(workload, seed=3, initial_clusters=20).events())
+    # The workload's bare mutations all precede its first transaction, and
+    # with a redo log each of them auto-commits — firing tx.commit too.
+    first_begin = next(
+        i for i, e in enumerate(events) if isinstance(e, BeginTransactionEvent)
     )
+    bare = sum(not isinstance(e, PhaseMarkerEvent) for e in events[:first_begin])
+    explicit_commits = [
+        i for i, e in enumerate(events) if isinstance(e, CommitTransactionEvent)
+    ]
+    plan = FaultPlan(faults=(FaultSpec(site="tx.commit", at=bare + 3),))
+    _trace, crashes = _assert_drills_agree(spec, events, plan)
+    (event_index, resume_index), = crashes
+    assert event_index == explicit_commits[2]
+    assert isinstance(events[resume_index], BeginTransactionEvent)
+    assert resume_index < event_index
+
+
+def test_crash_in_an_idle_collection_resumes_after_the_idle_event():
+    """An opportunistic collection runs *after* its idle event applied, so
+    a crash inside it resumes at the next event."""
+    spec = _spec(enable_redo_log=True)
+    events = _churn_with_idle()
+    plan = FaultPlan(faults=(FaultSpec(site="gc.collect", at=1),))
+    # A fixed rate that never fires: every collection is opportunistic.
+    _trace, crashes = _assert_drills_agree(
+        spec, events, plan, make_policy=lambda: _opportunistic(rate=1_000_000)
+    )
+    (event_index, resume_index), = crashes
+    assert isinstance(events[event_index], IdleEvent)
+    assert resume_index == event_index + 1
 
 
 # ------------------------------------------------- long read runs
@@ -256,6 +407,116 @@ def test_long_read_run_under_saga_matches_scalar():
     assert result.summary.collections > 2, "the run must pass its preamble"
 
 
+# ------------------------------------------------- what "scalar" means
+
+
+def test_plain_event_list_under_auto_reaches_the_fused_interpreter(monkeypatch):
+    """Events are an input format: a list is compiled at the door and
+    takes the same interpreter an already-compiled trace would."""
+    spec = _spec()
+    events = list(build_workload(spec.workload, 0))
+    fused = []
+    replay_fast = batch._replay_fast
+
+    def spy(sim, *args):
+        fused.append(sim)
+        return replay_fast(sim, *args)
+
+    monkeypatch.setattr(batch, "_replay_fast", spy)
+    sim_l, res_l = _run(spec, events, replay="auto")
+    sim_t, res_t = _run(spec, compile_trace(events), replay="auto")
+    assert fused == [sim_l, sim_t]
+    assert pickle.dumps(res_l.summary) == pickle.dumps(res_t.summary)
+    assert _state(sim_l) == _state(sim_t)
+
+
+def _generate(events):
+    yield from events
+
+
+@pytest.mark.parametrize(
+    "form", [compile_trace, list, _generate], ids=["compiled", "list", "generator"]
+)
+def test_scalar_never_enters_the_fused_interpreter(monkeypatch, form):
+    """``replay="scalar"`` is the guarded loop, whatever the input's type —
+    and it computes what ``auto`` computes."""
+    spec = _spec()
+    events = list(build_workload(spec.workload, 0))
+    sim_a, res_a = _run(spec, compile_trace(events), replay="auto")
+
+    def forbidden(*args):
+        raise AssertionError("replay='scalar' entered _replay_fast")
+
+    monkeypatch.setattr(batch, "_replay_fast", forbidden)
+    sim_s, res_s = _run(spec, form(events), replay="scalar")
+    assert res_s.summary.collections > 0
+    assert pickle.dumps(res_s.summary) == pickle.dumps(res_a.summary)
+    assert _state(sim_s) == _state(sim_a)
+
+
+# ------------------------------------------------- the door
+
+
+class _MintedAccess(AccessEvent):
+    """Events are a closed set; a subclass is not one of them."""
+
+
+def _raises_after(events, k):
+    yield from events[:k]
+    raise OSError("the source went away")
+
+
+def _truncated_trace_file(events, tmp_path):
+    """A line-JSON trace whose last record is cut short (a torn write)."""
+    path = tmp_path / "cut.trace"
+    write_trace(events, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: text.rindex("{") + 5], encoding="utf-8")
+    return read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        ("subclass", TypeError),
+        ("generator", OSError),
+        ("truncated-file", TraceFormatError),
+    ],
+)
+@pytest.mark.parametrize("replay", ["auto", "scalar"])
+def test_a_failing_source_leaves_the_simulation_untouched(
+    source, error, replay, tmp_path
+):
+    """The trace is compiled whole before the run starts, so a source that
+    fails part-way raises its own error with the policy un-armed, the
+    store empty and the event index where it was."""
+    events = _self_contained_events()
+    if source == "subclass":
+        trace = events + [_MintedAccess(oid=8)]
+    elif source == "generator":
+        trace = _raises_after(events, 12)
+    else:
+        trace = _truncated_trace_file(events, tmp_path)
+    sim = _sim(_spec(), replay=replay)
+    armed = []
+    first_trigger = sim.policy.first_trigger
+
+    def recording_first_trigger(*args):
+        armed.append(args)
+        return first_trigger(*args)
+
+    sim.policy.first_trigger = recording_first_trigger
+    with pytest.raises(error):
+        sim.run(trace)
+    assert not armed, "the policy's first trigger was armed"
+    assert not sim.store.objects
+    assert sim._event_index == -1
+    assert sim.sampler.event_index == 0
+    # The same simulation still runs a good trace from scratch.
+    result = sim.run(events)
+    assert len(armed) == 1 and result.summary.events == len(events)
+
+
 # ------------------------------------------------- fingerprints / config
 
 
@@ -282,39 +543,3 @@ def test_invalid_replay_value_rejected():
                 policy=build_policy(spec.policy, 0),
                 config=dataclasses.replace(spec.sim, replay=replay),
             )
-
-
-# ------------------------------------------------- service backpressure
-
-
-def test_service_backpressure_identical_across_interpreters():
-    """Shedding decisions land at event (batch) boundaries either way.
-
-    The service applies stream events one at a time so admission control
-    can veto each create before it executes; the configured interpreter
-    must not change a single shedding decision, counter, or the final
-    committed state.
-    """
-
-    def report_for(replay):
-        service = GcService(
-            policy=build_policy(PolicySpec("fixed", {"overwrites_per_collection": 200.0}), 3),
-            stream=grammar_stream(make_profile("oltp-churn"), seed=3),
-            sim_config=SimulationConfig(replay=replay),
-            service=ServiceConfig(
-                max_events=15_000,
-                checkpoint_every_events=5_000,
-                max_heap_bytes=12_000,
-                backpressure="shed",
-            ),
-        )
-        report = service.run()
-        fields = dataclasses.asdict(report)
-        fields.pop("wall_s")
-        fields.pop("paced_sleep_s")
-        return fields
-
-    scalar = report_for("scalar")
-    auto = report_for("auto")
-    assert scalar["backpressure"]["shed_events"] > 0, "the drill must shed"
-    assert auto == scalar
