@@ -135,10 +135,13 @@ class CopyingCollector:
 
         ``survivors``/``fixup_pages`` must describe the partition's *current*
         state (either just computed by :meth:`prepare`, or a speculative
-        trace validated against the store's trace epochs). ``plan`` is an
-        optional precomputed :class:`~repro.storage.heap.CompactionPlan`
-        under the same validity contract — it shortens the pause but never
-        changes the outcome.
+        trace validated against the store's trace epochs). ``plan`` is a
+        :class:`~repro.storage.heap.CompactionPlan` built ahead of the
+        pause under the same validity contract; without one the store
+        builds the identical plan inside the pause. Either way compaction
+        is the one route ``plan → bulk reclaim → offset scatter``, so a
+        plan brought along shortens the pause and never changes the
+        outcome.
         """
         store = self._store
         partition = store.partitions[pid]
@@ -218,7 +221,8 @@ class CopyingCollector:
     ) -> list[ObjectId]:
         """Cheney breadth-first trace from the partition's conservative roots.
 
-        Returns survivors in copy order. Roots are enqueued in a stable sorted
+        Returns survivors in copy order — the list is Cheney's to-space,
+        scanned as it is appended to. Roots are enqueued in a stable sorted
         order so runs are deterministic regardless of how the frontier was
         derived. Restricting the traversal domain to the partition's residents
         means pointers leaving the partition are not traversed (§3.1).

@@ -13,9 +13,11 @@ stop-the-world window, on the replay thread. This module decouples them:
    :class:`~repro.gc.remembered.RememberedSetIndex` maintains incrementally
    — together with the store's trace epochs at that instant. A snapshot
    whose epochs still hold is kept, not retaken.
-2. **Trace.** The snapshot is Cheney-traced over the live heap (the object
-   table and the victim's resident set), *outside* the collection pause:
-   the primary prediction inline at the pump point, so the trace is paid
+2. **Trace + plan.** The snapshot is Cheney-traced over the live heap (the
+   object table and the victim's resident set) and the survivors' compaction
+   plan (:meth:`~repro.storage.heap.ObjectStore.plan_compaction`: reclaimed
+   list and layout) is built from it, *outside* the collection pause:
+   the primary prediction inline at the pump point, so both are paid
    on the replay thread but not inside the stop-the-world window. With
    ``workers > 1``, once the primary prediction is seen to move between
    pumps, up to ``workers - 1`` further candidates are traced on threads
@@ -26,8 +28,9 @@ stop-the-world window, on the replay thread. This module decouples them:
    the exact serial sequence (:meth:`~repro.gc.collector.CopyingCollector.
    apply`). A stale snapshot — any frontier- or graph-affecting mutation
    bumped the partition's epoch, or any compaction bumped the global
-   epoch — is discarded and the trace re-runs inline, which *is* the
-   serial path.
+   epoch — is discarded and trace and plan re-run inline, which *is* the
+   serial path: the pause runs the same three kernels either way and
+   speculation only decides how many of them are already done.
 
 Because a speculative trace is only ever used when the epochs prove it
 equals what an inline trace would compute, results are **identical to the
@@ -357,11 +360,13 @@ class ParallelCollectionScheduler:
     def _trace_into(self, spec: _Speculation) -> None:
         """Cheney-trace one snapshot; runs on a worker thread or inline.
 
-        Reads live heap structures without copying them: if any relevant
+        Reads the live object table and each object's pointer slots
+        without copying them; the victim's resident set is copied once, up
+        front, into the trace's private work set. If any relevant
         structure mutates while the trace runs, the partition's epoch has
         been bumped and the result is discarded at validation — so a torn
         read can only waste the trace, never corrupt a collection. Raised
-        exceptions (e.g. a dict resized mid-iteration) mark the snapshot
+        exceptions (e.g. a set resized under that copy) mark the snapshot
         failed, which validation treats as stale.
         """
         store = self.store
@@ -371,9 +376,9 @@ class ParallelCollectionScheduler:
                 spec.roots,
                 within=store.partitions[spec.pid].residents,
             )
-            # Also precompute the compaction layout — the pure half of the
-            # reclamation the pause would otherwise re-derive. Guarded by
-            # the same epoch pair as the trace.
+            # Also build the compaction plan — the read-only half of the
+            # reclamation, which the pause would otherwise start with.
+            # Guarded by the same epoch pair as the trace.
             spec.plan = store.plan_compaction(spec.pid, survivors)
             spec.survivors = survivors
         except Exception:

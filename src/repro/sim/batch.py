@@ -362,8 +362,11 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
     * ``_trace_into`` (``breadth_first_order`` + ``plan_compaction``) runs
       inline at the pump, or on a worker thread while events apply. It
       reads ``store.objects``, each object's ``pointers`` and ``size``,
-      and the victim's ``residents`` — all mutated in place here, never
-      mirrored. The mirrored state (``cur_fill``, ``tcount``, the I/O,
+      the victim's ``residents`` (the trace through a private copy taken
+      once, the plan directly) and whether ``placements.overflow`` is
+      empty — all mutated in place here, never mirrored — and it never
+      exports a placement column, which ``table.reserve`` must stay free
+      to resize. The mirrored state (``cur_fill``, ``tcount``, the I/O,
       buffer, garbage and sampler accumulators) is scalar bookkeeping no
       trace or plan looks at; a plan derives its own fill from survivor
       sizes.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.storage.buffer import (
@@ -37,7 +38,7 @@ from repro.storage.objtable import DENSE_CEILING, PlacementTable
 from repro.storage.partition import Partition, PartitionId, Placement
 from repro.storage.traversal import breadth_first_order
 
-try:  # optional fast path for applying precomputed compaction layouts
+try:  # optional: vectorised compaction layout (prefix sum) and offset scatter
     import numpy as _np
 except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None
@@ -50,24 +51,24 @@ _OPEN_LIST_STALE_LIMIT = 16
 
 @dataclass
 class CompactionPlan:
-    """Precomputed pure derivations of one ``compact_partition`` call.
+    """What one ``compact_partition`` call derives read-only from state.
 
-    Everything :meth:`ObjectStore.compact_partition` derives read-only
-    from current state — the survivor set, the reclaimed list, and the
-    post-compaction layout (new offset per survivor) — captured so the
-    parallel scheduler's workers can compute it *outside* the collection
-    pause. A plan is only valid while the victim's trace epoch and the
+    The reclaimed list and the post-compaction layout (new offset per
+    survivor), built by :meth:`ObjectStore.plan_compaction` and applied by
+    :meth:`ObjectStore.compact_partition` — the only way a partition is
+    ever compacted. A serial collection builds its plan inside the pause;
+    the parallel scheduler builds it at a pump point, outside the pause,
+    and such a plan is only valid while the victim's trace epoch and the
     global compaction epoch are unchanged (the scheduler validates both
-    before use); applying a validated plan is byte-identical to the
-    inline derivation because every input it froze is provably the same.
+    before use): every input the plan froze is then provably what an
+    in-pause plan would read.
     """
 
-    #: Survivors in copy order (must equal the ``survivors`` argument the
-    #: plan was built from).
+    #: Survivors in copy order (the ``survivors`` argument the plan was
+    #: built from).
     survivors: list[ObjectId]
-    survivor_set: set[ObjectId]
-    #: Residents to reclaim, in the residents-set iteration order the
-    #: inline path would produce over the identical set state.
+    #: Residents to reclaim, in the iteration order of the residents set
+    #: the plan was built against.
     reclaimed: list[ObjectId]
     #: Partition fill after relocation (sum of survivor sizes).
     fill: int
@@ -534,16 +535,24 @@ class ObjectStore:
     def plan_compaction(
         self, pid: PartitionId, survivors: Sequence[ObjectId]
     ) -> CompactionPlan:
-        """Precompute what :meth:`compact_partition` derives from state.
+        """Derive what :meth:`compact_partition` needs from current state.
 
-        Read-only — safe to run on a speculative-trace worker thread while
-        replay continues. The survivor layout reproduces the inline bump
-        loop exactly (prefix sums of sizes in copy order); the reclaimed
-        list iterates the residents set just as the inline path would, so
-        applying the plan against unchanged epochs leaves every structure
-        with an identical mutation history.
+        Read-only: the reclaimed list (the residents set filtered in its
+        own iteration order, which is the order reclamation runs in) and
+        the layout, a prefix sum of survivor sizes in copy order — one
+        vectorised pass when the placement table has no overflow entries,
+        since every survivor then lives in the dense columns.
+
+        Also runs on the parallel scheduler's tracing threads while replay
+        continues, so it must never export a live placement column: a
+        ``numpy.frombuffer`` view held here would make a concurrent
+        ``PlacementTable.reserve`` on the replay thread raise
+        ``BufferError``. Sizes therefore come from ``objects[oid].size``;
+        only :meth:`compact_partition` — replay thread, inside the pause —
+        views ``placements.offs``.
         """
         partition = self.partitions[pid]
+        survivors = list(survivors)
         survivor_set = set(survivors)
         unknown = survivor_set - partition.residents
         if unknown:
@@ -552,29 +561,43 @@ class ObjectStore:
             )
         reclaimed = [oid for oid in partition.residents if oid not in survivor_set]
         objects = self.objects
-        dense_oids: list[int] = []
-        dense_offs: list[int] = []
+        sizes = [objects[oid].size for oid in survivors]
         overflow: list[tuple[ObjectId, tuple[int, int, int]]] = []
-        cursor = 0
-        for oid in survivors:
-            size = objects[oid].size
-            # Classification by DENSE_CEILING (not current column length)
-            # is stable: a resident survivor already has its placement in
-            # whichever representation its oid selects.
-            if 0 <= oid < DENSE_CEILING:
-                dense_oids.append(oid)
-                dense_offs.append(cursor)
-            else:
-                overflow.append((oid, (pid, cursor, size)))
-            cursor += size
-        if _np is not None:
-            dense_oids = _np.asarray(dense_oids, dtype=_np.int64)
-            dense_offs = _np.asarray(dense_offs, dtype=_np.int64)
+        dense_oids: Any
+        dense_offs: Any
+        if self.placements.overflow:
+            # Sparse or negative oids somewhere in the heap: split the
+            # survivors by representation. Classification by DENSE_CEILING
+            # (not current column length) is stable — a resident survivor
+            # already has its placement where its oid selects.
+            dense_oids = []
+            dense_offs = []
+            fill = 0
+            for oid, size in zip(survivors, sizes):
+                if 0 <= oid < DENSE_CEILING:
+                    dense_oids.append(oid)
+                    dense_offs.append(fill)
+                else:
+                    overflow.append((oid, (pid, fill, size)))
+                fill += size
+            if _np is not None:
+                dense_oids = _np.array(dense_oids, dtype=_np.int64)
+                dense_offs = _np.array(dense_offs, dtype=_np.int64)
+        elif _np is not None:
+            widths = _np.array(sizes, dtype=_np.int64)
+            ends = widths.cumsum()
+            dense_oids = _np.array(survivors, dtype=_np.int64)
+            dense_offs = ends - widths
+            # A python int: the fill reaches summaries and checkpoints.
+            fill = int(ends[-1]) if sizes else 0
+        else:
+            dense_oids = survivors
+            dense_offs = list(accumulate(sizes, initial=0))
+            fill = dense_offs.pop()
         return CompactionPlan(
-            survivors=list(survivors),
-            survivor_set=survivor_set,
+            survivors=survivors,
             reclaimed=reclaimed,
-            fill=cursor,
+            fill=fill,
             dense_oids=dense_oids,
             dense_offs=dense_offs,
             overflow=overflow,
@@ -592,58 +615,40 @@ class ObjectStore:
         of bytes reclaimed. The caller (the collector) is responsible for
         charging I/O and invalidating buffered pages.
 
-        ``plan`` — a :class:`CompactionPlan` built by :meth:`plan_compaction`
-        from these exact survivors and *validated against unchanged trace
-        epochs* — skips the in-pause re-derivation of the survivor set,
-        reclaimed list and layout. Survivors keep their partition and size
-        columns through a compaction, so applying the plan reduces the
-        relocation loop to an offset scatter; the result is byte-identical
-        to the inline path.
+        There is one route: reclaim ``plan.reclaimed`` in bulk, then
+        relocate by re-inserting the survivors into the residents set in
+        copy order and scattering the planned offsets (survivors keep their
+        partition and size columns through a compaction). ``plan`` is a
+        :class:`CompactionPlan` built by :meth:`plan_compaction` from these
+        exact survivors and *validated against unchanged trace epochs*; a
+        caller that brings none gets one built here, inside the pause, by
+        the same method — which is also where survivors that are not
+        residents are refused, after nothing but the two epoch bumps.
         """
         partition = self.partitions[pid]
         self.compaction_epoch += 1
         self.trace_epochs[pid] += 1
-        if plan is None:
-            survivor_set = set(survivors)
-            unknown = survivor_set - partition.residents
-            if unknown:
-                raise StoreError(
-                    f"survivors {sorted(unknown)} are not residents of partition {pid}"
-                )
-            reclaimed = [oid for oid in partition.residents if oid not in survivor_set]
-        else:
-            survivors = plan.survivors
-            reclaimed = plan.reclaimed
-        reclaimed_bytes = 0
-        for oid in reclaimed:
-            reclaimed_bytes += self._reclaim(oid, pid)
+        plan = plan or self.plan_compaction(pid, survivors)
+        reclaimed_bytes = self._reclaim_residents(pid, plan.reclaimed)
 
         fill_before = partition.fill
         partition.reset_for_compaction()
+        # The same insertion history as bump-allocating each survivor in
+        # turn, so the set iterates — and the next collection reclaims —
+        # in the same order.
+        partition.residents.update(plan.survivors)
+        partition.fill = plan.fill
         placements = self.placements
-        if plan is None:
-            objects = self.objects
-            for oid in survivors:
-                size = objects[oid].size
-                placements.put(oid, pid, partition.bump(oid, size), size)
+        if _np is not None and len(plan.dense_oids):
+            _np.frombuffer(placements.offs, dtype=_np.int64)[
+                plan.dense_oids
+            ] = plan.dense_offs
         else:
-            # Same residents insertion history as the bump loop (copy
-            # order), then the precomputed offsets in one scatter. Dense
-            # survivors' partition and size columns are already correct.
-            residents_add = partition.residents.add
-            for oid in survivors:
-                residents_add(oid)
-            partition.fill = plan.fill
-            if _np is not None and len(plan.dense_oids):
-                _np.frombuffer(placements.offs, dtype=_np.int64)[
-                    plan.dense_oids
-                ] = plan.dense_offs
-            else:
-                offs = placements.offs
-                for oid, off in zip(plan.dense_oids, plan.dense_offs):
-                    offs[oid] = off
-            for oid, entry in plan.overflow:
-                placements.overflow[oid] = entry
+            offs = placements.offs
+            for oid, off in zip(plan.dense_oids, plan.dense_offs):
+                offs[oid] = off
+        for oid, entry in plan.overflow:
+            placements.overflow[oid] = entry
         # The allocated-bytes ledger shrinks by the whole recovered extent:
         # reclaimed objects plus any holes left by transaction rollbacks.
         self._allocated_bytes -= fill_before - partition.fill
@@ -837,53 +842,87 @@ class ObjectStore:
         pid = self.partition_of(oid)
         self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) + obj.size
 
-    def _reclaim(self, oid: ObjectId, pid: PartitionId) -> int:
-        """Bookkeeping for one object reclaimed by the collector.
+    def _reclaim_residents(self, pid: PartitionId, reclaimed: list[ObjectId]) -> int:
+        """Bookkeeping for the objects a compaction of ``pid`` reclaims.
 
-        Hot during compaction (one call per reclaimed object), so it uses
-        the int-only placement accessors and inlines the outgoing-edge
-        forget walk instead of paying a ``Placement`` allocation and a
-        ``_forget_edge`` call per pointer. The source's own placement is
-        already dropped here, exactly as when ``_forget_edge`` ran after
-        ``placements.pop`` — intra-partition targets were never remembered,
-        so skipping them is observationally identical.
+        One kernel over the whole list: placement rows are cleared in the
+        raw columns, and the dead-byte, garbage-total and placement-count
+        ledgers are accumulated as deltas and written once — in a
+        ``finally``, so a wrong-partition object (put back, then refused)
+        still leaves the ledgers of the objects reclaimed before it
+        consistent. An object's own row is cleared before its outgoing
+        edges are forgotten, and intra-partition targets were never
+        remembered, so skipping them is observationally identical to
+        forgetting every edge.
+
+        Returns the bytes reclaimed.
         """
-        obj = self.objects.pop(oid)
+        objects = self.objects
+        objects_pop = objects.pop
         placements = self.placements
-        if placements.part_of(oid) != pid:
-            self.objects[oid] = obj
-            raise StoreError(f"object {oid} reclaimed from wrong partition")
-        placements.discard(oid)
+        parts = placements.parts
+        dense = len(parts)
+        overflow = placements.overflow
+        partitions = self.partitions
+        drop_incoming = partitions[pid].drop_incoming
+        remembered = self.remembered
+        forget_source = remembered.forget_source
+        forget_sources = remembered.forget_sources
+        drop_object = remembered.drop_object
+        roots_discard = self.roots.discard
+        unlinked_discard = self.unlinked.discard
+        count = dead = undeclared = 0
+        try:
+            for oid in reclaimed:
+                obj = objects_pop(oid)
+                if 0 <= oid < dense:
+                    found = parts[oid] == pid
+                    if found:
+                        parts[oid] = -1
+                else:
+                    entry = overflow.get(oid)
+                    found = entry is not None and entry[0] == pid
+                    if found:
+                        del overflow[oid]
+                if not found:
+                    objects[oid] = obj
+                    raise StoreError(f"object {oid} reclaimed from wrong partition")
+                count += 1
+                if obj.dead:
+                    dead += obj.size
+                else:
+                    undeclared += obj.size
 
-        size = obj.size
-        if obj.dead:
-            self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - size
-        else:
-            # The workload never declared this object dead, yet the collector
-            # found it unreachable within its partition. Fold it into both
-            # totals so ActGarb stays consistent, and count it for tests.
-            self.garbage.total_generated += size
-            self.garbage.undeclared += size
-        self.garbage.total_collected += size
-
-        # Sever remembered-set state in both directions.
-        pointers = obj.pointers
-        if pointers:
-            part_of = placements.part_of
-            partitions = self.partitions
-            remembered = self.remembered
-            for target in pointers.values():
-                if target is None:
-                    continue
-                tgt_pid = part_of(target)
-                if tgt_pid < 0 or tgt_pid == pid:
-                    continue
-                if partitions[tgt_pid].forget(oid, target):
-                    remembered.forget_source(tgt_pid, oid)
-        dropped = self.partitions[pid].drop_incoming(oid)
-        if dropped:
-            self.remembered.forget_sources(pid, dropped)
-        self.roots.discard(oid)
-        self.unlinked.discard(oid)
-        self.remembered.drop_object(pid, oid)
-        return size
+                # Sever remembered-set state in both directions.
+                for target in obj.pointers.values():
+                    if target is None:
+                        continue
+                    if 0 <= target < dense:
+                        tgt_pid = parts[target]
+                    else:
+                        entry = overflow.get(target)
+                        tgt_pid = entry[0] if entry is not None else -1
+                    if tgt_pid < 0 or tgt_pid == pid:
+                        continue
+                    if partitions[tgt_pid].forget(oid, target):
+                        forget_source(tgt_pid, oid)
+                dropped = drop_incoming(oid)
+                if dropped:
+                    forget_sources(pid, dropped)
+                roots_discard(oid)
+                unlinked_discard(oid)
+                drop_object(pid, oid)
+        finally:
+            placements._count -= count
+            garbage = self.garbage
+            if dead:
+                self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - dead
+            if undeclared:
+                # The workload never declared these objects dead, yet the
+                # collector found them unreachable within their partition.
+                # Fold them into both totals so ActGarb stays consistent,
+                # and count them for tests.
+                garbage.total_generated += undeclared
+                garbage.undeclared += undeclared
+            garbage.total_collected += dead + undeclared
+        return dead + undeclared

@@ -11,8 +11,7 @@ holds the single implementation; before it existed the two copies in
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Container, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.storage.object_model import ObjectId, StoredObject
 
@@ -20,43 +19,51 @@ from repro.storage.object_model import ObjectId, StoredObject
 def breadth_first_order(
     objects: Mapping[ObjectId, StoredObject],
     roots: Iterable[ObjectId],
-    within: Optional[Container[ObjectId]] = None,
+    within: Optional[Iterable[ObjectId]] = None,
 ) -> list[ObjectId]:
     """Deterministic breadth-first traversal of the heap's pointer graph.
+
+    Cheney's scan with its own queue: the returned list is to-space, and
+    the scan pointer walks it while reached objects are appended behind —
+    there is no second container. The traversal domain is copied once into
+    a private ``todo`` set from which every reached object is removed, so
+    the per-edge test is a single probe ("in the domain and not reached
+    yet"); a null slot (``None``) is simply never a member.
+
+    The copy is also what makes a trace on a scheduler worker thread
+    (:mod:`repro.gc.parallel`) read the live ``within`` set exactly once,
+    up front: a resize under that copy raises, any later mutation bumps the
+    partition's trace epoch, and either way the result is discarded.
 
     Args:
         objects: The store's object table (oid → object).
         roots: Traversal starts here, in the given order — callers wanting
             deterministic copy order pass roots pre-sorted. Roots outside
-            the domain are skipped (partitioned collection's conservative
-            root sets can mention ids filtered by ``within``).
-        within: Optional traversal domain — only members are visited and
-            enqueued (the collector passes a partition's residents, so
-            pointers leaving the partition are not traversed, §3.1).
-            ``None`` traverses the whole object table.
+            the domain, and repeated roots, are skipped (partitioned
+            collection's conservative root sets can mention ids filtered
+            by ``within``).
+        within: Optional traversal domain — only members are visited (the
+            collector passes a partition's residents, so pointers leaving
+            the partition are not traversed, §3.1). ``None`` traverses the
+            whole object table.
 
     Returns:
         Every reached object id, in visit (Cheney copy) order.
     """
-    domain: Container[ObjectId] = objects if within is None else within
-    seen: set[ObjectId] = set()
-    seen_add = seen.add
-    queue: deque[ObjectId] = deque()
-    queue_append = queue.append
-    for oid in roots:
-        if oid in domain and oid not in seen:
-            seen_add(oid)
-            queue_append(oid)
+    todo: set[ObjectId] = set(objects if within is None else within)
+    reached = todo.remove
     order: list[ObjectId] = []
-    order_append = order.append
-    popleft = queue.popleft
-    # Hot loop: the per-edge test is two set membership checks with every
-    # method hoisted into a local — this scan dominates collection cost.
-    while queue:
-        oid = popleft()
-        order_append(oid)
+    copy = order.append
+    for oid in roots:
+        if oid in todo:
+            reached(oid)
+            copy(oid)
+    # Hot loop — this scan is the larger half of a collection pause. The
+    # list iterator re-reads the length at every step, so it is the scan
+    # pointer chasing the allocation pointer ``copy`` advances.
+    for oid in order:
         for target in objects[oid].pointers.values():
-            if target is not None and target not in seen and target in domain:
-                seen_add(target)
-                queue_append(target)
+            if target in todo:
+                reached(target)
+                copy(target)
     return order

@@ -61,12 +61,28 @@ class StoreValidator:
     # ------------------------------------------------------------------
 
     def _check_placements(self, store: ObjectStore, report: ValidationReport) -> None:
-        """Every object has one placement inside its partition's extent;
+        """Every object has one placement, of its own size, inside its
+        partition's extent; the table's hand-maintained entry count agrees;
         placements within a partition never overlap."""
         if set(store.objects) != set(store.placements):
             missing = set(store.objects) ^ set(store.placements)
             report.add("placements", f"objects/placements mismatch: {sorted(missing)[:5]}")
             return
+        # The key sets above come from iterating the columns; ``len()`` is a
+        # counter the fused replay kernels and the bulk reclaim keep by hand.
+        if len(store.placements) != len(store.objects):
+            report.add(
+                "placements",
+                f"len(placements) {len(store.placements)} != "
+                f"len(objects) {len(store.objects)}",
+            )
+        for oid, obj in store.objects.items():
+            placed = store.placements.locate(oid)[2]
+            if placed != obj.size:
+                report.add(
+                    "placements",
+                    f"object {oid}: placement size {placed} != object size {obj.size}",
+                )
         for partition in store.partitions:
             spans = []
             for oid in partition.residents:

@@ -49,8 +49,11 @@ def store_fields(store) -> dict:
             for oid, obj in store.objects.items()
         },
         "placements": {oid: store.placements.locate(oid) for oid in store.objects},
+        "placement_count": len(store.placements),
+        # Residents in iteration order: it is the order the next collection
+        # of the partition reclaims in.
         "partitions": [
-            (part.fill, set(part.residents), part.pointer_overwrites, part.incoming)
+            (part.fill, list(part.residents), part.pointer_overwrites, part.incoming)
             for part in store.partitions
         ],
         "free": (
@@ -68,7 +71,11 @@ def store_fields(store) -> dict:
             store.db_size,
             store._next_oid,
         ),
-        "garbage": (store.garbage.total_generated, store.garbage.total_collected),
+        "garbage": (
+            store.garbage.total_generated,
+            store.garbage.total_collected,
+            store.garbage.undeclared,
+        ),
         "remembered": store.remembered.stats(),
         "epochs": (list(store.trace_epochs), store.compaction_epoch),
         "buffer": (store.buffer.stats, list(store.buffer._pages.items())),

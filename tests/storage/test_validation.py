@@ -57,6 +57,23 @@ def test_detects_placement_overlap(store):
     assert any("placements" in v for v in report.violations)
 
 
+def test_detects_placement_count_drift(store):
+    # The count is kept by hand (fused replay, bulk reclaim); the key sets
+    # the validator compares first cannot see it drift.
+    store.placements._count += 5
+    report = validate_store(store, strict=False)
+    assert report.violations == ["[placements] len(placements) 8 != len(objects) 3"]
+
+
+def test_detects_placement_size_drift(store):
+    oid = min(store.partitions[0].residents)
+    store.placements.sizes[oid] -= 1
+    report = validate_store(store, strict=False)
+    assert report.violations == [
+        f"[placements] object {oid}: placement size 9 != object size 10"
+    ]
+
+
 def test_detects_resident_mismatch(store):
     store.partitions[0].residents.add(99999)
     report = StoreValidator().validate(store)
