@@ -143,6 +143,14 @@ def format_file_digest(digest: FileDigest) -> str:
     stalls = digest.checkpoint_stalls_ms
     if stalls:
         lines.append(f"  checkpoints: {len(stalls)}, stall {_p50_max(stalls)}")
+    gauges = (digest.metrics or {}).get("gauges", {})
+    seen = gauges.get("service.events_seen")
+    if seen:
+        fused = gauges.get("service.events_fused", 0)
+        lines.append(
+            f"  service: {int(seen):,} events, {int(fused):,} "
+            f"({fused / seen:.1%}) served by the fused kernels"
+        )
     if digest.summary is not None:
         summary = digest.summary
         lines.append(

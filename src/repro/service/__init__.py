@@ -14,9 +14,10 @@ event streams — the ROADMAP's online posture. The pieces:
   modelled heap under a hard bound by forcing collections and, as a last
   resort, shedding incoming work (degradation counters in ``repro.obs``);
 * :mod:`repro.service.server` — :class:`GcService`, the chunk loop over
-  the guarded column interpreter: admission control, periodic WAL
-  checkpoints + redo-log truncation, graceful drain on SIGTERM,
-  telemetry heartbeats;
+  the column interpreters (fused kernels between the service's
+  boundaries, guarded steps where admission control must look at an
+  event): periodic WAL checkpoints + redo-log truncation, graceful drain
+  on SIGTERM, telemetry heartbeats;
 * :mod:`repro.service.soak` — crash-soak drills: kill the service at
   fault-plan-chosen points, recover from checkpoint + log suffix, resume
   the stream at the exact event index, and assert byte-identical

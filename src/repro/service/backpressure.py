@@ -8,6 +8,13 @@ is the work degraded — shed outright, or counted as delayed and then shed
 as the last resort. The heap bound is therefore an invariant, not a goal:
 tests assert ``db_size`` never exceeds it at any point in an overload run.
 
+Collections are forced only at quiescent points, the rule triggered
+collections obey: a collection under an open transaction could reclaim
+objects the block itself declared dead, which its abort could then not
+resurrect. An allocation that does not fit *inside* a block therefore
+aborts and sheds the block first; the collections that make room for the
+next one are forced afterwards (:meth:`GcService._admit`).
+
 Degradation is observable: every counter here surfaces through the
 service's telemetry metrics (``service.backpressure.*``) and the
 ``repro metrics`` CLI.
@@ -88,14 +95,19 @@ class AdmissionController:
         self.max_forced_collections = max_forced_collections
         self.stats = BackpressureStats()
 
+    def fits(self, store: ObjectStore, incoming_bytes: int) -> bool:
+        """Whether ``incoming_bytes`` more would keep the heap in bound."""
+        return store.db_size + incoming_bytes <= self.max_heap_bytes
+
     def admit(self, store: ObjectStore, incoming_bytes: int) -> bool:
         """True when ``incoming_bytes`` may be allocated within the bound.
 
         Forces collections until the allocation fits or collection stops
         reclaiming; a False return means the caller must shed the work —
-        admitting it would break the heap invariant.
+        admitting it would break the heap invariant. Call it at quiescent
+        points only (see the module docstring).
         """
-        if store.db_size + incoming_bytes <= self.max_heap_bytes:
+        if self.fits(store, incoming_bytes):
             return True
         self.stats.engaged += 1
         for _ in range(self.max_forced_collections):
@@ -103,7 +115,7 @@ class AdmissionController:
                 self.stats.delays += 1
             self.stats.forced_collections += 1
             reclaimed = self.collect_once()
-            if store.db_size + incoming_bytes <= self.max_heap_bytes:
+            if self.fits(store, incoming_bytes):
                 return True
             if not reclaimed:
                 break

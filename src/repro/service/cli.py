@@ -165,6 +165,7 @@ def _print_serve_report(report, as_json: bool) -> None:
             "stopped": report.stopped,
             "events_seen": report.events_seen,
             "events_applied": report.events_applied,
+            "events_fused": report.events_fused,
             "next_index": report.next_index,
             "checkpoints": report.checkpoints,
             "collections": report.collections,
@@ -181,7 +182,8 @@ def _print_serve_report(report, as_json: bool) -> None:
         return
     bp = report.backpressure
     print(f"stopped: {report.stopped} after {report.events_seen} events "
-          f"({report.events_applied} applied) in {report.wall_s:.2f}s")
+          f"({report.events_applied} applied, {report.events_fused} by the "
+          f"fused kernels) in {report.wall_s:.2f}s")
     print(f"checkpoints: {report.checkpoints}  collections: "
           f"{report.collections}  heap peak: {report.heap_peak_bytes} bytes")
     print(f"redo log: {report.log_suffix_length} suffix records "

@@ -13,7 +13,8 @@ replay:
   or delays incoming work before the modelled heap can exceed its bound;
 * **graceful shutdown** — SIGTERM/SIGINT (or
   :meth:`GcService.request_shutdown`) drains the in-flight transaction,
-  takes a final checkpoint, and returns a report;
+  takes a final checkpoint, and returns a report (the request is read
+  between runs of the fused kernels: at most one chunk of events late);
 * **pacing** — optional wall-clock throttling to a target ops/sec;
 * **observability** — checkpoint/shed/heartbeat events and
   ``service.*`` metrics through :mod:`repro.obs`.
@@ -63,6 +64,9 @@ class ServiceReport:
     events_seen: int = 0
     #: Events actually applied to the store.
     events_applied: int = 0
+    #: Of those, events served by the fused kernels (the rest took guarded
+    #: steps); a wall-clock matter like ``wall_s``, never a result.
+    events_fused: int = 0
     #: Absolute stream index the next run should resume from.
     next_index: int = 0
     #: Checkpoints installed (including the final one).
@@ -190,11 +194,13 @@ class GcService:
         :class:`~repro.faults.injector.SimulatedCrash` annotated with the
         resume index, like :meth:`Simulation.run`.
 
-        The stream arrives as column chunks, and each chunk goes through
-        the guarded column interpreter (:func:`repro.sim.batch.
-        _replay_guarded`) — the loop finite drills and transaction spans
-        run on — with the service's own rules as its guard points:
-        :meth:`_admit` before an event, :meth:`_after_event` behind it.
+        The stream arrives as column chunks, and :meth:`_serve` takes each
+        chunk through the interpreters of :mod:`repro.sim.batch`: the fused
+        kernels wherever the run is eligible for them, with the service's
+        rules as the run boundaries, and the guarded loop — :meth:`_admit`
+        before an event, :meth:`_after_event` behind it — for everything
+        else. Shutdown is read at every boundary, so on the fused route a
+        request takes effect at most one chunk of events late.
         """
         sim = self.sim
         self._run_started = time.monotonic()
@@ -208,16 +214,10 @@ class GcService:
                 start_index=start_index,
                 policy=sim.policy.describe(),
             )
-        admit = self._admit if self.admission is not None else None
         try:
             sim._start(start_index)
             for chunk, offset in stream_chunks(self.stream, start_index):
-                self._columns = cache = batch._ensure_cache(chunk)
-                creates, writes = batch._prefix_counts(cache.ops, offset)
-                batch._replay_guarded(
-                    sim, chunk, cache, offset, len(cache.ops), creates, writes,
-                    None, False, admit, self._after_event,
-                )
+                self._serve(chunk, offset)
                 if self._stopped:
                     break
         except SimulatedCrash as crash:
@@ -235,18 +235,107 @@ class GcService:
         return report
 
     # ------------------------------------------------------------------
-    # Guard points of the chunk interpreter
+    # Serving a chunk: fused runs between boundaries, guarded steps
     # ------------------------------------------------------------------
 
-    def _after_event(self, applied: bool, quiescent: bool) -> bool:
-        """Behind every stream event, shed ones included: cadence and stop
-        rules. True stops the run after this event."""
+    def _serve(self, chunk, offset: int) -> None:
+        """Apply ``chunk`` from event ``offset`` on, until it ends or the
+        run stops.
+
+        At each boundary the next stretch is either a *guarded step* —
+        :func:`~repro.sim.batch._replay_guarded` up to the next quiescent
+        event, with :meth:`_admit` and :meth:`_after_event` as its guard
+        points — or a *fused run* to the nearest horizon. Guarded steps
+        take what the kernels cannot: an open transaction, a create the
+        heap bound refuses, a stream with something shed from it (every
+        event must be looked at), and a trigger that is already due (a
+        checkpoint's own I/O can do that; the guarded loop collects behind
+        the next event even if it is a marker). Pacing and anything
+        :func:`~repro.sim.batch._fast_eligible` refuses — a fault injector
+        above all — keep the whole chunk guarded. Horizons are where a
+        rule of :meth:`_at_boundary` could first fire: checkpoint cadence
+        and ``max_events`` count events, so they are indices; a singleton
+        logs at most three redo records, so ``max_log_records`` is one too.
+        """
+        sim = self.sim
+        svc = self.service
+        report = self._report
+        self._columns = cache = batch._ensure_cache(chunk)
+        ops = cache.ops
+        end = len(ops)
+        i = offset
+        ci, wi = batch._prefix_counts(ops, offset)
+        admit = bound = None
+        if self.admission is not None:
+            admit = self._admit
+            bound = self.admission.max_heap_bytes
+        after = self._after_event
+        allocated = sim.store.config.db_size_mode == "allocated"
+        fusable = None  # asked once per chunk, at its first quiescent boundary
+        step = False    # the last fused run stopped at an event it cannot take
+        while i < end and not self._stopped:
+            if (
+                step
+                or sim.tx.in_transaction
+                or self._shed_oids
+                or self._shed_txid is not None
+                or sim._clock() >= sim._due_at
+            ):
+                step = False
+                i, ci, wi = batch._replay_guarded(
+                    sim, chunk, cache, i, end, ci, wi, None, True, admit, after
+                )
+                continue
+            if fusable is None:
+                fusable = (
+                    svc.target_ops_per_s is None
+                    and sim.config.replay != "scalar"
+                    and batch._fast_eligible(sim)
+                )
+            if not fusable:
+                batch._replay_guarded(
+                    sim, chunk, cache, i, end, ci, wi, None, False, admit, after
+                )
+                return
+            ahead = svc.checkpoint_every_events - self._events_since_checkpoint
+            if svc.max_events is not None:
+                ahead = min(ahead, svc.max_events - report.events_seen)
+            if svc.max_log_records is not None:
+                room = svc.max_log_records - sim.redo_log.suffix_length
+                ahead = min(ahead, room // 3)
+            start = i
+            i, ci, wi, stop = batch._run_fused(
+                sim, chunk, cache, i, min(end, i + max(ahead, 1)), ci, wi, None, bound
+            )
+            served = i - start
+            report.events_seen += served
+            report.events_applied += served
+            report.events_fused += served
+            self._events_since_checkpoint += served
+            if stop == batch._FIRED:
+                # Occupancy is read behind the collections an event fires
+                # (_after_event reads it there), so what the firing event
+                # itself allocated is not seen before they ran. Only the
+                # allocated measure can tell: physical size never shrinks.
+                occupancy = sim.store.db_size
+                if ops[i - 1] == _CREATE and allocated:
+                    occupancy -= cache.arg1[i - 1]
+                if occupancy > report.heap_peak_bytes:
+                    report.heap_peak_bytes = occupancy
+                while sim._clock() >= sim._due_at:
+                    sim._collect()
+            else:
+                step = stop != batch._END
+            self._at_boundary(True)
+
+    def _at_boundary(self, quiescent: bool) -> bool:
+        """The service's rules between two events — the one place they
+        live, whichever interpreter served the event before. True (and
+        ``_stopped`` set) ends the run here."""
         report = self._report
         svc = self.service
-        report.events_seen += 1
-        if applied:
-            report.events_applied += 1
-            self._events_since_checkpoint += 1
+        # A fused run neither collects nor aborts, so occupancy only grew
+        # since the boundary before it: reading it here misses no peak.
         occupancy = self.sim.store.db_size
         if occupancy > report.heap_peak_bytes:
             report.heap_peak_bytes = occupancy
@@ -267,7 +356,23 @@ class GcService:
         if svc.max_events is not None and report.events_seen >= svc.max_events:
             self._stopped = "max-events"
             return True
-        rate = svc.target_ops_per_s
+        return False
+
+    # ------------------------------------------------------------------
+    # Guard points of the guarded loop
+    # ------------------------------------------------------------------
+
+    def _after_event(self, applied: bool, quiescent: bool) -> bool:
+        """Behind every stream event, shed ones included: count it, apply
+        the boundary rules, pace. True stops the run after this event."""
+        report = self._report
+        report.events_seen += 1
+        if applied:
+            report.events_applied += 1
+            self._events_since_checkpoint += 1
+        if self._at_boundary(quiescent):
+            return True
+        rate = self.service.target_ops_per_s
         if rate is not None:
             ahead = self._run_started + report.events_seen / rate - time.monotonic()
             if ahead > 0.001:
@@ -312,19 +417,29 @@ class GcService:
                 return False
         # Admission: allocations must fit under the heap bound.
         if op == _CREATE:
-            if not admission.admit(self.sim.store, cols.arg1[i]):
+            store = self.sim.store
+            size = cols.arg1[i]
+            tx = self.sim.tx
+            shed_block = tx.in_transaction and not admission.fits(store, size)
+            if shed_block:
+                # Transactions are atomic, and nothing is collected under
+                # an open one (a collection could reclaim what the block
+                # declared dead, and its abort could not bring that back):
+                # an allocation that does not fit sheds the whole block.
+                # Undo what already applied and skip to the block's end —
+                # then, quiescent again, let the controller force
+                # collections until what the block had asked for by now
+                # would fit, so the next block finds room.
+                occupancy = store.db_size
+                txid = tx.current.txid
+                tx.abort(txid)
+                self._shed_txid = txid
+                stats.shed_transactions += 1
+                size += occupancy - store.db_size
+            if not admission.admit(store, size) or shed_block:
                 stats.shed_events += 1
                 stats.shed_objects += 1
                 shed.add(a)
-                tx = self.sim.tx
-                if tx.in_transaction:
-                    # Transactions are atomic: a rejected allocation sheds
-                    # the whole block. Undo what already applied and skip
-                    # to the block's end.
-                    txid = tx.current.txid
-                    tx.abort(txid)
-                    self._shed_txid = txid
-                    stats.shed_transactions += 1
                 if self.obs is not None:
                     self.obs.metrics.counter("service.backpressure.sheds").inc()
                 return False
@@ -426,6 +541,7 @@ class GcService:
             metrics = obs.metrics
             metrics.gauge("service.events_seen").set(report.events_seen)
             metrics.gauge("service.events_applied").set(report.events_applied)
+            metrics.gauge("service.events_fused").set(report.events_fused)
             metrics.gauge("service.next_index").set(report.next_index)
             metrics.gauge("service.collections").set(report.collections)
             metrics.gauge("service.heap_peak_bytes").set(report.heap_peak_bytes)

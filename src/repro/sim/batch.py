@@ -9,16 +9,25 @@ that per-event overhead — event allocation, handler dispatch, attribute
 traffic on the store/sampler/buffer objects — used to dominate wall time.
 ``Simulation.run`` picks one of two modes:
 
-* **fast mode** (:func:`_replay_fast`) — a fused interpreter that hoists
-  every piece of hot mutable state (I/O ledgers, buffer LRU, sampler
-  accumulators, garbage totals, the trigger clock) into plain locals,
-  applies events one at a time with inlined copies of the store's
-  kernels, and only *flushes* the locals back to the real objects at
-  **run boundaries**: a GC trigger firing, a transaction span, a deadline
-  check, or the end of the trace. Eligibility is conservative
-  (:func:`_fast_eligible`): any hook, fault injector, redo log, retained
-  event series, or subclassed component routes to guarded mode instead,
-  as does ``replay="scalar"``.
+* **fast mode** (:func:`_run_fused`, driven by :func:`_replay_fast`) — a
+  fused interpreter that hoists every piece of hot mutable state (I/O
+  ledgers, buffer LRU, sampler accumulators, garbage totals, the trigger
+  clock) into plain locals, applies events one at a time with inlined
+  copies of the store's kernels, and only *flushes* the locals back to the
+  real objects at **run boundaries**: a GC trigger firing, a transaction
+  span, a create the caller's heap bound refuses, a deadline check, or the
+  end of the range it was given. It says why it stopped and its caller
+  handles the boundary — plain replay collects or hands a span to guarded
+  mode; the long-running service (:mod:`repro.service.server`) makes its
+  checkpoint, stop and admission rules boundaries of the same loop.
+  A redo log and a WAL are things the kernels *do*, not things that
+  disqualify a run: every mutation outside a transaction is committed as
+  the singleton ``TransactionManager.autocommit`` would write — same redo
+  records, same WAL counts, same application write ahead of the sample.
+  Eligibility is conservative (:func:`_fast_eligible`): any attached hook
+  (a fault or write hook, a method shadowed on one instance), fault
+  injector, retained event series or subclassed component routes to
+  guarded mode instead, as does ``replay="scalar"``.
   ``collection="parallel"`` runs are eligible: the kernels keep the
   store's trace epochs in step, and the scheduler's margin wake-ups are
   ordinary run boundaries.
@@ -26,12 +35,11 @@ traffic on the store/sampler/buffer objects — used to dominate wall time.
 * **guarded mode** (:func:`_replay_guarded`) — a per-event loop over the
   same columns that calls the real store/transaction/sampler methods, one
   event at a time: apply, sample, then check the trigger outside
-  transactions. It composes with fault injection, WAL/redo logging,
-  opportunistic policies and retained series. Fast mode also
-  drops into guarded mode for the span of each explicit transaction, and
-  the long-running service (:mod:`repro.service.server`) serves every
-  chunk of its stream through it, hanging admission control and its
-  checkpoint/stop rules on the loop's two guard points.
+  transactions. It composes with fault injection, opportunistic policies
+  and retained series, and it is the only loop that applies a transaction
+  marker. Fast mode drops into it for the span of each explicit
+  transaction; the service, besides, for every event its admission
+  control has to look at, hanging its rules on the loop's two guard points.
 
 Both modes are **result-identical to each other and to the test
 oracle** — the slow-and-obvious event-object loop in
@@ -44,11 +52,14 @@ operation for operation.
 
 Error paths: a :class:`~repro.storage.heap.StoreError` raised mid-event
 (only malformed traces do this) flushes the mirrored counters before
-propagating, so the store is left observationally consistent.
+propagating, so the store is left observationally consistent — and, under
+a redo log, the log and the WAL as ``autocommit`` leaves them when its
+operation raises: the singleton's ``begin`` appended, nothing forced.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 from repro.core.extensions import OpportunisticPolicy
@@ -61,7 +72,9 @@ from repro.storage.iostats import IOCategory, IOStats
 from repro.storage.object_model import ObjectKind, StoredObject
 from repro.storage.objtable import PlacementTable
 from repro.storage.partition import Partition
-from repro.tx.manager import TransactionManager
+from repro.tx.manager import TransactionError, TransactionManager
+from repro.tx.recovery import RedoLog, RedoRecord
+from repro.tx.wal import RECORD_SIZES, WriteAheadLog
 from repro.workload.compiled import _NONE, CompiledTrace, CompiledTraceError
 
 _APP = IOCategory.APPLICATION
@@ -74,6 +87,18 @@ _MISS = object()
 #: Deadline checks are amortised over this many events in fast mode; the
 #: guarded loop checks once per event.
 _DEADLINE_STRIDE = 4096
+
+#: Why :func:`_run_fused` handed control back (see its docstring).
+_END, _FIRED, _SPAN, _REFUSED = range(4)
+
+#: WAL record type of the operation in each opcode's singleton transaction
+#: — the opcodes a redo log auto-commits outside an explicit transaction.
+_SINGLETON_RECORD = {0: "create", 2: "update", 3: "write", 4: "root"}
+_SINGLETON_MAX_BYTES = (
+    RECORD_SIZES["begin"]
+    + max(RECORD_SIZES[name] for name in _SINGLETON_RECORD.values())
+    + RECORD_SIZES["commit"]
+)
 
 
 def _timeout():
@@ -152,22 +177,45 @@ def _ensure_cache(trace: CompiledTrace) -> _BatchCache:
 # ----------------------------------------------------------------------
 
 
+def _hooked(component) -> bool:
+    """Whether an instance attribute hides a method of ``component``'s class
+    — a spy or hook hung on one object, which inlined kernels would run
+    past without a word. (A wrapper installed on the *class* is different:
+    it measures calls, and the calls it does not see were not made.)"""
+    cls = type(component)
+    return any(callable(getattr(cls, name, None)) for name in vars(component))
+
+
 def _fast_eligible(sim) -> bool:
     """Whether the fused fast interpreter reproduces this run exactly.
 
-    Fast mode inlines store/buffer/sampler kernels, so every component it
-    bypasses must be the stock implementation with no hooks attached.
-    Anything else — fault injection, redo auto-commit, retained event
-    series, opportunistic policies, subclassed components — runs guarded.
-    (A WAL alone is fine: it only acts inside explicit transactions, which
-    fast mode already delegates to guarded spans.)
+    Fast mode inlines store/buffer/sampler kernels — and, under a redo log,
+    the auto-commit bracket with its log and WAL appends — so every
+    component it bypasses must be the stock implementation with no hooks
+    attached. Anything else — fault injection, retained event series,
+    opportunistic policies, subclassed components, a method shadowed on a
+    component instance (:func:`_hooked`), an open transaction — runs
+    guarded.
+
+    A redo log does not disqualify a run. The WAL under it must make a
+    singleton's cost a constant, which takes two things: an empty log tail
+    (every commit, abort and checkpoint forces it, so only a run that
+    failed inside a bracket leaves one) and a log page larger than the
+    largest singleton. Each singleton then is three appends, one page and
+    one force, whatever came before. Without a redo log a WAL only acts
+    inside explicit transactions, which fast mode hands to guarded spans.
+
+    Walks every partition, so callers ask once per run or stream chunk,
+    not at every boundary.
     """
     store = sim.store
     buffer = store.buffer
     sampler = sim.sampler
+    tx = sim.tx
+    log = sim.redo_log
+    wal = tx.wal
     return (
         sim.faults is None
-        and sim.redo_log is None
         and not sim.config.keep_event_series
         and sampler._series_countdown is None
         and not isinstance(sim.policy, OpportunisticPolicy)
@@ -177,11 +225,31 @@ def _fast_eligible(sim) -> bool:
         and type(store.placements) is PlacementTable
         and type(store.remembered) is RememberedSetIndex
         and type(sampler) is Sampler
-        and type(sim.tx) is TransactionManager
+        and type(tx) is TransactionManager
         and store.iostats.fault_hook is None
         and buffer.write_hook is None
         and buffer._iostats is store.iostats
-        and not sim.tx.in_transaction
+        and tx.fault_hook is None
+        and not tx.in_transaction
+        and (
+            log is None
+            or type(log) is RedoLog
+            and tx.redo_log is log
+            and not _hooked(log)
+            and (
+                wal is None
+                or type(wal) is WriteAheadLog
+                and wal._iostats is store.iostats
+                and wal._tail_bytes == 0
+                and wal.page_size > _SINGLETON_MAX_BYTES
+                and not _hooked(wal)
+            )
+        )
+        # (The placement table and the remembered index are slotted: an
+        # instance of either cannot carry a hook.)
+        and not any(
+            _hooked(part) for part in (store, store.iostats, buffer, sampler, tx)
+        )
         and all(type(p) is Partition for p in store.partitions)
     )
 
@@ -198,9 +266,10 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
 
     ``ci``/``wi`` are the running create/write sub-column cursors (passed
     between fast and guarded spans rather than recomputed). With
-    ``until_tx_close`` set, returns right after the first event that
-    leaves no transaction open (fast mode's transaction-span handoff).
-    Returns the advanced ``(i, ci, wi)``.
+    ``until_tx_close`` set, returns behind the first event that leaves no
+    transaction open — its guard points run first, like any event's — which
+    is how the fused drivers hand over a transaction span or a single
+    event. Returns the advanced ``(i, ci, wi)``.
 
     ``admit`` and ``after`` are the guard points a caller that does more
     than replay (the service) hangs its own rules on. ``admit(op, a, i,
@@ -330,9 +399,9 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
         if quiescent:
             while clock() >= sim._due_at:
                 collect()
-            if until_tx_close:
-                return i, ci, wi
         if after is not None and after(applied, quiescent):
+            return i, ci, wi
+        if quiescent and until_tx_close:
             return i, ci, wi
     return i, ci, wi
 
@@ -342,15 +411,32 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
 # ----------------------------------------------------------------------
 
 
-def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
-    """The fused interpreter. See the module docstring for the contract.
+def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
+    """The fused interpreter: apply events from ``i`` up to the next run
+    boundary, at most to ``n``. See the module docstring for the contract.
 
-    Structure: the outer loop *reloads* every mirrored piece of state into
-    locals; the inner loop applies events with inlined kernels; at a run
-    boundary (trigger fired / transaction span / deadline / end of trace)
-    the locals *flush* back and the boundary is handled with the real
-    methods (``sim._collect``, :func:`_replay_guarded`). No closures: the
-    hot names must stay plain locals, not cells.
+    Returns the advanced ``(i, ci, wi)`` and why the run stopped:
+    :data:`_FIRED` — the event before ``i`` pushed the trigger clock past
+    due, the caller owes the collections; :data:`_SPAN` — event ``i`` is a
+    transaction marker, which only the guarded loop applies;
+    :data:`_REFUSED` — event ``i`` is a create that would push ``db_size``
+    past ``heap_bound``, left untouched for the caller's admission control;
+    :data:`_END` — ``i == n``. Where ``n`` lies is the caller's business:
+    plain replay passes the end of the trace, the service the nearest of
+    its checkpoint, stop and chunk horizons.
+
+    Structure: *reload* every mirrored piece of state into locals; apply
+    events with inlined kernels; *flush* the locals back on the way out —
+    also past a raise or a deadline — so the caller handles the boundary
+    with the real methods (``sim._collect``, :func:`_replay_guarded`). No
+    closures: the hot names must stay plain locals, not cells.
+
+    With a redo log, each mutating kernel ends by committing its event as
+    the singleton transaction ``TransactionManager.autocommit`` would:
+    the same ``begin`` / operation / ``commit`` records under the next
+    negative txid, and the WAL's page write as one application write ahead
+    of the sample and the trigger check. What the WAL counts is summed up
+    at the flush (:func:`_fold_singletons`).
 
     Thread safety under ``collection="parallel"``. Speculative traces read
     the heap while this loop runs, so what they read must never be stale
@@ -440,494 +526,537 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
     stale_limit = _OPEN_LIST_STALE_LIMIT
     obj_cls = StoredObject
     obj_new = obj_cls.__new__
+    rec = RedoRecord
     last_ki = -1  # kind-column memo: traces cluster creates by kind
     last_kind = None
 
-    while True:
-        # ---- reload: mirror mutable state into locals ----------------
-        next_oid = store._next_oid
-        alloc_bytes = store._allocated_bytes
-        alloc_clock = store.bytes_allocated_total
-        po = store.pointer_overwrites
-        pstores = store.pointer_stores
-        tot_gen = garbage.total_generated
-        tot_coll = garbage.total_collected  # only _collect changes this
-        tcount = 0                          # dense placement-count delta
-        hits = bstats.hits
-        misses = bstats.misses
-        app_r = app_led.reads
-        app_w = app_led.writes
-        gc_total = iostats.collector_total  # frozen between collections
-        rem_edges = rem.edges
-        rem_rem = rem.remembers_total
-        rem_forg = rem.forgets_total
-        ev_i = sampler.event_index
-        collections = sampler.collections   # frozen between collections
-        sig = sampler._significant_started
-        ga_count = ga.count
-        ga_total = ga.total
-        ga_min = ga.minimum
-        ga_max = ga.maximum
-        g_count = g.count
-        g_total = g.total
-        g_min = g.minimum
-        g_max = g.maximum
-        trig_base = sim._trigger.base
-        if trig_base is _BASE_OVERWRITES:
-            base_kind = 0
-        elif trig_base is _BASE_ALLOCATED:
-            base_kind = 1
-        else:
-            base_kind = 2
-        due = sim._due_at
-        dbsz = store._physical_bytes if phys_mode else alloc_bytes
-        garb = tot_gen - tot_coll
-        gf = garb / dbsz if dbsz else 0.0
-        lgf = miss  # last gf folded into min/max; miss forces a compare
-        npages = len(pages)
-        # Most-recently-used page mirror: a touch of the page that is
-        # already at the back of the LRU is order-preserving in the guarded
-        # path too (pop + reinsert of the back element), so it collapses to
-        # a hit count and, at most, a dirty upgrade. Sequential creates and
-        # traversals hit this constantly.
-        mru_pid = -1
-        mru_page = -1
-        mru_dirty = False
-        # Bump-allocation cache: partition.fill is mirrored into cur_fill
-        # for the partition creates are currently landing in, flushed when
-        # the target partition changes and at every run boundary.
-        cur_pid = -1
-        cur_part = None
-        cur_fill = 0
-        cur_res_add = None
-        cur_pins = None
-        cur_pins_add = None
+    # ---- reload: mirror mutable state into locals ----------------
+    next_oid = store._next_oid
+    alloc_bytes = store._allocated_bytes
+    alloc_clock = store.bytes_allocated_total
+    po = store.pointer_overwrites
+    pstores = store.pointer_stores
+    tot_gen = garbage.total_generated
+    tot_coll = garbage.total_collected  # only _collect changes this
+    tcount = 0                          # dense placement-count delta
+    hits = bstats.hits
+    misses = bstats.misses
+    app_r = app_led.reads
+    app_w = app_led.writes
+    gc_total = iostats.collector_total  # frozen between collections
+    rem_edges = rem.edges
+    rem_rem = rem.remembers_total
+    rem_forg = rem.forgets_total
+    ev_i = sampler.event_index
+    collections = sampler.collections   # frozen between collections
+    sig = sampler._significant_started
+    ga_count = ga.count
+    ga_total = ga.total
+    ga_min = ga.minimum
+    ga_max = ga.maximum
+    g_count = g.count
+    g_total = g.total
+    g_min = g.minimum
+    g_max = g.maximum
+    trig_base = sim._trigger.base
+    if trig_base is _BASE_OVERWRITES:
+        base_kind = 0
+    elif trig_base is _BASE_ALLOCATED:
+        base_kind = 1
+    else:
+        base_kind = 2
+    due = sim._due_at
+    dbsz = store._physical_bytes if phys_mode else alloc_bytes
+    garb = tot_gen - tot_coll
+    gf = garb / dbsz if dbsz else 0.0
+    lgf = miss  # last gf folded into min/max; miss forces a compare
+    npages = len(pages)
+    # Most-recently-used page mirror: a touch of the page that is
+    # already at the back of the LRU is order-preserving in the guarded
+    # path too (pop + reinsert of the back element), so it collapses to
+    # a hit count and, at most, a dirty upgrade. Sequential creates and
+    # traversals hit this constantly.
+    mru_pid = -1
+    mru_page = -1
+    mru_dirty = False
+    # Bump-allocation cache: partition.fill is mirrored into cur_fill
+    # for the partition creates are currently landing in, flushed when
+    # the target partition changes and at every run boundary.
+    cur_pid = -1
+    cur_part = None
+    cur_fill = 0
+    cur_res_add = None
+    cur_pins = None
+    cur_pins_add = None
 
-        fired = False
-        span = False
-        timed_out = False
-        budget = _DEADLINE_STRIDE
-        raised = True
+    # Redo logging: every mutation outside a transaction is a singleton.
+    log = sim.redo_log
+    logging = log is not None
+    if logging:
+        records = log.records  # rebound only by a checkpoint, at a boundary
+        rec_append = records.append
+        logged = len(records)
+        auto_txid = sim._auto_txid
+        wal_write = 0 if sim.tx.wal is None else 1  # the commit's forced page
+    bound = sys.maxsize if heap_bound is None else heap_bound
 
-        try:
-            while i < n:
-                op = ops[i]
-                a = g0[i]
-                if op == 3:  # WRITE
-                    src = a
-                    # Placed-in-the-dense-table is equivalent to existence:
-                    # objects and placements share a keyset until reclaim.
-                    try:
-                        obj = objects[src]
-                    except KeyError:
-                        raise StoreError(f"unknown object {src}") from None
-                    if 0 <= src < dense:
-                        sp = tparts[src]
-                        soff = toffs[src]
-                        ssz = tsizes[src]
-                    else:
-                        sp, soff, ssz = table.locate(src)
-                    tgt = g1[i]
-                    if tgt == none:
-                        tgt = None
-                        tp = -1
-                    elif 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
-                        pass
-                    elif objects_get(tgt) is None:
-                        raise StoreError(f"pointer target {tgt} does not exist")
-                    else:
-                        tp = table.part_of(tgt)
-                    optrs = obj.pointers
-                    slot = strings[wsl[wi]]
-                    old = optrs.get(slot)
-                    optrs[slot] = tgt
-                    epochs[sp] += 1
-                    first = soff // page_size
-                    last = (soff + ssz - 1) // page_size
-                    while first <= last:
-                        if sp == mru_pid and first == mru_page:
-                            first += 1
-                            hits += 1
-                            if not mru_dirty:
-                                pages[(sp, mru_page)] = True
-                                mru_dirty = True
-                            continue
-                        pg = (sp, first)
-                        mru_pid = sp
-                        mru_page = first
+    entry = i
+    shift = sim._event_index + 1 - i  # chunk-local index -> absolute index
+    stop = _END
+    timed_out = False
+    budget = _DEADLINE_STRIDE
+    raised = True
+
+    try:
+        while i < n:
+            op = ops[i]
+            a = g0[i]
+            if op == 3:  # WRITE
+                src = a
+                # Placed-in-the-dense-table is equivalent to existence:
+                # objects and placements share a keyset until reclaim.
+                try:
+                    obj = objects[src]
+                except KeyError:
+                    # autocommit looks the source up itself, under its own
+                    # exception type, before the store is asked.
+                    unknown = TransactionError if logging else StoreError
+                    raise unknown(f"unknown object {src}") from None
+                if 0 <= src < dense:
+                    sp = tparts[src]
+                    soff = toffs[src]
+                    ssz = tsizes[src]
+                else:
+                    sp, soff, ssz = table.locate(src)
+                tgt = g1[i]
+                if tgt == none:
+                    tgt = None
+                    tp = -1
+                elif 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
+                    pass
+                elif objects_get(tgt) is None:
+                    raise StoreError(f"pointer target {tgt} does not exist")
+                else:
+                    tp = table.part_of(tgt)
+                optrs = obj.pointers
+                slot = strings[wsl[wi]]
+                old = optrs.get(slot)
+                optrs[slot] = tgt
+                epochs[sp] += 1
+                first = soff // page_size
+                last = (soff + ssz - 1) // page_size
+                while first <= last:
+                    if sp == mru_pid and first == mru_page:
                         first += 1
-                        wasd = pages_pop(pg, miss)
-                        if wasd is not miss:
-                            hits += 1
-                            pages[pg] = True
-                        else:
-                            misses += 1
-                            while npages > bufcap1:
-                                npages -= 1
-                                if pop_lru(False)[1]:
-                                    app_w += 1
-                            app_r += 1
-                            npages += 1
-                            pages[pg] = True
-                        mru_dirty = True
-                    if old is not None:
-                        po += 1
-                        old_pid = (
-                            tparts[old] if 0 <= old < dense
-                            else table.part_of(old)
-                        )
-                        if old_pid >= 0:
-                            partitions[old_pid].pointer_overwrites += 1
-                            if old_pid != sp:
-                                # _forget_edge: Partition.forget +
-                                # forget_source, with the same found/absent
-                                # branch placements; the epoch bump is
-                                # unconditional, as there.
-                                epochs[old_pid] += 1
-                                inc = partitions[old_pid].incoming
-                                srcs = inc.get(old)
-                                if srcs is not None:
-                                    cnt0 = srcs.get(src)
-                                    if cnt0 is not None:
-                                        if cnt0 <= 1:
-                                            del srcs[src]
-                                            if not srcs:
-                                                del inc[old]
-                                        else:
-                                            srcs[src] = cnt0 - 1
-                                        sdict = rem_sources.get(old_pid)
-                                        if sdict is not None:
-                                            c2 = sdict.get(src)
-                                            if c2 is not None:
-                                                if c2 <= 1:
-                                                    del sdict[src]
-                                                else:
-                                                    sdict[src] = c2 - 1
-                                                rem_edges -= 1
-                                                rem_forg += 1
+                        hits += 1
+                        if not mru_dirty:
+                            pages[(sp, mru_page)] = True
+                            mru_dirty = True
+                        continue
+                    pg = (sp, first)
+                    mru_pid = sp
+                    mru_page = first
+                    first += 1
+                    wasd = pages_pop(pg, miss)
+                    if wasd is not miss:
+                        hits += 1
+                        pages[pg] = True
                     else:
-                        pstores += 1
-                    if tgt is not None:
+                        misses += 1
+                        while npages > bufcap1:
+                            npages -= 1
+                            if pop_lru(False)[1]:
+                                app_w += 1
+                        app_r += 1
+                        npages += 1
+                        pages[pg] = True
+                    mru_dirty = True
+                if old is not None:
+                    po += 1
+                    old_pid = (
+                        tparts[old] if 0 <= old < dense
+                        else table.part_of(old)
+                    )
+                    if old_pid >= 0:
+                        partitions[old_pid].pointer_overwrites += 1
+                        if old_pid != sp:
+                            # _forget_edge: Partition.forget +
+                            # forget_source, with the same found/absent
+                            # branch placements; the epoch bump is
+                            # unconditional, as there.
+                            epochs[old_pid] += 1
+                            inc = partitions[old_pid].incoming
+                            srcs = inc.get(old)
+                            if srcs is not None:
+                                cnt0 = srcs.get(src)
+                                if cnt0 is not None:
+                                    if cnt0 <= 1:
+                                        del srcs[src]
+                                        if not srcs:
+                                            del inc[old]
+                                    else:
+                                        srcs[src] = cnt0 - 1
+                                    sdict = rem_sources.get(old_pid)
+                                    if sdict is not None:
+                                        c2 = sdict.get(src)
+                                        if c2 is not None:
+                                            if c2 <= 1:
+                                                del sdict[src]
+                                            else:
+                                                sdict[src] = c2 - 1
+                                            rem_edges -= 1
+                                            rem_forg += 1
+                else:
+                    pstores += 1
+                if tgt is not None:
+                    if tgt in unlinked:
+                        unlinked.discard(tgt)
+                        pd = rem_pins.get(tp)
+                        if pd is not None:
+                            pd.discard(tgt)
+                        if tp >= 0:
+                            epochs[tp] += 1
+                    if tp >= 0 and tp != sp:
+                        epochs[tp] += 1
+                        inc2 = partitions[tp].incoming
+                        srcs2 = inc2.get(tgt)
+                        if srcs2 is None:
+                            inc2[tgt] = {src: 1}
+                        else:
+                            srcs2[src] = srcs2.get(src, 0) + 1
+                        pd2 = rem_sources.get(tp)
+                        if pd2 is None:
+                            rem_sources[tp] = {src: 1}
+                        else:
+                            pd2[src] = pd2.get(src, 0) + 1
+                        rem_edges += 1
+                        rem_rem += 1
+                lo = wds[wi]
+                hi = wds[wi + 1]
+                wi += 1
+                fresh = ()
+                if lo != hi:
+                    if logging:
+                        # The deaths this write declares, read before it
+                        # declares them (a repeated oid stays repeated).
+                        fresh = tuple([
+                            d for d in dls[lo:hi]
+                            if (vobj := objects_get(d)) is not None
+                            and not vobj.dead
+                        ])
+                    while lo < hi:
+                        victim = dls[lo]
+                        lo += 1
+                        vobj = objects_get(victim)
+                        if vobj is None or vobj.dead:
+                            continue
+                        vobj.dead = True
+                        vsz = vobj.size
+                        tot_gen += vsz
+                        garb += vsz
+                        vp = (
+                            tparts[victim] if 0 <= victim < dense
+                            else table.part_of(victim)
+                        )
+                        if vp < 0:
+                            raise StoreError(
+                                f"object {victim} has no placement"
+                            )
+                        dead_bytes[vp] = dead_bytes.get(vp, 0) + vsz
+                    gf = garb / dbsz if dbsz else 0.0
+                if logging:
+                    rec_append(rec("begin", auto_txid))
+                    rec_append(
+                        rec("write", auto_txid, src, None, None, (), slot, tgt, fresh)
+                    )
+                    rec_append(rec("commit", auto_txid))
+                    auto_txid -= 1
+                    app_w += wal_write
+
+            elif op == 1 or op == 2:  # ACCESS / UPDATE
+                dirty = op == 2
+                # Placement lookup + page touch.
+                if 0 <= a < dense and (pk := tparts[a]) >= 0:
+                    offk = toffs[a]
+                    szk = tsizes[a]
+                else:
+                    if objects_get(a) is None:
+                        raise StoreError(f"unknown object {a}")
+                    pk, offk, szk = table.locate(a)
+                first = offk // page_size
+                last = (offk + szk - 1) // page_size
+                while first <= last:
+                    if pk == mru_pid and first == mru_page:
+                        first += 1
+                        hits += 1
+                        if dirty and not mru_dirty:
+                            pages[(pk, mru_page)] = True
+                            mru_dirty = True
+                        continue
+                    pg = (pk, first)
+                    mru_pid = pk
+                    mru_page = first
+                    first += 1
+                    wasd = pages_pop(pg, miss)
+                    if wasd is not miss:
+                        hits += 1
+                        mru_dirty = wasd or dirty
+                        pages[pg] = mru_dirty
+                    else:
+                        misses += 1
+                        while npages > bufcap1:
+                            npages -= 1
+                            if pop_lru(False)[1]:
+                                app_w += 1
+                        app_r += 1
+                        npages += 1
+                        pages[pg] = dirty
+                        mru_dirty = dirty
+                if dirty and logging:  # an update logs no operation record
+                    rec_append(rec("begin", auto_txid))
+                    rec_append(rec("commit", auto_txid))
+                    auto_txid -= 1
+                    app_w += wal_write
+
+            elif op == 0:  # CREATE
+                oid = a
+                size = g1[i]
+                if dbsz + size > bound:
+                    stop = _REFUSED
+                    break
+                if oid in objects:
+                    raise StoreError(f"object {oid} already exists")
+                if oid >= next_oid:
+                    next_oid = oid + 1
+                ki = ck[ci]
+                if ki != last_ki:
+                    last_kind = kinds.get(ki)
+                    if last_kind is None:
+                        last_kind = kinds.setdefault(
+                            ki, ObjectKind(strings[ki])
+                        )
+                    last_ki = ki
+                kind = last_kind
+                # StoredObject sans constructor: the dataclass __init__
+                # plus __post_init__ cost ~1µs/object, a quarter of the
+                # whole create kernel. Same validation, same message.
+                if size <= 0:
+                    raise ValueError(
+                        f"object size must be positive, got {size}"
+                    )
+                obj = obj_new(obj_cls)
+                obj.oid = oid
+                obj.size = size
+                obj.kind = kind
+                obj.pointers = {}
+                obj.dead = False
+                # _place inline: open-list first fit + bump, with the
+                # current partition's fill mirrored in cur_fill.
+                alloc_bytes += size
+                pid = -1
+                for pp in open_parts:
+                    if size <= free[pp]:
+                        pid = pp
+                        break
+                if pid < 0:
+                    if cur_pid >= 0:
+                        cur_part.fill = cur_fill
+                    cur_part = store._grow_partition(size)
+                    cur_pid = pid = cur_part.pid
+                    cur_fill = cur_part.fill
+                    cur_res_add = cur_part.residents.add
+                    cur_pins = rem_pins.get(pid)
+                    if cur_pins is not None:
+                        cur_pins_add = cur_pins.add
+                    if phys_mode:
+                        dbsz = store._physical_bytes
+                elif pid != cur_pid:
+                    if cur_pid >= 0:
+                        cur_part.fill = cur_fill
+                    cur_part = partitions[pid]
+                    cur_pid = pid
+                    cur_fill = cur_part.fill
+                    cur_res_add = cur_part.residents.add
+                    cur_pins = rem_pins.get(pid)
+                    if cur_pins is not None:
+                        cur_pins_add = cur_pins.add
+                off = cur_fill
+                cur_fill = off + size
+                cur_res_add(oid)
+                left = free[pid] - size
+                free[pid] = left
+                if left <= 0:
+                    store._open_stale += 1
+                    if store._open_stale >= stale_limit:
+                        store._prune_open_partitions()
+                alloc_clock += size
+                objects[oid] = obj
+                if 0 <= oid < dense:
+                    tparts[oid] = pid
+                    toffs[oid] = off
+                    tsizes[oid] = size
+                    tcount += 1
+                else:
+                    table.put(oid, pid, off, size)
+                unlinked.add(oid)
+                if cur_pins is None:
+                    cur_pins = {oid}
+                    rem_pins[pid] = cur_pins
+                    cur_pins_add = cur_pins.add
+                else:
+                    cur_pins_add(oid)
+                epochs[pid] += 1
+                first = off // page_size
+                last = (off + size - 1) // page_size
+                while first <= last:
+                    if pid == mru_pid and first == mru_page:
+                        first += 1
+                        hits += 1
+                        if not mru_dirty:
+                            pages[(pid, mru_page)] = True
+                            mru_dirty = True
+                        continue
+                    pg = (pid, first)
+                    mru_pid = pid
+                    mru_page = first
+                    first += 1
+                    wasd = pages_pop(pg, miss)
+                    if wasd is not miss:
+                        hits += 1
+                        pages[pg] = True
+                    else:
+                        misses += 1
+                        while npages > bufcap1:
+                            npages -= 1
+                            if pop_lru(False)[1]:
+                                app_w += 1
+                        app_r += 1
+                        npages += 1
+                        pages[pg] = True
+                    mru_dirty = True
+                lo = cps[ci]
+                hi = cps[ci + 1]
+                ci += 1
+                if lo != hi:
+                    optrs = obj.pointers
+                    if hi - lo > 1:
+                        # dict(event.pointers) semantics: dedup by slot,
+                        # first-occurrence order, last value wins. Slot
+                        # strings are interned per trace, so index
+                        # equality is string equality.
+                        dedup = {}
+                        while lo < hi:
+                            dedup[psl[lo]] = ptg[lo]
+                            lo += 1
+                        pairs = dedup.items()
+                    else:
+                        pairs = ((psl[lo], ptg[lo]),)
+                    for sli, traw in pairs:
+                        if traw == none:
+                            optrs[strings[sli]] = None
+                            continue
+                        tgt = traw
+                        if 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
+                            pass
+                        elif objects_get(tgt) is None:
+                            raise StoreError(
+                                f"pointer target {tgt} does not exist"
+                            )
+                        else:
+                            tp = table.part_of(tgt)
+                        optrs[strings[sli]] = tgt
                         if tgt in unlinked:
                             unlinked.discard(tgt)
-                            pd = rem_pins.get(tp)
-                            if pd is not None:
-                                pd.discard(tgt)
+                            pd2 = rem_pins.get(tp)
+                            if pd2 is not None:
+                                pd2.discard(tgt)
                             if tp >= 0:
                                 epochs[tp] += 1
-                        if tp >= 0 and tp != sp:
+                        if tp >= 0 and tp != pid:
                             epochs[tp] += 1
                             inc2 = partitions[tp].incoming
                             srcs2 = inc2.get(tgt)
                             if srcs2 is None:
-                                inc2[tgt] = {src: 1}
+                                inc2[tgt] = {oid: 1}
                             else:
-                                srcs2[src] = srcs2.get(src, 0) + 1
-                            pd2 = rem_sources.get(tp)
-                            if pd2 is None:
-                                rem_sources[tp] = {src: 1}
+                                srcs2[oid] = srcs2.get(oid, 0) + 1
+                            pd3 = rem_sources.get(tp)
+                            if pd3 is None:
+                                rem_sources[tp] = {oid: 1}
                             else:
-                                pd2[src] = pd2.get(src, 0) + 1
+                                pd3[oid] = pd3.get(oid, 0) + 1
                             rem_edges += 1
                             rem_rem += 1
-                    lo = wds[wi]
-                    hi = wds[wi + 1]
-                    wi += 1
-                    if lo != hi:
-                        while lo < hi:
-                            victim = dls[lo]
-                            lo += 1
-                            vobj = objects_get(victim)
-                            if vobj is None or vobj.dead:
-                                continue
-                            vobj.dead = True
-                            vsz = vobj.size
-                            tot_gen += vsz
-                            garb += vsz
-                            vp = (
-                                tparts[victim] if 0 <= victim < dense
-                                else table.part_of(victim)
-                            )
-                            if vp < 0:
-                                raise StoreError(
-                                    f"object {victim} has no placement"
-                                )
-                            dead_bytes[vp] = dead_bytes.get(vp, 0) + vsz
-                        gf = garb / dbsz if dbsz else 0.0
+                if not phys_mode:
+                    dbsz = alloc_bytes
+                gf = garb / dbsz if dbsz else 0.0
+                if logging:
+                    rec_append(rec("begin", auto_txid))
+                    # obj.pointers was filled slot by slot in the order the
+                    # event's pointer dict would list them.
+                    rec_append(
+                        rec("create", auto_txid, oid, size, kind,
+                            tuple(obj.pointers.items()))
+                    )
+                    rec_append(rec("commit", auto_txid))
+                    auto_txid -= 1
+                    app_w += wal_write
 
-                elif op == 1 or op == 2:  # ACCESS / UPDATE
-                    dirty = op == 2
-                    # Placement lookup + page touch.
-                    if 0 <= a < dense and (pk := tparts[a]) >= 0:
-                        offk = toffs[a]
-                        szk = tsizes[a]
-                    else:
-                        if objects_get(a) is None:
-                            raise StoreError(f"unknown object {a}")
-                        pk, offk, szk = table.locate(a)
-                    first = offk // page_size
-                    last = (offk + szk - 1) // page_size
-                    while first <= last:
-                        if pk == mru_pid and first == mru_page:
-                            first += 1
-                            hits += 1
-                            if dirty and not mru_dirty:
-                                pages[(pk, mru_page)] = True
-                                mru_dirty = True
-                            continue
-                        pg = (pk, first)
-                        mru_pid = pk
-                        mru_page = first
-                        first += 1
-                        wasd = pages_pop(pg, miss)
-                        if wasd is not miss:
-                            hits += 1
-                            mru_dirty = wasd or dirty
-                            pages[pg] = mru_dirty
-                        else:
-                            misses += 1
-                            while npages > bufcap1:
-                                npages -= 1
-                                if pop_lru(False)[1]:
-                                    app_w += 1
-                            app_r += 1
-                            npages += 1
-                            pages[pg] = dirty
-                            mru_dirty = dirty
-
-                elif op == 0:  # CREATE
-                    oid = a
-                    if oid in objects:
-                        raise StoreError(f"object {oid} already exists")
-                    size = g1[i]
-                    if oid >= next_oid:
-                        next_oid = oid + 1
-                    ki = ck[ci]
-                    if ki != last_ki:
-                        last_kind = kinds.get(ki)
-                        if last_kind is None:
-                            last_kind = kinds.setdefault(
-                                ki, ObjectKind(strings[ki])
-                            )
-                        last_ki = ki
-                    kind = last_kind
-                    # StoredObject sans constructor: the dataclass __init__
-                    # plus __post_init__ cost ~1µs/object, a quarter of the
-                    # whole create kernel. Same validation, same message.
-                    if size <= 0:
-                        raise ValueError(
-                            f"object size must be positive, got {size}"
-                        )
-                    obj = obj_new(obj_cls)
-                    obj.oid = oid
-                    obj.size = size
-                    obj.kind = kind
-                    obj.pointers = {}
-                    obj.dead = False
-                    # _place inline: open-list first fit + bump, with the
-                    # current partition's fill mirrored in cur_fill.
-                    alloc_bytes += size
-                    pid = -1
-                    for pp in open_parts:
-                        if size <= free[pp]:
-                            pid = pp
-                            break
-                    if pid < 0:
-                        if cur_pid >= 0:
-                            cur_part.fill = cur_fill
-                        cur_part = store._grow_partition(size)
-                        cur_pid = pid = cur_part.pid
-                        cur_fill = cur_part.fill
-                        cur_res_add = cur_part.residents.add
-                        cur_pins = rem_pins.get(pid)
-                        if cur_pins is not None:
-                            cur_pins_add = cur_pins.add
-                        if phys_mode:
-                            dbsz = store._physical_bytes
-                    elif pid != cur_pid:
-                        if cur_pid >= 0:
-                            cur_part.fill = cur_fill
-                        cur_part = partitions[pid]
-                        cur_pid = pid
-                        cur_fill = cur_part.fill
-                        cur_res_add = cur_part.residents.add
-                        cur_pins = rem_pins.get(pid)
-                        if cur_pins is not None:
-                            cur_pins_add = cur_pins.add
-                    off = cur_fill
-                    cur_fill = off + size
-                    cur_res_add(oid)
-                    left = free[pid] - size
-                    free[pid] = left
-                    if left <= 0:
-                        store._open_stale += 1
-                        if store._open_stale >= stale_limit:
-                            store._prune_open_partitions()
-                    alloc_clock += size
-                    objects[oid] = obj
-                    if 0 <= oid < dense:
-                        tparts[oid] = pid
-                        toffs[oid] = off
-                        tsizes[oid] = size
-                        tcount += 1
-                    else:
-                        table.put(oid, pid, off, size)
-                    unlinked.add(oid)
-                    if cur_pins is None:
-                        cur_pins = {oid}
-                        rem_pins[pid] = cur_pins
-                        cur_pins_add = cur_pins.add
-                    else:
-                        cur_pins_add(oid)
-                    epochs[pid] += 1
-                    first = off // page_size
-                    last = (off + size - 1) // page_size
-                    while first <= last:
-                        if pid == mru_pid and first == mru_page:
-                            first += 1
-                            hits += 1
-                            if not mru_dirty:
-                                pages[(pid, mru_page)] = True
-                                mru_dirty = True
-                            continue
-                        pg = (pid, first)
-                        mru_pid = pid
-                        mru_page = first
-                        first += 1
-                        wasd = pages_pop(pg, miss)
-                        if wasd is not miss:
-                            hits += 1
-                            pages[pg] = True
-                        else:
-                            misses += 1
-                            while npages > bufcap1:
-                                npages -= 1
-                                if pop_lru(False)[1]:
-                                    app_w += 1
-                            app_r += 1
-                            npages += 1
-                            pages[pg] = True
-                        mru_dirty = True
-                    lo = cps[ci]
-                    hi = cps[ci + 1]
-                    ci += 1
-                    if lo != hi:
-                        optrs = obj.pointers
-                        if hi - lo > 1:
-                            # dict(event.pointers) semantics: dedup by slot,
-                            # first-occurrence order, last value wins. Slot
-                            # strings are interned per trace, so index
-                            # equality is string equality.
-                            dedup = {}
-                            while lo < hi:
-                                dedup[psl[lo]] = ptg[lo]
-                                lo += 1
-                            pairs = dedup.items()
-                        else:
-                            pairs = ((psl[lo], ptg[lo]),)
-                        for sli, traw in pairs:
-                            if traw == none:
-                                optrs[strings[sli]] = None
-                                continue
-                            tgt = traw
-                            if 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
-                                pass
-                            elif objects_get(tgt) is None:
-                                raise StoreError(
-                                    f"pointer target {tgt} does not exist"
-                                )
-                            else:
-                                tp = table.part_of(tgt)
-                            optrs[strings[sli]] = tgt
-                            if tgt in unlinked:
-                                unlinked.discard(tgt)
-                                pd2 = rem_pins.get(tp)
-                                if pd2 is not None:
-                                    pd2.discard(tgt)
-                                if tp >= 0:
-                                    epochs[tp] += 1
-                            if tp >= 0 and tp != pid:
-                                epochs[tp] += 1
-                                inc2 = partitions[tp].incoming
-                                srcs2 = inc2.get(tgt)
-                                if srcs2 is None:
-                                    inc2[tgt] = {oid: 1}
-                                else:
-                                    srcs2[oid] = srcs2.get(oid, 0) + 1
-                                pd3 = rem_sources.get(tp)
-                                if pd3 is None:
-                                    rem_sources[tp] = {oid: 1}
-                                else:
-                                    pd3[oid] = pd3.get(oid, 0) + 1
-                                rem_edges += 1
-                                rem_rem += 1
-                    if not phys_mode:
-                        dbsz = alloc_bytes
-                    gf = garb / dbsz if dbsz else 0.0
-
-                elif op == 4:  # ROOT
-                    if objects_get(a) is None:
-                        raise StoreError(f"unknown object {a}")
-                    roots.add(a)
-                    rp = tparts[a] if 0 <= a < dense else table.part_of(a)
-                    rr = rem_roots.get(rp)
-                    if rr is None:
-                        rem_roots[rp] = {a}
-                    else:
-                        rr.add(a)
+            elif op == 4:  # ROOT
+                if objects_get(a) is None:
+                    raise StoreError(f"unknown object {a}")
+                if logging:
+                    rec_append(rec("begin", auto_txid))
+                    if a not in roots:
+                        rec_append(rec("root", auto_txid, a))
+                    rec_append(rec("commit", auto_txid))
+                    auto_txid -= 1
+                    app_w += wal_write
+                roots.add(a)
+                rp = tparts[a] if 0 <= a < dense else table.part_of(a)
+                rr = rem_roots.get(rp)
+                if rr is None:
+                    rem_roots[rp] = {a}
+                else:
+                    rr.add(a)
+                if rp >= 0:
+                    epochs[rp] += 1
+                if a in unlinked:
+                    unlinked.discard(a)
+                    pd = rem_pins.get(rp)
+                    if pd is not None:
+                        pd.discard(a)
                     if rp >= 0:
                         epochs[rp] += 1
-                    if a in unlinked:
-                        unlinked.discard(a)
-                        pd = rem_pins.get(rp)
-                        if pd is not None:
-                            pd.discard(a)
-                        if rp >= 0:
-                            epochs[rp] += 1
 
-                elif op == 5:  # PHASE — not sampled, no trigger check
-                    sampler.phase = name = strings[a]
-                    sampler.phase_boundaries[name] = ev_i
-                    i += 1
-                    continue
-
-                elif op == 6:  # IDLE — opportunistic policies run guarded
-                    i += 1
-                    continue
-
-                else:  # BEGIN/COMMIT/ABORT: hand the span to guarded mode
-                    span = True
-                    break
-
-                # ---- shared per-event tail (database events) ---------
+            elif op == 5:  # PHASE — not sampled, no trigger check
+                sampler.phase = name = strings[a]
+                sampler.phase_boundaries[name] = ev_i
                 i += 1
-                # Sampler.on_event, inlined; gf was recomputed exactly when
-                # an operand changed (create/write-dies/reload). The min/max
-                # compares are idempotent, so they only need to run when gf
-                # was rebound since the last sampled event (identity check:
-                # an unchanged gf is the same float object).
-                ev_i += 1
-                ga_count += 1
-                ga_total += gf
-                if sig:
-                    g_count += 1
-                    g_total += gf
-                    if gf is not lgf:
-                        lgf = gf
-                        if gf < ga_min:
-                            ga_min = gf
-                        if gf > ga_max:
-                            ga_max = gf
-                        if gf < g_min:
-                            g_min = gf
-                        if gf > g_max:
-                            g_max = gf
-                elif collections >= preamble:
-                    sig = True
-                    sampler._app_io_at_significant = app_r + app_w
-                    sampler._gc_io_at_significant = gc_total
-                    g_count += 1
-                    g_total += gf
+                continue
+
+            elif op == 6:  # IDLE — opportunistic policies run guarded
+                i += 1
+                continue
+
+            else:  # BEGIN/COMMIT/ABORT: hand the span to guarded mode
+                stop = _SPAN
+                break
+
+            # ---- shared per-event tail (database events) ---------
+            i += 1
+            # Sampler.on_event, inlined; gf was recomputed exactly when
+            # an operand changed (create/write-dies/reload). The min/max
+            # compares are idempotent, so they only need to run when gf
+            # was rebound since the last sampled event (identity check:
+            # an unchanged gf is the same float object).
+            ev_i += 1
+            ga_count += 1
+            ga_total += gf
+            if sig:
+                g_count += 1
+                g_total += gf
+                if gf is not lgf:
                     lgf = gf
                     if gf < ga_min:
                         ga_min = gf
@@ -937,77 +1066,149 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                         g_min = gf
                     if gf > g_max:
                         g_max = gf
-                elif gf is not lgf:
-                    lgf = gf
-                    if gf < ga_min:
-                        ga_min = gf
-                    if gf > ga_max:
-                        ga_max = gf
-                # Trigger check against the mirrored clock.
-                if base_kind == 0:
-                    if po >= due:
-                        fired = True
-                        break
-                elif base_kind == 1:
-                    if alloc_clock >= due:
-                        fired = True
-                        break
-                elif app_r + app_w >= due:
-                    fired = True
+            elif collections >= preamble:
+                sig = True
+                sampler._app_io_at_significant = app_r + app_w
+                sampler._gc_io_at_significant = gc_total
+                g_count += 1
+                g_total += gf
+                lgf = gf
+                if gf < ga_min:
+                    ga_min = gf
+                if gf > ga_max:
+                    ga_max = gf
+                if gf < g_min:
+                    g_min = gf
+                if gf > g_max:
+                    g_max = gf
+            elif gf is not lgf:
+                lgf = gf
+                if gf < ga_min:
+                    ga_min = gf
+                if gf > ga_max:
+                    ga_max = gf
+            # Trigger check against the mirrored clock.
+            if base_kind == 0:
+                if po >= due:
+                    stop = _FIRED
                     break
-                budget -= 1
-                if budget <= 0:
-                    budget = _DEADLINE_STRIDE
-                    if deadline is not None and monotonic() >= deadline:
-                        timed_out = True
-                        break
-            raised = False
-        finally:
-            # ---- flush: write mirrored locals back -------------------
-            # Also on the way out of a raise (event i failed part-way), so
-            # the store stays observationally consistent: guarded
-            # error-state parity.
-            if cur_pid >= 0:
-                cur_part.fill = cur_fill
-            store._next_oid = next_oid
-            store._allocated_bytes = alloc_bytes
-            store.bytes_allocated_total = alloc_clock
-            store.pointer_overwrites = po
-            store.pointer_stores = pstores
-            garbage.total_generated = tot_gen
-            if tcount:
-                table._count += tcount
-            bstats.hits = hits
-            bstats.misses = misses
-            app_led.reads = app_r
-            app_led.writes = app_w
-            rem.edges = rem_edges
-            rem.remembers_total = rem_rem
-            rem.forgets_total = rem_forg
-            sampler.event_index = ev_i
-            sampler._significant_started = sig
-            ga.count = ga_count
-            ga.total = ga_total
-            ga.minimum = ga_min
-            ga.maximum = ga_max
-            g.count = g_count
-            g.total = g_total
-            g.minimum = g_min
-            g.maximum = g_max
-            sim._event_index = i if raised else i - 1
-            sim._event_applied = not raised
+            elif base_kind == 1:
+                if alloc_clock >= due:
+                    stop = _FIRED
+                    break
+            elif app_r + app_w >= due:
+                stop = _FIRED
+                break
+            budget -= 1
+            if budget <= 0:
+                budget = _DEADLINE_STRIDE
+                if deadline is not None and monotonic() >= deadline:
+                    timed_out = True
+                    break
+        raised = False
+    finally:
+        # ---- flush: write mirrored locals back -------------------
+        # Also on the way out of a raise (event i failed part-way), so
+        # the store stays observationally consistent: guarded
+        # error-state parity.
+        if cur_pid >= 0:
+            cur_part.fill = cur_fill
+        store._next_oid = next_oid
+        store._allocated_bytes = alloc_bytes
+        store.bytes_allocated_total = alloc_clock
+        store.pointer_overwrites = po
+        store.pointer_stores = pstores
+        garbage.total_generated = tot_gen
+        if tcount:
+            table._count += tcount
+        bstats.hits = hits
+        bstats.misses = misses
+        app_led.reads = app_r
+        app_led.writes = app_w
+        rem.edges = rem_edges
+        rem.remembers_total = rem_rem
+        rem.forgets_total = rem_forg
+        sampler.event_index = ev_i
+        sampler._significant_started = sig
+        ga.count = ga_count
+        ga.total = ga_total
+        ga.minimum = ga_min
+        ga.maximum = ga_max
+        g.count = g_count
+        g.total = g_total
+        g.minimum = g_min
+        g.maximum = g_max
+        sim._event_index = shift + (i if raised else i - 1)
+        sim._event_applied = not raised
+        if logging:
+            # Event i died inside its singleton: its begin was logged,
+            # nothing else of it was (autocommit logs an operation only
+            # after the store took it).
+            failed = raised and i < n and ops[i] in _SINGLETON_RECORD
+            if failed:
+                rec_append(rec("begin", auto_txid))
+                auto_txid -= 1
+            sim._auto_txid = auto_txid
+            log.appended_total += len(records) - logged
+            _fold_singletons(sim.tx, ops[entry:i], failed)
 
-        if timed_out:
-            raise _timeout()
-        if fired:
-            clock = sim._clock
-            collect = sim._collect
-            while clock() >= sim._due_at:
-                collect()
-            continue
-        if span:
+    if timed_out:
+        raise _timeout()
+    return i, ci, wi, stop
+
+
+def _fold_singletons(tx, served: list, failed: bool) -> None:
+    """Charge the transaction manager and the WAL for the singleton
+    transactions a fused run committed — one per mutating opcode in
+    ``served``, the run's opcode slice — plus the begin of one that
+    ``failed`` in its operation.
+
+    A singleton starts on an empty log tail and is smaller than a log page
+    (:func:`_fast_eligible` checks both), so each one is three appends, one
+    page written and one force whatever came before it, and the WAL's
+    per-record arithmetic folds into sums. ``records_by_type`` is a dict
+    whose key order tests and reports read: new keys go in where the first
+    singleton of the run would have put them — its begin, its operation,
+    its commit, then the other operations by first occurrence.
+    """
+    counts = {op: served.count(op) for op in _SINGLETON_RECORD if op in served}
+    singles = sum(counts.values())
+    tx.committed += singles
+    wal = tx.wal
+    if wal is None or not singles + failed:
+        return
+    stats = wal.stats
+    by_type = stats.records_by_type
+    begin = RECORD_SIZES["begin"]
+    commit = RECORD_SIZES["commit"]
+    by_type["begin"] = by_type.get("begin", 0) + singles + failed
+    logged = (begin + commit) * singles + begin * failed
+    for position, op in enumerate(sorted(counts, key=served.index)):
+        name = _SINGLETON_RECORD[op]
+        by_type[name] = by_type.get(name, 0) + counts[op]
+        logged += RECORD_SIZES[name] * counts[op]
+        if position == 0:
+            by_type["commit"] = by_type.get("commit", 0) + singles
+    stats.records += 3 * singles + failed
+    stats.bytes_logged += logged
+    stats.pages_written += singles
+    stats.forces += singles
+    if failed:
+        wal._tail_bytes = begin  # appended, never forced
+
+
+def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
+    """Plain replay on the fused interpreter: :func:`_run_fused` to each
+    boundary, collections and transaction spans in between, until the
+    trace ends."""
+    while True:
+        i, ci, wi, stop = _run_fused(sim, trace, cache, i, n, ci, wi, deadline)
+        if stop == _FIRED:
+            while sim._clock() >= sim._due_at:
+                sim._collect()
+        elif stop == _SPAN:
             i, ci, wi = _replay_guarded(
                 sim, trace, cache, i, n, ci, wi, deadline, True
             )
-            continue
-        return
+        else:
+            return

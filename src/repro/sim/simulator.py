@@ -71,9 +71,10 @@ class SimulationConfig:
             crash–recover–continue drills possible.
         replay: Which column interpreter of :mod:`repro.sim.batch` drives
             the run. ``"auto"`` (default) takes the fused interpreter
-            whenever the run is eligible for it (no fault injector, redo
-            log, retained series or opportunistic policy) and the guarded
-            one otherwise; ``"scalar"`` never enters the fused interpreter
+            whenever the run is eligible for it (no fault injector,
+            retained series, opportunistic policy or hooked component; a
+            redo log and a WAL are fine) and the guarded one otherwise;
+            ``"scalar"`` never enters the fused interpreter
             — every event goes one at a time through the store's real
             methods. Whatever :meth:`Simulation.run` is handed (events, a
             workload, a compiled trace) is compiled to columns first, so

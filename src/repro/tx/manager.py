@@ -209,6 +209,11 @@ class TransactionManager:
         skipped is the :class:`Transaction` and its undo record, which
         nothing could ever use — a singleton transaction has no way to
         abort between its operation and its commit.
+
+        The fused kernels of :mod:`repro.sim.batch` write this bracket
+        themselves (records, WAL counts, the commit's page write) without
+        calling it; change one and the other must follow — the tests hold
+        the two equal record for record, error paths included.
         """
         if op not in _AUTOCOMMIT_OPS:
             raise ValueError(f"autocommit cannot apply operation {op!r}")

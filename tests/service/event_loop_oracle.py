@@ -64,12 +64,17 @@ class EventLoopService(GcService):
                 if applied:
                     report.events_applied += 1
                     self._events_since_checkpoint += 1
+                quiescent = not tx.in_transaction
+                if quiescent:
+                    while sim._clock() >= sim._due_at:
+                        sim._collect()
+                # Occupancy is read behind the collections an event fires:
+                # what the service reports is the heap it carried from one
+                # event to the next.
                 occupancy = store.db_size
                 if occupancy > report.heap_peak_bytes:
                     report.heap_peak_bytes = occupancy
-                if not tx.in_transaction:
-                    while sim._clock() >= sim._due_at:
-                        sim._collect()
+                if quiescent:
                     if self._checkpoint_due():
                         self._checkpoint(report)
                     if self._shutdown_requested:
@@ -133,15 +138,25 @@ class EventLoopService(GcService):
             return False
         # Admission: allocations must fit under the heap bound.
         if cls is CreateEvent:
-            if not admission.admit(self.sim.store, event.size):
+            store = self.sim.store
+            tx = self.sim.tx
+            # Inside a block nothing is collected: an allocation that does
+            # not fit aborts and sheds the block first, and only then are
+            # collections forced — until everything the block had asked
+            # for would fit, so the next one finds room.
+            size = event.size
+            shed_block = tx.in_transaction and not admission.fits(store, size)
+            if shed_block:
+                occupancy = store.db_size
+                txid = tx.current.txid
+                tx.abort(txid)
+                self._shed_txid = txid
+                admission.stats.shed_transactions += 1
+                size += occupancy - store.db_size
+            if not admission.admit(store, size) or shed_block:
                 admission.stats.shed_events += 1
                 admission.stats.shed_objects += 1
                 shed.add(event.oid)
-                if self.sim.tx.in_transaction:
-                    txid = self.sim.tx.current.txid
-                    self.sim.tx.abort(txid)
-                    self._shed_txid = txid
-                    admission.stats.shed_transactions += 1
                 if self.obs is not None:
                     self.obs.metrics.counter("service.backpressure.sheds").inc()
                 return False

@@ -9,7 +9,7 @@ from repro.service.config import ServiceConfig
 from repro.service.server import GcService
 from repro.service.stream import grammar_stream
 from repro.sim.spec import PolicySpec, build_policy
-from repro.storage.heap import ObjectStore, StoreConfig, StoreError
+from repro.storage.heap import ObjectStore, StoreConfig
 from repro.workload.tenants import make_profile
 
 POLICY = PolicySpec("fixed", {"overwrites_per_collection": 200.0})
@@ -144,14 +144,12 @@ def test_shed_cascade_keeps_stream_coherent():
     assert len(service._shed_oids) < 5_000
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=StoreError,
-    reason="admission forces collections inside an open transaction, which "
-    "reclaims objects the block itself declared dead; its abort then cannot "
-    "resurrect them (ROADMAP item 4)",
-)
 def test_forced_collection_inside_a_transaction_leaves_its_deaths_undoable():
+    """Forced collections obey the rule triggered ones obey: never inside
+    an open transaction. A collection there could reclaim objects the block
+    itself declared dead, and a later abort — the trace's or the shed
+    path's — could not resurrect them (``StoreError: unknown object``, as
+    this run raised until admission aborted the block first)."""
     from repro.service.stream import finite_stream
     from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
@@ -169,3 +167,6 @@ def test_forced_collection_inside_a_transaction_leaves_its_deaths_undoable():
     )
     report = service.run()
     assert report.heap_peak_bytes <= 14_000
+    stats = report.backpressure
+    assert stats.shed_transactions > 0, "no block hit the bound after it began"
+    assert stats.forced_collections > 0

@@ -129,6 +129,63 @@ def test_graceful_shutdown_drains_and_resumes():
     assert state_digest(second.sim.store) == ref_report.final_digest
 
 
+@pytest.mark.parametrize("hook", ["selection", "checkpoint"])
+def test_shutdown_on_the_fused_route_stops_at_the_next_boundary(hook):
+    """On the fused route the flag is read where the run is handed back —
+    a collection, a checkpoint, the end of a chunk — so a request raised
+    from one of those stops the service right there, quiescent; raised
+    anywhere else it waits at most ``CHUNK_EVENTS`` events. The final
+    checkpoint covers everything and a successor resumes exactly."""
+    from repro.service.stream import CHUNK_EVENTS
+    from repro.tx.recovery import recover_with_info
+
+    events = _events()
+    first = _service(finite_stream(events), max_events=None)
+    raised_at = []
+
+    def signal(service):
+        if service.sim._event_index >= 3111 and not raised_at:
+            raised_at.append(service.sim._event_index)
+            service.request_shutdown()
+
+    if hook == "selection":
+        # Not a component the kernels inline: the collector asks it.
+        select = first.sim.selection.select
+
+        def select_then_signal(store):
+            signal(first)
+            return select(store)
+
+        first.sim.selection.select = select_then_signal
+    else:
+        checkpoint = first._checkpoint
+
+        def checkpoint_then_signal(report):
+            checkpoint(report)
+            signal(first)
+
+        first._checkpoint = checkpoint_then_signal
+    report = first.run()
+    assert report.stopped == "shutdown"
+    assert report.events_fused >= 0.95 * report.events_seen, "not the fused route"
+    assert raised_at[0] < report.events_seen <= raised_at[0] + 1 + CHUNK_EVENTS
+    assert report.events_seen < len(events)
+    assert not first.sim.tx.in_transaction
+    assert report.log_suffix_length == 0  # final checkpoint covered it all
+
+    recovered, info = recover_with_info(first.sim.redo_log)
+    assert info.from_checkpoint and info.records_replayed == 0
+    second = GcService(
+        policy=build_policy(POLICY, 7),
+        stream=finite_stream(events, label="rest"),
+        service=ServiceConfig(max_events=None),
+        store=recovered,
+        redo_log=first.sim.redo_log,
+    )
+    second.run(start_index=report.next_index)
+    assert state_digest(second.sim.store) == _service(finite_stream(events)).run().final_digest
+
+
 def test_checkpoint_telemetry_round_trips_through_repro_metrics(tmp_path):
     """Each checkpoint event carries its stall and the snapshot's object
     count; ``repro metrics`` prints count and p50/max stall from the file."""
@@ -154,6 +211,9 @@ def test_checkpoint_telemetry_round_trips_through_repro_metrics(tmp_path):
     stalls = digest.checkpoint_stalls_ms
     assert stalls == [e["stall_ms"] for e in checkpoints]
     text = format_file_digest(digest)
+    assert report.events_fused == report.events_seen == 8000
+    assert digest.metrics["gauges"]["service.events_fused"] == 8000
+    assert "service: 8,000 events, 8,000 (100.0%) served by the fused kernels" in text
     assert f"checkpoints: {report.checkpoints}, stall p50 " in text
     assert f"max {max(stalls):.3f} ms" in text
     assert "gc pauses: p50 " in text

@@ -26,6 +26,7 @@ from repro.core.estimators import OracleEstimator
 from repro.core.extensions import OpportunisticPolicy
 from repro.core.fixed import FixedRatePolicy
 from repro.events import (
+    AbortTransactionEvent,
     AccessEvent,
     BeginTransactionEvent,
     CommitTransactionEvent,
@@ -53,6 +54,7 @@ from repro.sim.spec import (
     build_workload,
 )
 from repro.storage.heap import StoreConfig, StoreError
+from repro.tx.manager import TransactionError
 from repro.tx.recovery import RedoLog, recover
 from repro.workload.compiled import compile_trace
 from repro.workload.tenants import make_profile, tenant_mix
@@ -199,34 +201,239 @@ def _guarded_case(case):
     return spec, build_workload(spec.workload, 0), None
 
 
+def _log_state(sim):
+    """Everything the auto-commit bracket writes outside the store."""
+    wal = sim.tx.wal
+    return (
+        list(sim.redo_log.records),
+        sim.redo_log.appended_total,
+        wal.stats,
+        list(wal.stats.records_by_type.items()),  # dict == ignores key order
+        wal.pending_bytes,
+        (sim.tx.committed, sim.tx.aborted, sim._auto_txid),
+    )
+
+
 @pytest.mark.parametrize("case", ["redo-log+wal", "opportunistic", "retained-series"])
 def test_guarded_features_match_the_oracle(case):
-    """Everything that keeps a run off the fused interpreter — a redo log
-    (every bare mutation auto-commits), idle ticks under an opportunistic
-    policy, a retained event series — through the guarded loop, against
-    the oracle: same summary, state, log records and series."""
+    """Idle ticks under an opportunistic policy and a retained event series
+    keep a run off the fused interpreter: the guarded loop against the
+    oracle, same summary, state and series. A redo log with a WAL no longer
+    does, so that case is three-way — the event oracle, ``replay="scalar"``
+    (every bare mutation one ``autocommit`` call) and ``auto`` (the kernels
+    write the bracket themselves), same log and WAL as well."""
     spec, events, make_policy = _guarded_case(case)
     events = list(events)
+    trace = compile_trace(events)
     sim_o = _sim(spec, make_policy=make_policy)
-    sim_g = _sim(spec, make_policy=make_policy)
-    assert not batch._fast_eligible(sim_g)
     res_o = replay_events(sim_o, events)
-    res_g = sim_g.run(compile_trace(events))
-    assert pickle.dumps(res_g.summary) == pickle.dumps(res_o.summary)
-    assert _state(sim_g) == _state(sim_o)
     assert res_o.summary.collections > 0, "the case must trigger GC"
-    if case == "redo-log+wal":
-        assert sim_g.redo_log.records == sim_o.redo_log.records
-        assert sim_g.tx.wal.stats == sim_o.tx.wal.stats
+    fused = case == "redo-log+wal"
+    for replay in ("scalar", "auto") if fused else ("auto",):
+        sim_c = _sim(spec, replay=replay, make_policy=make_policy)
+        assert batch._fast_eligible(sim_c) == fused
+        res_c = sim_c.run(trace)
+        assert pickle.dumps(res_c.summary) == pickle.dumps(res_o.summary), replay
+        assert _state(sim_c) == _state(sim_o), replay
+        if fused:
+            assert _log_state(sim_c) == _log_state(sim_o), replay
+    if fused:
         assert any(r.txid < 0 for r in sim_o.redo_log.records), "no auto-commit"
         assert any(r.txid > 0 for r in sim_o.redo_log.records), "no explicit tx"
     elif case == "opportunistic":
         # One per long pause: the short ones never reach the threshold.
         assert sim_o.policy.opportunistic_collections == 8
-        assert sim_g.policy.opportunistic_collections == 8
+        assert sim_c.policy.opportunistic_collections == 8
     else:
         assert res_o.event_series
-        assert res_g.event_series == res_o.event_series
+        assert res_c.event_series == res_o.event_series
+
+
+def test_a_span_handed_to_the_guarded_loop_accounts_its_closing_event():
+    """``until_tx_close`` returns behind the event that closes the span —
+    behind its guard points too: ``after`` runs once per event of the span,
+    the closing one included, and its stop request is honoured."""
+    spec, events, _ = _guarded_case("redo-log+wal")
+    events = list(events)
+    trace = compile_trace(events)
+    cache = batch._ensure_cache(trace)
+    begin = next(i for i, e in enumerate(events) if isinstance(e, BeginTransactionEvent))
+    close = next(
+        i for i, e in enumerate(events)
+        if i > begin and isinstance(e, (CommitTransactionEvent, AbortTransactionEvent))
+    )
+    sim = _sim(spec)
+    sim._start(0)
+    ci, wi = 0, 0
+    i, ci, wi = batch._replay_guarded(sim, trace, cache, 0, begin, ci, wi, None, False)
+    calls = []
+
+    def after(applied, quiescent):
+        calls.append((sim._event_index, applied, quiescent))
+        return False
+
+    i, ci, wi = batch._replay_guarded(
+        sim, trace, cache, i, len(events), ci, wi, None, True, None, after
+    )
+    assert i == close + 1
+    assert [index for index, _, _ in calls] == list(range(begin, close + 1))
+    assert [quiescent for _, _, quiescent in calls] == [False] * (close - begin) + [True]
+
+    # A stop request from inside the span wins over the span's end.
+    stop_at = i + 2
+    i, ci, wi = batch._replay_guarded(
+        sim, trace, cache, i, len(events), ci, wi, None, True, None,
+        lambda applied, quiescent: sim._event_index >= stop_at,
+    )
+    assert i >= stop_at
+
+
+# ------------------------------------------------- eligibility
+
+
+def _logging_sim():
+    spec, _, _ = _guarded_case("redo-log+wal")
+    return _sim(spec)
+
+
+def test_a_hook_on_an_instance_keeps_the_run_off_the_fused_kernels(monkeypatch):
+    """The kernels inline ``Sampler.on_event``, the store's operations, the
+    buffer's touch and the log appends. A spy hung on one *instance* would
+    be run past in silence — over an unbounded stream, a test waiting for
+    it never stops — so such a run is not eligible. A wrapper on the
+    *class* (what the benchmark's probes install) measures calls and leaves
+    the run where it was."""
+    assert batch._fast_eligible(_logging_sim())
+    targets = {
+        "sampler.on_event": lambda sim: sim.sampler,
+        "store.create": lambda sim: sim.store,
+        "buffer.touch": lambda sim: sim.store.buffer,
+        "iostats.record_write": lambda sim: sim.store.iostats,
+        "wal.append": lambda sim: sim.tx.wal,
+        "redo_log.append": lambda sim: sim.redo_log,
+        "tx.autocommit": lambda sim: sim.tx,
+    }
+    for name, component in targets.items():
+        sim = _logging_sim()
+        owner = component(sim)
+        method = name.split(".")[1]
+        setattr(owner, method, getattr(owner, method))  # shadow it, unchanged
+        assert not batch._fast_eligible(sim), name
+        # Plain data on the instance is not a hook.
+        sim = _logging_sim()
+        component(sim).note_for_the_test = 1
+        assert batch._fast_eligible(sim), name
+
+    from repro.sim.metrics import Sampler
+
+    on_event = Sampler.on_event
+    monkeypatch.setattr(Sampler, "on_event", lambda *args: on_event(*args))
+    assert batch._fast_eligible(_logging_sim())
+
+
+def test_what_the_wal_must_look_like_for_a_singleton_to_cost_a_constant():
+    """An empty tail and a page larger than any singleton; a WAL without a
+    redo log never acts outside explicit transactions and is no obstacle."""
+    sim = _logging_sim()
+    sim.tx.wal.append("begin")  # a bracket that died in its operation
+    assert not batch._fast_eligible(sim)
+    spec, _, _ = _guarded_case("redo-log+wal")
+    small = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, wal_page_size=80))
+    assert not batch._fast_eligible(_sim(small))
+    roomy = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, wal_page_size=81))
+    assert batch._fast_eligible(_sim(roomy))
+    no_redo = dataclasses.replace(
+        small, sim=dataclasses.replace(small.sim, enable_redo_log=False)
+    )
+    assert batch._fast_eligible(_sim(no_redo))
+
+
+# ------------------------------------------------- error parity under logging
+
+
+@st.composite
+def _program_with_one_bad_event(draw):
+    """A short valid program — creates with initial pointers, overwrites
+    with deaths, updates, roots, reads — cut at any index by one event the
+    store must refuse."""
+    events = [CreateEvent(oid=1, size=64), RootEvent(oid=1)]
+    live = [1]
+    slots = {}
+    next_oid = 2
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        step = draw(st.sampled_from(["create", "link", "cut", "update", "access", "root"]))
+        target = draw(st.sampled_from(live))
+        if step == "create":
+            pointers = draw(
+                st.sampled_from([(), (("a", target),), (("a", None), ("b", target))])
+            )
+            size = draw(st.sampled_from([40, 300, 900]))
+            events.append(CreateEvent(oid=next_oid, size=size, pointers=pointers))
+            live.append(next_oid)
+            next_oid += 1
+        elif step == "link":
+            slot = f"s{draw(st.integers(min_value=0, max_value=3))}"
+            events.append(PointerWriteEvent(src=1, slot=slot, target=target))
+            slots[slot] = target
+        elif step == "cut" and slots:
+            slot = draw(st.sampled_from(sorted(slots)))
+            gone = slots.pop(slot)
+            # Declared deaths: one real, one repeated, one unknown oid.
+            events.append(
+                PointerWriteEvent(src=1, slot=slot, target=None, dies=(gone, gone, 999))
+            )
+        elif step == "update":
+            events.append(UpdateEvent(oid=target))
+        elif step == "root":
+            events.append(RootEvent(oid=target))
+        else:
+            events.append(AccessEvent(oid=target))
+    known = draw(st.sampled_from(live))
+    bad = draw(
+        st.sampled_from(
+            [
+                CreateEvent(oid=known, size=50),
+                CreateEvent(oid=next_oid, size=0),
+                CreateEvent(oid=next_oid, size=-3),
+                CreateEvent(oid=next_oid, size=70, pointers=(("a", known), ("b", 777))),
+                PointerWriteEvent(src=777, slot="x", target=None),
+                PointerWriteEvent(src=known, slot="x", target=777, dies=(known,)),
+                AccessEvent(oid=777),
+                UpdateEvent(oid=777),
+                RootEvent(oid=777),
+            ]
+        )
+    )
+    at = draw(st.integers(min_value=0, max_value=len(events)))
+    return events[:at] + [bad] + events[at:]
+
+
+@given(events=_program_with_one_bad_event())
+@settings(max_examples=150, deadline=None)
+def test_a_refused_event_under_redo_and_wal_fails_alike_on_both_interpreters(events):
+    """With a redo log and a WAL on, the fused kernels and the guarded
+    loop's ``autocommit`` raise the same exception — type and message; an
+    unknown write source is the transaction manager's error, not the
+    store's — and leave the same store, log and WAL behind: the failed
+    singleton's ``begin`` is logged and never forced, its txid is spent."""
+    spec = _spec(rate=6.0, enable_redo_log=True, enable_wal=True)
+    trace = compile_trace(events)
+    outcomes = []
+    for replay in ("auto", "scalar"):
+        sim = _sim(spec, replay=replay)
+        assert batch._fast_eligible(sim)
+        with pytest.raises((StoreError, TransactionError, ValueError)) as caught:
+            sim.run(trace)
+        outcomes.append(
+            (
+                type(caught.value),
+                str(caught.value),
+                _state(sim),
+                _log_state(sim),
+                (sim._event_index, sim._event_applied),
+            )
+        )
+    assert outcomes[0] == outcomes[1]
 
 
 # ------------------------------------------------- start_index / resume

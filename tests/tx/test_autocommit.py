@@ -2,8 +2,9 @@
 
 Same fault sites in the same order, same WAL records and force, same redo
 records, same store — only the ``Transaction`` object and its undo record
-are gone. Replay (the guarded column interpreter, under ``Simulation.run``
-and ``GcService``) reaches the bracket through this call and nowhere else.
+are gone. The guarded column interpreter (under ``Simulation.run`` and
+``GcService``) reaches the bracket through this call and nowhere else; the
+fused kernels write the same records without any call.
 """
 
 import pytest
@@ -203,9 +204,11 @@ def test_a_crash_leaves_the_same_log_either_way(three_calls, one_call, site):
 
 def test_replay_reaches_the_bracket_through_autocommit(monkeypatch):
     """With a redo log and no explicit transactions in the trace, replay
-    never calls ``begin``/``commit``: every mutation is one ``autocommit``
-    call. (The test oracle writes the bracket as three calls on purpose;
-    the tests above hold the two forms equal operation by operation.)"""
+    never calls ``begin``/``commit``: on the guarded loop every mutation is
+    one ``autocommit`` call, and the fused kernels write the bracket
+    themselves — no call at all, the same records. (The test oracle writes
+    the bracket as three calls on purpose; the tests above hold the two
+    forms equal operation by operation.)"""
     events = list(GrammarWorkload(make_profile("oltp-churn", scale=0.3), seed=2).events())
     calls = {"autocommit": 0}
     real = TransactionManager.autocommit
@@ -221,10 +224,22 @@ def test_replay_reaches_the_bracket_through_autocommit(monkeypatch):
     monkeypatch.setattr(TransactionManager, "begin", forbidden)
     monkeypatch.setattr(TransactionManager, "commit", forbidden)
 
-    sim = Simulation(
-        policy=FixedRatePolicy(150),
-        config=SimulationConfig(enable_redo_log=True, enable_wal=True),
-    )
-    sim.run(events)
-    commits = sum(1 for r in sim.redo_log.records if r.kind == "commit")
-    assert calls["autocommit"] == commits == sim.tx.committed > 100
+    def run(replay):
+        sim = Simulation(
+            policy=FixedRatePolicy(150),
+            config=SimulationConfig(
+                enable_redo_log=True, enable_wal=True, replay=replay
+            ),
+        )
+        sim.run(events)
+        return sim
+
+    guarded = run("scalar")
+    commits = sum(1 for r in guarded.redo_log.records if r.kind == "commit")
+    assert calls["autocommit"] == commits == guarded.tx.committed > 100
+
+    fused = run("auto")
+    assert calls["autocommit"] == commits, "the fused kernels called autocommit"
+    assert fused.redo_log.records == guarded.redo_log.records
+    assert fused.tx.wal.stats == guarded.tx.wal.stats
+    assert fused.tx.committed == commits
