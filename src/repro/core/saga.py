@@ -71,8 +71,6 @@ class SagaPolicy(RatePolicy):
         self.dt_max = dt_max
         self.initial_interval = initial_interval
         self._slope = SmoothedSlopeEstimator(weight=weight)
-        #: Diagnostic trail: (overwrite clock, estimated ActGarb, Δt) per collection.
-        self.decisions: list[tuple[int, float, float]] = []
 
     @property
     def weight(self) -> float:
@@ -107,7 +105,6 @@ class SagaPolicy(RatePolicy):
                 db_size=store.db_size,
                 slope=slope,
             )
-        self.decisions.append((store.pointer_overwrites, act_garb, interval))
         return Trigger(TimeBase.OVERWRITES, interval)
 
     def compute_interval(

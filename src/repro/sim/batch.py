@@ -14,9 +14,10 @@ traffic on the store/sampler/buffer objects — used to dominate wall time.
   ledgers, buffer LRU, sampler accumulators, garbage totals, the trigger
   clock) into plain locals, applies events one at a time with inlined
   copies of the store's kernels, and only *flushes* the locals back to the
-  real objects at **run boundaries**: a GC trigger firing, a transaction
-  span, a create the caller's heap bound refuses, a deadline check, or the
-  end of the range it was given. It says why it stopped and its caller
+  real objects at **run boundaries**: a GC trigger firing, an event only
+  guarded mode applies (a transaction marker, a ROOT — one per trace or
+  tenant), a create the caller's heap bound refuses, a deadline check, or
+  the end of the range it was given. It says why it stopped and its caller
   handles the boundary — plain replay collects or hands a span to guarded
   mode; the long-running service (:mod:`repro.service.server`) makes its
   checkpoint, stop and admission rules boundaries of the same loop.
@@ -37,9 +38,10 @@ traffic on the store/sampler/buffer objects — used to dominate wall time.
   event at a time: apply, sample, then check the trigger outside
   transactions. It composes with fault injection, opportunistic policies
   and retained series, and it is the only loop that applies a transaction
-  marker. Fast mode drops into it for the span of each explicit
-  transaction; the service, besides, for every event its admission
-  control has to look at, hanging its rules on the loop's two guard points.
+  marker or registers a root. Fast mode drops into it for the span of each
+  explicit transaction and for each ROOT; the service, besides, for every
+  event its admission control has to look at, hanging its rules on the
+  loop's two guard points.
 
 Both modes are **result-identical to each other and to the test
 oracle** — the slow-and-obvious event-object loop in
@@ -92,8 +94,9 @@ _DEADLINE_STRIDE = 4096
 _END, _FIRED, _SPAN, _REFUSED = range(4)
 
 #: WAL record type of the operation in each opcode's singleton transaction
-#: — the opcodes a redo log auto-commits outside an explicit transaction.
-_SINGLETON_RECORD = {0: "create", 2: "update", 3: "write", 4: "root"}
+#: — the opcodes the kernels auto-commit under a redo log. (ROOT is
+#: auto-committed too, by the guarded step that applies it.)
+_SINGLETON_RECORD = {0: "create", 2: "update", 3: "write"}
 _SINGLETON_MAX_BYTES = (
     RECORD_SIZES["begin"]
     + max(RECORD_SIZES[name] for name in _SINGLETON_RECORD.values())
@@ -417,8 +420,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
 
     Returns the advanced ``(i, ci, wi)`` and why the run stopped:
     :data:`_FIRED` — the event before ``i`` pushed the trigger clock past
-    due, the caller owes the collections; :data:`_SPAN` — event ``i`` is a
-    transaction marker, which only the guarded loop applies;
+    due, the caller owes the collections; :data:`_SPAN` — event ``i`` is one
+    only the guarded loop applies, a transaction marker or a ROOT;
     :data:`_REFUSED` — event ``i`` is a create that would push ``db_size``
     past ``heap_bound``, left untouched for the caller's admission control;
     :data:`_END` — ``i == n``. Where ``n`` lies is the caller's business:
@@ -426,17 +429,25 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     its checkpoint, stop and chunk horizons.
 
     Structure: *reload* every mirrored piece of state into locals; apply
-    events with inlined kernels; *flush* the locals back on the way out —
-    also past a raise or a deadline — so the caller handles the boundary
-    with the real methods (``sim._collect``, :func:`_replay_guarded`). No
-    closures: the hot names must stay plain locals, not cells.
+    events; *flush* the locals back on the way out — also past a raise or a
+    deadline — so the caller handles the boundary with the real methods
+    (``sim._collect``, :func:`_replay_guarded`). An event goes through four
+    steps: **resolve** (its opcode's checks, every one ahead of any
+    mutation as in the store's method, and the bytes it touches — a create
+    is placed here), **touch** (``BufferPool.touch`` over those pages, the
+    one copy), **wire** (the graph and log work of WRITE / CREATE / UPDATE)
+    and **sample** (``Sampler.on_event``, then the trigger clock). Each
+    inlined block names the method it mirrors; DESIGN §3 has the price of
+    calling that method instead, and ``tests/sim/test_kernel_mirrors.py``
+    fails when one of them changes. No closures: the hot names must stay
+    plain locals, not cells.
 
-    With a redo log, each mutating kernel ends by committing its event as
-    the singleton transaction ``TransactionManager.autocommit`` would:
-    the same ``begin`` / operation / ``commit`` records under the next
-    negative txid, and the WAL's page write as one application write ahead
-    of the sample and the trigger check. What the WAL counts is summed up
-    at the flush (:func:`_fold_singletons`).
+    With a redo log, WRITE / CREATE / UPDATE end by committing the event as
+    the singleton transaction ``TransactionManager.autocommit`` would: the
+    same ``begin`` / operation / ``commit`` records under the next negative
+    txid, and the WAL's page write as one application write ahead of the
+    sample and the trigger check. What the WAL counts is summed up at the
+    flush (:func:`_fold_singletons`).
 
     Thread safety under ``collection="parallel"``. Speculative traces read
     the heap while this loop runs, so what they read must never be stale
@@ -452,15 +463,14 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
       once, the plan directly) and whether ``placements.overflow`` is
       empty — all mutated in place here, never mirrored — and it never
       exports a placement column, which ``table.reserve`` must stay free
-      to resize. The mirrored state (``cur_fill``, ``tcount``, the I/O,
-      buffer, garbage and sampler accumulators) is scalar bookkeeping no
-      trace or plan looks at; a plan derives its own fill from survivor
-      sizes.
+      to resize. The mirrored state (``tcount``, the I/O, buffer, garbage
+      and sampler accumulators) is scalar bookkeeping no trace or plan
+      looks at.
     * Validation reads ``store.trace_epochs`` / ``compaction_epoch`` at
       the trigger, again after the flush. The kernels bump ``epochs`` at
-      the sites ``ObjectStore.create / write_pointer / register_root /
-      _unpin / _remember_edge / _forget_edge`` do, in the same event as
-      the mutation, so a worker that raced a mutation (torn read or
+      the sites ``ObjectStore.create / write_pointer / _unpin /
+      _remember_edge / _forget_edge`` do, in the same event as the
+      mutation, so a worker that raced a mutation (torn read or
       ``RuntimeError`` from a resized dict/set) is discarded exactly as
       it is on the guarded route.
     """
@@ -504,10 +514,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     free = store._partition_free          # mutated in place by the store
     open_parts = store._open_partitions   # prune preserves identity
     unlinked = store.unlinked
-    roots = store.roots
     dead_bytes = store.dead_bytes
     epochs = store.trace_epochs           # appended to in place, never rebound
-    rem_roots = rem._roots
     rem_pins = rem._pins
     rem_sources = rem._sources
 
@@ -524,11 +532,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     ga = sampler._garbage_all
     g = sampler._garbage
     stale_limit = _OPEN_LIST_STALE_LIMIT
-    obj_cls = StoredObject
-    obj_new = obj_cls.__new__
     rec = RedoRecord
-    last_ki = -1  # kind-column memo: traces cluster creates by kind
-    last_kind = None
 
     # ---- reload: mirror mutable state into locals ----------------
     next_oid = store._next_oid
@@ -569,7 +573,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     dbsz = store._physical_bytes if phys_mode else alloc_bytes
     garb = tot_gen - tot_coll
     gf = garb / dbsz if dbsz else 0.0
-    lgf = miss  # last gf folded into min/max; miss forces a compare
     npages = len(pages)
     # Most-recently-used page mirror: a touch of the page that is
     # already at the back of the LRU is order-preserving in the guarded
@@ -579,15 +582,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     mru_pid = -1
     mru_page = -1
     mru_dirty = False
-    # Bump-allocation cache: partition.fill is mirrored into cur_fill
-    # for the partition creates are currently landing in, flushed when
-    # the target partition changes and at every run boundary.
-    cur_pid = -1
-    cur_part = None
-    cur_fill = 0
-    cur_res_add = None
-    cur_pins = None
-    cur_pins_add = None
 
     # Redo logging: every mutation outside a transaction is a singleton.
     log = sim.redo_log
@@ -611,66 +605,139 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
         while i < n:
             op = ops[i]
             a = g0[i]
-            if op == 3:  # WRITE
-                src = a
-                # Placed-in-the-dense-table is equivalent to existence:
+            # ---- resolve: checks, and the bytes the event touches ----
+            if 1 <= op <= 3:  # ACCESS / UPDATE / WRITE: an object in place
+                # Placed in the dense table is equivalent to existence:
                 # objects and placements share a keyset until reclaim.
-                try:
-                    obj = objects[src]
-                except KeyError:
-                    # autocommit looks the source up itself, under its own
-                    # exception type, before the store is asked.
-                    unknown = TransactionError if logging else StoreError
-                    raise unknown(f"unknown object {src}") from None
-                if 0 <= src < dense:
-                    sp = tparts[src]
-                    soff = toffs[src]
-                    ssz = tsizes[src]
+                if 0 <= a < dense and (pk := tparts[a]) >= 0:
+                    offk = toffs[a]
+                    szk = tsizes[a]
+                elif objects_get(a) is None:
+                    # autocommit looks a write's source up itself, under
+                    # its own exception type, before the store is asked.
+                    unknown = TransactionError if op == 3 and logging else StoreError
+                    raise unknown(f"unknown object {a}")
                 else:
-                    sp, soff, ssz = table.locate(src)
-                tgt = g1[i]
-                if tgt == none:
-                    tgt = None
-                    tp = -1
-                elif 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
-                    pass
-                elif objects_get(tgt) is None:
-                    raise StoreError(f"pointer target {tgt} does not exist")
+                    pk, offk, szk = table.locate(a)
+                dirty = op != 1
+                if op == 3:  # _validate_target, and the target's partition
+                    tgt = g1[i]
+                    if tgt == none:
+                        tgt = None
+                        tp = -1
+                    elif 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
+                        pass
+                    elif objects_get(tgt) is None:
+                        raise StoreError(f"pointer target {tgt} does not exist")
+                    else:
+                        tp = table.part_of(tgt)
+
+            elif op == 0:  # CREATE: ObjectStore.create up to its page touch
+                szk = g1[i]
+                if dbsz + szk > bound:
+                    stop = _REFUSED
+                    break
+                if a in objects:
+                    raise StoreError(f"object {a} already exists")
+                if a >= next_oid:
+                    next_oid = a + 1
+                ki = ck[ci]
+                kind = kinds.get(ki)
+                if kind is None:
+                    kind = kinds.setdefault(ki, ObjectKind(strings[ki]))
+                obj = StoredObject(a, szk, kind)
+                # ObjectStore._place: open-list first fit, Partition.bump,
+                # the free-byte ledger.
+                alloc_bytes += szk
+                for pk in open_parts:
+                    if szk <= free[pk]:
+                        part = partitions[pk]
+                        break
                 else:
-                    tp = table.part_of(tgt)
-                optrs = obj.pointers
+                    part = store._grow_partition(szk)
+                    pk = part.pid
+                    if phys_mode:
+                        dbsz = store._physical_bytes
+                offk = part.fill
+                part.fill = offk + szk
+                part.residents.add(a)
+                left = free[pk] - szk
+                free[pk] = left
+                if left <= 0:
+                    store._open_stale += 1
+                    if store._open_stale >= stale_limit:
+                        store._prune_open_partitions()
+                alloc_clock += szk
+                objects[a] = obj
+                if 0 <= a < dense:  # PlacementTable.put
+                    tparts[a] = pk
+                    toffs[a] = offk
+                    tsizes[a] = szk
+                    tcount += 1
+                else:
+                    table.put(a, pk, offk, szk)
+                unlinked.add(a)
+                pins = rem_pins.get(pk)  # RememberedSetIndex.pin
+                if pins is None:
+                    rem_pins[pk] = {a}
+                else:
+                    pins.add(a)
+                epochs[pk] += 1
+                dirty = True
+
+            elif op == 5:  # PHASE — not sampled, no trigger check
+                sampler.phase = name = strings[a]
+                sampler.phase_boundaries[name] = ev_i
+                i += 1
+                continue
+
+            elif op == 6:  # IDLE — opportunistic policies run guarded
+                i += 1
+                continue
+
+            else:  # ROOT, BEGIN/COMMIT/ABORT: the guarded loop's events
+                stop = _SPAN
+                break
+
+            # ---- touch: BufferPool.touch over pages [first, last] of
+            # partition pk, evictions and the I/O ledger included ----
+            first = offk // page_size
+            last = (offk + szk - 1) // page_size
+            while first <= last:
+                if pk == mru_pid and first == mru_page:
+                    first += 1
+                    hits += 1
+                    if dirty and not mru_dirty:
+                        pages[(pk, mru_page)] = True
+                        mru_dirty = True
+                    continue
+                pg = (pk, first)
+                mru_pid = pk
+                mru_page = first
+                first += 1
+                wasd = pages_pop(pg, miss)
+                if wasd is not miss:
+                    hits += 1
+                    mru_dirty = wasd or dirty
+                    pages[pg] = mru_dirty
+                else:
+                    misses += 1
+                    while npages > bufcap1:  # BufferPool._evict_to
+                        npages -= 1
+                        if pop_lru(False)[1]:
+                            app_w += 1
+                    app_r += 1
+                    npages += 1
+                    pages[pg] = dirty
+                    mru_dirty = dirty
+
+            # ---- wire: the graph and the log ----
+            if op == 3:  # ObjectStore.write_pointer behind its page touch
+                optrs = objects[a].pointers
                 slot = strings[wsl[wi]]
                 old = optrs.get(slot)
                 optrs[slot] = tgt
-                epochs[sp] += 1
-                first = soff // page_size
-                last = (soff + ssz - 1) // page_size
-                while first <= last:
-                    if sp == mru_pid and first == mru_page:
-                        first += 1
-                        hits += 1
-                        if not mru_dirty:
-                            pages[(sp, mru_page)] = True
-                            mru_dirty = True
-                        continue
-                    pg = (sp, first)
-                    mru_pid = sp
-                    mru_page = first
-                    first += 1
-                    wasd = pages_pop(pg, miss)
-                    if wasd is not miss:
-                        hits += 1
-                        pages[pg] = True
-                    else:
-                        misses += 1
-                        while npages > bufcap1:
-                            npages -= 1
-                            if pop_lru(False)[1]:
-                                app_w += 1
-                        app_r += 1
-                        npages += 1
-                        pages[pg] = True
-                    mru_dirty = True
+                epochs[pk] += 1
                 if old is not None:
                     po += 1
                     old_pid = (
@@ -679,56 +746,58 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                     )
                     if old_pid >= 0:
                         partitions[old_pid].pointer_overwrites += 1
-                        if old_pid != sp:
-                            # _forget_edge: Partition.forget +
-                            # forget_source, with the same found/absent
-                            # branch placements; the epoch bump is
-                            # unconditional, as there.
+                        if old_pid != pk:
+                            # ObjectStore._forget_edge: Partition.forget +
+                            # RememberedSetIndex.forget_source, with the
+                            # same found/absent branch placements; the
+                            # epoch bump is unconditional, as there.
                             epochs[old_pid] += 1
                             inc = partitions[old_pid].incoming
                             srcs = inc.get(old)
                             if srcs is not None:
-                                cnt0 = srcs.get(src)
+                                cnt0 = srcs.get(a)
                                 if cnt0 is not None:
                                     if cnt0 <= 1:
-                                        del srcs[src]
+                                        del srcs[a]
                                         if not srcs:
                                             del inc[old]
                                     else:
-                                        srcs[src] = cnt0 - 1
+                                        srcs[a] = cnt0 - 1
                                     sdict = rem_sources.get(old_pid)
                                     if sdict is not None:
-                                        c2 = sdict.get(src)
+                                        c2 = sdict.get(a)
                                         if c2 is not None:
                                             if c2 <= 1:
-                                                del sdict[src]
+                                                del sdict[a]
                                             else:
-                                                sdict[src] = c2 - 1
+                                                sdict[a] = c2 - 1
                                             rem_edges -= 1
                                             rem_forg += 1
                 else:
                     pstores += 1
                 if tgt is not None:
-                    if tgt in unlinked:
+                    if tgt in unlinked:  # ObjectStore._unpin
                         unlinked.discard(tgt)
                         pd = rem_pins.get(tp)
                         if pd is not None:
                             pd.discard(tgt)
                         if tp >= 0:
                             epochs[tp] += 1
-                    if tp >= 0 and tp != sp:
+                    if tp >= 0 and tp != pk:
+                        # ObjectStore._remember_edge: Partition.remember +
+                        # RememberedSetIndex.remember_source.
                         epochs[tp] += 1
                         inc2 = partitions[tp].incoming
                         srcs2 = inc2.get(tgt)
                         if srcs2 is None:
-                            inc2[tgt] = {src: 1}
+                            inc2[tgt] = {a: 1}
                         else:
-                            srcs2[src] = srcs2.get(src, 0) + 1
+                            srcs2[a] = srcs2.get(a, 0) + 1
                         pd2 = rem_sources.get(tp)
                         if pd2 is None:
-                            rem_sources[tp] = {src: 1}
+                            rem_sources[tp] = {a: 1}
                         else:
-                            pd2[src] = pd2.get(src, 0) + 1
+                            pd2[a] = pd2.get(a, 0) + 1
                         rem_edges += 1
                         rem_rem += 1
                 lo = wds[wi]
@@ -744,7 +813,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                             if (vobj := objects_get(d)) is not None
                             and not vobj.dead
                         ])
-                    while lo < hi:
+                    while lo < hi:  # ObjectStore._declare_dead
                         victim = dls[lo]
                         lo += 1
                         vobj = objects_get(victim)
@@ -767,173 +836,13 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                 if logging:
                     rec_append(rec("begin", auto_txid))
                     rec_append(
-                        rec("write", auto_txid, src, None, None, (), slot, tgt, fresh)
+                        rec("write", auto_txid, a, None, None, (), slot, tgt, fresh)
                     )
                     rec_append(rec("commit", auto_txid))
                     auto_txid -= 1
                     app_w += wal_write
 
-            elif op == 1 or op == 2:  # ACCESS / UPDATE
-                dirty = op == 2
-                # Placement lookup + page touch.
-                if 0 <= a < dense and (pk := tparts[a]) >= 0:
-                    offk = toffs[a]
-                    szk = tsizes[a]
-                else:
-                    if objects_get(a) is None:
-                        raise StoreError(f"unknown object {a}")
-                    pk, offk, szk = table.locate(a)
-                first = offk // page_size
-                last = (offk + szk - 1) // page_size
-                while first <= last:
-                    if pk == mru_pid and first == mru_page:
-                        first += 1
-                        hits += 1
-                        if dirty and not mru_dirty:
-                            pages[(pk, mru_page)] = True
-                            mru_dirty = True
-                        continue
-                    pg = (pk, first)
-                    mru_pid = pk
-                    mru_page = first
-                    first += 1
-                    wasd = pages_pop(pg, miss)
-                    if wasd is not miss:
-                        hits += 1
-                        mru_dirty = wasd or dirty
-                        pages[pg] = mru_dirty
-                    else:
-                        misses += 1
-                        while npages > bufcap1:
-                            npages -= 1
-                            if pop_lru(False)[1]:
-                                app_w += 1
-                        app_r += 1
-                        npages += 1
-                        pages[pg] = dirty
-                        mru_dirty = dirty
-                if dirty and logging:  # an update logs no operation record
-                    rec_append(rec("begin", auto_txid))
-                    rec_append(rec("commit", auto_txid))
-                    auto_txid -= 1
-                    app_w += wal_write
-
-            elif op == 0:  # CREATE
-                oid = a
-                size = g1[i]
-                if dbsz + size > bound:
-                    stop = _REFUSED
-                    break
-                if oid in objects:
-                    raise StoreError(f"object {oid} already exists")
-                if oid >= next_oid:
-                    next_oid = oid + 1
-                ki = ck[ci]
-                if ki != last_ki:
-                    last_kind = kinds.get(ki)
-                    if last_kind is None:
-                        last_kind = kinds.setdefault(
-                            ki, ObjectKind(strings[ki])
-                        )
-                    last_ki = ki
-                kind = last_kind
-                # StoredObject sans constructor: the dataclass __init__
-                # plus __post_init__ cost ~1µs/object, a quarter of the
-                # whole create kernel. Same validation, same message.
-                if size <= 0:
-                    raise ValueError(
-                        f"object size must be positive, got {size}"
-                    )
-                obj = obj_new(obj_cls)
-                obj.oid = oid
-                obj.size = size
-                obj.kind = kind
-                obj.pointers = {}
-                obj.dead = False
-                # _place inline: open-list first fit + bump, with the
-                # current partition's fill mirrored in cur_fill.
-                alloc_bytes += size
-                pid = -1
-                for pp in open_parts:
-                    if size <= free[pp]:
-                        pid = pp
-                        break
-                if pid < 0:
-                    if cur_pid >= 0:
-                        cur_part.fill = cur_fill
-                    cur_part = store._grow_partition(size)
-                    cur_pid = pid = cur_part.pid
-                    cur_fill = cur_part.fill
-                    cur_res_add = cur_part.residents.add
-                    cur_pins = rem_pins.get(pid)
-                    if cur_pins is not None:
-                        cur_pins_add = cur_pins.add
-                    if phys_mode:
-                        dbsz = store._physical_bytes
-                elif pid != cur_pid:
-                    if cur_pid >= 0:
-                        cur_part.fill = cur_fill
-                    cur_part = partitions[pid]
-                    cur_pid = pid
-                    cur_fill = cur_part.fill
-                    cur_res_add = cur_part.residents.add
-                    cur_pins = rem_pins.get(pid)
-                    if cur_pins is not None:
-                        cur_pins_add = cur_pins.add
-                off = cur_fill
-                cur_fill = off + size
-                cur_res_add(oid)
-                left = free[pid] - size
-                free[pid] = left
-                if left <= 0:
-                    store._open_stale += 1
-                    if store._open_stale >= stale_limit:
-                        store._prune_open_partitions()
-                alloc_clock += size
-                objects[oid] = obj
-                if 0 <= oid < dense:
-                    tparts[oid] = pid
-                    toffs[oid] = off
-                    tsizes[oid] = size
-                    tcount += 1
-                else:
-                    table.put(oid, pid, off, size)
-                unlinked.add(oid)
-                if cur_pins is None:
-                    cur_pins = {oid}
-                    rem_pins[pid] = cur_pins
-                    cur_pins_add = cur_pins.add
-                else:
-                    cur_pins_add(oid)
-                epochs[pid] += 1
-                first = off // page_size
-                last = (off + size - 1) // page_size
-                while first <= last:
-                    if pid == mru_pid and first == mru_page:
-                        first += 1
-                        hits += 1
-                        if not mru_dirty:
-                            pages[(pid, mru_page)] = True
-                            mru_dirty = True
-                        continue
-                    pg = (pid, first)
-                    mru_pid = pid
-                    mru_page = first
-                    first += 1
-                    wasd = pages_pop(pg, miss)
-                    if wasd is not miss:
-                        hits += 1
-                        pages[pg] = True
-                    else:
-                        misses += 1
-                        while npages > bufcap1:
-                            npages -= 1
-                            if pop_lru(False)[1]:
-                                app_w += 1
-                        app_r += 1
-                        npages += 1
-                        pages[pg] = True
-                    mru_dirty = True
+            elif op == 0:  # ObjectStore.create behind its page touch
                 lo = cps[ci]
                 hi = cps[ci + 1]
                 ci += 1
@@ -951,11 +860,10 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                         pairs = dedup.items()
                     else:
                         pairs = ((psl[lo], ptg[lo]),)
-                    for sli, traw in pairs:
-                        if traw == none:
+                    for sli, tgt in pairs:
+                        if tgt == none:
                             optrs[strings[sli]] = None
                             continue
-                        tgt = traw
                         if 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
                             pass
                         elif objects_get(tgt) is None:
@@ -965,26 +873,26 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                         else:
                             tp = table.part_of(tgt)
                         optrs[strings[sli]] = tgt
-                        if tgt in unlinked:
+                        if tgt in unlinked:  # ObjectStore._unpin
                             unlinked.discard(tgt)
-                            pd2 = rem_pins.get(tp)
-                            if pd2 is not None:
-                                pd2.discard(tgt)
+                            pd = rem_pins.get(tp)
+                            if pd is not None:
+                                pd.discard(tgt)
                             if tp >= 0:
                                 epochs[tp] += 1
-                        if tp >= 0 and tp != pid:
+                        if tp >= 0 and tp != pk:  # ObjectStore._remember_edge
                             epochs[tp] += 1
                             inc2 = partitions[tp].incoming
                             srcs2 = inc2.get(tgt)
                             if srcs2 is None:
-                                inc2[tgt] = {oid: 1}
+                                inc2[tgt] = {a: 1}
                             else:
-                                srcs2[oid] = srcs2.get(oid, 0) + 1
-                            pd3 = rem_sources.get(tp)
-                            if pd3 is None:
-                                rem_sources[tp] = {oid: 1}
+                                srcs2[a] = srcs2.get(a, 0) + 1
+                            pd2 = rem_sources.get(tp)
+                            if pd2 is None:
+                                rem_sources[tp] = {a: 1}
                             else:
-                                pd3[oid] = pd3.get(oid, 0) + 1
+                                pd2[a] = pd2.get(a, 0) + 1
                             rem_edges += 1
                             rem_rem += 1
                 if not phys_mode:
@@ -995,99 +903,41 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                     # obj.pointers was filled slot by slot in the order the
                     # event's pointer dict would list them.
                     rec_append(
-                        rec("create", auto_txid, oid, size, kind,
+                        rec("create", auto_txid, a, szk, kind,
                             tuple(obj.pointers.items()))
                     )
                     rec_append(rec("commit", auto_txid))
                     auto_txid -= 1
                     app_w += wal_write
 
-            elif op == 4:  # ROOT
-                if objects_get(a) is None:
-                    raise StoreError(f"unknown object {a}")
-                if logging:
-                    rec_append(rec("begin", auto_txid))
-                    if a not in roots:
-                        rec_append(rec("root", auto_txid, a))
-                    rec_append(rec("commit", auto_txid))
-                    auto_txid -= 1
-                    app_w += wal_write
-                roots.add(a)
-                rp = tparts[a] if 0 <= a < dense else table.part_of(a)
-                rr = rem_roots.get(rp)
-                if rr is None:
-                    rem_roots[rp] = {a}
-                else:
-                    rr.add(a)
-                if rp >= 0:
-                    epochs[rp] += 1
-                if a in unlinked:
-                    unlinked.discard(a)
-                    pd = rem_pins.get(rp)
-                    if pd is not None:
-                        pd.discard(a)
-                    if rp >= 0:
-                        epochs[rp] += 1
+            elif op == 2 and logging:  # an update logs no operation record
+                rec_append(rec("begin", auto_txid))
+                rec_append(rec("commit", auto_txid))
+                auto_txid -= 1
+                app_w += wal_write
 
-            elif op == 5:  # PHASE — not sampled, no trigger check
-                sampler.phase = name = strings[a]
-                sampler.phase_boundaries[name] = ev_i
-                i += 1
-                continue
-
-            elif op == 6:  # IDLE — opportunistic policies run guarded
-                i += 1
-                continue
-
-            else:  # BEGIN/COMMIT/ABORT: hand the span to guarded mode
-                stop = _SPAN
-                break
-
-            # ---- shared per-event tail (database events) ---------
+            # ---- sample: Sampler.on_event (two RunningMean.add folds;
+            # gf was recomputed exactly when an operand changed:
+            # create / write-dies / reload), then the trigger clock ----
             i += 1
-            # Sampler.on_event, inlined; gf was recomputed exactly when
-            # an operand changed (create/write-dies/reload). The min/max
-            # compares are idempotent, so they only need to run when gf
-            # was rebound since the last sampled event (identity check:
-            # an unchanged gf is the same float object).
             ev_i += 1
             ga_count += 1
             ga_total += gf
-            if sig:
-                g_count += 1
-                g_total += gf
-                if gf is not lgf:
-                    lgf = gf
-                    if gf < ga_min:
-                        ga_min = gf
-                    if gf > ga_max:
-                        ga_max = gf
-                    if gf < g_min:
-                        g_min = gf
-                    if gf > g_max:
-                        g_max = gf
-            elif collections >= preamble:
+            if gf < ga_min:
+                ga_min = gf
+            if gf > ga_max:
+                ga_max = gf
+            if not sig and collections >= preamble:
                 sig = True
                 sampler._app_io_at_significant = app_r + app_w
                 sampler._gc_io_at_significant = gc_total
+            if sig:
                 g_count += 1
                 g_total += gf
-                lgf = gf
-                if gf < ga_min:
-                    ga_min = gf
-                if gf > ga_max:
-                    ga_max = gf
                 if gf < g_min:
                     g_min = gf
                 if gf > g_max:
                     g_max = gf
-            elif gf is not lgf:
-                lgf = gf
-                if gf < ga_min:
-                    ga_min = gf
-                if gf > ga_max:
-                    ga_max = gf
-            # Trigger check against the mirrored clock.
             if base_kind == 0:
                 if po >= due:
                     stop = _FIRED
@@ -1111,8 +961,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
         # Also on the way out of a raise (event i failed part-way), so
         # the store stays observationally consistent: guarded
         # error-state parity.
-        if cur_pid >= 0:
-            cur_part.fill = cur_fill
         store._next_oid = next_oid
         store._allocated_bytes = alloc_bytes
         store.bytes_allocated_total = alloc_clock
@@ -1199,8 +1047,8 @@ def _fold_singletons(tx, served: list, failed: bool) -> None:
 
 def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
     """Plain replay on the fused interpreter: :func:`_run_fused` to each
-    boundary, collections and transaction spans in between, until the
-    trace ends."""
+    boundary, collections and guarded spans in between, until the trace
+    ends."""
     while True:
         i, ci, wi, stop = _run_fused(sim, trace, cache, i, n, ci, wi, deadline)
         if stop == _FIRED:

@@ -42,6 +42,7 @@ from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import PolicySpec, build_policy
 from repro.storage.heap import StoreConfig
 from repro.tx.recovery import RedoLog, recover
+from repro.workload.compiled import _OP_ROOT
 from repro.workload.tenants import make_profile, tenant_mix
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
@@ -334,6 +335,42 @@ def test_a_checkpoint_that_makes_the_trigger_due_collects_behind_the_next_event(
         isinstance(events[at], PhaseMarkerEvent) for at in positions if at < len(events)
     )
     assert outcome["report"]["collections"] > 50
+
+
+def test_root_events_take_a_guarded_step_wherever_they_fall():
+    """ROOT is the one database event the fused kernels hand back. Scatter
+    roots over an overloaded stream — a fresh object's and the registry's
+    again, back to back: the pair that straddles a chunk boundary ends one
+    fused run at the chunk's end and makes the next serve nothing; under
+    the heap bound many arrive while the shed ledger is non-empty, and
+    some of the fresh objects are shed with their ROOT behind them."""
+    chunk = stream_module.CHUNK_EVENTS
+    events = []
+    fresh = 100_000
+    for event in itertools.islice(_overload_stream().events_from(), 11_000):
+        if len(events) % 500 == 0 and events or len(events) == chunk - 2:
+            events += [CreateEvent(fresh, 48), RootEvent(fresh), RootEvent(1)]
+            fresh += 1
+        events.append(event)
+    assert isinstance(events[chunk - 1], RootEvent) and isinstance(events[chunk], RootEvent)
+    knobs = dict(checkpoint_every_events=4_000, max_heap_bytes=8_000, backpressure="shed")
+    outcome = _all_routes(finite_stream(events), knobs)
+    assert outcome["report"]["backpressure"]["shed_objects"] > 0
+
+    service = _build(GcService, finite_stream(events), knobs)
+    admit = service._admit
+    ledger_at_root = []
+
+    def watching(op, a, i, ci, wi):
+        if op == _OP_ROOT:
+            ledger_at_root.append((bool(service._shed_oids), a in service._shed_oids))
+        return admit(op, a, i, ci, wi)
+
+    service._admit = watching
+    report = service.run()
+    assert len(ledger_at_root) == sum(isinstance(e, RootEvent) for e in events)
+    assert {(False, False), (True, False), (True, True)} <= set(ledger_at_root)
+    assert 0 < report.events_fused < report.events_seen - len(ledger_at_root)
 
 
 def test_parallel_collection_service_run():

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from repro.events import RootEvent
 from repro.faults.drill import state_digest
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
@@ -193,9 +194,12 @@ def test_checkpoint_telemetry_round_trips_through_repro_metrics(tmp_path):
     from repro.obs.telemetry import RunTelemetry
 
     obs = RunTelemetry(tmp_path / "serve.jsonl", kind="service", label="ckpt")
+    events = _events()
+    # The kernels serve everything but ROOT, which takes a guarded step.
+    fused = len(events) - sum(isinstance(e, RootEvent) for e in events)
     service = GcService(
         policy=build_policy(POLICY, 7),
-        stream=finite_stream(_events()),
+        stream=finite_stream(events),
         service=ServiceConfig(max_events=8000, checkpoint_every_events=2000),
         obs=obs,
     )
@@ -211,9 +215,13 @@ def test_checkpoint_telemetry_round_trips_through_repro_metrics(tmp_path):
     stalls = digest.checkpoint_stalls_ms
     assert stalls == [e["stall_ms"] for e in checkpoints]
     text = format_file_digest(digest)
-    assert report.events_fused == report.events_seen == 8000
-    assert digest.metrics["gauges"]["service.events_fused"] == 8000
-    assert "service: 8,000 events, 8,000 (100.0%) served by the fused kernels" in text
+    assert report.events_seen == 8000 > fused > 7900
+    assert report.events_fused == fused
+    assert digest.metrics["gauges"]["service.events_fused"] == fused
+    assert (
+        f"service: 8,000 events, {fused:,} ({fused / 8000:.1%}) served by the fused kernels"
+        in text
+    )
     assert f"checkpoints: {report.checkpoints}, stall p50 " in text
     assert f"max {max(stalls):.3f} ms" in text
     assert "gc pauses: p50 " in text

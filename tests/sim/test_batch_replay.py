@@ -614,6 +614,77 @@ def test_long_read_run_under_saga_matches_scalar():
     assert result.summary.collections > 2, "the run must pass its preamble"
 
 
+# ------------------------------------------------- ROOT takes a guarded step
+
+
+def _root_cases():
+    """Where the handoff of a ROOT can land: first event of a fused range
+    (the overwrite before it fired a collection at rate 2), last event of
+    the trace, several back to back, and an oid the store refuses."""
+    head = [
+        CreateEvent(oid=1, size=64),
+        RootEvent(oid=1),
+        CreateEvent(oid=2, size=600),
+        CreateEvent(oid=3, size=600, pointers=(("a", 2),)),
+        PointerWriteEvent(src=1, slot="z", target=3),
+    ]
+    fire = [PointerWriteEvent(src=1, slot="x", target=2)] * 3
+    tail = [AccessEvent(oid=2), UpdateEvent(oid=3), PointerWriteEvent(src=1, slot="y", target=3)]
+    again = [RootEvent(oid=3), RootEvent(oid=3), RootEvent(oid=1)]
+    return {
+        "first-of-range": head + fire + [RootEvent(oid=3)] + tail,
+        "last": head + fire + tail + [RootEvent(oid=2)],
+        "back-to-back": head + again + fire + tail,
+        "unknown-oid": head + fire + [RootEvent(oid=777)] + tail,
+        "unknown-oid-first": [RootEvent(oid=777)] + head,
+    }
+
+
+@pytest.mark.parametrize("logged", [False, True], ids=["plain", "redo-log+wal"])
+@pytest.mark.parametrize("case", sorted(_root_cases()))
+def test_root_is_handed_to_the_guarded_step(monkeypatch, case, logged):
+    """The fused interpreter stops in front of every ROOT (``_SPAN``) and
+    the guarded loop registers it — through ``autocommit`` under a redo
+    log. The run equals ``replay="scalar"`` in summary or exception (type
+    and message), store, log, WAL tail and position, and the oracle in
+    summary and state where the trace is valid."""
+    events = _root_cases()[case]
+    spec = _spec(rate=2.0, enable_redo_log=logged, enable_wal=logged)
+    trace = compile_trace(events)
+    stops = []
+    run_fused = batch._run_fused
+
+    def spy(*args):
+        out = run_fused(*args)
+        stops.append((out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(batch, "_run_fused", spy)
+
+    def outcome(replay):
+        sim = _sim(spec, replay=replay)
+        try:
+            result = pickle.dumps(sim.run(trace).summary)
+        except StoreError as err:
+            result = (type(err), str(err))
+        log = _log_state(sim) if logged else None
+        return result, _state(sim), log, (sim._event_index, sim._event_applied)
+
+    fused = outcome("auto")
+    handed = [i for i, stop in stops if stop == batch._SPAN]
+    assert fused == outcome("scalar")
+    roots = [i for i, e in enumerate(events) if isinstance(e, RootEvent)]
+    if RootEvent(oid=777) in events:
+        assert fused[0] == (StoreError, "unknown object 777")
+        assert handed == [i for i in roots if i <= events.index(RootEvent(oid=777))]
+    else:
+        assert handed == roots
+        sim_o, res_o = _oracle(spec, events)
+        assert res_o.summary.collections > 0
+        assert (pickle.dumps(res_o.summary), _state(sim_o)) == fused[:2]
+        assert not logged or _log_state(sim_o) == fused[2]
+
+
 # ------------------------------------------------- what "scalar" means
 
 
