@@ -196,7 +196,7 @@ class RunTelemetry:
             metrics.set_many(wal.stats.as_metrics(), prefix="wal.")
         redo_log = getattr(sim, "redo_log", None)
         if redo_log is not None:
-            metrics.gauge("redo.records").set(len(redo_log.records))
+            metrics.gauge("redo.records").set(redo_log.length)
         sampler = getattr(sim, "sampler", None)
         if sampler is not None:
             metrics.gauge("sim.events").set(sampler.event_index)

@@ -75,7 +75,7 @@ from repro.storage.object_model import ObjectKind, StoredObject
 from repro.storage.objtable import PlacementTable
 from repro.storage.partition import Partition
 from repro.tx.manager import TransactionError, TransactionManager
-from repro.tx.recovery import RedoLog, RedoRecord
+from repro.tx.recovery import RedoLog
 from repro.tx.wal import RECORD_SIZES, WriteAheadLog
 from repro.workload.compiled import _NONE, CompiledTrace, CompiledTraceError
 
@@ -443,11 +443,11 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     plain locals, not cells.
 
     With a redo log, WRITE / CREATE / UPDATE end by committing the event as
-    the singleton transaction ``TransactionManager.autocommit`` would: the
-    same ``begin`` / operation / ``commit`` records under the next negative
-    txid, and the WAL's page write as one application write ahead of the
-    sample and the trigger check. What the WAL counts is summed up at the
-    flush (:func:`_fold_singletons`).
+    the singleton transaction ``TransactionManager.autocommit`` would: one
+    log row that reads back as the same ``begin`` / operation / ``commit``
+    records under the next negative txid, and the WAL's page write as one
+    application write ahead of the sample and the trigger check. What the
+    WAL counts is summed up at the flush (:func:`_fold_singletons`).
 
     Thread safety under ``collection="parallel"``. Speculative traces read
     the heap while this loop runs, so what they read must never be stale
@@ -532,7 +532,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     ga = sampler._garbage_all
     g = sampler._garbage
     stale_limit = _OPEN_LIST_STALE_LIMIT
-    rec = RedoRecord
 
     # ---- reload: mirror mutable state into locals ----------------
     next_oid = store._next_oid
@@ -587,9 +586,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     log = sim.redo_log
     logging = log is not None
     if logging:
-        records = log.records  # rebound only by a checkpoint, at a boundary
-        rec_append = records.append
-        logged = len(records)
+        singleton = log.append  # one row for the whole bracket
         auto_txid = sim._auto_txid
         wal_write = 0 if sim.tx.wal is None else 1  # the commit's forced page
     bound = sys.maxsize if heap_bound is None else heap_bound
@@ -834,11 +831,9 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                         dead_bytes[vp] = dead_bytes.get(vp, 0) + vsz
                     gf = garb / dbsz if dbsz else 0.0
                 if logging:
-                    rec_append(rec("begin", auto_txid))
-                    rec_append(
-                        rec("write", auto_txid, a, None, None, (), slot, tgt, fresh)
+                    singleton(
+                        ("write", auto_txid, a, None, None, (), slot, tgt, fresh)
                     )
-                    rec_append(rec("commit", auto_txid))
                     auto_txid -= 1
                     app_w += wal_write
 
@@ -899,20 +894,17 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                     dbsz = alloc_bytes
                 gf = garb / dbsz if dbsz else 0.0
                 if logging:
-                    rec_append(rec("begin", auto_txid))
                     # obj.pointers was filled slot by slot in the order the
                     # event's pointer dict would list them.
-                    rec_append(
-                        rec("create", auto_txid, a, szk, kind,
-                            tuple(obj.pointers.items()))
+                    singleton(
+                        ("create", auto_txid, a, szk, kind,
+                         tuple(obj.pointers.items()))
                     )
-                    rec_append(rec("commit", auto_txid))
                     auto_txid -= 1
                     app_w += wal_write
 
-            elif op == 2 and logging:  # an update logs no operation record
-                rec_append(rec("begin", auto_txid))
-                rec_append(rec("commit", auto_txid))
+            elif op == 2 and logging:
+                singleton(("update", auto_txid))
                 auto_txid -= 1
                 app_w += wal_write
 
@@ -994,10 +986,9 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
             # after the store took it).
             failed = raised and i < n and ops[i] in _SINGLETON_RECORD
             if failed:
-                rec_append(rec("begin", auto_txid))
+                log.begin(auto_txid)
                 auto_txid -= 1
             sim._auto_txid = auto_txid
-            log.appended_total += len(records) - logged
             _fold_singletons(sim.tx, ops[entry:i], failed)
 
     if timed_out:

@@ -215,9 +215,8 @@ class Simulation:
         # collide with trace txids; when resuming onto an existing log the
         # counter continues below the log's most negative id.
         self._auto_txid = -1
-        if self.redo_log is not None and self.redo_log.records:
-            floor = min((r.txid for r in self.redo_log.records), default=0)
-            self._auto_txid = min(self._auto_txid, floor - 1)
+        if self.redo_log is not None:
+            self._auto_txid = min(self._auto_txid, self.redo_log.min_txid - 1)
         self._trigger: Optional[Trigger] = None
         self._clock_read = self._clock_app_io
         self._due_at: float = float("inf")

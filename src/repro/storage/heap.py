@@ -669,16 +669,28 @@ class ObjectStore:
         """
         pages: set[PageId] = set()
         page_size = self.config.page_size
-        locate = self.placements.locate
+        # PlacementTable.locate, column by column: one lookup per source.
+        table = self.placements
+        parts, offs, sizes = table.parts, table.offs, table.sizes
+        dense = len(parts)
         for src in self.remembered.sources_in(pid):
-            loc = locate(src)
-            if loc is None:
-                continue
-            src_pid, offset, size = loc
+            if 0 <= src < dense:
+                src_pid = parts[src]
+                if src_pid < 0:
+                    continue
+                offset = offs[src]
+                size = sizes[src]
+            else:
+                loc = table.overflow.get(src)
+                if loc is None:
+                    continue
+                src_pid, offset, size = loc
             first = offset // page_size
             last = (offset + size - 1) // page_size
-            for index in range(first, last + 1):
-                pages.add((src_pid, index))
+            if first == last:  # most objects sit inside one page
+                pages.add((src_pid, first))
+            else:
+                pages.update((src_pid, index) for index in range(first, last + 1))
         return pages
 
     # ------------------------------------------------------------------
@@ -864,11 +876,14 @@ class ObjectStore:
         dense = len(parts)
         overflow = placements.overflow
         partitions = self.partitions
-        drop_incoming = partitions[pid].drop_incoming
+        # The partition is fixed, so Partition.drop_incoming and
+        # RememberedSetIndex.drop_object resolve to one dict and two sets.
+        drop_incoming = partitions[pid].incoming.pop
         remembered = self.remembered
         forget_source = remembered.forget_source
         forget_sources = remembered.forget_sources
-        drop_object = remembered.drop_object
+        drop_root = remembered._roots.get(pid, set()).discard
+        drop_pin = remembered._pins.get(pid, set()).discard
         roots_discard = self.roots.discard
         unlinked_discard = self.unlinked.discard
         count = dead = undeclared = 0
@@ -906,12 +921,13 @@ class ObjectStore:
                         continue
                     if partitions[tgt_pid].forget(oid, target):
                         forget_source(tgt_pid, oid)
-                dropped = drop_incoming(oid)
+                dropped = drop_incoming(oid, None)
                 if dropped:
                     forget_sources(pid, dropped)
                 roots_discard(oid)
                 unlinked_discard(oid)
-                drop_object(pid, oid)
+                drop_root(oid)
+                drop_pin(oid)
         finally:
             placements._count -= count
             garbage = self.garbage

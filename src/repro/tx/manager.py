@@ -211,12 +211,12 @@ class TransactionManager:
         abort between its operation and its commit.
 
         The fused kernels of :mod:`repro.sim.batch` write this bracket
-        themselves for ``create`` / ``write`` / ``update`` (records, WAL
-        counts, the commit's page write) without calling it — a ROOT they
-        hand to the guarded loop, which does; change one and the other must
-        follow: ``tests/sim/test_kernel_mirrors.py`` pins this method's
-        body, and the tests hold the two equal record for record, error
-        paths included.
+        themselves for ``create`` / ``write`` / ``update`` (one redo row
+        that reads back as these records, WAL counts, the commit's page
+        write) without calling it — a ROOT they hand to the guarded loop,
+        which does; change one and the other must follow:
+        ``tests/sim/test_kernel_mirrors.py`` pins this method's body, and the
+        tests hold the two equal record for record, error paths included.
         """
         if op not in _AUTOCOMMIT_OPS:
             raise ValueError(f"autocommit cannot apply operation {op!r}")

@@ -34,7 +34,7 @@ pre-crash process had.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from repro.storage.heap import ObjectStore, StoreConfig
@@ -172,9 +172,16 @@ class RedoRecord(NamedTuple):
     checkpoint: Optional[CheckpointSnapshot] = None
 
 
-@dataclass
 class RedoLog:
     """An append-only logical log of transactional operations.
+
+    The log's *logical* unit is the :class:`RedoRecord`, its *physical* unit
+    a row: one record, or — for an auto-committed singleton transaction,
+    most of what a service logs — a **singleton row**, the operation's
+    record as a plain tuple standing for its whole ``begin`` / operation /
+    ``commit`` bracket (:meth:`append`). Every count the log reports is in
+    records and :attr:`records` expands the rows, so a log reads the same
+    whichever way its singletons were appended.
 
     ``appended_total`` / ``truncated_total`` count records over the log's
     whole lifetime (they survive checkpoint truncation), so tests and soak
@@ -182,34 +189,68 @@ class RedoLog:
     suffix logged since the last checkpoint.
     """
 
-    records: list[RedoRecord] = field(default_factory=list)
-    #: Lifetime records appended (monotone; unaffected by truncation).
-    appended_total: int = 0
-    #: Lifetime records dropped by truncation (checkpoints + uncommitted).
-    truncated_total: int = 0
-    #: Lifetime checkpoints installed (survives crash/recover cycles that
-    #: share one log, so soak drills can count checkpoints drill-wide).
-    checkpoints_installed: int = 0
-    #: Index in ``records`` of the last checkpoint record, -1 without one.
-    #: The service asks for the suffix length after every quiescent event,
-    #: so the answer must not cost a scan of the log.
-    _checkpoint_at: int = field(default=-1, init=False, repr=False, compare=False)
+    def __init__(self, records: Iterable[RedoRecord] = ()) -> None:
+        #: Lifetime records appended (monotone; unaffected by truncation).
+        self.appended_total = 0
+        #: Lifetime records dropped by truncation (checkpoints + uncommitted).
+        self.truncated_total = 0
+        #: Lifetime checkpoints installed (survives crash/recover cycles that
+        #: share one log, so soak drills can count checkpoints drill-wide).
+        self.checkpoints_installed = 0
+        self._rebuild(records)
 
-    def __post_init__(self) -> None:
-        self._checkpoint_at = self._find_checkpoint()
+    def _rebuild(self, rows: Iterable[tuple]) -> None:
+        """Start over from ``rows``, recounting what :meth:`append` maintains."""
+        self._rows: list[tuple] = []
+        appended = self.appended_total
+        #: Records in the log (a singleton row is its whole bracket).
+        self.length = 0
+        #: Lowest txid in the log, 0 if none is negative — a resumed run's
+        #: auto-commit txids continue below it.
+        self.min_txid = 0
+        # The last checkpoint's position as a row and as a record (-1: none).
+        # The service asks for the suffix length after every quiescent
+        # event, so the answer must not cost a scan of the log.
+        self._checkpoint_row = self._checkpoint_at = -1
+        for row in rows:
+            self.append(row)
+        self.appended_total = appended
 
-    def _find_checkpoint(self) -> int:
-        records = self.records
-        for index in range(len(records) - 1, -1, -1):
-            if records[index].kind == "checkpoint":
-                return index
-        return -1
+    @property
+    def records(self) -> tuple[RedoRecord, ...]:
+        """The log record by record, singleton rows expanded. Built per
+        read and immutable: the log only changes through its methods."""
+        out: list[RedoRecord] = []
+        for row in self._rows:
+            if type(row) is tuple:
+                out.append(RedoRecord("begin", row[1]))
+                if row[0] != "update":
+                    out.append(RedoRecord(*row))
+                out.append(RedoRecord("commit", row[1]))
+            else:
+                out.append(row)
+        return tuple(out)
 
-    def append(self, record: RedoRecord) -> None:
-        if record.kind == "checkpoint":
-            self._checkpoint_at = len(self.records)
-        self.records.append(record)
-        self.appended_total += 1
+    def append(self, row: tuple) -> None:
+        """Append one row: a :class:`RedoRecord`, or a committed singleton
+        transaction as its operation's record in a plain tuple —
+        ``("create", txid, oid, size, kind, pointers)``,
+        ``("write", txid, src, None, None, (), slot, target, dies)``, or
+        ``("update", txid)`` for the bracket without an operation record."""
+        if type(row) is tuple:
+            logged = 2 if row[0] == "update" else 3
+            txid = row[1]
+        else:
+            logged = 1
+            txid = row.txid
+            if row.kind == "checkpoint":
+                self._checkpoint_row = len(self._rows)
+                self._checkpoint_at = self.length
+        if txid < self.min_txid:
+            self.min_txid = txid
+        self._rows.append(row)
+        self.length += logged
+        self.appended_total += logged
 
     def install_checkpoint(self, snapshot: CheckpointSnapshot) -> int:
         """Truncate the log down to one checkpoint record.
@@ -218,23 +259,23 @@ class RedoLog:
         checkpoints only at quiescent points, so there are no in-flight
         records to preserve). Returns the number of records dropped.
         """
-        dropped = len(self.records)
+        dropped = self.length
         self.truncated_total += dropped
-        self.records = []
+        self._rebuild(())
         self.append(RedoRecord("checkpoint", 0, checkpoint=snapshot))
         self.checkpoints_installed += 1
         return dropped
 
     def last_checkpoint(self) -> Optional[CheckpointSnapshot]:
         """The most recent installed checkpoint, if any."""
-        if self._checkpoint_at < 0:
+        if self._checkpoint_row < 0:
             return None
-        return self.records[self._checkpoint_at].checkpoint
+        return self._rows[self._checkpoint_row].checkpoint
 
     @property
     def suffix_length(self) -> int:
         """Records logged since the last checkpoint (whole log if none)."""
-        return len(self.records) - self._checkpoint_at - 1
+        return self.length - self._checkpoint_at - 1
 
     # Convenience constructors used by TransactionManager; records are
     # built positionally, in RedoRecord's field order.
@@ -282,13 +323,20 @@ class RedoLog:
         log (recovery would otherwise replay both the lost attempt and the
         re-execution). Returns the number of records dropped.
         """
-        resolved = {r.txid for r in self.records if r.kind in ("commit", "abort")}
-        before = len(self.records)
-        self.records = [
-            r for r in self.records if r.kind == "checkpoint" or r.txid in resolved
-        ]
-        self._checkpoint_at = self._find_checkpoint()
-        dropped = before - len(self.records)
+        # A singleton row carries its own commit; row[1] is either kind's txid.
+        rows = self._rows
+        resolved = {
+            row[1]
+            for row in rows
+            if type(row) is tuple or row.kind in ("commit", "abort")
+        }
+        before = self.length
+        self._rebuild(
+            row
+            for row in rows
+            if type(row) is tuple or row.kind == "checkpoint" or row.txid in resolved
+        )
+        dropped = before - self.length
         self.truncated_total += dropped
         return dropped
 
@@ -365,13 +413,11 @@ def recover_with_info(
     is execution order for a single-client system, so every pointer target
     already exists when it is written.
     """
-    records = log.records
     snapshot = log.last_checkpoint()
     if snapshot is not None:
         store = _restore_checkpoint(snapshot, store_config)
     else:
         store = ObjectStore(store_config)
-    suffix = records[len(records) - log.suffix_length :]
     # Commit-scoped sequential replay: operations buffer under their
     # transaction's *current* begin/commit bracket and apply at the commit
     # record. A transaction id may legitimately recur in one log (each
@@ -380,42 +426,50 @@ def recover_with_info(
     # transaction whose id an earlier, committed incarnation used; the
     # bracket scoping keeps each incarnation separate. Transactions still
     # open at the end of the log — in flight at the crash — are dropped.
+    # A singleton row is a whole bracket: it applies on the spot.
     open_tx: dict[int, list[RedoRecord]] = {}
-    for record in suffix:
-        kind = record.kind
-        if kind == "checkpoint":
+    for row in log._rows[log._checkpoint_row + 1 :]:
+        if type(row) is tuple:
+            if row[0] != "update":
+                _redo(store, RedoRecord(*row))
             continue
+        kind = row.kind
         if kind == "begin":
-            open_tx[record.txid] = []
+            open_tx[row.txid] = []
         elif kind == "abort":
-            open_tx.pop(record.txid, None)
+            open_tx.pop(row.txid, None)
         elif kind == "commit":
-            for op in open_tx.pop(record.txid, ()):
-                if op.kind == "create":
-                    assert op.size is not None
-                    store.create(
-                        size=op.size,
-                        kind=op.object_kind or ObjectKind.GENERIC,
-                        pointers=dict(op.pointers),
-                        oid=op.oid,
-                    )
-                elif op.kind == "write":
-                    assert op.oid is not None and op.slot is not None
-                    store.write_pointer(op.oid, op.slot, op.target, dies=op.dies)
-                elif op.kind == "root":
-                    assert op.oid is not None
-                    store.register_root(op.oid)
+            for op in open_tx.pop(row.txid, ()):
+                _redo(store, op)
         else:
-            bucket = open_tx.get(record.txid)
+            bucket = open_tx.get(row.txid)
             if bucket is not None:
-                bucket.append(record)
+                bucket.append(row)
     info = RecoveryInfo(
-        records_replayed=len(suffix),
+        records_replayed=log.suffix_length,
         from_checkpoint=snapshot is not None,
         checkpoint_event_index=snapshot.event_index if snapshot is not None else 0,
         objects=len(store.objects),
     )
     return store, info
+
+
+def _redo(store: ObjectStore, op: RedoRecord) -> None:
+    """Apply one committed operation record to ``store``."""
+    if op.kind == "create":
+        assert op.size is not None
+        store.create(
+            size=op.size,
+            kind=op.object_kind or ObjectKind.GENERIC,
+            pointers=dict(op.pointers),
+            oid=op.oid,
+        )
+    elif op.kind == "write":
+        assert op.oid is not None and op.slot is not None
+        store.write_pointer(op.oid, op.slot, op.target, dies=op.dies)
+    elif op.kind == "root":
+        assert op.oid is not None
+        store.register_root(op.oid)
 
 
 def recover(log: RedoLog, store_config: Optional[StoreConfig] = None) -> ObjectStore:

@@ -15,6 +15,7 @@ from repro.storage.heap import ObjectStore as Store
 from repro.storage.iostats import IOStats
 from repro.storage.partition import Partition
 from repro.tx.manager import TransactionManager
+from repro.tx.recovery import RedoLog
 from repro.tx.wal import WriteAheadLog
 
 MIRRORS = {  # kernel block -> {method it mirrors: pinned digest}
@@ -28,8 +29,12 @@ MIRRORS = {  # kernel block -> {method it mirrors: pinned digest}
              Store._remember_edge: "f86350a4fb", Partition.remember: "8822e49a04",
              Index.remember_source: "8e0896106e"},
     "sample": {Sampler.on_event: "2d5e19190a", RunningMean.add: "a1cb6f62bd"},
+    # The singleton rows the kernel hands RedoLog.append are RedoLog.create's
+    # and RedoLog.write's records, field for field, as plain tuples.
     "redo bracket": {TransactionManager.autocommit: "57c67f0683",
-                     WriteAheadLog.append: "74e885f620", WriteAheadLog.force: "d0809c3195"},
+                     WriteAheadLog.append: "74e885f620", WriteAheadLog.force: "d0809c3195",
+                     RedoLog.append: "267b670735", RedoLog.create: "f8947edf2b",
+                     RedoLog.write: "0a71499369"},
 }
 
 

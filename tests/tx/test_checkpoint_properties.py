@@ -147,7 +147,8 @@ def test_checkpoint_at_every_boundary_equals_full_replay(history, rng_choices):
 
         compacted = RedoLog()
         compacted.install_checkpoint(snapshot)
-        compacted.records.extend(log.records[k:])
+        for record in log.records[k:]:
+            compacted.append(record)
 
         recovered, info = recover_with_info(compacted, store_config=CFG)
         assert info.from_checkpoint
@@ -173,7 +174,8 @@ def test_checkpointed_recovery_survives_a_torn_suffix(history, rng_choices):
     prefix_store = recover(RedoLog(records=list(log.records[:k])), store_config=CFG)
     compacted = RedoLog()
     compacted.install_checkpoint(build_checkpoint(prefix_store, event_index=k))
-    compacted.records.extend(log.records[k:])
+    for record in log.records[k:]:
+        compacted.append(record)
 
     # Crash mid-transaction after the last boundary: begin + one create,
     # no commit record.

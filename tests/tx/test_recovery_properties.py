@@ -109,7 +109,7 @@ def test_recovery_from_every_log_prefix(history, rng_choices):
 def test_truncate_uncommitted_drops_only_inflight_records(history, rng_choices):
     log, _ = _execute(history, rng_choices)
     # History always ends at a boundary: nothing is in flight to drop.
-    before = list(log.records)
+    before = log.records
     assert log.truncate_uncommitted() == 0
     assert log.records == before
 
