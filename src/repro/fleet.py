@@ -418,9 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="serial",
         help=(
             "collection execution mode: serial (trace + reclaim in the "
-            "trigger window) or parallel (speculative pre-tracing by "
-            "--gc-workers, validated at apply) — both produce identical "
-            "reports; excluded from result-cache fingerprints"
+            "trigger window) or parallel (the victim pre-traced shortly "
+            "before the trigger, validated at apply) — both produce "
+            "identical reports; excluded from result-cache fingerprints"
         ),
     )
     parser.add_argument(
@@ -429,9 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "speculative trace width for --collection parallel "
-            "(default 1: inline pre-tracing); reports are byte-identical "
-            "at any value"
+            "no effect (once a thread fan-out for --collection parallel, "
+            "removed); still accepted and validated, reports are "
+            "byte-identical at any value"
         ),
     )
     parser.add_argument(

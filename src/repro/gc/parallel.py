@@ -1,43 +1,53 @@
-"""Partition-parallel collection: speculative tracing pipelined with replay.
+"""Pipelined collection: speculative tracing ahead of the trigger.
 
 The serial collector runs both halves of a collection — the read-only
 survivor trace and the mutating reclamation — inside the trigger's
-stop-the-world window, on the replay thread. This module decouples them:
+stop-the-world window. This module decouples them:
 
-1. **Snapshot.** When the trigger's *margin* window opens (a configurable
-   fraction of the interval before the due point), and again at each
-   wake-up after it — every wake-up halves the remaining distance to the
-   trigger, the last landing one clock tick before it — the scheduler
-   predicts the likely victim partition and snapshots its frontier — the
-   conservative roots and external fix-up pages the
-   :class:`~repro.gc.remembered.RememberedSetIndex` maintains incrementally
-   — together with the store's trace epochs at that instant. A snapshot
-   whose epochs still hold is kept, not retaken.
+1. **Snapshot.** When the clock comes within the scheduler's *window* of
+   the due point, and again at each wake-up after it — every wake-up
+   halves the remaining distance to the trigger, the last landing one
+   clock tick before it — the scheduler predicts the victim partition and
+   snapshots its frontier — the conservative roots and external fix-up
+   pages the :class:`~repro.gc.remembered.RememberedSetIndex` maintains
+   incrementally — together with the store's trace epochs at that
+   instant. A snapshot whose epochs still hold is kept, not retaken.
 2. **Trace + plan.** The snapshot is Cheney-traced over the live heap (the
    object table and the victim's resident set) and the survivors' compaction
    plan (:meth:`~repro.storage.heap.ObjectStore.plan_compaction`: reclaimed
-   list and layout) is built from it, *outside* the collection pause:
-   the primary prediction inline at the pump point, so both are paid
-   on the replay thread but not inside the stop-the-world window. With
-   ``workers > 1``, once the primary prediction is seen to move between
-   pumps, up to ``workers - 1`` further candidates are traced on threads
-   while the replay / stream-admission loop keeps running.
+   list and layout) is built from it, inline at the pump point: both are
+   paid between two events of the replay / stream-admission loop, not
+   inside the stop-the-world window.
 3. **Validate + ordered apply.** When the trigger actually fires, the
-   scheduler joins any outstanding workers (apply never races a trace),
-   re-checks the victim's trace epochs, and applies reclamation through
-   the exact serial sequence (:meth:`~repro.gc.collector.CopyingCollector.
-   apply`). A stale snapshot — any frontier- or graph-affecting mutation
-   bumped the partition's epoch, or any compaction bumped the global
-   epoch — is discarded and trace and plan re-run inline, which *is* the
-   serial path: the pause runs the same three kernels either way and
-   speculation only decides how many of them are already done.
+   scheduler re-checks the victim's trace epochs and applies reclamation
+   through the exact serial sequence (:meth:`~repro.gc.collector.
+   CopyingCollector.apply`). A stale snapshot — any frontier- or
+   graph-affecting mutation bumped the partition's epoch, or any
+   compaction bumped the global epoch — is discarded and trace and plan
+   re-run inline, which *is* the serial path: the pause runs the same
+   three kernels either way and speculation only decides how many of
+   them are already done.
+
+**The window is under feedback.** How far ahead of the trigger to start
+is the one rate this collector sets for itself, and a fixed fraction of
+the interval is the wrong controller for it: a trace taken early is
+thrown away whenever the mutator touches the victim before the trigger.
+The scheduler therefore keeps the lead as state, in the trigger clock's
+own units (application I/Os, pointer overwrites or allocated bytes alike),
+and moves it on the two outcomes it counts anyway: a collection that found
+no snapshot — one event carried the clock across the wake-up and the
+trigger together — doubles it; every trace a cycle takes beyond its first
+shrinks it by an eighth. ``margin × interval`` is the cap and the first
+cycle's value. The asymmetry is the point: a miss costs a full-length
+pause, a wasted trace only throughput.
 
 Because a speculative trace is only ever used when the epochs prove it
 equals what an inline trace would compute, results are **identical to the
-serial collector at any worker count**: pickle-equal summaries, identical
-iostats, identical crash/recovery drills. Worker count and margin affect
-wall-clock only — which is why ``collection=`` / ``gc_workers=`` are
-excluded from result-cache fingerprints, exactly like ``replay=``.
+serial collector whatever the window is**: pickle-equal summaries,
+identical iostats, identical crash/recovery drills. The window and the
+margin affect wall-clock only — which is why ``collection=`` /
+``gc_workers=`` are excluded from result-cache fingerprints, exactly like
+``replay=``.
 
 Conservatism is unchanged from the serial collector: a remembered-in
 reference is a root even when its source is garbage, so cross-partition
@@ -47,7 +57,7 @@ collect_global` — speculation neither widens nor narrows the frontier.
 
 from __future__ import annotations
 
-import threading
+import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.gc.collector import CollectionResult, CopyingCollector
@@ -67,21 +77,29 @@ if TYPE_CHECKING:
     from repro.storage.heap import CompactionPlan
 
 #: Valid ``collection`` modes: ``"serial"`` runs trace + apply inside the
-#: trigger window on the replay thread; ``"parallel"`` pre-traces likely
-#: victims speculatively during the margin window and validates at apply.
+#: trigger window; ``"parallel"`` pre-traces the likely victim shortly
+#: before the trigger and validates at apply.
 #: Both produce identical results — the serial path is the A/B reference.
 COLLECTION_MODES = ("serial", "parallel")
 
-#: Default margin: the fraction of the trigger interval before the due
-#: point at which the simulator starts waking the scheduler. It is the
-#: width of the window in which the geometric wake-ups happen (each one
-#: halves the remaining distance to the trigger, so a window of ``m``
-#: clock ticks costs about ``log2(m) + 1`` pumps), and the head start a
-#: thread-traced extra gets before the pause. The primary prediction is
-#: traced inline at the pump, so a wider window buys it nothing: it only
-#: leaves the first trace more time to go stale. The value shifts
-#: wall-clock only, never results.
+#: Default margin: the largest fraction of the trigger interval before
+#: the due point at which the simulator starts waking the scheduler — the
+#: first cycle's window and the cap on every later one (see
+#: :meth:`ParallelCollectionScheduler.lead`). Inside the window the
+#: wake-ups are geometric (each one halves the remaining distance to the
+#: trigger, so a window of ``w`` clock ticks costs about ``log2(w) + 1``
+#: pumps). The victim is traced inline at the pump, so a wider window buys
+#: nothing: it only leaves the first trace more time to go stale. The
+#: value shifts wall-clock only, never results.
 DEFAULT_GC_MARGIN = 0.25
+
+#: Window feedback: the factor on a speculation miss and on each trace a
+#: cycle takes beyond its first. A miss is a full-length pause, a wasted
+#: trace only throughput, so the window grows fast and shrinks slowly; the
+#: pair was sized by hit count first and traces second
+#: (``results/pr24_speculation_window.md``).
+WINDOW_WIDEN = 2.0
+WINDOW_NARROW = 0.875
 
 
 def peek_selection(
@@ -115,7 +133,7 @@ def peek_selection(
 
 
 class _Speculation:
-    """One partition's frontier snapshot plus its (eventual) trace result."""
+    """One partition's frontier snapshot plus its trace result."""
 
     __slots__ = (
         "pid",
@@ -125,8 +143,6 @@ class _Speculation:
         "fixup_pages",
         "survivors",
         "plan",
-        "failed",
-        "thread",
     )
 
     def __init__(
@@ -144,8 +160,6 @@ class _Speculation:
         self.fixup_pages = fixup_pages
         self.survivors: Optional[list[int]] = None
         self.plan: "Optional[CompactionPlan]" = None
-        self.failed = False
-        self.thread: Optional[threading.Thread] = None
 
 
 class ParallelCollectionScheduler:
@@ -158,15 +172,9 @@ class ParallelCollectionScheduler:
             result) is exactly the serial trigger order.
         selection: The run's partition-selection policy, probed
             non-mutatingly to predict victims.
-        workers: Fan-out width. ``1`` traces the primary prediction
-            inline at the pump point; ``N > 1`` additionally snapshots up
-            to N - 1 other candidate partitions on ephemeral threads once
-            the primary prediction is seen to move between pumps. Results
-            are identical at any value (speculation is validated before
-            use); only wall-clock differs.
-        margin: Fraction of the trigger interval before the due point at
-            which the simulator starts pumping speculative traces (see
-            :data:`DEFAULT_GC_MARGIN`).
+        margin: Largest fraction of the trigger interval before the due
+            point at which the simulator starts pumping speculative
+            traces (see :data:`DEFAULT_GC_MARGIN`).
     """
 
     def __init__(
@@ -174,119 +182,80 @@ class ParallelCollectionScheduler:
         store: ObjectStore,
         collector: CopyingCollector,
         selection: PartitionSelectionPolicy,
-        workers: int = 1,
         margin: float = DEFAULT_GC_MARGIN,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"gc_workers must be >= 1, got {workers}")
         if not 0.0 <= margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {margin}")
         self.store = store
         self.collector = collector
         self.selection = selection
-        self.workers = workers
         self.margin = margin
+        #: How far ahead of the trigger speculation starts, in
+        #: trigger-clock units (:meth:`lead`). Derived from trace epochs
+        #: and the clock alone, so it is as deterministic as the counters
+        #: below — and like them can only move wall-clock.
+        self.window = math.inf
         self._pending: dict[PartitionId, _Speculation] = {}
-        #: The primary prediction of the previous pump of this trigger
-        #: cycle (``None`` before the cycle's first pump).
-        self._predicted: Optional[PartitionId] = None
         #: Observability counters (telemetry-only — never part of summaries
         #: or reports). Snapshot validity depends on the store's epoch
-        #: counters, not thread timing, so these are deterministic at
-        #: ``workers == 1``; at higher counts a worker's trace can fail
-        #: from an unrelated concurrent dict resize, turning a would-be
-        #: hit into a stale — results are unaffected (the fallback *is*
-        #: the serial path) but hit/stale splits may vary run to run.
+        #: counters alone, so they are a pure function of the trace.
         self.pumps = 0
         self.speculative_traces = 0
         self.speculation_hits = 0
         self.speculation_stale = 0
         self.speculation_misses = 0
+        self.wasted_traces = 0
+
+    def lead(self, interval: float) -> float:
+        """How far ahead of a trigger ``interval`` away to start pumping.
+
+        The window, capped at ``margin × interval`` — which is also what
+        the first cycle gets. Called once per armed trigger; arming the
+        same trigger again (nothing was collectable) changes nothing.
+        """
+        self.window = min(self.window, interval * self.margin)
+        return self.window
 
     # ------------------------------------------------------------------
     # Pump: speculative snapshot + trace (read-only)
     # ------------------------------------------------------------------
 
     def pump(self) -> None:
-        """Speculatively trace up to ``workers`` likely victim partitions.
+        """Speculatively trace the likely victim partition.
 
         Called from :meth:`repro.sim.simulator.Simulation._collect` and
         from nowhere else: the replay loops — and the service's admission
         loop, which drives the same method — land there when the clock
-        reaches a margin wake-up, the first at the margin point and each
-        later one halfway to the trigger. Touches no mutable store state —
-        a pump can never change what the run computes.
+        reaches a wake-up, the first :meth:`lead` ahead of the trigger and
+        each later one halfway to it. Touches no mutable store state — a
+        pump can never change what the run computes.
         """
         self.pumps += 1
-        # Threads spawned by the *previous* pump have had the inter-pump
-        # mutator window to run; joining them here keeps every worker's
-        # lifetime inside the margin window (off-pause) rather than letting
-        # it compete with the collection pause for the interpreter.
-        for pending in self._pending.values():
-            if pending.thread is not None:
-                pending.thread.join()
-                pending.thread = None
-        primary = peek_selection(self.selection, self.store)
-        if primary is None:
+        pid = peek_selection(self.selection, self.store)
+        if pid is None:
             return
-        # Extras are breadth insurance against a prediction miss, and each
-        # costs a thread that shares the interpreter with replay. While the
-        # primary prediction holds from one pump to the next there is
-        # nothing to insure; they are traced once it is seen to move.
-        moved = self._predicted is not None and primary != self._predicted
-        self._predicted = primary
-        victims = self.predict_victims(primary) if moved else [primary]
-        for index, pid in enumerate(victims):
-            current = self._pending.get(pid)
-            if current is not None:
-                if self._valid(current):
-                    continue
-                if index > 0:
-                    # Stale *extra* snapshots are not refreshed — they are
-                    # breadth insurance against a prediction miss, and
-                    # validation discards them at apply anyway. Only the
-                    # primary earns a re-trace at each wake-up.
-                    continue
-            spec = self._snapshot(pid)
-            self._pending[pid] = spec
-            self.speculative_traces += 1
-            if index == 0:
-                # The best prediction is traced inline at the pump point —
-                # still outside the collection pause, and immune to worker
-                # scheduling (on a GIL-bound single core, threads may not
-                # run before the trigger fires).
-                self._trace_into(spec)
-            else:
-                spec.thread = threading.Thread(
-                    target=self._trace_into,
-                    args=(spec,),
-                    name=f"gc-trace-p{spec.pid}",
-                    daemon=True,
-                )
-                spec.thread.start()
-
-    def predict_victims(self, primary: PartitionId) -> list[PartitionId]:
-        """Up to ``workers`` non-overlapping candidate partitions.
-
-        ``primary`` — the selection policy's own (non-mutating) prediction
-        — first, then the next most-overwritten collectable partitions —
-        the same signal UPDATEDPOINTER ranks by — as speculative breadth
-        against prediction misses.
-        """
-        victims = [primary]
-        extra = self.workers - 1
-        if extra > 0:
-            partitions = self.store.partitions
-            others = [
-                p.pid
-                for p in partitions
-                if p.residents and p.pid != primary
-            ]
-            others.sort(
-                key=lambda pid: (-partitions[pid].pointer_overwrites, pid)
-            )
-            victims.extend(others[:extra])
-        return victims
+        current = self._pending.get(pid)
+        if current is not None:
+            if self._valid(current):
+                return
+            self.wasted_traces += 1
+        if self._pending:
+            # Another trace in the same cycle: the last one went stale, or
+            # the prediction moved, before the trigger — it came too early.
+            self.window *= WINDOW_NARROW
+        spec = self._pending[pid] = self._snapshot(pid)
+        self.speculative_traces += 1
+        # Traced inline: outside the collection pause all the same.
+        survivors = breadth_first_order(
+            self.store.objects,
+            spec.roots,
+            within=self.store.partitions[pid].residents,
+        )
+        # Also build the compaction plan — the read-only half of the
+        # reclamation, which the pause would otherwise start with.
+        # Guarded by the same epoch pair as the trace.
+        spec.plan = self.store.plan_compaction(pid, survivors)
+        spec.survivors = survivors
 
     # ------------------------------------------------------------------
     # Apply: validate + deterministic serial-order reclamation
@@ -295,9 +264,8 @@ class ParallelCollectionScheduler:
     def collect(self, pid: PartitionId) -> CollectionResult:
         """Collect ``pid``, reusing a speculative trace when still exact.
 
-        Joins every outstanding worker first (a trace must never race the
-        compaction about to run), validates the victim's snapshot against
-        the store's current epochs, and falls back to an inline
+        Validates the victim's snapshot against the store's current
+        epochs, and falls back to an inline
         :meth:`~repro.gc.collector.CopyingCollector.prepare` — the serial
         path — when the snapshot is stale or absent. Reclamation is then
         applied through the serial ``apply`` sequence, so the result is
@@ -305,36 +273,34 @@ class ParallelCollectionScheduler:
         """
         spec = self._pending.pop(pid, None)
         # Compaction bumps the global epoch, invalidating every other
-        # outstanding snapshot — drop them without joining their workers.
-        # Orphaned traces only *read* heap structures and write into spec
-        # objects nobody will look at again: a concurrent mutation during
-        # their reads raises (caught, marks the orphan failed) but cannot
-        # corrupt interpreter state or influence any result.
+        # outstanding snapshot.
+        self.wasted_traces += len(self._pending)
         self._pending.clear()
-        self._predicted = None
-        if spec is not None and spec.thread is not None:
-            spec.thread.join()
-
-        if spec is not None and self._valid(spec) and spec.survivors is not None:
+        if spec is None:
+            # No wake-up fell between the window opening and the trigger
+            # (or, rarely, the one that did predicted another partition).
+            self.speculation_misses += 1
+            self.window *= WINDOW_WIDEN
+        elif self._valid(spec):
             self.speculation_hits += 1
             return self.collector.apply(
                 pid, spec.survivors, spec.fixup_pages, plan=spec.plan
             )
-        if spec is not None:
-            self.speculation_stale += 1
         else:
-            self.speculation_misses += 1
+            self.speculation_stale += 1
         survivors, fixup_pages = self.collector.prepare(pid)
         return self.collector.apply(pid, survivors, fixup_pages)
 
-    def stats(self) -> dict[str, int]:
-        """Speculation counters for telemetry (`gc.parallel.*`)."""
+    def stats(self) -> dict[str, float]:
+        """Speculation counters and the window for telemetry (`gc.parallel.*`)."""
         return {
             "pumps": self.pumps,
             "speculative_traces": self.speculative_traces,
             "speculation_hits": self.speculation_hits,
             "speculation_stale": self.speculation_stale,
             "speculation_misses": self.speculation_misses,
+            "wasted_traces": self.wasted_traces,
+            "window": self.window,
         }
 
     # ------------------------------------------------------------------
@@ -357,36 +323,8 @@ class ParallelCollectionScheduler:
             fixup_pages=store.external_source_pages(pid),
         )
 
-    def _trace_into(self, spec: _Speculation) -> None:
-        """Cheney-trace one snapshot; runs on a worker thread or inline.
-
-        Reads the live object table and each object's pointer slots
-        without copying them; the victim's resident set is copied once, up
-        front, into the trace's private work set. If any relevant
-        structure mutates while the trace runs, the partition's epoch has
-        been bumped and the result is discarded at validation — so a torn
-        read can only waste the trace, never corrupt a collection. Raised
-        exceptions (e.g. a set resized under that copy) mark the snapshot
-        failed, which validation treats as stale.
-        """
-        store = self.store
-        try:
-            survivors = breadth_first_order(
-                store.objects,
-                spec.roots,
-                within=store.partitions[spec.pid].residents,
-            )
-            # Also build the compaction plan — the read-only half of the
-            # reclamation, which the pause would otherwise start with.
-            # Guarded by the same epoch pair as the trace.
-            spec.plan = store.plan_compaction(spec.pid, survivors)
-            spec.survivors = survivors
-        except Exception:
-            spec.failed = True
-
     def _valid(self, spec: _Speculation) -> bool:
         return (
-            not spec.failed
-            and spec.compaction_epoch == self.store.compaction_epoch
+            spec.compaction_epoch == self.store.compaction_epoch
             and spec.partition_epoch == self.store.trace_epochs[spec.pid]
         )

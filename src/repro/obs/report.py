@@ -151,6 +151,20 @@ def format_file_digest(digest: FileDigest) -> str:
             f"  service: {int(seen):,} events, {int(fused):,} "
             f"({fused / seen:.1%}) served by the fused kernels"
         )
+    par = {
+        name.removeprefix("gc.parallel."): value
+        for name, value in gauges.items()
+        if name.startswith("gc.parallel.")
+    }
+    if par:
+        hits = par["speculation_hits"]
+        collected = (hits + par["speculation_stale"] + par["speculation_misses"]) or 1
+        lines.append(
+            f"  speculation: {int(par['pumps']):,} pumps, "
+            f"{par['speculative_traces'] / collected:.2f} traces/collection "
+            f"({int(par.get('wasted_traces', 0))} wasted), "
+            f"hit rate {hits / collected:.1%}, window {par.get('window', 0):.3g}"
+        )
     if digest.summary is not None:
         summary = digest.summary
         lines.append(

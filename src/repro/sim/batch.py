@@ -30,7 +30,7 @@ traffic on the store/sampler/buffer objects — used to dominate wall time.
   injector, retained event series or subclassed component routes to
   guarded mode instead, as does ``replay="scalar"``.
   ``collection="parallel"`` runs are eligible: the kernels keep the
-  store's trace epochs in step, and the scheduler's margin wake-ups are
+  store's trace epochs in step, and the scheduler's wake-ups are
   ordinary run boundaries.
 
 * **guarded mode** (:func:`_replay_guarded`) — a per-event loop over the
@@ -449,30 +449,14 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     application write ahead of the sample and the trigger check. What the
     WAL counts is summed up at the flush (:func:`_fold_singletons`).
 
-    Thread safety under ``collection="parallel"``. Speculative traces read
-    the heap while this loop runs, so what they read must never be stale
-    in a local. Three readers:
-
-    * ``ParallelCollectionScheduler._snapshot`` and victim prediction run
-      on this thread, from ``sim._collect`` — after the boundary flush, so
-      they see exactly what the guarded loop would show them.
-    * ``_trace_into`` (``breadth_first_order`` + ``plan_compaction``) runs
-      inline at the pump, or on a worker thread while events apply. It
-      reads ``store.objects``, each object's ``pointers`` and ``size``,
-      the victim's ``residents`` (the trace through a private copy taken
-      once, the plan directly) and whether ``placements.overflow`` is
-      empty — all mutated in place here, never mirrored — and it never
-      exports a placement column, which ``table.reserve`` must stay free
-      to resize. The mirrored state (``tcount``, the I/O, buffer, garbage
-      and sampler accumulators) is scalar bookkeeping no trace or plan
-      looks at.
-    * Validation reads ``store.trace_epochs`` / ``compaction_epoch`` at
-      the trigger, again after the flush. The kernels bump ``epochs`` at
-      the sites ``ObjectStore.create / write_pointer / _unpin /
-      _remember_edge / _forget_edge`` do, in the same event as the
-      mutation, so a worker that raced a mutation (torn read or
-      ``RuntimeError`` from a resized dict/set) is discarded exactly as
-      it is on the guarded route.
+    Under ``collection="parallel"`` the scheduler's snapshot, trace, plan
+    and validation all run from ``sim._collect``, between two runs of
+    this loop and after the boundary flush, so they see exactly what the
+    guarded loop would show them. What that asks of the kernels: bump
+    ``epochs`` at the sites ``ObjectStore.create / write_pointer / _unpin
+    / _remember_edge / _forget_edge`` do, in the same event as the
+    mutation — a snapshot the mutator touched is then discarded exactly
+    as it is on the guarded route.
     """
     ops = cache.ops
     g0 = cache.arg0

@@ -84,21 +84,23 @@ class SimulationConfig:
             ``tests/``), so this field is excluded from experiment
             fingerprints — see :mod:`repro.canonical`.
         collection: How triggered collections execute. ``"serial"``
-            (default) traces and reclaims inside the trigger window on the
-            replay thread; ``"parallel"`` pre-traces likely victims
-            speculatively before the trigger, at wake-ups that halve the
-            remaining distance to it (the scheduler of
-            :mod:`repro.gc.parallel`), validates each speculative trace
-            against the store's trace epochs at the due point, and applies
-            reclamation in the exact serial order. Results are identical
-            in both modes at any worker count (pickle-equal summaries,
-            property-tested), so this field — and ``gc_workers`` — is
-            excluded from experiment fingerprints like ``replay``.
-        gc_workers: Fan-out width for ``collection="parallel"``: the
-            predicted victim is traced inline at the pump; when > 1, up to
-            ``gc_workers - 1`` further candidates are traced on threads
-            once the prediction moves between pumps. Affects wall-clock
-            only.
+            (default) traces and reclaims inside the trigger window;
+            ``"parallel"`` pre-traces the likely victim shortly before the
+            trigger, at wake-ups that halve the remaining distance to it
+            (the scheduler of :mod:`repro.gc.parallel`, which sets how
+            early the first one comes by feedback on its own hits and
+            wasted traces), validates the speculative trace against the
+            store's trace epochs at the due point, and applies reclamation
+            in the exact serial order. Results are identical in both modes
+            (pickle-equal summaries, property-tested), so this field — and
+            ``gc_workers`` — is excluded from experiment fingerprints like
+            ``replay``.
+        gc_workers: No effect. Once the width of a thread fan-out for
+            ``collection="parallel"``; no threaded candidate ever supplied
+            a collection's trace and the threads are gone (PR 24). Still
+            validated (>= 1, and 1 unless ``collection="parallel"``)
+            because ``bench/`` sets it; it goes when ``bench/`` is next
+            open (ROADMAP item 1).
     """
 
     store: StoreConfig = field(default_factory=StoreConfig)
@@ -180,15 +182,16 @@ class Simulation:
                 f"collection must be 'serial' or 'parallel', "
                 f"got {self.config.collection!r}"
             )
+        if self.config.gc_workers < 1:
+            raise ValueError(
+                f"gc_workers must be >= 1, got {self.config.gc_workers}"
+            )
         self._par = None
         if self.config.collection == "parallel":
             from repro.gc.parallel import ParallelCollectionScheduler
 
             self._par = ParallelCollectionScheduler(
-                self.store,
-                self.collector,
-                self.selection,
-                workers=self.config.gc_workers,
+                self.store, self.collector, self.selection
             )
         elif self.config.gc_workers != 1:
             raise ValueError("gc_workers requires collection='parallel'")
@@ -349,27 +352,27 @@ class Simulation:
         due = now + trigger.interval
         self._real_due_at = due
         par = self._par
-        if par is not None and par.margin > 0.0 and math.isfinite(due):
-            # Wake early at the margin point to pump speculative traces;
-            # the pump is read-only and the loops re-check against the
-            # real deadline, so collection timing is unchanged.
-            self._due_at = max(now, due - trigger.interval * par.margin)
-        else:
+        if par is None or due == math.inf:
             self._due_at = due
+        else:
+            # Wake early, the scheduler's current lead ahead of the
+            # trigger, to pump speculative traces; the pump is read-only
+            # and the loops re-check against the real deadline, so
+            # collection timing is unchanged.
+            self._due_at = due - par.lead(trigger.interval)
 
     def _collect(self, force: bool = False) -> None:
         par = self._par
-        if par is not None and not force and self._clock() < self._real_due_at:
-            # Margin window: the trigger has not fired yet. Snapshot and
-            # trace likely victims, refreshing any snapshot the mutator
+        if par is not None and not force and (now := self._clock()) < self._real_due_at:
+            # Inside the window: the trigger has not fired yet. Snapshot and
+            # trace the likely victim, refreshing a snapshot the mutator
             # invalidated, then wake again halfway to the real deadline.
-            # The halving schedule costs O(log margin) pumps instead of
+            # The halving schedule costs O(log window) pumps instead of
             # one per tick, and its last wake-up still lands one tick
             # before the trigger, so staleness at apply stays bounded by
             # the final tick's mutations. Pumps are read-only, so the
             # wake-ups can never change what the run computes.
             par.pump()
-            now = self._clock()
             self._due_at = min(
                 self._real_due_at, now + max(1.0, (self._real_due_at - now) // 2)
             )

@@ -543,13 +543,10 @@ class ObjectStore:
         vectorised pass when the placement table has no overflow entries,
         since every survivor then lives in the dense columns.
 
-        Also runs on the parallel scheduler's tracing threads while replay
-        continues, so it must never export a live placement column: a
-        ``numpy.frombuffer`` view held here would make a concurrent
-        ``PlacementTable.reserve`` on the replay thread raise
-        ``BufferError``. Sizes therefore come from ``objects[oid].size``;
-        only :meth:`compact_partition` — replay thread, inside the pause —
-        views ``placements.offs``.
+        Also runs at the parallel scheduler's pump points, ahead of the
+        pause. Sizes come from ``objects[oid].size``; only
+        :meth:`compact_partition`, inside the pause, views
+        ``placements.offs``.
         """
         partition = self.partitions[pid]
         survivors = list(survivors)

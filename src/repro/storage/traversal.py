@@ -30,11 +30,6 @@ def breadth_first_order(
     the per-edge test is a single probe ("in the domain and not reached
     yet"); a null slot (``None``) is simply never a member.
 
-    The copy is also what makes a trace on a scheduler worker thread
-    (:mod:`repro.gc.parallel`) read the live ``within`` set exactly once,
-    up front: a resize under that copy raises, any later mutation bumps the
-    partition's trace epoch, and either way the result is discarded.
-
     Args:
         objects: The store's object table (oid → object).
         roots: Traversal starts here, in the given order — callers wanting

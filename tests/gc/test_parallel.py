@@ -1,22 +1,25 @@
 """The partition-parallel collector must be invisible.
 
-``repro.gc.parallel`` pre-traces likely victim partitions during the
-trigger's margin window and validates each speculation against the
-store's trace epochs before use; these tests pin the contract that makes
-``collection="parallel"`` safe to enable at any worker count:
-byte-identical ``SimulationSummary`` pickles and identical committed
-store state versus the serial collector — across selection policies,
-worker counts, interpreters (guarded and fused, and the event-object
+``repro.gc.parallel`` pre-traces the likely victim partition inside a
+window before the trigger — a lead it sets itself, by feedback — and
+validates each speculation against the store's trace epochs before use;
+these tests pin the contract that makes ``collection="parallel"`` safe
+to enable whatever that window is (and at any value of the now inert
+``gc_workers``): byte-identical ``SimulationSummary`` pickles and
+identical committed store state versus the serial collector — across
+selection policies, interpreters (guarded and fused, and the event-object
 oracle of ``tests/event_oracle.py``), transactional rollback,
 crash/recovery drills and service mode — with no effect on
 result-cache fingerprints and no mutation of policy state by victim
-prediction.
+prediction. The window itself is pinned by counters: one scenario per
+trigger time base must keep the hits the quarter-interval window got
+while tracing about once per collection.
 """
 
 import dataclasses
+import itertools
 import math
 import pickle
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -57,10 +60,10 @@ from repro.sim.spec import (
     build_workload,
 )
 from repro.storage.heap import ObjectStore, StoreConfig
-from repro.storage.validation import validate_store
 from repro.tx.recovery import RedoLog, recover
 from repro.workload.compiled import compile_trace
 from repro.workload.presets import PresetWorkload
+from repro.workload.synthetic import SyntheticPhase, SyntheticWorkload
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
 from event_oracle import replay_events
@@ -243,37 +246,6 @@ def test_speculation_counters_equal_fast_and_guarded(monkeypatch):
     assert sim_f.store.compaction_epoch == sim_g.store.compaction_epoch
 
 
-def test_worker_threads_racing_the_fused_loop_cannot_change_results():
-    """Stress: extras traced on threads at *every* pump, with the
-    interpreter switching threads ~every bytecode burst, while the fused
-    loop mutates the heap they read. Whatever a worker saw, validation
-    must discard every trace a mutation overlapped."""
-    trace = compile_trace(_preset_events())
-    serial = _outcome(*_run(trace, replay="auto"))
-    sim = Simulation(
-        policy=FixedRatePolicy(40.0),
-        config=_config(replay="auto", collection="parallel", gc_workers=4),
-    )
-    assert batch._fast_eligible(sim)
-    par = sim._par
-    pump = par.pump
-
-    def restless_pump():
-        par._predicted = -1  # "the prediction moved": trace the extras too
-        pump()
-
-    par.pump = restless_pump
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        result = sim.run(trace)
-    finally:
-        sys.setswitchinterval(interval)
-    assert _outcome(sim, result) == serial
-    assert par.speculative_traces > 2 * result.summary.collections
-    validate_store(sim.store, strict=True)
-
-
 def _recording_sim(policy, **overrides):
     """A parallel simulation (gc_workers=1) that records ``(clock,
     deadline)`` at every pump and the deadline of every collection."""
@@ -338,6 +310,159 @@ def test_last_wake_up_lands_one_tick_before_the_trigger():
             passed_through += 1
             assert (last_tick, due) in pumped
     assert passed_through > 0
+
+
+# ------------------------------------------------- the speculation window
+
+
+@pytest.fixture(scope="module")
+def preset_trace():
+    return compile_trace(_preset_events())
+
+
+@given(
+    fractions=st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(math.inf)),
+        min_size=1,
+        max_size=8,
+    ),
+    policy_spec=st.sampled_from(
+        [
+            PolicySpec("fixed", {"overwrites_per_collection": 40.0}),
+            PolicySpec("saio", {"io_fraction": 0.10}),
+            PolicySpec("allocation", {"bytes_per_collection": 6000.0}),
+        ]
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_property_no_window_can_reach_a_result(preset_trace, fractions, policy_spec):
+    """Hand the scheduler an arbitrary window before every trigger it is
+    armed for — one tick, the cap, ``inf``, anything between: summaries
+    stay pickle-equal and the committed state digest-equal to serial."""
+    serial = _outcome(
+        *_run(preset_trace, policy=build_policy(policy_spec, 0), replay="auto")
+    )
+    sim = _sim(
+        policy=build_policy(policy_spec, 0), replay="auto", collection="parallel"
+    )
+    par = sim._par
+    lead = par.lead
+    draws = itertools.cycle(fractions)
+    dictated = []
+
+    def dictated_lead(interval):
+        par.window = max(1.0, next(draws) * interval * par.margin)
+        dictated.append(par.window)
+        return lead(interval)
+
+    par.lead = dictated_lead
+    assert _outcome(sim, sim.run(preset_trace)) == serial
+    assert len(dictated) > sim.collector.collections_performed > 0
+
+
+@pytest.fixture(scope="module")
+def churn_trace():
+    """The repo benchmark's ``gc_churn`` trace (standard scale, seed 5):
+    the trace the counters below were read on at the parent commit."""
+    phase = SyntheticPhase(
+        name="churn",
+        operations=50_000,
+        create_weight=1.0,
+        delete_weight=1.0,
+        access_weight=2.0,
+        cluster_size=4,
+        object_size=128,
+    )
+    generator = SyntheticWorkload([phase], seed=5, initial_clusters=4800)
+    return compile_trace(list(generator.events()))
+
+
+def _churn_sim(policy_spec, collection, gc_workers=1):
+    return Simulation(
+        policy=build_policy(policy_spec, 5),
+        config=SimulationConfig(
+            store=StoreConfig(page_size=2048, partition_pages=64, buffer_pages=8),
+            collection=collection,
+            gc_workers=gc_workers,
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "policy_spec, quarter_interval_hits",
+    [
+        # Application-I/O clock: one event moves it by several ticks.
+        (PolicySpec("saio", {"io_fraction": 0.30}), 382),
+        # Overwrite clock: one tick at a time.
+        (PolicySpec("fixed", {"overwrites_per_collection": 100.0}), 113),
+        # Byte clock: one create moves it by hundreds of ticks, so a
+        # window of a tick or two is jumped together with the trigger and
+        # the scheduler is never pumped at all.
+        (PolicySpec("allocation", {"bytes_per_collection": 40000.0}), 199),
+    ],
+    ids=["saio:0.3", "fixed:100", "allocation:40000"],
+)
+def test_window_keeps_the_hits_at_one_trace_per_collection(
+    churn_trace, policy_spec, quarter_interval_hits
+):
+    """The fixed quarter-interval window traced 1.8 / 2.3 / 3.1 times per
+    collection here for the hits in the table; the feedback window must
+    keep those hits (to within one) at no more than 1.25 traces."""
+    serial = _churn_sim(policy_spec, "serial").run(churn_trace)
+    sim = _churn_sim(policy_spec, "parallel")
+    result = sim.run(churn_trace)
+    assert pickle.dumps(result.summary) == pickle.dumps(serial.summary)
+    stats = sim._par.stats()
+    collections = result.summary.collections
+    assert stats["pumps"] > 0
+    assert stats["speculation_hits"] >= quarter_interval_hits - 1, stats
+    assert stats["speculative_traces"] / collections <= 1.25, stats
+    assert 1.0 <= stats["window"] < math.inf
+    # Every trace is accounted for: used, found stale at the trigger,
+    # thrown away before it, or still pending when the trace ended.
+    accounted = (
+        stats["speculation_hits"]
+        + stats["speculation_stale"]
+        + stats["wasted_traces"]
+    )
+    assert 0 <= stats["speculative_traces"] - accounted <= 1, stats
+    # The counters and the window are a function of the trace alone, and
+    # gc_workers no longer reaches the scheduler.
+    again = _churn_sim(policy_spec, "parallel", gc_workers=2)
+    again.run(churn_trace)
+    assert again._par.stats() == stats
+
+
+def test_rearming_an_uncollectable_trigger_leaves_the_window_alone():
+    """``select`` found nothing collectable: the trigger is re-armed
+    through ``_schedule`` with no collection in between, so neither
+    outcome was observed and the window must not move."""
+
+    class NothingCollectable(RoundRobinSelection):
+        def select(self, store):
+            return None
+
+    events = _preset_events()
+    sim = Simulation(
+        policy=FixedRatePolicy(40.0),
+        selection=NothingCollectable(),
+        config=_config(collection="parallel"),
+    )
+    par = sim._par
+    par.window = 3.0
+    result = sim.run(events)
+    assert result.summary.collections == 0
+    assert par.pumps > 0, "the trigger must have been armed and re-armed"
+    assert par.window == 3.0
+    assert par.stats() == {
+        "pumps": par.pumps,
+        "speculative_traces": 0,
+        "speculation_hits": 0,
+        "speculation_stale": 0,
+        "speculation_misses": 0,
+        "wasted_traces": 0,
+        "window": 3.0,
+    }
 
 
 def test_parallel_matches_serial_transactional_rollback():
@@ -424,6 +549,9 @@ def test_crash_drill_matches_serial(workers):
                     store=recovered,
                     redo_log=log,
                 )
+                if sim._par is not None:
+                    # A fresh scheduler: the window is back at the cap.
+                    assert sim._par.window == math.inf
         summary = sim.sampler.summary(sim.store, sim.store.iostats)
         return resumes, state_digest(sim.store), pickle.dumps(summary)
 
@@ -595,7 +723,7 @@ def test_stale_speculation_is_discarded():
     store.write_pointer(root, "x", doomed)
     collector = CopyingCollector(store)
     scheduler = ParallelCollectionScheduler(
-        store, collector, UpdatedPointerSelection(), workers=1
+        store, collector, UpdatedPointerSelection()
     )
     scheduler.pump()
     # Invalidate: sever the pointer, making `doomed` garbage.
@@ -632,8 +760,9 @@ def test_scheduler_validates_arguments():
 
     collector = CopyingCollector(store)
     with pytest.raises(ValueError, match="gc_workers"):
-        ParallelCollectionScheduler(
-            store, collector, UpdatedPointerSelection(), workers=0
+        Simulation(
+            policy=FixedRatePolicy(10),
+            config=_config(collection="parallel", gc_workers=0),
         )
     with pytest.raises(ValueError, match="margin"):
         ParallelCollectionScheduler(

@@ -88,3 +88,28 @@ def test_digest_captures_estimator_error(tmp_path):
     assert digest.mean_abs_estimator_error == pytest.approx(0.5)
     agg = aggregate([digest])
     assert agg["mean_abs_estimator_error"] == pytest.approx(0.5)
+
+
+def test_parallel_run_reports_speculation(tmp_path, capsys):
+    """Under ``collection="parallel"`` the ``gc.parallel.*`` gauges carry the
+    scheduler's counters plus its window, and the report shows them as
+    traces per collection and a hit rate."""
+    import dataclasses
+
+    from repro.sim.engine import run_experiment
+
+    spec = make_tiny_spec()
+    spec = dataclasses.replace(
+        spec, sim=dataclasses.replace(spec.sim, collection="parallel")
+    )
+    run_experiment(spec, seeds=[1], jobs=1, telemetry=tmp_path)
+    (run_file,) = tmp_path.glob("run_*.jsonl")
+    gauges = digest_file(run_file).metrics["gauges"]
+    traces = gauges["gc.parallel.speculative_traces"]
+    assert traces > 0
+    assert 0 <= gauges["gc.parallel.wasted_traces"] < traces
+    assert gauges["gc.parallel.window"] > 0
+    assert metrics_main([str(run_file)]) == 0
+    out = capsys.readouterr().out
+    assert "speculation:" in out
+    assert "traces/collection" in out and "hit rate" in out
