@@ -151,6 +151,14 @@ def format_file_digest(digest: FileDigest) -> str:
             f"  service: {int(seen):,} events, {int(fused):,} "
             f"({fused / seen:.1%}) served by the fused kernels"
         )
+    stops = [e for e in digest.events if e.get("name") == "service_stop"]
+    if stops and "stream_host" in stops[-1]:
+        stop = stops[-1]
+        lines.append(
+            f"  stream: host {stop['stream_host']}, "
+            f"{float(stop['stream_wait_s']):.3f} s waiting for chunks, "
+            f"{int(stop['stream_fallbacks'])} fallbacks"
+        )
     par = {
         name.removeprefix("gc.parallel."): value
         for name, value in gauges.items()

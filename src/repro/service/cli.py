@@ -176,6 +176,9 @@ def _print_serve_report(report, as_json: bool) -> None:
             "backpressure": report.backpressure.as_metrics(),
             "final_digest": report.final_digest,
             "paced_sleep_s": round(report.paced_sleep_s, 3),
+            "stream_fallbacks": report.stream_fallbacks,
+            "stream_host": report.stream_host,
+            "stream_wait_s": round(report.stream_wait_s, 3),
             "wall_s": round(report.wall_s, 3),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -193,6 +196,8 @@ def _print_serve_report(report, as_json: bool) -> None:
               f"{bp.forced_collections} forced collections, "
               f"{bp.shed_events} events shed "
               f"({bp.shed_objects} objects, {bp.shed_transactions} txs)")
+    print(f"stream: host {report.stream_host}, {report.stream_wait_s:.3f}s waiting "
+          f"for chunks, {report.stream_fallbacks} fallbacks")
     print(f"state digest: {report.final_digest}")
     print(f"resume index: {report.next_index}")
 

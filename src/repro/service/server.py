@@ -28,6 +28,7 @@ cycle).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import signal
 import time
@@ -90,6 +91,13 @@ class ServiceReport:
     backpressure: BackpressureStats = field(default_factory=BackpressureStats)
     #: Wall-clock seconds spent sleeping for pacing.
     paced_sleep_s: float = 0.0
+    #: Wall-clock seconds spent waiting for the stream's next chunk (its
+    #: generation, when the chunks are cut inline).
+    stream_wait_s: float = 0.0
+    #: Where the chunks were cut: ``"helper"`` or ``"inline"``.
+    stream_host: str = "inline"
+    #: Times a helper-fed stream went on inline (its helper died).
+    stream_fallbacks: int = 0
     #: Wall-clock seconds the run took.
     wall_s: float = 0.0
 
@@ -214,15 +222,24 @@ class GcService:
                 start_index=start_index,
                 policy=sim.policy.describe(),
             )
+        feed = stream_chunks(self.stream, start_index)
+        clock = time.perf_counter
         try:
-            sim._start(start_index)
-            for chunk, offset in stream_chunks(self.stream, start_index):
-                self._serve(chunk, offset)
-                if self._stopped:
-                    break
+            # Closed however the run ends, so a helper is never left mid-feed.
+            with contextlib.closing(feed):
+                sim._start(start_index)
+                while not self._stopped:
+                    asked = clock()
+                    item = next(feed, None)
+                    report.stream_wait_s += clock() - asked
+                    if item is None:
+                        break
+                    self._serve(*item)
         except SimulatedCrash as crash:
             sim._annotate_crash(crash)
             raise
+        report.stream_host = feed.host
+        report.stream_fallbacks = feed.fallbacks
         # Quiescent stop: flush a final checkpoint so a restart replays
         # nothing. (A malformed finite stream ending mid-transaction skips
         # it — checkpoints are only ever taken between transactions.)
@@ -555,6 +572,8 @@ class GcService:
             metrics.gauge("service.paced_sleep_s").set(
                 round(report.paced_sleep_s, 6)
             )
+            metrics.gauge("service.stream_wait_s").set(round(report.stream_wait_s, 6))
+            metrics.gauge("service.stream_fallbacks").set(report.stream_fallbacks)
             obs.event(
                 "service_stop",
                 stopped=report.stopped,
@@ -562,4 +581,7 @@ class GcService:
                 events_applied=report.events_applied,
                 checkpoints=report.checkpoints,
                 digest=report.final_digest,
+                stream_host=report.stream_host,
+                stream_wait_s=round(report.stream_wait_s, 6),
+                stream_fallbacks=report.stream_fallbacks,
             )

@@ -16,15 +16,30 @@ grammar and tenant generators emit straight into a
 :class:`~repro.events.EventSink` is the stream's event form, which tests
 and tools read; a source that only has events (a materialised list, a
 wrapper around another stream) is compiled into chunks on the way in.
+
+Determinism also makes a stream's chunks a pure function of (recipe,
+start, chunk length), so where they are cut changes nothing in them. A
+``steps`` stream whose recipe pickles — :func:`grammar_stream` and
+:func:`tenant_stream` build theirs from ``functools.partial`` — is cut by
+this process's helper interpreter on a second CPU, about one chunk ahead
+of the service (:mod:`repro.service.stream_helper`); everything else
+(``factory`` streams, lambda ``steps``, events-only wrappers, a one-CPU
+host) is cut inline by the consumer. Both hosts run
+:func:`_generated_chunks`, and a helper that dies mid-stream hands over to
+it at the position reached. Every chunk route returns a
+:class:`~repro.service.stream_helper.ChunkFeed`, which says which host
+served it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.events import TraceEvent, TraceSink, stream_events
+from repro.service.stream_helper import Chunk, ChunkFeed
 from repro.workload.compiled import CompiledTrace, TraceBuilder
 from repro.workload.grammar import GrammarWorkload, WorkloadConfig
 from repro.workload.tenants import TenantMix, TenantMixConfig
@@ -33,10 +48,6 @@ from repro.workload.tenants import TenantMix, TenantMixConfig
 #: the service and how large a chunk's string table can get; results never
 #: depend on the value.
 CHUNK_EVENTS = 4096
-
-#: One stop on the chunk route: the chunk, and the index within it of the
-#: first event to serve (non-zero only in the chunk a resume lands in).
-Chunk = tuple[CompiledTrace, int]
 
 
 @runtime_checkable
@@ -69,22 +80,39 @@ def _compiled_chunks(events: Iterator[TraceEvent]) -> Iterator[Chunk]:
         yield builder.finish(), 0
 
 
-def _cut(steps: Callable[[TraceSink], Iterator[None]]) -> Iterator[CompiledTrace]:
-    """Run a step generator into trace columns, cut every chunk length."""
+def _cut(
+    steps: Callable[[TraceSink], Iterator[None]], chunk_events: int
+) -> Iterator[CompiledTrace]:
+    """Run a step generator into trace columns, cut every ``chunk_events``."""
     builder = TraceBuilder()
     for _ in steps(builder):
-        if len(builder.ops) >= CHUNK_EVENTS:
+        if len(builder.ops) >= chunk_events:
             yield builder.finish()
     if builder.ops:
         yield builder.finish()
 
 
-def stream_chunks(stream: EventStream, start_index: int = 0) -> Iterator[Chunk]:
+def _generated_chunks(
+    steps: Callable[[TraceSink], Iterator[None]], chunk_events: int, start_index: int
+) -> Iterator[Chunk]:
+    """A step stream's chunks from ``start_index``: regenerate from zero,
+    drop the chunks that end at or before it, enter the one that straddles
+    it part-way. What a helper interpreter runs, and the inline host."""
+    seen = 0
+    for chunk in _cut(steps, chunk_events):
+        end = seen + len(chunk)
+        if end > start_index:
+            yield chunk, max(0, start_index - seen)
+        seen = end
+
+
+def stream_chunks(stream: EventStream, start_index: int = 0) -> ChunkFeed:
     """The chunk route of any stream, from absolute event ``start_index``."""
     chunks_from = getattr(stream, "chunks_from", None)
-    if chunks_from is not None:
-        return chunks_from(start_index)
-    return _compiled_chunks(stream.events_from(start_index))
+    if chunks_from is None:
+        return ChunkFeed(_compiled_chunks(stream.events_from(start_index)))
+    chunks = chunks_from(start_index)
+    return chunks if isinstance(chunks, ChunkFeed) else ChunkFeed(chunks)
 
 
 @dataclass
@@ -116,26 +144,34 @@ class ReplayableStream:
             events = itertools.islice(events, start_index, None)
         return events
 
-    def chunks_from(self, start_index: int = 0) -> Iterator[Chunk]:
+    def chunks_from(self, start_index: int = 0) -> ChunkFeed:
         """Column chunks covering the stream from ``start_index`` on.
 
-        A ``steps`` stream regenerates from zero, drops the chunks that end
-        at or before ``start_index`` and enters the one that straddles it
-        part-way; a ``factory`` stream compiles ``events_from``.
+        A ``steps`` stream is cut by :func:`_generated_chunks` — in this
+        process's helper interpreter when ``steps`` pickles and a second CPU
+        is there, inline otherwise; a ``factory`` stream compiles
+        ``events_from``. The chunk length is :data:`CHUNK_EVENTS` as it
+        reads now.
         """
         if start_index < 0:
             raise ValueError(f"start_index must be >= 0, got {start_index}")
         if self.steps is None:
-            return _compiled_chunks(self.events_from(start_index))
-        return self._generated_chunks(start_index)
+            return ChunkFeed(_compiled_chunks(self.events_from(start_index)))
+        return ChunkFeed.cut(
+            functools.partial(_generated_chunks, self.steps, CHUNK_EVENTS), start_index
+        )
 
-    def _generated_chunks(self, start_index: int) -> Iterator[Chunk]:
-        seen = 0
-        for chunk in _cut(self.steps):
-            end = seen + len(chunk)
-            if end > start_index:
-                yield chunk, max(0, start_index - seen)
-            seen = end
+
+def _grammar_steps(
+    config: WorkloadConfig, seed: int, max_live_clusters: int, out: TraceSink
+) -> Iterator[None]:
+    return GrammarWorkload(config, seed=seed).steps(out, max_live_clusters)
+
+
+def _tenant_steps(
+    config: TenantMixConfig, seed: int, max_live_clusters: int, out: TraceSink
+) -> Iterator[None]:
+    return TenantMix(config, seed=seed).steps(out, max_live_clusters)
 
 
 def grammar_stream(
@@ -143,9 +179,7 @@ def grammar_stream(
 ) -> ReplayableStream:
     """Unbounded single-tenant stream over a grammar config."""
     return ReplayableStream(
-        steps=lambda out: GrammarWorkload(config, seed=seed).steps(
-            out, max_live_clusters
-        ),
+        steps=functools.partial(_grammar_steps, config, seed, max_live_clusters),
         label=config.name,
         material={
             "kind": "grammar",
@@ -161,7 +195,7 @@ def tenant_stream(
 ) -> ReplayableStream:
     """Unbounded multi-tenant stream over a tenant-mix config."""
     return ReplayableStream(
-        steps=lambda out: TenantMix(config, seed=seed).steps(out, max_live_clusters),
+        steps=functools.partial(_tenant_steps, config, seed, max_live_clusters),
         label=config.name,
         material={
             "kind": "tenant-mix",

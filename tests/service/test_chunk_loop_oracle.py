@@ -101,6 +101,8 @@ def _outcome(service, report):
     fields.pop("wall_s")
     fields.pop("paced_sleep_s")
     fields.pop("events_fused")  # which interpreter served an event is no result
+    fields.pop("stream_wait_s")
+    fields.pop("stream_host")  # the oracle reads events, always inline
     wal = sim.tx.wal.stats
     return {
         "report": fields,

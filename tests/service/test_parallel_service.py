@@ -36,6 +36,7 @@ def _report(collection, gc_workers, *, backpressure=None):
     fields = dataclasses.asdict(report)
     fields.pop("wall_s")
     fields.pop("paced_sleep_s")
+    fields.pop("stream_wait_s")
     return fields
 
 

@@ -128,7 +128,7 @@ def _serve(route, events, knobs):
     fused = 0
     try:
         report = dataclasses.asdict(service.run())
-        for name in ("wall_s", "paced_sleep_s"):
+        for name in ("wall_s", "paced_sleep_s", "stream_wait_s", "stream_host"):
             report.pop(name)
         fused = report.pop("events_fused")
     except (StoreError, TransactionError) as error:

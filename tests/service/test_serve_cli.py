@@ -4,6 +4,7 @@ import json
 
 from repro.cli import main
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.service.stream_helper import _spare_core
 
 
 def _plan_file(tmp_path):
@@ -30,6 +31,7 @@ def test_serve_bounded_run(capsys):
     assert "stopped: max-events after 5000 events" in out
     assert "state digest:" in out
     assert "resume index: 5000" in out
+    assert "fallbacks" in out.split("stream: host ")[1].splitlines()[0]
 
 
 def test_serve_json_report(capsys):
@@ -42,6 +44,8 @@ def test_serve_json_report(capsys):
     assert payload["events_seen"] == 4000
     assert payload["stopped"] == "max-events"
     assert len(payload["final_digest"]) == 64
+    assert payload["stream_host"] == ("helper" if _spare_core() else "inline")
+    assert payload["stream_fallbacks"] == 0 and payload["stream_wait_s"] >= 0
 
 
 def test_serve_multi_tenant_with_backpressure(capsys):

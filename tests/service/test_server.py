@@ -223,6 +223,11 @@ def test_checkpoint_telemetry_round_trips_through_repro_metrics(tmp_path):
         in text
     )
     assert f"checkpoints: {report.checkpoints}, stall p50 " in text
+    # A materialised stream is cut inline, by the consumer.
+    stop = [e for e in digest.events if e["name"] == "service_stop"][-1]
+    assert (stop["stream_host"], stop["stream_fallbacks"]) == ("inline", 0)
+    assert f"stream: host inline, {stop['stream_wait_s']:.3f} s waiting" in text
+    assert digest.metrics["gauges"]["service.stream_fallbacks"] == 0
     assert f"max {max(stalls):.3f} ms" in text
     assert "gc pauses: p50 " in text
 

@@ -196,6 +196,7 @@ def test_service_results_do_not_depend_on_chunk_length(monkeypatch, length):
         )
         report = dataclasses.asdict(service.run())
         report.pop("wall_s")
+        report.pop("stream_wait_s")
         sim = service.sim
         summary = pickle.dumps(sim.sampler.summary(sim.store, sim.store.iostats))
         return report, summary, state_digest(recover(sim.redo_log))
