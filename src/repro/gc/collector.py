@@ -85,10 +85,10 @@ class CopyingCollector:
     """Collects one partition at a time with Cheney copying compaction.
 
     Each collection's frontier (conservative roots + external fix-up
-    pages) is read from the store's incrementally maintained
-    remembered-set index in O(partition + boundary);
-    :func:`repro.gc.remembered.full_scan_frontier` is the O(heap)
-    from-scratch reference the tests compare it against.
+    pages) is derived by the store from the victim's remembered set
+    (``Partition.incoming``) and its root and pin sets, in
+    O(partition + boundary); :func:`repro.gc.remembered.full_scan_frontier`
+    is the O(heap) from-scratch reference the tests compare it against.
 
     Args:
         store: The heap to collect.

@@ -9,8 +9,9 @@ stop-the-world window. This module decouples them:
    halves the remaining distance to the trigger, the last landing one
    clock tick before it — the scheduler predicts the victim partition and
    snapshots its frontier — the conservative roots and external fix-up
-   pages the :class:`~repro.gc.remembered.RememberedSetIndex` maintains
-   incrementally — together with the store's trace epochs at that
+   pages the store derives from the victim's remembered set
+   (``Partition.incoming``) and its root and pin sets — together with
+   the store's trace epochs at that
    instant. A snapshot whose epochs still hold is kept, not retaken.
 2. **Trace + plan.** The snapshot is Cheney-traced over the live heap (the
    object table and the victim's resident set) and the survivors' compaction
@@ -311,7 +312,7 @@ class ParallelCollectionScheduler:
         """Capture the frontier and epoch pair on the mutator thread.
 
         Runs at a quiescent point (between events), so reading the
-        remembered-set index and placement columns is safe. Roots are
+        remembered set and placement columns is safe. Roots are
         sorted here — the same stable order the serial trace enqueues.
         """
         store = self.store

@@ -173,6 +173,23 @@ class RunTelemetry:
         if error is not None:
             metrics.histogram("gc.estimator_abs_error").observe(abs(error))
 
+    def set_remembered_gauges(self, sim: object) -> None:
+        """Remembered-set health as of the end of the run: set sizes,
+        lifetime boundary churn, and how much of the heap the collections
+        traced. Set once per run — the ``metrics`` record keeps only final
+        values — by :meth:`on_run_end` and by the service's stop."""
+        store = getattr(sim, "store", None)
+        collector = getattr(sim, "collector", None)
+        if store is None or collector is None:
+            return
+        gauges: dict[str, float] = dict(store.remembered_stats())
+        traced = collector.traced_objects_total
+        heap = collector.heap_objects_total
+        gauges["traced_objects_total"] = traced
+        gauges["heap_objects_total"] = heap
+        gauges["traced_vs_heap"] = traced / heap if heap else 0.0
+        self.metrics.set_many(gauges, prefix="gc.remembered.")
+
     def on_run_end(self, sim: object, result: object) -> None:
         """Snapshot the run's stats objects into the registry + summary.
 
@@ -183,6 +200,7 @@ class RunTelemetry:
         import dataclasses
 
         metrics = self.metrics
+        self.set_remembered_gauges(sim)
         store = getattr(sim, "store", None)
         if store is not None:
             metrics.set_many(store.iostats.as_metrics(), prefix="io.")

@@ -555,6 +555,7 @@ class GcService:
             report.backpressure = self.admission.stats
         obs = self.obs
         if obs is not None:
+            obs.set_remembered_gauges(sim)
             metrics = obs.metrics
             metrics.gauge("service.events_seen").set(report.events_seen)
             metrics.gauge("service.events_applied").set(report.events_applied)

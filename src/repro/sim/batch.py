@@ -66,7 +66,6 @@ import time
 
 from repro.core.extensions import OpportunisticPolicy
 from repro.core.rate_policy import TimeBase
-from repro.gc.remembered import RememberedSetIndex
 from repro.sim.metrics import Sampler
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import _OPEN_LIST_STALE_LIMIT, ObjectStore, StoreError
@@ -226,7 +225,6 @@ def _fast_eligible(sim) -> bool:
         and type(store.iostats) is IOStats
         and type(buffer) is BufferPool
         and type(store.placements) is PlacementTable
-        and type(store.remembered) is RememberedSetIndex
         and type(sampler) is Sampler
         and type(tx) is TransactionManager
         and store.iostats.fault_hook is None
@@ -248,8 +246,7 @@ def _fast_eligible(sim) -> bool:
                 and not _hooked(wal)
             )
         )
-        # (The placement table and the remembered index are slotted: an
-        # instance of either cannot carry a hook.)
+        # (The placement table is slotted: an instance cannot carry a hook.)
         and not any(
             _hooked(part) for part in (store, store.iostats, buffer, sampler, tx)
         )
@@ -479,7 +476,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     iostats = store.iostats
     buffer = store.buffer
     table = store.placements
-    rem = store.remembered
     garbage = store.garbage
 
     # Dense placement columns. reserve() grows the arrays in place (their
@@ -500,8 +496,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     unlinked = store.unlinked
     dead_bytes = store.dead_bytes
     epochs = store.trace_epochs           # appended to in place, never rebound
-    rem_pins = rem._pins
-    rem_sources = rem._sources
 
     pages = buffer._pages
     pages_pop = pages.pop
@@ -531,9 +525,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     app_r = app_led.reads
     app_w = app_led.writes
     gc_total = iostats.collector_total  # frozen between collections
-    rem_edges = rem.edges
-    rem_rem = rem.remembers_total
-    rem_forg = rem.forgets_total
+    remembers = store.remembers_total
+    forgets = store.forgets_total
     ev_i = sampler.event_index
     collections = sampler.collections   # frozen between collections
     sig = sampler._significant_started
@@ -658,11 +651,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                 else:
                     table.put(a, pk, offk, szk)
                 unlinked.add(a)
-                pins = rem_pins.get(pk)  # RememberedSetIndex.pin
-                if pins is None:
-                    rem_pins[pk] = {a}
-                else:
-                    pins.add(a)
                 epochs[pk] += 1
                 dirty = True
 
@@ -728,10 +716,9 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                     if old_pid >= 0:
                         partitions[old_pid].pointer_overwrites += 1
                         if old_pid != pk:
-                            # ObjectStore._forget_edge: Partition.forget +
-                            # RememberedSetIndex.forget_source, with the
-                            # same found/absent branch placements; the
-                            # epoch bump is unconditional, as there.
+                            # ObjectStore._forget_edge: Partition.forget,
+                            # with the same found/absent branch placements;
+                            # the epoch bump is unconditional, as there.
                             epochs[old_pid] += 1
                             inc = partitions[old_pid].incoming
                             srcs = inc.get(old)
@@ -744,29 +731,16 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                                             del inc[old]
                                     else:
                                         srcs[a] = cnt0 - 1
-                                    sdict = rem_sources.get(old_pid)
-                                    if sdict is not None:
-                                        c2 = sdict.get(a)
-                                        if c2 is not None:
-                                            if c2 <= 1:
-                                                del sdict[a]
-                                            else:
-                                                sdict[a] = c2 - 1
-                                            rem_edges -= 1
-                                            rem_forg += 1
+                                    forgets += 1
                 else:
                     pstores += 1
                 if tgt is not None:
                     if tgt in unlinked:  # ObjectStore._unpin
                         unlinked.discard(tgt)
-                        pd = rem_pins.get(tp)
-                        if pd is not None:
-                            pd.discard(tgt)
                         if tp >= 0:
                             epochs[tp] += 1
                     if tp >= 0 and tp != pk:
-                        # ObjectStore._remember_edge: Partition.remember +
-                        # RememberedSetIndex.remember_source.
+                        # ObjectStore._remember_edge: Partition.remember.
                         epochs[tp] += 1
                         inc2 = partitions[tp].incoming
                         srcs2 = inc2.get(tgt)
@@ -774,13 +748,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                             inc2[tgt] = {a: 1}
                         else:
                             srcs2[a] = srcs2.get(a, 0) + 1
-                        pd2 = rem_sources.get(tp)
-                        if pd2 is None:
-                            rem_sources[tp] = {a: 1}
-                        else:
-                            pd2[a] = pd2.get(a, 0) + 1
-                        rem_edges += 1
-                        rem_rem += 1
+                        remembers += 1
                 lo = wds[wi]
                 hi = wds[wi + 1]
                 wi += 1
@@ -854,9 +822,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                         optrs[strings[sli]] = tgt
                         if tgt in unlinked:  # ObjectStore._unpin
                             unlinked.discard(tgt)
-                            pd = rem_pins.get(tp)
-                            if pd is not None:
-                                pd.discard(tgt)
                             if tp >= 0:
                                 epochs[tp] += 1
                         if tp >= 0 and tp != pk:  # ObjectStore._remember_edge
@@ -867,13 +832,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                                 inc2[tgt] = {a: 1}
                             else:
                                 srcs2[a] = srcs2.get(a, 0) + 1
-                            pd2 = rem_sources.get(tp)
-                            if pd2 is None:
-                                rem_sources[tp] = {a: 1}
-                            else:
-                                pd2[a] = pd2.get(a, 0) + 1
-                            rem_edges += 1
-                            rem_rem += 1
+                            remembers += 1
                 if not phys_mode:
                     dbsz = alloc_bytes
                 gf = garb / dbsz if dbsz else 0.0
@@ -949,9 +908,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
         bstats.misses = misses
         app_led.reads = app_r
         app_led.writes = app_w
-        rem.edges = rem_edges
-        rem.remembers_total = rem_rem
-        rem.forgets_total = rem_forg
+        store.remembers_total = remembers
+        store.forgets_total = forgets
         sampler.event_index = ev_i
         sampler._significant_started = sig
         ga.count = ga_count

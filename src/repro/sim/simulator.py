@@ -406,20 +406,6 @@ class Simulation:
                 self.sampler.collection_records[-1],
                 time.perf_counter() - started,
             )
-            # Remembered-set health: current set sizes, lifetime boundary
-            # churn, and how much of the heap each collection actually
-            # traces. Pure functions of simulation state, so the telemetry
-            # determinism contract holds.
-            collector = self.collector
-            remembered = self.store.remembered.stats()
-            remembered["traced_objects_total"] = collector.traced_objects_total
-            remembered["heap_objects_total"] = collector.heap_objects_total
-            remembered["traced_vs_heap"] = (
-                collector.traced_objects_total / collector.heap_objects_total
-                if collector.heap_objects_total
-                else 0.0
-            )
-            obs.metrics.set_many(remembered, prefix="gc.remembered.")
             if par is not None:
                 obs.metrics.set_many(par.stats(), prefix="gc.parallel.")
         self._schedule(trigger)

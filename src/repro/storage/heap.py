@@ -185,15 +185,11 @@ class ObjectStore:
         # Running totals so db_size stays O(1); it is sampled at every event.
         self._allocated_bytes = 0
         self._physical_bytes = 0
-        # Local import: repro.gc.remembered lives in the gc package, whose
-        # __init__ imports the collector, which imports this module — a
-        # module-scope import here would close that cycle mid-initialisation.
-        from repro.gc.remembered import RememberedSetIndex
-
-        #: Incremental per-partition frontier index (roots, allocation pins,
-        #: distinct boundary sources) — kept in O(1) step by every mutator
-        #: below, consumed by ``partition_roots`` / ``external_source_pages``.
-        self.remembered = RememberedSetIndex()
+        #: Monotone remembered-set churn: inter-partition references ever
+        #: added to / dropped from some ``Partition.incoming``. Their
+        #: difference is the live boundary edge count.
+        self.remembers_total = 0
+        self.forgets_total = 0
         #: Per-partition trace epochs: bumped by every mutation that could
         #: change a partition's collection outcome — its resident set, its
         #: residents' pointer slots, or its conservative frontier (roots,
@@ -239,7 +235,6 @@ class ObjectStore:
         self.objects[oid] = obj
         self.placements.put(oid, pid, offset, size)
         self.unlinked.add(oid)
-        self.remembered.pin(pid, oid)
         self.trace_epochs[pid] += 1
         self._touch_object_pages(oid, IOCategory.APPLICATION, dirty=True)
 
@@ -317,7 +312,6 @@ class ObjectStore:
         self._require(oid)
         pid = self.placements.part_of(oid)
         self.roots.add(oid)
-        self.remembered.add_root(pid, oid)
         if pid >= 0:
             self.trace_epochs[pid] += 1
         if oid in self.unlinked:
@@ -416,10 +410,9 @@ class ObjectStore:
             self._forget_edge(oid, target)
         dropped = partition.drop_incoming(oid)
         if dropped:
-            self.remembered.forget_sources(placement.partition, dropped)
+            self.forgets_total += sum(dropped.values())
         self.roots.discard(oid)
         self.unlinked.discard(oid)
-        self.remembered.drop_object(placement.partition, oid)
         self.trace_epochs[placement.partition] += 1
 
     # ------------------------------------------------------------------
@@ -494,6 +487,22 @@ class ObjectStore:
         """Oracle declared-dead bytes resident in partition ``pid``."""
         return self.dead_bytes.get(pid, 0)
 
+    def remembered_stats(self) -> dict[str, int]:
+        """Frontier sizes and lifetime remembered-set churn, the store's
+        ``gc.remembered.*`` gauges. ``sources`` (distinct boundary sources,
+        summed over partitions) walks every ``incoming``: read it once per
+        run, not per collection."""
+        return {
+            "edges": self.remembers_total - self.forgets_total,
+            "sources": sum(
+                len(set().union(*part.incoming.values())) for part in self.partitions
+            ),
+            "roots": len(self.roots),
+            "pins": len(self.unlinked),
+            "remembers_total": self.remembers_total,
+            "forgets_total": self.forgets_total,
+        }
+
     # ------------------------------------------------------------------
     # Collector support API
     # ------------------------------------------------------------------
@@ -501,23 +510,23 @@ class ObjectStore:
     def partition_roots(self, pid: PartitionId) -> set[ObjectId]:
         """Conservative root set for collecting partition ``pid``.
 
-        Roots are residents that are (a) in the database root set, or (b)
-        remembered as targets of any external reference. External referents
-        may themselves be garbage in other partitions — that conservatism is
-        inherent to partitioned collection and produces realistic floating
-        garbage.
+        Roots are residents that are (a) in the database root set, (b)
+        allocation-pinned, or (c) remembered as targets of any external
+        reference. External referents may themselves be garbage in other
+        partitions — that conservatism is inherent to partitioned collection
+        and produces realistic floating garbage.
 
-        Derived from the incremental index in O(partition roots + boundary):
-        the index partitions the global root / pin sets, and every
-        ``incoming`` key is an externally referenced resident (``forget``
-        prunes empty entries, reclamation drops entries of reclaimed
-        residents). :func:`repro.gc.remembered.full_scan_frontier` is the
-        whole-heap reference the tests compare this set against.
+        O(partition + boundary): a set intersection iterates its smaller
+        operand, and every ``incoming`` key is an externally referenced
+        resident (``forget`` prunes empty entries, reclamation drops entries
+        of reclaimed residents). :func:`repro.gc.remembered.full_scan_frontier`
+        is the whole-heap reference the tests compare this set against.
         """
-        remembered = self.remembered
-        roots = set(remembered.roots_in(pid))
-        roots |= remembered.pins_in(pid)
-        roots.update(self.partitions[pid].incoming)
+        partition = self.partitions[pid]
+        residents = partition.residents
+        roots = self.roots & residents
+        roots |= self.unlinked & residents
+        roots.update(partition.incoming)
         return roots
 
     def intra_partition_targets(self, oid: ObjectId, pid: PartitionId) -> Iterable[ObjectId]:
@@ -660,9 +669,9 @@ class ObjectStore:
         These pages need a read-modify-write during collection because the
         objects they reference are relocated by compaction.
 
-        The index aggregates distinct sources per partition, so each source
-        object is visited once — not once per resident it references as the
-        per-target ``incoming`` dicts would require.
+        One C-level union of the per-target source dicts gives the distinct
+        sources, so each source object is located once — not once per
+        resident it references.
         """
         pages: set[PageId] = set()
         page_size = self.config.page_size
@@ -670,7 +679,7 @@ class ObjectStore:
         table = self.placements
         parts, offs, sizes = table.parts, table.offs, table.sizes
         dense = len(parts)
-        for src in self.remembered.sources_in(pid):
+        for src in set().union(*self.partitions[pid].incoming.values()):
             if 0 <= src < dense:
                 src_pid = parts[src]
                 if src_pid < 0:
@@ -818,7 +827,6 @@ class ObjectStore:
         """Drop ``oid``'s allocation pin (it became referenced or a root)."""
         pid = self.placements.part_of(oid)
         self.unlinked.discard(oid)
-        self.remembered.unpin(pid, oid)
         if pid >= 0:
             self.trace_epochs[pid] += 1
 
@@ -828,7 +836,7 @@ class ObjectStore:
         if tgt_pid < 0 or tgt_pid == src_pid:
             return
         self.partitions[tgt_pid].remember(src, target)
-        self.remembered.remember_source(tgt_pid, src)
+        self.remembers_total += 1
         self.trace_epochs[tgt_pid] += 1
 
     def _forget_edge(self, src: ObjectId, target: ObjectId) -> None:
@@ -839,7 +847,7 @@ class ObjectStore:
         if src_pid >= 0 and src_pid == tgt_pid:
             return
         if self.partitions[tgt_pid].forget(src, target):
-            self.remembered.forget_source(tgt_pid, src)
+            self.forgets_total += 1
         self.trace_epochs[tgt_pid] += 1
 
     def _declare_dead(self, oid: ObjectId) -> None:
@@ -855,8 +863,8 @@ class ObjectStore:
         """Bookkeeping for the objects a compaction of ``pid`` reclaims.
 
         One kernel over the whole list: placement rows are cleared in the
-        raw columns, and the dead-byte, garbage-total and placement-count
-        ledgers are accumulated as deltas and written once — in a
+        raw columns, and the dead-byte, garbage-total, placement-count and
+        forget-churn ledgers are accumulated as deltas and written once — in a
         ``finally``, so a wrong-partition object (put back, then refused)
         still leaves the ledgers of the objects reclaimed before it
         consistent. An object's own row is cleared before its outgoing
@@ -873,17 +881,11 @@ class ObjectStore:
         dense = len(parts)
         overflow = placements.overflow
         partitions = self.partitions
-        # The partition is fixed, so Partition.drop_incoming and
-        # RememberedSetIndex.drop_object resolve to one dict and two sets.
+        # The partition is fixed, so Partition.drop_incoming is one dict's pop.
         drop_incoming = partitions[pid].incoming.pop
-        remembered = self.remembered
-        forget_source = remembered.forget_source
-        forget_sources = remembered.forget_sources
-        drop_root = remembered._roots.get(pid, set()).discard
-        drop_pin = remembered._pins.get(pid, set()).discard
         roots_discard = self.roots.discard
         unlinked_discard = self.unlinked.discard
-        count = dead = undeclared = 0
+        count = dead = undeclared = forgets = 0
         try:
             for oid in reclaimed:
                 obj = objects_pop(oid)
@@ -917,16 +919,15 @@ class ObjectStore:
                     if tgt_pid < 0 or tgt_pid == pid:
                         continue
                     if partitions[tgt_pid].forget(oid, target):
-                        forget_source(tgt_pid, oid)
+                        forgets += 1
                 dropped = drop_incoming(oid, None)
                 if dropped:
-                    forget_sources(pid, dropped)
+                    forgets += sum(dropped.values())
                 roots_discard(oid)
                 unlinked_discard(oid)
-                drop_root(oid)
-                drop_pin(oid)
         finally:
             placements._count -= count
+            self.forgets_total += forgets
             garbage = self.garbage
             if dead:
                 self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - dead

@@ -148,9 +148,8 @@ class Partition:
 
         Absent entries are normal: the store only records *external*
         references, and intra-partition pointers are never remembered.
-        Returns whether a reference was actually dropped, so the store can
-        keep its incremental frontier index
-        (:class:`~repro.gc.remembered.RememberedSetIndex`) in exact step.
+        Returns whether a reference was actually dropped, so the store's
+        ``forgets_total`` counts only edges that were remembered.
         """
         sources = self.incoming.get(target)
         if sources is None:
@@ -170,7 +169,7 @@ class Partition:
         """Remove all remembered references to ``target`` (it was reclaimed).
 
         Returns the dropped source → count mapping (``None`` when there was
-        none) so the caller can decrement its per-source aggregates.
+        none) so the caller can count the references it forgot.
         """
         return self.incoming.pop(target, None)
 

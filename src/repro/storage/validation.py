@@ -52,7 +52,6 @@ class StoreValidator:
         self._check_partitions(store, report)
         self._check_pointers(store, report)
         self._check_remembered_sets(store, report)
-        self._check_remembered_index(store, report)
         self._check_garbage_accounting(store, report)
         return report
 
@@ -150,7 +149,8 @@ class StoreValidator:
 
     def _check_remembered_sets(self, store: ObjectStore, report: ValidationReport) -> None:
         """Remembered sets contain exactly the live cross-partition edges
-        (with correct multiplicity)."""
+        (with correct multiplicity), and the store's churn counters differ
+        by that edge count."""
         expected: dict[int, dict[tuple[int, int], int]] = {}
         for oid, obj in store.objects.items():
             src_pid = store.placements[oid].partition
@@ -174,61 +174,12 @@ class StoreValidator:
                     f"partition {partition.pid}: extra={list(extra.items())[:3]} "
                     f"missing={list(missing.items())[:3]}",
                 )
-
-    def _check_remembered_index(self, store: ObjectStore, report: ValidationReport) -> None:
-        """The incremental frontier index (``store.remembered``) agrees with
-        a brute-force heap scan: per-partition root membership and allocation
-        pins partition the global sets, and the per-source boundary counts
-        aggregate the per-target remembered sets exactly."""
-        idx = store.remembered
-        for partition in store.partitions:
-            pid = partition.pid
-            want_roots = {
-                oid for oid in store.roots
-                if store.placements[oid].partition == pid
-            }
-            if set(idx.roots_in(pid)) != want_roots:
-                report.add(
-                    "remembered-index",
-                    f"partition {pid}: root membership "
-                    f"{sorted(idx.roots_in(pid))[:5]} != {sorted(want_roots)[:5]}",
-                )
-            want_pins = {
-                oid for oid in store.unlinked
-                if store.placements[oid].partition == pid
-            }
-            if set(idx.pins_in(pid)) != want_pins:
-                report.add(
-                    "remembered-index",
-                    f"partition {pid}: allocation pins "
-                    f"{sorted(idx.pins_in(pid))[:5]} != {sorted(want_pins)[:5]}",
-                )
-            want_sources: dict[int, int] = {}
-            for sources in partition.incoming.values():
-                for src, count in sources.items():
-                    want_sources[src] = want_sources.get(src, 0) + count
-            if dict(idx.sources_in(pid)) != want_sources:
-                report.add(
-                    "remembered-index",
-                    f"partition {pid}: boundary sources disagree with "
-                    f"per-target remembered sets",
-                )
-        total_edges = sum(
-            count
-            for partition in store.partitions
-            for sources in partition.incoming.values()
-            for count in sources.values()
-        )
-        if idx.edges != total_edges:
+        edges = sum(sum(bucket.values()) for bucket in expected.values())
+        if store.remembers_total - store.forgets_total != edges:
             report.add(
-                "remembered-index",
-                f"edge count {idx.edges} != remembered references {total_edges}",
-            )
-        if idx.remembers_total - idx.forgets_total != idx.edges:
-            report.add(
-                "remembered-index",
-                f"churn counters inconsistent: {idx.remembers_total} remembers "
-                f"- {idx.forgets_total} forgets != {idx.edges} live edges",
+                "remembered-sets",
+                f"churn counters inconsistent: {store.remembers_total} remembers "
+                f"- {store.forgets_total} forgets != {edges} live edges",
             )
 
     def _check_garbage_accounting(self, store: ObjectStore, report: ValidationReport) -> None:

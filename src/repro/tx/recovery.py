@@ -362,7 +362,7 @@ def _restore_checkpoint(
 
     Objects are created in oid order with empty pointer maps first (so no
     forward reference can fail validation), then the pointer graph is wired
-    through ``write_pointer`` — which maintains the remembered-set index at
+    through ``write_pointer`` — which maintains the remembered sets at
     every edge — then roots, deaths and allocation pins are reconciled and
     the accounting clocks restored verbatim. Physical placement may differ
     from the original store (recovery re-places first-fit), which is fine:

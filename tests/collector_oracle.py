@@ -6,15 +6,15 @@ to-space list with a single-probe work set), ``ObjectStore.plan_compaction``
 (a prefix-sum layout) and ``ObjectStore.compact_partition`` (one bulk
 reclaim, one offset scatter). This module is what they replaced, written
 one object at a time: a ``deque`` breadth-first search with a ``seen`` set,
-a per-object reclaim through the placement table's and the remembered
-index's public methods, and a compaction that bump-allocates every
+a per-object reclaim through the placement table's and the partitions'
+public methods, and a compaction that bump-allocates every
 survivor. Tests require the two to leave the store in the same state under
 :func:`ordered_fields` — a rendering that keeps every dict's and set's
 *iteration order*, because the residents order of one collection is the
 reclaim order of the next.
 
 Like ``event_oracle`` it drives the production store underneath
-(``Partition.bump``, ``PlacementTable.put``, ``RememberedSetIndex``): what
+(``Partition.bump`` / ``forget``, ``PlacementTable.put``): what
 is independent here is the order and granularity of the collector's own
 steps, not the data structures.
 """
@@ -67,13 +67,12 @@ def reclaim(store, oid, pid):
         if tgt_pid < 0 or tgt_pid == pid:
             continue
         if store.partitions[tgt_pid].forget(oid, target):
-            store.remembered.forget_source(tgt_pid, oid)
+            store.forgets_total += 1
     dropped = store.partitions[pid].drop_incoming(oid)
     if dropped:
-        store.remembered.forget_sources(pid, dropped)
+        store.forgets_total += sum(dropped.values())
     store.roots.discard(oid)
     store.unlinked.discard(oid)
-    store.remembered.drop_object(pid, oid)
     return obj.size
 
 
@@ -130,7 +129,6 @@ def collect(collector, pid):
 def ordered_fields(store) -> dict:
     """``store_fields`` plus the iteration order of every dict and set a
     collection writes (``list(part.residents)`` is already in there)."""
-    index = store.remembered
     return {
         **store_fields(store),
         "objects_order": list(store.objects),
@@ -142,10 +140,5 @@ def ordered_fields(store) -> dict:
         "roots_order": list(store.roots),
         "unlinked_order": list(store.unlinked),
         "dead_bytes_order": list(store.dead_bytes.items()),
-        "index_order": (
-            [(pid, list(oids)) for pid, oids in index._roots.items()],
-            [(pid, list(oids)) for pid, oids in index._pins.items()],
-            [(pid, list(srcs.items())) for pid, srcs in index._sources.items()],
-        ),
         "ledgers": (store._allocated_bytes, store._physical_bytes),
     }

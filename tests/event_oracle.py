@@ -76,7 +76,7 @@ def store_fields(store) -> dict:
             store.garbage.total_collected,
             store.garbage.undeclared,
         ),
-        "remembered": store.remembered.stats(),
+        "remembered": (store.remembers_total, store.forgets_total),
         "epochs": (list(store.trace_epochs), store.compaction_epoch),
         "buffer": (store.buffer.stats, list(store.buffer._pages.items())),
         "io": store.iostats.as_metrics(),

@@ -1,13 +1,13 @@
-"""Property-based tests: incremental remembered sets vs from-scratch scans.
+"""Property-based tests: the derived frontier vs from-scratch scans.
 
 The contract of :mod:`repro.gc.remembered`: after *any* sequence of store
-mutations, the incrementally maintained per-partition frontier (roots,
-allocation pins, distinct boundary sources) equals what a full heap scan
-recomputes from scratch — and therefore both derivations trace the
-identical survivor set. :func:`full_scan_frontier` is the oracle: no
-production path calls it, every check here compares the collector's
-frontier against it. Plus the documented conservatism caveat: a
-cross-partition garbage cycle is retained by partition collection (the
+mutations, the frontier the store derives from ``Partition.incoming`` and
+its own root and pin sets (roots, allocation pins, boundary sources) equals
+what a full heap scan recomputes from scratch — and therefore both
+derivations trace the identical survivor set. :func:`full_scan_frontier`
+is the oracle: no production path calls it, every check here compares the
+collector's frontier against it. Plus the documented conservatism caveat:
+a cross-partition garbage cycle is retained by partition collection (the
 oracle agrees it must be) and reclaimed only by ``collect_global``.
 """
 
@@ -147,44 +147,37 @@ def test_incremental_frontier_matches_full_scan_after_every_op(ops):
 
 @settings(max_examples=40, deadline=None)
 @given(op_sequences())
-def test_remembered_index_equals_brute_force_boundary(ops):
-    """The index holds exactly the live boundary edges: per partition, each
-    external source mapped to its precise count of inward pointer slots —
-    no stale entries, no missed edges, and churn totals that reconcile."""
+def test_remembered_set_equals_brute_force_boundary(ops):
+    """``Partition.incoming`` holds exactly the live boundary edges: per
+    target resident, each external source with its precise count of
+    pointer slots — no stale entries, no missed edges — and the store's
+    churn counters differ by the live edge count."""
     store = ObjectStore(CFG)
     collector = CopyingCollector(store)
     for _ in _apply_ops(store, collector, ops):
         pass
 
-    expected: dict[int, dict[int, int]] = {}
+    expected: dict[int, dict[int, dict[int, int]]] = {}
     for src, obj in store.objects.items():
         src_pid = store.placements[src].partition
         for target in obj.targets():
             placement = store.placements.get(target)
             if placement is None or placement.partition == src_pid:
                 continue
-            per = expected.setdefault(placement.partition, {})
+            per = expected.setdefault(placement.partition, {}).setdefault(target, {})
             per[src] = per.get(src, 0) + 1
 
-    index = store.remembered
-    for pid in range(len(store.partitions)):
-        assert dict(index.sources_in(pid)) == expected.get(pid, {})
-        placed_roots = {
-            oid for oid in store.roots
-            if store.placements[oid].partition == pid
-        }
-        placed_pins = {
-            oid for oid in store.unlinked
-            if store.placements[oid].partition == pid
-        }
-        assert set(index.roots_in(pid)) == placed_roots
-        assert set(index.pins_in(pid)) == placed_pins
-
-    assert index.edges == sum(
-        count for per in expected.values() for count in per.values()
+    for partition in store.partitions:
+        assert partition.incoming == expected.get(partition.pid, {})
+    edges = sum(
+        count
+        for per_target in expected.values()
+        for sources in per_target.values()
+        for count in sources.values()
     )
-    assert index.remembers_total - index.forgets_total == index.edges
-    # The validator's remembered-index invariant agrees.
+    assert store.remembers_total - store.forgets_total == edges
+    assert store.remembered_stats()["edges"] == edges
+    # The validator's remembered-set invariant agrees.
     assert validate_store(store).ok
 
 
@@ -192,7 +185,7 @@ def test_remembered_index_equals_brute_force_boundary(ops):
 @given(op_sequences())
 def test_both_reachability_modes_reclaim_identically(ops):
     """At every collection point of a mutation sequence, the full-scan
-    oracle and the incremental index hand the collector the same frontier
+    oracle and the store's derivation hand the collector the same frontier
     — so a collector built on either would reclaim identically."""
     store = ObjectStore(CFG)
     collector = CopyingCollector(store)
@@ -200,6 +193,34 @@ def test_both_reachability_modes_reclaim_identically(ops):
     for _ in _apply_ops(store, collector, ops):
         pass
     assert len(checked) == collector.collections_performed
+    assert validate_store(store).ok
+
+
+def test_frontier_with_root_and_pin_sets_larger_than_the_partition():
+    """``partition_roots`` intersects the store's root and pin sets with the
+    residents, iterating whichever side is smaller. The generated sequences
+    keep both sets small; here they dwarf most partitions — one 300-byte
+    resident each — and the frontier still equals the full scan."""
+    store = ObjectStore(CFG)
+    roots = [store.create(size=10) for _ in range(120)]
+    for oid in roots:
+        store.register_root(oid)
+    for _ in range(120):  # allocation pins
+        store.create(size=10)
+    loners = [store.create(size=300) for _ in range(6)]
+    store.write_pointer(roots[0], "a", loners[0])  # remembered-in
+    store.write_pointer(loners[1], "b", loners[2])  # loners[1] stays pinned
+    store.register_root(loners[3])
+    assert min(len(store.roots), len(store.unlinked)) > 100
+    for oid in loners:
+        assert store.partitions[store.partition_of(oid)].residents == {oid}
+    for pid in range(len(store.partitions)):
+        scan_roots, scan_pages = full_scan_frontier(store, pid)
+        assert store.partition_roots(pid) == scan_roots
+        assert store.external_source_pages(pid) == scan_pages
+    assert store.partition_roots(store.partition_of(loners[0])) == {loners[0]}
+    assert store.partition_roots(store.partition_of(loners[3])) == {loners[3]}
+    assert store.partition_roots(store.partition_of(loners[4])) == {loners[4]}
     assert validate_store(store).ok
 
 
@@ -230,7 +251,7 @@ def _cyclic_cross_partition_store():
 def test_cross_partition_cycle_is_retained_by_both_modes():
     """Partition collection never reclaims a cross-partition garbage cycle:
     each member is remembered-in from the other partition, so it is a
-    conservative root there — by the incremental index and by the
+    conservative root there — by the store's derivation and by the
     full-scan oracle alike. This is the documented cost of O(partition)
     collection, not a remembered-set defect."""
     store, root, a, b = _cyclic_cross_partition_store()
@@ -280,8 +301,8 @@ def _run_cell(check_frontier: bool) -> bytes:
 
 
 def test_modes_produce_pickle_identical_summaries():
-    """On a real OO7 cell the oracle agrees with the index at every
-    collection, and attaching the check changes nothing."""
+    """On a real OO7 cell the oracle agrees with the store's frontier at
+    every collection, and attaching the check changes nothing."""
     assert _run_cell(check_frontier=True) == _run_cell(check_frontier=False)
 
 
@@ -290,28 +311,75 @@ def test_modes_produce_pickle_identical_summaries():
 # ---------------------------------------------------------------------------
 
 
-def test_run_telemetry_carries_remembered_gauges(tmp_path):
-    from repro.experiments.common import oo7_spec
+REMEMBERED_GAUGES = {
+    "gc.remembered.edges",
+    "gc.remembered.sources",
+    "gc.remembered.roots",
+    "gc.remembered.pins",
+    "gc.remembered.remembers_total",
+    "gc.remembered.forgets_total",
+    "gc.remembered.traced_objects_total",
+    "gc.remembered.heap_objects_total",
+    "gc.remembered.traced_vs_heap",
+}
+
+
+def _remembered_gauges(path):
     from repro.obs.telemetry import load_telemetry
+
+    records = load_telemetry(path)
+    gauges = next(r for r in records if r["type"] == "metrics")["gauges"]
+    return {key: value for key, value in gauges.items() if key in REMEMBERED_GAUGES}
+
+
+def test_run_telemetry_carries_remembered_gauges(tmp_path):
+    """Every ``gc.remembered.*`` gauge is set once, as of the end of the
+    run — by a simulation's run end and by the service's stop — and the
+    fused kernels and the guarded loop leave equal values behind."""
+    import dataclasses
+
+    from repro.experiments.common import oo7_spec
+    from repro.obs.telemetry import RunTelemetry
     from repro.oo7.config import TINY
+    from repro.service.config import ServiceConfig
+    from repro.service.server import GcService
+    from repro.service.stream import grammar_stream
     from repro.sim.engine import run_experiment
-    from repro.sim.spec import PolicySpec
+    from repro.sim.simulator import SimulationConfig
+    from repro.sim.spec import PolicySpec, build_policy
+    from repro.workload.tenants import make_profile
 
     spec = oo7_spec(PolicySpec("fixed", {"overwrites_per_collection": 40.0}), TINY, 2)
-    agg = run_experiment(spec, seeds=[1], jobs=1, telemetry=tmp_path)
-    records = load_telemetry(agg.telemetry_paths[0])
-    gauges = next(r for r in records if r["type"] == "metrics")["gauges"]
-    for key in (
-        "gc.remembered.edges",
-        "gc.remembered.sources",
-        "gc.remembered.roots",
-        "gc.remembered.pins",
-        "gc.remembered.remembers_total",
-        "gc.remembered.forgets_total",
-        "gc.remembered.traced_objects_total",
-        "gc.remembered.heap_objects_total",
-        "gc.remembered.traced_vs_heap",
-    ):
-        assert key in gauges, key
+    runs = {}
+    for replay in ("auto", "scalar"):
+        sim = dataclasses.replace(spec.sim, replay=replay)
+        cell = dataclasses.replace(spec, sim=sim)
+        agg = run_experiment(cell, seeds=[1], jobs=1, telemetry=tmp_path / replay)
+        runs[replay] = _remembered_gauges(agg.telemetry_paths[0])
+    gauges = runs["auto"]
+    assert set(gauges) == REMEMBERED_GAUGES
     assert gauges["gc.remembered.remembers_total"] >= gauges["gc.remembered.edges"]
     assert 0.0 < gauges["gc.remembered.traced_vs_heap"] <= 1.0
+    assert runs["scalar"] == gauges
+
+    served = {}
+    policy = PolicySpec("fixed", {"overwrites_per_collection": 50.0})
+    for replay in ("auto", "scalar"):
+        obs = RunTelemetry(tmp_path / f"serve-{replay}.jsonl", kind="service")
+        service = GcService(
+            policy=build_policy(policy, 7),
+            stream=grammar_stream(make_profile("hot-key-skew"), seed=7),
+            sim_config=SimulationConfig(replay=replay),
+            service=ServiceConfig(max_events=6000, checkpoint_every_events=2000),
+            obs=obs,
+        )
+        report = service.run()
+        assert report.collections > 0
+        assert (report.events_fused > 0) == (replay == "auto")
+        served[replay] = _remembered_gauges(obs.close())
+        for key, value in service.sim.store.remembered_stats().items():
+            assert served[replay][f"gc.remembered.{key}"] == value
+    assert set(served["auto"]) == REMEMBERED_GAUGES
+    assert served["auto"]["gc.remembered.forgets_total"] > 0
+    assert served["auto"]["gc.remembered.sources"] > 0
+    assert served["auto"] == served["scalar"]

@@ -8,7 +8,6 @@ import textwrap
 
 import pytest
 
-from repro.gc.remembered import RememberedSetIndex as Index
 from repro.sim.metrics import RunningMean, Sampler
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import ObjectStore as Store
@@ -19,15 +18,14 @@ from repro.tx.recovery import RedoLog
 from repro.tx.wal import WriteAheadLog
 
 MIRRORS = {  # kernel block -> {method it mirrors: pinned digest}
-    "resolve": {Store.create: "77951d03cb", Store._place: "b07be23155",
-                Partition.bump: "faca11d8c7", Index.pin: "dc1ef7bfd5"},
+    "resolve": {Store.create: "5cd3cf8c82", Store._place: "b07be23155",
+                Partition.bump: "faca11d8c7"},
     "touch": {BufferPool.touch: "fc7b3a629e", BufferPool._evict_to: "1235b3d7f0",
               IOStats.record_read: "db15fdec46", IOStats.record_write: "9a1edfd77b"},
     "wire": {Store.write_pointer: "c3b4d3957e", Store._declare_dead: "99e320b326",
-             Store._forget_edge: "04a4fe795e", Partition.forget: "85f0c67202",
-             Index.forget_source: "5b2bc918e4", Store._unpin: "50a8202c85",
-             Store._remember_edge: "f86350a4fb", Partition.remember: "8822e49a04",
-             Index.remember_source: "8e0896106e"},
+             Store._forget_edge: "08069d692e", Partition.forget: "85f0c67202",
+             Store._unpin: "664b106997", Store._remember_edge: "201624f16a",
+             Partition.remember: "8822e49a04"},
     "sample": {Sampler.on_event: "2d5e19190a", RunningMean.add: "a1cb6f62bd"},
     # The singleton rows the kernel hands RedoLog.append are RedoLog.create's
     # and RedoLog.write's records, field for field, as plain tuples.

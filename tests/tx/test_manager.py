@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.gc.remembered import full_scan_frontier
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
 from repro.tx.manager import TransactionError, TransactionManager, TransactionState
@@ -158,6 +159,11 @@ def test_abort_restores_root_registration(manager, store):
     manager.register_root(extra)
     manager.abort()
     assert extra not in store.roots
+    # The collection frontier loses the root with it: no second copy of the
+    # root set keeps the aborted registration alive.
+    pid = store.partition_of(extra)
+    assert store.partition_roots(pid) == full_scan_frontier(store, pid)[0]
+    assert validate_store(store).ok
 
 
 def test_abort_keeps_preexisting_root(manager, store):
