@@ -12,23 +12,24 @@ What travels from a stream to the service is a bounded **column chunk**
 (:class:`~repro.workload.compiled.CompiledTrace`), not an event object: the
 grammar and tenant generators emit straight into a
 :class:`~repro.workload.compiled.TraceBuilder` that is cut every
-:data:`CHUNK_EVENTS` events. The same generator body run into an
-:class:`~repro.events.EventSink` is the stream's event form, which tests
-and tools read; a source that only has events (a materialised list, a
-wrapper around another stream) is compiled into chunks on the way in.
+:data:`~repro.workload.chunks.CHUNK_EVENTS` events. The same generator body
+run into an :class:`~repro.events.EventSink` is the stream's event form,
+which tests and tools read; a source that only has events (a materialised
+list, a wrapper around another stream) is compiled into chunks on the way
+in.
 
 Determinism also makes a stream's chunks a pure function of (recipe,
 start, chunk length), so where they are cut changes nothing in them. A
 ``steps`` stream whose recipe pickles — :func:`grammar_stream` and
 :func:`tenant_stream` build theirs from ``functools.partial`` — is cut by
 this process's helper interpreter on a second CPU, about one chunk ahead
-of the service (:mod:`repro.service.stream_helper`); everything else
+of the service (:mod:`repro.workload.stream_helper`); everything else
 (``factory`` streams, lambda ``steps``, events-only wrappers, a one-CPU
 host) is cut inline by the consumer. Both hosts run
-:func:`_generated_chunks`, and a helper that dies mid-stream hands over to
-it at the position reached. Every chunk route returns a
-:class:`~repro.service.stream_helper.ChunkFeed`, which says which host
-served it.
+:func:`~repro.workload.chunks._generated_chunks`, and a helper that dies
+mid-stream hands over to it at the position reached. Every chunk route
+returns a :class:`~repro.workload.stream_helper.ChunkFeed`, which says
+which host served it.
 """
 
 from __future__ import annotations
@@ -39,15 +40,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.events import TraceEvent, TraceSink, stream_events
-from repro.service.stream_helper import Chunk, ChunkFeed
-from repro.workload.compiled import CompiledTrace, TraceBuilder
+from repro.workload import chunks
+from repro.workload.chunks import Chunk, _generated_chunks
+from repro.workload.compiled import TraceBuilder
 from repro.workload.grammar import GrammarWorkload, WorkloadConfig
+from repro.workload.stream_helper import ChunkFeed
 from repro.workload.tenants import TenantMix, TenantMixConfig
-
-#: Events per column chunk. Chunks bound how far generation runs ahead of
-#: the service and how large a chunk's string table can get; results never
-#: depend on the value.
-CHUNK_EVENTS = 4096
 
 
 @runtime_checkable
@@ -72,7 +70,7 @@ def _compiled_chunks(events: Iterator[TraceEvent]) -> Iterator[Chunk]:
     builder = TraceBuilder()
     add = builder.add
     while True:
-        batch = list(itertools.islice(events, CHUNK_EVENTS))
+        batch = list(itertools.islice(events, chunks.CHUNK_EVENTS))
         if not batch:
             return
         for event in batch:
@@ -80,39 +78,13 @@ def _compiled_chunks(events: Iterator[TraceEvent]) -> Iterator[Chunk]:
         yield builder.finish(), 0
 
 
-def _cut(
-    steps: Callable[[TraceSink], Iterator[None]], chunk_events: int
-) -> Iterator[CompiledTrace]:
-    """Run a step generator into trace columns, cut every ``chunk_events``."""
-    builder = TraceBuilder()
-    for _ in steps(builder):
-        if len(builder.ops) >= chunk_events:
-            yield builder.finish()
-    if builder.ops:
-        yield builder.finish()
-
-
-def _generated_chunks(
-    steps: Callable[[TraceSink], Iterator[None]], chunk_events: int, start_index: int
-) -> Iterator[Chunk]:
-    """A step stream's chunks from ``start_index``: regenerate from zero,
-    drop the chunks that end at or before it, enter the one that straddles
-    it part-way. What a helper interpreter runs, and the inline host."""
-    seen = 0
-    for chunk in _cut(steps, chunk_events):
-        end = seen + len(chunk)
-        if end > start_index:
-            yield chunk, max(0, start_index - seen)
-        seen = end
-
-
 def stream_chunks(stream: EventStream, start_index: int = 0) -> ChunkFeed:
     """The chunk route of any stream, from absolute event ``start_index``."""
     chunks_from = getattr(stream, "chunks_from", None)
     if chunks_from is None:
         return ChunkFeed(_compiled_chunks(stream.events_from(start_index)))
-    chunks = chunks_from(start_index)
-    return chunks if isinstance(chunks, ChunkFeed) else ChunkFeed(chunks)
+    feed = chunks_from(start_index)
+    return feed if isinstance(feed, ChunkFeed) else ChunkFeed(feed)
 
 
 @dataclass
@@ -147,10 +119,11 @@ class ReplayableStream:
     def chunks_from(self, start_index: int = 0) -> ChunkFeed:
         """Column chunks covering the stream from ``start_index`` on.
 
-        A ``steps`` stream is cut by :func:`_generated_chunks` — in this
-        process's helper interpreter when ``steps`` pickles and a second CPU
-        is there, inline otherwise; a ``factory`` stream compiles
-        ``events_from``. The chunk length is :data:`CHUNK_EVENTS` as it
+        A ``steps`` stream is cut by
+        :func:`~repro.workload.chunks._generated_chunks` — in this process's
+        helper interpreter when ``steps`` pickles and a second CPU is there,
+        inline otherwise; a ``factory`` stream compiles ``events_from``. The
+        chunk length is :data:`~repro.workload.chunks.CHUNK_EVENTS` as it
         reads now.
         """
         if start_index < 0:
@@ -158,7 +131,8 @@ class ReplayableStream:
         if self.steps is None:
             return ChunkFeed(_compiled_chunks(self.events_from(start_index)))
         return ChunkFeed.cut(
-            functools.partial(_generated_chunks, self.steps, CHUNK_EVENTS), start_index
+            functools.partial(_generated_chunks, self.steps, chunks.CHUNK_EVENTS),
+            start_index,
         )
 
 

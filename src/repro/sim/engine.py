@@ -30,7 +30,10 @@ trace / selection objects there, once per seed.
 Trace resolution is additionally memoised through an optional
 :class:`~repro.workload.trace_cache.TraceCache`: each unique
 (workload, seed) trace in a batch is generated and compiled **once per
-sweep** — in-process for serial runs; for pooled runs the engine pre-warms
+sweep** — in-process for serial runs, where a miss is replayed chunk by
+chunk while a helper interpreter on the second CPU is still cutting it
+(:meth:`~repro.workload.trace_cache.TraceCache.resolve`, DESIGN §3 "Where
+generation runs"); for pooled runs the engine pre-warms
 the on-disk compiled binaries (one build per unique trace, fanned over the
 pool) and every worker process opens the same cache through its
 initializer, so warm workers resolve traces by loading compact binaries
@@ -64,7 +67,7 @@ from repro.sim.spec import (
     build_selection,
 )
 from repro.workload.shm import SharedTraceArena
-from repro.workload.trace_cache import TraceCache, trace_fingerprint
+from repro.workload.trace_cache import StreamedTrace, TraceCache, trace_fingerprint
 
 
 class RunTimeoutError(Exception):
@@ -126,10 +129,12 @@ def _worker_init(
 
 
 def _worker_simulate(spec, seed, keep_records, timeout, telemetry_path=None):
-    """The unit of work shipped to pool workers (module-level: picklable)."""
+    """The unit of work shipped to pool workers (module-level: picklable).
+    Workers resolve traces whole: the pool already occupies every core."""
     return _simulate(
         spec, seed, keep_records, timeout=timeout,
         trace_cache=_WORKER_TRACE_CACHE, telemetry_path=telemetry_path,
+        stream=False,
     )
 
 
@@ -192,6 +197,7 @@ def _simulate(
     timeout: Optional[float] = None,
     trace_cache: Optional[TraceCache] = None,
     telemetry_path: Union[str, Path, None] = None,
+    stream: bool = True,
 ) -> tuple[SimulationSummary, Optional[list[CollectionRecord]], float]:
     """Execute one (spec, seed) run.
 
@@ -202,7 +208,9 @@ def _simulate(
     off the main thread. With a ``trace_cache`` the
     workload trace is resolved through the compiled-trace cache (memo /
     disk / build) instead of re-running the generator; replay is
-    event-identical, so the results don't depend on which path ran.
+    event-identical, so the results don't depend on which path ran. A miss
+    is replayed while it is cut (:meth:`TraceCache.resolve`) unless
+    ``stream`` is off, and cached only once the run has succeeded.
 
     With a ``telemetry_path`` the run is observed by a
     :class:`~repro.obs.telemetry.RunTelemetry` written to that file on
@@ -222,7 +230,8 @@ def _simulate(
     if trace_cache is not None:
         policy = build_policy(spec.policy, seed)
         selection = build_selection(spec.selection, seed)
-        trace = trace_cache.get_or_build(spec.workload, seed)
+        resolve = trace_cache.resolve if stream else trace_cache.get_or_build
+        trace = resolve(spec.workload, seed)
     else:
         policy, trace, selection = spec.resolve(seed)
     faults = FaultInjector(spec.faults) if spec.faults is not None else None
@@ -239,6 +248,8 @@ def _simulate(
         result = sim.run(trace, deadline=deadline)
     if deadline is not None and time.monotonic() >= deadline:
         raise RunTimeoutError("simulation run exceeded run_timeout")
+    if isinstance(trace, StreamedTrace):
+        trace.commit()
     elapsed = time.perf_counter() - started
     if obs is not None:
         obs.close()

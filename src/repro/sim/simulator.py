@@ -22,6 +22,7 @@ its columns, in one of the two interpreters of :mod:`repro.sim.batch`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -39,7 +40,9 @@ from repro.sim.metrics import Sampler, SimulationSummary
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.tx.manager import TransactionManager
 from repro.tx.recovery import RedoLog
+from repro.workload.chunks import Chunk
 from repro.workload.compiled import CompiledTrace, compile_trace
+from repro.workload.trace_cache import StreamedTrace
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.telemetry import RunTelemetry
@@ -247,11 +250,16 @@ class Simulation:
 
         ``trace`` is a :class:`~repro.workload.compiled.CompiledTrace` or
         anything :func:`~repro.workload.compiled.compile_trace` accepts —
-        an iterable of events, or a workload offering ``emit_trace``. It is
+        an iterable of events, or a workload with a step form. It is
         compiled whole before the policy is armed or the store touched, so
         a source that fails (a generator that raises, an unknown event
         class, a truncated trace file) leaves the simulation as it was. A
         caller that replays one trace many times compiles it once itself.
+
+        ``trace`` may also be a :class:`~repro.workload.trace_cache.
+        StreamedTrace`, a trace-cache miss still being cut: each chunk is
+        replayed as it arrives, and the feed is closed however the run
+        ends. A generator that fails mid-stream then fails the run part-way.
 
         ``start_index`` skips the first events of the trace while keeping
         event indices absolute — a crash-recovery drill passes the full
@@ -267,21 +275,36 @@ class Simulation:
         ``resume_index`` a continuation must restart from (the begin of the
         transaction in flight, or the next unprocessed event).
         """
+        if isinstance(trace, StreamedTrace):
+            with contextlib.closing(trace):
+                if start_index:
+                    raise ValueError("a streamed trace replays from its first event")
+                return self._replay(trace, 0, deadline)
         if not isinstance(trace, CompiledTrace):
             trace = compile_trace(trace)
+        return self._replay(((trace, start_index),), start_index, deadline)
+
+    def _replay(
+        self, chunks: Iterable[Chunk], start_index: int, deadline: Optional[float]
+    ) -> SimulationResult:
+        """Arm the run at ``start_index``, replay each ``(chunk, offset)``
+        from its offset on, and finish. Each chunk takes the fused
+        interpreter if the run is eligible for it as that chunk starts
+        (an open transaction is not), the guarded one otherwise."""
         try:
             self._start(start_index)
-            cache = batch._ensure_cache(trace)
-            end = len(cache.ops)
-            ci, wi = batch._prefix_counts(cache.ops, start_index)
-            if self.config.replay != "scalar" and batch._fast_eligible(self):
-                batch._replay_fast(
-                    self, trace, cache, start_index, end, ci, wi, deadline
-                )
-            else:
-                batch._replay_guarded(
-                    self, trace, cache, start_index, end, ci, wi, deadline, False
-                )
+            for chunk, offset in chunks:
+                cache = batch._ensure_cache(chunk)
+                end = len(cache.ops)
+                ci, wi = batch._prefix_counts(cache.ops, offset)
+                if self.config.replay != "scalar" and batch._fast_eligible(self):
+                    batch._replay_fast(
+                        self, chunk, cache, offset, end, ci, wi, deadline
+                    )
+                else:
+                    batch._replay_guarded(
+                        self, chunk, cache, offset, end, ci, wi, deadline, False
+                    )
         except SimulatedCrash as crash:
             self._annotate_crash(crash)
             raise

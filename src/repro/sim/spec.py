@@ -230,7 +230,7 @@ register_policy("saga", _build_saga)
 
 def _build_oo7(seed: int, config: OO7Config, **kwargs) -> Iterable[TraceEvent]:
     # The application itself, not ``.events()``: iterating it streams the
-    # events, and ``compile_trace`` can take its ``emit_trace`` route.
+    # events, and ``compile_trace`` and the trace cache find its ``steps``.
     return Oo7Application(config, seed=seed, **kwargs)
 
 
@@ -260,8 +260,8 @@ def _build_grammar(
     """
     if not isinstance(config, WorkloadConfig):
         config = WorkloadConfig.from_dict(dict(config))
-    # The workload itself, as for ``oo7``: ``compile_trace`` fills the
-    # columns through its ``emit_trace``, everyone else iterates it.
+    # The workload itself, as for ``oo7``: ``compile_trace`` drains its
+    # ``steps`` into the columns, everyone else iterates it.
     return GrammarWorkload(config, seed=seed)
 
 

@@ -38,7 +38,7 @@ class Oo7Application:
             gives exactly the paper's four-phase application.
 
     The application is a one-shot generator: iterate :meth:`events` (or the
-    application itself) once, or call :meth:`emit_trace` once. The underlying
+    application itself) once, or drain :meth:`steps` once. The underlying
     :class:`~repro.oo7.schema.Oo7Graph` stays accessible for inspection
     after (or during) the run.
     """
@@ -85,16 +85,13 @@ class Oo7Application:
 
     def events(self) -> Iterator[TraceEvent]:
         """The full trace: GenDB, Reorg1[, DocChurn], Traverse, Reorg2[, DocChurn]."""
-        return stream_events(self._steps)
+        return stream_events(self.steps)
 
     __iter__ = events
 
-    def emit_trace(self, out: TraceSink) -> None:
-        """Write the same trace into ``out`` without building event objects."""
-        for _ in self._steps(out):
-            pass
-
-    def _steps(self, out: TraceSink) -> Iterator[None]:
+    def steps(self, out: TraceSink) -> Iterator[None]:
+        """The same trace emitted into ``out``, yielding where it may be
+        suspended (a consumer cuts chunks there)."""
         graph, rng = self.graph, self.rng
         yield from gen_db_steps(graph, out)
         yield from reorg1_steps(graph, rng, self.delete_fraction, out)

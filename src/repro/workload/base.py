@@ -14,9 +14,12 @@ protocol collapses that: a workload is anything that exposes
   workload is* (not how it is implemented), digestible by
   :func:`repro.canonical.canonical_value`.
 
-A workload may also offer ``emit_trace(out)``, which writes the same trace
-into a :class:`~repro.events.TraceSink` without building event objects;
-:func:`~repro.workload.compiled.compile_trace` uses it when present.
+A workload may also offer a *step form*, ``steps(out)``: the same trace
+emitted into a :class:`~repro.events.TraceSink`, without event objects,
+by a generator that yields where it may be suspended.
+:func:`~repro.workload.compiled.compile_trace` drains it when present, and
+:meth:`~repro.workload.trace_cache.TraceCache.resolve` cuts it into chunks
+that a run replays while the rest is still being generated.
 
 :func:`repro.workload.trace_cache.trace_fingerprint` and
 :class:`~repro.workload.trace_cache.TraceCache` consume exactly this
@@ -51,12 +54,17 @@ class WorkloadSpec(Protocol):
     Construct a fresh instance — same constructor arguments, same seed,
     byte-identical trace — to replay.
 
-    Optional, and therefore not a member of the protocol:
-    ``emit_trace(out: TraceSink) -> None`` emits the trace ``events()``
-    would yield — the same events in the same order, equally one-shot — as
-    calls on ``out``. :func:`~repro.workload.compiled.compile_trace` looks
-    for it with ``getattr`` and, when it is there, lets the workload fill the
-    trace columns directly instead of iterating ``events()``.
+    Optional, and therefore not a member of the protocol — the only optional
+    method: ``steps(out: TraceSink) -> Iterator[None]`` emits the trace
+    ``events()`` would yield — the same events in the same order, equally
+    one-shot — as calls on ``out``, yielding wherever the generator may be
+    suspended (after every event, or less often).
+    ``events()`` is then ``stream_events(self.steps)``.
+    :func:`~repro.workload.compiled.compile_trace` looks for it with
+    ``getattr`` and drains it into the trace columns instead of iterating
+    ``events()``; the trace cache cuts it into chunks as it runs, which is
+    also why the instance must pickle for the chunks to be cut in a helper
+    interpreter (one that does not is cut inline).
     :class:`~repro.workload.application.Oo7Application`,
     :class:`~repro.workload.grammar.GrammarWorkload` and
     :class:`~repro.workload.tenants.TenantMix` offer it; the synthetic and

@@ -404,7 +404,8 @@ class TraceBuilder:
     through a sink fills the columns directly; :meth:`add` encodes an event
     object. :meth:`finish` hands the columns over and starts the builder
     afresh, string table included, so one builder can cut a long stream
-    into chunks.
+    into chunks; :meth:`chunk` cuts one off and keeps it, so the builder
+    still finishes into the whole trace.
     """
 
     def __init__(self) -> None:
@@ -420,6 +421,8 @@ class TraceBuilder:
         self.write_dies_start = array("q", [0])
         self.dies = array("q")
         self._intern: dict[str, int] = {}
+        #: (events, creates, writes) already handed out by :meth:`chunk`.
+        self._chunked = (0, 0, 0)
 
     def _string_index(self, text: str) -> int:
         index = self._intern.get(text)
@@ -532,20 +535,52 @@ class TraceBuilder:
         self.__init__()
         return trace
 
+    def chunk(self) -> CompiledTrace:
+        """The events added since the last chunk, as a trace of their own.
+
+        The builder keeps them for :meth:`finish`. The chunk's string table
+        is the builder's so far, so its string indices are the whole
+        trace's; its two offset tables are rebased onto its own pointer and
+        death columns.
+        """
+        e, c, w = self._chunked
+        p = self.create_ptr_start[c]
+        d = self.write_dies_start[w]
+        trace = CompiledTrace(
+            self.ops[e:],
+            self.arg0[e:],
+            self.arg1[e:],
+            list(self.strings),
+            self.create_kind[c:],
+            _rebased(self.create_ptr_start[c:], p),
+            self.ptr_slots[p:],
+            self.ptr_targets[p:],
+            self.write_slot[w:],
+            _rebased(self.write_dies_start[w:], d),
+            self.dies[d:],
+        )
+        self._chunked = (len(self.ops), len(self.create_kind), len(self.write_slot))
+        return trace
+
+
+def _rebased(offsets: array, base: int) -> array:
+    return array("q", [x - base for x in offsets]) if base else offsets
+
 
 def compile_trace(events: Iterable[TraceEvent]) -> CompiledTrace:
     """Materialise an event stream into a :class:`CompiledTrace`.
 
     Consumes the iterable once. Replaying the result is event-for-event
     equal to the original stream (tests assert this property under
-    Hypothesis-generated traces). A workload that offers ``emit_trace(out)``
-    (see :class:`repro.workload.base.WorkloadSpec`) writes straight into the
+    Hypothesis-generated traces). A workload with a step form, ``steps(out)``
+    (see :class:`repro.workload.base.WorkloadSpec`), is drained into the
     columns instead of being iterated; the trace is the same.
     """
     builder = TraceBuilder()
-    emit_trace = getattr(events, "emit_trace", None)
-    if emit_trace is not None:
-        emit_trace(builder)
+    steps = getattr(events, "steps", None)
+    if callable(steps):
+        for _ in steps(builder):
+            pass
     else:
         add = builder.add
         for event in events:

@@ -567,11 +567,6 @@ class GrammarWorkload:
 
     __iter__ = events
 
-    def emit_trace(self, out: TraceSink) -> None:
-        """Write the same trace into ``out`` without building event objects."""
-        for _ in self.steps(out):
-            pass
-
     def stream(self, max_live_clusters: int = 512) -> Iterator[TraceEvent]:
         """An unbounded trace with bounded generator memory (one-shot):
         :meth:`steps` in streaming mode, run into event objects."""

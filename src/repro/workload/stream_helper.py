@@ -3,15 +3,18 @@
 A stream's chunks are a pure function of its recipe, ``cut(start)``, so any
 process can cut them. :meth:`ChunkFeed.cut` hands the pickled recipe to a
 helper interpreter that answers with ``CompiledTrace.save`` frames over a
-pipe — the pipe's capacity is the run-ahead bound — and falls back to
-cutting inline, from the position reached, if the helper dies. Lifecycle
-and the hosts not taken: DESIGN §3, "Where generation runs".
+pipe — the pipe's capacity, :data:`_PIPE_BYTES`, is the run-ahead bound —
+and falls back to cutting inline, from the position reached, if the helper
+dies. A recipe whose generator returns a trace (the engine's, which
+assembles the whole trace as it cuts) sends it in the feed's last frame.
+Lifecycle and the hosts not taken: DESIGN §3, "Where generation runs".
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
+import fcntl
 import io
 import os
 import pickle
@@ -22,11 +25,13 @@ import subprocess
 import sys
 from typing import Callable, Iterator, Optional
 
+from repro.workload.chunks import Chunk
 from repro.workload.compiled import CompiledTrace, CompiledTraceError
 
-#: One stop on the chunk route: the chunk, and the index within it of the
-#: first event to serve (non-zero only in the chunk a resume lands in).
-Chunk = tuple[CompiledTrace, int]
+#: Capacity asked for the helper's output pipe: several chunk frames (an
+#: OO7 frame is ~170 kB), so the helper cuts ahead instead of blocking
+#: mid-frame in a default 64 kB pipe. 1 MiB is Linux's unprivileged limit.
+_PIPE_BYTES = 1 << 20
 
 #: Helper → consumer frame header: kind, chunk offset, payload length.
 _FRAME = struct.Struct("<cQQ")
@@ -50,11 +55,14 @@ def _spare_core() -> bool:
 class ChunkFeed:
     """An iterator of :data:`Chunk` pairs that knows where they were cut:
     ``host`` is ``"helper"`` or ``"inline"``, and ``fallbacks`` counts the
-    times a helper feed went on inline."""
+    times a helper feed went on inline. Once the chunks have ended,
+    ``trace`` is what the cut returned — the whole trace for a cut that
+    assembles one, else ``None``."""
 
     def __init__(self, chunks: Optional[Iterator[Chunk]]) -> None:
         self.host = "inline"
         self.fallbacks = 0
+        self.trace: Optional[CompiledTrace] = None
         self._inline = chunks
         self._helper: Optional[_Helper] = None
         self._cut: Optional[Callable[[int], Iterator[Chunk]]] = None
@@ -87,23 +95,33 @@ class ChunkFeed:
     def __next__(self) -> Chunk:
         helper = self._helper
         if helper is None:
-            if self._inline is None:
-                raise StopIteration
-            return next(self._inline)
+            return self._next_inline()
         try:
             kind, offset, payload = helper.receive()
-            chunk = CompiledTrace.from_bytes(payload) if kind == _CHUNK else None
+            decoded = kind != _ERROR and payload
+            trace = CompiledTrace.from_bytes(payload) if decoded else None
         except (OSError, EOFError, CompiledTraceError):
             self._go_inline()
-            return next(self._inline)
-        if chunk is not None:
-            self._position += len(chunk) - offset
-            return chunk, offset
+            return self._next_inline()
+        if kind == _CHUNK:
+            self._position += len(trace) - offset
+            return trace, offset
         self._helper = None
         _release(helper, reusable=True)
         if kind == _ERROR:
             raise pickle.loads(payload)
+        self.trace = trace
         raise StopIteration
+
+    def _next_inline(self) -> Chunk:
+        if self._inline is None:
+            raise StopIteration
+        try:
+            return next(self._inline)
+        except StopIteration as end:
+            self._inline = None
+            self.trace = end.value
+            raise
 
     def close(self) -> None:
         """Stop and drain the helper, leaving it idle; or close the inline cut."""
@@ -143,6 +161,10 @@ class _Helper:
         self.process = subprocess.Popen(
             [sys.executable, "-c", code], stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
+        setpipe = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
+        if setpipe is not None:
+            with contextlib.suppress(OSError):  # over a lowered limit: keep the default
+                fcntl.fcntl(self.process.stdout.fileno(), setpipe, _PIPE_BYTES)
 
     def receive(self) -> tuple[bytes, int, bytes]:
         header = self.process.stdout.read(_FRAME.size)
@@ -217,24 +239,31 @@ def _read(size: int) -> bytes:
 
 
 def _answer(chunks: Iterator[Chunk], out) -> None:
-    """Frame one request's chunks until they end, fail or are stopped."""
+    """Frame one request's chunks until they end, fail or are stopped. The
+    END frame carries the trace the cut returned, if it returned one."""
+    trace = None
     while True:
         try:
             chunk, offset = next(chunks)
-        except StopIteration:
+        except StopIteration as end:
+            trace = end.value
             break
         except Exception as error:
             payload = pickle.dumps(error)
             pickle.loads(payload)
             _frame(out, _ERROR, 0, payload)
             return
-        buffer = io.BytesIO()
-        chunk.save(buffer)
-        _frame(out, _CHUNK, offset, buffer.getbuffer())
+        _frame(out, _CHUNK, offset, _saved(chunk))
         if select.select([0], [], [], 0)[0]:  # a stop byte (or EOF) waits
             os.read(0, 1)
             break
-    _frame(out, _END)
+    _frame(out, _END, 0, b"" if trace is None else _saved(trace))
+
+
+def _saved(trace: CompiledTrace) -> memoryview:
+    buffer = io.BytesIO()
+    trace.save(buffer)
+    return buffer.getbuffer()
 
 
 def _frame(out, kind: bytes, offset: int = 0, payload=b"") -> None:

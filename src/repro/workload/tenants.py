@@ -273,11 +273,6 @@ class TenantMix:
 
     __iter__ = events
 
-    def emit_trace(self, out: TraceSink) -> None:
-        """Write the merged trace into ``out`` without building event objects."""
-        for _ in self.steps(out):
-            pass
-
     def stream(self, max_live_clusters: int = 512) -> Iterator[TraceEvent]:
         """The merged **unbounded** stream (one-shot, bounded memory):
         :meth:`steps` in streaming mode, run into event objects."""

@@ -18,6 +18,13 @@ everywhere:
 Corrupt or version-mismatched entries quarantine into a ``quarantine/``
 sidecar and degrade to a miss, mirroring the result cache's behaviour.
 
+A miss need not be built before it is replayed. :meth:`TraceCache.resolve`
+answers one, for a workload with a step form, with a
+:class:`StreamedTrace`: its chunks are cut (on a second CPU when there is
+one) while the simulation replays the ones already cut, and the whole
+trace, assembled by whoever cut the chunks, enters the cache once the run
+has succeeded.
+
 Replaying a compiled trace is event-for-event identical to running the
 generator, so caching never changes simulation results — property tests
 assert byte-identical summaries.
@@ -25,22 +32,27 @@ assert byte-identical summaries.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.canonical import canonical_value
-from repro.events import TraceEvent
+from repro.events import TraceEvent, TraceSink
+from repro.workload import chunks
+from repro.workload.chunks import Chunk, _generated_chunks
 from repro.workload.compiled import (
     TRACE_FORMAT_VERSION,
     CompiledTrace,
     CompiledTraceError,
     compile_trace,
 )
+from repro.workload.stream_helper import ChunkFeed
 
 #: Default number of compiled traces the in-process memo retains. One OO7
 #: Small' trace is a few hundred KB compiled; sweeps rarely touch more than
@@ -95,6 +107,14 @@ class TraceCacheStats:
     shm_hits: int = 0
     #: Traces this cache published into shared memory (parent side).
     shm_published: int = 0
+    #: Builds replayed while they were cut (:class:`StreamedTrace`; each is
+    #: also one of ``builds``), and how many of those a helper cut.
+    streamed: int = 0
+    streamed_by_helper: int = 0
+    #: Seconds those replays waited for their next chunk.
+    stream_wait_s: float = 0.0
+    #: Helpers that died mid-feed, leaving the rest to be cut inline.
+    stream_fallbacks: int = 0
 
     @property
     def resolutions(self) -> int:
@@ -124,6 +144,10 @@ class TraceCacheStats:
             "uncacheable": self.uncacheable,
             "shm_hits": self.shm_hits,
             "shm_published": self.shm_published,
+            "streamed": self.streamed,
+            "streamed_by_helper": self.streamed_by_helper,
+            "stream_wait_s": round(self.stream_wait_s, 6),
+            "stream_fallbacks": self.stream_fallbacks,
             "hit_rate": self.hit_rate,
         }
 
@@ -182,7 +206,39 @@ class TraceCache:
         except TypeError:
             self.stats.uncacheable += 1
             return compile_trace(self._events(workload, seed, builder))
+        trace = self._cached(key)
+        if trace is None:
+            trace = compile_trace(self._events(workload, seed, builder))
+            self._keep(key, trace)
+        return trace
 
+    def resolve(self, workload, seed: int) -> Union[CompiledTrace, "StreamedTrace"]:
+        """The trace for ``(workload, seed)``, cached or streamed.
+
+        A memo, shared-memory or disk hit is returned as it is. On a miss,
+        a workload with a step form (``steps(out)``) comes back as a
+        :class:`StreamedTrace` — replayed while it is cut, cached once the
+        run that replayed it commits it. Workloads without one (the
+        synthetic and transactional generators) and uncacheable ones are
+        built as :meth:`get_or_build` builds them.
+        """
+        try:
+            key = trace_fingerprint(workload, seed)
+        except TypeError:
+            return self.get_or_build(workload, seed)
+        trace = self._cached(key)
+        if trace is not None:
+            return trace
+        source = self._events(workload, seed, None)
+        steps = getattr(source, "steps", None)
+        if callable(steps):
+            return StreamedTrace(self, key, steps)
+        trace = compile_trace(source)
+        self._keep(key, trace)
+        return trace
+
+    def _cached(self, key: str) -> Optional[CompiledTrace]:
+        """The memo, shared-memory or disk layer's trace for ``key``."""
         memo = self._memo
         hit = memo.get(key)
         if hit is not None:
@@ -201,12 +257,14 @@ class TraceCache:
         trace = self._load(key)
         if trace is not None:
             self.stats.disk_hits += 1
-        else:
-            trace = compile_trace(self._events(workload, seed, builder))
-            self.stats.builds += 1
-            self.put(key, trace)
-        self._remember(key, trace)
+            self._remember(key, trace)
         return trace
+
+    def _keep(self, key: str, trace: CompiledTrace) -> None:
+        """Cache a trace this instance built (memo and disk), as one build."""
+        self.stats.builds += 1
+        self.put(key, trace)
+        self._remember(key, trace)
 
     def warm(self, workload, seed: int) -> bool:
         """Ensure the on-disk entry for ``(workload, seed)`` exists.
@@ -227,8 +285,8 @@ class TraceCache:
         if callable(events):
             # An instantiated protocol workload generates its own trace
             # (one-shot — but the compiled result is cached immediately);
-            # one that offers ``emit_trace`` is handed to compile_trace whole.
-            return workload if hasattr(workload, "emit_trace") else events()
+            # one with a step form is handed over whole, to be drained.
+            return workload if callable(getattr(workload, "steps", None)) else events()
         # Local import: repro.sim.spec imports repro.workload generators, so
         # a module-scope import here would close an import cycle.
         from repro.sim.spec import build_workload
@@ -346,3 +404,60 @@ class TraceCache:
                 path.unlink()
             except OSError:
                 pass
+
+
+class StreamedTrace:
+    """A trace-cache miss, replayed while it is being cut.
+
+    Iterating it yields the :data:`~repro.workload.chunks.Chunk` pairs of
+    the workload's step generator, from a
+    :class:`~repro.workload.stream_helper.ChunkFeed`: cut by this process's
+    helper interpreter on a second CPU, or inline on a one-CPU host or when
+    the workload does not pickle. Whoever cuts the chunks also assembles
+    the whole trace and hands it over once they have ended. :meth:`commit`
+    puts that trace into the cache; a caller does so only after the run it
+    fed succeeded, so a failed, crashed or timed-out run caches nothing.
+    :meth:`close` stops the feed — call it however the run ends.
+    """
+
+    def __init__(
+        self,
+        cache: TraceCache,
+        key: str,
+        steps: Callable[[TraceSink], Iterator[None]],
+    ) -> None:
+        self._cache = cache
+        self._key = key
+        recipe = functools.partial(
+            _generated_chunks, steps, chunks.CHUNK_EVENTS, whole=True
+        )
+        self.feed = ChunkFeed.cut(recipe, 0)
+        #: Seconds the consumer waited for its next chunk.
+        self.wait_s = 0.0
+
+    def __iter__(self) -> Iterator[Chunk]:
+        feed = self.feed
+        clock = time.perf_counter
+        while True:
+            asked = clock()
+            item = next(feed, None)
+            self.wait_s += clock() - asked
+            if item is None:
+                return
+            yield item
+
+    def close(self) -> None:
+        self.feed.close()
+
+    def commit(self) -> CompiledTrace:
+        """Cache the assembled trace, in memo and on disk, as one build."""
+        feed = self.feed
+        if feed.trace is None:
+            raise RuntimeError("a streamed trace commits once its chunks have ended")
+        stats = self._cache.stats
+        stats.streamed += 1
+        stats.streamed_by_helper += feed.host == "helper"
+        stats.stream_wait_s += self.wait_s
+        stats.stream_fallbacks += feed.fallbacks
+        self._cache._keep(self._key, feed.trace)
+        return feed.trace

@@ -33,7 +33,6 @@ from repro.faults.drill import state_digest
 from repro.faults.injector import SimulatedCrash
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.service import server as server_module
-from repro.service import stream as stream_module
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
 from repro.service.stream import finite_stream, grammar_stream, tenant_stream
@@ -42,6 +41,7 @@ from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import PolicySpec, build_policy
 from repro.storage.heap import StoreConfig
 from repro.tx.recovery import RedoLog, recover
+from repro.workload import chunks
 from repro.workload.compiled import _OP_ROOT
 from repro.workload.tenants import make_profile, tenant_mix
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
@@ -346,7 +346,7 @@ def test_root_events_take_a_guarded_step_wherever_they_fall():
     fused run at the chunk's end and makes the next serve nothing; under
     the heap bound many arrive while the shed ledger is non-empty, and
     some of the fresh objects are shed with their ROOT behind them."""
-    chunk = stream_module.CHUNK_EVENTS
+    chunk = chunks.CHUNK_EVENTS
     events = []
     fresh = 100_000
     for event in itertools.islice(_overload_stream().events_from(), 11_000):
@@ -403,7 +403,7 @@ def test_resume_from_a_non_chunk_aligned_index():
     )
     first = _build(GcService, stream, dict(max_events=5_003, checkpoint_every_events=2_000))
     head = first.run()
-    assert head.next_index % stream_module.CHUNK_EVENTS not in (0, 1)
+    assert head.next_index % chunks.CHUNK_EVENTS not in (0, 1)
     log = first.sim.redo_log
 
     outcome = _all_routes(
@@ -455,7 +455,7 @@ def test_events_only_wrapper_is_served_through_the_chunk_loop():
     with _watching() as seen:
         outcome = _outcome(service, service.run())
     outcome["checkpoints_at"] = seen["checkpoints_at"]
-    assert 9_000 <= wrapped.pulled <= 9_000 + stream_module.CHUNK_EVENTS
+    assert 9_000 <= wrapped.pulled <= 9_000 + chunks.CHUNK_EVENTS
     assert outcome == _all_routes(inner, knobs)
 
 

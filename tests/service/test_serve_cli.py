@@ -4,7 +4,7 @@ import json
 
 from repro.cli import main
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.service.stream_helper import _spare_core
+from repro.workload.stream_helper import _spare_core
 
 
 def _plan_file(tmp_path):

@@ -137,7 +137,7 @@ def test_shutdown_on_the_fused_route_stops_at_the_next_boundary(hook):
     from one of those stops the service right there, quiescent; raised
     anywhere else it waits at most ``CHUNK_EVENTS`` events. The final
     checkpoint covers everything and a successor resumes exactly."""
-    from repro.service.stream import CHUNK_EVENTS
+    from repro.workload.chunks import CHUNK_EVENTS
     from repro.tx.recovery import recover_with_info
 
     events = _events()

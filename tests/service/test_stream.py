@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.events import CreateEvent, PointerWriteEvent
 from repro.faults.drill import state_digest
-from repro.service import stream as stream_module
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
 from repro.service.stream import (
@@ -22,6 +21,7 @@ from repro.service.stream import (
 )
 from repro.sim.spec import PolicySpec, build_policy
 from repro.tx.recovery import recover
+from repro.workload import chunks
 from repro.workload.grammar import GrammarWorkload
 from repro.workload.tenants import make_profile, tenant_mix
 
@@ -156,7 +156,7 @@ def test_chunks_from_any_start_decode_to_the_event_suffix(
     stream = _chunked_streams()[name]
     count = min(300, 9000 - start)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stream_module, "CHUNK_EVENTS", length)
+        patch.setattr(chunks, "CHUNK_EVENTS", length)
         decoded = _decode(stream, start, count)
         first, offset = next(stream.chunks_from(start))
     assert decoded == reference_events[name][start : start + count]
@@ -203,7 +203,7 @@ def test_service_results_do_not_depend_on_chunk_length(monkeypatch, length):
 
     reference = run()
     assert reference[0]["backpressure"]["forced_collections"] > 0
-    monkeypatch.setattr(stream_module, "CHUNK_EVENTS", length)
+    monkeypatch.setattr(chunks, "CHUNK_EVENTS", length)
     assert run() == reference
 
 
@@ -221,7 +221,7 @@ def test_chunk_route_state_stays_bounded_over_fifty_cycles():
         names = [chunk.strings[a] for op, a in zip(chunk.ops, chunk.arg0) if op == 5]
         cycles.update(int(name.rsplit("@", 1)[1]) for name in names)
         table_sizes.append(len(chunk.strings))
-        assert len(chunk) == stream_module.CHUNK_EVENTS
+        assert len(chunk) == chunks.CHUNK_EVENTS
         if len(cycles) > 50:
             break
     assert len(table_sizes) >= 6

@@ -18,11 +18,11 @@ from repro.faults.drill import state_digest
 from repro.faults.injector import SimulatedCrash
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.service import stream as stream_module
-from repro.service import stream_helper
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
 from repro.service.stream import ReplayableStream, grammar_stream, tenant_stream
 from repro.sim.spec import PolicySpec, build_policy
+from repro.workload import chunks, stream_helper
 from repro.workload.compiled import CompiledTrace
 from repro.workload.grammar import GrammarError, OpMix, PhaseBlock, Uniform, WorkloadConfig
 from repro.workload.tenants import TENANT_PROFILES, make_profile, tenant_mix
@@ -106,7 +106,7 @@ _streams = st.one_of(
 )
 def test_helper_chunks_equal_inline_chunks(stream, start, length):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stream_module, "CHUNK_EVENTS", length)
+        patch.setattr(chunks, "CHUNK_EVENTS", length)
         feed = stream.chunks_from(start)
         hosted = _take(feed, 1500)
         feed.close()
@@ -189,12 +189,12 @@ def _failing_steps(fail_at, error, out):
 
 
 def _outcome(stream, start):
-    chunks = []
+    taken = []
     try:
         for chunk, offset in stream.chunks_from(start):
-            chunks.append((_rendered(chunk), offset))
+            taken.append((_rendered(chunk), offset))
     except Exception as error:  # noqa: BLE001 - the error is the result
-        return chunks, type(error), str(error)
+        return taken, type(error), str(error)
     raise AssertionError("the stream did not fail")
 
 

@@ -8,6 +8,7 @@ and crash-recovery resume.
 """
 
 import dataclasses
+import io
 import pickle
 
 import pytest
@@ -42,6 +43,7 @@ from repro.storage.heap import StoreConfig
 from repro.storage.object_model import ObjectKind
 from repro.tx.recovery import RedoLog, recover
 from repro.workload.application import Oo7Application
+from repro.workload.chunks import _generated_chunks
 from repro.workload.compiled import (
     TRACE_FORMAT_VERSION,
     CompiledTrace,
@@ -118,6 +120,43 @@ def test_save_load_roundtrip(events, tmp_path_factory):
     assert list(loaded) == events
 
 
+def _saved(trace):
+    buffer = io.BytesIO()
+    trace.save(buffer)
+    return buffer.getvalue()
+
+
+@given(
+    events=st.lists(_events, min_size=20, max_size=80),
+    length=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_cut_that_keeps_its_chunks_returns_the_compiled_trace(events, length, data):
+    """``_generated_chunks(..., whole=True)``: chunks cut off one builder
+    (``TraceBuilder.chunk``) replay as the events, and the builder still
+    finishes into ``compile_trace``'s trace, byte for byte."""
+    start = data.draw(st.integers(min_value=0, max_value=len(events)))
+
+    def steps(out):
+        for event in events:
+            out.add(event)
+            yield
+
+    cut = _generated_chunks(steps, length, start, whole=True)
+    replayed = []
+    while True:
+        try:
+            chunk, offset = next(cut)
+        except StopIteration as end:
+            whole = end.value
+            break
+        assert len(chunk) - offset <= length
+        replayed.extend(chunk.replay(offset))
+    assert replayed == events[start:]
+    assert _saved(whole) == _saved(compile_trace(events))
+
+
 # ---------------------------------------------------------------- real traces
 
 
@@ -161,7 +200,7 @@ def test_oo7_trace_compiles_exactly():
 def test_oo7_trace_compiles_exactly_through_both_routes(
     seed, num_modules, connectivity, delete_fraction, doc_churn_fraction
 ):
-    """``emit_trace`` straight into the columns and ``events()`` through
+    """``steps`` drained straight into the columns and ``events()`` through
     the event encoder are one generator: they agree column for column."""
     config = dataclasses.replace(
         TINY, num_modules=num_modules, num_conn_per_atomic=connectivity

@@ -5,11 +5,12 @@ Trace fingerprints, result-cache fingerprints and the CI
 generates the same trace. Each digest below is the SHA-256 of
 ``CompiledTrace.save`` bytes, recorded before the generator was rewritten to
 emit through a sink, and must hold through both routes into
-``compile_trace``: the workload's ``emit_trace`` and its event stream.
+``compile_trace``: the workload's ``steps`` and its event stream.
 The grammar and tenant generators, and the unbounded streams the service
 reads, are pinned the same way further down.
 """
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -80,12 +81,17 @@ def test_golden_trace_through_both_routes(config, seed, kwargs, events, digest):
 
 def test_trace_cache_builds_the_golden_trace():
     """The engine's resolutions — a registry spec, and a workload instance —
-    hand ``compile_trace`` something that offers ``emit_trace``."""
+    hand ``compile_trace`` something with a step form."""
     digest = GOLDEN[0].values[-1]
     by_spec = TraceCache(None).get_or_build(WorkloadSpec("oo7", {"config": TINY}), 0)
     assert _digest(by_spec) == digest
     by_instance = TraceCache(None).get_or_build(Oo7Application(TINY, seed=0), 0)
     assert _digest(by_instance) == digest
+    # A miss resolved for a run streams; what it commits is the same trace.
+    streamed = TraceCache(None).resolve(WorkloadSpec("oo7", {"config": TINY}), 0)
+    with contextlib.closing(streamed):
+        assert sum(len(chunk) for chunk, _ in streamed) == GOLDEN[0].values[3]
+    assert _digest(streamed.commit()) == digest
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +129,7 @@ GOLDEN_WORKLOADS = [
 @pytest.mark.parametrize("build, events, digest", GOLDEN_WORKLOADS)
 def test_golden_grammar_trace_through_both_routes(build, events, digest):
     direct = compile_trace(build())
-    assert hasattr(build(), "emit_trace")
+    assert callable(build().steps)
     assert len(direct) == events
     assert _digest(direct) == digest
 
