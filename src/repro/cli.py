@@ -23,11 +23,11 @@ stderr.
 
 Workload traces are likewise compiled and cached (default
 ``<cache-dir>/traces``, override with ``--trace-cache-dir`` or
-``REPRO_TRACE_CACHE_DIR``, disable with ``--no-trace-cache``), so each
-unique (workload, seed) trace is built once per sweep instead of once per
-policy cell. ``--profile`` wraps the experiment in cProfile and prints the
-hottest functions; ``python -m repro bench`` runs the standard performance
-suite (see :mod:`repro.bench`).
+``REPRO_TRACE_CACHE_DIR``; ``--no-trace-cache`` is memo-only, writes
+nothing), so each unique (workload, seed) trace is built once per sweep
+instead of once per policy cell. ``--profile`` wraps the experiment in
+cProfile and prints the hottest functions; ``python -m repro bench`` runs
+the standard performance suite (see :mod:`repro.bench`).
 
 Failure tolerance: ``--retries N`` re-attempts a failing run with
 exponential backoff, ``--run-timeout S`` bounds each run's wall clock, and
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-trace-cache",
         action="store_true",
-        help="disable trace compilation/caching (rebuild the trace per run)",
+        help="memo-only trace cache: writes nothing, builds each trace once per process",
     )
     parser.add_argument(
         "--profile",
@@ -271,14 +271,14 @@ def _resolve_cache(args) -> Optional[ResultCache]:
     return ResultCache(root)
 
 
-def _resolve_trace_cache(args) -> Optional[TraceCache]:
+def _resolve_trace_cache(args) -> TraceCache:
     """Resolve the compiled-trace cache from flags and environment.
 
-    ``--no-trace-cache`` restores the legacy behaviour exactly: the trace
-    is rebuilt from the generator for every run and nothing is written.
+    ``--no-trace-cache`` is memo-only and writes nothing: each unique
+    trace is built once per process.
     """
     if args.no_trace_cache:
-        return None
+        return TraceCache(None)
     root = args.trace_cache_dir
     if root is None:
         env = os.environ.get("REPRO_TRACE_CACHE_DIR")

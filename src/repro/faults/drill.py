@@ -128,7 +128,7 @@ def run_crash_recovery_drill(
     # simulation layer imports — importing repro.sim at module scope would
     # close the cycle.
     from repro.sim.simulator import Simulation
-    from repro.sim.spec import build_workload
+    from repro.sim.spec import build_policy, build_selection, build_workload
     from repro.workload.compiled import compile_trace
 
     plan = plan if plan is not None else spec.faults
@@ -157,10 +157,9 @@ def run_crash_recovery_drill(
     trace = compile_trace(build_workload(spec.workload, seed))
 
     def fresh(store=None, faults=None, redo_log=None, observed=False) -> Simulation:
-        policy, _, selection = spec.resolve(seed)
         return Simulation(
-            policy=policy,
-            selection=selection,
+            policy=build_policy(spec.policy, seed),
+            selection=build_selection(spec.selection, seed),
             config=config,
             faults=faults,
             store=store,

@@ -5,7 +5,7 @@ The fleet driver is the front door to the grammar/tenant subsystem
 grid of :class:`~repro.sim.spec.ExperimentSpec` cells — one per (policy,
 scenario) pair, swept over the seed list — and fans the whole grid out
 through the parallel engine with the result cache, the compiled-trace
-cache / shared-memory arena, and telemetry, exactly like the named paper
+cache and telemetry, exactly like the named paper
 experiments. Reports are **byte-identical at any ``--jobs``** (timing and
 cache accounting go to stderr only).
 

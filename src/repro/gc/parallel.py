@@ -38,8 +38,8 @@ own units (application I/Os, pointer overwrites or allocated bytes alike),
 and moves it on the two outcomes it counts anyway: a collection that found
 no snapshot — one event carried the clock across the wake-up and the
 trigger together — doubles it; every trace a cycle takes beyond its first
-shrinks it by an eighth. ``margin × interval`` is the cap and the first
-cycle's value. The asymmetry is the point: a miss costs a full-length
+shrinks it by an eighth. ``DEFAULT_GC_MARGIN × interval`` is the cap and
+the first cycle's value. The asymmetry is the point: a miss costs a full-length
 pause, a wasted trace only throughput.
 
 Because a speculative trace is only ever used when the epochs prove it
@@ -173,9 +173,6 @@ class ParallelCollectionScheduler:
             result) is exactly the serial trigger order.
         selection: The run's partition-selection policy, probed
             non-mutatingly to predict victims.
-        margin: Largest fraction of the trigger interval before the due
-            point at which the simulator starts pumping speculative
-            traces (see :data:`DEFAULT_GC_MARGIN`).
     """
 
     def __init__(
@@ -183,14 +180,10 @@ class ParallelCollectionScheduler:
         store: ObjectStore,
         collector: CopyingCollector,
         selection: PartitionSelectionPolicy,
-        margin: float = DEFAULT_GC_MARGIN,
     ) -> None:
-        if not 0.0 <= margin < 1.0:
-            raise ValueError(f"margin must be in [0, 1), got {margin}")
         self.store = store
         self.collector = collector
         self.selection = selection
-        self.margin = margin
         #: How far ahead of the trigger speculation starts, in
         #: trigger-clock units (:meth:`lead`). Derived from trace epochs
         #: and the clock alone, so it is as deterministic as the counters
@@ -210,11 +203,12 @@ class ParallelCollectionScheduler:
     def lead(self, interval: float) -> float:
         """How far ahead of a trigger ``interval`` away to start pumping.
 
-        The window, capped at ``margin × interval`` — which is also what
-        the first cycle gets. Called once per armed trigger; arming the
-        same trigger again (nothing was collectable) changes nothing.
+        The window, capped at ``DEFAULT_GC_MARGIN × interval`` — which is
+        also what the first cycle gets. Called once per armed trigger;
+        arming the same trigger again (nothing was collectable) changes
+        nothing.
         """
-        self.window = min(self.window, interval * self.margin)
+        self.window = min(self.window, interval * DEFAULT_GC_MARGIN)
         return self.window
 
     # ------------------------------------------------------------------
@@ -309,11 +303,12 @@ class ParallelCollectionScheduler:
     # ------------------------------------------------------------------
 
     def _snapshot(self, pid: PartitionId) -> _Speculation:
-        """Capture the frontier and epoch pair on the mutator thread.
+        """Capture the frontier and epoch pair at a pump point.
 
-        Runs at a quiescent point (between events), so reading the
-        remembered set and placement columns is safe. Roots are
-        sorted here — the same stable order the serial trace enqueues.
+        Pump points fall between events, so the remembered set and the
+        placement columns read here are the ones the trigger would see if
+        no event intervened. Roots are sorted here — the same stable order
+        the serial trace enqueues.
         """
         store = self.store
         return _Speculation(

@@ -27,19 +27,20 @@ declarative :class:`~repro.sim.spec.ExperimentSpec` values: the spec
 travels to the worker as plain data and is resolved into live policy /
 trace / selection objects there, once per seed.
 
-Trace resolution is additionally memoised through an optional
-:class:`~repro.workload.trace_cache.TraceCache`: each unique
-(workload, seed) trace in a batch is generated and compiled **once per
-sweep** — in-process for serial runs, where a miss is replayed chunk by
-chunk while a helper interpreter on the second CPU is still cutting it
+Every run gets its trace from a
+:class:`~repro.workload.trace_cache.TraceCache` — a memo-only one when the
+caller configures none — so each unique (workload, seed) trace in a batch
+is generated and compiled **once per sweep**: in-process for serial runs,
+where a miss is replayed chunk by chunk while a helper interpreter on the
+second CPU is still cutting it
 (:meth:`~repro.workload.trace_cache.TraceCache.resolve`, DESIGN §3 "Where
-generation runs"); for pooled runs the engine pre-warms
-the on-disk compiled binaries (one build per unique trace, fanned over the
-pool) and every worker process opens the same cache through its
-initializer, so warm workers resolve traces by loading compact binaries
-instead of re-running the workload generator. Compiled-trace replay is
-event-for-event identical to the generator, so cached and uncached runs
-produce byte-identical summaries (and share result-cache fingerprints).
+generation runs"); for pooled runs with an on-disk cache the engine
+pre-warms the compiled binaries (one build per unique trace, fanned over
+the pool) and every worker process opens the same cache through its
+initializer, so warm workers load compact binaries instead of re-running
+the workload generator. Compiled-trace replay is event-for-event identical
+to the generator, so no route changes a summary (or a result-cache
+fingerprint).
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from repro.sim.spec import (
     build_policy,
     build_selection,
 )
-from repro.workload.shm import SharedTraceArena
 from repro.workload.trace_cache import StreamedTrace, TraceCache, trace_fingerprint
 
 
@@ -107,28 +107,18 @@ TraceCacheLike = Union[TraceCache, str, Path, None]
 _WORKER_TRACE_CACHE: Optional[TraceCache] = None
 
 
-def _worker_init(
-    trace_cache_root: Optional[str],
-    shared_traces: Optional[dict[str, str]] = None,
-) -> None:
+def _worker_init(trace_cache_root: Optional[str]) -> None:
     """Process-pool initializer: open this worker's trace cache once.
 
     ``trace_cache_root=None`` still installs a memo-only cache so a warm
     worker that receives several tasks for the same (workload, seed) skips
     the rebuild even without an on-disk layer.
-
-    ``shared_traces`` (fingerprint → shared-memory segment name) registers
-    the parent's published trace segments: resolutions of those traces
-    attach to the one shared mapping and decode zero-copy instead of
-    re-reading the on-disk binary per worker.
     """
     global _WORKER_TRACE_CACHE
     _WORKER_TRACE_CACHE = TraceCache(trace_cache_root)
-    if shared_traces:
-        _WORKER_TRACE_CACHE.attach_shared(shared_traces)
 
 
-def _worker_simulate(spec, seed, keep_records, timeout, telemetry_path=None):
+def _worker_simulate(spec, seed, keep_records, timeout=None, telemetry_path=None):
     """The unit of work shipped to pool workers (module-level: picklable).
     Workers resolve traces whole: the pool already occupies every core."""
     return _simulate(
@@ -184,8 +174,8 @@ def _as_cache(cache: CacheLike) -> Optional[ResultCache]:
     return ResultCache(cache)
 
 
-def _as_trace_cache(cache: TraceCacheLike) -> Optional[TraceCache]:
-    if cache is None or isinstance(cache, TraceCache):
+def _as_trace_cache(cache: TraceCacheLike) -> TraceCache:
+    if isinstance(cache, TraceCache):
         return cache
     return TraceCache(cache)
 
@@ -195,7 +185,8 @@ def _simulate(
     seed: int,
     keep_records: bool,
     timeout: Optional[float] = None,
-    trace_cache: Optional[TraceCache] = None,
+    *,
+    trace_cache: TraceCache,
     telemetry_path: Union[str, Path, None] = None,
     stream: bool = True,
 ) -> tuple[SimulationSummary, Optional[list[CollectionRecord]], float]:
@@ -205,12 +196,11 @@ def _simulate(
     trace event (plus once after the run completes, so even runs shorter
     than one check interval are measured against their budget). No signals
     are involved, so enforcement works identically on every platform and
-    off the main thread. With a ``trace_cache`` the
-    workload trace is resolved through the compiled-trace cache (memo /
-    disk / build) instead of re-running the generator; replay is
-    event-identical, so the results don't depend on which path ran. A miss
-    is replayed while it is cut (:meth:`TraceCache.resolve`) unless
-    ``stream`` is off, and cached only once the run has succeeded.
+    off the main thread. The workload trace is resolved through
+    ``trace_cache`` (memo / disk / build); replay is event-identical, so
+    the results don't depend on which layer answered. A miss is replayed
+    while it is cut (:meth:`TraceCache.resolve`) unless ``stream`` is off,
+    and cached only once the run has succeeded.
 
     With a ``telemetry_path`` the run is observed by a
     :class:`~repro.obs.telemetry.RunTelemetry` written to that file on
@@ -227,13 +217,10 @@ def _simulate(
             seed=seed,
         )
     deadline = time.monotonic() + timeout if timeout is not None else None
-    if trace_cache is not None:
-        policy = build_policy(spec.policy, seed)
-        selection = build_selection(spec.selection, seed)
-        resolve = trace_cache.resolve if stream else trace_cache.get_or_build
-        trace = resolve(spec.workload, seed)
-    else:
-        policy, trace, selection = spec.resolve(seed)
+    policy = build_policy(spec.policy, seed)
+    selection = build_selection(spec.selection, seed)
+    resolve = trace_cache.resolve if stream else trace_cache.get_or_build
+    trace = resolve(spec.workload, seed)
     faults = FaultInjector(spec.faults) if spec.faults is not None else None
     sim = Simulation(
         policy=policy, selection=selection, config=spec.sim, faults=faults,
@@ -282,11 +269,11 @@ class ParallelRunner:
             ``--faults`` plumbing. Fault plans are part of the cache
             fingerprint, so faulty and fault-free runs never share entries.
         trace_cache: A :class:`~repro.workload.trace_cache.TraceCache`, a
-            directory path to open one in, or ``None`` to resolve traces
-            the legacy way (regenerated per run). With a cache, each unique
-            (workload, seed) trace in a batch is built once per sweep and
-            replayed everywhere — in-process for serial runs, via pre-warmed
-            on-disk compiled binaries for pooled runs.
+            directory path to open one in, or ``None`` for a memo-only
+            cache that writes nothing. Each unique (workload, seed) trace
+            in a batch is built once per sweep and replayed everywhere —
+            in-process for serial runs, via pre-warmed on-disk compiled
+            binaries for pooled runs (memo-only: once per worker).
         telemetry: A directory to write JSON-lines telemetry into, or
             ``None`` (the default) to disable observability entirely. When
             set, every simulated run writes one per-run file (GC timeline,
@@ -467,7 +454,7 @@ class ParallelRunner:
             seeds=len(seeds),
             jobs=self.jobs,
             cache=self.cache is not None,
-            trace_cache=self.trace_cache is not None,
+            trace_cache=self.trace_cache.root is not None,
         )
         prev_cache_metrics = None
         if self.cache is not None:
@@ -498,10 +485,7 @@ class ParallelRunner:
         metrics.gauge("engine.retries").set(merged.retries)
         metrics.gauge("engine.sim_wall_s").set(round(merged.wall_time, 6))
         metrics.gauge("engine.telemetry_files").set(len(merged.telemetry_paths))
-        if self.trace_cache is not None:
-            metrics.set_many(
-                self.trace_cache.stats.as_metrics(), prefix="trace_cache."
-            )
+        metrics.set_many(self.trace_cache.stats.as_metrics(), prefix="trace_cache.")
         if self.cache is not None:
             metrics.gauge("result_cache.quarantined_total").set(
                 self.cache.quarantined
@@ -529,27 +513,17 @@ class ParallelRunner:
 
     def _run_serial(self, specs, tasks, pending, fingerprints, outcomes,
                     keep_records, progress, tel_paths=None):
-        # Only pass trace_cache / telemetry_path when configured: the bare
-        # call shape is a compatibility surface (tests and downstream code
-        # substitute 4-argument _simulate doubles).
-        base_extra = (
-            {"trace_cache": self.trace_cache}
-            if self.trace_cache is not None
-            else {}
-        )
         for index in pending:
             si, seed = tasks[index]
-            extra = base_extra
             tel_path = tel_paths[index] if tel_paths is not None else None
-            if tel_path is not None:
-                extra = {**base_extra, "telemetry_path": tel_path}
             attempt = 0
             while True:
                 attempt += 1
                 try:
                     summary, records, elapsed = _simulate(
                         specs[si], seed, keep_records,
-                        timeout=self.run_timeout, **extra,
+                        timeout=self.run_timeout, trace_cache=self.trace_cache,
+                        telemetry_path=tel_path,
                     )
                 except Exception as exc:
                     if attempt <= self.retries:
@@ -595,85 +569,25 @@ class ParallelRunner:
             except Exception:
                 pass
 
-    def _publish_shared_traces(self, specs, tasks, pending):
-        """Map this batch's on-disk compiled traces into shared memory.
-
-        Returns a :class:`~repro.workload.shm.SharedTraceArena` (or ``None``
-        when nothing was publishable); the caller ships ``arena.plan()`` to
-        the pool initializer and closes the arena once the pool is gone.
-
-        Only traces already materialised on disk can be published — the
-        plan travels in the pool's ``initargs``, which are fixed before the
-        warm pass runs. Cold traces therefore load from disk this sweep and
-        become shareable in the next one. Every failure here degrades to
-        the disk path, never to an error.
-        """
-        cache = self.trace_cache
-        arena = None
-        seen: set = set()
-        for index in pending:
-            si, seed = tasks[index]
-            try:
-                key = trace_fingerprint(specs[si].workload, seed)
-            except TypeError:
-                continue  # uncacheable workload: never shared
-            if key in seen:
-                continue
-            seen.add(key)
-            path = cache.entry_path(key)
-            if path is None:
-                continue  # cold: the warm pass will build it, on disk only
-            if arena is None:
-                arena = SharedTraceArena()
-            if arena.publish_file(key, path) is not None:
-                cache.stats.shm_published += 1
-        return arena
-
     def _run_pooled(self, specs, tasks, pending, fingerprints, outcomes,
                     keep_records, workers, progress, tel_paths=None):
         attempts = {index: 1 for index in pending}
-        trace_root = (
-            str(self.trace_cache.root)
-            if self.trace_cache is not None and self.trace_cache.root is not None
-            else None
-        )
-        arena = None
-        shared_plan = None
-        if trace_root is not None:
-            arena = self._publish_shared_traces(specs, tasks, pending)
-            if arena is not None and len(arena):
-                shared_plan = arena.plan()
-        try:
-            self._run_pooled_inner(
-                specs, tasks, pending, fingerprints, outcomes, keep_records,
-                workers, progress, tel_paths, attempts, trace_root, shared_plan,
-            )
-        finally:
-            if arena is not None:
-                # Workers have exited (the pool context manager joins them),
-                # so unlinking here frees the segments everywhere.
-                arena.close()
-
-    def _run_pooled_inner(self, specs, tasks, pending, fingerprints, outcomes,
-                          keep_records, workers, progress, tel_paths, attempts,
-                          trace_root, shared_plan):
+        root = self.trace_cache.root
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(trace_root, shared_plan),
+            initargs=(str(root) if root is not None else None,),
         ) as pool:
-            if self.trace_cache is not None and self.trace_cache.root is not None:
+            if root is not None:
                 self._warm_traces(specs, tasks, pending, pool)
 
             def submit(index):
                 si, seed = tasks[index]
-                args = (specs[si], seed, keep_records, self.run_timeout)
-                tel_path = tel_paths[index] if tel_paths is not None else None
-                if tel_path is not None:
-                    # Appended only when set — monkeypatched 4-argument
-                    # _worker_simulate doubles keep working otherwise.
-                    args = args + (tel_path,)
-                return pool.submit(_worker_simulate, *args)
+                return pool.submit(
+                    _worker_simulate, specs[si], seed, keep_records,
+                    timeout=self.run_timeout,
+                    telemetry_path=tel_paths[index] if tel_paths is not None else None,
+                )
 
             futures = {submit(index): index for index in pending}
             while futures:

@@ -5,8 +5,8 @@ runs out over worker *processes*, which cannot receive the closures the
 factory-based :func:`repro.sim.runner.run_seeds` protocol is built around.
 This module provides the declarative replacement: an :class:`ExperimentSpec`
 names the rate policy, the workload, and the partition-selection policy by
-**registry key plus keyword arguments**, and the spec is resolved into live
-objects *inside* each worker, once per seed.
+**registry key plus keyword arguments**, and the builders below turn the
+spec into live objects *inside* each worker, once per seed.
 
 Because a spec is plain data (nested frozen dataclasses of strings, numbers
 and config dataclasses) it is also *stably hashable*: :func:`spec_material`
@@ -99,8 +99,9 @@ class SelectionSpec:
 class ExperimentSpec:
     """One experimental setting, as plain picklable data.
 
-    Resolving a spec for a seed (:meth:`resolve`) builds a fresh policy,
-    trace and selection policy — nothing stateful is ever shared between
+    The builders (:func:`build_policy`, :func:`build_workload`,
+    :func:`build_selection`) turn it into a fresh policy, trace and
+    selection policy per seed — nothing stateful is ever shared between
     runs. ``label`` is display-only (progress lines) and deliberately
     excluded from the cache fingerprint.
 
@@ -116,16 +117,6 @@ class ExperimentSpec:
     sim: SimulationConfig = field(default_factory=SimulationConfig)
     label: str = ""
     faults: Optional[FaultPlan] = None
-
-    def resolve(
-        self, seed: int
-    ) -> tuple[RatePolicy, Iterable[TraceEvent], PartitionSelectionPolicy]:
-        """Build the live (policy, trace, selection) triple for one seed."""
-        return (
-            build_policy(self.policy, seed),
-            build_workload(self.workload, seed),
-            build_selection(self.selection, seed),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -552,10 +552,9 @@ class ObjectStore:
         vectorised pass when the placement table has no overflow entries,
         since every survivor then lives in the dense columns.
 
-        Also runs at the parallel scheduler's pump points, ahead of the
-        pause. Sizes come from ``objects[oid].size``; only
-        :meth:`compact_partition`, inside the pause, views
-        ``placements.offs``.
+        Also runs at the parallel scheduler's pump points, between events
+        ahead of the pause; the epochs decide whether the plan is still
+        the one the pause would build.
         """
         partition = self.partitions[pid]
         survivors = list(survivors)

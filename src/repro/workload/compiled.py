@@ -175,10 +175,6 @@ class CompiledTrace:
             raise ValueError(f"start_index must be >= 0, got {start_index}")
         if start_index:
             prefix = ops[:start_index]
-            if not isinstance(prefix, array):
-                # Zero-copy traces hold memoryviews, which slice to
-                # memoryviews and lack ``count``.
-                prefix = array("b", prefix.tobytes())
             ci = prefix.count(_OP_CREATE)
             wi = prefix.count(_OP_WRITE)
         else:
@@ -282,14 +278,11 @@ class CompiledTrace:
             body += raw
         for name in self._COLUMNS:
             column = getattr(self, name)
-            # Zero-copy traces hold memoryviews (``format``) rather than
-            # arrays (``typecode``); both serialise identically.
-            typecode = getattr(column, "typecode", None) or column.format
             if sys.byteorder != "little":  # pragma: no cover - exotic hosts
-                column = array(typecode, column)
+                column = array(column.typecode, column)
                 column.byteswap()
             raw = column.tobytes()
-            body += struct.pack("<BQ", ord(typecode), len(raw))
+            body += struct.pack("<BQ", ord(column.typecode), len(raw))
             body += raw
         target.write(_MAGIC)
         target.write(
@@ -307,29 +300,11 @@ class CompiledTrace:
         return cls.from_bytes(source.read())
 
     @classmethod
-    def from_bytes(
-        cls,
-        data: Union[bytes, bytearray, memoryview],
-        *,
-        verify: bool = True,
-        zero_copy: bool = False,
-    ) -> "CompiledTrace":
-        """Decode a trace from an in-memory buffer.
+    def from_bytes(cls, data: Union[bytes, bytearray]) -> "CompiledTrace":
+        """Decode a trace from exactly :meth:`save`'s output.
 
-        Args:
-            data: The full binary encoding (:meth:`save`'s output). Trailing
-                bytes beyond the declared body length are tolerated —
-                shared-memory segments are page-size-rounded, so a mapped
-                buffer is usually slightly longer than the trace.
-            verify: Check the body CRC. Publishers validate before sharing a
-                segment, so workers attaching to one may skip the extra pass.
-            zero_copy: Build the numeric columns as ``memoryview`` casts
-                into ``data`` instead of copying into fresh ``array``
-                objects — the shared-memory handoff path, where every worker
-                reads one mapped copy of the columns. The caller must keep
-                ``data``'s buffer alive for the lifetime of the trace.
-                (Big-endian hosts fall back to copying: the on-disk format
-                is little-endian and a cast cannot byteswap.)
+        Raises :class:`CompiledTraceError` when the buffer is shorter or
+        longer than the header says, or the body fails its CRC.
         """
         view = memoryview(data)
         header_size = len(_MAGIC) + struct.calcsize("<HIQ")
@@ -343,13 +318,11 @@ class CompiledTrace:
                 f"unsupported compiled-trace format version {version} "
                 f"(this build reads version {TRACE_FORMAT_VERSION})"
             )
-        if len(view) - header_size < body_len:
+        if len(view) - header_size != body_len:
             raise CompiledTraceError("compiled trace body is truncated or corrupt")
-        body = view[header_size : header_size + body_len]
-        if verify and zlib.crc32(body) != crc:
+        body = view[header_size:]
+        if zlib.crc32(body) != crc:
             raise CompiledTraceError("compiled trace body is truncated or corrupt")
-        if zero_copy and sys.byteorder != "little":  # pragma: no cover
-            zero_copy = False
 
         offset = 0
 
@@ -374,14 +347,11 @@ class CompiledTrace:
             raw = take(raw_len)
             if raw_len % itemsize:
                 raise CompiledTraceError(f"column {name!r} has a partial trailing item")
-            if zero_copy:
-                columns.append(raw.cast(typecode))
-            else:
-                column = array(typecode)
-                column.frombytes(raw)
-                if sys.byteorder != "little":  # pragma: no cover - exotic hosts
-                    column.byteswap()
-                columns.append(column)
+            column = array(typecode)
+            column.frombytes(raw)
+            if sys.byteorder != "little":  # pragma: no cover - exotic hosts
+                column.byteswap()
+            columns.append(column)
         ops, arg0, arg1 = columns[0], columns[1], columns[2]
         if not (len(ops) == len(arg0) == len(arg1)):
             raise CompiledTraceError("event columns disagree on length")

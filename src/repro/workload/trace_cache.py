@@ -40,10 +40,10 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from repro.canonical import canonical_value
-from repro.events import TraceEvent, TraceSink
+from repro.events import TraceSink
 from repro.workload import chunks
 from repro.workload.chunks import Chunk, _generated_chunks
 from repro.workload.compiled import (
@@ -54,7 +54,7 @@ from repro.workload.compiled import (
 )
 from repro.workload.stream_helper import ChunkFeed
 
-#: Default number of compiled traces the in-process memo retains. One OO7
+#: Number of compiled traces the in-process memo retains. One OO7
 #: Small' trace is a few hundred KB compiled; sweeps rarely touch more than
 #: a handful of (workload, seed) pairs at once.
 DEFAULT_MEMO_TRACES = 8
@@ -103,10 +103,6 @@ class TraceCacheStats:
     quarantined: int = 0
     #: Resolutions that bypassed the cache (uncacheable workload spec).
     uncacheable: int = 0
-    #: Resolutions answered zero-copy from a shared-memory segment.
-    shm_hits: int = 0
-    #: Traces this cache published into shared memory (parent side).
-    shm_published: int = 0
     #: Builds replayed while they were cut (:class:`StreamedTrace`; each is
     #: also one of ``builds``), and how many of those a helper cut.
     streamed: int = 0
@@ -118,13 +114,7 @@ class TraceCacheStats:
 
     @property
     def resolutions(self) -> int:
-        return (
-            self.memo_hits
-            + self.shm_hits
-            + self.disk_hits
-            + self.builds
-            + self.uncacheable
-        )
+        return self.memo_hits + self.disk_hits + self.builds + self.uncacheable
 
     @property
     def hit_rate(self) -> float:
@@ -132,7 +122,7 @@ class TraceCacheStats:
         total = self.resolutions
         if total == 0:
             return 0.0
-        return (self.memo_hits + self.shm_hits + self.disk_hits) / total
+        return (self.memo_hits + self.disk_hits) / total
 
     def as_metrics(self) -> dict:
         """Flat metric name → value dict (for the observability registry)."""
@@ -142,8 +132,6 @@ class TraceCacheStats:
             "builds": self.builds,
             "quarantined": self.quarantined,
             "uncacheable": self.uncacheable,
-            "shm_hits": self.shm_hits,
-            "shm_published": self.shm_published,
             "streamed": self.streamed,
             "streamed_by_helper": self.streamed_by_helper,
             "stream_wait_s": round(self.stream_wait_s, 6),
@@ -163,59 +151,45 @@ class TraceCache:
 
     Args:
         root: Cache directory (created on demand). ``None`` disables the
-            on-disk layer — the instance still memoises in process, so
-            serial sweeps build each trace once without writing any files
-            (worker pools install exactly this when no disk cache is
-            configured).
-        memo_traces: In-process LRU capacity, in traces (0 disables).
+            on-disk layer — the instance still memoises in process, so a
+            sweep builds each trace once per process without writing any
+            files. The engine installs exactly this when no disk cache is
+            configured.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path, None],
-        memo_traces: int = DEFAULT_MEMO_TRACES,
-    ) -> None:
+    def __init__(self, root: Union[str, Path, None]) -> None:
         self.root = Path(root) if root is not None else None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-        self.memo_traces = memo_traces
         self._memo: OrderedDict[str, CompiledTrace] = OrderedDict()
-        #: Fingerprint → shared-memory segment name (see ``attach_shared``).
-        self._shared: dict[str, str] = {}
         self.stats = TraceCacheStats()
 
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
 
-    def get_or_build(
-        self,
-        workload,
-        seed: int,
-        builder: Optional[Callable[[], Iterable[TraceEvent]]] = None,
-    ) -> CompiledTrace:
+    def get_or_build(self, workload, seed: int) -> CompiledTrace:
         """Return the compiled trace for ``(workload, seed)``.
 
         Resolution order: in-process memo → on-disk binary → run the
-        generator (``builder``, defaulting to the workload registry) and
-        compile, populating both layers. A workload spec that cannot be
-        fingerprinted is built directly, uncached.
+        generator and compile, populating both layers. A workload spec
+        that cannot be fingerprinted is built directly, uncached.
         """
         try:
             key = trace_fingerprint(workload, seed)
         except TypeError:
             self.stats.uncacheable += 1
-            return compile_trace(self._events(workload, seed, builder))
+            return compile_trace(self._events(workload, seed))
         trace = self._cached(key)
         if trace is None:
-            trace = compile_trace(self._events(workload, seed, builder))
+            trace = compile_trace(self._events(workload, seed))
             self._keep(key, trace)
         return trace
 
     def resolve(self, workload, seed: int) -> Union[CompiledTrace, "StreamedTrace"]:
         """The trace for ``(workload, seed)``, cached or streamed.
 
-        A memo, shared-memory or disk hit is returned as it is. On a miss,
+        A memo or disk hit is returned as it is. On a miss,
         a workload with a step form (``steps(out)``) comes back as a
         :class:`StreamedTrace` — replayed while it is cut, cached once the
         run that replayed it commits it. Workloads without one (the
@@ -229,7 +203,7 @@ class TraceCache:
         trace = self._cached(key)
         if trace is not None:
             return trace
-        source = self._events(workload, seed, None)
+        source = self._events(workload, seed)
         steps = getattr(source, "steps", None)
         if callable(steps):
             return StreamedTrace(self, key, steps)
@@ -238,22 +212,13 @@ class TraceCache:
         return trace
 
     def _cached(self, key: str) -> Optional[CompiledTrace]:
-        """The memo, shared-memory or disk layer's trace for ``key``."""
+        """The memo or disk layer's trace for ``key``."""
         memo = self._memo
         hit = memo.get(key)
         if hit is not None:
             memo.move_to_end(key)
             self.stats.memo_hits += 1
             return hit
-
-        segment = self._shared.get(key)
-        if segment is not None:
-            trace = self._attach_shared(key, segment)
-            if trace is not None:
-                self.stats.shm_hits += 1
-                self._remember(key, trace)
-                return trace
-
         trace = self._load(key)
         if trace is not None:
             self.stats.disk_hits += 1
@@ -278,9 +243,7 @@ class TraceCache:
         return self.stats.builds > before
 
     @staticmethod
-    def _events(workload, seed, builder):
-        if builder is not None:
-            return builder()
+    def _events(workload, seed):
         events = getattr(workload, "events", None)
         if callable(events):
             # An instantiated protocol workload generates its own trace
@@ -294,52 +257,18 @@ class TraceCache:
         return build_workload(workload, seed)
 
     def _remember(self, key: str, trace: CompiledTrace) -> None:
-        if self.memo_traces <= 0:
-            return
         memo = self._memo
         memo[key] = trace
         memo.move_to_end(key)
-        while len(memo) > self.memo_traces:
+        while len(memo) > DEFAULT_MEMO_TRACES:
             memo.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # Shared-memory layer (worker side)
-    # ------------------------------------------------------------------
-
-    def attach_shared(self, mapping: dict[str, str]) -> None:
-        """Register published shared-memory segments (fingerprint → name).
-
-        The parallel engine's pool initializer passes the parent's
-        :meth:`~repro.workload.shm.SharedTraceArena.plan` here; resolutions
-        of a registered fingerprint then decode zero-copy out of the shared
-        mapping instead of reading the on-disk entry. Purely an
-        optimisation: any attach failure silently degrades to the disk
-        layer, which holds an identical trace.
-        """
-        self._shared.update(mapping)
-
-    def _attach_shared(self, key: str, segment: str) -> Optional[CompiledTrace]:
-        from repro.workload.shm import attach_trace
-
-        try:
-            return attach_trace(segment)
-        except (OSError, CompiledTraceError, ValueError):
-            # Publisher gone or payload unusable — stop consulting this
-            # segment and fall back to disk.
-            del self._shared[key]
-            return None
 
     # ------------------------------------------------------------------
     # On-disk layer
     # ------------------------------------------------------------------
 
     def entry_path(self, key: str) -> Optional[Path]:
-        """Path of the on-disk entry for ``key`` if it exists (else None).
-
-        The parallel engine publishes shared segments straight from these
-        files, so the bytes workers map are exactly the bytes they would
-        have read.
-        """
+        """Path of the on-disk entry for ``key`` if it exists (else None)."""
         if self.root is None:
             return None
         path = self._path(key)

@@ -351,7 +351,7 @@ def test_property_no_window_can_reach_a_result(preset_trace, fractions, policy_s
     dictated = []
 
     def dictated_lead(interval):
-        par.window = max(1.0, next(draws) * interval * par.margin)
+        par.window = max(1.0, next(draws) * interval * DEFAULT_GC_MARGIN)
         dictated.append(par.window)
         return lead(interval)
 
@@ -754,19 +754,10 @@ def test_gc_workers_without_parallel_rejected():
 
 
 def test_scheduler_validates_arguments():
-    store = ObjectStore(STORE)
-    from repro.gc.collector import CopyingCollector
-    from repro.gc.selection import UpdatedPointerSelection
-
-    collector = CopyingCollector(store)
     with pytest.raises(ValueError, match="gc_workers"):
         Simulation(
             policy=FixedRatePolicy(10),
             config=_config(collection="parallel", gc_workers=0),
-        )
-    with pytest.raises(ValueError, match="margin"):
-        ParallelCollectionScheduler(
-            store, collector, UpdatedPointerSelection(), margin=1.0
         )
     assert "serial" in COLLECTION_MODES and "parallel" in COLLECTION_MODES
     assert 0.0 <= DEFAULT_GC_MARGIN < 1.0

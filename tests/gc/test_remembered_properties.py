@@ -286,12 +286,15 @@ def test_collect_global_reclaims_the_cycle():
 def _run_cell(check_frontier: bool) -> bytes:
     from repro.experiments.common import oo7_spec
     from repro.oo7.config import TINY
-    from repro.sim.spec import PolicySpec, build_workload
+    from repro.sim.spec import PolicySpec, build_policy, build_selection, build_workload
     from repro.sim.simulator import Simulation
 
     spec = oo7_spec(PolicySpec("fixed", {"overwrites_per_collection": 40.0}), TINY, 2)
-    policy, _, selection = spec.resolve(0)
-    sim = Simulation(policy=policy, selection=selection, config=spec.sim)
+    sim = Simulation(
+        policy=build_policy(spec.policy, 0),
+        selection=build_selection(spec.selection, 0),
+        config=spec.sim,
+    )
     if check_frontier:
         checked = _check_frontier_at_collections(sim.store, sim.collector)
     summary = sim.run(build_workload(spec.workload, 0)).summary

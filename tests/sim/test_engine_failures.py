@@ -96,11 +96,11 @@ def test_transient_failure_retries_to_success(monkeypatch):
     real_simulate = engine_module._simulate
     calls = {"n": 0}
 
-    def flaky(spec, seed, keep_records, timeout=None):
+    def flaky(spec, seed, keep_records, **kwargs):
         calls["n"] += 1
         if calls["n"] == 1:
             raise OSError("transient")
-        return real_simulate(spec, seed, keep_records, timeout)
+        return real_simulate(spec, seed, keep_records, **kwargs)
 
     monkeypatch.setattr(engine_module, "_simulate", flaky)
     aggregate = run_experiment(

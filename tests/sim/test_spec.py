@@ -36,18 +36,17 @@ def tiny_spec(policy=None, label=""):
 # ---------------------------------------------------------------- resolution
 
 
-def test_resolve_builds_live_objects():
-    policy, trace, selection = tiny_spec().resolve(seed=0)
-    assert isinstance(policy, FixedRatePolicy)
-    assert isinstance(selection, UpdatedPointerSelection)
-    assert any(True for _ in trace)
-
-
-def test_resolve_builds_fresh_instances_per_call():
+def test_builders_build_live_objects():
     spec = tiny_spec()
-    first, _, _ = spec.resolve(seed=0)
-    second, _, _ = spec.resolve(seed=0)
-    assert first is not second
+    assert isinstance(build_policy(spec.policy, 0), FixedRatePolicy)
+    assert isinstance(build_selection(spec.selection, 0), UpdatedPointerSelection)
+    assert any(True for _ in build_workload(spec.workload, 0))
+
+
+def test_builders_build_fresh_instances_per_call():
+    spec = tiny_spec()
+    assert build_policy(spec.policy, 0) is not build_policy(spec.policy, 0)
+    assert build_workload(spec.workload, 0) is not build_workload(spec.workload, 0)
 
 
 def test_builtin_policy_kinds():

@@ -55,5 +55,19 @@ def test_all_lists_are_sorted_sets():
         assert len(exported) == len(set(exported)), f"duplicates in {package_name}"
 
 
+def test_removed_trace_routes_stay_removed():
+    """The engine has one trace route, through the trace cache: no
+    shared-memory handoff, no cache-less ``ExperimentSpec.resolve`` fork."""
+    import repro.workload
+    from repro.sim.spec import ExperimentSpec
+
+    for name in ("SharedTraceArena", "attach_trace"):
+        assert not hasattr(repro.workload, name)
+        assert name not in repro.workload.__all__
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.workload.shm")
+    assert not hasattr(ExperimentSpec, "resolve")
+
+
 def test_version_is_exposed():
     assert repro.__version__

@@ -298,6 +298,30 @@ def test_crash_resume_from_compiled_trace_matches_event_list():
 # ---------------------------------------------------------------- format
 
 
+def test_from_bytes_round_trips():
+    trace = compile_trace(build_workload(WorkloadSpec("oo7", {"config": TINY}), 0))
+    assert list(CompiledTrace.from_bytes(_saved(trace))) == list(trace)
+
+
+def test_from_bytes_refuses_trailing_bytes():
+    # A buffer is exactly one save(): bytes past the declared body are a
+    # damaged file, not padding.
+    trace = compile_trace([CreateEvent(oid=1, size=10), AccessEvent(oid=1)])
+    with pytest.raises(CompiledTraceError, match="truncated or corrupt"):
+        CompiledTrace.from_bytes(_saved(trace) + b"\x00")
+
+
+def test_from_bytes_rejects_corruption():
+    good = _saved(compile_trace([AccessEvent(oid=1)]))
+    # Corrupt the stored CRC (header bytes 6..10): the body stays
+    # structurally valid, so only the checksum pass can notice.
+    payload = bytearray(good)
+    payload[6] ^= 0xFF
+    for damaged in (bytes(payload), good[:-3], b"not a trace", good[:10]):
+        with pytest.raises(CompiledTraceError):
+            CompiledTrace.from_bytes(damaged)
+
+
 def test_corrupt_file_raises_compiled_trace_error(tmp_path):
     events = [CreateEvent(oid=1, size=10), AccessEvent(oid=1)]
     path = tmp_path / "x.trace"
