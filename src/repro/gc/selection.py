@@ -44,10 +44,12 @@ class UpdatedPointerSelection(PartitionSelectionPolicy):
     name = "updated-pointer"
 
     def select(self, store: ObjectStore) -> Optional[PartitionId]:
-        candidates = self._collectable(store)
-        if not candidates:
-            return None
-        return max(candidates, key=lambda pid: (store.partitions[pid].pointer_overwrites, -pid))
+        # One C-level max and index over the counters: an empty partition
+        # counts -1, below any real counter, and ``index`` returns the
+        # first — lowest-pid — maximum (``partitions[i].pid == i``).
+        counts = [p.pointer_overwrites if p.residents else -1 for p in store.partitions]
+        best = max(counts, default=-1)
+        return counts.index(best) if best >= 0 else None
 
 
 class RandomSelection(PartitionSelectionPolicy):

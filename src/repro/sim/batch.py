@@ -150,24 +150,20 @@ class _BatchCache:
     )
 
 
-def _as_list(column) -> list:
-    return column.tolist()
-
-
 def _ensure_cache(trace: CompiledTrace) -> _BatchCache:
     cache = trace._batch_cache
     if cache is None:
         cache = _BatchCache()
-        cache.ops = _as_list(trace.ops)
-        cache.arg0 = _as_list(trace.arg0)
-        cache.arg1 = _as_list(trace.arg1)
-        cache.create_kind = _as_list(trace.create_kind)
-        cache.create_ptr_start = _as_list(trace.create_ptr_start)
-        cache.ptr_slots = _as_list(trace.ptr_slots)
-        cache.ptr_targets = _as_list(trace.ptr_targets)
-        cache.write_slot = _as_list(trace.write_slot)
-        cache.write_dies_start = _as_list(trace.write_dies_start)
-        cache.dies = _as_list(trace.dies)
+        cache.ops = trace.ops.tolist()
+        cache.arg0 = trace.arg0.tolist()
+        cache.arg1 = trace.arg1.tolist()
+        cache.create_kind = trace.create_kind.tolist()
+        cache.create_ptr_start = trace.create_ptr_start.tolist()
+        cache.ptr_slots = trace.ptr_slots.tolist()
+        cache.ptr_targets = trace.ptr_targets.tolist()
+        cache.write_slot = trace.write_slot.tolist()
+        cache.write_dies_start = trace.write_dies_start.tolist()
+        cache.dies = trace.dies.tolist()
         cache.max_oid = _max_create_oid(cache.ops, cache.arg0)
         cache.kinds = {}
         trace._batch_cache = cache
@@ -493,6 +489,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     partitions = store.partitions
     free = store._partition_free          # mutated in place by the store
     open_parts = store._open_partitions   # prune preserves identity
+    fit = store._fit_cursor               # cleared in place, never rebound
+    fit_get = fit.get
     unlinked = store.unlinked
     dead_bytes = store.dead_bytes
     epochs = store.trace_epochs           # appended to in place, never rebound
@@ -620,18 +618,21 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                 if kind is None:
                     kind = kinds.setdefault(ki, ObjectKind(strings[ki]))
                 obj = StoredObject(a, szk, kind)
-                # ObjectStore._place: open-list first fit, Partition.bump,
-                # the free-byte ledger.
+                # ObjectStore._place: open-list first fit from the size's
+                # cursor, Partition.bump, the free-byte ledger.
                 alloc_bytes += szk
-                for pk in open_parts:
-                    if szk <= free[pk]:
-                        part = partitions[pk]
-                        break
-                else:
+                at = fit_get(szk, 0)
+                try:
+                    while free[pk := open_parts[at]] < szk:
+                        at += 1
+                except IndexError:  # nothing fits
                     part = store._grow_partition(szk)
                     pk = part.pid
                     if phys_mode:
                         dbsz = store._physical_bytes
+                else:
+                    part = partitions[pk]
+                fit[szk] = at
                 offk = part.fill
                 part.fill = offk + szk
                 part.residents.add(a)

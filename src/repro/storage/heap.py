@@ -43,9 +43,12 @@ try:  # optional: vectorised compaction layout (prefix sum) and offset scatter
 except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None
 
-#: Stale (zero-free) entries tolerated on the open-partition list before a
-#: prune pass rebuilds it; small enough that first-fit scans stay short,
-#: large enough that back-to-back partition fills don't each pay a rebuild.
+#: Full (zero-free) entries tolerated on the open-partition list before a
+#: prune pass rebuilds it. This bounds the list's length, not scan length:
+#: scans are short because they start at a fit cursor, past full entries
+#: and slivers (fewer free bytes than the object's size) alike. A prune
+#: drops the cursors, so the limit is large enough that back-to-back
+#: partition fills don't each pay a rebuild and a rescan.
 _OPEN_LIST_STALE_LIMIT = 16
 
 
@@ -157,14 +160,22 @@ class ObjectStore:
         #: offset / size); mapping-compatible with the dict it replaced.
         self.placements = PlacementTable()
         self.roots: set[ObjectId] = set()
-        # First-fit accelerator: per-partition free bytes plus the ascending
-        # list of partitions that still have room. The list may carry stale
-        # (full) entries between prune passes; scans skip them by free-byte
-        # check, which is exact because object sizes are >= 1.
+        # First-fit state: per-partition free bytes, the ascending list of
+        # partitions that had room when last pruned, and one cursor per
+        # object size into that list. What makes a scan from the front long
+        # is slivers — entries with a few free bytes, fewer than the next
+        # object's size — more than the full entries a prune removes. The
+        # cursor invariant: every entry before ``_fit_cursor[size]`` has
+        # fewer than ``size`` free bytes. Bump allocation only shrinks free
+        # bytes, so a scan may start at the cursor and leave it where it
+        # placed. Whatever grows free bytes or shifts list positions drops
+        # them all: ``compact_partition`` and ``expunge`` (before
+        # ``_reopen_partition`` inserts), and ``_prune_open_partitions``.
         self._partition_free: list[int] = []
         self._open_partitions: list[PartitionId] = []
         self._open_set: set[PartitionId] = set()
         self._open_stale = 0
+        self._fit_cursor: dict[int, int] = {}
         #: Allocation pinning: objects created but not yet referenced by any
         #: pointer or root registration. The application still holds a handle
         #: to such objects (it is about to link them), so the collector must
@@ -405,6 +416,7 @@ class ObjectStore:
             partition.fill -= placement.size
             self._allocated_bytes -= placement.size
             self._partition_free[partition.pid] += placement.size
+            self._fit_cursor.clear()  # free bytes grew: a cursor may skip them
             self._reopen_partition(partition.pid)
         for target in obj.targets():
             self._forget_edge(oid, target)
@@ -658,6 +670,7 @@ class ObjectStore:
         # reclaimed objects plus any holes left by transaction rollbacks.
         self._allocated_bytes -= fill_before - partition.fill
         self._partition_free[pid] = partition.capacity - partition.fill
+        self._fit_cursor.clear()  # free bytes grew: a cursor may skip them
         if partition.fill < partition.capacity:
             self._reopen_partition(pid)
         return reclaimed_bytes
@@ -752,19 +765,25 @@ class ObjectStore:
     def _place(self, oid: ObjectId, size: int) -> tuple[PartitionId, int]:
         """First-fit placement; grows the database when nothing fits (§3.1).
 
-        Scans only the open-partition list (ascending pids, so placement
-        decisions match a full scan exactly), bump-allocates, and keeps the
-        per-partition free-byte ledger in step. Returns ``(pid, offset)``.
+        Scans the open-partition list (ascending pids, so placement
+        decisions match a full scan exactly) from this size's fit cursor
+        and leaves the cursor where the object went, bump-allocates, and
+        keeps the per-partition free-byte ledger in step. Returns
+        ``(pid, offset)``.
         """
         self._allocated_bytes += size
         free = self._partition_free
-        for pid in self._open_partitions:
-            if size <= free[pid]:
-                partition = self.partitions[pid]
-                break
-        else:
+        open_parts = self._open_partitions
+        at = self._fit_cursor.get(size, 0)
+        try:
+            while free[pid := open_parts[at]] < size:
+                at += 1
+        except IndexError:  # nothing fits: the new partition is entry ``at``
             partition = self._grow_partition(size)
             pid = partition.pid
+        else:
+            partition = self.partitions[pid]
+        self._fit_cursor[size] = at
         offset = partition.bump(oid, size)
         left = free[pid] - size
         free[pid] = left
@@ -787,19 +806,24 @@ class ObjectStore:
         return partition
 
     def _reopen_partition(self, pid: PartitionId) -> None:
-        """Put ``pid`` back on the open list (space was recovered in it)."""
+        """Put ``pid`` back on the open list (space was recovered in it).
+
+        The caller grew its free bytes and dropped the fit cursors, which
+        also covers the list positions an insert shifts.
+        """
         if pid not in self._open_set:
             insort(self._open_partitions, pid)
             self._open_set.add(pid)
 
     def _prune_open_partitions(self) -> None:
-        # Slice-assign: the batched replay interpreter aliases this list, so
-        # the rebuild must preserve object identity.
+        # Slice-assign and clear: the batched replay interpreter aliases the
+        # list and the cursors, so the rebuild must preserve object identity.
         free = self._partition_free
         self._open_partitions[:] = [pid for pid in self._open_partitions if free[pid] > 0]
         self._open_set.clear()
         self._open_set.update(self._open_partitions)
         self._open_stale = 0
+        self._fit_cursor.clear()
 
     def _touch_object_pages(self, oid: ObjectId, category: IOCategory, dirty: bool) -> None:
         # Inlined pages_of over the raw placement columns: one dict probe or

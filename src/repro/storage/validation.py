@@ -50,6 +50,7 @@ class StoreValidator:
         report = ValidationReport()
         self._check_placements(store, report)
         self._check_partitions(store, report)
+        self._check_first_fit(store, report)
         self._check_pointers(store, report)
         self._check_remembered_sets(store, report)
         self._check_garbage_accounting(store, report)
@@ -133,6 +134,48 @@ class StoreValidator:
                 report.add(
                     "partitions",
                     f"partition {partition.pid}: negative FGS counter",
+                )
+
+    def _check_first_fit(self, store: ObjectStore, report: ValidationReport) -> None:
+        """A partition's pid is its list index (UPDATEDPOINTER selection
+        returns an index as the pid); the free-byte ledger is capacity minus
+        fill; every partition with room is on the ascending open list; and
+        every open entry before a size's fit cursor has fewer free bytes than
+        that size — so a scan from the cursor places where a scan of every
+        partition would."""
+        free = store._partition_free
+        open_parts = store._open_partitions
+        for index, partition in enumerate(store.partitions):
+            if partition.pid != index:
+                report.add("first-fit", f"partition at index {index} has pid {partition.pid}")
+                return
+        if len(free) != len(store.partitions):
+            report.add(
+                "first-fit",
+                f"{len(free)} free-byte entries for {len(store.partitions)} partitions",
+            )
+            return
+        for partition in store.partitions:
+            room = partition.capacity - partition.fill
+            if free[partition.pid] != room:
+                report.add(
+                    "first-fit",
+                    f"partition {partition.pid}: free-byte ledger "
+                    f"{free[partition.pid]} != capacity - fill {room}",
+                )
+            elif room > 0 and partition.pid not in store._open_set:
+                report.add("first-fit", f"partition {partition.pid} has room but is not open")
+        if open_parts != sorted(store._open_set):
+            report.add("first-fit", "open-partition list is not the ascending open set")
+        for size, cursor in store._fit_cursor.items():
+            if not 0 <= cursor < len(open_parts):
+                report.add("first-fit", f"size {size}: cursor {cursor} off the open list")
+                continue
+            skipped = [pid for pid in open_parts[:cursor] if free[pid] >= size]
+            if skipped:
+                report.add(
+                    "first-fit",
+                    f"size {size}: cursor {cursor} skips partitions {skipped[:3]} with room",
                 )
 
     def _check_pointers(self, store: ObjectStore, report: ValidationReport) -> None:

@@ -98,6 +98,7 @@ def compact_partition(store, pid, survivors, plan=None):
         store.placements.put(oid, pid, partition.bump(oid, size), size)
     store._allocated_bytes -= fill_before - partition.fill
     store._partition_free[pid] = partition.capacity - partition.fill
+    store._fit_cursor.clear()  # free bytes grew: a cursor may skip them
     if partition.fill < partition.capacity:
         store._reopen_partition(pid)
     return reclaimed_bytes

@@ -60,6 +60,7 @@ def store_fields(store) -> dict:
             list(store._partition_free),
             list(store._open_partitions),
             store._open_stale,
+            dict(store._fit_cursor),
         ),
         "roots": set(store.roots),
         "unlinked": set(store.unlinked),

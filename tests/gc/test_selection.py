@@ -1,6 +1,8 @@
 """Unit tests for partition-selection policies."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.gc.selection import (
     MostGarbageOracleSelection,
@@ -10,6 +12,7 @@ from repro.gc.selection import (
     make_selection_policy,
 )
 from repro.storage.heap import ObjectStore, StoreConfig
+from repro.storage.partition import Partition
 
 CFG = StoreConfig(page_size=256, partition_pages=4, buffer_pages=4)
 
@@ -44,6 +47,35 @@ def test_updated_pointer_breaks_ties_by_lowest_pid(store):
 def test_updated_pointer_none_when_all_partitions_empty():
     store = ObjectStore(CFG)
     assert UpdatedPointerSelection().select(store) is None
+
+
+def _select_by_key(store):
+    """UPDATEDPOINTER as a per-candidate key: highest counter, then lowest
+    pid, over the partitions with residents."""
+    candidates = [p.pid for p in store.partitions if p.residents]
+    if not candidates:
+        return None
+    return max(candidates, key=lambda pid: (store.partitions[pid].pointer_overwrites, -pid))
+
+
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=6)), max_size=40
+    )
+)
+@example([])
+@example([(False, 3), (False, 0), (False, 6)])
+@settings(max_examples=300, deadline=None)
+def test_updated_pointer_matches_the_per_candidate_key(states):
+    """Small counters force ties; an all-empty heap (every flag False, or
+    no partition at all) selects nothing."""
+    store = ObjectStore(CFG)
+    for pid, (occupied, overwrites) in enumerate(states):
+        partition = Partition(pid=pid, capacity=CFG.partition_size)
+        partition.residents = {pid} if occupied else set()
+        partition.pointer_overwrites = overwrites
+        store.partitions.append(partition)
+    assert UpdatedPointerSelection().select(store) == _select_by_key(store)
 
 
 def test_random_selection_is_seeded_and_in_range(store):

@@ -18,7 +18,7 @@ from repro.tx.recovery import RedoLog
 from repro.tx.wal import WriteAheadLog
 
 MIRRORS = {  # kernel block -> {method it mirrors: pinned digest}
-    "resolve": {Store.create: "5cd3cf8c82", Store._place: "b07be23155",
+    "resolve": {Store.create: "5cd3cf8c82", Store._place: "3fe1edc453",
                 Partition.bump: "faca11d8c7"},
     "touch": {BufferPool.touch: "fc7b3a629e", BufferPool._evict_to: "1235b3d7f0",
               IOStats.record_read: "db15fdec46", IOStats.record_write: "9a1edfd77b"},

@@ -86,6 +86,41 @@ def test_detects_overfilled_partition(store):
     assert any("partitions" in v for v in report.violations)
 
 
+def test_detects_free_ledger_drift(store):
+    store._partition_free[0] += 1
+    report = validate_store(store, strict=False)
+    assert report.violations == [
+        "[first-fit] partition 0: free-byte ledger 915 != capacity - fill 914"
+    ]
+
+
+def test_detects_pid_that_is_not_the_list_index(store):
+    store.partitions[0].pid = 7
+    report = validate_store(store, strict=False)
+    assert "[first-fit] partition at index 0 has pid 7" in report.violations
+
+
+def test_detects_a_partition_with_room_off_the_open_list(store):
+    store._open_partitions.remove(0)
+    store._open_set.discard(0)
+    store._fit_cursor.clear()  # positions shifted
+    report = validate_store(store, strict=False)
+    assert report.violations == ["[first-fit] partition 0 has room but is not open"]
+
+
+def test_detects_a_fit_cursor_past_room(store):
+    # Partition 0 has 914 bytes free: a 100-byte object must not skip it.
+    assert store._fit_cursor
+    store._fit_cursor[100] = 1
+    report = validate_store(store, strict=False)
+    assert report.violations == [
+        "[first-fit] size 100: cursor 1 skips partitions [0] with room"
+    ]
+    store._fit_cursor[100] = 2
+    report = validate_store(store, strict=False)
+    assert report.violations == ["[first-fit] size 100: cursor 2 off the open list"]
+
+
 def test_detects_dangling_live_pointer(store):
     # Remove the target object behind the store's back.
     victim = next(
