@@ -26,8 +26,8 @@ Workload traces are likewise compiled and cached (default
 ``REPRO_TRACE_CACHE_DIR``; ``--no-trace-cache`` is memo-only, writes
 nothing), so each unique (workload, seed) trace is built once per sweep
 instead of once per policy cell. ``--profile`` wraps the experiment in
-cProfile and prints the hottest functions; ``python -m repro bench`` runs
-the standard performance suite (see :mod:`repro.bench`).
+cProfile and prints the hottest functions. Performance is measured by the
+repo benchmark, ``bench/run.py`` (see ``bench/README.md``), not by this CLI.
 
 Failure tolerance: ``--retries N`` re-attempts a failing run with
 exponential backoff, ``--run-timeout S`` bounds each run's wall clock, and
@@ -327,10 +327,6 @@ def _profiled(callable_, stats_file: str):
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     raw = list(argv) if argv is not None else sys.argv[1:]
-    if raw and raw[0] == "bench":
-        from repro.bench import main as bench_main
-
-        return bench_main(raw[1:])
     if raw and raw[0] == "metrics":
         from repro.obs.report import main as metrics_main
 

@@ -206,7 +206,6 @@ def _default_sim_config(
     preamble: int = 0,
     replay: str = "auto",
     collection: str = "serial",
-    gc_workers: int = 1,
 ) -> SimulationConfig:
     return SimulationConfig(
         store=StoreConfig(
@@ -217,7 +216,6 @@ def _default_sim_config(
         preamble_collections=preamble,
         replay=replay,
         collection=collection,
-        gc_workers=gc_workers,
     )
 
 
@@ -424,17 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--gc-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "no effect (once a thread fan-out for --collection parallel, "
-            "removed); still accepted and validated, reports are "
-            "byte-identical at any value"
-        ),
-    )
-    parser.add_argument(
         "--summary-csv",
         type=Path,
         default=None,
@@ -486,10 +473,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     try:
-        if args.gc_workers < 1:
-            raise ValueError("--gc-workers must be >= 1")
-        if args.collection == "serial" and args.gc_workers != 1:
-            raise ValueError("--gc-workers requires --collection parallel")
         scenario = _resolve_scenario(args)
         policies = resolve_estimators(
             [parse_policy(text) for text in args.policies],
@@ -503,7 +486,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 preamble=args.preamble,
                 replay=args.replay,
                 collection=args.collection,
-                gc_workers=args.gc_workers,
             ),
         )
     except (GrammarError, ModelError, ValueError, OSError) as exc:

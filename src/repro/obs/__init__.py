@@ -9,8 +9,8 @@ The substrate every future adaptive-policy and scaling PR reads from:
   including the per-collection GC timeline;
 * :mod:`repro.obs.report` — the ``python -m repro metrics`` reader.
 
-Attach points: ``Simulation(obs=...)``, the engine's ``telemetry=`` option
-(``--telemetry DIR`` on the CLI), and ``python -m repro bench --telemetry``.
+Attach points: ``Simulation(obs=...)`` and the engine's ``telemetry=``
+option (``--telemetry DIR`` on the CLI).
 Telemetry never changes simulation results — see the determinism contract
 in :mod:`repro.obs.telemetry`.
 """

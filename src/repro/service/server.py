@@ -44,6 +44,7 @@ from repro.service.stream import EventStream, stream_chunks
 from repro.sim import batch
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.storage.heap import ObjectStore
+from repro.tx.manager import _UndoCreate
 from repro.tx.recovery import RedoLog, build_checkpoint
 from repro.workload.compiled import (
     _OP_ABORT as _ABORT,
@@ -162,6 +163,8 @@ class GcService:
         self._shutdown_requested = False
         self._shed_oids: set = set()
         self._shed_txid: Optional[int] = None
+        #: Shed oids a write inside the open block declared dead.
+        self._pending_prunes: set = set()
         self._events_since_checkpoint = 0
         # Per-run state the interpreter's guard points share.
         self._report = ServiceReport()
@@ -412,6 +415,7 @@ class GcService:
             stats.shed_events += 1
             if (op == _COMMIT or op == _ABORT) and a == self._shed_txid:
                 self._shed_txid = None
+                self._close_block(op == _COMMIT)
             else:
                 self._note_shed(op, a, wi)
             return False
@@ -447,8 +451,13 @@ class GcService:
                 # then, quiescent again, let the controller force
                 # collections until what the block had asked for by now
                 # would fit, so the next block finds room.
+                # The abort rolls the block's creates back: to the rest of
+                # the stream those objects are shed like the refused one.
                 occupancy = store.db_size
                 txid = tx.current.txid
+                shed.update(
+                    r.oid for r in tx.current.undo_log if type(r) is _UndoCreate
+                )
                 tx.abort(txid)
                 self._shed_txid = txid
                 stats.shed_transactions += 1
@@ -462,6 +471,8 @@ class GcService:
                 return False
         elif shed and op == _WRITE:
             self._prune_shed(wi)
+        elif op == _COMMIT or op == _ABORT:
+            self._close_block(op == _COMMIT)
         return True
 
     def _note_shed(self, op: int, a: int, wi: int) -> None:
@@ -478,12 +489,24 @@ class GcService:
         A ``dies`` annotation is the stream's statement that no later
         event references those objects, so the ledger can forget them —
         this is what keeps shed-set memory bounded over unbounded streams.
+        Inside a transaction block the statement holds only if the block
+        commits, so those prunes wait for :meth:`_close_block`.
         """
         cols = self._columns
         lo = cols.write_dies_start[wi]
         hi = cols.write_dies_start[wi + 1]
         if lo != hi:
-            self._shed_oids.difference_update(cols.dies[lo:hi])
+            if self.sim.tx.in_transaction or self._shed_txid is not None:
+                self._pending_prunes.update(cols.dies[lo:hi])
+            else:
+                self._shed_oids.difference_update(cols.dies[lo:hi])
+
+    def _close_block(self, committed: bool) -> None:
+        """The stream's transaction block ended: the deaths it announced
+        stand if it committed and never happened if it aborted."""
+        if committed:
+            self._shed_oids.difference_update(self._pending_prunes)
+        self._pending_prunes.clear()
 
     # ------------------------------------------------------------------
     # Durability and collection

@@ -68,6 +68,33 @@ def test_out_dir_written(tmp_path, capsys):
     assert (out_dir / "table1.txt").exists()
 
 
+def test_bench_is_not_a_subcommand(capsys):
+    """Performance is measured by bench/run.py; ``bench`` is just an
+    unknown experiment name."""
+    with pytest.raises(SystemExit) as caught:
+        main(["bench"])
+    assert caught.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_profile_writes_pstats_file(tmp_path, capsys):
+    import pstats
+
+    stats_file = tmp_path / "table1.pstats"
+    assert main(["table1", "--profile", str(stats_file)]) == 0
+    assert stats_file.stat().st_size > 0
+    assert pstats.Stats(str(stats_file)).total_calls > 0
+    assert f"[profile stats written to {stats_file}]" in capsys.readouterr().err
+
+
+def test_bare_profile_prints_cumulative_table(capsys):
+    assert main(["table1", "--profile"]) == 0
+    captured = capsys.readouterr()
+    assert "Table 1" in captured.out
+    assert "Ordered by: cumulative time" in captured.err
+    assert "profile stats written" not in captured.err
+
+
 # ---------------------------------------------------------------- engine flags
 
 

@@ -263,8 +263,8 @@ def test_fleet_summary_csv_byte_identical_across_jobs(tmp_path):
 
 
 def test_fleet_parallel_collection_report_identical(tmp_path):
-    """--collection parallel is an execution detail: same report bytes at
-    any worker count, and the serial cells' cache entries answer it."""
+    """--collection parallel is an execution detail: same report bytes, and
+    the serial cells' cache entries answer it."""
     serial_out = tmp_path / "serial.txt"
     code = fleet_main(
         [*_BASE, "--cache-dir", str(tmp_path / "cache"),
@@ -275,8 +275,7 @@ def test_fleet_parallel_collection_report_identical(tmp_path):
     code = fleet_main(
         [*_BASE, "--cache-dir", str(tmp_path / "cache"),
          "--out", str(parallel_out),
-         "--collection", "parallel", "--gc-workers", "4",
-         "--expect-all-cached"]
+         "--collection", "parallel", "--expect-all-cached"]
     )
     assert code == 0, "parallel cells must share the serial fingerprints"
     assert parallel_out.read_bytes() == serial_out.read_bytes()
@@ -291,15 +290,10 @@ def test_fleet_parallel_collection_uncached_matches_serial(tmp_path):
     parallel_out = tmp_path / "parallel.txt"
     code = fleet_main(
         [*_BASE, "--no-cache", "--out", str(parallel_out),
-         "--collection", "parallel", "--gc-workers", "4"]
+         "--collection", "parallel"]
     )
     assert code == 0
     assert parallel_out.read_bytes() == serial_out.read_bytes()
-
-
-def test_fleet_gc_workers_validation():
-    assert fleet_main([*_BASE, "--gc-workers", "0"]) == 2
-    assert fleet_main([*_BASE, "--gc-workers", "4"]) == 2  # serial + workers
 
 
 def test_format_summary_csv_quarantined_seed_gets_error_row():

@@ -27,6 +27,7 @@ from repro.events import (
 )
 from repro.faults.injector import SimulatedCrash
 from repro.service.server import GcService, ServiceReport
+from repro.tx.manager import _UndoCreate
 
 from event_oracle import apply_event, note_activity
 
@@ -126,6 +127,7 @@ class EventLoopService(GcService):
             if cls is CommitTransactionEvent or cls is AbortTransactionEvent:
                 if event.txid == self._shed_txid:
                     self._shed_txid = None
+                    self._close_block(cls is CommitTransactionEvent)
                     admission.stats.shed_events += 1
                     return False
             admission.stats.shed_events += 1
@@ -149,6 +151,9 @@ class EventLoopService(GcService):
             if shed_block:
                 occupancy = store.db_size
                 txid = tx.current.txid
+                for record in tx.current.undo_log:
+                    if isinstance(record, _UndoCreate):
+                        shed.add(record.oid)  # rolled back: shed to the stream
                 tx.abort(txid)
                 self._shed_txid = txid
                 admission.stats.shed_transactions += 1
@@ -162,6 +167,8 @@ class EventLoopService(GcService):
                 return False
         apply_event(self.sim, event)
         self._prune_ledger(event)
+        if cls is CommitTransactionEvent or cls is AbortTransactionEvent:
+            self._close_block(cls is CommitTransactionEvent)
         self._sample(event)
         return True
 
@@ -199,6 +206,10 @@ class EventLoopService(GcService):
         self._prune_ledger(event)
 
     def _prune_ledger(self, event) -> None:
-        """Drop shed oids once their death is announced by the stream."""
+        """Drop shed oids once their death is announced by the stream —
+        inside a transaction block, only once the block commits."""
         if self._shed_oids and event.__class__ is PointerWriteEvent and event.dies:
-            self._shed_oids.difference_update(event.dies)
+            if self.sim.tx.in_transaction or self._shed_txid is not None:
+                self._pending_prunes.update(event.dies)
+            else:
+                self._shed_oids.difference_update(event.dies)

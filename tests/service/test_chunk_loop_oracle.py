@@ -26,6 +26,7 @@ from repro.events import (
     CommitTransactionEvent,
     CreateEvent,
     PhaseMarkerEvent,
+    AccessEvent,
     PointerWriteEvent,
     RootEvent,
 )
@@ -40,6 +41,7 @@ from repro.sim import batch
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import PolicySpec, build_policy
 from repro.storage.heap import StoreConfig
+from repro.storage.validation import validate_store
 from repro.tx.recovery import RedoLog, recover
 from repro.workload import chunks
 from repro.workload.compiled import _OP_ROOT
@@ -212,6 +214,53 @@ def test_transaction_blocks_shed_mid_transaction():
     assert outcome["committed"][1] > stats["shed_transactions"]  # trace aborts too
     # A shed block is aborted first, then room is made for the next one.
     assert stats["forced_collections"] > 0
+
+
+#: Two blocks whose stream outlives what the service did to them: 1 KB
+#: partitions under a 1000-byte heap bound.
+SHED_LEDGER_STREAMS = {
+    # The 700-byte create does not fit inside the block: the block is shed
+    # and aborted, which rolls object 2 back although its create applied.
+    "create-rolled-back-by-a-shed-block": [
+        CreateEvent(1, 64), RootEvent(1), BeginTransactionEvent(1),
+        CreateEvent(2, 400), PointerWriteEvent(1, "s", 2), CreateEvent(3, 700),
+        CommitTransactionEvent(1), AccessEvent(2),
+    ],
+    # Object 2 never fits; a write inside a block declares it dead, but the
+    # block aborts, so to the stream it is alive again.
+    "death-announced-in-an-aborted-block": [
+        CreateEvent(1, 64), RootEvent(1), CreateEvent(2, 2000),
+        PointerWriteEvent(1, "s", 2), BeginTransactionEvent(1),
+        PointerWriteEvent(1, "s", None, dies=(2,)), AbortTransactionEvent(1),
+        AccessEvent(2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHED_LEDGER_STREAMS))
+def test_a_read_of_an_object_the_stream_still_holds_is_shed(name):
+    """The shed ledger follows the stream, not the store: an object a shed
+    block's abort rolled back, or whose death an aborted block announced,
+    stays shed, so the read of it at the end is refused instead of
+    reaching the store."""
+    events = SHED_LEDGER_STREAMS[name]
+    knobs = dict(checkpoint_every_events=100, max_heap_bytes=1_000, backpressure="shed")
+    sim = SimulationConfig(
+        store=StoreConfig(page_size=256, partition_pages=4, buffer_pages=4),
+        preamble_collections=0,
+    )
+    policy = PolicySpec("fixed", {"overwrites_per_collection": 3.0})
+    outcome = _all_routes(finite_stream(events), knobs, policy=policy, sim=sim)
+    assert 2 in outcome["shed_ledger"]
+    assert outcome["report"]["backpressure"]["shed_events"] == 3
+    for replay in ("auto", "scalar"):
+        service = _build(
+            GcService, finite_stream(events), knobs, policy=policy, sim=sim, replay=replay
+        )
+        report = service.run()
+        assert report.events_seen == len(events)
+        assert report.events_applied == len(events) - 3
+        validate_store(service.sim.store)
 
 
 def test_max_events_landing_mid_transaction():

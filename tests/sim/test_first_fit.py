@@ -108,14 +108,9 @@ def _counting(*names):
 def _programs(draw):
     """Chains of objects hung on a root's registry slots, bare or inside a
     transaction that commits or aborts; replacing or cutting a chain
-    declares it dead; reads and updates in between, of chains no
-    transaction wrote. (Under the heap bound the service rolls a shed
-    block's creates back, and it forgets a shed object once a write
-    declares it dead even if that write's block then aborts: a later read
-    of either is refused.)"""
+    declares it dead; reads and updates in between, of any live chain."""
     events = [CreateEvent(1, 64), RootEvent(1)]
     chains = {}  # slot -> the oids of the chain it holds
-    bare = set()  # slots last written outside a transaction
     oid = 2
     txid = 0
     for _ in range(draw(st.integers(min_value=1, max_value=50))):
@@ -138,16 +133,11 @@ def _programs(draw):
             events.extend(block)
             if commit:
                 chains[slot] = tuple(members)
-            if step == "link":
-                bare.add(slot)
-            else:
-                bare.discard(slot)
         elif step == "cut" and chains:
             slot = draw(st.sampled_from(sorted(chains)))
             events.append(PointerWriteEvent(1, slot, None, dies=chains.pop(slot)))
-            bare.discard(slot)
-        elif step == "touch" and bare:
-            target = draw(st.sampled_from(chains[draw(st.sampled_from(sorted(bare)))]))
+        elif step == "touch" and chains:
+            target = draw(st.sampled_from(chains[draw(st.sampled_from(sorted(chains)))]))
             events.append(draw(st.sampled_from([AccessEvent, UpdateEvent]))(target))
     return events
 
