@@ -155,8 +155,7 @@ class FgsHbEstimator(GarbageEstimator):
     def estimate(self, store: ObjectStore) -> float:
         if not self._gppo.initialized:
             return 0.0
-        pending_overwrites = sum(p.pointer_overwrites for p in store.partitions)
-        return self.gppo * pending_overwrites
+        return self.gppo * store.pending_overwrites
 
 
 class FgsCbEstimator(FgsHbEstimator):

@@ -422,9 +422,7 @@ class LearnedEstimator(GarbageEstimator):
             reclaimed_bytes=float(result.reclaimed_bytes),
             live_bytes=float(result.live_bytes),
             db_size=float(store.db_size),
-            pending_overwrites=float(
-                sum(p.pointer_overwrites for p in store.partitions)
-            ),
+            pending_overwrites=float(store.pending_overwrites),
             partition_count=float(store.partition_count),
         )
         if self._keep_trace:

@@ -549,7 +549,7 @@ class GcService:
             obs.event(
                 "checkpoint",
                 event_index=snapshot.event_index,
-                objects=len(snapshot.oids),
+                objects=len(snapshot.table),
                 log_records_dropped=dropped,
                 heap_bytes=sim.store.db_size,
                 stall_ms=round((time.perf_counter() - started) * 1e3, 3),

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import sys
 import time
+from itertools import compress
 
 from repro.core.extensions import OpportunisticPolicy
 from repro.core.rate_policy import TimeBase
@@ -111,17 +112,15 @@ def _timeout():
     return RunTimeoutError("simulation run exceeded run_timeout")
 
 
-def _max_create_oid(ops: list, arg0: list) -> int:
-    best = 0
-    for i, op in enumerate(ops):
-        if op == 0 and arg0[i] > best:
-            best = arg0[i]
-    return best
+def _max_create_oid(ops, arg0: list) -> int:
+    """The largest CREATE oid, or 0: ``arg0`` where the byte column ``ops``
+    is 0 (the translate maps opcode 0 to 1 and every other opcode to 0)."""
+    creates = compress(arg0, bytes(ops).translate(b"\1" + bytes(255)))
+    return max(0, max(creates, default=0))
 
 
 def _prefix_counts(ops: list, start: int) -> tuple[int, int]:
-    """(creates, writes) among ``ops[:start]`` — the running sub-column
-    cursors a mid-trace resume must start from."""
+    """(creates, writes) among ``ops[:start]``: where a resume's cursors start."""
     if start <= 0:
         return 0, 0
     head = ops[:start]
@@ -164,7 +163,7 @@ def _ensure_cache(trace: CompiledTrace) -> _BatchCache:
         cache.write_slot = trace.write_slot.tolist()
         cache.write_dies_start = trace.write_dies_start.tolist()
         cache.dies = trace.dies.tolist()
-        cache.max_oid = _max_create_oid(cache.ops, cache.arg0)
+        cache.max_oid = _max_create_oid(trace.ops, cache.arg0)
         cache.kinds = {}
         trace._batch_cache = cache
     return cache
@@ -442,14 +441,12 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     application write ahead of the sample and the trigger check. What the
     WAL counts is summed up at the flush (:func:`_fold_singletons`).
 
-    Under ``collection="parallel"`` the scheduler's snapshot, trace, plan
-    and validation all run from ``sim._collect``, between two runs of
-    this loop and after the boundary flush, so they see exactly what the
-    guarded loop would show them. What that asks of the kernels: bump
-    ``epochs`` at the sites ``ObjectStore.create / write_pointer / _unpin
-    / _remember_edge / _forget_edge`` do, in the same event as the
-    mutation — a snapshot the mutator touched is then discarded exactly
-    as it is on the guarded route.
+    Under ``collection="parallel"`` the scheduler runs from
+    ``sim._collect``, between two runs, so it sees what the guarded loop
+    would show it; the kernels bump ``epochs`` where the store's mutators
+    do, in the same event. Checkpoints too fall between runs: WRITE and
+    dies copy an object of an older ``gen`` before writing it, as
+    ``ObjectStore._writable`` does (copy-on-write).
     """
     ops = cache.ops
     g0 = cache.arg0
@@ -494,6 +491,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     unlinked = store.unlinked
     dead_bytes = store.dead_bytes
     epochs = store.trace_epochs           # appended to in place, never rebound
+    gen = store.generation                # checkpoints fall on run boundaries
 
     pages = buffer._pages
     pages_pop = pages.pop
@@ -514,7 +512,9 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     alloc_bytes = store._allocated_bytes
     alloc_clock = store.bytes_allocated_total
     po = store.pointer_overwrites
+    pend = store.pending_overwrites
     pstores = store.pointer_stores
+    nslots = store.slot_count
     tot_gen = garbage.total_generated
     tot_coll = garbage.total_collected  # only _collect changes this
     tcount = 0                          # dense placement-count delta
@@ -617,7 +617,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                 kind = kinds.get(ki)
                 if kind is None:
                     kind = kinds.setdefault(ki, ObjectKind(strings[ki]))
-                obj = StoredObject(a, szk, kind)
+                obj = StoredObject(a, szk, kind, {}, False, gen)
                 # ObjectStore._place: open-list first fit from the size's
                 # cursor, Partition.bump, the free-byte ledger.
                 alloc_bytes += szk
@@ -703,19 +703,22 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
 
             # ---- wire: the graph and the log ----
             if op == 3:  # ObjectStore.write_pointer behind its page touch
-                optrs = objects[a].pointers
+                wobj = objects[a]
+                if wobj.gen != gen:  # ObjectStore._writable
+                    objects[a] = wobj = wobj.copy(gen)
                 slot = strings[wsl[wi]]
-                old = optrs.get(slot)
-                optrs[slot] = tgt
+                old = wobj.pointers.get(slot, miss)
+                if old is miss:  # a slot never written
+                    nslots += 1
+                    old = None
+                wobj.pointers[slot] = tgt
                 epochs[pk] += 1
                 if old is not None:
                     po += 1
-                    old_pid = (
-                        tparts[old] if 0 <= old < dense
-                        else table.part_of(old)
-                    )
+                    old_pid = tparts[old] if 0 <= old < dense else table.part_of(old)
                     if old_pid >= 0:
                         partitions[old_pid].pointer_overwrites += 1
+                        pend += 1
                         if old_pid != pk:
                             # ObjectStore._forget_edge: Partition.forget,
                             # with the same found/absent branch placements;
@@ -769,6 +772,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                         vobj = objects_get(victim)
                         if vobj is None or vobj.dead:
                             continue
+                        if vobj.gen != gen:
+                            objects[victim] = vobj = vobj.copy(gen)
                         vobj.dead = True
                         vsz = vobj.size
                         tot_gen += vsz
@@ -778,9 +783,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                             else table.part_of(victim)
                         )
                         if vp < 0:
-                            raise StoreError(
-                                f"object {victim} has no placement"
-                            )
+                            raise StoreError(f"object {victim} has no placement")
                         dead_bytes[vp] = dead_bytes.get(vp, 0) + vsz
                     gf = garb / dbsz if dbsz else 0.0
                 if logging:
@@ -798,9 +801,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                     optrs = obj.pointers
                     if hi - lo > 1:
                         # dict(event.pointers) semantics: dedup by slot,
-                        # first-occurrence order, last value wins. Slot
-                        # strings are interned per trace, so index
-                        # equality is string equality.
+                        # first-occurrence order, last value wins (slot
+                        # strings are interned per trace).
                         dedup = {}
                         while lo < hi:
                             dedup[psl[lo]] = ptg[lo]
@@ -811,16 +813,16 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                     for sli, tgt in pairs:
                         if tgt == none:
                             optrs[strings[sli]] = None
+                            nslots += 1
                             continue
                         if 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
                             pass
                         elif objects_get(tgt) is None:
-                            raise StoreError(
-                                f"pointer target {tgt} does not exist"
-                            )
+                            raise StoreError(f"pointer target {tgt} does not exist")
                         else:
                             tp = table.part_of(tgt)
                         optrs[strings[sli]] = tgt
+                        nslots += 1
                         if tgt in unlinked:  # ObjectStore._unpin
                             unlinked.discard(tgt)
                             if tp >= 0:
@@ -901,7 +903,9 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
         store._allocated_bytes = alloc_bytes
         store.bytes_allocated_total = alloc_clock
         store.pointer_overwrites = po
+        store.pending_overwrites = pend
         store.pointer_stores = pstores
+        store.slot_count = nslots
         garbage.total_generated = tot_gen
         if tcount:
             table._count += tcount

@@ -243,9 +243,7 @@ class Sampler:
                 estimated_garbage_fraction=estimated_fraction,
                 target_garbage_fraction=target_garbage_fraction,
                 db_size=db_size,
-                pending_overwrites=sum(
-                    p.pointer_overwrites for p in store.partitions
-                ),
+                pending_overwrites=store.pending_overwrites,
                 partition_count=store.partition_count,
             )
         )

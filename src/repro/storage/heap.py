@@ -51,6 +51,9 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 #: partition fills don't each pay a rebuild and a rescan.
 _OPEN_LIST_STALE_LIMIT = 16
 
+#: ``dict.get`` default telling a slot never written from one holding None.
+_NO_SLOT = object()
+
 
 @dataclass
 class CompactionPlan:
@@ -187,11 +190,18 @@ class ObjectStore:
         self.dead_bytes: dict[PartitionId, int] = {}
         #: Global pointer-overwrite counter — the policies' overwrite clock.
         self.pointer_overwrites = 0
+        #: Sum of the partitions' FGS counters (Σ_p PO(p), §2.4), kept in
+        #: step by every writer of a ``Partition.pointer_overwrites`` so the
+        #: estimators and the sampler read it without a pass over partitions.
+        self.pending_overwrites = 0
         #: Monotone count of bytes ever allocated by the application — the
         #: allocation clock used by [YNY94]-style trigger policies.
         self.bytes_allocated_total = 0
         #: Pointer writes that did not replace an existing non-null pointer.
         self.pointer_stores = 0
+        #: Pointer slots over all stored objects (Σ ``StoredObject.slot_count``),
+        #: a running total so a checkpoint's modelled size costs no heap pass.
+        self.slot_count = 0
         self._next_oid: ObjectId = 1
         # Running totals so db_size stays O(1); it is sampled at every event.
         self._allocated_bytes = 0
@@ -214,6 +224,9 @@ class ObjectStore:
         #: boundary sources live here — one global counter conservatively
         #: invalidates every outstanding speculative trace.
         self.compaction_epoch = 0
+        #: Copy-on-write generation: a checkpoint bumps it and keeps a copy of
+        #: the object table, sharing every object in it (see :meth:`_writable`).
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # Application operations
@@ -240,7 +253,7 @@ class ObjectStore:
             raise StoreError(f"object {oid} already exists")
         self._next_oid = max(self._next_oid, oid + 1)
 
-        obj = StoredObject(oid=oid, size=size, kind=kind)
+        obj = StoredObject(oid=oid, size=size, kind=kind, gen=self.generation)
         pid, offset = self._place(oid, size)
         self.bytes_allocated_total += size
         self.objects[oid] = obj
@@ -254,6 +267,7 @@ class ObjectStore:
                 if target is not None:
                     self._validate_target(target)
                 obj.pointers[slot] = target
+                self.slot_count += 1
                 if target is not None:
                     if target in self.unlinked:
                         self._unpin(target)
@@ -290,11 +304,14 @@ class ObjectStore:
         this write; the workload generator computes it constructively and the
         store uses it only for oracle accounting — never for collection.
         """
-        src_obj = self._require(src)
+        src_obj = self._writable(src)
         if target is not None:
             self._validate_target(target)
 
-        old = src_obj.pointers.get(slot)
+        old = src_obj.pointers.get(slot, _NO_SLOT)
+        if old is _NO_SLOT:
+            self.slot_count += 1
+            old = None
         src_obj.pointers[slot] = target
         src_pid = self.placements.part_of(src)
         if src_pid >= 0:
@@ -306,6 +323,7 @@ class ObjectStore:
             old_pid = self.placements.part_of(old)
             if old_pid >= 0:
                 self.partitions[old_pid].pointer_overwrites += 1
+                self.pending_overwrites += 1
             self._forget_edge(src, old)
         else:
             self.pointer_stores += 1
@@ -370,7 +388,7 @@ class ObjectStore:
         been written), fixes remembered sets, and dirties the page — rollback
         is real I/O — but records neither an overwrite nor a store.
         """
-        src_obj = self._require(src)
+        src_obj = self._writable(src)
         current = src_obj.pointers.get(slot)
         if current is not None:
             self._forget_edge(src, current)
@@ -378,8 +396,8 @@ class ObjectStore:
             src_obj.pointers[slot] = old_target
             if old_target is not None:
                 self._remember_edge(src, old_target)
-        else:
-            src_obj.pointers.pop(slot, None)
+        elif src_obj.pointers.pop(slot, _NO_SLOT) is not _NO_SLOT:
+            self.slot_count -= 1
         src_pid = self.placements.part_of(src)
         if src_pid >= 0:
             self.trace_epochs[src_pid] += 1
@@ -387,13 +405,30 @@ class ObjectStore:
 
     def resurrect(self, oid: ObjectId) -> None:
         """Revert a death declaration (the disconnecting write was undone)."""
-        obj = self._require(oid)
+        obj = self._writable(oid)
         if not obj.dead:
             raise StoreError(f"object {oid} is not dead; cannot resurrect")
         obj.dead = False
         self.garbage.total_generated -= obj.size
         pid = self.partition_of(oid)
         self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - obj.size
+
+    def undo_register_root(self, oid: ObjectId, was_pinned: bool) -> None:
+        """Revert a root registration: drop the root and, if registering
+        took the object's allocation pin, give the pin back."""
+        self.roots.discard(oid)
+        if was_pinned:
+            self.unlinked.add(oid)
+        pid = self.placements.part_of(oid)
+        if pid >= 0:
+            self.trace_epochs[pid] += 1
+
+    def restore_pin(self, oid: ObjectId) -> None:
+        """Give back the allocation pin a rolled-back pointer write took."""
+        self.unlinked.add(oid)
+        pid = self.placements.part_of(oid)
+        if pid >= 0:
+            self.trace_epochs[pid] += 1
 
     def expunge(self, oid: ObjectId) -> None:
         """Remove an object whose creation is being rolled back.
@@ -420,6 +455,7 @@ class ObjectStore:
             self._reopen_partition(partition.pid)
         for target in obj.targets():
             self._forget_edge(oid, target)
+        self.slot_count -= len(obj.pointers)
         dropped = partition.drop_incoming(oid)
         if dropped:
             self.forgets_total += sum(dropped.values())
@@ -649,6 +685,7 @@ class ObjectStore:
         reclaimed_bytes = self._reclaim_residents(pid, plan.reclaimed)
 
         fill_before = partition.fill
+        self.pending_overwrites -= partition.pointer_overwrites
         partition.reset_for_compaction()
         # The same insertion history as bump-allocating each survivor in
         # turn, so the set iterates — and the next collection reclaims —
@@ -750,6 +787,21 @@ class ObjectStore:
         obj = self.objects.get(oid)
         if obj is None:
             raise StoreError(f"unknown object {oid}")
+        return obj
+
+    def _writable(self, oid: ObjectId) -> StoredObject:
+        """``oid``'s object, safe to write in place (copy-on-write).
+
+        ``build_checkpoint`` bumps :attr:`generation` and keeps a copy of
+        the object table, so an object stamped with an older generation may
+        be one a checkpoint holds. The first write to it after that puts a
+        copy stamped with the current generation under the same key — the
+        table's order does not change — and the write goes to the copy. A
+        checkpoint therefore never sees a later write.
+        """
+        obj = self._require(oid)
+        if obj.gen != self.generation:
+            obj = self.objects[oid] = obj.copy(self.generation)
         return obj
 
     def _placement(self, oid: ObjectId) -> Placement:
@@ -877,6 +929,8 @@ class ObjectStore:
         obj = self.objects.get(oid)
         if obj is None or obj.dead:
             return
+        if obj.gen != self.generation:
+            obj = self.objects[oid] = obj.copy(self.generation)
         obj.dead = True
         self.garbage.total_generated += obj.size
         pid = self.partition_of(oid)
@@ -908,7 +962,7 @@ class ObjectStore:
         drop_incoming = partitions[pid].incoming.pop
         roots_discard = self.roots.discard
         unlinked_discard = self.unlinked.discard
-        count = dead = undeclared = forgets = 0
+        count = dead = undeclared = forgets = slots = 0
         try:
             for oid in reclaimed:
                 obj = objects_pop(oid)
@@ -931,6 +985,7 @@ class ObjectStore:
                     undeclared += obj.size
 
                 # Sever remembered-set state in both directions.
+                slots += len(obj.pointers)
                 for target in obj.pointers.values():
                     if target is None:
                         continue
@@ -951,6 +1006,7 @@ class ObjectStore:
         finally:
             placements._count -= count
             self.forgets_total += forgets
+            self.slot_count -= slots
             garbage = self.garbage
             if dead:
                 self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - dead

@@ -55,6 +55,11 @@ class StoredObject:
         dead: Set by the store when the workload declares the object globally
             unreachable. The collector never reads this flag — it is oracle
             state used for exact garbage accounting.
+        gen: The store generation the object was created or copied in. An
+            object of an older generation may be shared with a checkpoint,
+            so the store writes a copy instead (see
+            :meth:`repro.storage.heap.ObjectStore._writable`). Bookkeeping,
+            not part of the object's value: equality ignores it.
     """
 
     oid: ObjectId
@@ -62,10 +67,17 @@ class StoredObject:
     kind: ObjectKind = ObjectKind.GENERIC
     pointers: dict[str, Optional[ObjectId]] = field(default_factory=dict)
     dead: bool = False
+    gen: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"object size must be positive, got {self.size}")
+
+    def copy(self, gen: int) -> StoredObject:
+        """An equal object with its own pointer map, stamped ``gen``."""
+        return StoredObject(
+            self.oid, self.size, self.kind, self.pointers.copy(), self.dead, gen
+        )
 
     def targets(self) -> Iterator[ObjectId]:
         """Iterate over the non-null pointer targets of this object."""

@@ -112,7 +112,8 @@ class StoreValidator:
     def _check_partitions(self, store: ObjectStore, report: ValidationReport) -> None:
         """Residents are exactly the objects placed in each partition; fill
         matches the sum of resident sizes plus dead space is impossible
-        (bump allocation keeps fill equal to the high-water extent)."""
+        (bump allocation keeps fill equal to the high-water extent); the
+        store's pending-overwrite and slot counters are the sums they keep."""
         by_partition: dict[int, set[int]] = {}
         for oid, placement in store.placements.items():
             by_partition.setdefault(placement.partition, set()).add(oid)
@@ -135,6 +136,19 @@ class StoreValidator:
                     "partitions",
                     f"partition {partition.pid}: negative FGS counter",
                 )
+        pending = sum(partition.pointer_overwrites for partition in store.partitions)
+        if store.pending_overwrites != pending:
+            report.add(
+                "partitions",
+                f"pending-overwrite counter {store.pending_overwrites} != "
+                f"sum of FGS counters {pending}",
+            )
+        slots = sum(len(obj.pointers) for obj in store.objects.values())
+        if store.slot_count != slots:
+            report.add(
+                "partitions",
+                f"slot counter {store.slot_count} != pointer slots {slots}",
+            )
 
     def _check_first_fit(self, store: ObjectStore, report: ValidationReport) -> None:
         """A partition's pid is its list index (UPDATEDPOINTER selection

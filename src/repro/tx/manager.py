@@ -56,10 +56,14 @@ class _UndoPointerWrite(NamedTuple):
     overwrote: bool
     fgs_partition: Optional[int]
     died: tuple[ObjectId, ...]
+    #: The write's target, if the write took its allocation pin.
+    repin: Optional[ObjectId]
 
 
 class _UndoRoot(NamedTuple):
     oid: ObjectId
+    #: The object held an allocation pin, which the registration took.
+    was_pinned: bool
 
 
 _UndoRecord = Union[_UndoCreate, _UndoPointerWrite, _UndoRoot]
@@ -340,6 +344,7 @@ class TransactionManager:
             for oid in dies
             if oid in self.store.objects and not self.store.objects[oid].dead
         )
+        repin = target if target in self.store.unlinked else None
         self.store.write_pointer(src, slot, target, dies=dies)
         txn.undo_log.append(
             _UndoPointerWrite(
@@ -350,6 +355,7 @@ class TransactionManager:
                 overwrote,
                 fgs_partition,
                 fresh_deaths,
+                repin,
             )
         )
         txn.operations += 1
@@ -372,9 +378,10 @@ class TransactionManager:
     def register_root(self, oid: ObjectId) -> None:
         txn = self._require_active(None)
         already_root = oid in self.store.roots
+        was_pinned = oid in self.store.unlinked
         self.store.register_root(oid)
         if not already_root:
-            txn.undo_log.append(_UndoRoot(oid))
+            txn.undo_log.append(_UndoRoot(oid, was_pinned))
         txn.operations += 1
         self._log("root")
         if self.redo_log is not None and not already_root:
@@ -392,6 +399,8 @@ class TransactionManager:
             store.undo_pointer_write(
                 record.src, record.slot, record.old_target, record.slot_existed
             )
+            if record.repin is not None:
+                store.restore_pin(record.repin)
             # The forward write advanced the garbage-creation signals; an
             # aborted transaction must not be visible to the rate policies.
             if record.overwrote:
@@ -400,11 +409,12 @@ class TransactionManager:
                     partition = store.partitions[record.fgs_partition]
                     if partition.pointer_overwrites > 0:
                         partition.pointer_overwrites -= 1
+                        store.pending_overwrites -= 1
             else:
                 store.pointer_stores -= 1
         elif isinstance(record, _UndoCreate):
             store.expunge(record.oid)
         elif isinstance(record, _UndoRoot):
-            store.roots.discard(record.oid)
+            store.undo_register_root(record.oid, record.was_pinned)
         else:  # pragma: no cover - defensive
             raise TransactionError(f"unknown undo record {record!r}")

@@ -35,35 +35,53 @@ pre-crash process had.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.storage.heap import ObjectStore, StoreConfig
-from repro.storage.object_model import ObjectId, ObjectKind
+from repro.storage.object_model import ObjectId, ObjectKind, StoredObject
 
 
-@dataclass(frozen=True)
+class _Columns(NamedTuple):
+    """A checkpoint's flat columns (see :class:`CheckpointSnapshot`)."""
+
+    oids: tuple[ObjectId, ...]
+    sizes: tuple[int, ...]
+    kinds: tuple[str, ...]
+    dead: tuple[bool, ...]
+    pointer_srcs: tuple[ObjectId, ...]
+    pointer_slots: tuple[str, ...]
+    pointer_targets: tuple[Optional[ObjectId], ...]
+
+
+@dataclass(frozen=True, eq=False)
 class CheckpointSnapshot:
     """The committed logical state of a store at one quiescent point.
 
     Captured by :func:`build_checkpoint` strictly *between* transactions, so
-    the snapshot never contains uncommitted effects. Fields mirror exactly
-    what :func:`recover` needs to rebuild an equivalent store:
+    the snapshot never contains uncommitted effects. What it holds is
+    exactly what :func:`recover` needs to rebuild an equivalent store:
 
-    * the object columns — every stored object (live **and**
-      dead-uncollected; the suffix's ``dies`` annotations and the policies'
-      garbage accounting both assume dead objects still occupy the heap
-      until collected);
-    * the pointer columns / ``roots`` — the full reachability graph;
-    * ``unlinked`` — the allocation-pin set (created-but-unreferenced
-      objects the collector must treat as roots);
+    * every stored object (live **and** dead-uncollected; the suffix's
+      ``dies`` annotations and the policies' garbage accounting both assume
+      dead objects still occupy the heap until collected) with its pointer
+      slots — the full reachability graph;
+    * ``roots``, and ``unlinked`` — the allocation-pin set
+      (created-but-unreferenced objects the collector must treat as roots);
     * the accounting clocks, so rate policies resume with continuous
       signals instead of a cold reset.
 
-    Objects and pointers are stored **columnar**: a handful of flat tuples
-    of scalars instead of one row tuple per object and per slot. A
-    checkpoint of a 20 k-object heap is then seven containers, not 40 k —
-    the row burst used to set off the interpreter's cyclic collector in the
-    middle of the service's stall window.
+    The capture is ``table``, a copy of the store's object table: one
+    reference per object, the objects themselves shared with the store,
+    which copies any of them before writing it (copy-on-write, see
+    ``ObjectStore._writable``) — so the snapshot is immutable, a superseded
+    one included. Recovery, tests and drills read it as flat **columns**
+    (``oids`` ascending, ``sizes``, ``kinds`` as ``ObjectKind`` values,
+    ``dead``; ``pointer_srcs`` / ``pointer_slots`` / ``pointer_targets`` in
+    ``(src, slot)`` order, a target may be None), built from the table on
+    the first read of any of them. A checkpoint that a later one supersedes
+    before anything reads it is never turned into columns at all. Two
+    snapshots are equal when their columns, sets and clocks are.
 
     ``event_index`` records the absolute stream position the checkpoint
     covers: a resumed service continues the event stream from here.
@@ -71,17 +89,11 @@ class CheckpointSnapshot:
 
     #: Absolute index of the next stream event after the checkpoint.
     event_index: int
-    #: Parallel object columns, one entry per stored object, oids ascending.
-    oids: tuple[ObjectId, ...]
-    sizes: tuple[int, ...]
-    #: ``ObjectKind`` values.
-    kinds: tuple[str, ...]
-    dead: tuple[bool, ...]
-    #: Parallel pointer columns, one entry per pointer slot, in
-    #: ``(src, slot)`` order (a target may be None).
-    pointer_srcs: tuple[ObjectId, ...]
-    pointer_slots: tuple[str, ...]
-    pointer_targets: tuple[Optional[ObjectId], ...]
+    #: The store's object table at the checkpoint (oid -> object); never
+    #: written, by the store or anyone else.
+    table: Mapping[ObjectId, StoredObject]
+    #: Pointer slots over all objects, for :attr:`estimated_bytes`.
+    pointer_count: int
     roots: tuple[ObjectId, ...]
     unlinked: tuple[ObjectId, ...]
     #: GarbageAccounts continuity: (total_generated, total_collected,
@@ -91,13 +103,90 @@ class CheckpointSnapshot:
     pointer_stores: int = 0
     bytes_allocated_total: int = 0
 
+    @cached_property
+    def _columns(self) -> _Columns:
+        """Every column, built from the table on the first read of any."""
+        table = self.table
+        oids = sorted(table)
+        stored = [table[oid] for oid in oids]
+        srcs: list[ObjectId] = []
+        slots: list[str] = []
+        targets: list[Optional[ObjectId]] = []
+        for obj in stored:
+            pointers = obj.pointers
+            if not pointers:
+                continue
+            items: Iterable[tuple[str, Optional[ObjectId]]] = pointers.items()
+            if len(pointers) > 1:  # slot order within an object is by name
+                items = sorted(items)
+            for slot, target in items:
+                srcs.append(obj.oid)
+                slots.append(slot)
+                targets.append(target)
+        return _Columns(
+            tuple(oids),
+            tuple([obj.size for obj in stored]),
+            # ``_value_`` is the plain attribute behind enum's ``value``
+            # descriptor: same string, a sixth of the read cost.
+            tuple([obj.kind._value_ for obj in stored]),
+            tuple([obj.dead for obj in stored]),
+            tuple(srcs),
+            tuple(slots),
+            tuple(targets),
+        )
+
+    @property
+    def oids(self) -> tuple[ObjectId, ...]:
+        return self._columns.oids
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return self._columns.sizes
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        return self._columns.kinds
+
+    @property
+    def dead(self) -> tuple[bool, ...]:
+        return self._columns.dead
+
+    @property
+    def pointer_srcs(self) -> tuple[ObjectId, ...]:
+        return self._columns.pointer_srcs
+
+    @property
+    def pointer_slots(self) -> tuple[str, ...]:
+        return self._columns.pointer_slots
+
+    @property
+    def pointer_targets(self) -> tuple[Optional[ObjectId], ...]:
+        return self._columns.pointer_targets
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckpointSnapshot):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def _value(self) -> tuple:
+        return (
+            self.event_index,
+            self._columns,
+            self.roots,
+            self.unlinked,
+            self.garbage,
+            self.pointer_overwrites,
+            self.pointer_stores,
+            self.bytes_allocated_total,
+        )
+
     @property
     def estimated_bytes(self) -> int:
         """Modelled serialized size, for WAL cost accounting."""
         return (
             64
-            + 48 * len(self.oids)
-            + 24 * len(self.pointer_srcs)
+            + 48 * len(self.table)
+            + 24 * self.pointer_count
             + 8 * (len(self.roots) + len(self.unlinked))
         )
 
@@ -107,36 +196,16 @@ def build_checkpoint(store: ObjectStore, event_index: int) -> CheckpointSnapshot
 
     The caller must guarantee no transaction is open (the service only
     checkpoints between transactions); everything in the store is then
-    committed by construction.
+    committed by construction. The capture walks no object: one C-level
+    copy of the table's references, the store's running totals, and a
+    generation bump, after which the store copies any object of the table
+    before it next writes it.
     """
-    objects = store.objects
-    oids = sorted(objects)
-    stored = [objects[oid] for oid in oids]
-    srcs: list[ObjectId] = []
-    slots: list[str] = []
-    targets: list[Optional[ObjectId]] = []
-    for obj in stored:
-        pointers = obj.pointers
-        if not pointers:
-            continue
-        items: Iterable[tuple[str, Optional[ObjectId]]] = pointers.items()
-        if len(pointers) > 1:  # slot order within an object is by name
-            items = sorted(items)
-        for slot, target in items:
-            srcs.append(obj.oid)
-            slots.append(slot)
-            targets.append(target)
+    store.generation += 1
     return CheckpointSnapshot(
         event_index=event_index,
-        oids=tuple(oids),
-        sizes=tuple([obj.size for obj in stored]),
-        # ``_value_`` is the plain attribute behind enum's ``value``
-        # descriptor: same string, a sixth of the read cost.
-        kinds=tuple([obj.kind._value_ for obj in stored]),
-        dead=tuple([obj.dead for obj in stored]),
-        pointer_srcs=tuple(srcs),
-        pointer_slots=tuple(slots),
-        pointer_targets=tuple(targets),
+        table=store.objects.copy(),
+        pointer_count=store.slot_count,
         roots=tuple(sorted(store.roots)),
         unlinked=tuple(sorted(store.unlinked)),
         garbage=(

@@ -62,6 +62,7 @@ def reclaim(store, oid, pid):
         store.garbage.total_generated += obj.size
         store.garbage.undeclared += obj.size
     store.garbage.total_collected += obj.size
+    store.slot_count -= len(obj.pointers)
     for target in obj.targets():
         tgt_pid = store.placements.part_of(target)
         if tgt_pid < 0 or tgt_pid == pid:
@@ -92,6 +93,7 @@ def compact_partition(store, pid, survivors, plan=None):
     for oid in [oid for oid in partition.residents if oid not in survivor_set]:
         reclaimed_bytes += reclaim(store, oid, pid)
     fill_before = partition.fill
+    store.pending_overwrites -= partition.pointer_overwrites
     partition.reset_for_compaction()
     for oid in survivors:
         size = store.objects[oid].size

@@ -100,11 +100,21 @@ def test_cgs_hb_zero_before_observations(store):
 # ----------------------------------------------------------------------
 
 
+def _overwrite_into(store, target, times):
+    """``times`` overwrites of a pointer to ``target``: FGS counts of its
+    partition, and of the store's Σ_p PO(p)."""
+    for _ in range(times):
+        store.write_pointer(1, "s", target)
+        store.write_pointer(1, "s", None)
+
+
 def test_fgs_hb_estimate_formula(store):
     estimator = FgsHbEstimator(history=0.8)
     estimator.observe_collection(_result(reclaimed=300, po=3), store)  # GPPO 100
-    store.partitions[0].pointer_overwrites = 2
-    store.partitions[1].pointer_overwrites = 5
+    _overwrite_into(store, 1, 2)  # partition 0
+    _overwrite_into(store, 2, 5)  # partition 1
+    assert [p.pointer_overwrites for p in store.partitions] == [2, 5, 0, 0]
+    assert store.pending_overwrites == 7
     assert estimator.estimate(store) == pytest.approx(100.0 * 7)
 
 
@@ -125,7 +135,7 @@ def test_fgs_hb_skips_samples_without_overwrites(store):
 
 def test_fgs_hb_zero_before_observations(store):
     estimator = FgsHbEstimator()
-    store.partitions[0].pointer_overwrites = 50
+    _overwrite_into(store, 1, 50)
     assert estimator.estimate(store) == 0.0
 
 

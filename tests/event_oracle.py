@@ -67,7 +67,9 @@ def store_fields(store) -> dict:
         "dead_bytes": dict(store.dead_bytes),
         "clocks": (
             store.pointer_overwrites,
+            store.pending_overwrites,
             store.pointer_stores,
+            store.slot_count,
             store.bytes_allocated_total,
             store.db_size,
             store._next_oid,

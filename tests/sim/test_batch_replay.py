@@ -821,3 +821,31 @@ def test_invalid_replay_value_rejected():
                 policy=build_policy(spec.policy, 0),
                 config=dataclasses.replace(spec.sim, replay=replay),
             )
+
+
+def _max_create_oid_loop(ops, arg0):
+    """The per-event loop ``batch._max_create_oid`` replaced."""
+    best = 0
+    for i, op in enumerate(ops):
+        if op == 0 and arg0[i] > best:
+            best = arg0[i]
+    return best
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=9), st.integers(-50, 10**9)),
+        max_size=300,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_max_create_oid_equals_the_loop(rows):
+    ops = [op for op, _ in rows]
+    arg0 = [a for _, a in rows]
+    assert batch._max_create_oid(ops, arg0) == _max_create_oid_loop(ops, arg0)
+
+
+def test_max_create_oid_of_a_real_trace():
+    trace = compile_trace(list(build_workload(_spec().workload, 0)))
+    cache = batch._ensure_cache(trace)
+    assert cache.max_oid == _max_create_oid_loop(cache.ops, cache.arg0) > 0

@@ -18,11 +18,13 @@ from repro.tx.recovery import RedoLog
 from repro.tx.wal import WriteAheadLog
 
 MIRRORS = {  # kernel block -> {method it mirrors: pinned digest}
-    "resolve": {Store.create: "5cd3cf8c82", Store._place: "3fe1edc453",
+    "resolve": {Store.create: "e62cf0f107", Store._place: "3fe1edc453",
                 Partition.bump: "faca11d8c7"},
     "touch": {BufferPool.touch: "fc7b3a629e", BufferPool._evict_to: "1235b3d7f0",
               IOStats.record_read: "db15fdec46", IOStats.record_write: "9a1edfd77b"},
-    "wire": {Store.write_pointer: "c3b4d3957e", Store._declare_dead: "99e320b326",
+    # WRITE and dies copy a checkpoint-shared object first, as _writable does.
+    "wire": {Store.write_pointer: "8590d9f1fc", Store._writable: "2da76ffbe8",
+             Store._declare_dead: "a07984dc8c",
              Store._forget_edge: "08069d692e", Partition.forget: "85f0c67202",
              Store._unpin: "664b106997", Store._remember_edge: "201624f16a",
              Partition.remember: "8822e49a04"},

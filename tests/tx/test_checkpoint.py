@@ -201,16 +201,16 @@ def test_wal_checkpoint_pays_modelled_io():
 
 def test_estimated_bytes_scales_with_content():
     empty = _empty_snapshot(0)
-    full = _empty_snapshot(
-        0,
-        oids=tuple(range(100)),
-        sizes=(64,) * 100,
-        kinds=("generic",) * 100,
-        dead=(False,) * 100,
-        pointer_srcs=tuple(range(100)),
-        pointer_slots=("next",) * 100,
-        pointer_targets=tuple(range(1, 101)),
-        roots=(1, 2, 3),
-    )
+    store = ObjectStore(CFG)
+    for oid in range(100):
+        store.create(size=64, oid=oid)
+    for oid in range(1, 100):
+        store.write_pointer(oid - 1, "next", oid)
+    store.write_pointer(99, "next", None)
+    for oid in (0, 1, 2):
+        store.register_root(oid)
+    full = build_checkpoint(store, 0)
+    assert full.pointer_count == len(full.pointer_srcs) == 100
+    assert len(full.unlinked) == 0
     assert empty.estimated_bytes == 64
     assert full.estimated_bytes == 64 + 48 * 100 + 24 * 100 + 8 * 3

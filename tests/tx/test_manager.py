@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.gc.collector import CopyingCollector
 from repro.gc.remembered import full_scan_frontier
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
@@ -164,6 +165,43 @@ def test_abort_restores_root_registration(manager, store):
     pid = store.partition_of(extra)
     assert store.partition_roots(pid) == full_scan_frontier(store, pid)[0]
     assert validate_store(store).ok
+
+
+def _survives_a_collection_of_its_partition(store, oid):
+    pid = store.partition_of(oid)
+    assert oid in store.partition_roots(pid)
+    CopyingCollector(store).collect(pid)
+    assert oid in store.objects
+    assert validate_store(store).ok
+
+
+def test_abort_restores_the_pin_a_root_registration_took(manager, store):
+    _seed_root(store)
+    x = store.create(size=10)
+    manager.begin()
+    manager.register_root(x)
+    assert x not in store.unlinked
+    epoch = store.trace_epochs[store.partition_of(x)]
+    manager.abort()
+    assert x not in store.roots
+    assert x in store.unlinked
+    # The frontier changed, so a speculative trace of the partition is stale.
+    assert store.trace_epochs[store.partition_of(x)] > epoch
+    _survives_a_collection_of_its_partition(store, x)
+
+
+def test_abort_restores_the_pin_a_pointer_write_took(manager, store):
+    root = _seed_root(store)
+    x = store.create(size=10)
+    manager.begin()
+    manager.write_pointer(root, "x", x)
+    assert x not in store.unlinked
+    epoch = store.trace_epochs[store.partition_of(x)]
+    manager.abort()
+    assert "x" not in store.objects[root].pointers
+    assert x in store.unlinked
+    assert store.trace_epochs[store.partition_of(x)] > epoch
+    _survives_a_collection_of_its_partition(store, x)
 
 
 def test_abort_keeps_preexisting_root(manager, store):
