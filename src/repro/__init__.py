@@ -78,8 +78,6 @@ from repro.sim import (
     WorkloadSpec,
     run_experiment,
     run_experiment_batch,
-    run_one,
-    run_seeds,
 )
 from repro.storage import IOCategory, IOStats, ObjectKind, ObjectStore, StoreConfig
 from repro.tx import Transaction, TransactionError, TransactionManager
@@ -190,8 +188,6 @@ __all__ = [
     "run_crash_recovery_drill",
     "run_experiment",
     "run_experiment_batch",
-    "run_one",
-    "run_seeds",
     "tenant_mix",
     "trace_stats",
 ]

@@ -286,9 +286,3 @@ def trace_stats(trace: Iterable[TraceEvent], sizes: Optional[dict[ObjectId, int]
         elif isinstance(event, PhaseMarkerEvent):
             stats.phases.append(event.name)
     return stats
-
-
-def iterate_trace(*parts: Iterable[TraceEvent]) -> Iterator[TraceEvent]:
-    """Chain several event streams into one trace."""
-    for part in parts:
-        yield from part

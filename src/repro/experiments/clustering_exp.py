@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
+from repro.events import stream_events
 from repro.experiments.common import DEFAULT_CONFIG, default_seeds
 from repro.gc.collector import CopyingCollector
 from repro.oo7.builder import apply_event
@@ -31,7 +33,7 @@ from repro.sim.clustering import (
 )
 from repro.sim.report import format_table
 from repro.storage.heap import ObjectStore, StoreConfig
-from repro.workload.phases import gen_db_phase, reorg1_phase, reorg2_phase
+from repro.workload.phases import gen_db_steps, reorg1_steps, reorg2_steps
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,15 @@ def run_clustering_experiment(
         rng = random.Random(seed)
         graph = Oo7Graph(config, rng=rng)
         store = ObjectStore(StoreConfig())
-        for event in gen_db_phase(graph):
+        for event in stream_events(partial(gen_db_steps, graph)):
             apply_event(store, event)
         measurements = [_measure(store, graph, "after GenDB")]
 
-        for event in reorg1_phase(graph, rng):
+        for event in stream_events(partial(reorg1_steps, graph, rng, 0.5)):
             apply_event(store, event)
         measurements.append(_measure(store, graph, "after Reorg1"))
 
-        for event in reorg2_phase(graph, rng):
+        for event in stream_events(partial(reorg2_steps, graph, rng, 0.5)):
             apply_event(store, event)
         measurements.append(_measure(store, graph, "after Reorg2"))
 

@@ -44,10 +44,9 @@ from typing import Optional, Sequence
 
 from repro.gc.learned import ModelError, model_spec, parse_model_spec
 from repro.gc.parallel import COLLECTION_MODES
-from repro.sim.engine import run_experiment_batch
+from repro.sim.engine import AggregateResult, run_experiment_batch
 from repro.sim.metrics import SimulationSummary
 from repro.sim.report import format_percent, format_table
-from repro.sim.runner import AggregateResult
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import ExperimentSpec, PolicySpec, WorkloadSpec
 from repro.storage.heap import StoreConfig

@@ -265,7 +265,7 @@ class LearnedModel:
         path = Path(path)
         try:
             document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON or non-UTF-8 bytes
             raise ModelError(f"cannot read model artifact {path}: {exc}") from exc
         if not isinstance(document, dict):
             raise ModelError(f"{path}: model artifact is not a JSON object")

@@ -1,11 +1,9 @@
-"""Trace-driven simulation: engine, metrics, multi-seed runner, reports.
+"""Trace-driven simulation: engine, metrics, multi-seed runs, reports.
 
-Two ways to run the paper's multi-seed protocol live here:
-
-* :func:`run_seeds` — in-process, factory-based (arbitrary callables);
-* :func:`run_experiment` / :func:`run_experiment_batch` — declarative
-  :class:`ExperimentSpec`-based, with multi-process fan-out
-  (:class:`ParallelRunner`) and on-disk memoisation (:class:`ResultCache`).
+The paper's multi-seed protocol runs through :func:`run_experiment` /
+:func:`run_experiment_batch`: declarative :class:`ExperimentSpec` values,
+with multi-process fan-out (:class:`ParallelRunner`) and on-disk
+memoisation (:class:`ResultCache`).
 """
 
 from repro.sim.cache import CachedRun, ResultCache, spec_fingerprint
@@ -16,7 +14,11 @@ from repro.sim.clustering import (
     traverse_page_footprint,
 )
 from repro.sim.engine import (
+    AggregateResult,
+    AggregateStat,
     ParallelRunner,
+    RunFailure,
+    RunStats,
     RunTimeoutError,
     SeedOutcome,
     run_experiment,
@@ -28,14 +30,6 @@ from repro.sim.metrics import (
     RunningMean,
     Sampler,
     SimulationSummary,
-)
-from repro.sim.runner import (
-    AggregateResult,
-    AggregateStat,
-    RunFailure,
-    RunStats,
-    run_one,
-    run_seeds,
 )
 from repro.sim.simulator import Simulation, SimulationConfig, SimulationResult
 from repro.sim.spec import (
@@ -79,7 +73,5 @@ __all__ = [
     "register_workload",
     "run_experiment",
     "run_experiment_batch",
-    "run_one",
-    "run_seeds",
     "spec_fingerprint",
 ]

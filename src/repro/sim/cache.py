@@ -110,9 +110,10 @@ class ResultCache:
             payload = json.loads(path.read_text())
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, OSError):
-            # A torn or corrupt entry is a miss, but the bytes may matter
-            # for a post-mortem: quarantine them instead of deleting.
+        except (ValueError, OSError):
+            # A torn or corrupt entry (bad JSON, or bytes that are not
+            # UTF-8: both are ValueErrors) is a miss, but the bytes may
+            # matter for a post-mortem: quarantine them instead of deleting.
             self._quarantine(path)
             return None
         try:

@@ -15,13 +15,14 @@ module measures those effects directly:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from repro.events import AccessEvent
+from repro.events import AccessEvent, stream_events
 from repro.oo7.schema import Oo7Graph
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import ObjectStore
 from repro.storage.iostats import IOCategory, IOStats
-from repro.workload.phases import traverse_phase
+from repro.workload.phases import traverse_steps
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def traverse_hit_rate(store: ObjectStore, graph: Oo7Graph) -> float:
     """
     scratch_stats = IOStats()
     scratch = BufferPool(store.config.buffer_pages, scratch_stats)
-    for event in traverse_phase(graph):
+    for event in stream_events(partial(traverse_steps, graph)):
         if not isinstance(event, AccessEvent):
             continue
         for page in store.pages_of(event.oid):
@@ -83,7 +84,7 @@ def traverse_page_footprint(store: ObjectStore, graph: Oo7Graph) -> int:
     though objects never migrate between partitions.
     """
     pages: set = set()
-    for event in traverse_phase(graph):
+    for event in stream_events(partial(traverse_steps, graph)):
         if isinstance(event, AccessEvent):
             pages.update(store.pages_of(event.oid))
     return len(pages)

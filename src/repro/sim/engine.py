@@ -11,16 +11,16 @@ ProcessPoolExecutor` and memoises each run in an optional on-disk
 * results are assembled in task order regardless of completion order, so
   formatted experiment output is byte-identical at any ``jobs`` setting;
 * cache hits skip simulation entirely and are reported per run through the
-  progress callback and in :class:`~repro.sim.runner.RunStats`.
+  progress callback and in :class:`RunStats`.
 
 The engine is failure-tolerant: a run that raises (or exceeds
 ``run_timeout``) is retried up to ``retries`` times with capped, jittered
 exponential backoff, and if it still fails it is *quarantined* — recorded as a
-:class:`~repro.sim.runner.RunFailure` on the setting's
-:class:`~repro.sim.runner.AggregateResult` — while the rest of the batch
-completes and aggregates over the successful runs. A broken worker pool
-(e.g. a worker killed by the OOM killer) degrades gracefully: the engine
-falls back to the in-process serial path for whatever work remains.
+:class:`RunFailure` on the setting's :class:`AggregateResult` — while the
+rest of the batch completes and aggregates over the successful runs. A
+broken worker pool (e.g. a worker killed by the OOM killer) degrades
+gracefully: the engine falls back to the in-process serial path for
+whatever work remains.
 
 Worker processes cannot unpickle closures, which is why the engine runs on
 declarative :class:`~repro.sim.spec.ExperimentSpec` values: the spec
@@ -51,7 +51,7 @@ import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -60,7 +60,6 @@ from repro.faults.plan import FaultPlan
 from repro.obs.telemetry import RunTelemetry, run_telemetry_path
 from repro.sim.cache import ResultCache, spec_fingerprint
 from repro.sim.metrics import CollectionRecord, SimulationSummary
-from repro.sim.runner import AggregateResult, RunFailure, RunStats
 from repro.sim.simulator import Simulation
 from repro.sim.spec import (
     ExperimentSpec,
@@ -68,6 +67,133 @@ from repro.sim.spec import (
     build_selection,
 )
 from repro.workload.trace_cache import StreamedTrace, TraceCache, trace_fingerprint
+
+
+# ----------------------------------------------------------------------
+# What a batch returns
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AggregateStat:
+    """Mean / min / max of one metric across runs (the paper's error bars)."""
+
+    mean: float
+    minimum: float
+    maximum: float
+
+    @classmethod
+    def of(cls, values: Sequence[float]) -> "AggregateStat":
+        if not values:
+            return cls(0.0, 0.0, 0.0)
+        return cls(
+            mean=sum(values) / len(values),
+            minimum=min(values),
+            maximum=max(values),
+        )
+
+    @property
+    def spread(self) -> float:
+        return self.maximum - self.minimum
+
+
+@dataclass
+class RunStats:
+    """Observability counters for one aggregated experimental setting."""
+
+    #: Wall-clock seconds spent actually simulating (cache hits cost ~0).
+    wall_time: float = 0.0
+    #: Runs answered from the on-disk result cache.
+    cache_hits: int = 0
+    #: Runs that had to be simulated.
+    cache_misses: int = 0
+    #: Runs that failed even after retries (quarantined, not aggregated).
+    failures: int = 0
+    #: Extra attempts spent retrying runs that eventually succeeded or failed.
+    retries: int = 0
+    #: Telemetry files written for this setting's runs (present only when
+    #: the engine ran with ``telemetry=``; cache hits skip simulation and
+    #: therefore produce no file).
+    telemetry_paths: list[str] = field(default_factory=list)
+
+    @property
+    def runs(self) -> int:
+        """Runs that completed (from cache or simulation); excludes failures."""
+        return self.cache_hits + self.cache_misses
+
+    def merge(self, other: "RunStats") -> None:
+        self.wall_time += other.wall_time
+        self.cache_hits += other.cache_hits
+        self.cache_misses += other.cache_misses
+        self.failures += other.failures
+        self.retries += other.retries
+        self.telemetry_paths.extend(other.telemetry_paths)
+
+
+@dataclass(frozen=True)
+class RunFailure:
+    """One quarantined run: it failed every attempt and was excluded.
+
+    The batch survives — the failure is recorded here (and counted in
+    :attr:`RunStats.failures`) instead of killing the whole sweep.
+    """
+
+    label: str
+    seed: int
+    #: ``repr`` of the final exception.
+    error: str
+    #: Total attempts made (1 + retries).
+    attempts: int
+
+
+@dataclass
+class AggregateResult:
+    """Results of one experimental setting across all seeds."""
+
+    summaries: list[SimulationSummary]
+    #: Per-seed collection records, kept only when the caller asks for them
+    #: (``keep_records=True`` on the engine entry points).
+    records: list[list[CollectionRecord]] = field(default_factory=list)
+    #: Wall-time and cache accounting.
+    stats: Optional[RunStats] = None
+    #: Runs that failed after exhausting retries. The aggregate statistics
+    #: above are computed over successful runs only.
+    failures: list[RunFailure] = field(default_factory=list)
+
+    @property
+    def runs(self) -> int:
+        return len(self.summaries)
+
+    @property
+    def telemetry_paths(self) -> list[str]:
+        """Telemetry files written for this setting (empty when disabled)."""
+        if self.stats is None:
+            return []
+        return self.stats.telemetry_paths
+
+    @property
+    def garbage_fraction(self) -> AggregateStat:
+        return AggregateStat.of([s.garbage_fraction_mean for s in self.summaries])
+
+    @property
+    def gc_io_fraction(self) -> AggregateStat:
+        return AggregateStat.of([s.gc_io_fraction for s in self.summaries])
+
+    @property
+    def collections(self) -> AggregateStat:
+        return AggregateStat.of([float(s.collections) for s in self.summaries])
+
+    @property
+    def total_io(self) -> AggregateStat:
+        return AggregateStat.of(
+            [float(s.app_io_total + s.gc_io_total) for s in self.summaries]
+        )
+
+    @property
+    def total_reclaimed(self) -> AggregateStat:
+        return AggregateStat.of(
+            [float(s.total_reclaimed_bytes) for s in self.summaries]
+        )
 
 
 class RunTimeoutError(Exception):
@@ -711,10 +837,11 @@ def run_experiment(
 ) -> AggregateResult:
     """Run one experimental setting across seeds, in parallel, with caching.
 
-    The declarative counterpart of :func:`repro.sim.runner.run_seeds`:
-    ``spec`` names everything by registry key, so runs can execute in worker
-    processes (``jobs``; ``None`` = all cores, ``1`` = in-process) and be
-    memoised in ``cache``. ``keep_records=True`` additionally returns each
+    The paper's protocol (§3.2, §4.1): one fresh policy, workload and
+    selection per seed, aggregated across seeds. ``spec`` names everything
+    by registry key, so runs can execute in worker processes (``jobs``;
+    ``None`` = all cores, ``1`` = in-process) and be memoised in
+    ``cache``. ``keep_records=True`` additionally returns each
     run's per-collection records (Figures 6/7 need them). ``retries``,
     ``run_timeout`` and ``faults`` configure the failure-tolerance layer,
     ``trace_cache`` memoises compiled workload traces across runs, and

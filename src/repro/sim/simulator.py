@@ -250,7 +250,8 @@ class Simulation:
 
         ``trace`` is a :class:`~repro.workload.compiled.CompiledTrace` or
         anything :func:`~repro.workload.compiled.compile_trace` accepts —
-        an iterable of events, or a workload with a step form. It is
+        a workload (:class:`repro.workload.base.WorkloadSpec`, drained
+        through its ``steps``) or an iterable of events. It is
         compiled whole before the policy is armed or the store touched, so
         a source that fails (a generator that raises, an unknown event
         class, a truncated trace file) leaves the simulation as it was. A

@@ -1,12 +1,11 @@
 """Declarative, picklable experiment specifications.
 
 The parallel experiment engine (:mod:`repro.sim.engine`) fans simulation
-runs out over worker *processes*, which cannot receive the closures the
-factory-based :func:`repro.sim.runner.run_seeds` protocol is built around.
-This module provides the declarative replacement: an :class:`ExperimentSpec`
-names the rate policy, the workload, and the partition-selection policy by
-**registry key plus keyword arguments**, and the builders below turn the
-spec into live objects *inside* each worker, once per seed.
+runs out over worker *processes*, which cannot receive closures. An
+:class:`ExperimentSpec` therefore names the rate policy, the workload, and
+the partition-selection policy by **registry key plus keyword arguments**,
+and the builders below turn the spec into live objects *inside* each
+worker, once per seed.
 
 Because a spec is plain data (nested frozen dataclasses of strings, numbers
 and config dataclasses) it is also *stably hashable*: :func:`spec_material`
@@ -22,9 +21,9 @@ policies/workloads/selections under fresh keys with :func:`register_policy`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
-from repro.canonical import CANONICAL_EXCLUDED_FIELDS, canonical_value
+from repro.canonical import canonical_value
 from repro.core.estimators import make_estimator
 from repro.core.fixed import (
     AllocationRatePolicy,
@@ -34,11 +33,11 @@ from repro.core.fixed import (
 from repro.core.rate_policy import RatePolicy
 from repro.core.saga import SagaPolicy
 from repro.core.saio import SaioPolicy
-from repro.events import TraceEvent
 from repro.faults.plan import FaultPlan
 from repro.gc.selection import PartitionSelectionPolicy, make_selection_policy
 from repro.oo7.config import OO7Config
 from repro.sim.simulator import SimulationConfig
+from repro.workload import base
 from repro.workload.application import Oo7Application
 from repro.workload.grammar import GrammarWorkload, WorkloadConfig
 from repro.workload.tenants import TenantMix, TenantMixConfig
@@ -125,7 +124,7 @@ class ExperimentSpec:
 
 #: A builder receives the run's seed first, then the spec's kwargs.
 PolicyBuilder = Callable[..., RatePolicy]
-WorkloadBuilder = Callable[..., Iterable[TraceEvent]]
+WorkloadBuilder = Callable[..., base.WorkloadSpec]
 SelectionBuilder = Callable[..., PartitionSelectionPolicy]
 
 _POLICY_REGISTRY: dict[str, PolicyBuilder] = {}
@@ -162,8 +161,10 @@ def build_policy(spec: PolicySpec, seed: int) -> RatePolicy:
     return _lookup(_POLICY_REGISTRY, spec.kind, "policy")(seed, **dict(spec.kwargs))
 
 
-def build_workload(spec: WorkloadSpec, seed: int) -> Iterable[TraceEvent]:
-    """Resolve a :class:`WorkloadSpec` into a fresh trace for one seed."""
+def build_workload(spec: WorkloadSpec, seed: int) -> base.WorkloadSpec:
+    """Resolve a :class:`WorkloadSpec` into a fresh workload for one seed
+    (an instance of the :class:`repro.workload.base.WorkloadSpec`
+    protocol)."""
     return _lookup(_WORKLOAD_REGISTRY, spec.kind, "workload")(
         seed, **dict(spec.kwargs)
     )
@@ -219,9 +220,7 @@ register_policy("saio", _build_saio)
 register_policy("saga", _build_saga)
 
 
-def _build_oo7(seed: int, config: OO7Config, **kwargs) -> Iterable[TraceEvent]:
-    # The application itself, not ``.events()``: iterating it streams the
-    # events, and ``compile_trace`` and the trace cache find its ``steps``.
+def _build_oo7(seed: int, config: OO7Config, **kwargs) -> base.WorkloadSpec:
     return Oo7Application(config, seed=seed, **kwargs)
 
 
@@ -230,10 +229,10 @@ register_workload("oo7", _build_oo7)
 
 def _build_transactional(
     seed: int, spec: Optional[TransactionalSpec] = None, initial_clusters: int = 40
-) -> Iterable[TraceEvent]:
+) -> base.WorkloadSpec:
     return TransactionalWorkload(
         spec or TransactionalSpec(), seed=seed, initial_clusters=initial_clusters
-    ).events()
+    )
 
 
 register_workload("transactional", _build_transactional)
@@ -241,7 +240,7 @@ register_workload("transactional", _build_transactional)
 
 def _build_grammar(
     seed: int, config: Union[WorkloadConfig, Mapping[str, Any]]
-) -> Iterable[TraceEvent]:
+) -> base.WorkloadSpec:
     """``grammar``: a declarative :class:`~repro.workload.grammar.WorkloadConfig`.
 
     ``config`` may be the dataclass or its ``to_dict()`` form (so specs
@@ -251,8 +250,6 @@ def _build_grammar(
     """
     if not isinstance(config, WorkloadConfig):
         config = WorkloadConfig.from_dict(dict(config))
-    # The workload itself, as for ``oo7``: ``compile_trace`` drains its
-    # ``steps`` into the columns, everyone else iterates it.
     return GrammarWorkload(config, seed=seed)
 
 
@@ -261,7 +258,7 @@ register_workload("grammar", _build_grammar)
 
 def _build_tenant_mix(
     seed: int, config: Union[TenantMixConfig, Mapping[str, Any]]
-) -> Iterable[TraceEvent]:
+) -> base.WorkloadSpec:
     """``tenant-mix``: an interleaved multi-tenant scenario."""
     if not isinstance(config, TenantMixConfig):
         config = TenantMixConfig.from_dict(dict(config))
@@ -273,13 +270,13 @@ register_workload("tenant-mix", _build_tenant_mix)
 
 def _build_preset(
     seed: int, name: str, scale: float = 1.0, initial_clusters: int = 16
-) -> Iterable[TraceEvent]:
+) -> base.WorkloadSpec:
     """``preset``: a named synthetic preset from :mod:`repro.workload.presets`."""
     from repro.workload.presets import PresetWorkload
 
     return PresetWorkload(
         name, scale=scale, seed=seed, initial_clusters=initial_clusters
-    ).events()
+    )
 
 
 register_workload("preset", _build_preset)
@@ -300,12 +297,6 @@ for _name in ("updated-pointer", "random", "round-robin", "most-garbage-oracle")
 # Canonical material for content addressing
 # ----------------------------------------------------------------------
 
-# The canonicaliser lives in :mod:`repro.canonical` (it moved there so
-# workload modules can use it without importing this module, which imports
-# them). These aliases keep the long-standing local names working.
-_CANONICAL_EXCLUDED_FIELDS = CANONICAL_EXCLUDED_FIELDS
-_canonical = canonical_value
-
 
 def spec_material(spec: ExperimentSpec, seed: Optional[int] = None) -> dict:
     """Canonical description of (spec, seed) for hashing.
@@ -314,15 +305,15 @@ def spec_material(spec: ExperimentSpec, seed: Optional[int] = None) -> dict:
     invalidates cached results.
     """
     material = {
-        "policy": _canonical(spec.policy),
-        "workload": _canonical(spec.workload),
-        "selection": _canonical(spec.selection),
-        "sim": _canonical(spec.sim),
+        "policy": canonical_value(spec.policy),
+        "workload": canonical_value(spec.workload),
+        "selection": canonical_value(spec.selection),
+        "sim": canonical_value(spec.sim),
     }
     # Included only when set, so fingerprints of fault-free specs are
     # unchanged by the existence of the faults feature.
     if spec.faults is not None:
-        material["faults"] = _canonical(spec.faults)
+        material["faults"] = canonical_value(spec.faults)
     if seed is not None:
         material["seed"] = seed
     return material

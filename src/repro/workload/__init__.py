@@ -3,7 +3,7 @@ the declarative workload grammar and multi-tenant traffic mixes.
 
 Every workload class here conforms to the unified
 :class:`~repro.workload.base.WorkloadSpec` protocol — one ``seed`` /
-``events()`` / ``canonical_material()`` surface consumed by
+``steps(out)`` / ``events()`` / ``canonical_material()`` surface consumed by
 :func:`~repro.workload.trace_cache.trace_fingerprint`, the trace cache and
 the experiment engine.
 """
@@ -21,7 +21,6 @@ from repro.events import (
     TraceEvent,
     TraceStats,
     UpdateEvent,
-    iterate_trace,
     trace_stats,
 )
 from repro.workload.application import Oo7Application
@@ -56,11 +55,6 @@ from repro.workload.phases import (
     PHASE_REORG1,
     PHASE_REORG2,
     PHASE_TRAVERSE,
-    doc_churn_phase,
-    gen_db_phase,
-    reorg1_phase,
-    reorg2_phase,
-    traverse_phase,
 )
 from repro.workload.presets import (
     PRESETS,
@@ -145,21 +139,15 @@ __all__ = [
     "daily_cycle",
     "distribution_from_dict",
     "distribution_to_dict",
-    "doc_churn_phase",
     "garbage_burst",
-    "gen_db_phase",
-    "iterate_trace",
     "load_workload_config",
     "make_preset",
     "make_profile",
     "read_trace",
-    "reorg1_phase",
-    "reorg2_phase",
     "steady_churn",
     "tenant_mix",
     "tenant_seed",
     "trace_fingerprint",
     "trace_stats",
-    "traverse_phase",
     "write_trace",
 ]

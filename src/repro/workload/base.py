@@ -8,18 +8,21 @@ key could be fingerprinted for the trace cache. The :class:`WorkloadSpec`
 protocol collapses that: a workload is anything that exposes
 
 * ``seed`` — the seed all of its randomised behaviour derives from,
-* ``events()`` — the trace, a one-shot iterator of
-  :class:`~repro.events.TraceEvent` values, and
+* ``steps(out)`` — the trace, emitted into a
+  :class:`~repro.events.TraceSink` by a generator that yields where it may
+  be suspended,
+* ``events()`` — the same trace as a one-shot iterator of
+  :class:`~repro.events.TraceEvent` values, ``stream_events(self.steps)``,
+  and
 * ``canonical_material()`` — a plain-data description of *what the
   workload is* (not how it is implemented), digestible by
   :func:`repro.canonical.canonical_value`.
 
-A workload may also offer a *step form*, ``steps(out)``: the same trace
-emitted into a :class:`~repro.events.TraceSink`, without event objects,
-by a generator that yields where it may be suspended.
-:func:`~repro.workload.compiled.compile_trace` drains it when present, and
-:meth:`~repro.workload.trace_cache.TraceCache.resolve` cuts it into chunks
-that a run replays while the rest is still being generated.
+:func:`~repro.workload.compiled.compile_trace` drains ``steps`` into the
+trace columns, and :meth:`~repro.workload.trace_cache.TraceCache.resolve`
+cuts it into chunks that a run replays while the rest is still being
+generated. ``events()`` serves the readers that want event objects: tests,
+tools and the benchmark.
 
 :func:`repro.workload.trace_cache.trace_fingerprint` and
 :class:`~repro.workload.trace_cache.TraceCache` consume exactly this
@@ -41,42 +44,37 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Protocol, runtime_checkable
 
-from repro.events import TraceEvent
+from repro.events import TraceEvent, TraceSink
 
 
 @runtime_checkable
 class WorkloadSpec(Protocol):
     """Anything that generates a deterministic, fingerprintable trace.
 
-    ``events()`` is a one-shot generator by convention: most workloads
+    ``steps`` and ``events()`` are one-shot by convention: most workloads
     mutate internal bookkeeping (cluster registries, OO7 graphs) while
     generating, so a second call on the same instance is undefined.
     Construct a fresh instance — same constructor arguments, same seed,
     byte-identical trace — to replay.
 
-    Optional, and therefore not a member of the protocol — the only optional
-    method: ``steps(out: TraceSink) -> Iterator[None]`` emits the trace
-    ``events()`` would yield — the same events in the same order, equally
-    one-shot — as calls on ``out``, yielding wherever the generator may be
-    suspended (after every event, or less often).
-    ``events()`` is then ``stream_events(self.steps)``.
-    :func:`~repro.workload.compiled.compile_trace` looks for it with
-    ``getattr`` and drains it into the trace columns instead of iterating
-    ``events()``; the trace cache cuts it into chunks as it runs, which is
-    also why the instance must pickle for the chunks to be cut in a helper
-    interpreter (one that does not is cut inline).
-    :class:`~repro.workload.application.Oo7Application`,
-    :class:`~repro.workload.grammar.GrammarWorkload` and
-    :class:`~repro.workload.tenants.TenantMix` offer it; the synthetic and
-    transactional workloads do not.
+    ``steps(out)`` emits the trace as calls on ``out`` and yields wherever
+    the generator may be suspended (after every event, or less often); the
+    trace cache cuts chunks at those points. The instance must pickle for
+    the chunks to be cut in a helper interpreter (one that does not is cut
+    inline). Every workload in :mod:`repro.workload` implements ``events()``
+    as ``stream_events(self.steps)``.
     """
 
     #: Seed every randomised choice derives from; two instances constructed
     #: with equal canonical material and equal seeds generate equal traces.
     seed: int
 
+    def steps(self, out: TraceSink) -> Iterator[None]:
+        """Emit the trace into ``out``, yielding between events (one-shot)."""
+        ...
+
     def events(self) -> Iterator[TraceEvent]:
-        """Generate the trace (one-shot)."""
+        """The trace as event objects (one-shot)."""
         ...
 
     def canonical_material(self) -> dict[str, Any]:

@@ -1,6 +1,6 @@
 """Column chunks: a step generator's trace, cut into bounded pieces.
 
-A workload with a step form (``steps(out)``, see
+A workload's step generator (``steps(out)``, see
 :mod:`repro.workload.base`) emits straight into a
 :class:`~repro.workload.compiled.TraceBuilder`; cutting the builder every
 :data:`CHUNK_EVENTS` events turns the trace into a sequence of

@@ -542,9 +542,9 @@ def compile_trace(events: Iterable[TraceEvent]) -> CompiledTrace:
 
     Consumes the iterable once. Replaying the result is event-for-event
     equal to the original stream (tests assert this property under
-    Hypothesis-generated traces). A workload with a step form, ``steps(out)``
-    (see :class:`repro.workload.base.WorkloadSpec`), is drained into the
-    columns instead of being iterated; the trace is the same.
+    Hypothesis-generated traces). A workload
+    (:class:`repro.workload.base.WorkloadSpec`) is drained through its
+    ``steps(out)`` into the columns instead; the trace is the same.
     """
     builder = TraceBuilder()
     steps = getattr(events, "steps", None)

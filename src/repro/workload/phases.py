@@ -20,10 +20,9 @@ The paper deviates from [YNY94] in two ways we reproduce: the traversal sits
 deletes half rather than all parts (so both reorganisations do comparable
 work).
 
-Each phase is written once, as a ``*_steps`` step generator that emits into
-a :class:`~repro.events.TraceSink` and yields where it may be suspended (see
-:func:`repro.events.stream_events`); the ``*_phase`` functions stream the
-same steps as event objects.
+Each phase is a ``*_steps`` step generator that emits into a
+:class:`~repro.events.TraceSink` and yields where it may be suspended; run
+it through :func:`repro.events.stream_events` for event objects.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from repro.events import TraceEvent, TraceSink, stream_events
+from repro.events import TraceSink
 from repro.oo7.schema import AtomicPartNode, CompositeNode, Oo7Graph
 
 #: Canonical phase names, in application order.
@@ -42,12 +41,8 @@ PHASE_REORG2 = "Reorg2"
 PHASE_ORDER = (PHASE_GENDB, PHASE_REORG1, PHASE_TRAVERSE, PHASE_REORG2)
 
 
-def gen_db_phase(graph: Oo7Graph) -> Iterator[TraceEvent]:
-    """Phase 1: generate the initial database."""
-    return stream_events(lambda out: gen_db_steps(graph, out))
-
-
 def gen_db_steps(graph: Oo7Graph, out: TraceSink) -> Iterator[None]:
+    """Phase 1: generate the initial database."""
     out.phase(PHASE_GENDB)
     yield from graph.generate_steps(out)
 
@@ -61,9 +56,9 @@ def _pick_victims(
     return rng.sample(candidates, count)
 
 
-def reorg1_phase(
-    graph: Oo7Graph, rng: random.Random, delete_fraction: float = 0.5
-) -> Iterator[TraceEvent]:
+def reorg1_steps(
+    graph: Oo7Graph, rng: random.Random, delete_fraction: float, out: TraceSink
+) -> Iterator[None]:
     """Phase 2: clustered reorganisation.
 
     For each composite in turn: delete a random half of its deletable parts,
@@ -71,12 +66,6 @@ def reorg1_phase(
     parts are created consecutively, the heap's sequential placement keeps
     them clustered with each other.
     """
-    return stream_events(lambda out: reorg1_steps(graph, rng, delete_fraction, out))
-
-
-def reorg1_steps(
-    graph: Oo7Graph, rng: random.Random, delete_fraction: float, out: TraceSink
-) -> Iterator[None]:
     out.phase(PHASE_REORG1)
     for composite in graph.composites:
         victims = _pick_victims(composite, rng, delete_fraction)
@@ -87,7 +76,7 @@ def reorg1_steps(
         yield
 
 
-def traverse_phase(graph: Oo7Graph) -> Iterator[TraceEvent]:
+def traverse_steps(graph: Oo7Graph, out: TraceSink) -> Iterator[None]:
     """Phase 3: read-only depth-first traversal over all atomic parts.
 
     Walks the assembly hierarchy to each composite, then DFS over the
@@ -96,10 +85,6 @@ def traverse_phase(graph: Oo7Graph) -> Iterator[TraceEvent]:
     Every alive part and every traversed connection is accessed exactly once
     per composite visit.
     """
-    return stream_events(lambda out: traverse_steps(graph, out))
-
-
-def traverse_steps(graph: Oo7Graph, out: TraceSink) -> Iterator[None]:
     out.phase(PHASE_TRAVERSE)
     visited_composites: set[int] = set()
     for module in graph.modules:
@@ -141,9 +126,9 @@ def _traverse_composite(composite: CompositeNode, out: TraceSink) -> None:
             access(part.oid)
 
 
-def doc_churn_phase(
-    graph: Oo7Graph, rng: random.Random, fraction: float = 0.5, name: str = "DocChurn"
-) -> Iterator[TraceEvent]:
+def doc_churn_steps(
+    graph: Oo7Graph, rng: random.Random, fraction: float, name: str, out: TraceSink
+) -> Iterator[None]:
     """Optional phase: rewrite the documents of a fraction of composites.
 
     Not part of the paper's four-phase application, but a direct
@@ -154,12 +139,6 @@ def doc_churn_phase(
     deletion. Mixing this phase into a workload stresses the FGS/HB
     estimator with a bimodal garbage-per-overwrite distribution.
     """
-    return stream_events(lambda out: doc_churn_steps(graph, rng, fraction, name, out))
-
-
-def doc_churn_steps(
-    graph: Oo7Graph, rng: random.Random, fraction: float, name: str, out: TraceSink
-) -> Iterator[None]:
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     out.phase(name)
@@ -169,9 +148,9 @@ def doc_churn_steps(
         yield
 
 
-def reorg2_phase(
-    graph: Oo7Graph, rng: random.Random, delete_fraction: float = 0.5
-) -> Iterator[TraceEvent]:
+def reorg2_steps(
+    graph: Oo7Graph, rng: random.Random, delete_fraction: float, out: TraceSink
+) -> Iterator[None]:
     """Phase 4: de-clustering reorganisation.
 
     Deletions proceed round-robin across composites (one victim of
@@ -183,12 +162,6 @@ def reorg2_phase(
     parts across many partitions — "breaking any clustering of atomic parts
     for a given composite part".
     """
-    return stream_events(lambda out: reorg2_steps(graph, rng, delete_fraction, out))
-
-
-def reorg2_steps(
-    graph: Oo7Graph, rng: random.Random, delete_fraction: float, out: TraceSink
-) -> Iterator[None]:
     out.phase(PHASE_REORG2)
     composites = graph.composites
     victims_by_composite = {

@@ -23,19 +23,13 @@ number of *operations* drawn from its behaviour mix.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.events import TraceEvent, TraceSink, stream_events
 from repro.storage.object_model import ObjectId, ObjectKind
-from repro.events import (
-    AccessEvent,
-    CreateEvent,
-    IdleEvent,
-    PhaseMarkerEvent,
-    PointerWriteEvent,
-    RootEvent,
-    TraceEvent,
-)
+from repro.workload.grammar import draw_table
 
 
 @dataclass(frozen=True)
@@ -91,13 +85,76 @@ class _Cluster:
 
     slot: str
     members: list[ObjectId] = field(default_factory=list)  # head first
-    member_size: int = 0
+
+
+class _LinkedClusters:
+    """The registry of linked clusters, and the emitters both synthetic
+    generators share: this one and
+    :class:`~repro.workload.transactional.TransactionalWorkload`.
+
+    Each emitter writes one operation into a
+    :class:`~repro.events.TraceSink` and returns; the caller's step
+    generator yields after it.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.rng = random.Random(seed)
+        self._next_oid: ObjectId = 1
+        self._next_slot = 0
+        self.registry_oid: Optional[ObjectId] = None
+        self.clusters: list[_Cluster] = []
+        #: Object sizes by oid, for trace statistics and tests.
+        self.object_sizes: dict[ObjectId, int] = {}
+
+    def _new_oid(self, size: int) -> ObjectId:
+        oid = self._next_oid
+        self._next_oid += 1
+        self.object_sizes[oid] = size
+        return oid
+
+    def _create_registry(self, out: TraceSink) -> None:
+        """Create the registry object and make it a database root."""
+        self.registry_oid = self._new_oid(64)
+        out.create(self.registry_oid, 64, ObjectKind.GENERIC)
+        out.root(self.registry_oid)
+
+    def _create_cluster(
+        self, cluster_size: int, object_size: int, out: TraceSink
+    ) -> None:
+        """Create a chain tail-first, then root its head in the registry.
+
+        Tail-first creation means every member's successor already exists
+        when the member is created, so only the not-yet-linked frontier
+        object ever depends on the store's allocation pinning.
+        """
+        members: list[ObjectId] = []
+        successor: Optional[ObjectId] = None
+        for _ in range(cluster_size):
+            oid = self._new_oid(object_size)
+            pointers = (("next", successor),) if successor is not None else ()
+            out.create(oid, object_size, ObjectKind.GENERIC, pointers)
+            members.append(oid)
+            successor = oid
+        members.reverse()  # head first
+
+        slot = f"cluster{self._next_slot}"
+        self._next_slot += 1
+        out.write(self.registry_oid, slot, members[0])
+        self.clusters.append(_Cluster(slot=slot, members=members))
+
+    def _delete_cluster(self, out: TraceSink) -> None:
+        """Detach an entire cluster with a single overwrite."""
+        if not self.clusters:
+            return
+        cluster = self.clusters.pop(self.rng.randrange(len(self.clusters)))
+        out.write(self.registry_oid, cluster.slot, None, tuple(cluster.members))
 
 
 _OPERATIONS = ("create", "delete", "trim", "access", "idle")
 
 
-class SyntheticWorkload:
+class SyntheticWorkload(_LinkedClusters):
     """Generates a synthetic trace from a sequence of phase specs.
 
     Args:
@@ -117,16 +174,9 @@ class SyntheticWorkload:
             raise ValueError("at least one phase is required")
         if initial_clusters < 0:
             raise ValueError(f"initial_clusters must be non-negative, got {initial_clusters}")
+        super().__init__(seed)
         self.phases = list(phases)
-        self.seed = seed
-        self.rng = random.Random(seed)
         self.initial_clusters = initial_clusters
-        self._next_oid: ObjectId = 1
-        self._next_slot = 0
-        self.registry_oid: Optional[ObjectId] = None
-        self.clusters: list[_Cluster] = []
-        #: Object sizes by oid, for trace statistics and tests.
-        self.object_sizes: dict[ObjectId, int] = {}
 
     def canonical_material(self) -> dict:
         """Content-addressing material (:class:`repro.workload.base.WorkloadSpec`)."""
@@ -142,83 +192,52 @@ class SyntheticWorkload:
     # ------------------------------------------------------------------
 
     def events(self) -> Iterator[TraceEvent]:
-        """The full synthetic trace."""
-        yield from self._setup()
-        for phase in self.phases:
-            yield PhaseMarkerEvent(phase.name)
-            yield from self._run_phase(phase)
+        """The full synthetic trace (one-shot)."""
+        return stream_events(self.steps)
 
-    def _setup(self) -> Iterator[TraceEvent]:
-        self.registry_oid = self._new_oid(64)
-        yield CreateEvent(self.registry_oid, 64, ObjectKind.GENERIC)
-        yield RootEvent(self.registry_oid)
+    def steps(self, out: TraceSink) -> Iterator[None]:
+        """The same trace emitted into ``out``, yielding after every
+        operation: the registry, the initial clusters, then each phase's
+        marker and operations."""
+        self._create_registry(out)
         first = self.phases[0]
         for _ in range(self.initial_clusters):
-            yield from self._create_cluster(first.cluster_size, first.object_size)
+            self._create_cluster(first.cluster_size, first.object_size, out)
+            yield
+        for phase in self.phases:
+            out.phase(phase.name)
+            yield from self._run_phase(phase, out)
 
-    def _run_phase(self, phase: SyntheticPhase) -> Iterator[TraceEvent]:
-        weights = [
-            phase.create_weight,
-            phase.delete_weight,
-            phase.trim_weight,
-            phase.access_weight,
-            phase.idle_weight,
-        ]
-        for _ in range(phase.operations):
-            op = self.rng.choices(_OPERATIONS, weights=weights)[0]
-            if op == "create":
-                yield from self._create_cluster(phase.cluster_size, phase.object_size)
-            elif op == "delete":
-                yield from self._delete_cluster()
-            elif op == "trim":
-                yield from self._trim_cluster(phase.trim_fraction)
-            elif op == "access":
-                yield from self._access_cluster()
-            else:
-                yield IdleEvent()
-
-    # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-
-    def _new_oid(self, size: int) -> ObjectId:
-        oid = self._next_oid
-        self._next_oid += 1
-        self.object_sizes[oid] = size
-        return oid
-
-    def _create_cluster(self, cluster_size: int, object_size: int) -> Iterator[TraceEvent]:
-        """Create a chain tail-first, then root its head in the registry.
-
-        Tail-first creation means every member's successor already exists
-        when the member is created, so only the not-yet-linked frontier
-        object ever depends on the store's allocation pinning.
-        """
-        members: list[ObjectId] = []
-        successor: Optional[ObjectId] = None
-        for _ in range(cluster_size):
-            oid = self._new_oid(object_size)
-            pointers = (("next", successor),) if successor is not None else ()
-            yield CreateEvent(oid, object_size, ObjectKind.GENERIC, pointers=pointers)
-            members.append(oid)
-            successor = oid
-        members.reverse()  # head first
-
-        slot = f"cluster{self._next_slot}"
-        self._next_slot += 1
-        yield PointerWriteEvent(self.registry_oid, slot, members[0])
-        self.clusters.append(_Cluster(slot=slot, members=members, member_size=object_size))
-
-    def _delete_cluster(self) -> Iterator[TraceEvent]:
-        """Detach an entire cluster with a single overwrite."""
-        if not self.clusters:
-            return
-        cluster = self.clusters.pop(self.rng.randrange(len(self.clusters)))
-        yield PointerWriteEvent(
-            self.registry_oid, cluster.slot, None, dies=tuple(cluster.members)
+    def _run_phase(self, phase: SyntheticPhase, out: TraceSink) -> Iterator[None]:
+        cum_weights, total, hi = draw_table(
+            [
+                phase.create_weight,
+                phase.delete_weight,
+                phase.trim_weight,
+                phase.access_weight,
+                phase.idle_weight,
+            ]
         )
+        random_ = self.rng.random
+        for _ in range(phase.operations):
+            op = _OPERATIONS[bisect(cum_weights, random_() * total, 0, hi)]
+            if op == "create":
+                self._create_cluster(phase.cluster_size, phase.object_size, out)
+            elif op == "delete":
+                self._delete_cluster(out)
+            elif op == "trim":
+                self._trim_cluster(phase.trim_fraction, out)
+            elif op == "access":
+                self._access_cluster(out)
+            else:
+                out.idle()
+            yield
 
-    def _trim_cluster(self, fraction: float) -> Iterator[TraceEvent]:
+    # ------------------------------------------------------------------
+    # Operations only this generator has
+    # ------------------------------------------------------------------
+
+    def _trim_cluster(self, fraction: float, out: TraceSink) -> None:
         """Cut off a suffix of a cluster with a single overwrite."""
         candidates = [c for c in self.clusters if len(c.members) >= 2]
         if not candidates:
@@ -228,13 +247,14 @@ class SyntheticWorkload:
         dead = cluster.members[keep:]
         if not dead:
             return
-        yield PointerWriteEvent(cluster.members[keep - 1], "next", None, dies=tuple(dead))
+        out.write(cluster.members[keep - 1], "next", None, tuple(dead))
         del cluster.members[keep:]
 
-    def _access_cluster(self) -> Iterator[TraceEvent]:
+    def _access_cluster(self, out: TraceSink) -> None:
         """Read every member of a random cluster, head to tail."""
         if not self.clusters:
             return
         cluster = self.rng.choice(self.clusters)
+        access = out.access
         for oid in cluster.members:
-            yield AccessEvent(oid)
+            access(oid)

@@ -19,11 +19,10 @@ Corrupt or version-mismatched entries quarantine into a ``quarantine/``
 sidecar and degrade to a miss, mirroring the result cache's behaviour.
 
 A miss need not be built before it is replayed. :meth:`TraceCache.resolve`
-answers one, for a workload with a step form, with a
-:class:`StreamedTrace`: its chunks are cut (on a second CPU when there is
-one) while the simulation replays the ones already cut, and the whole
-trace, assembled by whoever cut the chunks, enters the cache once the run
-has succeeded.
+answers one with a :class:`StreamedTrace`: the workload's step generator is
+cut into chunks (on a second CPU when there is one) while the simulation
+replays the ones already cut, and the whole trace, assembled by whoever cut
+the chunks, enters the cache once the run has succeeded.
 
 Replaying a compiled trace is event-for-event identical to running the
 generator, so caching never changes simulation results — property tests
@@ -45,6 +44,7 @@ from typing import Callable, Iterator, Optional, Union
 from repro.canonical import canonical_value
 from repro.events import TraceSink
 from repro.workload import chunks
+from repro.workload.base import WorkloadSpec
 from repro.workload.chunks import Chunk, _generated_chunks
 from repro.workload.compiled import (
     TRACE_FORMAT_VERSION,
@@ -179,22 +179,20 @@ class TraceCache:
             key = trace_fingerprint(workload, seed)
         except TypeError:
             self.stats.uncacheable += 1
-            return compile_trace(self._events(workload, seed))
+            return compile_trace(self._workload(workload, seed))
         trace = self._cached(key)
         if trace is None:
-            trace = compile_trace(self._events(workload, seed))
+            trace = compile_trace(self._workload(workload, seed))
             self._keep(key, trace)
         return trace
 
     def resolve(self, workload, seed: int) -> Union[CompiledTrace, "StreamedTrace"]:
         """The trace for ``(workload, seed)``, cached or streamed.
 
-        A memo or disk hit is returned as it is. On a miss,
-        a workload with a step form (``steps(out)``) comes back as a
+        A memo or disk hit is returned as it is. A miss comes back as a
         :class:`StreamedTrace` — replayed while it is cut, cached once the
-        run that replayed it commits it. Workloads without one (the
-        synthetic and transactional generators) and uncacheable ones are
-        built as :meth:`get_or_build` builds them.
+        run that replayed it commits it. An uncacheable workload is built
+        whole, uncached, as :meth:`get_or_build` builds it.
         """
         try:
             key = trace_fingerprint(workload, seed)
@@ -203,13 +201,7 @@ class TraceCache:
         trace = self._cached(key)
         if trace is not None:
             return trace
-        source = self._events(workload, seed)
-        steps = getattr(source, "steps", None)
-        if callable(steps):
-            return StreamedTrace(self, key, steps)
-        trace = compile_trace(source)
-        self._keep(key, trace)
-        return trace
+        return StreamedTrace(self, key, self._workload(workload, seed).steps)
 
     def _cached(self, key: str) -> Optional[CompiledTrace]:
         """The memo or disk layer's trace for ``key``."""
@@ -243,18 +235,16 @@ class TraceCache:
         return self.stats.builds > before
 
     @staticmethod
-    def _events(workload, seed):
-        events = getattr(workload, "events", None)
-        if callable(events):
-            # An instantiated protocol workload generates its own trace
-            # (one-shot — but the compiled result is cached immediately);
-            # one with a step form is handed over whole, to be drained.
-            return workload if callable(getattr(workload, "steps", None)) else events()
+    def _workload(workload, seed: int) -> WorkloadSpec:
+        """The instantiated workload: a registry spec built for ``seed``,
+        or ``workload`` itself."""
         # Local import: repro.sim.spec imports repro.workload generators, so
         # a module-scope import here would close an import cycle.
-        from repro.sim.spec import build_workload
+        from repro.sim import spec
 
-        return build_workload(workload, seed)
+        if isinstance(workload, spec.WorkloadSpec):
+            return spec.build_workload(workload, seed)
+        return workload
 
     def _remember(self, key: str, trace: CompiledTrace) -> None:
         memo = self._memo

@@ -1,6 +1,6 @@
 """Transactional synthetic workloads.
 
-Wraps the linked-cluster operations of
+Wraps the linked-cluster operations it shares with
 :class:`~repro.workload.synthetic.SyntheticWorkload` in transactions with a
 configurable abort rate. The generator keeps its own cluster bookkeeping
 transactional too: when it decides a transaction will abort, it snapshots
@@ -14,21 +14,11 @@ creations vanish, and garbage collection only runs between transactions.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.events import (
-    AbortTransactionEvent,
-    BeginTransactionEvent,
-    CommitTransactionEvent,
-    CreateEvent,
-    PhaseMarkerEvent,
-    PointerWriteEvent,
-    RootEvent,
-    TraceEvent,
-)
-from repro.storage.object_model import ObjectId, ObjectKind
+from repro.events import TraceEvent, TraceSink, stream_events
+from repro.workload.synthetic import _LinkedClusters
 
 
 @dataclass(frozen=True)
@@ -60,13 +50,7 @@ class TransactionalSpec:
             raise ValueError("cluster_size and object_size must be >= 1")
 
 
-@dataclass(eq=False)
-class _Cluster:
-    slot: str
-    members: tuple[ObjectId, ...]
-
-
-class TransactionalWorkload:
+class TransactionalWorkload(_LinkedClusters):
     """Generates a transactional churn trace over linked clusters."""
 
     def __init__(
@@ -77,14 +61,9 @@ class TransactionalWorkload:
     ) -> None:
         if initial_clusters < 0:
             raise ValueError("initial_clusters must be non-negative")
+        super().__init__(seed)
         self.spec = spec
-        self.seed = seed
-        self.rng = random.Random(seed)
         self.initial_clusters = initial_clusters
-        self._next_oid: ObjectId = 1
-        self._next_slot = 0
-        self.registry_oid: Optional[ObjectId] = None
-        self.clusters: list[_Cluster] = []
         self.aborted_transactions = 0
         self.committed_transactions = 0
 
@@ -102,67 +81,46 @@ class TransactionalWorkload:
     # ------------------------------------------------------------------
 
     def events(self) -> Iterator[TraceEvent]:
-        yield PhaseMarkerEvent("tx-setup")
-        self.registry_oid = self._new_oid()
-        yield CreateEvent(self.registry_oid, 64, ObjectKind.GENERIC)
-        yield RootEvent(self.registry_oid)
-        for _ in range(self.initial_clusters):
-            yield from self._create_cluster()
+        """The full transactional trace (one-shot)."""
+        return stream_events(self.steps)
 
-        yield PhaseMarkerEvent("tx-churn")
-        for txid in range(1, self.spec.transactions + 1):
-            will_abort = self.rng.random() < self.spec.abort_probability
+    def steps(self, out: TraceSink) -> Iterator[None]:
+        """The same trace emitted into ``out``, yielding after every
+        cluster operation."""
+        spec, rng = self.spec, self.rng
+        out.phase("tx-setup")
+        self._create_registry(out)
+        for _ in range(self.initial_clusters):
+            self._create_cluster(spec.cluster_size, spec.object_size, out)
+            yield
+
+        out.phase("tx-churn")
+        for txid in range(1, spec.transactions + 1):
+            will_abort = rng.random() < spec.abort_probability
             snapshot = self._snapshot() if will_abort else None
 
-            yield BeginTransactionEvent(txid)
-            for _ in range(self.spec.ops_per_transaction):
-                if self.clusters and self.rng.random() < 0.5:
-                    yield from self._delete_cluster()
+            out.begin(txid)
+            for _ in range(spec.ops_per_transaction):
+                if self.clusters and rng.random() < 0.5:
+                    self._delete_cluster(out)
                 else:
-                    yield from self._create_cluster()
+                    self._create_cluster(spec.cluster_size, spec.object_size, out)
+                yield
             if will_abort:
-                yield AbortTransactionEvent(txid)
+                out.abort(txid)
                 self._restore(snapshot)
                 self.aborted_transactions += 1
             else:
-                yield CommitTransactionEvent(txid)
+                out.commit(txid)
                 self.committed_transactions += 1
-
-    # ------------------------------------------------------------------
-    # Cluster operations (same shapes as SyntheticWorkload)
-    # ------------------------------------------------------------------
-
-    def _new_oid(self) -> ObjectId:
-        oid = self._next_oid
-        self._next_oid += 1
-        return oid
-
-    def _create_cluster(self) -> Iterator[TraceEvent]:
-        members: list[ObjectId] = []
-        successor: Optional[ObjectId] = None
-        for _ in range(self.spec.cluster_size):
-            oid = self._new_oid()
-            pointers = (("next", successor),) if successor is not None else ()
-            yield CreateEvent(oid, self.spec.object_size, ObjectKind.GENERIC, pointers=pointers)
-            members.append(oid)
-            successor = oid
-        members.reverse()
-        slot = f"cluster{self._next_slot}"
-        self._next_slot += 1
-        yield PointerWriteEvent(self.registry_oid, slot, members[0])
-        self.clusters.append(_Cluster(slot=slot, members=tuple(members)))
-
-    def _delete_cluster(self) -> Iterator[TraceEvent]:
-        cluster = self.clusters.pop(self.rng.randrange(len(self.clusters)))
-        yield PointerWriteEvent(
-            self.registry_oid, cluster.slot, None, dies=cluster.members
-        )
 
     # ------------------------------------------------------------------
     # Logical-state snapshots for aborted transactions
     # ------------------------------------------------------------------
 
     def _snapshot(self):
+        # This generator never trims a cluster, so the members lists are
+        # never changed in place and a shallow copy is the whole state.
         return (list(self.clusters), self._next_oid, self._next_slot)
 
     def _restore(self, snapshot) -> None:

@@ -1,16 +1,18 @@
 """Validate the per-collection cost model exactly against the collector."""
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.analysis.cost_model import predict_collection_cost
+from repro.events import stream_events
 from repro.gc.collector import CopyingCollector
 from repro.oo7.builder import apply_event, build_database
 from repro.oo7.config import TINY
 from repro.oo7.schema import Oo7Graph
 from repro.storage.heap import ObjectStore, StoreConfig
-from repro.workload.phases import gen_db_phase, reorg1_phase
+from repro.workload.phases import gen_db_steps, reorg1_steps
 
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 
@@ -19,9 +21,9 @@ def _churned_store(seed=0):
     rng = random.Random(seed)
     graph = Oo7Graph(TINY, rng=rng)
     store = ObjectStore(TINY_STORE)
-    for event in gen_db_phase(graph):
+    for event in stream_events(partial(gen_db_steps, graph)):
         apply_event(store, event)
-    for event in reorg1_phase(graph, rng):
+    for event in stream_events(partial(reorg1_steps, graph, rng, 0.5)):
         apply_event(store, event)
     return store
 

@@ -299,7 +299,7 @@ def test_fleet_parallel_collection_uncached_matches_serial(tmp_path):
 def test_format_summary_csv_quarantined_seed_gets_error_row():
     from repro.fleet import build_grid, format_summary_csv
     from repro.sim.metrics import SimulationSummary
-    from repro.sim.runner import AggregateResult, RunFailure
+    from repro.sim.engine import AggregateResult, RunFailure
 
     specs = build_grid(
         tenant_mix(["oltp-churn"], scale=0.2), [parse_policy("fixed:20")]

@@ -129,6 +129,13 @@ def test_missing_artifact_raises(tmp_path):
         LearnedModel.load(tmp_path / "nope.json")
 
 
+def test_non_utf8_artifact_raises_model_error(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    with pytest.raises(ModelError, match="cannot read"):
+        LearnedModel.load(path)
+
+
 def test_predict_clips_to_unit_interval():
     big = LearnedModel(weights=tuple([10.0] * WIDTH))
     small = LearnedModel(weights=tuple([-10.0] * WIDTH))

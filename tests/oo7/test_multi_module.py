@@ -1,6 +1,7 @@
 """Tests for multi-module OO7 databases (NumModules > 1, Table 1)."""
 
 import random
+from functools import partial
 
 
 from repro.core.fixed import FixedRatePolicy
@@ -79,12 +80,13 @@ def test_full_application_over_multi_module_database():
 
 
 def test_traverse_visits_all_modules():
-    from repro.events import AccessEvent
-    from repro.workload.phases import gen_db_phase, traverse_phase
+    from repro.events import AccessEvent, stream_events
+    from repro.workload.phases import gen_db_steps, traverse_steps
 
     graph = Oo7Graph(MULTI, rng=random.Random(3))
-    list(gen_db_phase(graph))
-    accessed = {e.oid for e in traverse_phase(graph) if isinstance(e, AccessEvent)}
+    list(stream_events(partial(gen_db_steps, graph)))
+    traversal = stream_events(partial(traverse_steps, graph))
+    accessed = {e.oid for e in traversal if isinstance(e, AccessEvent)}
     for module in graph.modules:
         assert module.oid in accessed
     part_oids = {p.oid for p in graph.alive_atomic_parts()}

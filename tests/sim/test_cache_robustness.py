@@ -46,6 +46,18 @@ def test_corrupt_entry_is_quarantined_not_deleted(tmp_path):
     assert files[0].read_text() == "{torn json"  # bytes preserved
 
 
+def test_non_utf8_entry_is_quarantined_as_a_miss(tmp_path):
+    """Bytes that do not decode are damage like a torn entry, not a crash."""
+    cache = ResultCache(tmp_path / "cache")
+    key = _warm(cache)
+    cache._path(key).write_bytes(b"\xff\xfe\x00{")
+    assert cache.get(key) is None
+    assert cache.quarantined == 1
+    assert [f.name for f in (cache.root / "quarantine").iterdir()] == [
+        f"{key}.json.corrupt"
+    ]
+
+
 def test_quarantined_entries_invisible_to_len_and_clear(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     key = _warm(cache)

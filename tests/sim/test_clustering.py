@@ -1,14 +1,16 @@
 """Tests for clustering analytics — the Reorg1/Reorg2 (de)clustering contract."""
 
 import random
+from functools import partial
 
 
+from repro.events import stream_events
 from repro.oo7.builder import apply_event
 from repro.oo7.config import OO7Config
 from repro.oo7.schema import Oo7Graph
 from repro.sim.clustering import composite_spread, traverse_hit_rate
 from repro.storage.heap import ObjectStore, StoreConfig
-from repro.workload.phases import gen_db_phase, reorg1_phase, reorg2_phase
+from repro.workload.phases import gen_db_steps, reorg1_steps, reorg2_steps
 
 CONFIG = OO7Config(
     num_atomic_per_comp=12,
@@ -24,7 +26,7 @@ def _fresh(seed=0):
     rng = random.Random(seed)
     graph = Oo7Graph(CONFIG, rng=rng)
     store = ObjectStore(STORE_CFG)
-    for event in gen_db_phase(graph):
+    for event in stream_events(partial(gen_db_steps, graph)):
         apply_event(store, event)
     return graph, store, rng
 
@@ -39,7 +41,7 @@ def test_fresh_database_is_clustered():
 def test_reorg1_roughly_preserves_clustering():
     graph, store, rng = _fresh()
     before = composite_spread(store, graph)
-    for event in reorg1_phase(graph, rng):
+    for event in stream_events(partial(reorg1_steps, graph, rng, 0.5)):
         apply_event(store, event)
     after = composite_spread(store, graph)
     # Clustered reinsertion: spread grows only mildly.
@@ -49,12 +51,12 @@ def test_reorg1_roughly_preserves_clustering():
 def test_reorg2_breaks_clustering():
     """The paper's design goal for Reorg2."""
     graph1, store1, rng1 = _fresh()
-    for event in reorg1_phase(graph1, rng1):
+    for event in stream_events(partial(reorg1_steps, graph1, rng1, 0.5)):
         apply_event(store1, event)
     after_reorg1 = composite_spread(store1, graph1)
 
     graph2, store2, rng2 = _fresh()
-    for event in reorg2_phase(graph2, rng2):
+    for event in stream_events(partial(reorg2_steps, graph2, rng2, 0.5)):
         apply_event(store2, event)
     after_reorg2 = composite_spread(store2, graph2)
 
@@ -69,12 +71,12 @@ def test_declustering_costs_traversal_locality():
     """De-clustered placement shows up as a worse traversal hit rate —
     the mechanism behind Figure 1a's application-I/O growth."""
     graph1, store1, rng1 = _fresh()
-    for event in reorg1_phase(graph1, rng1):
+    for event in stream_events(partial(reorg1_steps, graph1, rng1, 0.5)):
         apply_event(store1, event)
     clustered_rate = traverse_hit_rate(store1, graph1)
 
     graph2, store2, rng2 = _fresh()
-    for event in reorg2_phase(graph2, rng2):
+    for event in stream_events(partial(reorg2_steps, graph2, rng2, 0.5)):
         apply_event(store2, event)
     declustered_rate = traverse_hit_rate(store2, graph2)
 
@@ -91,7 +93,7 @@ def test_compaction_shrinks_traversal_footprint():
     from repro.sim.clustering import traverse_page_footprint
 
     graph, store, rng = _fresh()
-    for event in reorg2_phase(graph, rng):
+    for event in stream_events(partial(reorg2_steps, graph, rng, 0.5)):
         apply_event(store, event)
     before = traverse_page_footprint(store, graph)
     collector = CopyingCollector(store)

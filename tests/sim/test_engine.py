@@ -58,20 +58,21 @@ def test_keep_records():
     assert aggregate.records[0][0].reclaimed_bytes >= 0
 
 
-def test_matches_run_seeds():
-    """The engine runs the exact simulations run_seeds would."""
+def test_matches_a_plain_simulation_per_seed():
+    """The engine runs the exact simulations a hand-written loop would:
+    a fresh policy and workload per seed, replayed by ``Simulation.run``."""
     from repro.core.fixed import FixedRatePolicy
-    from repro.sim.runner import run_seeds
+    from repro.sim.simulator import Simulation
     from repro.workload.application import Oo7Application
 
-    legacy = run_seeds(
-        lambda seed: FixedRatePolicy(50),
-        lambda seed: Oo7Application(TINY, seed=seed).events(),
-        seeds=[0, 1],
-        config=SIM,
-    )
+    by_hand = [
+        Simulation(policy=FixedRatePolicy(50), config=SIM)
+        .run(Oo7Application(TINY, seed=seed))
+        .summary
+        for seed in (0, 1)
+    ]
     engine = run_experiment(tiny_spec(), seeds=[0, 1], jobs=1)
-    assert engine.summaries == legacy.summaries
+    assert engine.summaries == by_hand
 
 
 # ---------------------------------------------------------------- determinism

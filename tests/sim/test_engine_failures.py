@@ -12,11 +12,11 @@ from repro.oo7.config import TINY
 from repro.sim import engine as engine_module
 from repro.sim.engine import (
     ParallelRunner,
+    RunFailure,
     RunTimeoutError,
     run_experiment,
     run_experiment_batch,
 )
-from repro.sim.runner import RunFailure
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import ExperimentSpec, PolicySpec, WorkloadSpec
 from repro.storage.heap import StoreConfig

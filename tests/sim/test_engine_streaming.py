@@ -139,17 +139,24 @@ def test_a_committed_trace_serves_the_next_cell_from_the_memo(tmp_path):
     assert pickle.dumps(second.summaries[0]) == _reference(_spec(policy="saga"), 0)
 
 
-def test_workloads_without_a_step_form_are_built_whole(tmp_path):
-    spec = ExperimentSpec(
-        policy=POLICIES["fixed"],
-        workload=WorkloadSpec("transactional", {"initial_clusters": 8}),
-        sim=SIM,
-    )
+@pytest.mark.parametrize(
+    "workload",
+    [
+        WorkloadSpec("transactional", {"initial_clusters": 8}),
+        WorkloadSpec("preset", {"name": "garbage-burst", "scale": 0.05}),
+    ],
+    ids=lambda workload: workload.kind,
+)
+def test_transactional_and_preset_cells_stream(tmp_path, short_chunks, workload):
+    """The synthetic generators have a step form too: a cold cell streams."""
+    spec = ExperimentSpec(policy=POLICIES["fixed"], workload=workload, sim=SIM)
     cache = TraceCache(tmp_path)
     aggregate = run_experiment(spec, seeds=[0], jobs=1, trace_cache=cache)
     assert not aggregate.failures
-    assert (cache.stats.builds, cache.stats.streamed) == (1, 0)
+    assert (cache.stats.builds, cache.stats.streamed) == (1, 1)
     assert pickle.dumps(aggregate.summaries[0]) == _reference(spec, 0)
+    expected = _saved(compile_trace(build_workload(workload, 0)))
+    assert _cached_bytes(cache, workload, 0) == expected
 
 
 # ----------------------------------------------------------------------

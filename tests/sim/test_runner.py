@@ -1,21 +1,22 @@
-"""Tests for the multi-seed runner and aggregation."""
+"""Multi-seed runs through the engine, and their aggregation."""
 
 import pytest
 
-from repro.core.fixed import FixedRatePolicy
-from repro.core.saio import SaioPolicy
 from repro.oo7.config import TINY
-from repro.sim.runner import AggregateStat, run_one, run_seeds
+from repro.sim.engine import AggregateStat, run_experiment
 from repro.sim.simulator import SimulationConfig
+from repro.sim.spec import ExperimentSpec, PolicySpec, WorkloadSpec
 from repro.storage.heap import StoreConfig
-from repro.workload.application import Oo7Application
 
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 CONFIG = SimulationConfig(store=TINY_STORE, preamble_collections=0)
+FIXED = PolicySpec("fixed", {"overwrites_per_collection": 50})
 
 
-def _trace(seed: int):
-    return Oo7Application(TINY, seed=seed).events()
+def _spec(policy=FIXED):
+    return ExperimentSpec(
+        policy=policy, workload=WorkloadSpec("oo7", {"config": TINY}), sim=CONFIG
+    )
 
 
 def test_aggregate_stat_of_values():
@@ -33,81 +34,26 @@ def test_aggregate_stat_empty():
 
 def test_run_seeds_requires_seeds():
     with pytest.raises(ValueError):
-        run_seeds(lambda seed: FixedRatePolicy(50), _trace, seeds=[])
+        run_experiment(_spec(), seeds=[], jobs=1)
 
 
 def test_run_seeds_aggregates_each_seed():
-    aggregate = run_seeds(
-        lambda seed: FixedRatePolicy(50),
-        _trace,
-        seeds=[0, 1, 2],
-        config=CONFIG,
-    )
+    aggregate = run_experiment(_spec(), seeds=[0, 1, 2], jobs=1)
     assert aggregate.runs == 3
     assert aggregate.collections.mean > 0
     stat = aggregate.garbage_fraction
     assert stat.minimum <= stat.mean <= stat.maximum
 
 
-def test_run_seeds_results_dropped_by_default():
-    aggregate = run_seeds(
-        lambda seed: FixedRatePolicy(50), _trace, seeds=[0], config=CONFIG
-    )
-    assert aggregate.results == []
-
-
-def test_run_seeds_keep_results():
-    aggregate = run_seeds(
-        lambda seed: FixedRatePolicy(50),
-        _trace,
-        seeds=[0],
-        config=CONFIG,
-        keep_results=True,
-    )
-    assert len(aggregate.results) == 1
-    assert aggregate.results[0].summary.collections == aggregate.summaries[0].collections
-
-
 def test_identical_seeds_give_identical_summaries():
     """Determinism across full simulation runs."""
-    kwargs = dict(
-        policy_factory=lambda seed: SaioPolicy(io_fraction=0.2, initial_interval=50),
-        trace_factory=_trace,
-        seeds=[7],
-        config=CONFIG,
-    )
-    first = run_seeds(**kwargs)
-    second = run_seeds(**kwargs)
+    spec = _spec(PolicySpec("saio", {"io_fraction": 0.2, "initial_interval": 50}))
+    first = run_experiment(spec, seeds=[7], jobs=1)
+    second = run_experiment(spec, seeds=[7], jobs=1)
     assert first.summaries == second.summaries
 
 
 def test_different_seeds_vary():
-    aggregate = run_seeds(
-        lambda seed: FixedRatePolicy(50), _trace, seeds=[0, 1, 2, 3], config=CONFIG
-    )
+    aggregate = run_experiment(_spec(), seeds=[0, 1, 2, 3], jobs=1)
     fractions = [s.garbage_fraction_mean for s in aggregate.summaries]
     assert len(set(fractions)) > 1
-
-
-def test_run_one_convenience():
-    result = run_one(FixedRatePolicy(50), _trace(0), config=CONFIG)
-    assert result.summary.collections > 0
-
-
-# ---------------------------------------------------------------- factory protocol
-
-
-def test_seed_aware_factory_receives_each_seed():
-    received = []
-
-    def factory(seed):
-        received.append(seed)
-        return FixedRatePolicy(50)
-
-    run_seeds(factory, _trace, seeds=[3, 1, 4], config=CONFIG)
-    assert received == [3, 1, 4]
-
-
-def test_zero_arg_factory_fails_with_type_error():
-    with pytest.raises(TypeError, match="policy factories take the seed"):
-        run_seeds(lambda: FixedRatePolicy(50), _trace, seeds=[0], config=CONFIG)

@@ -8,6 +8,7 @@ from repro.gc.selection import RandomSelection, UpdatedPointerSelection
 from repro.oo7.config import TINY
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import (
+    _WORKLOAD_REGISTRY,
     ExperimentSpec,
     PolicySpec,
     SelectionSpec,
@@ -19,6 +20,8 @@ from repro.sim.spec import (
     spec_material,
 )
 from repro.storage.heap import StoreConfig
+from repro.workload import base
+from repro.workload.tenants import make_profile, tenant_mix
 
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 SIM = SimulationConfig(store=TINY_STORE, preamble_collections=0)
@@ -47,6 +50,32 @@ def test_builders_build_fresh_instances_per_call():
     spec = tiny_spec()
     assert build_policy(spec.policy, 0) is not build_policy(spec.policy, 0)
     assert build_workload(spec.workload, 0) is not build_workload(spec.workload, 0)
+
+
+#: Small kwargs for every built-in workload kind.
+WORKLOAD_KWARGS = {
+    "oo7": {"config": TINY},
+    "transactional": {"initial_clusters": 4},
+    "grammar": {"config": make_profile("oltp-churn")},
+    "tenant-mix": {"config": tenant_mix(["oltp-churn"], scale=0.05)},
+    "preset": {"name": "steady-churn", "scale": 0.01},
+}
+
+
+def test_every_workload_builder_returns_a_stepped_workload():
+    """Every built-in kind builds the workload object, never an event
+    iterator, and the object has the step form the trace cache cuts."""
+    built_in = [
+        kind
+        for kind, builder in _WORKLOAD_REGISTRY.items()
+        if builder.__module__ == "repro.sim.spec"
+    ]
+    assert sorted(built_in) == sorted(WORKLOAD_KWARGS)
+    for kind in built_in:
+        workload = build_workload(WorkloadSpec(kind, WORKLOAD_KWARGS[kind]), 3)
+        assert isinstance(workload, base.WorkloadSpec), kind
+        assert workload.seed == 3
+        assert callable(workload.steps)
 
 
 def test_builtin_policy_kinds():

@@ -1,16 +1,17 @@
 """Tests for document replacement — §2.1's large-object-per-overwrite mode."""
 
 import random
+from functools import partial
 
 import pytest
 
-from repro.events import CreateEvent, PointerWriteEvent, trace_stats
+from repro.events import CreateEvent, PointerWriteEvent, stream_events, trace_stats
 from repro.oo7.builder import apply_event
 from repro.oo7.config import TINY
 from repro.oo7.schema import Oo7Graph
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.object_model import ObjectKind
-from repro.workload.phases import doc_churn_phase, gen_db_phase
+from repro.workload.phases import doc_churn_steps, gen_db_steps
 
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 
@@ -19,7 +20,7 @@ def _generated(seed=0):
     rng = random.Random(seed)
     graph = Oo7Graph(TINY, rng=rng)
     store = ObjectStore(TINY_STORE)
-    for event in gen_db_phase(graph):
+    for event in stream_events(partial(gen_db_steps, graph)):
         apply_event(store, event)
     return graph, store, rng
 
@@ -41,7 +42,7 @@ def test_replace_document_events():
 def test_one_overwrite_kills_one_document():
     """The §2.1 claim in numbers: garbage per overwrite == DocumentSize."""
     graph, _store, rng = _generated()
-    events = list(doc_churn_phase(graph, rng, fraction=1.0))
+    events = list(stream_events(partial(doc_churn_steps, graph, rng, 1.0, "DocChurn")))
     stats = trace_stats(events, sizes=graph.object_sizes)
     # trace_stats cannot see GenDB's slot state, but every doc write here
     # replaces a pre-existing doc pointer... which it also cannot see, so
@@ -53,7 +54,7 @@ def test_one_overwrite_kills_one_document():
 
 def test_doc_churn_annotations_consistent_on_store():
     graph, store, rng = _generated()
-    for event in doc_churn_phase(graph, rng, fraction=0.5):
+    for event in stream_events(partial(doc_churn_steps, graph, rng, 0.5, "DocChurn")):
         apply_event(store, event)
     assert store.check_death_annotations() == set()
     count = max(1, int(len(graph.composites) * 0.5))
@@ -63,15 +64,15 @@ def test_doc_churn_annotations_consistent_on_store():
 def test_doc_churn_fraction_validation():
     graph, _store, rng = _generated()
     with pytest.raises(ValueError):
-        list(doc_churn_phase(graph, rng, fraction=0.0))
+        list(stream_events(partial(doc_churn_steps, graph, rng, 0.0, "DocChurn")))
     with pytest.raises(ValueError):
-        list(doc_churn_phase(graph, rng, fraction=1.5))
+        list(stream_events(partial(doc_churn_steps, graph, rng, 1.5, "DocChurn")))
 
 
 def test_doc_churn_overwrites_advance_clock_on_store():
     graph, store, rng = _generated()
     before = store.pointer_overwrites
-    events = list(doc_churn_phase(graph, rng, fraction=1.0))
+    events = list(stream_events(partial(doc_churn_steps, graph, rng, 1.0, "DocChurn")))
     for event in events:
         apply_event(store, event)
     writes = sum(1 for e in events if isinstance(e, PointerWriteEvent))

@@ -6,7 +6,6 @@ from repro.events import (
     PhaseMarkerEvent,
     PointerWriteEvent,
     UpdateEvent,
-    iterate_trace,
     trace_stats,
 )
 from repro.storage.object_model import ObjectKind
@@ -78,12 +77,6 @@ def test_create_pointers_initialise_slot_state():
         PointerWriteEvent(2, "x", None),
     ]
     assert trace_stats(trace).pointer_overwrites == 1
-
-
-def test_iterate_trace_chains():
-    a = [CreateEvent(1, 10)]
-    b = [AccessEvent(1)]
-    assert list(iterate_trace(a, b)) == a + b
 
 
 def test_events_are_immutable():

@@ -1,6 +1,7 @@
 """Tests for the four application phases: behaviour and clustering contracts."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.events import (
     CreateEvent,
     PhaseMarkerEvent,
     PointerWriteEvent,
+    stream_events,
     trace_stats,
 )
 from repro.oo7.builder import apply_event
@@ -20,10 +22,10 @@ from repro.workload.phases import (
     PHASE_REORG1,
     PHASE_REORG2,
     PHASE_TRAVERSE,
-    gen_db_phase,
-    reorg1_phase,
-    reorg2_phase,
-    traverse_phase,
+    gen_db_steps,
+    reorg1_steps,
+    reorg2_steps,
+    traverse_steps,
 )
 
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
@@ -32,7 +34,7 @@ TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 def _generated_graph(seed=0):
     rng = random.Random(seed)
     graph = Oo7Graph(TINY, rng=rng)
-    gen_events = list(gen_db_phase(graph))
+    gen_events = list(stream_events(partial(gen_db_steps, graph)))
     return graph, rng, gen_events
 
 
@@ -44,7 +46,7 @@ def _generated_graph(seed=0):
 def test_reorg1_preserves_part_population():
     graph, rng, _gen = _generated_graph()
     before = len(graph.alive_atomic_parts())
-    list(reorg1_phase(graph, rng))
+    list(stream_events(partial(reorg1_steps, graph, rng, 0.5)))
     assert len(graph.alive_atomic_parts()) == before
     assert graph.alive_connection_count() == TINY.connections_per_module
 
@@ -52,7 +54,7 @@ def test_reorg1_preserves_part_population():
 def test_reorg1_deletes_and_reinserts_half():
     graph, rng, _gen = _generated_graph()
     original = {p.oid for p in graph.alive_atomic_parts()}
-    list(reorg1_phase(graph, rng))
+    list(stream_events(partial(reorg1_steps, graph, rng, 0.5)))
     surviving = {p.oid for p in graph.alive_atomic_parts()}
     replaced = len(original - surviving)
     deletable_half = TINY.num_comp_per_module * int((TINY.num_atomic_per_comp - 1) * 0.5)
@@ -61,7 +63,7 @@ def test_reorg1_deletes_and_reinserts_half():
 
 def test_reorg1_emits_overwrites_and_deaths():
     graph, rng, gen_events = _generated_graph()
-    events = list(reorg1_phase(graph, rng))
+    events = list(stream_events(partial(reorg1_steps, graph, rng, 0.5)))
     # Overwrite classification needs the pointer state GenDB established, so
     # measure over the concatenated trace (GenDB itself contributes neither
     # overwrites nor deaths).
@@ -75,7 +77,7 @@ def test_reorg1_emits_overwrites_and_deaths():
 def test_reorg1_clusters_reinsertions_per_composite():
     """Reorg1 creates each composite's replacement parts consecutively."""
     graph, rng, _gen = _generated_graph()
-    events = list(reorg1_phase(graph, rng))
+    events = list(stream_events(partial(reorg1_steps, graph, rng, 0.5)))
     part_creates = [
         e for e in events if isinstance(e, CreateEvent) and e.kind == ObjectKind.ATOMIC_PART
     ]
@@ -100,13 +102,13 @@ def test_reorg1_clusters_reinsertions_per_composite():
 
 def test_traverse_is_read_only():
     graph, rng, _gen = _generated_graph()
-    events = list(traverse_phase(graph))
+    events = list(stream_events(partial(traverse_steps, graph)))
     assert not any(isinstance(e, (PointerWriteEvent, CreateEvent)) for e in events)
 
 
 def test_traverse_visits_every_alive_part_once():
     graph, rng, _gen = _generated_graph()
-    events = list(traverse_phase(graph))
+    events = list(stream_events(partial(traverse_steps, graph)))
     part_oids = {p.oid for p in graph.alive_atomic_parts()}
     accessed = [e.oid for e in events if isinstance(e, AccessEvent)]
     part_accesses = [oid for oid in accessed if oid in part_oids]
@@ -117,7 +119,7 @@ def test_traverse_visits_every_alive_part_once():
 def test_traverse_visits_assemblies_and_composites():
     graph, rng, _gen = _generated_graph()
     accessed = {
-        e.oid for e in traverse_phase(graph) if isinstance(e, AccessEvent)
+        e.oid for e in stream_events(partial(traverse_steps, graph)) if isinstance(e, AccessEvent)
     }
     assert graph.module_oid in accessed
     assert all(a.oid in accessed for a in graph.assemblies)
@@ -132,7 +134,7 @@ def test_traverse_visits_assemblies_and_composites():
 def test_reorg2_preserves_part_population():
     graph, rng, _gen = _generated_graph()
     before = len(graph.alive_atomic_parts())
-    list(reorg2_phase(graph, rng))
+    list(stream_events(partial(reorg2_steps, graph, rng, 0.5)))
     assert len(graph.alive_atomic_parts()) == before
 
 
@@ -140,7 +142,7 @@ def test_reorg2_interleaves_reinsertions_across_composites():
     """Reorg2 breaks clustering: consecutive new parts belong to different
     composites (round-robin)."""
     graph, rng, _gen = _generated_graph()
-    events = list(reorg2_phase(graph, rng))
+    events = list(stream_events(partial(reorg2_steps, graph, rng, 0.5)))
     oid_to_composite = {p.oid: p.composite.oid for p in graph.alive_atomic_parts()}
     sequence = [
         oid_to_composite[e.oid]
@@ -157,9 +159,9 @@ def test_reorg2_interleaves_reinsertions_across_composites():
 def test_phase_markers_present():
     graph, rng, _gen = _generated_graph()
     for phase_fn, name in [
-        (lambda: reorg1_phase(graph, rng), PHASE_REORG1),
-        (lambda: traverse_phase(graph), PHASE_TRAVERSE),
-        (lambda: reorg2_phase(graph, rng), PHASE_REORG2),
+        (lambda: stream_events(partial(reorg1_steps, graph, rng, 0.5)), PHASE_REORG1),
+        (lambda: stream_events(partial(traverse_steps, graph)), PHASE_TRAVERSE),
+        (lambda: stream_events(partial(reorg2_steps, graph, rng, 0.5)), PHASE_REORG2),
     ]:
         events = list(phase_fn())
         assert isinstance(events[0], PhaseMarkerEvent)
@@ -180,9 +182,9 @@ def test_death_annotations_match_reachability_at_phase_boundaries(seed):
     assert store.check_death_annotations() == set()
 
     for phase_fn in (
-        lambda: reorg1_phase(graph, rng),
-        lambda: traverse_phase(graph),
-        lambda: reorg2_phase(graph, rng),
+        lambda: stream_events(partial(reorg1_steps, graph, rng, 0.5)),
+        lambda: stream_events(partial(traverse_steps, graph)),
+        lambda: stream_events(partial(reorg2_steps, graph, rng, 0.5)),
     ):
         for event in phase_fn():
             apply_event(store, event)

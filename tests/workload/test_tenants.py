@@ -1,5 +1,7 @@
 """Multi-tenant interleaving: remapping, determinism, profiles, config."""
 
+from typing import get_args
+
 import pytest
 
 from repro.events import (
@@ -13,8 +15,8 @@ from repro.events import (
     PhaseMarkerEvent,
     PointerWriteEvent,
     RootEvent,
+    TraceEvent,
     UpdateEvent,
-    iterate_trace,
 )
 from repro.storage.object_model import ObjectKind
 from repro.workload.grammar import (
@@ -262,8 +264,8 @@ def test_every_profile_builds_and_generates(name):
     assert config.name == name
     events = list(GrammarWorkload(config, seed=0).events())
     assert events
-    for _ in iterate_trace(events):  # event types all valid
-        pass
+    for event in events:  # event types all valid
+        assert isinstance(event, get_args(TraceEvent))
 
 
 def test_make_profile_unknown_name():

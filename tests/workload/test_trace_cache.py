@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.events import AccessEvent, CreateEvent
+from repro.events import AccessEvent, CreateEvent, stream_events
 from repro.oo7.config import TINY
 from repro.sim.spec import WorkloadSpec, build_workload
 from repro.workload.compiled import compile_trace
@@ -12,8 +12,11 @@ WL = WorkloadSpec("oo7", {"config": TINY})
 
 
 class FakeWorkload:
-    """The smallest workload the cache builds: a fixed event list behind the
-    protocol's ``events()`` / ``canonical_material()``, counting its builds."""
+    """The smallest workload the cache builds: a fixed list of creates and
+    accesses behind the protocol's ``steps`` / ``events()`` /
+    ``canonical_material()``, counting its builds."""
+
+    seed = 0
 
     def __init__(self, events=(AccessEvent(oid=1),), name="fake"):
         self._events = list(events)
@@ -23,9 +26,17 @@ class FakeWorkload:
     def canonical_material(self):
         return self.material
 
-    def events(self):
+    def steps(self, out):
         self.built += 1
-        return iter(self._events)
+        for event in self._events:
+            if isinstance(event, CreateEvent):
+                out.create(event.oid, event.size, event.kind, event.pointers)
+            else:
+                out.access(event.oid)
+            yield
+
+    def events(self):
+        return stream_events(self.steps)
 
 
 def test_fingerprint_is_stable_and_sensitive():

@@ -6,8 +6,9 @@ generates the same trace. Each digest below is the SHA-256 of
 ``CompiledTrace.save`` bytes, recorded before the generator was rewritten to
 emit through a sink, and must hold through both routes into
 ``compile_trace``: the workload's ``steps`` and its event stream.
-The grammar and tenant generators, and the unbounded streams the service
-reads, are pinned the same way further down.
+The grammar and tenant generators, the synthetic, preset and transactional
+generators, and the unbounded streams the service reads, are pinned the
+same way further down.
 """
 
 import contextlib
@@ -23,8 +24,11 @@ from repro.sim.spec import WorkloadSpec
 from repro.workload.application import Oo7Application
 from repro.workload.compiled import CompiledTrace, compile_trace
 from repro.workload.grammar import GrammarWorkload
+from repro.workload.presets import PresetWorkload
+from repro.workload.synthetic import SyntheticPhase, SyntheticWorkload
 from repro.workload.tenants import TenantMix, make_profile, tenant_mix
 from repro.workload.trace_cache import TraceCache
+from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
 GOLDEN = [
     pytest.param(
@@ -138,6 +142,106 @@ def test_golden_grammar_trace_through_both_routes(build, events, digest):
     assert _digest(streamed) == digest
 
     assert _digest(TraceCache(None).get_or_build(build(), 0)) == digest
+
+
+# ----------------------------------------------------------------------
+# Synthetic, preset and transactional generators
+# ----------------------------------------------------------------------
+#
+# Recorded at the commit before these generators were rewritten to emit
+# through a sink (they yielded event objects then).
+
+#: ``gc_churn``'s phase shape at a small scale.
+CHURN = SyntheticPhase(
+    name="churn",
+    operations=3_000,
+    create_weight=1.0,
+    delete_weight=1.0,
+    access_weight=2.0,
+    cluster_size=4,
+    object_size=128,
+)
+#: Every synthetic operation, trims and idle ticks included, over two phases.
+MIXED = [
+    SyntheticPhase(
+        name="grow",
+        operations=400,
+        create_weight=2.0,
+        delete_weight=0.5,
+        trim_weight=1.0,
+        access_weight=1.0,
+        idle_weight=0.5,
+        cluster_size=6,
+        object_size=96,
+        trim_fraction=0.3,
+    ),
+    SyntheticPhase(
+        name="shrink",
+        operations=400,
+        create_weight=0.5,
+        delete_weight=2.0,
+        trim_weight=1.0,
+        access_weight=1.0,
+        idle_weight=1.0,
+        cluster_size=3,
+        object_size=200,
+    ),
+]
+#: 80 transactions, 25 of which abort at seed 3.
+ABORTING = TransactionalSpec(transactions=80, abort_probability=0.3)
+
+GOLDEN_CLUSTER_WORKLOADS = [
+    pytest.param(
+        lambda: SyntheticWorkload([CHURN], seed=5, initial_clusters=600),
+        None,
+        13_568,
+        "e0b656aa7a03673df2682c2cf5598688b3d79c7f967e44956181c131261fac4b",
+        id="synthetic-churn-seed5",
+    ),
+    pytest.param(
+        lambda: SyntheticWorkload(MIXED, seed=2, initial_clusters=10),
+        None,
+        2392,
+        "a5e9077feb5a834111bd954a9a838cbbace28eccc54958fa3fe3eb313fcd5cbe",
+        id="synthetic-mixed-seed2",
+    ),
+    pytest.param(
+        lambda: PresetWorkload("daily-cycle", scale=0.2, seed=1),
+        WorkloadSpec("preset", {"name": "daily-cycle", "scale": 0.2}),
+        5192,
+        "72d1483114702508850b9eb321eceae68144e6df5f43f686ff0256b542683856",
+        id="preset-daily-cycle-seed1",
+    ),
+    pytest.param(
+        lambda: TransactionalWorkload(ABORTING, seed=3, initial_clusters=12),
+        WorkloadSpec("transactional", {"spec": ABORTING, "initial_clusters": 12}),
+        1438,
+        "2a1652af303069bf08273d885dfb51fa5b48bfc9c165db107ba83713085b962d",
+        id="transactional-aborts-seed3",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, spec, events, digest", GOLDEN_CLUSTER_WORKLOADS)
+def test_golden_cluster_trace_through_both_routes(build, spec, events, digest):
+    direct = compile_trace(build())
+    assert len(direct) == events
+    assert _digest(direct) == digest
+
+    streamed = compile_trace(list(build().events()))
+    assert len(streamed) == events
+    assert _digest(streamed) == digest
+
+    assert _digest(TraceCache(None).get_or_build(build(), 0)) == digest
+    if spec is not None:
+        seed = build().seed
+        assert _digest(TraceCache(None).get_or_build(spec, seed)) == digest
+
+
+def test_golden_transactional_trace_aborts():
+    workload = TransactionalWorkload(ABORTING, seed=3, initial_clusters=12)
+    compile_trace(workload)
+    assert (workload.aborted_transactions, workload.committed_transactions) == (25, 55)
 
 
 GOLDEN_STREAMS = [
