@@ -18,10 +18,13 @@ material — and therefore every trace-cache and result-cache fingerprint
 derived from it — is byte-identical. A config file checked into a repo
 reuses the caches of the config built in code.
 
-The generated database is the linked-cluster shape of
-:mod:`repro.workload.synthetic` (registry → cluster chains, so
-garbage-per-overwrite is directly tunable), extended with three operation
-families the presets lack:
+The generated database is a registry of linked clusters (registry →
+cluster chains, so garbage-per-overwrite is directly tunable), and this
+module is its only generator. :mod:`repro.workload.synthetic` is the grammar
+with fixed sizes, no skew and five of the seven operation families;
+:mod:`repro.workload.transactional` drives the same cluster operations
+inside transactions. Beyond create / delete / trim / access / idle the
+grammar has:
 
 * ``update`` — dirty non-pointer touches (buffer/IO pressure without
   garbage),
@@ -191,9 +194,9 @@ def _sample_int(dist: Distribution, rng: random.Random, minimum: int = 1) -> int
 # Operation mix
 # ----------------------------------------------------------------------
 
-#: Operation families, in the order weights are drawn. The first four match
-#: :class:`~repro.workload.synthetic.SyntheticPhase`; ``update`` and
-#: ``pointer_churn`` are grammar-only.
+#: Operation families, in the order weights are drawn. A
+#: :class:`~repro.workload.synthetic.SyntheticPhase` weighs all but ``update``
+#: and ``pointer_churn``.
 OPERATIONS = ("create", "delete", "trim", "access", "update", "pointer_churn", "idle")
 
 
@@ -565,13 +568,6 @@ class GrammarWorkload:
         """The full trace (one-shot)."""
         return stream_events(self.steps)
 
-    __iter__ = events
-
-    def stream(self, max_live_clusters: int = 512) -> Iterator[TraceEvent]:
-        """An unbounded trace with bounded generator memory (one-shot):
-        :meth:`steps` in streaming mode, run into event objects."""
-        return stream_events(lambda out: self.steps(out, max_live_clusters))
-
     def steps(
         self, out: TraceSink, max_live_clusters: Optional[int] = None
     ) -> Iterator[None]:
@@ -599,11 +595,7 @@ class GrammarWorkload:
                 raise GrammarError(f"max_live_clusters must be >= 1, got {cap}")
             self._track_sizes = False
             self._reuse_slots = True
-        self.registry_oid = self._new_oid(64)
-        out.create(self.registry_oid, 64, ObjectKind.GENERIC)
-        yield
-        out.root(self.registry_oid)
-        yield
+        yield from self._create_registry(out)
         first = self.config.phases[0]
         for _ in range(self.config.initial_clusters):
             yield from self._create_cluster(first, out)
@@ -660,7 +652,7 @@ class GrammarWorkload:
                     yield
 
     # ------------------------------------------------------------------
-    # Operations (linked-cluster shapes, as in SyntheticWorkload)
+    # Operations on the linked clusters
     # ------------------------------------------------------------------
 
     def _new_oid(self, size: int) -> ObjectId:
@@ -676,8 +668,21 @@ class GrammarWorkload:
         index = _skewed_index(self.rng, len(self.clusters), phase.hot_key_skew)
         return self.clusters[index]
 
+    def _create_registry(self, out: TraceSink) -> Iterator[None]:
+        """Create the registry object and make it a database root."""
+        self.registry_oid = self._new_oid(64)
+        out.create(self.registry_oid, 64, ObjectKind.GENERIC)
+        yield
+        out.root(self.registry_oid)
+        yield
+
     def _create_cluster(self, phase: PhaseBlock, out: TraceSink) -> Iterator[None]:
-        """Create a chain tail-first, then root its head in the registry."""
+        """Create a chain tail-first, then root its head in the registry.
+
+        Tail-first creation means every member's successor already exists
+        when the member is created, so only the not-yet-linked frontier
+        object ever depends on the store's allocation pinning.
+        """
         rng = self.rng
         cluster_size = _sample_int(phase.cluster_size, rng)
         object_size = _sample_int(phase.object_size, rng)

@@ -273,11 +273,6 @@ class TenantMix:
 
     __iter__ = events
 
-    def stream(self, max_live_clusters: int = 512) -> Iterator[TraceEvent]:
-        """The merged **unbounded** stream (one-shot, bounded memory):
-        :meth:`steps` in streaming mode, run into event objects."""
-        return stream_events(lambda out: self.steps(out, max_live_clusters))
-
     def steps(
         self, out: TraceSink, max_live_clusters: Optional[int] = None
     ) -> Iterator[None]:

@@ -1,11 +1,11 @@
 """Transactional synthetic workloads.
 
-Wraps the linked-cluster operations it shares with
-:class:`~repro.workload.synthetic.SyntheticWorkload` in transactions with a
-configurable abort rate. The generator keeps its own cluster bookkeeping
-transactional too: when it decides a transaction will abort, it snapshots
-its logical state at ``begin`` and restores it at ``abort``, so the trace
-remains consistent with the (rolled-back) database.
+Wraps the grammar's linked-cluster operations
+(:class:`~repro.workload.grammar.GrammarWorkload`: create a cluster, delete
+one) in transactions with a configurable abort rate. The generator keeps its
+own cluster bookkeeping transactional too: when it decides a transaction
+will abort, it snapshots its logical state at ``begin`` and restores it at
+``abort``, so the trace remains consistent with the (rolled-back) database.
 
 This is the workload the transaction substrate is evaluated with: aborted
 deletions *resurrect* objects (their garbage never existed), aborted
@@ -17,8 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.events import TraceEvent, TraceSink, stream_events
-from repro.workload.synthetic import _LinkedClusters
+from repro.events import TraceSink
+from repro.workload.grammar import (
+    Fixed,
+    GrammarWorkload,
+    OpMix,
+    PhaseBlock,
+    WorkloadConfig,
+)
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,12 @@ class TransactionalSpec:
             raise ValueError("cluster_size and object_size must be >= 1")
 
 
-class TransactionalWorkload(_LinkedClusters):
-    """Generates a transactional churn trace over linked clusters."""
+class TransactionalWorkload(GrammarWorkload):
+    """Generates a transactional churn trace over linked clusters.
+
+    Its config is one fixed-size ``tx-churn`` block of even create/delete
+    churn; :meth:`steps` runs that block's operations in transactions.
+    """
 
     def __init__(
         self,
@@ -59,9 +69,17 @@ class TransactionalWorkload(_LinkedClusters):
         seed: int = 0,
         initial_clusters: int = 40,
     ) -> None:
-        if initial_clusters < 0:
-            raise ValueError("initial_clusters must be non-negative")
-        super().__init__(seed)
+        churn = PhaseBlock(
+            name="tx-churn",
+            operations=spec.transactions * spec.ops_per_transaction,
+            mix=OpMix(create=1.0, delete=1.0, access=0.0),
+            cluster_size=Fixed(spec.cluster_size),
+            object_size=Fixed(spec.object_size),
+        )
+        config = WorkloadConfig(
+            name="transactional", phases=(churn,), initial_clusters=initial_clusters
+        )
+        super().__init__(config, seed)
         self.spec = spec
         self.initial_clusters = initial_clusters
         self.aborted_transactions = 0
@@ -76,58 +94,36 @@ class TransactionalWorkload(_LinkedClusters):
             "seed": self.seed,
         }
 
-    # ------------------------------------------------------------------
-    # Trace generation
-    # ------------------------------------------------------------------
-
-    def events(self) -> Iterator[TraceEvent]:
-        """The full transactional trace (one-shot)."""
-        return stream_events(self.steps)
-
     def steps(self, out: TraceSink) -> Iterator[None]:
-        """The same trace emitted into ``out``, yielding after every
-        cluster operation."""
+        """Emit the trace into ``out``, yielding after every sink call: the
+        registry and initial clusters, then the transactions."""
         spec, rng = self.spec, self.rng
+        churn = self.config.phases[0]
         out.phase("tx-setup")
-        self._create_registry(out)
+        yield from self._create_registry(out)
         for _ in range(self.initial_clusters):
-            self._create_cluster(spec.cluster_size, spec.object_size, out)
-            yield
+            yield from self._create_cluster(churn, out)
 
         out.phase("tx-churn")
         for txid in range(1, spec.transactions + 1):
             will_abort = rng.random() < spec.abort_probability
-            snapshot = self._snapshot() if will_abort else None
+            # This generator never trims a cluster, so the members lists are
+            # never changed in place and a shallow copy is the whole state.
+            # Oids and slots of rolled-back objects are NOT reused: the store
+            # forbids recreating an existing oid, and within one run fresh ids
+            # keep the trace unambiguous.
+            saved = list(self.clusters) if will_abort else None
 
             out.begin(txid)
             for _ in range(spec.ops_per_transaction):
                 if self.clusters and rng.random() < 0.5:
-                    self._delete_cluster(out)
+                    yield from self._delete_cluster(churn, out)
                 else:
-                    self._create_cluster(spec.cluster_size, spec.object_size, out)
-                yield
+                    yield from self._create_cluster(churn, out)
             if will_abort:
                 out.abort(txid)
-                self._restore(snapshot)
+                self.clusters = saved
                 self.aborted_transactions += 1
             else:
                 out.commit(txid)
                 self.committed_transactions += 1
-
-    # ------------------------------------------------------------------
-    # Logical-state snapshots for aborted transactions
-    # ------------------------------------------------------------------
-
-    def _snapshot(self):
-        # This generator never trims a cluster, so the members lists are
-        # never changed in place and a shallow copy is the whole state.
-        return (list(self.clusters), self._next_oid, self._next_slot)
-
-    def _restore(self, snapshot) -> None:
-        clusters, next_oid, next_slot = snapshot
-        self.clusters = clusters
-        # Oids and slots of rolled-back objects are NOT reused: the store
-        # forbids recreating an existing oid, and within one run fresh ids
-        # keep the trace unambiguous.
-        self._next_oid = max(self._next_oid, next_oid)
-        self._next_slot = max(self._next_slot, next_slot)

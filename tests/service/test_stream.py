@@ -4,12 +4,13 @@ column-chunk route the service reads."""
 import dataclasses
 import itertools
 import pickle
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.events import CreateEvent, PointerWriteEvent
+from repro.events import CreateEvent, PointerWriteEvent, stream_events
 from repro.faults.drill import state_digest
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
@@ -61,7 +62,7 @@ def test_tenant_stream_resumes_at_exact_index():
 def test_grammar_stream_bounds_generator_state():
     workload = GrammarWorkload(make_profile("oltp-churn"), seed=3)
     consumed = 0
-    for _event in workload.stream(max_live_clusters=16):
+    for _event in stream_events(partial(workload.steps, max_live_clusters=16)):
         consumed += 1
         if consumed >= 30_000:
             break
@@ -80,7 +81,7 @@ def test_grammar_stream_recycles_registry_slots():
     """
     workload = GrammarWorkload(make_profile("oltp-churn"), seed=3)
     creates = 0
-    for event in workload.stream(max_live_clusters=16):
+    for event in stream_events(partial(workload.steps, max_live_clusters=16)):
         if isinstance(event, CreateEvent):
             creates += 1
         if creates >= 10_000:

@@ -10,6 +10,7 @@ including across tenant-exhaustion rebuilds of the draw table.
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -105,10 +106,12 @@ def test_merge_modes_identical_on_profiles(seed):
 def test_unbounded_stream_draw_matches_bisect_semantics():
     """The service stream uses the same cached-table draw (no exhaustion)."""
     config = tenant_mix(["oltp-churn", "read-browse"], scale=0.5)
-    first = list(
-        itertools.islice(TenantMix(config, seed=9).stream(max_live_clusters=32), 2000)
-    )
-    again = list(
-        itertools.islice(TenantMix(config, seed=9).stream(max_live_clusters=32), 2000)
-    )
+
+    def prefix():
+        mix = TenantMix(config, seed=9)
+        stream = stream_events(partial(mix.steps, max_live_clusters=32))
+        return list(itertools.islice(stream, 2000))
+
+    first = prefix()
+    again = prefix()
     assert first == again

@@ -33,6 +33,8 @@ def test_phase_validation():
         _phase(cluster_size=0)
     with pytest.raises(ValueError):
         _phase(trim_fraction=1.0)
+    with pytest.raises(ValueError):
+        _phase(name="")
 
 
 def test_workload_requires_phases():
