@@ -10,7 +10,10 @@ The collector implements the algorithm of §3.1, following [CWZ94] and [Che70]:
   Pointers *leaving* the partition are not traversed.
 * Survivors are copied (compacted) to the front of the partition in
   breadth-first copy order, improving reference locality; everything else is
-  reclaimed.
+  reclaimed. The trace computes both sides at once: its to-space is the
+  survivor order and its leftover work set the reclaimed set, so the
+  compaction plan is built from the trace's output with no second pass over
+  the residents and no per-survivor object lookup.
 
 I/O cost model (documented in DESIGN.md): a collection
 
@@ -33,7 +36,8 @@ from repro.storage.heap import CompactionPlan, ObjectStore
 from repro.storage.iostats import IOCategory
 from repro.storage.object_model import ObjectId
 from repro.storage.partition import PartitionId
-from repro.storage.traversal import breadth_first_order
+from repro.storage.traversal import cheney_trace
+
 
 @dataclass(frozen=True)
 class CollectionResult:
@@ -108,21 +112,39 @@ class CopyingCollector:
 
     def collect(self, pid: PartitionId) -> CollectionResult:
         """Collect partition ``pid`` and return the outcome."""
-        survivors, fixup_pages = self.prepare(pid)
-        return self.apply(pid, survivors, fixup_pages)
+        return self.apply(pid, *self.prepare(pid))
 
-    def prepare(self, pid: PartitionId) -> tuple[list[ObjectId], set[PageId]]:
-        """The read-only half of a collection: frontier + survivor trace.
+    def prepare(
+        self, pid: PartitionId
+    ) -> tuple[list[ObjectId], set[PageId], CompactionPlan]:
+        """The read-only half of a collection: frontier, trace and plan.
 
         Derives the partition's conservative roots and external fix-up
-        pages, then Cheney-traces the survivors. Mutates nothing and
+        pages, Cheney-traces the survivors and plans the compaction from
+        what the trace left unreached (:meth:`trace`). Mutates nothing and
         charges no I/O, so it can run speculatively ahead of the trigger
         (the parallel scheduler of :mod:`repro.gc.parallel` does exactly
         that) — ``collect(pid)`` is always ``prepare`` + ``apply``.
         """
+        plan = self.trace(pid, sorted(self._store.partition_roots(pid)))
+        return plan.survivors, self._store.external_source_pages(pid), plan
+
+    def trace(self, pid: PartitionId, roots: list[ObjectId]) -> CompactionPlan:
+        """Cheney-trace partition ``pid`` from ``roots`` and plan its compaction.
+
+        Roots are enqueued in the order given — callers pass them sorted,
+        so runs are deterministic however the frontier was derived.
+        Restricting the traversal domain to the partition's residents
+        means pointers leaving the partition are not traversed (§3.1), and
+        the residents the scan leaves unreached are exactly the reclaimed
+        set, which the plan takes as it is. The plan's ``survivors`` are
+        Cheney's to-space, in copy order.
+        """
         store = self._store
-        roots = store.partition_roots(pid)
-        return self._trace_survivors(pid, roots), store.external_source_pages(pid)
+        survivors, unreached = cheney_trace(
+            store.objects, roots, within=store.partitions[pid].residents
+        )
+        return store.plan_compaction(pid, survivors, unreached)
 
     def apply(
         self,
@@ -135,13 +157,13 @@ class CopyingCollector:
 
         ``survivors``/``fixup_pages`` must describe the partition's *current*
         state (either just computed by :meth:`prepare`, or a speculative
-        trace validated against the store's trace epochs). ``plan`` is a
-        :class:`~repro.storage.heap.CompactionPlan` built ahead of the
-        pause under the same validity contract; without one the store
-        builds the identical plan inside the pause. Either way compaction
-        is the one route ``plan → bulk reclaim → offset scatter``, so a
-        plan brought along shortens the pause and never changes the
-        outcome.
+        trace validated against the store's trace epochs). ``plan`` is the
+        :class:`~repro.storage.heap.CompactionPlan` built from the same
+        trace, under the same validity contract; a caller with survivors
+        but no trace (``collect_global``) brings none, and the store's
+        front door derives the identical plan inside the pause. Either way
+        compaction is the one route ``plan → bulk reclaim → offset
+        scatter``.
         """
         store = self._store
         partition = store.partitions[pid]
@@ -211,23 +233,3 @@ class CopyingCollector:
             )
             for partition in store.partitions
         ]
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _trace_survivors(
-        self, pid: PartitionId, roots: set[ObjectId]
-    ) -> list[ObjectId]:
-        """Cheney breadth-first trace from the partition's conservative roots.
-
-        Returns survivors in copy order — the list is Cheney's to-space,
-        scanned as it is appended to. Roots are enqueued in a stable sorted
-        order so runs are deterministic regardless of how the frontier was
-        derived. Restricting the traversal domain to the partition's residents
-        means pointers leaving the partition are not traversed (§3.1).
-        """
-        store = self._store
-        return breadth_first_order(
-            store.objects, sorted(roots), within=store.partitions[pid].residents
-        )

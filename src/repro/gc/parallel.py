@@ -14,11 +14,13 @@ stop-the-world window. This module decouples them:
    the store's trace epochs at that
    instant. A snapshot whose epochs still hold is kept, not retaken.
 2. **Trace + plan.** The snapshot is Cheney-traced over the live heap (the
-   object table and the victim's resident set) and the survivors' compaction
-   plan (:meth:`~repro.storage.heap.ObjectStore.plan_compaction`: reclaimed
-   list and layout) is built from it, inline at the pump point: both are
-   paid between two events of the replay / stream-admission loop, not
-   inside the stop-the-world window.
+   object table and the victim's resident set) and the compaction plan
+   (:meth:`~repro.storage.heap.ObjectStore.plan_compaction`: reclaimed
+   list and layout) is built from the trace's survivors and its unreached
+   set, by the same :meth:`~repro.gc.collector.CopyingCollector.trace` the
+   serial ``prepare`` runs, inline at the pump point: both are paid
+   between two events of the replay / stream-admission loop, not inside
+   the stop-the-world window.
 3. **Validate + ordered apply.** When the trigger actually fires, the
    scheduler re-checks the victim's trace epochs and applies reclamation
    through the exact serial sequence (:meth:`~repro.gc.collector.
@@ -71,7 +73,6 @@ from repro.gc.selection import (
 )
 from repro.storage.heap import ObjectStore
 from repro.storage.partition import PartitionId
-from repro.storage.traversal import breadth_first_order
 
 if TYPE_CHECKING:
     from repro.storage.buffer import PageId
@@ -134,7 +135,7 @@ def peek_selection(
 
 
 class _Speculation:
-    """One partition's frontier snapshot plus its trace result."""
+    """One partition's frontier snapshot plus its trace's compaction plan."""
 
     __slots__ = (
         "pid",
@@ -142,7 +143,6 @@ class _Speculation:
         "compaction_epoch",
         "roots",
         "fixup_pages",
-        "survivors",
         "plan",
     )
 
@@ -153,14 +153,14 @@ class _Speculation:
         compaction_epoch: int,
         roots: list[int],
         fixup_pages: "set[PageId]",
+        plan: "CompactionPlan",
     ) -> None:
         self.pid = pid
         self.partition_epoch = partition_epoch
         self.compaction_epoch = compaction_epoch
         self.roots = roots
         self.fixup_pages = fixup_pages
-        self.survivors: Optional[list[int]] = None
-        self.plan: "Optional[CompactionPlan]" = None
+        self.plan = plan
 
 
 class ParallelCollectionScheduler:
@@ -238,19 +238,8 @@ class ParallelCollectionScheduler:
             # Another trace in the same cycle: the last one went stale, or
             # the prediction moved, before the trigger — it came too early.
             self.window *= WINDOW_NARROW
-        spec = self._pending[pid] = self._snapshot(pid)
+        self._pending[pid] = self._snapshot(pid)
         self.speculative_traces += 1
-        # Traced inline: outside the collection pause all the same.
-        survivors = breadth_first_order(
-            self.store.objects,
-            spec.roots,
-            within=self.store.partitions[pid].residents,
-        )
-        # Also build the compaction plan — the read-only half of the
-        # reclamation, which the pause would otherwise start with.
-        # Guarded by the same epoch pair as the trace.
-        spec.plan = self.store.plan_compaction(pid, survivors)
-        spec.survivors = survivors
 
     # ------------------------------------------------------------------
     # Apply: validate + deterministic serial-order reclamation
@@ -279,12 +268,11 @@ class ParallelCollectionScheduler:
         elif self._valid(spec):
             self.speculation_hits += 1
             return self.collector.apply(
-                pid, spec.survivors, spec.fixup_pages, plan=spec.plan
+                pid, spec.plan.survivors, spec.fixup_pages, spec.plan
             )
         else:
             self.speculation_stale += 1
-        survivors, fixup_pages = self.collector.prepare(pid)
-        return self.collector.apply(pid, survivors, fixup_pages)
+        return self.collector.apply(pid, *self.collector.prepare(pid))
 
     def stats(self) -> dict[str, float]:
         """Speculation counters and the window for telemetry (`gc.parallel.*`)."""
@@ -303,20 +291,25 @@ class ParallelCollectionScheduler:
     # ------------------------------------------------------------------
 
     def _snapshot(self, pid: PartitionId) -> _Speculation:
-        """Capture the frontier and epoch pair at a pump point.
+        """Capture the frontier and epoch pair at a pump point, and trace it.
 
         Pump points fall between events, so the remembered set and the
         placement columns read here are the ones the trigger would see if
         no event intervened. Roots are sorted here — the same stable order
-        the serial trace enqueues.
+        the serial trace enqueues. The trace and its compaction plan are
+        :meth:`~repro.gc.collector.CopyingCollector.trace`'s, run inline —
+        outside the collection pause all the same — and guarded by the
+        same epoch pair.
         """
         store = self.store
+        roots = sorted(store.partition_roots(pid))
         return _Speculation(
             pid=pid,
             partition_epoch=store.trace_epochs[pid],
             compaction_epoch=store.compaction_epoch,
-            roots=sorted(store.partition_roots(pid)),
+            roots=roots,
             fixup_pages=store.external_source_pages(pid),
+            plan=self.collector.trace(pid, roots),
         )
 
     def _valid(self, spec: _Speculation) -> bool:

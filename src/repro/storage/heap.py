@@ -22,6 +22,7 @@ store through the narrow support API at the bottom of this class.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Iterable, Optional, Sequence
@@ -73,8 +74,11 @@ class CompactionPlan:
     #: Survivors in copy order (the ``survivors`` argument the plan was
     #: built from).
     survivors: list[ObjectId]
-    #: Residents to reclaim, in the iteration order of the residents set
-    #: the plan was built against.
+    #: Residents to reclaim: the trace's unreached set (or, without a
+    #: trace, the residents minus the survivors) in that set's own
+    #: iteration order. Any order will do — reclamation only pops,
+    #: discards and sums, so the store it leaves is the same whatever
+    #: order it runs in.
     reclaimed: list[ObjectId]
     #: Partition fill after relocation (sum of survivor sizes).
     fill: int
@@ -590,66 +594,90 @@ class ObjectStore:
                 yield target
 
     def plan_compaction(
-        self, pid: PartitionId, survivors: Sequence[ObjectId]
+        self,
+        pid: PartitionId,
+        survivors: Sequence[ObjectId],
+        unreached: Optional[set[ObjectId]] = None,
     ) -> CompactionPlan:
         """Derive what :meth:`compact_partition` needs from current state.
 
-        Read-only: the reclaimed list (the residents set filtered in its
-        own iteration order, which is the order reclamation runs in) and
-        the layout, a prefix sum of survivor sizes in copy order — one
-        vectorised pass when the placement table has no overflow entries,
-        since every survivor then lives in the dense columns.
+        Read-only, and the one plan builder. ``unreached`` is the victim's
+        residents the trace never reached — the leftover work set of
+        :func:`~repro.storage.traversal.cheney_trace` — and is taken as
+        the reclaimed list as it is. The layout is a prefix sum of
+        survivor sizes in copy order, read from the placement table's
+        size column (one numpy gather when the table has no overflow
+        entries, since every survivor then lives in the dense columns),
+        never from the object table.
+
+        A caller with survivors but no trace (``collect_global``, a bare
+        :meth:`compact_partition`) passes no ``unreached``; it is derived
+        here, after checking that the survivors are distinct residents of
+        the partition — the front door's only work, and the reason a trace
+        does not need it: Cheney's survivors are distinct residents by
+        construction.
 
         Also runs at the parallel scheduler's pump points, between events
         ahead of the pause; the epochs decide whether the plan is still
         the one the pause would build.
         """
-        partition = self.partitions[pid]
-        survivors = list(survivors)
-        survivor_set = set(survivors)
-        unknown = survivor_set - partition.residents
-        if unknown:
-            raise StoreError(
-                f"survivors {sorted(unknown)} are not residents of partition {pid}"
-            )
-        reclaimed = [oid for oid in partition.residents if oid not in survivor_set]
-        objects = self.objects
-        sizes = [objects[oid].size for oid in survivors]
+        if unreached is None:
+            residents = self.partitions[pid].residents
+            survivors = list(survivors)
+            survivor_set = set(survivors)
+            unknown = survivor_set - residents
+            if unknown:
+                raise StoreError(
+                    f"survivors {sorted(unknown)} are not residents of partition {pid}"
+                )
+            if len(survivor_set) < len(survivors):
+                repeated = sorted(oid for oid, n in Counter(survivors).items() if n > 1)
+                raise StoreError(
+                    f"survivors {repeated} are listed more than once for partition {pid}"
+                )
+            unreached = residents - survivor_set
+        placements = self.placements
         overflow: list[tuple[ObjectId, tuple[int, int, int]]] = []
         dense_oids: Any
         dense_offs: Any
-        if self.placements.overflow:
+        if placements.overflow:
             # Sparse or negative oids somewhere in the heap: split the
             # survivors by representation. Classification by DENSE_CEILING
             # (not current column length) is stable — a resident survivor
             # already has its placement where its oid selects.
+            sizes = placements.sizes
+            sparse = placements.overflow
             dense_oids = []
             dense_offs = []
             fill = 0
-            for oid, size in zip(survivors, sizes):
+            for oid in survivors:
                 if 0 <= oid < DENSE_CEILING:
+                    size = sizes[oid]
                     dense_oids.append(oid)
                     dense_offs.append(fill)
                 else:
+                    size = sparse[oid][2]
                     overflow.append((oid, (pid, fill, size)))
                 fill += size
             if _np is not None:
                 dense_oids = _np.array(dense_oids, dtype=_np.int64)
                 dense_offs = _np.array(dense_offs, dtype=_np.int64)
         elif _np is not None:
-            widths = _np.array(sizes, dtype=_np.int64)
+            dense_oids = _np.fromiter(survivors, dtype=_np.int64, count=len(survivors))
+            widths = _np.frombuffer(placements.sizes, dtype=_np.int64)[dense_oids]
             ends = widths.cumsum()
-            dense_oids = _np.array(survivors, dtype=_np.int64)
             dense_offs = ends - widths
             # A python int: the fill reaches summaries and checkpoints.
-            fill = int(ends[-1]) if sizes else 0
+            fill = int(ends[-1]) if len(ends) else 0
         else:
             dense_oids = survivors
-            dense_offs = list(accumulate(sizes, initial=0))
+            dense_offs = list(
+                accumulate(map(placements.sizes.__getitem__, survivors), initial=0)
+            )
             fill = dense_offs.pop()
         return CompactionPlan(
             survivors=survivors,
-            reclaimed=reclaimed,
+            reclaimed=list(unreached),
             fill=fill,
             dense_oids=dense_oids,
             dense_offs=dense_offs,
@@ -675,8 +703,9 @@ class ObjectStore:
         :class:`CompactionPlan` built by :meth:`plan_compaction` from these
         exact survivors and *validated against unchanged trace epochs*; a
         caller that brings none gets one built here, inside the pause, by
-        the same method — which is also where survivors that are not
-        residents are refused, after nothing but the two epoch bumps.
+        the same method's front door — which is also where survivors that
+        are not residents, or are listed twice, are refused, after nothing
+        but the two epoch bumps.
         """
         partition = self.partitions[pid]
         self.compaction_epoch += 1

@@ -1,12 +1,17 @@
 """Shared pointer-graph traversal.
 
 Both reachability paths of the collector — the partition-local Cheney trace
-(:meth:`repro.gc.collector.CopyingCollector.collect`) and the whole-heap
-marking pass (:meth:`~repro.storage.heap.ObjectStore.reachable_from`, used
-by ``collect_global`` and the verification oracles) — are the same
+(:meth:`repro.gc.collector.CopyingCollector.prepare`, and the parallel
+scheduler's pump) and the whole-heap marking pass
+(:meth:`~repro.storage.heap.ObjectStore.reachable_from`, used by
+``collect_global`` and the verification oracles) — are the same
 breadth-first scan differing only in their traversal domain. This module
-holds the single implementation; before it existed the two copies in
-``collector.py`` and ``heap.py`` had to be kept in lockstep by hand.
+holds the single implementation, :func:`cheney_trace`. Its leftover work
+set is the part of the domain the scan never reached: for a partition's
+residents, exactly the objects a compaction reclaims, which is why the
+collector hands it straight to
+:meth:`~repro.storage.heap.ObjectStore.plan_compaction` instead of
+deriving it again from the survivors.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from typing import Iterable, Mapping, Optional
 from repro.storage.object_model import ObjectId, StoredObject
 
 
-def breadth_first_order(
+def cheney_trace(
     objects: Mapping[ObjectId, StoredObject],
     roots: Iterable[ObjectId],
     within: Optional[Iterable[ObjectId]] = None,
-) -> list[ObjectId]:
+) -> tuple[list[ObjectId], set[ObjectId]]:
     """Deterministic breadth-first traversal of the heap's pointer graph.
 
     Cheney's scan with its own queue: the returned list is to-space, and
@@ -43,7 +48,10 @@ def breadth_first_order(
             whole object table.
 
     Returns:
-        Every reached object id, in visit (Cheney copy) order.
+        ``(order, unreached)``: every reached object id in visit (Cheney
+        copy) order, and the work set that is left — the domain members
+        the scan never reached, in no particular order. The two partition
+        the domain.
     """
     todo: set[ObjectId] = set(objects if within is None else within)
     reached = todo.remove
@@ -61,4 +69,14 @@ def breadth_first_order(
             if target in todo:
                 reached(target)
                 copy(target)
-    return order
+    return order, todo
+
+
+def breadth_first_order(
+    objects: Mapping[ObjectId, StoredObject],
+    roots: Iterable[ObjectId],
+    within: Optional[Iterable[ObjectId]] = None,
+) -> list[ObjectId]:
+    """The copy order of :func:`cheney_trace` alone, for callers that have
+    no use for the unreached set (whole-heap reachability)."""
+    return cheney_trace(objects, roots, within)[0]

@@ -8,6 +8,11 @@ dead object, one bump per survivor). They must agree on the result record
 and on ``ordered_fields`` — every field, and every dict's and set's
 iteration order — after each collection, on both numpy legs.
 
+The same programs run the comparison under ``collection="parallel"``, with
+every collection applying the plan a pump built, and check at every
+collection that the plan built from the trace's unreached set equals the
+one the front door derives for the same survivors.
+
 The programs reach what the kernels special-case: sparse and negative oids
 (a non-empty overflow table turns the vectorised layout off), rollback
 holes (compaction recovers more than it reclaims), cross-partition edges in
@@ -26,7 +31,10 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fixed import FixedRatePolicy
+from repro.gc import parallel
 from repro.gc.collector import CopyingCollector
+from repro.gc.parallel import ParallelCollectionScheduler
+from repro.gc.selection import RoundRobinSelection
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.storage import heap
 from repro.storage.heap import ObjectStore, StoreConfig, StoreError
@@ -173,6 +181,110 @@ def test_bulk_kernels_leave_the_store_the_oracle_leaves(leg, program):
     validate_store(produced)
 
 
+def _next_collects(ops):
+    """For each op, the raw victim index of the first ``collect`` at or
+    after it (``None`` past the last one)."""
+    upcoming, out = None, []
+    for op in reversed(ops):
+        if op[0] == "collect":
+            upcoming = op[1]
+        out.append(upcoming)
+    return out[::-1]
+
+
+@pytest.mark.parametrize("leg", LEGS, ids=lambda leg: "python" if leg is None else "numpy")
+@settings(max_examples=120, deadline=None, phases=PHASES)
+@given(program=programs())
+def test_pumped_plans_leave_the_store_the_oracle_leaves(leg, program):
+    """The oracle comparison above under ``collection="parallel"``: the
+    scheduler pumps after every mutation and once more before each
+    collection, always predicting the program's next victim, so every
+    collection applies a plan the pump built — some of them several
+    mutations old and kept because their epochs still held."""
+    geometry, ops, oids = program
+    fresh = iter(oids)
+    produced, reference = ObjectStore(geometry), ObjectStore(geometry)
+    collector, oracle = CopyingCollector(produced), CopyingCollector(reference)
+    scheduler = ParallelCollectionScheduler(produced, collector, RoundRobinSelection())
+    victims = _next_collects(ops)
+    target = [None]
+    imported, heap._np = heap._np, leg
+    peek, parallel.peek_selection = parallel.peek_selection, lambda *_: target[0]
+    collections = 0
+
+    def pump(upcoming):
+        if upcoming is not None and produced.partitions:
+            target[0] = upcoming % len(produced.partitions)
+            scheduler.pump()
+
+    try:
+        for op, upcoming in zip(ops, victims):
+            if op[0] == "collect":
+                if not produced.partitions:
+                    continue
+                pump(upcoming)
+                pid = op[1] % len(produced.partitions)
+                assert scheduler.collect(pid) == oracle_collect(oracle, pid)
+                collections += 1
+            elif op[0] == "global":
+                with per_object_compaction(reference):
+                    assert collector.collect_global() == oracle.collect_global()
+            else:
+                taken = [next(fresh) for _ in range(CREATES.get(op[0], 0))]
+                _mutate((produced, reference), op, taken)
+                pump(upcoming)
+                continue
+            assert ordered_fields(produced) == ordered_fields(reference)
+    finally:
+        heap._np = imported
+        parallel.peek_selection = peek
+    assert scheduler.speculation_hits == collections
+    validate_store(produced)
+
+
+def _assert_same_plan(traced, front):
+    assert traced.survivors == front.survivors
+    assert traced.fill == front.fill
+    assert list(map(int, traced.dense_oids)) == list(map(int, front.dense_oids))
+    assert list(map(int, traced.dense_offs)) == list(map(int, front.dense_offs))
+    assert traced.overflow == front.overflow
+    assert len(traced.reclaimed) == len(front.reclaimed)
+    assert set(traced.reclaimed) == set(front.reclaimed)
+
+
+@pytest.mark.parametrize("leg", LEGS, ids=lambda leg: "python" if leg is None else "numpy")
+@settings(max_examples=120, deadline=None, phases=PHASES)
+@given(program=programs())
+def test_traced_plan_equals_the_front_door_plan(leg, program):
+    """At every collection, the plan built from the trace's unreached set
+    and the placement table's sizes equals the one the front door derives
+    for the same survivors from the residents: survivors, fill, offsets,
+    overflow rows, and the reclaimed objects as a set (their order is the
+    work set's, not the residents')."""
+    geometry, ops, oids = program
+    fresh = iter(oids)
+    store = ObjectStore(geometry)
+    collector = CopyingCollector(store)
+    imported, heap._np = heap._np, leg
+    try:
+        for op in ops:
+            if op[0] == "collect":
+                if not store.partitions:
+                    continue
+                pid = op[1] % len(store.partitions)
+                survivors, fixup_pages, plan = collector.prepare(pid)
+                _assert_same_plan(plan, store.plan_compaction(pid, survivors))
+                collector.apply(pid, survivors, fixup_pages, plan)
+            elif op[0] == "global":
+                collector.collect_global()
+            else:
+                taken = [next(fresh) for _ in range(CREATES.get(op[0], 0))]
+                _mutate((store,), op, taken)
+    finally:
+        heap._np = imported
+    validate_store(store)
+
+
 @st.composite
 def graphs(draw):
     count = draw(st.integers(min_value=0, max_value=30))
@@ -222,6 +334,23 @@ def test_unknown_survivors_are_refused_after_the_epoch_bumps_only():
     before = ordered_fields(store)
     with pytest.raises(StoreError, match=rf"survivors \[{far}\] are not residents of partition 0"):
         store.compact_partition(0, [far])
+    after = ordered_fields(store)
+    assert after.pop("epochs") == (
+        [before["epochs"][0][0] + 1, before["epochs"][0][1]],
+        before["epochs"][1] + 1,
+    )
+    before.pop("epochs")
+    assert after == before
+
+
+def test_duplicate_survivors_are_refused_after_the_epoch_bumps_only():
+    """A survivor listed twice would be laid out twice — a 50-byte object
+    at offset 50 of a partition with fill 100, which ``validate_store``
+    does not notice — so the front door refuses it like an unknown one."""
+    store, a, _b, _far = _two_partitions()
+    before = ordered_fields(store)
+    with pytest.raises(StoreError, match=rf"survivors \[{a}\] are listed more than once"):
+        store.compact_partition(0, [a, a])
     after = ordered_fields(store)
     assert after.pop("epochs") == (
         [before["epochs"][0][0] + 1, before["epochs"][0][1]],
