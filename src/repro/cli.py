@@ -70,6 +70,7 @@ from typing import Optional, Sequence
 
 from repro.experiments.registry import (
     Experiment,
+    FailedReport,
     RunOptions,
     get_experiment,
     iter_experiments,
@@ -296,7 +297,9 @@ def _resolve_trace_cache(args) -> TraceCache:
 
 def _run_named(
     name: str, seeds: Optional[list[int]], options: RunOptions
-) -> str:
+) -> tuple[str, bool]:
+    """Run one experiment: its footed report, and False when the
+    experiment failed its own acceptance check."""
     exp = get_experiment(name)
     reporter = options.progress
     started = time.time()
@@ -305,7 +308,8 @@ def _run_named(
     stats = (
         reporter.summary() if isinstance(reporter, _ProgressReporter) else ""
     )
-    return f"{report}\n\n[{name} completed in {elapsed:.1f}s{stats}]\n"
+    text = f"{report}\n\n[{name} completed in {elapsed:.1f}s{stats}]\n"
+    return text, not isinstance(report, FailedReport)
 
 
 def _profiled(callable_, stats_file: str):
@@ -360,6 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     trace_cache = _resolve_trace_cache(args)
     faults = load_fault_plan(args.faults) if args.faults is not None else None
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    all_ok = True
     for name in names:
         options = RunOptions(
             jobs=args.jobs,
@@ -372,11 +377,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             telemetry=args.telemetry,
         )
         if args.profile is not None:
-            report = _profiled(
+            report, ok = _profiled(
                 lambda: _run_named(name, args.seeds, options), args.profile
             )
         else:
-            report = _run_named(name, args.seeds, options)
+            report, ok = _run_named(name, args.seeds, options)
+        all_ok = all_ok and ok
         print(report)
         target = None
         if args.out_dir is not None:
@@ -393,7 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"'python -m repro metrics {args.telemetry}']",
             file=sys.stderr,
         )
-    return 0
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

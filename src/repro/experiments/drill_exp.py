@@ -87,9 +87,9 @@ def format_drill(result: DrillResult) -> str:
             [
                 str(seed),
                 str(report.crashes),
-                ", ".join(report.crash_sites) or "-",
-                ", ".join(str(i) for i in report.resume_indices) or "-",
-                ", ".join(str(n) for n in report.recovered_objects) or "-",
+                ", ".join(r.site for r in report.recoveries) or "-",
+                ", ".join(str(r.resume_index) for r in report.recoveries) or "-",
+                ", ".join(str(r.recovered_objects) for r in report.recoveries) or "-",
                 "IDENTICAL" if report.matches_reference else "DIVERGED",
             ]
         )

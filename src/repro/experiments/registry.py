@@ -69,6 +69,11 @@ class RunOptions:
 ExperimentRunner = Callable[[Optional[list], RunOptions], str]
 
 
+class FailedReport(str):
+    """A report whose experiment failed its own acceptance check (a drill
+    that diverged): the CLI prints it like any other and exits 1."""
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One named, runnable experiment."""
@@ -194,9 +199,9 @@ def _figure8(seeds, options: RunOptions) -> str:
 def _drill(seeds, options: RunOptions) -> str:
     from repro.experiments.drill_exp import format_drill, run_drill
 
-    return format_drill(
-        run_drill(seeds=seeds, plan=options.faults, telemetry=options.telemetry)
-    )
+    result = run_drill(seeds=seeds, plan=options.faults, telemetry=options.telemetry)
+    text = format_drill(result)
+    return text if result.all_match else FailedReport(text)
 
 
 @experiment(

@@ -10,11 +10,12 @@ layer of the reproduction instead of an accident:
 * :class:`FaultInjector` — the runtime that fires those faults
   deterministically: the complete firing sequence is a pure function of
   ``(plan, plan.seed)``, so any failing run can be replayed exactly;
-* :func:`run_crash_recovery_drill` — the crash–recover–continue harness:
-  crash a simulated store at an injected point, :func:`repro.tx.recovery.
-  recover` the committed state from the redo log, resume the trace from the
-  crash point, and compare the final committed state byte-for-byte against
-  an uncrashed reference run.
+* :class:`~repro.faults.drill.CrashRecoveryLoop` — the one crash →
+  recover → resume loop: recover the committed state from the redo log and
+  resume from the crash point. :func:`run_crash_recovery_drill` (a finite
+  trace) and :func:`repro.service.soak.run_soak_drill` (a stream window)
+  build its segments and compare the final committed state byte-for-byte
+  against an uncrashed reference run.
 """
 
 from repro.faults.injector import (

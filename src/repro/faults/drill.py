@@ -1,18 +1,24 @@
-"""Crash–recover–continue drills.
+"""Crash–recover–continue drills: the one crash → recover → resume loop.
 
-A drill runs one experimental setting twice over the same trace:
+A drill runs one setting twice over the same input:
 
 1. a **reference** run with no faults, producing the committed logical
    state an unfailing system would reach;
 2. a **drilled** run with a :class:`~repro.faults.plan.FaultPlan` attached
    and redo logging enabled. Every injected crash kills the simulated
    process; the drill then rebuilds the committed state from the redo log
-   (:func:`repro.tx.recovery.recover`), constructs a fresh simulation
-   around the recovered store — rate-policy and selection state rebuilt
-   from scratch, oracle garbage accounting replayed from the log's ``dies``
-   annotations — and resumes the trace from the crash's ``resume_index``
-   (the begin of the transaction that was in flight, so the lost
-   transaction is re-executed in full).
+   (:func:`repro.tx.recovery.recover_with_info`: the last checkpoint plus
+   the log suffix), builds a fresh segment around the recovered store —
+   rate-policy and selection state rebuilt from scratch, oracle garbage
+   accounting replayed from the log's ``dies`` annotations — and resumes
+   at the crash's ``resume_index`` (the begin of the transaction that was
+   in flight, so the lost transaction is re-executed in full).
+
+:class:`CrashRecoveryLoop` is that loop, with one :class:`RecoveryOutcome`
+per crash and the drill's telemetry. Its callers only build segments:
+:func:`run_crash_recovery_drill` replays a compiled trace through a
+``Simulation``, :func:`repro.service.soak.run_soak_drill` serves a bounded
+stream window through a ``GcService``.
 
 The drill's acceptance check is byte-level: the canonical JSON rendering of
 the committed reachable state (objects, sizes, kinds, pointer graphs,
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 from repro.faults.injector import FaultInjector, SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.storage.heap import ObjectStore
-from repro.tx.recovery import RedoLog, recover
+from repro.tx.recovery import RedoLog, recover_with_info
 
 
 def committed_state(store: ObjectStore) -> dict:
@@ -68,17 +74,34 @@ def state_digest(store: ObjectStore) -> str:
 
 
 @dataclass
+class RecoveryOutcome:
+    """What one crash → recover → resume cycle actually did."""
+
+    #: Fault site that killed the process.
+    site: str
+    #: Absolute event index the crash interrupted.
+    event_index: int
+    #: Absolute event index the resumed segment restarted from.
+    resume_index: int
+    #: Objects rebuilt into the recovered store.
+    recovered_objects: int
+    #: True when recovery restored a checkpoint snapshot first.
+    from_checkpoint: bool
+    #: Event index the restored checkpoint covered (0 when none).
+    checkpoint_event_index: int
+    #: Redo records replayed after the checkpoint (the suffix).
+    records_replayed: int
+    #: Lifetime records the log had seen when this recovery ran — proves
+    #: the replay was suffix-only whenever ``records_replayed`` is smaller.
+    log_appended_total: int
+
+
+@dataclass
 class DrillReport:
     """Everything one crash–recover–continue drill established."""
 
-    #: Number of injected crashes survived.
-    crashes: int
-    #: Site of each crash, in order.
-    crash_sites: list[str] = field(default_factory=list)
-    #: Absolute trace index each resumption restarted from.
-    resume_indices: list[int] = field(default_factory=list)
-    #: Objects recovered from the redo log at each crash.
-    recovered_objects: list[int] = field(default_factory=list)
+    #: One outcome per injected crash survived, in order.
+    recoveries: list[RecoveryOutcome] = field(default_factory=list)
     #: Digest of the uncrashed reference run's committed state.
     reference_digest: str = ""
     #: Digest of the drilled run's final committed state.
@@ -87,9 +110,140 @@ class DrillReport:
     fired: list[tuple] = field(default_factory=list)
 
     @property
+    def crashes(self) -> int:
+        """Number of injected crashes survived."""
+        return len(self.recoveries)
+
+    @property
     def matches_reference(self) -> bool:
         """True when the drilled run ended byte-identical to the reference."""
         return self.reference_digest == self.final_digest
+
+
+class CrashRecoveryLoop:
+    """The one crash → recover → resume loop, and the telemetry around it.
+
+    One fault injector and one redo log serve every segment, so occurrence
+    counters survive crashes and checkpoint history carries across
+    segments. :meth:`run` calls ``segment(start_index, recovered_store)``
+    — ``(0, None)`` first — until it returns without a crash. ``kind``
+    (``"drill"`` or ``"soak"``) names the telemetry file kind, the
+    ``<kind>_segment`` spans, the ``<kind>_complete`` event and the
+    ``<kind>.*`` metrics. ``telemetry`` is a
+    :class:`~repro.obs.telemetry.RunTelemetry`, a path for an owned file
+    (``label``/``seed`` fill its ``meta``), or ``None``; its records buffer
+    in this (real) process, so they survive the simulated crashes. Used as
+    a context manager, the loop writes an owned file on exit — also when
+    the drill aborts.
+    """
+
+    def __init__(
+        self,
+        plan: FaultPlan,
+        *,
+        kind: str = "drill",
+        store_config=None,
+        max_crashes: int = 16,
+        telemetry=None,
+        label: str = "",
+        seed: int | None = None,
+    ) -> None:
+        from repro.obs.spans import NULL_TRACER
+        from repro.obs.telemetry import RunTelemetry
+
+        self.plan = plan
+        self.kind = kind
+        self.store_config = store_config
+        self.max_crashes = max_crashes
+        self.injector = FaultInjector(plan)
+        self.log = RedoLog()
+        self.recoveries: list[RecoveryOutcome] = []
+        self._owns_obs = telemetry is not None and not isinstance(telemetry, RunTelemetry)
+        if self._owns_obs:
+            telemetry = RunTelemetry(telemetry, kind=kind, label=label, seed=seed)
+        self.obs = telemetry
+        self.tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
+
+    def __enter__(self) -> CrashRecoveryLoop:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._owns_obs:
+            self.obs.close()
+
+    @property
+    def fired(self) -> list[tuple]:
+        """The injector's fault ledger as (site, occurrence, effect)."""
+        return [(f.site, f.occurrence, f.effect) for f in self.injector.fired]
+
+    def run(self, segment):
+        """Run ``segment`` until it completes; return its result. Raises
+        RuntimeError when ``max_crashes`` is exceeded."""
+        obs = self.obs
+        start, store = 0, None
+        while True:
+            try:
+                with self.tracer.span(f"{self.kind}_segment", start_index=start):
+                    return segment(start, store)
+            except SimulatedCrash as crash:
+                if obs is not None:
+                    obs.event(
+                        "crash",
+                        site=crash.site,
+                        event_index=crash.event_index,
+                        resume_index=crash.resume_index,
+                    )
+                if len(self.recoveries) >= self.max_crashes:
+                    raise RuntimeError(
+                        f"{self.kind} exceeded max_crashes={self.max_crashes}; "
+                        f"plan {self.plan} appears to crash unboundedly"
+                    ) from crash
+                # The simulated process died: rebuild the committed state
+                # from the log, drop the lost transaction's orphaned records
+                # (it will be re-executed under the same txid), and resume.
+                appended_before = self.log.appended_total
+                store, info = recover_with_info(
+                    self.log, store_config=self.store_config
+                )
+                self.log.truncate_uncommitted()
+                start = crash.resume_index
+                self.recoveries.append(
+                    RecoveryOutcome(
+                        site=crash.site,
+                        event_index=crash.event_index,
+                        resume_index=start,
+                        recovered_objects=info.objects,
+                        from_checkpoint=info.from_checkpoint,
+                        checkpoint_event_index=info.checkpoint_event_index,
+                        records_replayed=info.records_replayed,
+                        log_appended_total=appended_before,
+                    )
+                )
+                if obs is not None:
+                    obs.event(
+                        "recovered",
+                        objects=info.objects,
+                        from_checkpoint=info.from_checkpoint,
+                        records_replayed=info.records_replayed,
+                        resume_index=start,
+                    )
+                    obs.metrics.counter(f"{self.kind}.recoveries").inc()
+
+    def complete(self, report: DrillReport, counts=None, **fields: object):
+        """Record the ``<kind>_complete`` event and return ``report``: it
+        carries ``crashes``, ``matches_reference``, ``counts`` and
+        ``fields``, and ``crashes`` and each count is a ``<kind>.*`` gauge."""
+        if self.obs is not None:
+            counts = {"crashes": report.crashes, **(counts or {})}
+            for name, value in counts.items():
+                self.obs.metrics.gauge(f"{self.kind}.{name}").set(value)
+            self.obs.event(
+                f"{self.kind}_complete",
+                matches_reference=report.matches_reference,
+                **counts,
+                **fields,
+            )
+        return report
 
 
 def run_crash_recovery_drill(
@@ -110,15 +264,11 @@ def run_crash_recovery_drill(
             faults drive the drill; ``torn-write`` faults may ride along
             (logical redo recovery is immune to torn data pages — the
             report's digests prove it).
-        max_crashes: Safety valve against a plan that crashes forever
-            (e.g. ``repeat=True`` with a tiny period).
+        max_crashes: Safety valve against a plan that crashes forever.
         telemetry: A :class:`~repro.obs.telemetry.RunTelemetry` to record
             into, or a path to write a ``kind="drill"`` telemetry file to,
-            or ``None``. One telemetry object observes the whole drill —
-            its records buffer in this (real) process, so they survive the
-            simulated crashes. A path given here is written even though the
-            drilled simulation "crashes" mid-run; telemetry never changes
-            drill outcomes.
+            or ``None`` (see :class:`CrashRecoveryLoop`). Telemetry never
+            changes drill outcomes.
 
     Raises:
         ValueError: When no plan is given at all.
@@ -134,105 +284,48 @@ def run_crash_recovery_drill(
     plan = plan if plan is not None else spec.faults
     if plan is None:
         raise ValueError("a crash-recovery drill needs a FaultPlan (spec.faults or plan=)")
-
-    obs = None
-    owns_obs = False
-    if telemetry is not None:
-        from repro.obs.telemetry import RunTelemetry
-
-        if isinstance(telemetry, RunTelemetry):
-            obs = telemetry
-        else:
-            obs = RunTelemetry(
-                telemetry,
-                kind="drill",
-                label=spec.label or spec.policy.kind,
-                seed=seed,
-            )
-            owns_obs = True
-
     config = dataclasses.replace(spec.sim, enable_redo_log=True)
-    # Compiled once: the reference run and every resumed segment replay
-    # the same columns.
-    trace = compile_trace(build_workload(spec.workload, seed))
 
-    def fresh(store=None, faults=None, redo_log=None, observed=False) -> Simulation:
+    def simulation(**kwargs) -> Simulation:
         return Simulation(
             policy=build_policy(spec.policy, seed),
             selection=build_selection(spec.selection, seed),
             config=config,
-            faults=faults,
-            store=store,
-            redo_log=redo_log,
-            obs=obs if observed else None,
+            **kwargs,
         )
 
-    # Reference: same trace, same config (redo logging on, so costs match),
-    # no faults. Unobserved — only the drilled run's GC timeline is
-    # recorded, so the telemetry file describes one coherent run.
-    reference = fresh()
-    if obs is not None:
-        with obs.span("reference"):
+    with CrashRecoveryLoop(
+        plan,
+        kind="drill",
+        store_config=config.store,
+        max_crashes=max_crashes,
+        telemetry=telemetry,
+        label=spec.label or spec.policy.kind,
+        seed=seed,
+    ) as loop:
+        # Compiled once: the reference run and every resumed segment
+        # replay the same columns.
+        trace = compile_trace(build_workload(spec.workload, seed))
+        # Reference: same trace, same config (redo logging on, so costs
+        # match), no faults. Unobserved — only the drilled run's GC timeline
+        # is recorded, so the telemetry file describes one coherent run.
+        reference = simulation()
+        with loop.tracer.span("reference"):
             reference.run(trace)
-    else:
-        reference.run(trace)
-    report = DrillReport(crashes=0, reference_digest=state_digest(reference.store))
 
-    # Drilled run: one injector for the whole drill, so occurrence counters
-    # survive crashes and single-shot faults fire exactly once.
-    injector = FaultInjector(plan)
-    log = RedoLog()
-    sim = fresh(faults=injector, redo_log=log, observed=True)
-    start = 0
-    while True:
-        try:
-            if obs is not None:
-                with obs.span("drill_segment", start_index=start):
-                    sim.run(trace, start_index=start)
-            else:
-                sim.run(trace, start_index=start)
-            break
-        except SimulatedCrash as crash:
-            report.crashes += 1
-            report.crash_sites.append(crash.site)
-            if obs is not None:
-                obs.event(
-                    "crash",
-                    site=crash.site,
-                    event_index=crash.event_index,
-                    resume_index=crash.resume_index,
-                )
-            if report.crashes > max_crashes:
-                raise RuntimeError(
-                    f"drill exceeded max_crashes={max_crashes}; plan {plan} "
-                    "appears to crash unboundedly"
-                ) from crash
-            # The simulated process died: rebuild the committed state from
-            # the redo log, drop the lost transaction's orphaned records
-            # (it will be re-executed under the same txid), and resume.
-            recovered = recover(log, store_config=config.store)
-            log.truncate_uncommitted()
-            report.recovered_objects.append(len(recovered.objects))
-            start = crash.resume_index
-            report.resume_indices.append(start)
-            if obs is not None:
-                obs.event(
-                    "recovered",
-                    objects=len(recovered.objects),
-                    resume_index=start,
-                )
-                obs.metrics.counter("drill.recoveries").inc()
-            sim = fresh(store=recovered, faults=injector, redo_log=log, observed=True)
+        def segment(start: int, store: ObjectStore | None) -> Simulation:
+            sim = simulation(
+                store=store, faults=loop.injector, redo_log=loop.log, obs=loop.obs
+            )
+            sim.run(trace, start_index=start)
+            return sim
 
-    report.final_digest = state_digest(sim.store)
-    report.fired = [(f.site, f.occurrence, f.effect) for f in injector.fired]
-    if obs is not None:
-        obs.metrics.gauge("drill.crashes").set(report.crashes)
-        obs.event(
-            "drill_complete",
-            crashes=report.crashes,
-            matches_reference=report.matches_reference,
+        final = loop.run(segment)
+        return loop.complete(
+            DrillReport(
+                recoveries=loop.recoveries,
+                reference_digest=state_digest(reference.store),
+                final_digest=state_digest(final.store),
+                fired=loop.fired,
+            )
         )
-        if owns_obs:
-            obs.close()
-    return report

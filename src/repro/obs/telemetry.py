@@ -1,9 +1,9 @@
 """Per-run telemetry: a JSON-lines file of spans, metrics and GC timeline.
 
 One :class:`RunTelemetry` instance observes one unit of work — a simulation
-run, an engine batch, a bench case, or a crash-recovery drill — and writes
-a single ``.jsonl`` file describing it. Every line is one JSON object with
-a ``type`` field:
+run, an engine batch, a bench case, a crash-recovery drill or soak, or a
+service run — and writes a single ``.jsonl`` file describing it. Every line
+is one JSON object with a ``type`` field:
 
 ``meta``
     Always the first line: telemetry format version, what was observed
@@ -17,7 +17,8 @@ a ``type`` field:
 ``span``
     A finished :class:`~repro.obs.spans.SpanRecord` (phase wall times).
 ``event``
-    Free-form occurrences: engine outcomes, injected crashes, recoveries.
+    Free-form occurrences: engine outcomes, injected crashes, recoveries,
+    drill/soak completion, service start/checkpoint/stop.
 ``metrics``
     The final :class:`~repro.obs.registry.MetricsRegistry` snapshot.
 ``summary``
@@ -71,8 +72,8 @@ class RunTelemetry:
 
     Args:
         path: Destination ``.jsonl`` file (parent directories are created).
-        kind: What is being observed: ``"run"``, ``"engine"``, ``"bench"``
-            or ``"drill"``.
+        kind: What is being observed: ``"run"``, ``"engine"``, ``"bench"``,
+            ``"drill"``, ``"soak"`` or ``"service"``.
         label: Display label (the spec label, bench case name, ...).
         seed: The run seed, when the unit of work has one.
         **meta: Extra JSON-compatible attributes for the ``meta`` line.

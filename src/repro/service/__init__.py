@@ -18,10 +18,12 @@ event streams — the ROADMAP's online posture. The pieces:
   boundaries, guarded steps where admission control must look at an
   event): periodic WAL checkpoints + redo-log truncation, graceful drain
   on SIGTERM, telemetry heartbeats;
-* :mod:`repro.service.soak` — crash-soak drills: kill the service at
-  fault-plan-chosen points, recover from checkpoint + log suffix, resume
-  the stream at the exact event index, and assert byte-identical
-  committed state against an uncrashed reference.
+* :mod:`repro.service.soak` — crash-soak drills: the service-side segment
+  builder over :class:`repro.faults.drill.CrashRecoveryLoop`, the one
+  crash → recover → resume loop the finite drill also runs. The loop kills
+  the service at fault-plan-chosen points, recovers from checkpoint + log
+  suffix and resumes the stream at the exact event index; the soak asserts
+  byte-identical committed state against an uncrashed reference.
 """
 
 from repro.service.backpressure import AdmissionController, BackpressureStats

@@ -1,17 +1,12 @@
 """Crash-soak drills: kill the service repeatedly, demand byte-identity.
 
-The finite-trace analogue lives in :mod:`repro.faults.drill`; a soak drill
-is the same experiment run against the *service* posture instead:
-
-1. a **reference** service consumes a bounded window of the stream with no
-   faults, producing the committed reachable state an unfailing service
-   reaches;
-2. a **drilled** service consumes the same window with a fault plan
-   attached. Every injected crash kills the simulated process mid-stream;
-   the drill recovers from the last checkpoint plus the redo-log suffix
-   (:func:`repro.tx.recovery.recover_with_info`), rebuilds a fresh service
-   around the recovered store — rate/selection policies rebuilt from their
-   specs — and resumes the stream at exactly ``crash.resume_index``.
+A soak drill runs :class:`repro.faults.drill.CrashRecoveryLoop` — the one
+crash → recover → resume loop the finite drill also runs — against the
+*service* posture. This module only validates the service config and
+builds segments: an unfailed **reference** service over a bounded stream
+window, and per segment a fresh :class:`~repro.service.server.GcService`
+(policies rebuilt from their specs) around the recovered store, serving
+the rest of the window from ``crash.resume_index``.
 
 Acceptance is byte-level and suffix-aware: the final committed reachable
 state must hash identically to the reference's, and each recovery reports
@@ -29,70 +24,31 @@ bug. :func:`run_soak_drill` rejects such configs up front.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.faults.drill import state_digest
-from repro.faults.injector import FaultInjector, SimulatedCrash
+from repro.faults.drill import CrashRecoveryLoop, DrillReport
 from repro.faults.plan import FaultPlan
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService, ServiceReport
 from repro.service.stream import EventStream
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import PolicySpec, SelectionSpec, build_policy, build_selection
-from repro.tx.recovery import RedoLog, recover_with_info
 
 
 @dataclass
-class RecoveryOutcome:
-    """What one crash/recover cycle of the soak actually did."""
-
-    #: Fault site that killed the service.
-    site: str
-    #: Absolute stream index the crash interrupted.
-    event_index: int
-    #: Absolute stream index the resumed service restarted from.
-    resume_index: int
-    #: Objects rebuilt into the recovered store.
-    recovered_objects: int
-    #: True when recovery restored a checkpoint snapshot first.
-    from_checkpoint: bool
-    #: Event index the restored checkpoint covered (-1 when none).
-    checkpoint_event_index: int
-    #: Redo records replayed after the checkpoint (the suffix).
-    records_replayed: int
-    #: Lifetime records the log had seen when this recovery ran — proves
-    #: the replay was suffix-only whenever ``records_replayed`` is smaller.
-    log_appended_total: int
-
-
-@dataclass
-class SoakReport:
-    """Everything one crash-soak drill established."""
+class SoakReport(DrillReport):
+    """Everything one crash-soak drill established: the drill report plus
+    the service-only fields."""
 
     #: Stream events in the soaked window.
-    events_total: int
-    #: Injected crashes survived.
-    crashes: int = 0
-    #: Per-crash recovery outcomes, in order.
-    recoveries: list[RecoveryOutcome] = field(default_factory=list)
+    events_total: int = 0
     #: Checkpoints installed across all segments (shared-log lifetime).
     checkpoints: int = 0
-    #: Digest of the unfailed reference service's committed state.
-    reference_digest: str = ""
-    #: Digest of the drilled service's final committed state.
-    final_digest: str = ""
     #: The final (uncrashed) segment's service report.
     final_segment: Optional[ServiceReport] = None
     #: The reference run's service report.
     reference: Optional[ServiceReport] = None
-    #: The drilled injector's fault ledger (site, occurrence, effect).
-    fired: list[tuple] = field(default_factory=list)
-
-    @property
-    def matches_reference(self) -> bool:
-        """True when the drilled service ended byte-identical."""
-        return self.reference_digest == self.final_digest
 
     @property
     def suffix_only(self) -> bool:
@@ -138,7 +94,7 @@ def run_soak_drill(
         plan: The failure schedule. Crash faults drive the soak.
         max_crashes: Safety valve against unbounded crash plans.
         telemetry: A RunTelemetry, or a path for a ``kind="soak"`` file,
-            or None. One telemetry object observes the whole soak.
+            or None (see :class:`~repro.faults.drill.CrashRecoveryLoop`).
 
     Raises:
         ValueError: On a missing plan, unbounded window, or backpressure.
@@ -158,29 +114,9 @@ def run_soak_drill(
             "timing, which crash/recovery legitimately shifts)"
         )
     config = sim_config or SimulationConfig()
-
-    obs = None
-    owns_obs = False
-    if telemetry is not None:
-        from repro.obs.telemetry import RunTelemetry
-
-        if isinstance(telemetry, RunTelemetry):
-            obs = telemetry
-        else:
-            obs = RunTelemetry(
-                telemetry, kind="soak", label=policy.kind, seed=seed
-            )
-            owns_obs = True
-
     total = svc.max_events
 
-    def fresh(
-        remaining: int,
-        store=None,
-        redo_log=None,
-        faults=None,
-        observed=False,
-    ) -> GcService:
+    def serve(remaining: int, **kwargs) -> GcService:
         return GcService(
             policy=build_policy(policy, seed),
             stream=stream,
@@ -191,100 +127,43 @@ def run_soak_drill(
             ),
             sim_config=config,
             service=dataclasses.replace(svc, max_events=remaining),
-            faults=faults,
-            obs=obs if observed else None,
-            store=store,
-            redo_log=redo_log,
+            **kwargs,
         )
 
-    report = SoakReport(events_total=total)
-
-    # Reference: same window, same config, no faults. Unobserved, so the
-    # telemetry file describes the drilled service's one coherent timeline.
-    reference = fresh(total)
-    if obs is not None:
-        with obs.span("reference"):
-            report.reference = reference.run()
-    else:
-        report.reference = reference.run()
-    report.reference_digest = report.reference.final_digest
-
-    # Drilled service: one injector and one redo log for the whole soak, so
-    # occurrence counters survive crashes and checkpoint history carries
-    # across segments.
-    injector = FaultInjector(plan)
-    log = RedoLog()
-    start = 0
-    store = None
-    while True:
-        gcs = fresh(
-            total - start,
-            store=store,
-            redo_log=log,
-            faults=injector,
-            observed=True,
+    with CrashRecoveryLoop(
+        plan,
+        kind="soak",
+        store_config=config.store,
+        max_crashes=max_crashes,
+        telemetry=telemetry,
+        label=policy.kind,
+        seed=seed,
+    ) as loop:
+        # Reference: same window, same config, no faults. Unobserved, so
+        # the telemetry file describes the drilled service's one timeline.
+        with loop.tracer.span("reference"):
+            reference = serve(total).run()
+        final = loop.run(
+            lambda start, store: serve(
+                total - start,
+                store=store,
+                redo_log=loop.log,
+                faults=loop.injector,
+                obs=loop.obs,
+            ).run(start_index=start)
         )
-        try:
-            if obs is not None:
-                with obs.span("soak_segment", start_index=start):
-                    segment = gcs.run(start_index=start)
-            else:
-                segment = gcs.run(start_index=start)
-            report.final_segment = segment
-            break
-        except SimulatedCrash as crash:
-            report.crashes += 1
-            if report.crashes > max_crashes:
-                raise RuntimeError(
-                    f"soak exceeded max_crashes={max_crashes}; plan {plan} "
-                    "appears to crash unboundedly"
-                ) from crash
-            appended_before = log.appended_total
-            recovered, info = recover_with_info(log, store_config=config.store)
-            log.truncate_uncommitted()
-            start = crash.resume_index
-            store = recovered
-            report.recoveries.append(
-                RecoveryOutcome(
-                    site=crash.site,
-                    event_index=crash.event_index,
-                    resume_index=crash.resume_index,
-                    recovered_objects=info.objects,
-                    from_checkpoint=info.from_checkpoint,
-                    checkpoint_event_index=info.checkpoint_event_index,
-                    records_replayed=info.records_replayed,
-                    log_appended_total=appended_before,
-                )
-            )
-            if obs is not None:
-                obs.event(
-                    "crash",
-                    site=crash.site,
-                    event_index=crash.event_index,
-                    resume_index=crash.resume_index,
-                )
-                obs.event(
-                    "recovered",
-                    objects=info.objects,
-                    from_checkpoint=info.from_checkpoint,
-                    records_replayed=info.records_replayed,
-                    resume_index=start,
-                )
-                obs.metrics.counter("soak.recoveries").inc()
-
-    report.final_digest = state_digest(gcs.sim.store)
-    report.checkpoints = log.checkpoints_installed
-    report.fired = [(f.site, f.occurrence, f.effect) for f in injector.fired]
-    if obs is not None:
-        obs.metrics.gauge("soak.crashes").set(report.crashes)
-        obs.metrics.gauge("soak.checkpoints").set(report.checkpoints)
-        obs.event(
-            "soak_complete",
-            crashes=report.crashes,
-            checkpoints=report.checkpoints,
-            matches_reference=report.matches_reference,
+        report = SoakReport(
+            recoveries=loop.recoveries,
+            reference_digest=reference.final_digest,
+            final_digest=final.final_digest,
+            fired=loop.fired,
+            events_total=total,
+            checkpoints=loop.log.checkpoints_installed,
+            final_segment=final,
+            reference=reference,
+        )
+        return loop.complete(
+            report,
+            {"checkpoints": report.checkpoints},
             suffix_only=report.suffix_only,
         )
-        if owns_obs:
-            obs.close()
-    return report

@@ -243,6 +243,24 @@ def test_drill_experiment_runs_via_cli(capsys):
     assert "completed in" in out
 
 
+def test_drill_exits_nonzero_when_a_seed_diverges(monkeypatch, capsys):
+    from repro.experiments import drill_exp
+
+    real = drill_exp.run_crash_recovery_drill
+
+    def drilled(spec, seed, **kwargs):
+        report = real(spec, seed, **kwargs)
+        if seed == 1:
+            report.final_digest = "0" * 64
+        return report
+
+    monkeypatch.setattr(drill_exp, "run_crash_recovery_drill", drilled)
+    assert main(["drill", "--seeds", "0", "1", "--no-cache"]) == 1
+    out = capsys.readouterr().out
+    assert "DIVERGED" in out
+    assert "IDENTICAL" in out
+
+
 def test_telemetry_flag_parses_and_defaults_off(tmp_path):
     args = _build_parser().parse_args(["figure4"])
     assert args.telemetry is None

@@ -10,6 +10,7 @@ import pytest
 from repro.experiments.drill_exp import DEFAULT_PLAN, drill_spec, format_drill, run_drill
 from repro.faults.drill import run_crash_recovery_drill
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.obs.telemetry import load_telemetry
 from repro.sim.spec import ExperimentSpec, PolicySpec, WorkloadSpec
 from repro.sim.simulator import SimulationConfig
 from repro.storage.heap import StoreConfig
@@ -34,15 +35,15 @@ def test_single_commit_crash_recovers_byte_identical():
     plan = plan_of(FaultSpec(site="tx.commit", at=30))
     report = run_crash_recovery_drill(tx_spec(), seed=0, plan=plan)
     assert report.crashes == 1
-    assert report.crash_sites == ["tx.commit"]
-    assert report.recovered_objects[0] > 0
+    assert [r.site for r in report.recoveries] == ["tx.commit"]
+    assert report.recoveries[0].recovered_objects > 0
     assert report.matches_reference
 
 
 def test_mid_collection_crash_recovers_byte_identical():
     plan = plan_of(FaultSpec(site="gc.collect", at=1))
     report = run_crash_recovery_drill(tx_spec(), seed=0, plan=plan)
-    assert report.crash_sites == ["gc.collect"]
+    assert [r.site for r in report.recoveries] == ["gc.collect"]
     assert report.matches_reference
 
 
@@ -53,8 +54,8 @@ def test_multi_site_crash_sequence():
         FaultSpec(site="tx.commit", at=70),
     )
     report = run_crash_recovery_drill(tx_spec(), seed=0, plan=plan)
-    assert report.crash_sites == ["tx.commit", "tx.begin", "tx.commit"]
-    assert len(report.resume_indices) == 3
+    assert [r.site for r in report.recoveries] == ["tx.commit", "tx.begin", "tx.commit"]
+    assert len(report.recoveries) == 3
     assert report.matches_reference
 
 
@@ -76,7 +77,9 @@ def test_drill_is_reproducible():
     first = run_crash_recovery_drill(tx_spec(), seed=3, plan=plan)
     second = run_crash_recovery_drill(tx_spec(), seed=3, plan=plan)
     assert first.fired == second.fired
-    assert first.resume_indices == second.resume_indices
+    assert [r.resume_index for r in first.recoveries] == [
+        r.resume_index for r in second.recoveries
+    ]
     assert first.final_digest == second.final_digest
 
 
@@ -98,6 +101,42 @@ def test_unbounded_crash_plan_hits_safety_valve():
         run_crash_recovery_drill(tx_spec(), seed=0, plan=plan, max_crashes=3)
 
 
+def test_aborted_drill_still_writes_its_telemetry(tmp_path):
+    """An owned telemetry file is written even when the drill aborts: the
+    crashes it survived up to the safety valve are on record."""
+    path = tmp_path / "drill.jsonl"
+    plan = plan_of(FaultSpec(site="tx.begin", at=1, repeat=True))
+    with pytest.raises(RuntimeError):
+        run_crash_recovery_drill(
+            tx_spec(), seed=0, plan=plan, max_crashes=3, telemetry=path
+        )
+    records = load_telemetry(path)
+    names = [r.get("name") for r in records if r["type"] == "event"]
+    assert names.count("recovered") == 3
+    assert names.count("crash") == 4
+    assert "drill_complete" not in names
+
+
+def test_drill_telemetry_records_the_timeline(tmp_path):
+    path = tmp_path / "drill.jsonl"
+    plan = plan_of(
+        FaultSpec(site="tx.commit", at=20),
+        FaultSpec(site="tx.begin", at=40),
+        FaultSpec(site="tx.commit", at=70),
+    )
+    report = run_crash_recovery_drill(tx_spec(), seed=0, plan=plan, telemetry=path)
+    assert report.matches_reference
+    records = load_telemetry(path)
+    assert records[0]["kind"] == "drill"
+    names = [r.get("name") for r in records if r["type"] == "event"]
+    assert names.count("crash") == report.crashes == 3
+    assert names.count("recovered") == 3
+    assert names.count("drill_complete") == 1
+    metrics = next(r for r in records if r["type"] == "metrics")
+    assert metrics["counters"]["drill.recoveries"] == 3
+    assert metrics["gauges"]["drill.crashes"] == 3
+
+
 # ------------------------------------------------------------- demo driver
 
 
@@ -105,7 +144,7 @@ def test_default_drill_experiment_all_match():
     result = run_drill(seeds=[0, 1])
     assert result.all_match
     # The default plan exercises all three crash layers.
-    sites = {site for r in result.reports.values() for site in r.crash_sites}
+    sites = {r.site for report in result.reports.values() for r in report.recoveries}
     assert {"tx.commit", "tx.begin", "gc.collect"} <= sites
 
 

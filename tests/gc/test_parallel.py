@@ -31,8 +31,7 @@ from repro.events import (
     PointerWriteEvent,
     RootEvent,
 )
-from repro.faults.drill import state_digest
-from repro.faults.injector import FaultInjector, SimulatedCrash
+from repro.faults.drill import CrashRecoveryLoop, state_digest
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.gc.parallel import (
     COLLECTION_MODES,
@@ -60,7 +59,6 @@ from repro.sim.spec import (
     build_workload,
 )
 from repro.storage.heap import ObjectStore, StoreConfig
-from repro.tx.recovery import RedoLog, recover
 from repro.workload.compiled import compile_trace
 from repro.workload.presets import PresetWorkload
 from repro.workload.synthetic import SyntheticPhase, SyntheticWorkload
@@ -517,41 +515,28 @@ def test_crash_drill_matches_serial(workers):
     plan = FaultPlan(faults=(FaultSpec(site="gc.collect", at=2),))
 
     def drilled(collection, gc_workers):
-        injector = FaultInjector(plan)
-        log = RedoLog()
         config = dataclasses.replace(
             spec.sim, collection=collection, gc_workers=gc_workers
         )
-        sim = Simulation(
-            policy=build_policy(spec.policy, 0),
-            selection=build_selection(spec.selection, 0),
-            config=config,
-            faults=injector,
-            redo_log=log,
-        )
-        start = 0
-        resumes = []
-        while True:
-            try:
-                sim.run(events, start_index=start)
-                break
-            except SimulatedCrash as crash:
-                assert len(resumes) < 10, "unexpectedly many crashes"
-                recovered = recover(log, store_config=config.store)
-                log.truncate_uncommitted()
-                start = crash.resume_index
-                resumes.append(start)
-                sim = Simulation(
-                    policy=build_policy(spec.policy, 0),
-                    selection=build_selection(spec.selection, 0),
-                    config=config,
-                    faults=injector,
-                    store=recovered,
-                    redo_log=log,
-                )
-                if sim._par is not None:
-                    # A fresh scheduler: the window is back at the cap.
-                    assert sim._par.window == math.inf
+        loop = CrashRecoveryLoop(plan, store_config=config.store, max_crashes=10)
+
+        def segment(start, store):
+            sim = Simulation(
+                policy=build_policy(spec.policy, 0),
+                selection=build_selection(spec.selection, 0),
+                config=config,
+                faults=loop.injector,
+                store=store,
+                redo_log=loop.log,
+            )
+            if store is not None and sim._par is not None:
+                # A fresh scheduler: the window is back at the cap.
+                assert sim._par.window == math.inf
+            sim.run(events, start_index=start)
+            return sim
+
+        sim = loop.run(segment)
+        resumes = [r.resume_index for r in loop.recoveries]
         summary = sim.sampler.summary(sim.store, sim.store.iostats)
         return resumes, state_digest(sim.store), pickle.dumps(summary)
 

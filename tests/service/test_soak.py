@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.obs.telemetry import load_telemetry
 from repro.service.config import ServiceConfig
 from repro.service.soak import run_soak_drill
 from repro.service.stream import grammar_stream, tenant_stream
@@ -134,6 +135,26 @@ def test_soak_telemetry_records_the_timeline(tmp_path):
     assert names.count("crash") == 3
     assert names.count("recovered") == 3
     assert "soak_complete" in names
+
+
+def test_aborted_soak_still_writes_its_telemetry(tmp_path):
+    path = tmp_path / "soak.jsonl"
+    plan = FaultPlan(faults=(FaultSpec(site="tx.commit", at=500, repeat=True),))
+    with pytest.raises(RuntimeError, match="max_crashes=2"):
+        run_soak_drill(
+            _stream(),
+            FIXED,
+            seed=7,
+            service=ServiceConfig(max_events=20_000, checkpoint_every_events=4_000),
+            plan=plan,
+            max_crashes=2,
+            telemetry=path,
+        )
+    records = load_telemetry(path)
+    assert records[0]["kind"] == "soak"
+    names = [r.get("name") for r in records if r["type"] == "event"]
+    assert names.count("recovered") == 2
+    assert "soak_complete" not in names
 
 
 def test_soak_validation():

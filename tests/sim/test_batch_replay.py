@@ -37,8 +37,7 @@ from repro.events import (
     RootEvent,
     UpdateEvent,
 )
-from repro.faults.drill import state_digest
-from repro.faults.injector import FaultInjector, SimulatedCrash
+from repro.faults.drill import CrashRecoveryLoop, state_digest
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.oo7.config import TINY
 from repro.service.stream import grammar_stream, tenant_stream
@@ -55,7 +54,6 @@ from repro.sim.spec import (
 )
 from repro.storage.heap import StoreConfig, StoreError
 from repro.tx.manager import TransactionError
-from repro.tx.recovery import RedoLog, recover
 from repro.workload.compiled import compile_trace
 from repro.workload.tenants import make_profile, tenant_mix
 from repro.workload.tracefile import TraceFormatError, read_trace, write_trace
@@ -484,30 +482,23 @@ def _drilled(spec, plan, run, make_policy=None):
     """Crash, recover from the redo log, resume at ``resume_index`` — until
     ``run(sim, start_index)`` completes. Returns where each crash stopped
     and resumed, and everything the drill leaves behind."""
-    injector = FaultInjector(plan)
-    log = RedoLog()
+    loop = CrashRecoveryLoop(plan, store_config=spec.sim.store, max_crashes=10)
 
-    def sim(store=None):
-        return _sim(
-            spec, make_policy=make_policy, faults=injector, store=store, redo_log=log
+    def segment(start, store):
+        sim = _sim(
+            spec,
+            make_policy=make_policy,
+            faults=loop.injector,
+            store=store,
+            redo_log=loop.log,
         )
+        run(sim, start)
+        return sim
 
-    current = sim()
-    start = 0
-    crashes = []
-    while True:
-        try:
-            run(current, start)
-            break
-        except SimulatedCrash as crash:
-            assert len(crashes) < 10, "unexpectedly many crashes"
-            recovered = recover(log, store_config=spec.sim.store)
-            log.truncate_uncommitted()
-            start = crash.resume_index
-            crashes.append((crash.event_index, start))
-            current = sim(recovered)
+    current = loop.run(segment)
+    crashes = [(r.event_index, r.resume_index) for r in loop.recoveries]
     summary = current.sampler.summary(current.store, current.store.iostats)
-    return crashes, state_digest(current.store), pickle.dumps(summary), log.records
+    return crashes, state_digest(current.store), pickle.dumps(summary), loop.log.records
 
 
 def _assert_drills_agree(spec, events, plan, make_policy=None):

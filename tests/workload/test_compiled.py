@@ -27,7 +27,6 @@ from repro.events import (
     RootEvent,
     UpdateEvent,
 )
-from repro.faults.injector import FaultInjector, SimulatedCrash
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.oo7.config import TINY
 from repro.sim.simulator import Simulation, SimulationConfig
@@ -41,7 +40,6 @@ from repro.sim.spec import (
 )
 from repro.storage.heap import StoreConfig
 from repro.storage.object_model import ObjectKind
-from repro.tx.recovery import RedoLog, recover
 from repro.workload.application import Oo7Application
 from repro.workload.chunks import _generated_chunks
 from repro.workload.compiled import (
@@ -244,7 +242,7 @@ def test_simulation_summary_byte_identical_from_compiled_trace(tmp_path):
 
 def test_crash_resume_from_compiled_trace_matches_event_list():
     """start_index resume must work identically on a compiled trace."""
-    from repro.faults.drill import state_digest
+    from repro.faults.drill import CrashRecoveryLoop, state_digest
 
     spec = _oo7_spec(rate=30.0)
     config = dataclasses.replace(spec.sim, enable_redo_log=True)
@@ -253,37 +251,22 @@ def test_crash_resume_from_compiled_trace_matches_event_list():
     plan = FaultPlan(faults=(FaultSpec(site="gc.collect", at=2),))
 
     def drilled(replayable):
-        injector = FaultInjector(plan)
-        log = RedoLog()
-        sim, _ = None, None
-        sim = Simulation(
-            policy=build_policy(spec.policy, 0),
-            selection=build_selection(spec.selection, 0),
-            config=config,
-            faults=injector,
-            redo_log=log,
-        )
-        start = 0
-        crashes = 0
-        while True:
-            try:
-                sim.run(replayable, start_index=start)
-                break
-            except SimulatedCrash as crash:
-                crashes += 1
-                assert crashes < 10, "unexpectedly many crashes"
-                recovered = recover(log, store_config=config.store)
-                log.truncate_uncommitted()
-                start = crash.resume_index
-                sim = Simulation(
-                    policy=build_policy(spec.policy, 0),
-                    selection=build_selection(spec.selection, 0),
-                    config=config,
-                    faults=injector,
-                    store=recovered,
-                    redo_log=log,
-                )
-        return crashes, state_digest(sim.store), sim
+        loop = CrashRecoveryLoop(plan, store_config=config.store, max_crashes=9)
+
+        def segment(start, store):
+            sim = Simulation(
+                policy=build_policy(spec.policy, 0),
+                selection=build_selection(spec.selection, 0),
+                config=config,
+                faults=loop.injector,
+                store=store,
+                redo_log=loop.log,
+            )
+            sim.run(replayable, start_index=start)
+            return sim
+
+        sim = loop.run(segment)
+        return len(loop.recoveries), state_digest(sim.store), sim
 
     crashes_ref, digest_ref, sim_ref = drilled(events)
     crashes_cmp, digest_cmp, sim_cmp = drilled(trace)
