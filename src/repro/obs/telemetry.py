@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Union
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanRecord, Tracer
@@ -65,6 +65,15 @@ def run_telemetry_path(
 ) -> Path:
     """The canonical per-run telemetry file name inside a telemetry dir."""
     return Path(root) / f"run_{index:03d}_{_slug(label)}_s{seed}.jsonl"
+
+
+def _span_sink(append: Callable[[dict], None]) -> Callable[[SpanRecord], None]:
+    """A tracer sink appending each finished span as a ``span`` record."""
+
+    def sink(span: SpanRecord) -> None:
+        append({"type": "span", **span.as_dict()})
+
+    return sink
 
 
 class RunTelemetry:
@@ -92,7 +101,6 @@ class RunTelemetry:
         self.label = label
         self.seed = seed
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(sink=self._on_span)
         self.closed = False
         head: dict = {
             "type": "meta",
@@ -105,6 +113,10 @@ class RunTelemetry:
         if meta:
             head["attrs"] = meta
         self._records: List[dict] = [head]
+        # The span sink closes over the record list, not over self: a
+        # bound method here would make telemetry -> tracer -> telemetry a
+        # cycle that keeps every buffered record alive after close.
+        self.tracer = Tracer(sink=_span_sink(self._records.append))
 
     # ------------------------------------------------------------------
     # Recording
@@ -117,9 +129,6 @@ class RunTelemetry:
     def event(self, name: str, **fields: object) -> None:
         """Append one ``event`` record (engine outcomes, crashes, ...)."""
         self._records.append({"type": "event", "name": name, **fields})
-
-    def _on_span(self, span: SpanRecord) -> None:
-        self._records.append({"type": "span", **span.as_dict()})
 
     def span(self, name: str, **attrs: object):
         """Shorthand for ``self.tracer.span(...)``."""
@@ -239,7 +248,7 @@ class RunTelemetry:
         # e.g. the enclosing "simulate" span — would otherwise trail it).
         tail = [r for r in self._records if r.get("type") == "summary"]
         if tail:
-            self._records = [
+            self._records[:] = [
                 r for r in self._records if r.get("type") != "summary"
             ]
         if any(snapshot.values()):

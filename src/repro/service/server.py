@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import signal
 import time
 from dataclasses import dataclass, field
@@ -103,6 +104,21 @@ class ServiceReport:
     wall_s: float = 0.0
 
 
+def _forced_collect(sim: Simulation) -> bool:
+    """Backpressure hit the heap bound: fall back to stop-the-world.
+
+    ``force=True`` bypasses the parallel scheduler's pump phase so the
+    collection happens *now* (a valid speculative trace is still harvested,
+    but admission never proceeds on a promise). A function of the
+    simulation, not a service method, so the admission controller holds no
+    reference back to its service.
+    """
+    store = sim.store
+    before = store.db_size
+    sim._collect(force=True)
+    return store.db_size < before
+
+
 class GcService:
     """A long-lived simulation process over an unbounded event stream.
 
@@ -158,7 +174,7 @@ class GcService:
             self.admission = AdmissionController(
                 self.service.max_heap_bytes,
                 self.service.backpressure,
-                self._forced_collect,
+                functools.partial(_forced_collect, self.sim),
             )
         self._shutdown_requested = False
         self._shed_oids: set = set()
@@ -511,16 +527,6 @@ class GcService:
     # ------------------------------------------------------------------
     # Durability and collection
     # ------------------------------------------------------------------
-
-    def _forced_collect(self) -> bool:
-        # Backpressure hit the heap bound: fall back to stop-the-world.
-        # force=True bypasses the parallel scheduler's pump phase so the
-        # collection happens *now* (a valid speculative trace is still
-        # harvested, but admission never proceeds on a promise).
-        store = self.sim.store
-        before = store.db_size
-        self.sim._collect(force=True)
-        return store.db_size < before
 
     def _log_backlogged(self) -> bool:
         """The redo-log suffix outgrew ``max_log_records``: checkpoint

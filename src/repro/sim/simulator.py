@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Union
@@ -46,6 +47,15 @@ from repro.workload.trace_cache import StreamedTrace
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.telemetry import RunTelemetry
+
+#: Trigger-clock reader per time base, called with the store. Module-level
+#: readers hold no simulation, so a Simulation never references a bound
+#: method of itself and a finished run is freed by reference counting.
+_CLOCK_READERS = {
+    TimeBase.OVERWRITES: operator.attrgetter("pointer_overwrites"),
+    TimeBase.ALLOCATED: operator.attrgetter("bytes_allocated_total"),
+    TimeBase.APP_IO: operator.attrgetter("iostats.application_total"),
+}
 
 
 @dataclass
@@ -224,7 +234,7 @@ class Simulation:
         if self.redo_log is not None:
             self._auto_txid = min(self._auto_txid, self.redo_log.min_txid - 1)
         self._trigger: Optional[Trigger] = None
-        self._clock_read = self._clock_app_io
+        self._clock_read = _CLOCK_READERS[TimeBase.APP_IO]
         self._due_at: float = float("inf")
         # The true trigger deadline. In parallel-collection mode _due_at is
         # pulled earlier to the margin point so the replay loops wake the
@@ -348,31 +358,14 @@ class Simulation:
     def _clock(self) -> float:
         if self._trigger is None:
             return 0.0
-        return self._clock_read()
-
-    def _clock_overwrites(self) -> float:
-        return float(self.store.pointer_overwrites)
-
-    def _clock_allocated(self) -> float:
-        return float(self.store.bytes_allocated_total)
-
-    def _clock_app_io(self) -> float:
-        return float(self.store.iostats.application_total)
-
-    def _clock_reader(self, base: TimeBase):
-        """Bound zero-argument reader for one time base (hot-loop form)."""
-        if base is TimeBase.OVERWRITES:
-            return self._clock_overwrites
-        if base is TimeBase.ALLOCATED:
-            return self._clock_allocated
-        return self._clock_app_io
+        return self._clock_read(self.store)
 
     def _schedule(self, trigger: Trigger) -> None:
         self._trigger = trigger
         # Rebinding the reader here keeps _clock() a single indirect call
         # per event instead of an enum comparison chain.
-        self._clock_read = self._clock_reader(trigger.base)
-        now = self._clock_read()
+        self._clock_read = _CLOCK_READERS[trigger.base]
+        now = self._clock_read(self.store)
         due = now + trigger.interval
         self._real_due_at = due
         par = self._par

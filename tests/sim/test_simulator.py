@@ -1,10 +1,13 @@
 """Tests for the simulation engine: triggering, dispatch, opportunism."""
 
+import pickle
+
 import pytest
 
 from repro.core.estimators import OracleEstimator
 from repro.core.extensions import OpportunisticPolicy
-from repro.core.fixed import FixedRatePolicy
+from repro.core.fixed import AllocationRatePolicy, FixedRatePolicy
+from repro.core.rate_policy import TimeBase
 from repro.core.saio import SaioPolicy
 from repro.events import (
     AccessEvent,
@@ -18,6 +21,7 @@ from repro.events import (
 from repro.oo7.config import TINY
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.storage.heap import StoreConfig
+from repro.storage.iostats import IOCategory
 from repro.workload.application import Oo7Application
 
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
@@ -181,3 +185,38 @@ def test_idle_event_ticks_each_count():
     sim = Simulation(policy=policy, config=_config())
     sim.run(trace())
     assert policy.opportunistic_collections == 2
+
+
+def _tick(store, base) -> None:
+    """Advance one store counter by one unit of ``base``."""
+    if base is TimeBase.OVERWRITES:
+        store.pointer_overwrites += 1
+    elif base is TimeBase.ALLOCATED:
+        store.bytes_allocated_total += 1
+    else:
+        store.iostats.record_read(IOCategory.APPLICATION)
+
+
+@pytest.mark.parametrize(
+    "policy, base",
+    [
+        (lambda: FixedRatePolicy(20), TimeBase.OVERWRITES),
+        (lambda: AllocationRatePolicy(8_000), TimeBase.ALLOCATED),
+        (lambda: SaioPolicy(io_fraction=0.10, initial_interval=50), TimeBase.APP_IO),
+    ],
+    ids=["overwrites", "allocated", "app_io"],
+)
+def test_trigger_clock_survives_a_pickle_round_trip(policy, base):
+    """The trigger clock reads the store through a per-time-base reader: a
+    pickled finished Simulation (how a run is forked) reads the same value,
+    and from its own store."""
+    sim = Simulation(policy=policy(), config=_config())
+    sim.run(_churn_trace(100))
+    assert sim._trigger.base is base
+    clock = sim._clock()
+    assert clock > 0
+    copy = pickle.loads(pickle.dumps(sim))
+    assert copy._clock() == clock
+    _tick(copy.store, base)
+    assert copy._clock() == clock + 1
+    assert sim._clock() == clock
