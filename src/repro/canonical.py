@@ -33,6 +33,14 @@ CANONICAL_EXCLUDED_FIELDS: dict[str, frozenset[str]] = {
     "SimulationConfig": frozenset({"replay", "collection", "gc_workers"}),
 }
 
+#: Fields deleted from their dataclass, by class name, with the one value
+#: they ever took. They still render, so every fingerprint minted while
+#: they existed is unchanged.
+RETIRED_FIELDS: dict[str, dict[str, Any]] = {
+    "StoreConfig": {"db_size_mode": "allocated"},
+    "SimulationConfig": {"keep_event_series": False, "series_stride": 1},
+}
+
 
 def canonical_value(value: Any) -> Any:
     """Render a value into a canonical JSON-compatible structure.
@@ -41,20 +49,23 @@ def canonical_value(value: Any) -> Any:
     with coincidentally identical fields hash differently; mappings are
     key-sorted by the JSON dump downstream. Fields listed in
     :data:`CANONICAL_EXCLUDED_FIELDS` are omitted (they cannot affect
-    results, so they must not affect fingerprints).
+    results, so they must not affect fingerprints); those in
+    :data:`RETIRED_FIELDS` are added.
 
     Raises:
         TypeError: for values that cannot be canonicalised (live objects,
             closures, ...) — callers treat those specs as uncacheable.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        excluded = CANONICAL_EXCLUDED_FIELDS.get(type(value).__name__, ())
+        name = type(value).__name__
+        excluded = CANONICAL_EXCLUDED_FIELDS.get(name, ())
         rendered = {
             f.name: canonical_value(getattr(value, f.name))
             for f in dataclasses.fields(value)
             if f.name not in excluded
         }
-        rendered["__class__"] = type(value).__name__
+        rendered.update(RETIRED_FIELDS.get(name, {}))
+        rendered["__class__"] = name
         return rendered
     if isinstance(value, enum.Enum):
         return {"__enum__": type(value).__name__, "value": value.value}

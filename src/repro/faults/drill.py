@@ -30,6 +30,7 @@ schedules must not shift the reachable state.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -148,7 +149,6 @@ class CrashRecoveryLoop:
         label: str = "",
         seed: int | None = None,
     ) -> None:
-        from repro.obs.spans import NULL_TRACER
         from repro.obs.telemetry import RunTelemetry
 
         self.plan = plan
@@ -162,7 +162,12 @@ class CrashRecoveryLoop:
         if self._owns_obs:
             telemetry = RunTelemetry(telemetry, kind=kind, label=label, seed=seed)
         self.obs = telemetry
-        self.tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
+
+    def span(self, name: str, **attrs: object):
+        """A telemetry span, or a no-op context when the loop is unobserved."""
+        if self.obs is None:
+            return contextlib.nullcontext()
+        return self.obs.span(name, **attrs)
 
     def __enter__(self) -> CrashRecoveryLoop:
         return self
@@ -183,7 +188,7 @@ class CrashRecoveryLoop:
         start, store = 0, None
         while True:
             try:
-                with self.tracer.span(f"{self.kind}_segment", start_index=start):
+                with self.span(f"{self.kind}_segment", start_index=start):
                     return segment(start, store)
             except SimulatedCrash as crash:
                 if obs is not None:
@@ -310,7 +315,7 @@ def run_crash_recovery_drill(
         # match), no faults. Unobserved — only the drilled run's GC timeline
         # is recorded, so the telemetry file describes one coherent run.
         reference = simulation()
-        with loop.tracer.span("reference"):
+        with loop.span("reference"):
             reference.run(trace)
 
         def segment(start: int, store: ObjectStore | None) -> Simulation:

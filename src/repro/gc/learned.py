@@ -1,4 +1,4 @@
-"""Learned garbage estimator: online linear regression over FGS/HB features.
+"""Learned garbage estimator: linear regression over FGS/HB features.
 
 The paper's estimators (§2.4) are hand-designed points in a 2×2 design
 space; *Learned Garbage Collection* (Cen et al., 2020) shows ML-driven
@@ -371,25 +371,12 @@ class LearnedEstimator(GarbageEstimator):
     ``estimate`` is side-effect-free and returns the model's predicted
     garbage fraction times the live database size. Before the first
     collection there is nothing to condition on and the estimate is 0.
-
-    ``online_rate > 0`` additionally fine-tunes the weights during the
-    run against the *observable* CGS-extrapolated target
-    (``reclaimed × partitions / db_size`` — no oracle required). The
-    update draws no randomness, so runs stay deterministic; it defaults
-    to off so a deployed artifact's behaviour is exactly its weights.
     """
 
     name = "learned"
 
-    def __init__(
-        self,
-        model: LearnedModel,
-        online_rate: float = 0.0,
-        keep_trace: bool = False,
-    ) -> None:
+    def __init__(self, model: LearnedModel, keep_trace: bool = False) -> None:
         self.model = model
-        self.online_rate = online_rate
-        self._weights = list(model.weights)
         self._tracker = FeatureTracker(history=model.feature_history)
         self._features: Optional[list[float]] = None
         #: Per-collection feature vectors, retained only when asked
@@ -397,26 +384,7 @@ class LearnedEstimator(GarbageEstimator):
         self.feature_trace: list[list[float]] = []
         self._keep_trace = keep_trace
 
-    @property
-    def weights(self) -> list[float]:
-        """Current weights (a copy; diverges from the model when online)."""
-        return list(self._weights)
-
     def observe_collection(self, result: CollectionResult, store: ObjectStore) -> None:
-        if self.online_rate > 0.0 and self._features is not None:
-            # The collection just revealed its victim's garbage; the CGS
-            # extrapolation of that yield is an oracle-free label for the
-            # state the previous feature vector described.
-            db = max(store.db_size, 1)
-            observed = min(
-                max(result.reclaimed_bytes * store.partition_count / db, 0.0),
-                1.0,
-            )
-            features = self._features
-            predicted = sum(w * x for w, x in zip(self._weights, features))
-            error = predicted - observed
-            for j, x in enumerate(features):
-                self._weights[j] -= self.online_rate * error * x
         self._features = self._tracker.observe(
             overwrite_clock=float(result.overwrite_clock),
             reclaimed_bytes=float(result.reclaimed_bytes),
@@ -431,14 +399,10 @@ class LearnedEstimator(GarbageEstimator):
     def estimate(self, store: ObjectStore) -> float:
         if self._features is None:
             return 0.0
-        raw = sum(w * x for w, x in zip(self._weights, self._features))
-        return min(max(raw, 0.0), 1.0) * store.db_size
+        return self.model.predict(self._features) * store.db_size
 
     def describe(self) -> str:
-        suffix = f"@{self.model.sha256[:8]}"
-        if self.online_rate > 0.0:
-            suffix += f"+online({self.online_rate:g})"
-        return f"learned{suffix}"
+        return f"learned@{self.model.sha256[:8]}"
 
 
 # ----------------------------------------------------------------------
@@ -473,9 +437,7 @@ def parse_model_spec(spec: str) -> tuple[str, Optional[str]]:
     return path, digest
 
 
-def estimator_from_spec(
-    spec: str, online_rate: float = 0.0, keep_trace: bool = False
-) -> LearnedEstimator:
+def estimator_from_spec(spec: str, keep_trace: bool = False) -> LearnedEstimator:
     """Load the model named by a ``learned:`` spec, verifying any hash pin."""
     path, digest = parse_model_spec(spec)
     model = LearnedModel.load(path)
@@ -484,7 +446,7 @@ def estimator_from_spec(
             f"model at {path} has hash {model.sha256[:12]}…, but the spec "
             f"pins {digest}… — the artifact changed since the spec was built"
         )
-    return LearnedEstimator(model, online_rate=online_rate, keep_trace=keep_trace)
+    return LearnedEstimator(model, keep_trace=keep_trace)
 
 
 __all__ = [

@@ -2,8 +2,7 @@
 
 The substrate every future adaptive-policy and scaling PR reads from:
 
-* :mod:`repro.obs.registry` — counters / gauges / histograms with a no-op
-  fast path when disabled;
+* :mod:`repro.obs.registry` — counters / gauges / histograms;
 * :mod:`repro.obs.spans` — span-based wall-time tracing of run phases;
 * :mod:`repro.obs.telemetry` — one JSON-lines telemetry file per run,
   including the per-collection GC timeline;
@@ -16,16 +15,8 @@ in :mod:`repro.obs.telemetry`.
 """
 
 from repro.obs.features import FeatureMatrix, collection_rows, load_training_rows
-from repro.obs.registry import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    metrics_or_null,
-)
-from repro.obs.spans import NULL_TRACER, NullTracer, SpanRecord, Tracer
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.spans import SpanRecord, Tracer
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     RunTelemetry,
@@ -41,10 +32,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_TRACER",
-    "NullMetricsRegistry",
-    "NullTracer",
     "RunTelemetry",
     "SpanRecord",
     "TELEMETRY_FORMAT",
@@ -54,6 +41,5 @@ __all__ = [
     "iter_telemetry_files",
     "load_telemetry",
     "load_training_rows",
-    "metrics_or_null",
     "run_telemetry_path",
 ]

@@ -2,15 +2,9 @@
 
 The observability layer's first rule is *do no harm*: attaching metrics to
 a simulation must never change its results, and leaving metrics detached
-must cost (almost) nothing. Two fast paths exist:
-
-* **detached** — instrumented code holds ``None`` and guards with a single
-  ``if metrics is not None`` test (the pattern the simulator hot loop
-  uses; identical to the existing ``fault_hook`` guard);
-* **null object** — code that prefers unconditional calls can hold
-  :data:`NULL_METRICS`, a registry whose instruments are shared no-op
-  singletons (``inc``/``set``/``observe`` are empty methods), so the call
-  compiles to one cheap no-op method dispatch.
+must cost (almost) nothing. Detached, instrumented code holds ``None`` and
+guards with a single ``if obs is not None`` test — the pattern the
+simulator hot loop uses, identical to the ``fault_hook`` guard.
 
 All instruments are process-local, deterministic accumulators — no clocks,
 no randomness — so a metrics snapshot is a pure function of the
@@ -19,7 +13,7 @@ instrumented code path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 
 def _plain(value: float) -> Union[int, float]:
@@ -116,26 +110,6 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
-    """Shared no-op counter: ``inc`` does nothing."""
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: ARG002 - no-op by design
-        pass
-
-
-class _NullGauge(Gauge):
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    def observe(self, value: float) -> None:
-        pass
-
-
 class MetricsRegistry:
     """Names → instruments, created lazily on first use.
 
@@ -144,8 +118,6 @@ class MetricsRegistry:
     same instrument. :meth:`snapshot` renders everything into a plain
     JSON-compatible dict with deterministic (sorted) ordering.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -210,39 +182,3 @@ class MetricsRegistry:
                 for name in sorted(self._histograms)
             },
         }
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """The disabled registry: every instrument is a shared no-op singleton."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_counter = _NullCounter("null")
-        self._null_gauge = _NullGauge("null")
-        self._null_histogram = _NullHistogram("null")
-
-    def counter(self, name: str) -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._null_gauge
-
-    def histogram(self, name: str) -> Histogram:
-        return self._null_histogram
-
-    def set_many(self, values: dict, prefix: str = "") -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-#: The shared disabled registry (see module docstring).
-NULL_METRICS = NullMetricsRegistry()
-
-
-def metrics_or_null(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Normalise an optional registry to a safe-to-call instance."""
-    return registry if registry is not None else NULL_METRICS

@@ -94,34 +94,3 @@ class Tracer:
         if self.sink is not None:
             self.sink(record)
         return record
-
-
-class _NullSpan:
-    """Reusable no-op context manager for the disabled tracer."""
-
-    def __enter__(self) -> "SpanRecord":
-        return _NULL_RECORD
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_RECORD = SpanRecord(name="null", start_s=0.0, wall_s=0.0)
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer(Tracer):
-    """The disabled tracer: ``span`` costs one attribute lookup, no timing."""
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def span(self, name: str, **attrs: object) -> _NullSpan:  # type: ignore[override]
-        return _NULL_SPAN
-
-    def record(self, name: str, wall_s: float, **attrs: object) -> SpanRecord:
-        return _NULL_RECORD
-
-
-#: The shared disabled tracer.
-NULL_TRACER = NullTracer()

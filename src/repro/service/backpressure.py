@@ -4,9 +4,9 @@ The service's bounded-memory guarantee is enforced *before* work is
 applied: an incoming allocation that would push ``store.db_size`` past
 ``max_heap_bytes`` first forces garbage collections (the collector is the
 legitimate way to make room); only when collection stops making progress
-is the work degraded — shed outright, or counted as delayed and then shed
-as the last resort. The heap bound is therefore an invariant, not a goal:
-tests assert ``db_size`` never exceeds it at any point in an overload run.
+is the work degraded: shed outright. The heap bound is therefore an
+invariant, not a goal: tests assert ``db_size`` never exceeds it at any
+point in an overload run.
 
 Collections are forced only at quiescent points, the rule triggered
 collections obey: a collection under an open transaction could reclaim
@@ -33,6 +33,10 @@ from typing import Callable
 
 from repro.storage.heap import ObjectStore
 
+#: Per-admission cap on forced collection attempts, against pathological
+#: selection policies.
+MAX_FORCED_COLLECTIONS = 8
+
 
 @dataclass
 class BackpressureStats:
@@ -40,10 +44,8 @@ class BackpressureStats:
 
     #: Admission checks that found the bound would be exceeded.
     engaged: int = 0
-    #: Collections forced to make room (both modes).
+    #: Collections forced to make room.
     forced_collections: int = 0
-    #: Delay rounds recorded (``delay`` mode only).
-    delays: int = 0
     #: Events dropped (the shed ledger counts everything skipped,
     #: including cascaded skips of events referencing shed objects).
     shed_events: int = 0
@@ -56,7 +58,6 @@ class BackpressureStats:
         return {
             "engaged": self.engaged,
             "forced_collections": self.forced_collections,
-            "delays": self.delays,
             "shed_events": self.shed_events,
             "shed_objects": self.shed_objects,
             "shed_transactions": self.shed_transactions,
@@ -68,31 +69,17 @@ class AdmissionController:
 
     Args:
         max_heap_bytes: The hard bound on ``store.db_size``.
-        mode: ``"shed"`` or ``"delay"`` (the ``"off"`` mode never
-            constructs a controller).
         collect_once: Forces one collection; returns True when it reclaimed
             anything (the service wires this to the simulation's collect
             path so forced collections feed the policy loop like any
             other).
-        max_forced_collections: Per-admission cap on forced collection
-            attempts, against pathological selection policies.
     """
 
-    def __init__(
-        self,
-        max_heap_bytes: int,
-        mode: str,
-        collect_once: Callable[[], bool],
-        max_forced_collections: int = 8,
-    ) -> None:
+    def __init__(self, max_heap_bytes: int, collect_once: Callable[[], bool]) -> None:
         if max_heap_bytes < 1:
             raise ValueError(f"max_heap_bytes must be >= 1, got {max_heap_bytes}")
-        if mode not in ("shed", "delay"):
-            raise ValueError(f"mode must be 'shed' or 'delay', got {mode!r}")
         self.max_heap_bytes = max_heap_bytes
-        self.mode = mode
         self.collect_once = collect_once
-        self.max_forced_collections = max_forced_collections
         self.stats = BackpressureStats()
 
     def fits(self, store: ObjectStore, incoming_bytes: int) -> bool:
@@ -110,9 +97,7 @@ class AdmissionController:
         if self.fits(store, incoming_bytes):
             return True
         self.stats.engaged += 1
-        for _ in range(self.max_forced_collections):
-            if self.mode == "delay":
-                self.stats.delays += 1
+        for _ in range(MAX_FORCED_COLLECTIONS):
             self.stats.forced_collections += 1
             reclaimed = self.collect_once()
             if self.fits(store, incoming_bytes):

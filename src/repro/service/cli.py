@@ -32,9 +32,9 @@ from typing import Optional, Sequence
 
 from repro.faults.plan import FaultPlan
 from repro.fleet import parse_policy
-from repro.service.config import BACKPRESSURE_MODES, ServiceConfig
+from repro.service.config import ServiceConfig
 from repro.service.server import GcService
-from repro.service.soak import run_soak_drill
+from repro.service.soak import run_soak_drill, soak_service
 from repro.service.stream import grammar_stream, tenant_stream
 from repro.sim.spec import build_policy
 from repro.workload.tenants import TENANT_PROFILES, make_profile, tenant_mix
@@ -101,12 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--max-heap-bytes", type=int, default=None, metavar="BYTES",
-        help="hard bound on the modelled heap; requires --backpressure",
-    )
-    service.add_argument(
-        "--backpressure", choices=BACKPRESSURE_MODES, default="off",
-        help="overload response when --max-heap-bytes would be exceeded "
-        "(default %(default)s)",
+        help="hard bound on the modelled heap",
     )
     drill = parser.add_argument_group("soak drills")
     drill.add_argument(
@@ -154,7 +149,7 @@ def _service_config(args) -> ServiceConfig:
         checkpoint_every_events=args.checkpoint_every,
         max_log_records=args.max_log_records,
         max_heap_bytes=args.max_heap_bytes,
-        backpressure=args.backpressure,
+        backpressure="off" if args.max_heap_bytes is None else "shed",
         max_events=args.max_events,
     )
 
@@ -259,6 +254,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.max_events is None:
             print("error: --soak requires --max-events (a bounded window)",
                   file=sys.stderr)
+            return 2
+        try:
+            soak_service(svc)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         plan = FaultPlan.from_json(Path(args.faults).read_text())
         report = run_soak_drill(

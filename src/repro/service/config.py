@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 #: Valid backpressure modes (see :mod:`repro.service.backpressure`).
-BACKPRESSURE_MODES = ("off", "shed", "delay")
+BACKPRESSURE_MODES = ("off", "shed")
 
 
 @dataclass(frozen=True)
@@ -30,17 +30,15 @@ class ServiceConfig:
         max_heap_bytes: Hard bound on the modelled heap (``store.db_size``).
             Admission control keeps occupancy at or under this bound by
             forcing collections and, if garbage collection cannot free
-            enough, shedding or delaying incoming work — see
-            ``backpressure``. ``None`` disables admission control.
+            enough, shedding incoming work — see ``backpressure``.
+            ``None`` disables admission control.
         backpressure: What to do when ``max_heap_bytes`` would be exceeded
             and forced collections cannot reclaim enough: ``"shed"`` drops
             the incoming work (and everything referencing it, so the
-            stream stays coherent), ``"delay"`` counts a delay per forced
-            collection round and sheds only as a last resort, ``"off"``
-            disables admission entirely (the deterministic-drill posture:
-            shed decisions depend on GC timing, which crash/recovery
-            legitimately shifts, so byte-identity soaks run with
-            backpressure off).
+            stream stays coherent), ``"off"`` disables admission entirely
+            (the deterministic-drill posture: shed decisions depend on GC
+            timing, which crash/recovery legitimately shifts, so
+            byte-identity soaks run with backpressure off).
         max_events: Stop after this many stream events (``None`` runs until
             shutdown is requested). Bounded soaks and the CLI set it.
     """

@@ -10,7 +10,7 @@ replay:
   crash replays only the suffix logged since the last checkpoint;
 * **bounded memory** — admission control
   (:mod:`repro.service.backpressure`) that forces collections and sheds
-  or delays incoming work before the modelled heap can exceed its bound;
+  incoming work before the modelled heap can exceed its bound;
 * **graceful shutdown** — SIGTERM/SIGINT (or
   :meth:`GcService.request_shutdown`) drains the in-flight transaction,
   takes a final checkpoint, and returns a report (the request is read
@@ -173,7 +173,6 @@ class GcService:
         ):
             self.admission = AdmissionController(
                 self.service.max_heap_bytes,
-                self.service.backpressure,
                 functools.partial(_forced_collect, self.sim),
             )
         self._shutdown_requested = False
@@ -306,7 +305,6 @@ class GcService:
             admit = self._admit
             bound = self.admission.max_heap_bytes
         after = self._after_event
-        allocated = sim.store.config.db_size_mode == "allocated"
         fusable = None  # asked once per chunk, at its first quiescent boundary
         step = False    # the last fused run stopped at an event it cannot take
         while i < end and not self._stopped:
@@ -351,10 +349,9 @@ class GcService:
             if stop == batch._FIRED:
                 # Occupancy is read behind the collections an event fires
                 # (_after_event reads it there), so what the firing event
-                # itself allocated is not seen before they ran. Only the
-                # allocated measure can tell: physical size never shrinks.
+                # itself allocated is not seen before they ran.
                 occupancy = sim.store.db_size
-                if ops[i - 1] == _CREATE and allocated:
+                if ops[i - 1] == _CREATE:
                     occupancy -= cache.arg1[i - 1]
                 if occupancy > report.heap_peak_bytes:
                     report.heap_peak_bytes = occupancy

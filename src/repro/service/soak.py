@@ -64,6 +64,24 @@ class SoakReport(DrillReport):
         )
 
 
+def soak_service(service: Optional[ServiceConfig]) -> ServiceConfig:
+    """The service config a soak drills: ``service``, or a 100 000-event
+    window. Raises ValueError when the window is unbounded or admission
+    control is on (see the module docstring)."""
+    svc = service or ServiceConfig(max_events=100_000)
+    if svc.max_events is None:
+        raise ValueError(
+            "soak drills need a bounded window: set service.max_events"
+        )
+    if svc.backpressure != "off":
+        raise ValueError(
+            "soak drills compare byte-identical digests, which requires "
+            'backpressure="off" (shed decisions depend on collection '
+            "timing, which crash/recovery legitimately shifts)"
+        )
+    return svc
+
+
 def run_soak_drill(
     stream: EventStream,
     policy: PolicySpec,
@@ -102,17 +120,7 @@ def run_soak_drill(
     """
     if plan is None:
         raise ValueError("a crash-soak drill needs a FaultPlan (plan=)")
-    svc = service or ServiceConfig(max_events=100_000)
-    if svc.max_events is None:
-        raise ValueError(
-            "soak drills need a bounded window: set service.max_events"
-        )
-    if svc.backpressure != "off":
-        raise ValueError(
-            "soak drills compare byte-identical digests, which requires "
-            'backpressure="off" (shed decisions depend on collection '
-            "timing, which crash/recovery legitimately shifts)"
-        )
+    svc = soak_service(service)
     config = sim_config or SimulationConfig()
     total = svc.max_events
 
@@ -141,7 +149,7 @@ def run_soak_drill(
     ) as loop:
         # Reference: same window, same config, no faults. Unobserved, so
         # the telemetry file describes the drilled service's one timeline.
-        with loop.tracer.span("reference"):
+        with loop.span("reference"):
             reference = serve(total).run()
         final = loop.run(
             lambda start, store: serve(

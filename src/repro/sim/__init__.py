@@ -26,7 +26,6 @@ from repro.sim.engine import (
 )
 from repro.sim.metrics import (
     CollectionRecord,
-    EventSample,
     RunningMean,
     Sampler,
     SimulationSummary,
@@ -51,7 +50,6 @@ __all__ = [
     "AggregateStat",
     "CachedRun",
     "CollectionRecord",
-    "EventSample",
     "ExperimentSpec",
     "ParallelRunner",
     "PolicySpec",

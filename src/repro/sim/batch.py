@@ -27,8 +27,8 @@ traffic on the store/sampler/buffer objects — used to dominate wall time.
   records, same WAL counts, same application write ahead of the sample.
   Eligibility is conservative (:func:`_fast_eligible`): any attached hook
   (a fault or write hook, a method shadowed on one instance), fault
-  injector, retained event series or subclassed component routes to
-  guarded mode instead, as does ``replay="scalar"``.
+  injector or subclassed component routes to guarded mode instead, as
+  does ``replay="scalar"``.
   ``collection="parallel"`` runs are eligible: the kernels keep the
   store's trace epochs in step, and the scheduler's wake-ups are
   ordinary run boundaries.
@@ -36,8 +36,8 @@ traffic on the store/sampler/buffer objects — used to dominate wall time.
 * **guarded mode** (:func:`_replay_guarded`) — a per-event loop over the
   same columns that calls the real store/transaction/sampler methods, one
   event at a time: apply, sample, then check the trigger outside
-  transactions. It composes with fault injection, opportunistic policies
-  and retained series, and it is the only loop that applies a transaction
+  transactions. It composes with fault injection and opportunistic
+  policies, and it is the only loop that applies a transaction
   marker or registers a root. Fast mode drops into it for the span of each
   explicit transaction and for each ROOT; the service, besides, for every
   event its admission control has to look at, hanging its rules on the
@@ -189,10 +189,9 @@ def _fast_eligible(sim) -> bool:
     Fast mode inlines store/buffer/sampler kernels — and, under a redo log,
     the auto-commit bracket with its log and WAL appends — so every
     component it bypasses must be the stock implementation with no hooks
-    attached. Anything else — fault injection, retained event series,
-    opportunistic policies, subclassed components, a method shadowed on a
-    component instance (:func:`_hooked`), an open transaction — runs
-    guarded.
+    attached. Anything else — fault injection, opportunistic policies,
+    subclassed components, a method shadowed on a component instance
+    (:func:`_hooked`), an open transaction — runs guarded.
 
     A redo log does not disqualify a run. The WAL under it must make a
     singleton's cost a constant, which takes two things: an empty log tail
@@ -213,8 +212,6 @@ def _fast_eligible(sim) -> bool:
     wal = tx.wal
     return (
         sim.faults is None
-        and not sim.config.keep_event_series
-        and sampler._series_countdown is None
         and not isinstance(sim.policy, OpportunisticPolicy)
         and type(store) is ObjectStore
         and type(store.iostats) is IOStats
@@ -501,7 +498,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     app_led = iostats._ledgers[_APP]
 
     page_size = store.config.page_size
-    phys_mode = store.config.db_size_mode == "physical"
     preamble = sampler.preamble_collections
     ga = sampler._garbage_all
     g = sampler._garbage
@@ -544,9 +540,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     else:
         base_kind = 2
     due = sim._due_at
-    dbsz = store._physical_bytes if phys_mode else alloc_bytes
     garb = tot_gen - tot_coll
-    gf = garb / dbsz if dbsz else 0.0
+    gf = garb / alloc_bytes if alloc_bytes else 0.0
     npages = len(pages)
     # Most-recently-used page mirror: a touch of the page that is
     # already at the back of the LRU is order-preserving in the guarded
@@ -606,7 +601,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
 
             elif op == 0:  # CREATE: ObjectStore.create up to its page touch
                 szk = g1[i]
-                if dbsz + szk > bound:
+                if alloc_bytes + szk > bound:
                     stop = _REFUSED
                     break
                 if a in objects:
@@ -628,8 +623,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                 except IndexError:  # nothing fits
                     part = store._grow_partition(szk)
                     pk = part.pid
-                    if phys_mode:
-                        dbsz = store._physical_bytes
                 else:
                     part = partitions[pk]
                 fit[szk] = at
@@ -785,7 +778,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                         if vp < 0:
                             raise StoreError(f"object {victim} has no placement")
                         dead_bytes[vp] = dead_bytes.get(vp, 0) + vsz
-                    gf = garb / dbsz if dbsz else 0.0
+                    gf = garb / alloc_bytes if alloc_bytes else 0.0
                 if logging:
                     singleton(
                         ("write", auto_txid, a, None, None, (), slot, tgt, fresh)
@@ -836,9 +829,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                             else:
                                 srcs2[a] = srcs2.get(a, 0) + 1
                             remembers += 1
-                if not phys_mode:
-                    dbsz = alloc_bytes
-                gf = garb / dbsz if dbsz else 0.0
+                gf = garb / alloc_bytes if alloc_bytes else 0.0
                 if logging:
                     # obj.pointers was filled slot by slot in the order the
                     # event's pointer dict would list them.

@@ -10,9 +10,9 @@ The paper's measurement protocol (§3.2, §4.1):
   significant region; achieved garbage percentage is the event-sampled mean
   of the database garbage fraction over the significant region.
 
-:class:`Sampler` implements this protocol with O(1) state per event, and can
-optionally retain full per-event and per-collection series for the
-time-varying figures (6 and 7).
+:class:`Sampler` implements this protocol with O(1) state per event, and
+keeps one :class:`CollectionRecord` per collection for the time-varying
+figures (6 and 7).
 """
 
 from __future__ import annotations
@@ -116,43 +116,21 @@ class SimulationSummary:
     significant: bool
 
 
-@dataclass
-class EventSample:
-    """One per-event observation (retained only when series are enabled)."""
-
-    event_index: int
-    phase: str
-    garbage_fraction: float
-    collections: int
-    app_io: int
-    gc_io: int
-
-
 class Sampler:
-    """Streams per-event and per-collection measurements for one run.
+    """Streams per-event measurements for one run into O(1) running means,
+    and keeps one :class:`CollectionRecord` per collection — what Figures 6
+    and 7 plot (the engine returns them under ``keep_records=True``).
 
     Args:
         preamble_collections: Collections excluded from significant-region
             means (the paper uses 10 for time-varying results, 10–30
             elsewhere).
-        keep_event_series: Retain an :class:`EventSample` per event. Off by
-            default — a full OO7 run has tens of thousands of events.
-        series_stride: When keeping series, record every N-th event.
     """
 
-    def __init__(
-        self,
-        preamble_collections: int = 10,
-        keep_event_series: bool = False,
-        series_stride: int = 1,
-    ) -> None:
+    def __init__(self, preamble_collections: int = 10) -> None:
         if preamble_collections < 0:
             raise ValueError("preamble_collections must be non-negative")
-        if series_stride < 1:
-            raise ValueError("series_stride must be >= 1")
         self.preamble_collections = preamble_collections
-        self.keep_event_series = keep_event_series
-        self.series_stride = series_stride
 
         self.phase = "(setup)"
         self.phase_boundaries: dict[str, int] = {}
@@ -166,14 +144,6 @@ class Sampler:
         self._app_io_at_significant = 0
         self._gc_io_at_significant = 0
         self.collection_records: list[CollectionRecord] = []
-        self.event_series: list[EventSample] = []
-        # Stride countdown: when series are kept, the next sample is due in
-        # this many events (equivalent to ``event_index % stride == 0`` but
-        # without a modulo per event); None when series are disabled, which
-        # makes the hot-path check a single identity test.
-        self._series_countdown: Optional[int] = (
-            series_stride if keep_event_series else None
-        )
 
     # ------------------------------------------------------------------
     # Hooks called by the simulator
@@ -196,23 +166,6 @@ class Sampler:
             self._app_io_at_significant = iostats.application_total
             self._gc_io_at_significant = iostats.collector_total
             self._garbage.add(garbage_fraction)
-
-        countdown = self._series_countdown
-        if countdown is not None:
-            countdown -= 1
-            if countdown == 0:
-                self.event_series.append(
-                    EventSample(
-                        event_index=self.event_index,
-                        phase=self.phase,
-                        garbage_fraction=garbage_fraction,
-                        collections=self.collections,
-                        app_io=iostats.application_total,
-                        gc_io=iostats.collector_total,
-                    )
-                )
-                countdown = self.series_stride
-            self._series_countdown = countdown
 
     def on_collection(
         self,

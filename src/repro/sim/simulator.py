@@ -65,8 +65,6 @@ class SimulationConfig:
     Attributes:
         store: Store geometry (partition/page/buffer sizes).
         preamble_collections: Cold-start collections excluded from means.
-        keep_event_series: Retain per-event samples (Figures 6/7 need them).
-        series_stride: Sampling stride for retained series.
         max_collections: Safety valve — abort if a policy goes pathological.
         validate_every: Debug mode — audit every store invariant after each
             N-th collection (0 disables). Expensive; meant for tests and
@@ -85,7 +83,7 @@ class SimulationConfig:
         replay: Which column interpreter of :mod:`repro.sim.batch` drives
             the run. ``"auto"`` (default) takes the fused interpreter
             whenever the run is eligible for it (no fault injector,
-            retained series, opportunistic policy or hooked component; a
+            opportunistic policy or hooked component; a
             redo log and a WAL are fine) and the guarded one otherwise;
             ``"scalar"`` never enters the fused interpreter
             — every event goes one at a time through the store's real
@@ -118,8 +116,6 @@ class SimulationConfig:
 
     store: StoreConfig = field(default_factory=StoreConfig)
     preamble_collections: int = 10
-    keep_event_series: bool = False
-    series_stride: int = 1
     max_collections: int = 100_000
     validate_every: int = 0
     enable_wal: bool = False
@@ -142,10 +138,6 @@ class SimulationResult:
     @property
     def collections(self):
         return self.sampler.collection_records
-
-    @property
-    def event_series(self):
-        return self.sampler.event_series
 
 
 class Simulation:
@@ -208,11 +200,7 @@ class Simulation:
             )
         elif self.config.gc_workers != 1:
             raise ValueError("gc_workers requires collection='parallel'")
-        self.sampler = Sampler(
-            preamble_collections=self.config.preamble_collections,
-            keep_event_series=self.config.keep_event_series,
-            series_stride=self.config.series_stride,
-        )
+        self.sampler = Sampler(preamble_collections=self.config.preamble_collections)
         wal = None
         if self.config.enable_wal:
             from repro.tx.wal import WriteAheadLog

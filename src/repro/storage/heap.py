@@ -92,25 +92,18 @@ class CompactionPlan:
 
 @dataclass(frozen=True)
 class StoreConfig:
-    """Geometry and accounting options for the object store.
+    """Geometry of the object store.
 
     Attributes:
         page_size: Bytes per page (paper: 8 KB).
         partition_pages: Pages per partition (paper: 12, i.e. 96 KB).
         buffer_pages: Buffer pool capacity in pages (paper: one partition's
             worth, 12).
-        db_size_mode: How ``db_size`` is measured. ``"allocated"`` counts the
-            bump-allocated bytes in all partitions (live + uncollected
-            garbage); ``"physical"`` counts full partition capacities. The
-            paper's garbage percentages are relative fractions, for which the
-            allocated measure is the meaningful denominator; physical mode is
-            provided for storage-efficiency studies.
     """
 
     page_size: int = DEFAULT_PAGE_SIZE
     partition_pages: int = DEFAULT_BUFFER_PAGES
     buffer_pages: int = DEFAULT_BUFFER_PAGES
-    db_size_mode: str = "allocated"
 
     def __post_init__(self) -> None:
         if self.page_size <= 0:
@@ -119,10 +112,6 @@ class StoreConfig:
             raise ValueError("partition_pages must be positive")
         if self.buffer_pages <= 0:
             raise ValueError("buffer_pages must be positive")
-        if self.db_size_mode not in ("allocated", "physical"):
-            raise ValueError(
-                f"db_size_mode must be 'allocated' or 'physical', got {self.db_size_mode!r}"
-            )
 
     @property
     def partition_size(self) -> int:
@@ -209,7 +198,6 @@ class ObjectStore:
         self._next_oid: ObjectId = 1
         # Running totals so db_size stays O(1); it is sampled at every event.
         self._allocated_bytes = 0
-        self._physical_bytes = 0
         #: Monotone remembered-set churn: inter-partition references ever
         #: added to / dropped from some ``Partition.incoming``. Their
         #: difference is the live boundary edge count.
@@ -512,9 +500,8 @@ class ObjectStore:
 
     @property
     def db_size(self) -> int:
-        """Database size per the configured measure (see :class:`StoreConfig`)."""
-        if self.config.db_size_mode == "physical":
-            return self._physical_bytes
+        """Bump-allocated bytes in all partitions: live plus uncollected
+        garbage, the denominator of the paper's garbage percentages."""
         return self._allocated_bytes
 
     @property
@@ -879,7 +866,6 @@ class ObjectStore:
         capacity = max(self.config.partition_size, size)
         partition = Partition(pid=len(self.partitions), capacity=capacity)
         self.partitions.append(partition)
-        self._physical_bytes += capacity
         self._partition_free.append(capacity)
         self.trace_epochs.append(0)
         self._open_partitions.append(partition.pid)

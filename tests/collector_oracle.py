@@ -143,5 +143,5 @@ def ordered_fields(store) -> dict:
         "roots_order": list(store.roots),
         "unlinked_order": list(store.unlinked),
         "dead_bytes_order": list(store.dead_bytes.items()),
-        "ledgers": (store._allocated_bytes, store._physical_bytes),
+        "allocated_bytes": store._allocated_bytes,
     }

@@ -258,7 +258,7 @@ def test_learned_machinery_does_not_perturb_other_fingerprints(tmp_path):
     assert spec_fingerprint(_saga_spec("fgs-hb"), seed=0) == before
 
 
-# ------------------------------------------------------------- online updates
+# ------------------------------------------------------------- deployment
 
 
 def _model(seed=0):
@@ -291,69 +291,16 @@ def _result(n, reclaimed=900, clock=40):
     )
 
 
-def test_online_rate_zero_never_touches_weights():
+def test_describe_names_the_model_hash():
+    model = _model()
+    assert LearnedEstimator(model).describe() == f"learned@{model.sha256[:8]}"
+
+
+def test_estimate_is_the_models_clipped_prediction():
     store = _store_with_garbage()
-    estimator = LearnedEstimator(_model(), online_rate=0.0)
-    frozen = estimator.weights
+    estimator = LearnedEstimator(_model())
+    assert estimator.estimate(store) == 0.0, "nothing observed yet"
     for n in range(4):
         estimator.observe_collection(_result(n, clock=40 * (n + 1)), store)
-    assert estimator.weights == frozen == list(estimator.model.weights)
-
-
-def test_online_rate_fine_tunes_after_second_observation():
-    """The first observation only seeds the feature vector; the SGD step
-    needs a (previous features, fresh label) pair."""
-    store = _store_with_garbage()
-    estimator = LearnedEstimator(_model(), online_rate=0.05)
-    initial = estimator.weights
-    estimator.observe_collection(_result(0, clock=40), store)
-    assert estimator.weights == initial, "no previous features yet"
-    estimator.observe_collection(_result(1, clock=80), store)
-    assert estimator.weights != initial
-    assert list(estimator.model.weights) == initial, (
-        "online tuning must not write back into the artifact's weights"
-    )
-
-
-def test_online_updates_are_deterministic():
-    def tuned_weights():
-        store = _store_with_garbage()
-        estimator = LearnedEstimator(_model(), online_rate=0.1)
-        for n in range(5):
-            estimator.observe_collection(
-                _result(n, reclaimed=700 + 50 * n, clock=40 * (n + 1)), store
-            )
-        return estimator.weights
-
-    assert tuned_weights() == tuned_weights()
-
-
-def test_online_update_moves_prediction_toward_observed_target():
-    store = _store_with_garbage()
-    estimator = LearnedEstimator(_model(), online_rate=0.05)
-    estimator.observe_collection(_result(0, clock=40), store)
-    features = estimator._features
-    db = max(store.db_size, 1)
-    result = _result(1, clock=80)
-    observed = min(
-        max(result.reclaimed_bytes * store.partition_count / db, 0.0), 1.0
-    )
-    before = sum(w * x for w, x in zip(estimator.weights, features))
-    estimator.observe_collection(result, store)
-    after = sum(w * x for w, x in zip(estimator.weights, features))
-    assert abs(after - observed) < abs(before - observed) or before == after
-
-
-def test_estimate_stays_clipped_under_aggressive_online_rate():
-    store = _store_with_garbage()
-    estimator = LearnedEstimator(_model(), online_rate=5.0)
-    assert estimator.estimate(store) == 0.0, "nothing observed yet"
-    for n in range(6):
-        estimator.observe_collection(_result(n, clock=40 * (n + 1)), store)
-        assert 0.0 <= estimator.estimate(store) <= store.db_size
-
-
-def test_describe_names_the_online_rate():
-    assert LearnedEstimator(_model()).describe().startswith("learned@")
-    described = LearnedEstimator(_model(), online_rate=0.25).describe()
-    assert described.endswith("+online(0.25)")
+        raw = sum(w * x for w, x in zip(estimator.model.weights, estimator._features))
+        assert estimator.estimate(store) == min(max(raw, 0.0), 1.0) * store.db_size

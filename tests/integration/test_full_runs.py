@@ -133,7 +133,7 @@ def test_selection_policy_changes_behaviour():
 
 def test_no_collections_during_traverse():
     """Overwrite-based time stands still through the read-only phase."""
-    result = _run(FixedRatePolicy(25), keep_event_series=True)
+    result = _run(FixedRatePolicy(25))
     boundaries = result.sampler.phase_boundaries
     traverse_start = boundaries["Traverse"]
     reorg2_start = boundaries["Reorg2"]

@@ -1,13 +1,8 @@
-"""The metrics registry: instruments, snapshots, and the disabled path."""
+"""The metrics registry: instruments and snapshots."""
 
 import pytest
 
-from repro.obs.registry import (
-    NULL_METRICS,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    metrics_or_null,
-)
+from repro.obs.registry import MetricsRegistry
 
 
 @pytest.fixture
@@ -95,23 +90,3 @@ def test_iteration_yields_counters_then_gauges(registry):
     registry.gauge("g").set(1.0)
     registry.counter("c").inc()
     assert list(registry) == [("c", 1.0), ("g", 1.0)]
-
-
-def test_null_registry_is_inert():
-    null = NullMetricsRegistry()
-    assert null.enabled is False
-    null.counter("c").inc(100)
-    null.gauge("g").set(5.0)
-    null.histogram("h").observe(1.0)
-    null.set_many({"reads": 1}, prefix="io.")
-    assert null.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-    # Shared singletons: no per-name allocation on the disabled path.
-    assert null.counter("a") is null.counter("b")
-
-
-def test_metrics_or_null():
-    real = MetricsRegistry()
-    assert metrics_or_null(real) is real
-    assert metrics_or_null(None) is NULL_METRICS
-    assert NULL_METRICS.enabled is False
-    assert MetricsRegistry.enabled is True

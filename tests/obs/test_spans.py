@@ -1,8 +1,8 @@
-"""Span tracing: nesting, sinks, external timings, the disabled tracer."""
+"""Span tracing: nesting, sinks, external timings."""
 
 import pytest
 
-from repro.obs.spans import NULL_TRACER, NullTracer, SpanRecord, Tracer
+from repro.obs.spans import SpanRecord, Tracer
 
 
 def test_span_times_and_accumulates():
@@ -59,13 +59,3 @@ def test_as_dict_rounds_and_omits_empty_attrs():
     assert d == {"name": "p", "start_s": 0.123457, "wall_s": 2.0, "depth": 2}
     with_attrs = SpanRecord(name="p", start_s=0, wall_s=0, attrs={"k": 1}).as_dict()
     assert with_attrs["attrs"] == {"k": 1}
-
-
-def test_null_tracer_records_nothing():
-    tracer = NullTracer()
-    with tracer.span("ignored") as record:
-        assert record.name == "null"
-    assert tracer.record("also-ignored", 1.0).name == "null"
-    assert tracer.spans == []
-    # The shared instance reuses one context manager object.
-    assert NULL_TRACER.span("a") is NULL_TRACER.span("b")

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.service.backpressure import AdmissionController, BackpressureStats
+from repro.service.backpressure import (
+    MAX_FORCED_COLLECTIONS,
+    AdmissionController,
+    BackpressureStats,
+)
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
 from repro.service.stream import grammar_stream
@@ -25,7 +29,7 @@ def _store_with(nbytes):
 class TestAdmissionController:
     def test_admits_when_it_fits(self):
         store = _store_with(0)
-        controller = AdmissionController(10_000, "shed", lambda: False)
+        controller = AdmissionController(10_000, lambda: False)
         assert controller.admit(store, 512)
         assert controller.stats == BackpressureStats()
 
@@ -47,34 +51,30 @@ class TestAdmissionController:
                 return True
             return False
 
-        controller = AdmissionController(1000, "shed", collect_once)
+        controller = AdmissionController(1000, collect_once)
         assert controller.admit(store, 900)
         assert controller.stats.engaged == 1
         assert controller.stats.forced_collections == 1
 
     def test_sheds_when_collection_stops_reclaiming(self):
         store = _store_with(900)
-        controller = AdmissionController(1000, "shed", lambda: False)
+        controller = AdmissionController(1000, lambda: False)
         assert not controller.admit(store, 900)
         assert controller.stats.engaged == 1
         assert controller.stats.forced_collections == 1  # stopped at no-gain
 
-    def test_delay_mode_counts_delays(self):
+    def test_forced_collections_stop_at_the_cap(self):
         store = _store_with(900)
-        controller = AdmissionController(
-            1000, "delay", lambda: False, max_forced_collections=3
-        )
+        controller = AdmissionController(1000, lambda: True)  # never enough
         assert not controller.admit(store, 900)
-        assert controller.stats.delays == 1
+        assert controller.stats.forced_collections == MAX_FORCED_COLLECTIONS
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdmissionController(0, "shed", lambda: False)
-        with pytest.raises(ValueError):
-            AdmissionController(100, "off", lambda: False)
+            AdmissionController(0, lambda: False)
 
 
-def _overloaded_service(bound, telemetry=None, mode="shed"):
+def _overloaded_service(bound, telemetry=None):
     obs = None
     if telemetry is not None:
         from repro.obs.telemetry import RunTelemetry
@@ -87,7 +87,7 @@ def _overloaded_service(bound, telemetry=None, mode="shed"):
             max_events=15_000,
             checkpoint_every_events=5_000,
             max_heap_bytes=bound,
-            backpressure=mode,
+            backpressure="shed",
         ),
         obs=obs,
     ), obs

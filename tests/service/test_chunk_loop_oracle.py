@@ -154,19 +154,16 @@ def _transactional_events(transactions=120):
     return list(workload.events())
 
 
-@pytest.mark.parametrize("mode", ["shed", "delay"])
-def test_overload_with_cascaded_sheds(mode):
+def test_overload_with_cascaded_sheds():
     knobs = dict(
         max_events=15_000,
         checkpoint_every_events=5_000,
         max_heap_bytes=8_000,
-        backpressure=mode,
+        backpressure="shed",
     )
     outcome = _all_routes(_overload_stream(), knobs)
     stats = outcome["report"]["backpressure"]
     assert stats["shed_events"] > stats["shed_objects"] > 0, "the run must cascade"
-    if mode == "delay":
-        assert stats["delays"] > 0
 
 
 def _create_only_transactions(count=300, keep=8):
@@ -348,8 +345,7 @@ def test_heap_bound_reached_without_shedding():
     assert outcome["report"]["heap_peak_bytes"] <= 700_000
 
 
-@pytest.mark.parametrize("mode", ["allocated", "physical"])
-def test_a_trigger_on_the_allocation_clock_fires_on_creates(mode):
+def test_a_trigger_on_the_allocation_clock_fires_on_creates():
     """Under an allocation-clock policy the event that fires a collection
     is a create — the one case where heap occupancy behind the event and
     behind its collections differ. All routes read it behind them."""
@@ -358,7 +354,6 @@ def test_a_trigger_on_the_allocation_clock_fires_on_creates(mode):
         _overload_stream(),
         knobs,
         policy=PolicySpec("allocation", {"bytes_per_collection": 4_000.0}),
-        sim=SimulationConfig(store=StoreConfig(db_size_mode=mode)),
     )
     assert outcome["report"]["collections"] > 20
 

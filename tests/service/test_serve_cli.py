@@ -52,8 +52,7 @@ def test_serve_multi_tenant_with_backpressure(capsys):
     rc = main([
         "serve", "--tenants", "oltp-churn,read-browse", "--scale", "0.5",
         "--policy", "fixed:200", "--max-events", "8000",
-        "--max-heap-bytes", "12000", "--backpressure", "shed",
-        "--json", "--seed", "3",
+        "--max-heap-bytes", "12000", "--json", "--seed", "3",
     ])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -89,3 +88,14 @@ def test_soak_requires_faults_and_bounds(capsys):
     assert "requires --faults" in capsys.readouterr().err
     assert main(["serve", "--soak", "--faults", "x.json"]) == 2
     assert "requires --max-events" in capsys.readouterr().err
+
+
+def test_soak_refuses_a_heap_bound(tmp_path, capsys):
+    """A bound turns admission control on, and a soak compares digests that
+    shed decisions would move: the soak's own reason, exit 2."""
+    rc = main([
+        "serve", "--soak", "--faults", str(_plan_file(tmp_path)),
+        "--max-events", "100", "--max-heap-bytes", "12000",
+    ])
+    assert rc == 2
+    assert 'requires backpressure="off"' in capsys.readouterr().err

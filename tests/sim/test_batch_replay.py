@@ -8,7 +8,7 @@ contract: byte-identical ``SimulationSummary`` pickles and identical
 committed store state versus ``tests/event_oracle.py``, the event-object
 loop that reads no column — across preset, grammar and tenant-mix
 workloads, from any ``start_index``, under crash/recovery drills, with a
-redo log, an opportunistic policy or a retained series attached — plus
+redo log or an opportunistic policy attached — plus
 what ``replay="scalar"`` means (never the fused interpreter), what the
 door does with a source that fails, and that none of it reaches
 result-cache fingerprints.
@@ -38,6 +38,7 @@ from repro.events import (
     UpdateEvent,
 )
 from repro.faults.drill import CrashRecoveryLoop, state_digest
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.oo7.config import TINY
 from repro.service.stream import grammar_stream, tenant_stream
@@ -53,7 +54,9 @@ from repro.sim.spec import (
     build_workload,
 )
 from repro.storage.heap import StoreConfig, StoreError
+from repro.storage.iostats import IOStats
 from repro.tx.manager import TransactionError
+from repro.tx.recovery import RedoLog
 from repro.workload.compiled import compile_trace
 from repro.workload.tenants import make_profile, tenant_mix
 from repro.workload.tracefile import TraceFormatError, read_trace, write_trace
@@ -193,10 +196,7 @@ def _guarded_case(case):
         workload = TransactionalSpec(transactions=80, abort_probability=0.3)
         events = TransactionalWorkload(workload, seed=3, initial_clusters=20).events()
         return _spec(rate=25.0, enable_redo_log=True, enable_wal=True), events, None
-    if case == "opportunistic":
-        return _spec(), _churn_with_idle(), _opportunistic
-    spec = _spec(rate=25.0, keep_event_series=True, series_stride=7)
-    return spec, build_workload(spec.workload, 0), None
+    return _spec(), _churn_with_idle(), _opportunistic
 
 
 def _log_state(sim):
@@ -212,11 +212,11 @@ def _log_state(sim):
     )
 
 
-@pytest.mark.parametrize("case", ["redo-log+wal", "opportunistic", "retained-series"])
+@pytest.mark.parametrize("case", ["redo-log+wal", "opportunistic"])
 def test_guarded_features_match_the_oracle(case):
-    """Idle ticks under an opportunistic policy and a retained event series
-    keep a run off the fused interpreter: the guarded loop against the
-    oracle, same summary, state and series. A redo log with a WAL no longer
+    """Idle ticks under an opportunistic policy keep a run off the fused
+    interpreter: the guarded loop against the oracle, same summary and
+    state. A redo log with a WAL no longer
     does, so that case is three-way — the event oracle, ``replay="scalar"``
     (every bare mutation one ``autocommit`` call) and ``auto`` (the kernels
     write the bracket themselves), same log and WAL as well."""
@@ -238,13 +238,10 @@ def test_guarded_features_match_the_oracle(case):
     if fused:
         assert any(r.txid < 0 for r in sim_o.redo_log.records), "no auto-commit"
         assert any(r.txid > 0 for r in sim_o.redo_log.records), "no explicit tx"
-    elif case == "opportunistic":
+    else:
         # One per long pause: the short ones never reach the threshold.
         assert sim_o.policy.opportunistic_collections == 8
         assert sim_c.policy.opportunistic_collections == 8
-    else:
-        assert res_o.event_series
-        assert res_c.event_series == res_o.event_series
 
 
 def test_a_span_handed_to_the_guarded_loop_accounts_its_closing_event():
@@ -327,6 +324,47 @@ def test_a_hook_on_an_instance_keeps_the_run_off_the_fused_kernels(monkeypatch):
     on_event = Sampler.on_event
     monkeypatch.setattr(Sampler, "on_event", lambda *args: on_event(*args))
     assert batch._fast_eligible(_logging_sim())
+
+
+def _subclass(component):
+    """Give ``component`` a do-nothing subclass of its own type."""
+    component.__class__ = type("Sub", (type(component),), {"__slots__": ()})
+
+
+def _hook(*args, **kwargs):
+    return None
+
+
+_INELIGIBLE = {
+    "fault injector": lambda sim: setattr(sim, "faults", FaultInjector(FaultPlan())),
+    "opportunistic policy": lambda sim: setattr(sim, "policy", _opportunistic()),
+    "subclassed store": lambda sim: _subclass(sim.store),
+    "subclassed iostats": lambda sim: _subclass(sim.store.iostats),
+    "subclassed buffer": lambda sim: _subclass(sim.store.buffer),
+    "subclassed placement table": lambda sim: _subclass(sim.store.placements),
+    "subclassed sampler": lambda sim: _subclass(sim.sampler),
+    "subclassed transaction manager": lambda sim: _subclass(sim.tx),
+    "subclassed partition": lambda sim: _subclass(sim.store.partitions[0]),
+    "iostats fault hook": lambda sim: setattr(sim.store.iostats, "fault_hook", _hook),
+    "transaction fault hook": lambda sim: setattr(sim.tx, "fault_hook", _hook),
+    "buffer write hook": lambda sim: setattr(sim.store.buffer, "write_hook", _hook),
+    "buffer on another iostats": lambda sim: setattr(sim.store.buffer, "_iostats", IOStats()),
+    # Forced, so the WAL's empty-tail condition does not decide it.
+    "open transaction": lambda sim: (sim.tx.begin(1), sim.tx.wal.force()),
+    "subclassed redo log": lambda sim: _subclass(sim.redo_log),
+    "redo log the transactions do not write": lambda sim: setattr(sim, "redo_log", RedoLog()),
+}
+
+
+@pytest.mark.parametrize("reason", _INELIGIBLE)
+def test_each_reason_keeps_the_run_off_the_fused_kernels(reason):
+    """One eligible run, one departure from the stock components; instance
+    hooks and the WAL's conditions have tests of their own."""
+    sim = _logging_sim()
+    sim.store.create(size=64)  # a partition to subclass
+    assert batch._fast_eligible(sim)
+    _INELIGIBLE[reason](sim)
+    assert not batch._fast_eligible(sim)
 
 
 def test_what_the_wal_must_look_like_for_a_singleton_to_cost_a_constant():

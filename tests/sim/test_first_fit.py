@@ -179,7 +179,7 @@ _KNOBS = st.sampled_from(
     [
         {},
         {"max_heap_bytes": 4_000, "backpressure": "shed"},
-        {"max_heap_bytes": 8_000, "backpressure": "delay"},
+        {"max_heap_bytes": 8_000, "backpressure": "shed"},
     ]
 )
 
@@ -211,7 +211,7 @@ def test_the_programs_reach_every_mechanism():
         oid += 1
         for member in members[::2]:
             events.append(PointerWriteEvent(1, f"s{member}", None, dies=(member,)))
-    knobs = {"max_heap_bytes": 12_000, "backpressure": "delay", "checkpoint_every_events": 400}
+    knobs = {"max_heap_bytes": 12_000, "backpressure": "shed", "checkpoint_every_events": 400}
     with _counting("expunge", "compact_partition", "_prune_open_partitions") as calls:
         service = _assert_placed_as_linear(events, knobs, stale_limit=2)
     report = service._report

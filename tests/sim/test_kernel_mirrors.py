@@ -28,7 +28,7 @@ MIRRORS = {  # kernel block -> {method it mirrors: pinned digest}
              Store._forget_edge: "08069d692e", Partition.forget: "85f0c67202",
              Store._unpin: "664b106997", Store._remember_edge: "201624f16a",
              Partition.remember: "8822e49a04"},
-    "sample": {Sampler.on_event: "2d5e19190a", RunningMean.add: "a1cb6f62bd"},
+    "sample": {Sampler.on_event: "95a5c4e1c1", RunningMean.add: "a1cb6f62bd"},
     # The singleton rows the kernel hands RedoLog.append are RedoLog.create's
     # and RedoLog.write's records, field for field, as plain tuples.
     "redo bracket": {TransactionManager.autocommit: "57c67f0683",

@@ -38,8 +38,6 @@ def test_running_mean():
 def test_sampler_validation():
     with pytest.raises(ValueError):
         Sampler(preamble_collections=-1)
-    with pytest.raises(ValueError):
-        Sampler(series_stride=0)
 
 
 def test_preamble_excludes_early_samples():
@@ -93,22 +91,6 @@ def test_insignificant_run_flagged():
     sampler.on_event(store, store.iostats)
     summary = sampler.summary(store, store.iostats)
     assert not summary.significant
-
-
-def test_event_series_stride():
-    sampler = Sampler(preamble_collections=0, keep_event_series=True, series_stride=2)
-    store = ObjectStore(CFG)
-    for _ in range(10):
-        sampler.on_event(store, store.iostats)
-    assert len(sampler.event_series) == 5
-    assert [s.event_index for s in sampler.event_series] == [2, 4, 6, 8, 10]
-
-
-def test_series_disabled_by_default():
-    sampler = Sampler()
-    store = ObjectStore(CFG)
-    sampler.on_event(store, store.iostats)
-    assert sampler.event_series == []
 
 
 def test_collection_records_capture_estimates():

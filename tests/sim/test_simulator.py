@@ -158,13 +158,10 @@ def test_opportunism_not_triggered_under_activity():
     assert policy.opportunistic_collections == 0
 
 
-def test_simulation_result_exposes_collections_and_series():
-    config = _config(keep_event_series=True, series_stride=10)
-    sim = Simulation(policy=FixedRatePolicy(20), config=config)
+def test_simulation_result_exposes_collections():
+    sim = Simulation(policy=FixedRatePolicy(20), config=_config())
     result = sim.run(_churn_trace(50))
     assert len(result.collections) == result.summary.collections
-    assert result.event_series
-    assert result.event_series[0].event_index == 10
 
 
 def test_idle_event_ticks_each_count():

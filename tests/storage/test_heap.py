@@ -18,8 +18,6 @@ def test_store_config_validation():
         StoreConfig(page_size=0)
     with pytest.raises(ValueError):
         StoreConfig(partition_pages=-1)
-    with pytest.raises(ValueError):
-        StoreConfig(db_size_mode="bogus")
 
 
 def test_create_assigns_sequential_oids(store):
@@ -229,16 +227,6 @@ def test_db_size_allocated_counts_fill(store):
     store.create(size=100)
     store.create(size=200)
     assert store.db_size == 300
-
-
-def test_db_size_physical_counts_partitions():
-    store = ObjectStore(
-        StoreConfig(page_size=256, partition_pages=4, buffer_pages=4, db_size_mode="physical")
-    )
-    store.create(size=100)
-    assert store.db_size == 1024
-    store.create(size=1000)  # overflows into a second partition
-    assert store.db_size == 2048
 
 
 # ----------------------------------------------------------------------
