@@ -14,6 +14,7 @@ from repro.experiments.ablations import (
     run_selection_ablation,
     run_weight_ablation,
 )
+from repro.sim.engine import RunOptions
 
 
 @pytest.mark.benchmark(group="ablations")
@@ -21,7 +22,7 @@ def test_fixed_heuristic_fails(benchmark, publish, jobs):
     """§2.1: the "partition's worth of garbage" fixed rate fails miserably —
     the workload creates several times more garbage per overwrite than the
     average-connectivity calculation predicts."""
-    result = benchmark.pedantic(run_fixed_heuristic_ablation, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_fixed_heuristic_ablation, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("ablation_fixed_heuristic", format_fixed_heuristic(result))
     assert result.heuristic_rate > 1000  # the naive calculation is sparse
     assert result.measured_gpo > 2 * result.heuristic_gpo_prediction
@@ -32,7 +33,7 @@ def test_allocation_clock_is_the_wrong_trigger(benchmark, publish, jobs):
     """§2: "allocation and garbage creation are not always correlated in
     object databases" — with the same collection budget, the allocation
     clock wastes collections where no garbage exists and reclaims less."""
-    result = benchmark.pedantic(run_clock_ablation, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_clock_ablation, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("ablation_clock", format_clock_ablation(result))
     by_name = {row[0]: row for row in result.rows}
     overwrite = by_name["overwrite clock"]
@@ -49,7 +50,7 @@ def test_allocation_clock_is_the_wrong_trigger(benchmark, publish, jobs):
 def test_saio_history_parameter(benchmark, publish, jobs):
     """§4.1.1: "the use of any amount of history makes little difference
     with respect to the accuracy of the policy" on OO7."""
-    result = benchmark.pedantic(run_saio_history_ablation, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_saio_history_ablation, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("ablation_saio_history", format_saio_history(result))
     errors = [abs(float(row[3].rstrip("%"))) for row in result.rows]
     assert max(errors) < 1.5  # all within 1.5 percentage points
@@ -60,7 +61,7 @@ def test_cgs_cb_improves_under_random_selection(benchmark, publish, jobs):
     """§4.1.2: "if the partition selection policy … picked a random
     partition to collect, then the CGS/CB heuristic would provide a more
     accurate estimate"."""
-    result = benchmark.pedantic(run_selection_ablation, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_selection_ablation, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("ablation_selection", format_selection_ablation(result))
     by_name = {row[0]: row for row in result.rows}
     updated_bias = abs(float(by_name["updated-pointer"][1].rstrip("%")))
@@ -72,7 +73,7 @@ def test_cgs_cb_improves_under_random_selection(benchmark, publish, jobs):
 def test_saga_weight_smoothing(benchmark, publish, jobs):
     """§2.3: Weight buffers the policy from rapid slope changes — some
     smoothing beats none, and the paper's 0.7 sits in the flat optimum."""
-    result = benchmark.pedantic(run_weight_ablation, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_weight_ablation, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("ablation_weight", format_weight_ablation(result))
     by_weight = {row[0]: row for row in result.rows}
     error_at = {w: abs(float(by_weight[w][2].rstrip("%"))) for w in by_weight}

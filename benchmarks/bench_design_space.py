@@ -10,6 +10,7 @@ from repro.experiments.estimator_space import (
     format_estimator_space,
     run_estimator_space,
 )
+from repro.sim.engine import RunOptions
 
 
 @pytest.mark.benchmark(group="design-space")
@@ -17,7 +18,7 @@ def test_estimator_design_space(benchmark, publish, jobs):
     """§2.4's two axes do what the paper says: fine grain state removes the
     selection-induced bias, history behaviour removes the jitter, and the
     recommended FGS/HB corner combines both."""
-    result = benchmark.pedantic(run_estimator_space, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_estimator_space, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("ablation_estimator_space", format_estimator_space(result))
     rows = {row.estimator: row for row in result.rows}
 

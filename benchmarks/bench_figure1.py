@@ -3,11 +3,12 @@
 import pytest
 
 from repro.experiments.figure1 import format_figure1, run_figure1
+from repro.sim.engine import RunOptions
 
 
 @pytest.mark.benchmark(group="figure1")
 def test_figure1(benchmark, publish, jobs):
-    result = benchmark.pedantic(run_figure1, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure1, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("figure1", format_figure1(result))
     rows = {r.rate: r for r in result.rows}
     fastest, slowest = min(rows), max(rows)

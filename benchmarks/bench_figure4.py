@@ -3,11 +3,12 @@
 import pytest
 
 from repro.experiments.figure4 import format_figure4, run_figure4
+from repro.sim.engine import RunOptions
 
 
 @pytest.mark.benchmark(group="figure4")
 def test_figure4(benchmark, publish, jobs):
-    result = benchmark.pedantic(run_figure4, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure4, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("figure4", format_figure4(result))
 
     # "The SAIO policy is very accurate at controlling the garbage

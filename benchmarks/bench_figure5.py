@@ -3,11 +3,12 @@
 import pytest
 
 from repro.experiments.figure5 import format_figure5, run_figure5
+from repro.sim.engine import RunOptions
 
 
 @pytest.mark.benchmark(group="figure5")
 def test_figure5(benchmark, publish, jobs):
-    result = benchmark.pedantic(run_figure5, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure5, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("figure5", format_figure5(result))
 
     oracle = result.sweeps["oracle"]

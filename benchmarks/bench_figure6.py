@@ -3,11 +3,12 @@
 import pytest
 
 from repro.experiments.figure6 import format_figure6, run_figure6
+from repro.sim.engine import RunOptions
 
 
 @pytest.mark.benchmark(group="figure6")
 def test_figure6(benchmark, publish, jobs):
-    result = benchmark.pedantic(run_figure6, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure6, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("figure6", format_figure6(result))
 
     cgs = result.series["cgs-cb"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.figure7 import format_figure7, run_figure7
+from repro.sim.engine import RunOptions
 
 
 def _mean_abs_error(run):
@@ -18,7 +19,7 @@ def _mean_jump(run):
 
 @pytest.mark.benchmark(group="figure7")
 def test_figure7(benchmark, publish, jobs):
-    result = benchmark.pedantic(run_figure7, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure7, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("figure7", format_figure7(result))
 
     h50 = result.runs[0.5]

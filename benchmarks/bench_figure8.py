@@ -3,11 +3,12 @@
 import pytest
 
 from repro.experiments.figure8 import format_figure8, run_figure8
+from repro.sim.engine import RunOptions
 
 
 @pytest.mark.benchmark(group="figure8")
 def test_figure8(benchmark, publish, jobs):
-    result = benchmark.pedantic(run_figure8, kwargs={"jobs": jobs}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure8, kwargs={"options": RunOptions(jobs=jobs)}, rounds=1, iterations=1)
     publish("figure8", format_figure8(result))
 
     # "The results … are consistent with those [at connectivity 3]": SAIO

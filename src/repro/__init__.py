@@ -68,6 +68,7 @@ from repro.sim import (
     PolicySpec,
     ResultCache,
     RunFailure,
+    RunOptions,
     RunStats,
     RunTimeoutError,
     SelectionSpec,
@@ -148,6 +149,7 @@ __all__ = [
     "ResultCache",
     "RoundRobinSelection",
     "RunFailure",
+    "RunOptions",
     "RunStats",
     "RunTimeoutError",
     "SMALL",

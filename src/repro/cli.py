@@ -62,6 +62,7 @@ and cache fingerprints are identical with it on or off.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -71,13 +72,12 @@ from typing import Optional, Sequence
 from repro.experiments.registry import (
     Experiment,
     FailedReport,
-    RunOptions,
     get_experiment,
     iter_experiments,
 )
 from repro.faults.plan import load_fault_plan
 from repro.sim.cache import ResultCache
-from repro.sim.engine import SeedOutcome
+from repro.sim.engine import RunOptions, SeedOutcome
 from repro.workload.trace_cache import TraceCache
 
 #: Name → experiment, registry-driven (kept as a module attribute because
@@ -130,18 +130,104 @@ class _ProgressReporter:
         return parts
 
 
-def _positive_int(raw: str) -> int:
+def positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
-def _nonnegative_int(raw: str) -> int:
+def nonnegative_int(raw: str) -> int:
     value = int(raw)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def positive_float(raw: str) -> float:
+    value = float(raw)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+#: Every engine flag, defined once: flag → ``add_argument`` keywords. Each
+#: command offers the subset it names to :func:`add_engine_flags`, and
+#: :func:`run_options` turns whatever was parsed into one ``RunOptions``.
+_ENGINE_FLAGS: dict[str, dict] = {
+    "--jobs": dict(
+        type=positive_int,
+        default=None,
+        help=(
+            "worker processes for simulation fan-out "
+            "(default: one per CPU; 1 = run in-process)"
+        ),
+    ),
+    "--cache-dir": dict(
+        type=Path,
+        default=None,
+        help=(
+            "directory for the on-disk result cache "
+            f"(default: $REPRO_CACHE_DIR or {DEFAULT_CACHE_DIR!r})"
+        ),
+    ),
+    "--no-cache": dict(
+        action="store_true",
+        help="disable the result cache (every run simulates)",
+    ),
+    "--trace-cache-dir": dict(
+        type=Path,
+        default=None,
+        help=(
+            "directory for compiled workload traces (default: "
+            "$REPRO_TRACE_CACHE_DIR or <cache-dir>/traces)"
+        ),
+    ),
+    "--no-trace-cache": dict(
+        action="store_true",
+        help="memo-only trace cache: writes nothing, builds each trace once per process",
+    ),
+    "--progress": dict(
+        action="store_true",
+        help="print one line per completed simulation run (stderr)",
+    ),
+    "--retries": dict(
+        type=nonnegative_int,
+        default=0,
+        help="extra attempts per failing run, with exponential backoff",
+    ),
+    "--run-timeout": dict(
+        type=positive_float,
+        default=None,
+        metavar="SECONDS",
+        help="per-run wall-clock budget; a run exceeding it counts as failed",
+    ),
+    "--faults": dict(
+        type=Path,
+        default=None,
+        metavar="PLAN.JSON",
+        help="inject the deterministic FaultPlan in this JSON file into every run",
+    ),
+    "--telemetry": dict(
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help=(
+            "write JSON-lines telemetry (per-run GC timelines, metrics, "
+            "spans) into this directory; inspect with 'python -m repro "
+            "metrics DIR'. Telemetry never changes results."
+        ),
+    ),
+}
+
+#: The engine flags every command offers, in this order.
+COMMON_ENGINE_FLAGS = ("--jobs", "--cache-dir", "--no-cache", "--trace-cache-dir", "--no-trace-cache")
+
+
+def add_engine_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named engine flags to ``parser``, in the order given."""
+    for flag in flags:
+        parser.add_argument(flag, **_ENGINE_FLAGS[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,43 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="explicit seed list (default: 3 seeds, or 10 with REPRO_FULL=1)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help=(
-            "worker processes for simulation fan-out "
-            "(default: one per CPU; 1 = run in-process)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help=(
-            "directory for the on-disk result cache "
-            f"(default: $REPRO_CACHE_DIR or {DEFAULT_CACHE_DIR!r})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache (every run simulates)",
-    )
-    parser.add_argument(
-        "--trace-cache-dir",
-        type=Path,
-        default=None,
-        help=(
-            "directory for compiled workload traces (default: "
-            "$REPRO_TRACE_CACHE_DIR or <cache-dir>/traces)"
-        ),
-    )
-    parser.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="memo-only trace cache: writes nothing, builds each trace once per process",
-    )
+    add_engine_flags(parser, *COMMON_ENGINE_FLAGS)
     parser.add_argument(
         "--profile",
         nargs="?",
@@ -212,41 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "functions to stderr and optionally dump pstats to STATS_FILE"
         ),
     )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print one line per completed simulation run (stderr)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=_nonnegative_int,
-        default=0,
-        help="extra attempts per failing run, with exponential backoff",
-    )
-    parser.add_argument(
-        "--run-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-run wall-clock budget; a run exceeding it counts as failed",
-    )
-    parser.add_argument(
-        "--faults",
-        type=Path,
-        default=None,
-        metavar="PLAN.JSON",
-        help="inject the deterministic FaultPlan in this JSON file into every run",
-    )
-    parser.add_argument(
-        "--telemetry",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help=(
-            "write JSON-lines telemetry (per-run GC timelines, metrics, "
-            "spans) into this directory; inspect with 'python -m repro "
-            "metrics DIR'. Telemetry never changes results."
-        ),
+    add_engine_flags(
+        parser, "--progress", "--retries", "--run-timeout", "--faults", "--telemetry"
     )
     parser.add_argument(
         "--out",
@@ -293,6 +310,29 @@ def _resolve_trace_cache(args) -> TraceCache:
                 )
             root = Path(cache_root) / "traces"
     return TraceCache(root)
+
+
+def run_options(args: argparse.Namespace) -> RunOptions:
+    """The engine settings a command's parsed engine flags ask for.
+
+    Resolves the caches, opens a fresh progress tally and loads the fault
+    plan; a flag the command does not offer leaves its setting at the
+    :class:`RunOptions` default.
+    """
+    parsed = vars(args)
+    faults = parsed.get("faults")
+    return RunOptions(
+        jobs=args.jobs,
+        cache=_resolve_cache(args),
+        progress=_ProgressReporter(verbose=args.progress),
+        faults=load_fault_plan(faults) if faults is not None else None,
+        trace_cache=_resolve_trace_cache(args),
+        **{
+            name: parsed[name]
+            for name in ("retries", "run_timeout", "telemetry")
+            if name in parsed
+        },
+    )
 
 
 def _run_named(
@@ -360,21 +400,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{exp.name.ljust(width)}  {exp.description}")
         return 0
 
-    cache = _resolve_cache(args)
-    trace_cache = _resolve_trace_cache(args)
-    faults = load_fault_plan(args.faults) if args.faults is not None else None
+    shared = run_options(args)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     all_ok = True
     for name in names:
-        options = RunOptions(
-            jobs=args.jobs,
-            cache=cache,
-            progress=_ProgressReporter(verbose=args.progress),
-            retries=args.retries,
-            run_timeout=args.run_timeout,
-            faults=faults,
-            trace_cache=trace_cache,
-            telemetry=args.telemetry,
+        # One progress tally per experiment, so each footer counts its own runs.
+        options = dataclasses.replace(
+            shared, progress=_ProgressReporter(verbose=args.progress)
         )
         if args.profile is not None:
             report, ok = _profiled(

@@ -4,9 +4,10 @@ Every driver exposes ``run_<name>()`` returning structured results and
 ``format_<name>()`` rendering them as terminal tables/plots; each is also
 registered by name in :mod:`repro.experiments.registry`, which the CLI
 (``python -m repro``) enumerates. The benchmark harness under
-``benchmarks/`` wraps the drivers directly. Sim-based drivers accept
-``jobs=``/``cache=``/``progress=`` and fan out through
-:func:`repro.sim.engine.run_experiment_batch`.
+``benchmarks/`` wraps the drivers directly. Sim-based drivers take one
+``options=`` :class:`~repro.sim.engine.RunOptions` (workers, caches,
+progress, retries, faults, telemetry) and fan out through
+:class:`repro.sim.engine.ParallelRunner`.
 """
 
 from repro.experiments.ablations import (
@@ -33,7 +34,6 @@ from repro.experiments.figure7 import format_figure7, run_figure7
 from repro.experiments.figure8 import format_figure8, run_figure8
 from repro.experiments.registry import (
     Experiment,
-    RunOptions,
     experiment,
     experiment_names,
     get_experiment,
@@ -41,6 +41,7 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.table1 import format_table1, run_table1
+from repro.sim.engine import RunOptions
 
 __all__ = [
     "Experiment",

@@ -28,7 +28,6 @@ from repro.core.fixed import PartitionHeuristicPolicy
 from repro.core.saio import UNLIMITED_HISTORY
 from repro.events import trace_stats
 from repro.experiments.common import (
-    engine_options,
     DEFAULT_CONFIG,
     SAGA_PREAMBLE,
     SAIO_PREAMBLE,
@@ -37,7 +36,7 @@ from repro.experiments.common import (
     paper_store_config,
 )
 from repro.oo7.config import OO7Config
-from repro.sim.engine import run_experiment, run_experiment_batch
+from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.report import format_table
 from repro.sim.spec import PolicySpec, SelectionSpec
 from repro.workload.application import Oo7Application
@@ -59,7 +58,7 @@ class FixedHeuristicResult:
 def run_fixed_heuristic_ablation(
     seeds=None,
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> FixedHeuristicResult:
     seeds = seeds if seeds is not None else default_seeds()
     store = paper_store_config()
@@ -83,9 +82,7 @@ def run_fixed_heuristic_ablation(
         )
         for label, rate in zip(labels, rates)
     ]
-    aggregates = run_experiment_batch(
-        specs, seeds=seeds, **engine_options(engine_kwargs)
-    )
+    aggregates = ParallelRunner(options).run_batch(specs, seeds)
     rows = []
     for label, rate, aggregate in zip(labels, rates, aggregates):
         rows.append(
@@ -136,7 +133,7 @@ def run_clock_ablation(
     collections_budget: int = 50,
     seeds=None,
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> ClockAblationResult:
     """Compare overwrite-triggered vs allocation-triggered fixed policies.
 
@@ -181,10 +178,9 @@ def run_clock_ablation(
     ]
     rows = []
     for label, policy_spec in policies:
-        aggregate = run_experiment(
+        aggregate = ParallelRunner(options).run(
             oo7_spec(policy_spec, config, SAGA_PREAMBLE, label=f"ablation-clock {label}"),
-            seeds=seeds,
-            **engine_options(engine_kwargs),
+            seeds,
             keep_records=True,
         )
         zero_yield = []
@@ -249,7 +245,7 @@ def run_saio_history_ablation(
     histories=(0, 4, UNLIMITED_HISTORY),
     seeds=None,
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> SaioHistoryResult:
     seeds = seeds if seeds is not None else default_seeds()
     settings = [
@@ -264,9 +260,7 @@ def run_saio_history_ablation(
         )
         for fraction, history in settings
     ]
-    aggregates = run_experiment_batch(
-        specs, seeds=seeds, **engine_options(engine_kwargs)
-    )
+    aggregates = ParallelRunner(options).run_batch(specs, seeds)
     rows = []
     for (fraction, history), aggregate in zip(settings, aggregates):
         stat = aggregate.gc_io_fraction
@@ -305,7 +299,7 @@ def run_selection_ablation(
     requested: float = 0.10,
     seeds=None,
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> SelectionAblationResult:
     """Measure CGS/CB *estimation* bias under each selection policy.
 
@@ -321,7 +315,7 @@ def run_selection_ablation(
         ("updated-pointer", "updated-pointer"),
         ("random", "random"),
     ):
-        aggregate = run_experiment(
+        aggregate = ParallelRunner(options).run(
             oo7_spec(
                 PolicySpec(
                     "saga", {"garbage_fraction": requested, "estimator": "cgs-cb"}
@@ -331,8 +325,7 @@ def run_selection_ablation(
                 selection=SelectionSpec(selection_kind),
                 label=f"ablation-selection {label}",
             ),
-            seeds=seeds,
-            **engine_options(engine_kwargs),
+            seeds,
             keep_records=True,
         )
         biases = []
@@ -387,7 +380,7 @@ def run_weight_ablation(
     weights=(0.0, 0.4, 0.7, 0.9),
     seeds=None,
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> WeightAblationResult:
     seeds = seeds if seeds is not None else default_seeds()
     specs = [
@@ -406,9 +399,7 @@ def run_weight_ablation(
         )
         for weight in weights
     ]
-    aggregates = run_experiment_batch(
-        specs, seeds=seeds, **engine_options(engine_kwargs)
-    )
+    aggregates = ParallelRunner(options).run_batch(specs, seeds)
     rows = []
     for weight, aggregate in zip(weights, aggregates):
         stat = aggregate.garbage_fraction

@@ -34,20 +34,6 @@ SAGA_PREAMBLE = 10
 SAIO_PREAMBLE = 2
 
 
-def engine_options(engine_kwargs: dict) -> dict:
-    """Normalise a driver's ``**engine_kwargs`` for the parallel engine.
-
-    Drivers forward whatever engine options they are given (``jobs``,
-    ``cache``, ``progress``, ``retries``, ``run_timeout``, ``faults``, …)
-    verbatim — new engine features reach every driver without touching
-    their signatures. The single default imposed here is ``jobs=1``, so
-    direct programmatic callers get the deterministic in-process path
-    unless they opt into parallelism.
-    """
-    engine_kwargs.setdefault("jobs", 1)
-    return engine_kwargs
-
-
 def full_scale() -> bool:
     """Whether paper-scale grids were requested via ``REPRO_FULL=1``."""
     return os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "no")

@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import (
-    engine_options,
     DEFAULT_CONFIG,
     SAGA_PREAMBLE,
     default_seeds,
     oo7_spec,
 )
 from repro.oo7.config import OO7Config
-from repro.sim.engine import run_experiment_batch
+from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.report import format_table
 from repro.sim.spec import PolicySpec
 
@@ -58,7 +57,7 @@ def run_estimator_space(
     seeds=None,
     config: OO7Config = DEFAULT_CONFIG,
     estimators=ESTIMATOR_SPACE,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> EstimatorSpaceResult:
     seeds = seeds if seeds is not None else default_seeds()
     specs = [
@@ -77,12 +76,7 @@ def run_estimator_space(
         )
         for name in estimators
     ]
-    aggregates = run_experiment_batch(
-        specs,
-        seeds=seeds,
-        **engine_options(engine_kwargs),
-        keep_records=True,
-    )
+    aggregates = ParallelRunner(options).run_batch(specs, seeds, keep_records=True)
     rows = []
     for name, aggregate in zip(estimators, aggregates):
         biases, abs_errors, jitters = [], [], []

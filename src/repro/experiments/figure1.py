@@ -19,12 +19,11 @@ from repro.experiments.common import (
     DEFAULT_CONFIG,
     SAGA_PREAMBLE,
     default_seeds,
-    engine_options,
     full_scale,
     oo7_spec,
 )
 from repro.oo7.config import OO7Config
-from repro.sim.engine import run_experiment_batch
+from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.report import format_table
 from repro.sim.spec import PolicySpec
 
@@ -59,7 +58,7 @@ def run_figure1(
     rates=None,
     seeds=None,
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> Figure1Result:
     rates = rates if rates is not None else (FULL_RATES if full_scale() else QUICK_RATES)
     seeds = seeds if seeds is not None else default_seeds()
@@ -72,9 +71,7 @@ def run_figure1(
         )
         for rate in rates
     ]
-    aggregates = run_experiment_batch(
-        specs, seeds=seeds, **engine_options(engine_kwargs)
-    )
+    aggregates = ParallelRunner(options).run_batch(specs, seeds)
     rows = []
     for rate, aggregate in zip(rates, aggregates):
         total = aggregate.total_io

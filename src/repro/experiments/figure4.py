@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import (
-    engine_options,
     DEFAULT_CONFIG,
     SAIO_PREAMBLE,
     SWEEP_HEADERS,
@@ -28,7 +27,7 @@ from repro.experiments.common import (
     sweep_rows,
 )
 from repro.oo7.config import OO7Config
-from repro.sim.engine import run_experiment_batch
+from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.report import format_table
 from repro.sim.spec import PolicySpec
 
@@ -49,7 +48,7 @@ def run_figure4(
     seeds=None,
     c_hist: float = 0,
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> Figure4Result:
     fractions = (
         fractions
@@ -66,9 +65,7 @@ def run_figure4(
         )
         for fraction in fractions
     ]
-    aggregates = run_experiment_batch(
-        specs, seeds=seeds, **engine_options(engine_kwargs)
-    )
+    aggregates = ParallelRunner(options).run_batch(specs, seeds)
     points = []
     for fraction, aggregate in zip(fractions, aggregates):
         stat = aggregate.gc_io_fraction

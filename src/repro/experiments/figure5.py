@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import (
-    engine_options,
     DEFAULT_CONFIG,
     SAGA_PREAMBLE,
     SWEEP_HEADERS,
@@ -30,7 +29,7 @@ from repro.experiments.common import (
     sweep_rows,
 )
 from repro.oo7.config import OO7Config
-from repro.sim.engine import run_experiment_batch
+from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.report import format_table
 from repro.sim.spec import PolicySpec
 
@@ -53,7 +52,7 @@ def run_figure5(
     estimators=ESTIMATORS,
     history: float = 0.8,
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> Figure5Result:
     fractions = (
         fractions
@@ -82,9 +81,7 @@ def run_figure5(
         )
         for estimator_name, fraction in settings
     ]
-    aggregates = run_experiment_batch(
-        specs, seeds=seeds, **engine_options(engine_kwargs)
-    )
+    aggregates = ParallelRunner(options).run_batch(specs, seeds)
     sweeps: dict[str, list[SweepPoint]] = {name: [] for name in estimators}
     for (estimator_name, fraction), aggregate in zip(settings, aggregates):
         stat = aggregate.garbage_fraction

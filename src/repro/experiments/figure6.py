@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import DEFAULT_CONFIG, SAGA_PREAMBLE, engine_options, oo7_spec
+from repro.experiments.common import DEFAULT_CONFIG, SAGA_PREAMBLE, oo7_spec
 from repro.oo7.config import OO7Config
-from repro.sim.engine import run_experiment_batch
+from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.metrics import CollectionRecord
 from repro.sim.report import ascii_plot, format_table
 from repro.sim.spec import PolicySpec
@@ -57,7 +57,7 @@ def run_figure6(
     history: float = 0.8,
     seed: int = 0,
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> Figure6Result:
     specs = [
         oo7_spec(
@@ -75,12 +75,7 @@ def run_figure6(
         )
         for name in estimators
     ]
-    aggregates = run_experiment_batch(
-        specs,
-        seeds=[seed],
-        **engine_options(engine_kwargs),
-        keep_records=True,
-    )
+    aggregates = ParallelRunner(options).run_batch(specs, [seed], keep_records=True)
     series = {}
     for name, aggregate in zip(estimators, aggregates):
         series[name] = Figure6Series(estimator=name, records=aggregate.records[0] if aggregate.records else [])

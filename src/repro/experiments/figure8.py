@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import (
-    engine_options,
     DEFAULT_CONFIG,
     SAGA_PREAMBLE,
     SAIO_PREAMBLE,
@@ -24,7 +23,7 @@ from repro.experiments.common import (
     sweep_rows,
 )
 from repro.oo7.config import OO7Config
-from repro.sim.engine import run_experiment_batch
+from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.report import format_table
 from repro.sim.spec import PolicySpec
 
@@ -48,7 +47,7 @@ def run_figure8(
     connectivities=CONNECTIVITIES,
     estimators=("oracle", "fgs-hb"),
     config: OO7Config = DEFAULT_CONFIG,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> Figure8Result:
     fractions = (
         fractions
@@ -91,9 +90,7 @@ def run_figure8(
                     )
                 )
 
-    aggregates = run_experiment_batch(
-        specs, seeds=seeds, **engine_options(engine_kwargs)
-    )
+    aggregates = ParallelRunner(options).run_batch(specs, seeds)
 
     saio: dict[int, list[SweepPoint]] = {}
     saga: dict[tuple[str, int], list[SweepPoint]] = {}

@@ -4,9 +4,10 @@ Historically the CLI hand-listed every ``run_<name>``/``format_<name>``
 pair; adding an experiment meant editing three files. The registry
 collapses that: each experiment registers itself here as a *name*, a
 one-line *description* and a runner that takes the seed list plus a
-:class:`RunOptions` (parallelism / caching / progress) and returns the
-fully formatted report. ``repro-experiments list`` and the ``all`` target
-read the registry instead of a hand-maintained table.
+:class:`~repro.sim.engine.RunOptions` (the engine's settings, passed to
+the driver unchanged) and returns the fully formatted report.
+``repro-experiments list`` and the ``all`` target read the registry
+instead of a hand-maintained table.
 
 Downstream code can add experiments with the :func:`experiment` decorator
 (or :func:`register_experiment`) before invoking
@@ -16,53 +17,9 @@ Downstream code can add experiments with the :func:`experiment` decorator
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from repro.faults.plan import FaultPlan
-from repro.sim.engine import CacheLike, ProgressCallback, TraceCacheLike
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Execution options threaded from the CLI into every driver.
-
-    ``jobs=1`` is the in-process deterministic path; ``jobs=None`` lets the
-    engine pick ``os.cpu_count()``. ``cache`` may be a
-    :class:`~repro.sim.cache.ResultCache`, a directory path, or ``None``
-    to disable caching; ``trace_cache`` is the compiled-trace counterpart
-    (:class:`~repro.workload.trace_cache.TraceCache`), so each unique
-    (workload, seed) trace is built once per sweep. ``retries`` /
-    ``run_timeout`` configure the engine's failure-tolerance layer, and
-    ``faults`` composes a deterministic
-    :class:`~repro.faults.plan.FaultPlan` onto every run (the CLI's
-    ``--retries`` / ``--run-timeout`` / ``--faults`` flags). ``telemetry``
-    names a directory for per-run JSON-lines observability files (the
-    CLI's ``--telemetry``; see :mod:`repro.obs`) — ``None`` disables the
-    observability layer entirely.
-    """
-
-    jobs: Optional[int] = 1
-    cache: CacheLike = None
-    progress: Optional[ProgressCallback] = None
-    retries: int = 0
-    run_timeout: Optional[float] = None
-    faults: Optional[FaultPlan] = None
-    trace_cache: TraceCacheLike = None
-    telemetry: Union[str, Path, None] = None
-
-    def engine_kwargs(self) -> dict:
-        """Keyword arguments every spec-engine driver accepts."""
-        return {
-            "jobs": self.jobs,
-            "cache": self.cache,
-            "progress": self.progress,
-            "retries": self.retries,
-            "run_timeout": self.run_timeout,
-            "faults": self.faults,
-            "trace_cache": self.trace_cache,
-            "telemetry": self.telemetry,
-        }
+from repro.sim.engine import RunOptions
 
 
 #: A runner renders one experiment end-to-end: (seeds, options) → report.
@@ -151,21 +108,21 @@ def _table1(seeds, options: RunOptions) -> str:
 def _figure1(seeds, options: RunOptions) -> str:
     from repro.experiments.figure1 import format_figure1, run_figure1
 
-    return format_figure1(run_figure1(seeds=seeds, **options.engine_kwargs()))
+    return format_figure1(run_figure1(seeds=seeds, options=options))
 
 
 @experiment("figure4", "SAIO accuracy sweep")
 def _figure4(seeds, options: RunOptions) -> str:
     from repro.experiments.figure4 import format_figure4, run_figure4
 
-    return format_figure4(run_figure4(seeds=seeds, **options.engine_kwargs()))
+    return format_figure4(run_figure4(seeds=seeds, options=options))
 
 
 @experiment("figure5", "SAGA accuracy sweep per estimator")
 def _figure5(seeds, options: RunOptions) -> str:
     from repro.experiments.figure5 import format_figure5, run_figure5
 
-    return format_figure5(run_figure5(seeds=seeds, **options.engine_kwargs()))
+    return format_figure5(run_figure5(seeds=seeds, options=options))
 
 
 @experiment("figure6", "time-varying garbage estimation (CGS/CB, FGS/HB)")
@@ -173,7 +130,7 @@ def _figure6(seeds, options: RunOptions) -> str:
     from repro.experiments.figure6 import format_figure6, run_figure6
 
     seed = seeds[0] if seeds else 0
-    return format_figure6(run_figure6(seed=seed, **options.engine_kwargs()))
+    return format_figure6(run_figure6(seed=seed, options=options))
 
 
 @experiment("figure7", "FGS/HB history parameter study + rate/yield traces")
@@ -181,14 +138,14 @@ def _figure7(seeds, options: RunOptions) -> str:
     from repro.experiments.figure7 import format_figure7, run_figure7
 
     seed = seeds[0] if seeds else 0
-    return format_figure7(run_figure7(seed=seed, **options.engine_kwargs()))
+    return format_figure7(run_figure7(seed=seed, options=options))
 
 
 @experiment("figure8", "connectivity sensitivity (6 and 9)")
 def _figure8(seeds, options: RunOptions) -> str:
     from repro.experiments.figure8 import format_figure8, run_figure8
 
-    return format_figure8(run_figure8(seeds=seeds, **options.engine_kwargs()))
+    return format_figure8(run_figure8(seeds=seeds, options=options))
 
 
 @experiment(
@@ -219,9 +176,7 @@ def _describe(seeds, options: RunOptions) -> str:
 def _ablation_clock(seeds, options: RunOptions) -> str:
     from repro.experiments.ablations import format_clock_ablation, run_clock_ablation
 
-    return format_clock_ablation(
-        run_clock_ablation(seeds=seeds, **options.engine_kwargs())
-    )
+    return format_clock_ablation(run_clock_ablation(seeds=seeds, options=options))
 
 
 @experiment(
@@ -245,9 +200,7 @@ def _ablation_estimators(seeds, options: RunOptions) -> str:
         run_estimator_space,
     )
 
-    return format_estimator_space(
-        run_estimator_space(seeds=seeds, **options.engine_kwargs())
-    )
+    return format_estimator_space(run_estimator_space(seeds=seeds, options=options))
 
 
 @experiment("ablation-fixed", "§2.1 partition-heuristic fixed rate failure")
@@ -258,7 +211,7 @@ def _ablation_fixed(seeds, options: RunOptions) -> str:
     )
 
     return format_fixed_heuristic(
-        run_fixed_heuristic_ablation(seeds=seeds, **options.engine_kwargs())
+        run_fixed_heuristic_ablation(seeds=seeds, options=options)
     )
 
 
@@ -269,9 +222,7 @@ def _ablation_history(seeds, options: RunOptions) -> str:
         run_saio_history_ablation,
     )
 
-    return format_saio_history(
-        run_saio_history_ablation(seeds=seeds, **options.engine_kwargs())
-    )
+    return format_saio_history(run_saio_history_ablation(seeds=seeds, options=options))
 
 
 @experiment("ablation-selection", "§4.1.2 CGS/CB vs selection policy")
@@ -282,7 +233,7 @@ def _ablation_selection(seeds, options: RunOptions) -> str:
     )
 
     return format_selection_ablation(
-        run_selection_ablation(seeds=seeds, **options.engine_kwargs())
+        run_selection_ablation(seeds=seeds, options=options)
     )
 
 
@@ -293,7 +244,7 @@ def _ablation_selection(seeds, options: RunOptions) -> str:
 def _fleet_demo(seeds, options: RunOptions) -> str:
     from repro.fleet import run_demo
 
-    return run_demo(seeds, options.engine_kwargs())
+    return run_demo(seeds, options)
 
 
 @experiment(
@@ -301,17 +252,9 @@ def _fleet_demo(seeds, options: RunOptions) -> str:
     "policy tournament: fixed/SAIO/SAGA/learned + estimator error ranking",
 )
 def _figure9(seeds, options: RunOptions) -> str:
-    import os
-
     from repro.experiments.tournament import format_tournament, run_tournament
 
-    return format_tournament(
-        run_tournament(
-            seeds=seeds,
-            model_path=os.environ.get("REPRO_LEARNED_MODEL"),
-            **options.engine_kwargs(),
-        )
-    )
+    return format_tournament(run_tournament(seeds=seeds, options=options))
 
 
 @experiment("ablation-weight", "§2.3 SAGA slope Weight")
@@ -321,6 +264,4 @@ def _ablation_weight(seeds, options: RunOptions) -> str:
         run_weight_ablation,
     )
 
-    return format_weight_ablation(
-        run_weight_ablation(seeds=seeds, **options.engine_kwargs())
-    )
+    return format_weight_ablation(run_weight_ablation(seeds=seeds, options=options))

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.cli import COMMON_ENGINE_FLAGS, add_engine_flags, positive_float, run_options
 from repro.fleet import _default_sim_config
 from repro.gc.learned import LearnedModel, train_model
 from repro.obs.features import load_training_rows
-from repro.sim.engine import run_experiment_batch
+from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.report import format_percent, format_table
 from repro.sim.spec import ExperimentSpec, PolicySpec, WorkloadSpec
 from repro.workload.tenants import tenant_mix
@@ -130,9 +131,8 @@ def _scenario_specs(
 def train_from_scenarios(
     seeds: Sequence[int],
     scale: float,
-    jobs: Optional[int] = None,
+    options: RunOptions = RunOptions(),
     train_seed: int = 0,
-    progress=None,
 ) -> LearnedModel:
     """Self-train: oracle-supervised teacher sweep → fitted model.
 
@@ -141,7 +141,8 @@ def train_from_scenarios(
     learned model from the GC timelines. The non-SAGA teachers matter:
     they cover collection-state distributions the oracle-driven policy
     never visits, which is exactly where the deployed estimator would
-    otherwise extrapolate. Deliberately uncached (see module docstring).
+    otherwise extrapolate. Deliberately uncached (see module docstring):
+    of ``options`` it takes only the workers and the progress callback.
     """
     teacher = [
         ("teacher-oracle", "oracle",
@@ -156,10 +157,10 @@ def train_from_scenarios(
     ]
     specs = _scenario_specs(scale, teacher)
     with tempfile.TemporaryDirectory(prefix="repro-tournament-") as tmp:
-        run_experiment_batch(
-            specs, seeds=seeds, jobs=jobs, cache=None,
-            telemetry=tmp, progress=progress,
+        teacher_options = RunOptions(
+            jobs=options.jobs, progress=options.progress, telemetry=tmp
         )
+        ParallelRunner(teacher_options).run_batch(specs, seeds)
         matrix = load_training_rows([tmp])
         model, _report = train_model(
             matrix.rows, seed=train_seed, files=len(matrix.files)
@@ -173,24 +174,20 @@ def run_tournament(
     model_path: Optional[str] = None,
     scale: float = 3.0,
     train_seed: int = 0,
-    **engine_kwargs,
+    options: RunOptions = RunOptions(),
 ) -> TournamentResult:
     """Run the bracket; self-train the learned entrant when no model given.
 
     ``model_path`` deploys a saved artifact (its content hash is verified
-    on load); ``model`` passes one in-process. ``engine_kwargs`` are the
-    usual engine options (jobs / cache / progress / ...).
+    on load); ``model`` passes one in-process. ``options`` are the
+    engine's settings for the bracket (workers, caches, progress, ...).
     """
     seeds = list(seeds) if seeds else [0, 1]
-    jobs = engine_kwargs.get("jobs")
-    progress = engine_kwargs.get("progress")
     self_trained = False
     if model is None and model_path is not None:
         model = LearnedModel.load(model_path)
     if model is None:
-        model = train_from_scenarios(
-            seeds, scale, jobs=jobs, train_seed=train_seed, progress=progress
-        )
+        model = train_from_scenarios(seeds, scale, options, train_seed=train_seed)
         self_trained = True
 
     # The learned cell references the model through a content-pinned spec
@@ -222,8 +219,8 @@ def run_tournament(
         )
 
         specs = _scenario_specs(scale, policies)
-        aggregates = run_experiment_batch(
-            specs, seeds=seeds, keep_records=True, **engine_kwargs
+        aggregates = ParallelRunner(options).run_batch(
+            specs, seeds, keep_records=True
         )
 
     flat = [
@@ -418,25 +415,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed list (default: 0 1)",
     )
     parser.add_argument(
-        "--scale", type=float, default=3.0,
+        "--scale", type=positive_float, default=3.0,
         help="tenant-profile operation multiplier (default: %(default)s)",
     )
     parser.add_argument(
         "--train-seed", type=int, default=0,
         help="SGD seed for self-training (default: %(default)s)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: one per CPU; 1 = in-process)",
-    )
-    parser.add_argument("--cache-dir", type=Path, default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--trace-cache-dir", type=Path, default=None)
-    parser.add_argument("--no-trace-cache", action="store_true")
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="print one line per completed run (stderr)",
-    )
+    add_engine_flags(parser, *COMMON_ENGINE_FLAGS, "--progress")
     parser.add_argument(
         "--json", type=Path, default=None, metavar="FILE",
         help="also write the machine-readable tournament document here",
@@ -449,22 +435,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.cli import _ProgressReporter, _resolve_cache, _resolve_trace_cache
-
     args = _build_parser().parse_args(
         list(argv) if argv is not None else sys.argv[1:]
     )
-    reporter = _ProgressReporter(verbose=args.progress)
+    options = run_options(args)
+    reporter = options.progress
     started = time.time()
     result = run_tournament(
         seeds=args.seeds,
         model_path=args.model,
         scale=args.scale,
         train_seed=args.train_seed,
-        jobs=args.jobs,
-        cache=_resolve_cache(args),
-        trace_cache=_resolve_trace_cache(args),
-        progress=reporter,
+        options=options,
     )
     elapsed = time.time() - started
 

@@ -42,9 +42,16 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.cli import (
+    COMMON_ENGINE_FLAGS,
+    add_engine_flags,
+    nonnegative_int,
+    positive_float,
+    run_options,
+)
 from repro.gc.learned import ModelError, model_spec, parse_model_spec
 from repro.gc.parallel import COLLECTION_MODES
-from repro.sim.engine import AggregateResult, run_experiment_batch
+from repro.sim.engine import AggregateResult, ParallelRunner, RunOptions
 from repro.sim.metrics import SimulationSummary
 from repro.sim.report import format_percent, format_table
 from repro.sim.simulator import SimulationConfig
@@ -323,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=positive_float,
         default=0.5,
         help="operation-count multiplier for bundled profiles (default 0.5)",
     )
@@ -370,34 +377,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--preamble",
-        type=int,
+        type=nonnegative_int,
         default=0,
         help="cold-start collections excluded from statistics (default 0)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: one per CPU; 1 = in-process)",
-    )
-    parser.add_argument("--cache-dir", type=Path, default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--trace-cache-dir", type=Path, default=None)
-    parser.add_argument("--no-trace-cache", action="store_true")
-    parser.add_argument(
+    add_engine_flags(
+        parser,
+        *COMMON_ENGINE_FLAGS,
         "--telemetry",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="write JSON-lines telemetry for every simulated run here",
-    )
-    parser.add_argument(
         "--progress",
-        action="store_true",
-        help="print one line per completed run (stderr)",
+        "--retries",
+        "--run-timeout",
     )
-    parser.add_argument("--retries", type=int, default=0)
-    parser.add_argument("--run-timeout", type=float, default=None)
     parser.add_argument(
         "--replay",
         choices=("auto", "scalar"),
@@ -465,8 +456,6 @@ def _resolve_scenario(args) -> "WorkloadConfig | TenantMixConfig":
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.cli import _ProgressReporter, _resolve_cache, _resolve_trace_cache
-
     args = _build_parser().parse_args(
         list(argv) if argv is not None else sys.argv[1:]
     )
@@ -496,19 +485,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"[scenario written to {args.emit_scenario}]", file=sys.stderr)
         return 0
 
-    reporter = _ProgressReporter(verbose=args.progress)
+    options = run_options(args)
+    reporter = options.progress
     started = time.time()
-    results = run_experiment_batch(
-        specs,
-        seeds=args.seeds,
-        jobs=args.jobs,
-        cache=_resolve_cache(args),
-        progress=reporter,
-        retries=args.retries,
-        run_timeout=args.run_timeout,
-        trace_cache=_resolve_trace_cache(args),
-        telemetry=args.telemetry,
-    )
+    results = ParallelRunner(options).run_batch(specs, args.seeds)
     elapsed = time.time() - started
 
     title = "Fleet sweep (sharded)" if args.shard else "Fleet sweep"
@@ -551,7 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 
 
-def run_demo(seeds: Optional[list[int]], engine_kwargs: dict) -> str:
+def run_demo(seeds: Optional[list[int]], options: RunOptions = RunOptions()) -> str:
     """A small fixed grid for the experiment registry (`fleet-demo`).
 
     2 interleaved tenants × 2 policies over the given seeds — enough to
@@ -562,8 +542,7 @@ def run_demo(seeds: Optional[list[int]], engine_kwargs: dict) -> str:
     policies = [parse_policy("fixed:20"), parse_policy("saio:0.1")]
     specs = build_grid(scenario, policies)
     seeds = seeds if seeds else [0, 1]
-    engine_kwargs.setdefault("jobs", 1)
-    results = run_experiment_batch(specs, seeds=seeds, **engine_kwargs)
+    results = ParallelRunner(options).run_batch(specs, seeds)
     return format_fleet_report(specs, results, seeds, title="Fleet demo grid")
 
 

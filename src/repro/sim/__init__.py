@@ -18,6 +18,7 @@ from repro.sim.engine import (
     AggregateStat,
     ParallelRunner,
     RunFailure,
+    RunOptions,
     RunStats,
     RunTimeoutError,
     SeedOutcome,
@@ -55,6 +56,7 @@ __all__ = [
     "PolicySpec",
     "ResultCache",
     "RunFailure",
+    "RunOptions",
     "RunStats",
     "RunTimeoutError",
     "RunningMean",

@@ -13,6 +13,9 @@ ProcessPoolExecutor` and memoises each run in an optional on-disk
 * cache hits skip simulation entirely and are reported per run through the
   progress callback and in :class:`RunStats`.
 
+Every setting lives on one :class:`RunOptions` value, handed from the CLI
+through the experiment drivers to :class:`ParallelRunner` unchanged.
+
 The engine is failure-tolerant: a run that raises (or exceeds
 ``run_timeout``) is retried up to ``retries`` times with capped, jittered
 exponential backoff, and if it still fails it is *quarantined* — recorded as a
@@ -226,6 +229,71 @@ ProgressCallback = Callable[[SeedOutcome], None]
 CacheLike = Union[ResultCache, str, Path, None]
 TraceCacheLike = Union[TraceCache, str, Path, None]
 
+#: Base retry backoff in seconds: attempt *n* waits ``RETRY_BACKOFF *
+#: 2**(n-1)``, capped at :data:`RETRY_BACKOFF_CAP` and jittered.
+RETRY_BACKOFF = 0.5
+#: Upper bound in seconds on any single backoff wait — keeps deep retry
+#: chains from doubling into minutes.
+RETRY_BACKOFF_CAP = 30.0
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The engine's settings: the one value every CLI, driver and runner takes.
+
+    Attributes:
+        jobs: Worker processes; ``1`` (the default) runs everything
+            in-process (the deterministic baseline path); ``None`` uses
+            ``os.cpu_count()``.
+        cache: A :class:`ResultCache`, a directory path to open one in, or
+            ``None`` to disable caching.
+        progress: Callback invoked once per settled run.
+        retries: Extra attempts per run after the first one fails
+            (capped, jittered exponential backoff between attempts, base
+            :data:`RETRY_BACKOFF`). ``0`` fails fast.
+        run_timeout: Per-run wall-clock budget in seconds; a run exceeding
+            it is treated as failed (and retried like any other failure).
+            Enforced with a per-event monotonic-deadline check — portable
+            across platforms and threads, no signals involved.
+        faults: A :class:`~repro.faults.plan.FaultPlan` composed onto every
+            spec in the batch that does not already carry one — the CLI's
+            ``--faults`` plumbing. Fault plans are part of the cache
+            fingerprint, so faulty and fault-free runs never share entries.
+        trace_cache: A :class:`~repro.workload.trace_cache.TraceCache`, a
+            directory path to open one in, or ``None`` for a memo-only
+            cache that writes nothing. Each unique (workload, seed) trace
+            in a batch is built once per sweep and replayed everywhere —
+            in-process for serial runs, via pre-warmed on-disk compiled
+            binaries for pooled runs (memo-only: once per worker).
+        telemetry: A directory to write JSON-lines telemetry into, or
+            ``None`` (the default) to disable observability entirely. When
+            set, every simulated run writes one per-run file (GC timeline,
+            metrics, summary — see :mod:`repro.obs.telemetry`) and each
+            ``run_batch`` call writes one ``engine_NNN.jsonl`` file with
+            batch-level spans, cache counters and failure events. Cache
+            hits skip simulation and write no per-run file. Telemetry only
+            observes: summaries and cache fingerprints are identical with
+            it on or off.
+    """
+
+    jobs: Optional[int] = 1
+    cache: CacheLike = None
+    progress: Optional[ProgressCallback] = None
+    retries: int = 0
+    run_timeout: Optional[float] = None
+    faults: Optional[FaultPlan] = None
+    trace_cache: TraceCacheLike = None
+    telemetry: Union[str, Path, None] = None
+
+    def __post_init__(self) -> None:
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.run_timeout is not None and self.run_timeout <= 0:
+            raise ValueError(f"run_timeout must be > 0, got {self.run_timeout}")
+
+
 #: Per-worker-process trace cache, installed by :func:`_worker_init` when a
 #: pool is created. Workers resolve each (workload, seed) trace through it:
 #: the in-process memo answers repeats within the worker, the shared on-disk
@@ -373,79 +441,21 @@ def _simulate(
 class ParallelRunner:
     """Runs (spec, seed) grids across worker processes with caching.
 
-    Args:
-        jobs: Worker processes; ``None`` uses ``os.cpu_count()``; ``1``
-            runs everything in-process (the deterministic baseline path).
-        cache: A :class:`ResultCache`, a directory path to open one in, or
-            ``None`` to disable caching.
-        progress: Callback invoked once per settled run.
-        retries: Extra attempts per run after the first one fails
-            (exponential backoff between attempts). ``0`` fails fast.
-        retry_backoff: Base backoff in seconds; attempt *n* waits
-            ``retry_backoff * 2**(n-1)`` (capped, jittered) before
-            retrying.
-        retry_backoff_cap: Upper bound in seconds on any single backoff
-            wait — keeps deep retry chains from doubling into minutes.
-        run_timeout: Per-run wall-clock budget in seconds; a run exceeding
-            it is treated as failed (and retried like any other failure).
-            Enforced with a per-event monotonic-deadline check — portable
-            across platforms and threads, no signals involved.
-        faults: A :class:`~repro.faults.plan.FaultPlan` composed onto every
-            spec in the batch that does not already carry one — the CLI's
-            ``--faults`` plumbing. Fault plans are part of the cache
-            fingerprint, so faulty and fault-free runs never share entries.
-        trace_cache: A :class:`~repro.workload.trace_cache.TraceCache`, a
-            directory path to open one in, or ``None`` for a memo-only
-            cache that writes nothing. Each unique (workload, seed) trace
-            in a batch is built once per sweep and replayed everywhere —
-            in-process for serial runs, via pre-warmed on-disk compiled
-            binaries for pooled runs (memo-only: once per worker).
-        telemetry: A directory to write JSON-lines telemetry into, or
-            ``None`` (the default) to disable observability entirely. When
-            set, every simulated run writes one per-run file (GC timeline,
-            metrics, summary — see :mod:`repro.obs.telemetry`) and each
-            ``run_batch`` call writes one ``engine_NNN.jsonl`` file with
-            batch-level spans, cache counters and failure events. Cache
-            hits skip simulation and write no per-run file. Telemetry only
-            observes: summaries and cache fingerprints are identical with
-            it on or off.
+    Every setting comes from one :class:`RunOptions`; the default runs
+    in-process with no caches on disk.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        cache: CacheLike = None,
-        progress: Optional[ProgressCallback] = None,
-        retries: int = 0,
-        retry_backoff: float = 0.5,
-        retry_backoff_cap: float = 30.0,
-        run_timeout: Optional[float] = None,
-        faults: Optional[FaultPlan] = None,
-        trace_cache: TraceCacheLike = None,
-        telemetry: Union[str, Path, None] = None,
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
-        if retry_backoff_cap <= 0:
-            raise ValueError(
-                f"retry_backoff_cap must be > 0, got {retry_backoff_cap}"
-            )
-        if run_timeout is not None and run_timeout <= 0:
-            raise ValueError(f"run_timeout must be > 0, got {run_timeout}")
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.cache = _as_cache(cache)
-        self.progress = progress
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
-        self.run_timeout = run_timeout
-        self.faults = faults
-        self.trace_cache = _as_trace_cache(trace_cache)
-        self.telemetry = Path(telemetry) if telemetry is not None else None
+    def __init__(self, options: RunOptions = RunOptions()) -> None:
+        self.jobs = options.jobs or os.cpu_count() or 1
+        self.cache = _as_cache(options.cache)
+        self.progress = options.progress
+        self.retries = options.retries
+        self.run_timeout = options.run_timeout
+        self.faults = options.faults
+        self.trace_cache = _as_trace_cache(options.trace_cache)
+        self.telemetry = (
+            Path(options.telemetry) if options.telemetry is not None else None
+        )
 
     # ------------------------------------------------------------------
     # Entry points
@@ -622,18 +632,17 @@ class ParallelRunner:
     # Execution paths
     # ------------------------------------------------------------------
 
-    def _backoff(self, attempt: int) -> None:
+    @staticmethod
+    def _backoff(attempt: int) -> None:
         """Sleep before retry ``attempt`` (1-based): capped, jittered.
 
         The uncapped exponential doubles into minutes within a dozen
-        attempts; ``retry_backoff_cap`` bounds the wait. Full-half jitter
-        (a uniform draw from ``[delay/2, delay)``) decorrelates retry
-        storms when many runs fail at once. Wall-clock only — simulation
-        results never depend on the sleep.
+        attempts; :data:`RETRY_BACKOFF_CAP` bounds the wait. Full-half
+        jitter (a uniform draw from ``[delay/2, delay)``) decorrelates
+        retry storms when many runs fail at once. Wall-clock only —
+        simulation results never depend on the sleep.
         """
-        delay = min(
-            self.retry_backoff * (2 ** (attempt - 1)), self.retry_backoff_cap
-        )
+        delay = min(RETRY_BACKOFF * (2 ** (attempt - 1)), RETRY_BACKOFF_CAP)
         if delay > 0:
             time.sleep(delay * (0.5 + 0.5 * random.random()))
 
@@ -823,61 +832,25 @@ def run_experiment(
     spec: ExperimentSpec,
     *,
     seeds: Sequence[int],
-    jobs: Optional[int] = None,
-    cache: CacheLike = None,
-    progress: Optional[ProgressCallback] = None,
     keep_records: bool = False,
-    retries: int = 0,
-    retry_backoff: float = 0.5,
-    retry_backoff_cap: float = 30.0,
-    run_timeout: Optional[float] = None,
-    faults: Optional[FaultPlan] = None,
-    trace_cache: TraceCacheLike = None,
-    telemetry: Union[str, Path, None] = None,
+    **settings,
 ) -> AggregateResult:
     """Run one experimental setting across seeds, in parallel, with caching.
 
     The paper's protocol (§3.2, §4.1): one fresh policy, workload and
-    selection per seed, aggregated across seeds. ``spec`` names everything
-    by registry key, so runs can execute in worker processes (``jobs``;
-    ``None`` = all cores, ``1`` = in-process) and be memoised in
-    ``cache``. ``keep_records=True`` additionally returns each
-    run's per-collection records (Figures 6/7 need them). ``retries``,
-    ``run_timeout`` and ``faults`` configure the failure-tolerance layer,
-    ``trace_cache`` memoises compiled workload traces across runs, and
-    ``telemetry`` names a directory for per-run JSON-lines observability —
-    see :class:`ParallelRunner`.
+    selection per seed, aggregated across seeds. ``settings`` are
+    :class:`RunOptions` fields; ``keep_records=True`` additionally returns
+    each run's per-collection records (Figures 6/7 need them).
     """
-    runner = ParallelRunner(
-        jobs=jobs, cache=cache, progress=progress, retries=retries,
-        retry_backoff=retry_backoff, retry_backoff_cap=retry_backoff_cap,
-        run_timeout=run_timeout, faults=faults,
-        trace_cache=trace_cache, telemetry=telemetry,
-    )
-    return runner.run(spec, seeds, keep_records=keep_records)
+    return ParallelRunner(RunOptions(**settings)).run(spec, seeds, keep_records)
 
 
 def run_experiment_batch(
     specs: Sequence[ExperimentSpec],
     *,
     seeds: Sequence[int],
-    jobs: Optional[int] = None,
-    cache: CacheLike = None,
-    progress: Optional[ProgressCallback] = None,
     keep_records: bool = False,
-    retries: int = 0,
-    retry_backoff: float = 0.5,
-    retry_backoff_cap: float = 30.0,
-    run_timeout: Optional[float] = None,
-    faults: Optional[FaultPlan] = None,
-    trace_cache: TraceCacheLike = None,
-    telemetry: Union[str, Path, None] = None,
+    **settings,
 ) -> list[AggregateResult]:
     """Run several settings over the same seeds in one parallel fan-out."""
-    runner = ParallelRunner(
-        jobs=jobs, cache=cache, progress=progress, retries=retries,
-        retry_backoff=retry_backoff, retry_backoff_cap=retry_backoff_cap,
-        run_timeout=run_timeout, faults=faults,
-        trace_cache=trace_cache, telemetry=telemetry,
-    )
-    return runner.run_batch(specs, seeds, keep_records=keep_records)
+    return ParallelRunner(RunOptions(**settings)).run_batch(specs, seeds, keep_records)

@@ -307,3 +307,31 @@ def test_drill_with_telemetry_writes_drill_files(tmp_path, capsys):
     )
     assert "IDENTICAL" in capsys.readouterr().out
     assert list(tel.glob("run_000_drill_s0.jsonl"))
+
+
+@pytest.mark.parametrize(
+    "command, flag, bad",
+    [
+        ("figure1", "--jobs", "0"),
+        ("fleet", "--jobs", "0"),
+        ("tournament", "--jobs", "0"),
+        ("figure1", "--retries", "-1"),
+        ("fleet", "--retries", "-1"),
+        ("figure1", "--run-timeout", "0"),
+        ("fleet", "--run-timeout", "0"),
+        ("tournament", "--scale", "0"),
+        ("fleet", "--scale", "-1"),
+        ("fleet", "--preamble", "-1"),
+    ],
+)
+def test_out_of_range_flag_is_a_usage_error(command, flag, bad, tmp_path,
+                                            monkeypatch, capsys):
+    """Every command checks its numeric flags at parse time: exit 2 with
+    the flag named, never a traceback from deep inside a run."""
+    monkeypatch.chdir(tmp_path)  # nothing may land in the repo if it runs
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, flag, bad])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err

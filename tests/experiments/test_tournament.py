@@ -12,15 +12,15 @@ from repro.experiments.tournament import (
     tournament_json,
 )
 from repro.experiments.tournament import main as tournament_main
+from repro.sim.engine import RunOptions
 
 
 @pytest.fixture(scope="module")
 def small_results():
     """The same tiny tournament at one and two workers (self-trained)."""
-    kwargs = dict(seeds=[0], scale=1.0, cache=None, trace_cache=None)
     return (
-        run_tournament(jobs=1, **kwargs),
-        run_tournament(jobs=2, **kwargs),
+        run_tournament(seeds=[0], scale=1.0, options=RunOptions(jobs=1)),
+        run_tournament(seeds=[0], scale=1.0, options=RunOptions(jobs=2)),
     )
 
 
@@ -75,9 +75,7 @@ def test_pretrained_model_deploys_by_path(small_results, tmp_path):
         seeds=[0],
         scale=1.0,
         model_path=str(path),
-        jobs=2,
-        cache=None,
-        trace_cache=None,
+        options=RunOptions(jobs=2),
     )
     assert again.self_trained is False
     assert again.model.sha256 == result.model.sha256

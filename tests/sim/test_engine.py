@@ -8,7 +8,7 @@ zero simulation runs.
 import pytest
 
 from repro.oo7.config import TINY
-from repro.sim.engine import ParallelRunner, run_experiment, run_experiment_batch
+from repro.sim.engine import RunOptions, run_experiment, run_experiment_batch
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import ExperimentSpec, PolicySpec, WorkloadSpec
 from repro.storage.heap import StoreConfig
@@ -36,7 +36,7 @@ def test_requires_seeds():
 
 def test_rejects_nonpositive_jobs():
     with pytest.raises(ValueError):
-        ParallelRunner(jobs=0)
+        RunOptions(jobs=0)
 
 
 def test_empty_batch():

@@ -13,6 +13,7 @@ from repro.sim import engine as engine_module
 from repro.sim.engine import (
     ParallelRunner,
     RunFailure,
+    RunOptions,
     RunTimeoutError,
     run_experiment,
     run_experiment_batch,
@@ -82,11 +83,10 @@ def test_failed_runs_excluded_from_aggregates_and_records():
 # ----------------------------------------------------------------- retries
 
 
-def test_permanent_failure_counts_attempts():
+def test_permanent_failure_counts_attempts(monkeypatch):
+    monkeypatch.setattr(engine_module, "RETRY_BACKOFF", 0.0)
     bad = tiny_spec(label="bad", faults=ALWAYS_CRASH)
-    aggregate = run_experiment(
-        bad, seeds=[0], jobs=1, retries=2, retry_backoff=0.0
-    )
+    aggregate = run_experiment(bad, seeds=[0], jobs=1, retries=2)
     assert aggregate.stats.failures == 1
     assert aggregate.failures[0].attempts == 3  # 1 + 2 retries
     assert aggregate.stats.retries == 2
@@ -103,9 +103,8 @@ def test_transient_failure_retries_to_success(monkeypatch):
         return real_simulate(spec, seed, keep_records, **kwargs)
 
     monkeypatch.setattr(engine_module, "_simulate", flaky)
-    aggregate = run_experiment(
-        tiny_spec(), seeds=[0], jobs=1, retries=1, retry_backoff=0.0
-    )
+    monkeypatch.setattr(engine_module, "RETRY_BACKOFF", 0.0)
+    aggregate = run_experiment(tiny_spec(), seeds=[0], jobs=1, retries=1)
     assert calls["n"] == 2
     assert aggregate.runs == 1 and aggregate.stats.failures == 0
     assert aggregate.stats.retries == 1
@@ -113,9 +112,9 @@ def test_transient_failure_retries_to_success(monkeypatch):
 
 def test_negative_retries_rejected():
     with pytest.raises(ValueError):
-        ParallelRunner(retries=-1)
+        RunOptions(retries=-1)
     with pytest.raises(ValueError):
-        ParallelRunner(run_timeout=0)
+        RunOptions(run_timeout=0)
 
 
 # ----------------------------------------------------------------- timeout
@@ -185,7 +184,7 @@ def test_faulty_and_fault_free_runs_never_share_cache_entries(tmp_path):
 
 def test_run_batch_is_reentrant_from_progress_callback():
     """Nested run_batch on the same runner must not corrupt outer counters."""
-    runner = ParallelRunner(jobs=1)
+    runner = ParallelRunner(RunOptions(jobs=1))
     outer_outcomes = []
     nested_outcomes = []
 
@@ -193,7 +192,7 @@ def test_run_batch_is_reentrant_from_progress_callback():
         outer_outcomes.append(outcome)
         if len(outer_outcomes) == 1:
             # Re-enter the same runner mid-batch with a different progress.
-            inner = ParallelRunner(jobs=1, progress=nested_outcomes.append)
+            inner = ParallelRunner(RunOptions(jobs=1, progress=nested_outcomes.append))
             inner.progress = nested_outcomes.append
             runner.progress, saved = nested_outcomes.append, runner.progress
             try:
@@ -211,13 +210,13 @@ def test_run_batch_is_reentrant_from_progress_callback():
 def test_run_batch_reentrant_counts_with_threads():
     import threading
 
-    runner = ParallelRunner(jobs=1)
+    runner = ParallelRunner(RunOptions(jobs=1))
     results = {}
 
     def work(name, rate, seeds):
         outcomes = []
         saved_progress = outcomes.append
-        local = ParallelRunner(jobs=1, progress=saved_progress)
+        local = ParallelRunner(RunOptions(jobs=1, progress=saved_progress))
         # Deliberately share ONE runner across threads via run_batch's
         # explicit progress-free path; totals come from the outcome stream.
         results[name] = (
