@@ -1,16 +1,17 @@
 """Record a workload trace to a file, inspect it, and replay it.
 
 The original system was trace-driven from files [CWZ93]; this example shows
-the equivalent workflow: generate the OO7 application trace once, write it
-as line-JSON, and replay the same file under two different policies — the
-runs see byte-identical event streams, so any difference is purely the
-policy's doing.
+the equivalent workflow: generate the OO7 application trace once, save it
+in the compiled trace format (versioned and checksummed), and replay the
+same file under two different policies — the runs see byte-identical event
+streams, so any difference is purely the policy's doing.
 
 Run with::
 
     python examples/trace_replay.py
 """
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -24,23 +25,23 @@ from repro import (
     TINY,
 )
 from repro.sim.report import format_table
-from repro.workload import read_trace, write_trace
+from repro.workload import CompiledTrace, compile_trace
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        trace_path = Path(tmp) / "oo7-tiny.jsonl"
+        trace_path = Path(tmp) / "oo7-tiny.trace"
 
         # 1. Record once.
-        application = Oo7Application(TINY, seed=123)
-        count = write_trace(application.events(), trace_path)
+        compiled = compile_trace(Oo7Application(TINY, seed=123))
+        compiled.save(trace_path)
         size_kb = trace_path.stat().st_size / 1024
-        print(f"recorded {count:,} events to {trace_path.name} ({size_kb:.0f} KB)")
+        print(f"recorded {len(compiled):,} events to {trace_path.name} ({size_kb:.0f} KB)")
 
-        # 2. Peek at the head of the file — it is plain line-JSON.
-        with open(trace_path) as handle:
-            for line in [next(handle) for _ in range(4)]:
-                print(f"  {line.strip()}")
+        # 2. Peek at the head of the file — iterating a loaded trace decodes
+        #    the same event objects the generator produced.
+        for event in itertools.islice(CompiledTrace.load(trace_path), 4):
+            print(f"  {event}")
 
         # 3. Replay the identical trace under different policies.
         from repro.storage.heap import StoreConfig
@@ -62,7 +63,7 @@ def main() -> None:
                 policy=policy,
                 config=SimulationConfig(store=store_cfg, preamble_collections=2),
             )
-            summary = simulation.run(read_trace(trace_path)).summary
+            summary = simulation.run(CompiledTrace.load(trace_path)).summary
             rows.append(
                 [
                     label,

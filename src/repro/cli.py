@@ -75,7 +75,7 @@ from repro.experiments.registry import (
     get_experiment,
     iter_experiments,
 )
-from repro.faults.plan import load_fault_plan
+from repro.faults.plan import FaultPlan, load_fault_plan
 from repro.sim.cache import ResultCache
 from repro.sim.engine import RunOptions, SeedOutcome
 from repro.workload.trace_cache import TraceCache
@@ -312,20 +312,30 @@ def _resolve_trace_cache(args) -> TraceCache:
     return TraceCache(root)
 
 
-def run_options(args: argparse.Namespace) -> RunOptions:
+def read_fault_plan(parser: argparse.ArgumentParser, path: Path) -> FaultPlan:
+    """The fault plan ``--faults`` names. A file that cannot be read or is
+    not a well-formed plan is a usage error (exit 2) naming the flag."""
+    try:
+        return load_fault_plan(path)
+    except (OSError, ValueError) as exc:
+        parser.error(f"argument --faults: {exc}")
+
+
+def run_options(
+    args: argparse.Namespace, faults: Optional[FaultPlan] = None
+) -> RunOptions:
     """The engine settings a command's parsed engine flags ask for.
 
-    Resolves the caches, opens a fresh progress tally and loads the fault
-    plan; a flag the command does not offer leaves its setting at the
-    :class:`RunOptions` default.
+    Resolves the caches and opens a fresh progress tally; ``faults`` is the
+    plan :func:`read_fault_plan` loaded. A flag the command does not offer
+    leaves its setting at the :class:`RunOptions` default.
     """
     parsed = vars(args)
-    faults = parsed.get("faults")
     return RunOptions(
         jobs=args.jobs,
         cache=_resolve_cache(args),
         progress=_ProgressReporter(verbose=args.progress),
-        faults=load_fault_plan(faults) if faults is not None else None,
+        faults=faults,
         trace_cache=_resolve_trace_cache(args),
         **{
             name: parsed[name]
@@ -392,7 +402,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return tournament_main(raw[1:])
 
-    args = _build_parser().parse_args(raw)
+    parser = _build_parser()
+    args = parser.parse_args(raw)
 
     if args.experiment == "list":
         width = max(len(name) for name in EXPERIMENTS)
@@ -400,7 +411,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{exp.name.ljust(width)}  {exp.description}")
         return 0
 
-    shared = run_options(args)
+    faults = None if args.faults is None else read_fault_plan(parser, args.faults)
+    shared = run_options(args, faults)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     all_ok = True
     for name in names:

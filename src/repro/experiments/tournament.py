@@ -13,9 +13,10 @@ The learned entrant (:mod:`repro.gc.learned`) either loads a pre-trained
 model artifact (``--model``) or **self-trains**: a teacher sweep runs
 ``saga:oracle`` over the tournament scenarios with telemetry on, the GC
 timelines become training rows, and the freshly fitted model enters the
-bracket. The teacher sweep always runs uncached — result-cache hits
-replay summaries without emitting telemetry, and an empty training set
-must be impossible.
+bracket. The teacher sweep always runs without the result cache —
+result-cache hits replay summaries without emitting telemetry, and an
+empty training set must be impossible — but shares the bracket's trace
+cache, so each (scenario, seed) trace is built once.
 
 Determinism contract (CI-gated): the report and the ``--json`` document
 contain no wall-clock and no machine-dependent values, so repeat runs are
@@ -30,7 +31,7 @@ import json
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,6 +43,7 @@ from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.report import format_percent, format_table
 from repro.sim.spec import ExperimentSpec, PolicySpec, WorkloadSpec
 from repro.workload.tenants import tenant_mix
+from repro.workload.trace_cache import TraceCache
 
 #: Report/JSON schema version; bump on breaking changes.
 TOURNAMENT_FORMAT = 1
@@ -141,8 +143,9 @@ def train_from_scenarios(
     learned model from the GC timelines. The non-SAGA teachers matter:
     they cover collection-state distributions the oracle-driven policy
     never visits, which is exactly where the deployed estimator would
-    otherwise extrapolate. Deliberately uncached (see module docstring):
-    of ``options`` it takes only the workers and the progress callback.
+    otherwise extrapolate. Deliberately without the result cache (see
+    module docstring): of ``options`` it takes only the workers, the
+    progress callback and the trace cache.
     """
     teacher = [
         ("teacher-oracle", "oracle",
@@ -158,7 +161,8 @@ def train_from_scenarios(
     specs = _scenario_specs(scale, teacher)
     with tempfile.TemporaryDirectory(prefix="repro-tournament-") as tmp:
         teacher_options = RunOptions(
-            jobs=options.jobs, progress=options.progress, telemetry=tmp
+            jobs=options.jobs, progress=options.progress,
+            trace_cache=options.trace_cache, telemetry=tmp,
         )
         ParallelRunner(teacher_options).run_batch(specs, seeds)
         matrix = load_training_rows([tmp])
@@ -183,6 +187,9 @@ def run_tournament(
     engine's settings for the bracket (workers, caches, progress, ...).
     """
     seeds = list(seeds) if seeds else [0, 1]
+    # One trace cache for the teacher sweep and the bracket.
+    if not isinstance(options.trace_cache, TraceCache):
+        options = replace(options, trace_cache=TraceCache(options.trace_cache))
     self_trained = False
     if model is None and model_path is not None:
         model = LearnedModel.load(model_path)

@@ -112,22 +112,30 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
+        """Parse a plan; raises :class:`ValueError` for any malformed one."""
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("a fault plan must be a JSON object")
-        faults = tuple(
-            FaultSpec(
-                site=entry["site"],
-                effect=entry.get("effect", "crash"),
-                at=entry.get("at"),
-                probability=entry.get("probability"),
-                repeat=entry.get("repeat", False),
+        entries = payload.get("faults", [])
+        if not isinstance(entries, list):
+            raise ValueError("a fault plan's 'faults' must be a list")
+        try:
+            faults = tuple(
+                FaultSpec(
+                    site=entry["site"],
+                    effect=entry.get("effect", "crash"),
+                    at=entry.get("at"),
+                    probability=entry.get("probability"),
+                    repeat=entry.get("repeat", False),
+                )
+                for entry in entries
             )
-            for entry in payload.get("faults", [])
-        )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed fault entry: {exc!r}") from None
         return cls(faults=faults, seed=payload.get("seed", 0))
 
 
 def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
-    """Load a :class:`FaultPlan` from a JSON file (the ``--faults`` flag)."""
+    """Load a :class:`FaultPlan` from a JSON file (the ``--faults`` flag);
+    raises :class:`OSError` or :class:`ValueError` when it cannot."""
     return FaultPlan.from_json(Path(path).read_text())

@@ -27,16 +27,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.faults.plan import FaultPlan
+from repro.cli import nonnegative_int, positive_float, positive_int, read_fault_plan
 from repro.fleet import parse_policy
+from repro.gc.learned import ModelError
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
 from repro.service.soak import run_soak_drill, soak_service
 from repro.service.stream import grammar_stream, tenant_stream
 from repro.sim.spec import build_policy
+from repro.workload.grammar import GrammarError
 from repro.workload.tenants import TENANT_PROFILES, make_profile, tenant_mix
 
 
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "stream (overrides --workload)",
     )
     workload.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=positive_float, default=1.0,
         help="workload scale factor (default %(default)s)",
     )
     workload.add_argument(
@@ -73,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stream + policy seed (default %(default)s)",
     )
     workload.add_argument(
-        "--max-live-clusters", type=int, default=512, metavar="N",
+        "--max-live-clusters", type=positive_int, default=512, metavar="N",
         help="streaming generator's live-cluster bound (default %(default)s)",
     )
     service = parser.add_argument_group("service knobs")
@@ -83,24 +84,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "saio:0.1, saga:0.3 (default %(default)s)",
     )
     service.add_argument(
-        "--max-events", type=int, default=None, metavar="N",
+        "--max-events", type=nonnegative_int, default=None, metavar="N",
         help="stop after N stream events (default: run until SIGTERM)",
     )
     service.add_argument(
-        "--target-ops", type=float, default=None, metavar="RATE",
+        "--target-ops", type=positive_float, default=None, metavar="RATE",
         help="pace the stream to RATE events/second wall-clock "
         "(default: unthrottled)",
     )
     service.add_argument(
-        "--checkpoint-every", type=int, default=50_000, metavar="N",
+        "--checkpoint-every", type=positive_int, default=50_000, metavar="N",
         help="checkpoint cadence in applied events (default %(default)s)",
     )
     service.add_argument(
-        "--max-log-records", type=int, default=None, metavar="N",
+        "--max-log-records", type=positive_int, default=None, metavar="N",
         help="checkpoint early when the redo-log suffix exceeds N records",
     )
     service.add_argument(
-        "--max-heap-bytes", type=int, default=None, metavar="BYTES",
+        "--max-heap-bytes", type=positive_int, default=None, metavar="BYTES",
         help="hard bound on the modelled heap",
     )
     drill = parser.add_argument_group("soak drills")
@@ -242,10 +243,19 @@ def _print_soak_report(report, as_json: bool) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    stream = _make_stream(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        policy_spec = parse_policy(args.policy)
+        policy = build_policy(policy_spec, args.seed)
+    except (ValueError, ModelError) as exc:
+        parser.error(f"argument --policy: {exc}")
+    try:
+        stream = _make_stream(args)
+    except GrammarError as exc:
+        flag = "--tenants" if args.tenants else "--workload"
+        parser.error(f"argument {flag}: {exc}")
     svc = _service_config(args)
-    policy_spec = parse_policy(args.policy)
 
     if args.soak:
         if not args.faults:
@@ -260,7 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        plan = FaultPlan.from_json(Path(args.faults).read_text())
+        plan = read_fault_plan(parser, args.faults)
         report = run_soak_drill(
             stream,
             policy_spec,
@@ -281,7 +291,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.telemetry, kind="service", label=args.policy, seed=args.seed
         )
     gcs = GcService(
-        policy=build_policy(policy_spec, args.seed),
+        policy=policy,
         stream=stream,
         service=svc,
         obs=obs,

@@ -252,8 +252,8 @@ class Simulation:
         through its ``steps``) or an iterable of events. It is
         compiled whole before the policy is armed or the store touched, so
         a source that fails (a generator that raises, an unknown event
-        class, a truncated trace file) leaves the simulation as it was. A
-        caller that replays one trace many times compiles it once itself.
+        class) leaves the simulation as it was. A caller that replays one
+        trace many times compiles it once itself.
 
         ``trace`` may also be a :class:`~repro.workload.trace_cache.
         StreamedTrace`, a trace-cache miss still being cut: each chunk is

@@ -47,7 +47,6 @@ from repro.workload.grammar import (
     WorkloadConfig,
     distribution_from_dict,
     distribution_to_dict,
-    load_workload_config,
 )
 from repro.workload.phases import (
     PHASE_GENDB,
@@ -77,11 +76,6 @@ from repro.workload.tenants import (
     tenant_seed,
 )
 from repro.workload.trace_cache import TraceCache, TraceCacheStats, trace_fingerprint
-from repro.workload.tracefile import (
-    TraceFormatError,
-    read_trace,
-    write_trace,
-)
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
 __all__ = [
@@ -126,7 +120,6 @@ __all__ = [
     "TraceCache",
     "TraceCacheStats",
     "TraceEvent",
-    "TraceFormatError",
     "TraceStats",
     "TransactionalSpec",
     "TransactionalWorkload",
@@ -140,14 +133,11 @@ __all__ = [
     "distribution_from_dict",
     "distribution_to_dict",
     "garbage_burst",
-    "load_workload_config",
     "make_preset",
     "make_profile",
-    "read_trace",
     "steady_churn",
     "tenant_mix",
     "tenant_seed",
     "trace_fingerprint",
     "trace_stats",
-    "write_trace",
 ]

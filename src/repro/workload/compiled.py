@@ -2,10 +2,10 @@
 
 The paper's entire evaluation is trace-driven replay — the same OO7 trace
 is replayed once per policy setting per seed. Regenerating the trace from
-the OO7 builder for every policy cell wastes most of a sweep's wall time,
-and parsing the line-JSON trace files of :mod:`repro.workload.tracefile`
-is not much better. This module provides the capture-once / replay-many
-representation the original system used ([CWZ93]-style trace files):
+the OO7 builder for every policy cell wastes most of a sweep's wall time.
+This module provides the capture-once / replay-many representation the
+original system used, and the repo's one trace file format ([CWZ93]-style
+trace files):
 
 * :func:`compile_trace` materialises any event stream into a
   :class:`CompiledTrace` — a compact columnar form (typed ``array`` columns

@@ -490,17 +490,6 @@ def _toml_value(value: Any) -> str:
     raise GrammarError(f"cannot render {value!r} as TOML")
 
 
-def load_workload_config(path) -> WorkloadConfig:
-    """Load a config file, dispatching on extension (.toml vs .json)."""
-    from pathlib import Path
-
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".toml":
-        return WorkloadConfig.from_toml(text)
-    return WorkloadConfig.from_json(text)
-
-
 # ----------------------------------------------------------------------
 # The generator
 # ----------------------------------------------------------------------

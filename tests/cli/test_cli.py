@@ -322,16 +322,55 @@ def test_drill_with_telemetry_writes_drill_files(tmp_path, capsys):
         ("tournament", "--scale", "0"),
         ("fleet", "--scale", "-1"),
         ("fleet", "--preamble", "-1"),
+        ("serve", "--scale", "-1"),
+        ("serve", "--max-live-clusters", "0"),
+        ("serve", "--checkpoint-every", "0"),
+        ("serve", "--max-events", "-5"),
+        ("serve", "--workload", "nope"),
+        ("serve", "--tenants", "oltp-churn,nope"),
+        ("serve", "--policy", "bogus:1"),
     ],
 )
 def test_out_of_range_flag_is_a_usage_error(command, flag, bad, tmp_path,
                                             monkeypatch, capsys):
-    """Every command checks its numeric flags at parse time: exit 2 with
-    the flag named, never a traceback from deep inside a run."""
+    """Every command checks its flags before it runs: exit 2 with the flag
+    named, never a traceback from deep inside a run."""
     monkeypatch.chdir(tmp_path)  # nothing may land in the repo if it runs
+    # A serve that wrongly accepted the value would otherwise run unbounded.
+    bound = ["--max-events", "10"] if command == "serve" else []
     with pytest.raises(SystemExit) as exit_info:
-        main([command, flag, bad])
+        main([command, *bound, flag, bad])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "plan",
+    ["missing", "invalid-json", "missing-site", "faults-not-a-list"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["figure4", "--no-cache"], ["serve", "--soak", "--max-events", "10"]],
+    ids=["figure4", "serve-soak"],
+)
+def test_unusable_fault_plan_is_a_usage_error(plan, command, tmp_path,
+                                              monkeypatch, capsys):
+    """A fault plan that cannot be read or is malformed ends in exit 2
+    naming ``--faults``, before anything runs."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "plan.json"
+    text = {
+        "invalid-json": "not json",
+        "missing-site": '{"faults": [{"at": 1}]}',
+        "faults-not-a-list": '{"faults": 5}',
+    }.get(plan)
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--faults", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --faults" in err
     assert "Traceback" not in err

@@ -13,6 +13,7 @@ from repro.experiments.tournament import (
 )
 from repro.experiments.tournament import main as tournament_main
 from repro.sim.engine import RunOptions
+from repro.workload.trace_cache import TraceCache
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +112,19 @@ def test_cli_writes_report_and_json(tmp_path, capsys):
     assert out.read_text().strip() in captured.out
     document = json.loads(doc.read_text())
     assert document["format"] == 1
+
+
+def test_self_trained_tournament_builds_each_trace_once(monkeypatch):
+    """The teacher sweep shares the bracket's trace cache, so a
+    self-trained tournament builds each (scenario, seed) trace once."""
+    builds = []
+    keep = TraceCache._keep
+
+    def counting_keep(self, key, trace):
+        builds.append(key)
+        keep(self, key, trace)
+
+    monkeypatch.setattr(TraceCache, "_keep", counting_keep)
+    result = run_tournament(seeds=[0], scale=0.3, options=RunOptions(jobs=1))
+    assert result.self_trained
+    assert len(builds) == len(SCENARIOS)

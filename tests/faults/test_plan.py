@@ -72,6 +72,18 @@ def test_from_json_rejects_non_object():
         FaultPlan.from_json("[1, 2, 3]")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"faults": [5]}', '{"faults": [{"site": "io.read", "at": "1"}]}'],
+    ids=["entry-not-an-object", "at-not-a-number"],
+)
+def test_from_json_raises_value_error_for_any_malformed_plan(text):
+    """Beside the plans the CLI test feeds ``--faults``: entries that are
+    not objects, and fields of the wrong type."""
+    with pytest.raises(ValueError):
+        FaultPlan.from_json(text)
+
+
 def test_load_fault_plan(tmp_path):
     plan = FaultPlan(faults=(FaultSpec(site="gc.collect", at=1),), seed=7)
     path = tmp_path / "plan.json"

@@ -59,7 +59,6 @@ from repro.tx.manager import TransactionError
 from repro.tx.recovery import RedoLog
 from repro.workload.compiled import compile_trace
 from repro.workload.tenants import make_profile, tenant_mix
-from repro.workload.tracefile import TraceFormatError, read_trace, write_trace
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
 from event_oracle import replay_events, store_fields
@@ -773,37 +772,23 @@ def _raises_after(events, k):
     raise OSError("the source went away")
 
 
-def _truncated_trace_file(events, tmp_path):
-    """A line-JSON trace whose last record is cut short (a torn write)."""
-    path = tmp_path / "cut.trace"
-    write_trace(events, path)
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text[: text.rindex("{") + 5], encoding="utf-8")
-    return read_trace(path)
-
-
 @pytest.mark.parametrize(
     "source, error",
     [
         ("subclass", TypeError),
         ("generator", OSError),
-        ("truncated-file", TraceFormatError),
     ],
 )
 @pytest.mark.parametrize("replay", ["auto", "scalar"])
-def test_a_failing_source_leaves_the_simulation_untouched(
-    source, error, replay, tmp_path
-):
+def test_a_failing_source_leaves_the_simulation_untouched(source, error, replay):
     """The trace is compiled whole before the run starts, so a source that
     fails part-way raises its own error with the policy un-armed, the
     store empty and the event index where it was."""
     events = _self_contained_events()
     if source == "subclass":
         trace = events + [_MintedAccess(oid=8)]
-    elif source == "generator":
-        trace = _raises_after(events, 12)
     else:
-        trace = _truncated_trace_file(events, tmp_path)
+        trace = _raises_after(events, 12)
     sim = _sim(_spec(), replay=replay)
     armed = []
     first_trigger = sim.policy.first_trigger

@@ -26,7 +26,6 @@ from repro.workload.grammar import (
     _skewed_index,
     distribution_from_dict,
     distribution_to_dict,
-    load_workload_config,
 )
 
 
@@ -222,16 +221,6 @@ def test_from_dict_rejects_other_versions_and_unknown_keys():
         WorkloadConfig.from_json("{not json")
     with pytest.raises(GrammarError):
         WorkloadConfig.from_toml("= broken")
-
-
-def test_load_workload_config_dispatches_on_extension(tmp_path):
-    config = _rich_config()
-    json_path = tmp_path / "w.json"
-    toml_path = tmp_path / "w.toml"
-    json_path.write_text(config.to_json())
-    toml_path.write_text(config.to_toml())
-    assert load_workload_config(json_path) == config
-    assert load_workload_config(toml_path) == config
 
 
 # ----------------------------------------------------------------------
