@@ -52,18 +52,17 @@ def committed_state(store: ObjectStore) -> dict:
     not the other.
     """
     reachable = store.reachable_from_roots()
+    objects = store.objects
     return {
         "roots": sorted(store.roots),
         "objects": {
             str(oid): {
-                "size": store.objects[oid].size,
-                "kind": store.objects[oid].kind.value,
-                "pointers": {
-                    slot: target
-                    for slot, target in sorted(store.objects[oid].pointers.items())
-                },
+                "size": obj.size,
+                "kind": obj.kind.value,
+                "pointers": {slot: target for slot, target in sorted(obj.pointers.items())},
             }
             for oid in sorted(reachable)
+            for obj in (objects[oid],)
         },
     }
 

@@ -142,7 +142,7 @@ class CopyingCollector:
         """
         store = self._store
         survivors, unreached = cheney_trace(
-            store.objects, roots, within=store.partitions[pid].residents
+            store.placements, roots, within=store.partitions[pid].residents
         )
         return store.plan_compaction(pid, survivors, unreached)
 

@@ -152,6 +152,19 @@ class Oo7Graph:
         #: Object sizes by oid, for trace statistics and tests.
         self.object_sizes: dict[ObjectId, int] = {}
 
+    def __del__(self) -> None:
+        # Composites, their parts and the parts' connections refer to each
+        # other. Break those cycles when the graph goes, so its nodes are
+        # freed by reference counting instead of waiting — tens of
+        # thousands of them, after a trace build — for a full pass of the
+        # host's cyclic collector. (A node kept past its graph is torn.)
+        for composite in self.composites:
+            for part in composite.parts:
+                part.out_conns.clear()
+                part.in_conns.clear()
+            composite.parts.clear()
+            composite.root = None
+
     # Convenience accessors for the (very common) single-module case.
 
     @property

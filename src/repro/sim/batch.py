@@ -71,8 +71,8 @@ from repro.sim.metrics import Sampler
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import _OPEN_LIST_STALE_LIMIT, ObjectStore, StoreError
 from repro.storage.iostats import IOCategory, IOStats
-from repro.storage.object_model import ObjectKind, StoredObject
-from repro.storage.objtable import PlacementTable
+from repro.storage.object_model import ObjectKind
+from repro.storage.objtable import DENSE_CEILING, ObjectTable
 from repro.storage.partition import Partition
 from repro.tx.manager import TransactionError, TransactionManager
 from repro.tx.recovery import RedoLog
@@ -113,10 +113,14 @@ def _timeout():
 
 
 def _max_create_oid(ops, arg0: list) -> int:
-    """The largest CREATE oid, or 0: ``arg0`` where the byte column ``ops``
-    is 0 (the translate maps opcode 0 to 1 and every other opcode to 0)."""
-    creates = compress(arg0, bytes(ops).translate(b"\1" + bytes(255)))
-    return max(0, max(creates, default=0))
+    """The largest CREATE oid below :data:`DENSE_CEILING`, or 0: ``arg0``
+    where the byte column ``ops`` is 0 (the translate maps opcode 0 to 1
+    and every other opcode to 0). Larger oids overflow: no rows for them."""
+    is_create = bytes(ops).translate(b"\1" + bytes(255))
+    top = max(compress(arg0, is_create), default=0)
+    if top >= DENSE_CEILING:
+        top = max((o for o in compress(arg0, is_create) if o < DENSE_CEILING), default=0)
+    return max(0, top)
 
 
 def _prefix_counts(ops: list, start: int) -> tuple[int, int]:
@@ -216,7 +220,7 @@ def _fast_eligible(sim) -> bool:
         and type(store) is ObjectStore
         and type(store.iostats) is IOStats
         and type(buffer) is BufferPool
-        and type(store.placements) is PlacementTable
+        and type(store.placements) is ObjectTable
         and type(sampler) is Sampler
         and type(tx) is TransactionManager
         and store.iostats.fault_hook is None
@@ -441,9 +445,10 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     Under ``collection="parallel"`` the scheduler runs from
     ``sim._collect``, between two runs, so it sees what the guarded loop
     would show it; the kernels bump ``epochs`` where the store's mutators
-    do, in the same event. Checkpoints too fall between runs: WRITE and
-    dies copy an object of an older ``gen`` before writing it, as
-    ``ObjectStore._writable`` does (copy-on-write).
+    do, in the same event. Checkpoints too fall between runs: WRITE copies
+    a pointer dict a checkpoint shares before writing it, as
+    ``ObjectTable.writable`` does (copy-on-write); dies write the store's
+    dead column, which no checkpoint shares.
     """
     ops = cache.ops
     g0 = cache.arg0
@@ -468,7 +473,7 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     table = store.placements
     garbage = store.garbage
 
-    # Dense placement columns. reserve() grows the arrays in place (their
+    # Dense object-table columns. reserve() grows them in place (their
     # identity is stable), so pre-sizing for the largest created oid makes
     # every in-range insert a plain indexed store.
     if cache.max_oid >= 0:
@@ -476,10 +481,12 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     tparts = table.parts
     toffs = table.offs
     tsizes = table.sizes
+    tptrs = table.ptrs
+    tkinds = table.kinds
+    tdead = table.dead
+    tshared = table.shared
     dense = len(tparts)
 
-    objects = store.objects
-    objects_get = objects.get
     partitions = store.partitions
     free = store._partition_free          # mutated in place by the store
     open_parts = store._open_partitions   # prune preserves identity
@@ -488,7 +495,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     unlinked = store.unlinked
     dead_bytes = store.dead_bytes
     epochs = store.trace_epochs           # appended to in place, never rebound
-    gen = store.generation                # checkpoints fall on run boundaries
 
     pages = buffer._pages
     pages_pop = pages.pop
@@ -574,18 +580,17 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
             a = g0[i]
             # ---- resolve: checks, and the bytes the event touches ----
             if 1 <= op <= 3:  # ACCESS / UPDATE / WRITE: an object in place
-                # Placed in the dense table is equivalent to existence:
-                # objects and placements share a keyset until reclaim.
+                # A placed row is an object: the table has one keyset.
                 if 0 <= a < dense and (pk := tparts[a]) >= 0:
                     offk = toffs[a]
                     szk = tsizes[a]
-                elif objects_get(a) is None:
+                elif (loc := table.locate(a)) is None:
                     # autocommit looks a write's source up itself, under
                     # its own exception type, before the store is asked.
                     unknown = TransactionError if op == 3 and logging else StoreError
                     raise unknown(f"unknown object {a}")
                 else:
-                    pk, offk, szk = table.locate(a)
+                    pk, offk, szk = loc
                 dirty = op != 1
                 if op == 3:  # _validate_target, and the target's partition
                     tgt = g1[i]
@@ -594,17 +599,15 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                         tp = -1
                     elif 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
                         pass
-                    elif objects_get(tgt) is None:
+                    elif (tp := table.part_of(tgt)) < 0:
                         raise StoreError(f"pointer target {tgt} does not exist")
-                    else:
-                        tp = table.part_of(tgt)
 
             elif op == 0:  # CREATE: ObjectStore.create up to its page touch
                 szk = g1[i]
                 if alloc_bytes + szk > bound:
                     stop = _REFUSED
                     break
-                if a in objects:
+                if (tparts[a] if 0 <= a < dense else table.part_of(a)) >= 0:
                     raise StoreError(f"object {a} already exists")
                 if a >= next_oid:
                     next_oid = a + 1
@@ -612,7 +615,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                 kind = kinds.get(ki)
                 if kind is None:
                     kind = kinds.setdefault(ki, ObjectKind(strings[ki]))
-                obj = StoredObject(a, szk, kind, {}, False, gen)
+                if szk <= 0:
+                    raise ValueError(f"object size must be positive, got {szk}")
                 # ObjectStore._place: open-list first fit from the size's
                 # cursor, Partition.bump, the free-byte ledger.
                 alloc_bytes += szk
@@ -636,14 +640,16 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                     if store._open_stale >= stale_limit:
                         store._prune_open_partitions()
                 alloc_clock += szk
-                objects[a] = obj
-                if 0 <= a < dense:  # PlacementTable.put
+                if 0 <= a < dense:  # ObjectTable.insert
                     tparts[a] = pk
                     toffs[a] = offk
                     tsizes[a] = szk
+                    tptrs[a] = optrs = {}
+                    tkinds[a] = kind.code
+                    tshared[a] = 0
                     tcount += 1
                 else:
-                    table.put(a, pk, offk, szk)
+                    optrs = table.insert(a, pk, offk, szk, kind)
                 unlinked.add(a)
                 epochs[pk] += 1
                 dirty = True
@@ -696,15 +702,19 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
 
             # ---- wire: the graph and the log ----
             if op == 3:  # ObjectStore.write_pointer behind its page touch
-                wobj = objects[a]
-                if wobj.gen != gen:  # ObjectStore._writable
-                    objects[a] = wobj = wobj.copy(gen)
+                if 0 <= a < dense:  # ObjectTable.writable
+                    wptrs = tptrs[a]
+                    if tshared[a]:
+                        tptrs[a] = wptrs = wptrs.copy()
+                        tshared[a] = 0
+                else:
+                    wptrs = table.writable(a)
                 slot = strings[wsl[wi]]
-                old = wobj.pointers.get(slot, miss)
+                old = wptrs.get(slot, miss)
                 if old is miss:  # a slot never written
                     nslots += 1
                     old = None
-                wobj.pointers[slot] = tgt
+                wptrs[slot] = tgt
                 epochs[pk] += 1
                 if old is not None:
                     po += 1
@@ -754,29 +764,22 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                     if logging:
                         # The deaths this write declares, read before it
                         # declares them (a repeated oid stays repeated).
-                        fresh = tuple([
-                            d for d in dls[lo:hi]
-                            if (vobj := objects_get(d)) is not None
-                            and not vobj.dead
-                        ])
+                        fresh = tuple([d for d in dls[lo:hi] if table.alive(d)])
                     while lo < hi:  # ObjectStore._declare_dead
                         victim = dls[lo]
                         lo += 1
-                        vobj = objects_get(victim)
-                        if vobj is None or vobj.dead:
+                        if 0 <= victim < dense:  # ObjectTable.set_dead
+                            vp = tparts[victim]
+                            if vp < 0 or tdead[victim]:
+                                continue
+                            tdead[victim] = 1
+                            vsz = tsizes[victim]
+                        elif vsz := table.set_dead(victim, True):
+                            vp = table.part_of(victim)
+                        else:
                             continue
-                        if vobj.gen != gen:
-                            objects[victim] = vobj = vobj.copy(gen)
-                        vobj.dead = True
-                        vsz = vobj.size
                         tot_gen += vsz
                         garb += vsz
-                        vp = (
-                            tparts[victim] if 0 <= victim < dense
-                            else table.part_of(victim)
-                        )
-                        if vp < 0:
-                            raise StoreError(f"object {victim} has no placement")
                         dead_bytes[vp] = dead_bytes.get(vp, 0) + vsz
                     gf = garb / alloc_bytes if alloc_bytes else 0.0
                 if logging:
@@ -791,7 +794,6 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                 hi = cps[ci + 1]
                 ci += 1
                 if lo != hi:
-                    optrs = obj.pointers
                     if hi - lo > 1:
                         # dict(event.pointers) semantics: dedup by slot,
                         # first-occurrence order, last value wins (slot
@@ -810,10 +812,8 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                             continue
                         if 0 <= tgt < dense and (tp := tparts[tgt]) >= 0:
                             pass
-                        elif objects_get(tgt) is None:
+                        elif (tp := table.part_of(tgt)) < 0:
                             raise StoreError(f"pointer target {tgt} does not exist")
-                        else:
-                            tp = table.part_of(tgt)
                         optrs[strings[sli]] = tgt
                         nslots += 1
                         if tgt in unlinked:  # ObjectStore._unpin
@@ -831,11 +831,10 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
                             remembers += 1
                 gf = garb / alloc_bytes if alloc_bytes else 0.0
                 if logging:
-                    # obj.pointers was filled slot by slot in the order the
+                    # optrs was filled slot by slot in the order the
                     # event's pointer dict would list them.
                     singleton(
-                        ("create", auto_txid, a, szk, kind,
-                         tuple(obj.pointers.items()))
+                        ("create", auto_txid, a, szk, kind, tuple(optrs.items()))
                     )
                     auto_txid -= 1
                     app_w += wal_write

@@ -35,7 +35,7 @@ from repro.storage.buffer import (
 )
 from repro.storage.iostats import IOCategory, IOStats
 from repro.storage.object_model import ObjectId, ObjectKind, StoredObject
-from repro.storage.objtable import DENSE_CEILING, PlacementTable
+from repro.storage.objtable import DENSE_CEILING, ObjectTable, StoredObjects
 from repro.storage.partition import Partition, PartitionId, Placement
 from repro.storage.traversal import breadth_first_order
 
@@ -151,10 +151,12 @@ class ObjectStore:
         self.iostats = iostats or IOStats()
         self.buffer = BufferPool(self.config.buffer_pages, self.iostats)
         self.partitions: list[Partition] = []
-        self.objects: dict[ObjectId, StoredObject] = {}
-        #: Flat structure-of-arrays placement columns (oid → partition /
-        #: offset / size); mapping-compatible with the dict it replaced.
-        self.placements = PlacementTable()
+        #: The object table: one oid-indexed row of columns per object
+        #: (placement, size, pointer dict, kind, dead flag). As a mapping it
+        #: reads as oid → :class:`Placement` snapshot.
+        self.placements = ObjectTable()
+        #: The same rows as a mapping of oid → :class:`StoredObject` snapshot.
+        self.objects = StoredObjects(self.placements)
         self.roots: set[ObjectId] = set()
         # First-fit state: per-partition free bytes, the ascending list of
         # partitions that had room when last pruned, and one cursor per
@@ -216,9 +218,6 @@ class ObjectStore:
         #: boundary sources live here — one global counter conservatively
         #: invalidates every outstanding speculative trace.
         self.compaction_epoch = 0
-        #: Copy-on-write generation: a checkpoint bumps it and keeps a copy of
-        #: the object table, sharing every object in it (see :meth:`_writable`).
-        self.generation = 0
 
     # ------------------------------------------------------------------
     # Application operations
@@ -241,15 +240,15 @@ class ObjectStore:
         """
         if oid is None:
             oid = self._next_oid
-        if oid in self.objects:
+        if oid in self.placements:
             raise StoreError(f"object {oid} already exists")
         self._next_oid = max(self._next_oid, oid + 1)
+        if size <= 0:
+            raise ValueError(f"object size must be positive, got {size}")
 
-        obj = StoredObject(oid=oid, size=size, kind=kind, gen=self.generation)
         pid, offset = self._place(oid, size)
         self.bytes_allocated_total += size
-        self.objects[oid] = obj
-        self.placements.put(oid, pid, offset, size)
+        slots = self.placements.insert(oid, pid, offset, size, kind)
         self.unlinked.add(oid)
         self.trace_epochs[pid] += 1
         self._touch_object_pages(oid, IOCategory.APPLICATION, dirty=True)
@@ -258,7 +257,7 @@ class ObjectStore:
             for slot, target in pointers.items():
                 if target is not None:
                     self._validate_target(target)
-                obj.pointers[slot] = target
+                slots[slot] = target  # a fresh row's dict: no capture shares it
                 self.slot_count += 1
                 if target is not None:
                     if target in self.unlinked:
@@ -268,9 +267,9 @@ class ObjectStore:
 
     def access(self, oid: ObjectId) -> StoredObject:
         """Read an object (touches its pages clean through the buffer)."""
-        obj = self._require(oid)
+        self._require(oid)
         self._touch_object_pages(oid, IOCategory.APPLICATION, dirty=False)
-        return obj
+        return self.objects[oid]
 
     def update(self, oid: ObjectId) -> None:
         """Modify an object's non-pointer data (dirty page touch only)."""
@@ -296,15 +295,15 @@ class ObjectStore:
         this write; the workload generator computes it constructively and the
         store uses it only for oracle accounting — never for collection.
         """
-        src_obj = self._writable(src)
+        pointers = self._writable(src)
         if target is not None:
             self._validate_target(target)
 
-        old = src_obj.pointers.get(slot, _NO_SLOT)
+        old = pointers.get(slot, _NO_SLOT)
         if old is _NO_SLOT:
             self.slot_count += 1
             old = None
-        src_obj.pointers[slot] = target
+        pointers[slot] = target
         src_pid = self.placements.part_of(src)
         if src_pid >= 0:
             self.trace_epochs[src_pid] += 1
@@ -380,15 +379,15 @@ class ObjectStore:
         been written), fixes remembered sets, and dirties the page — rollback
         is real I/O — but records neither an overwrite nor a store.
         """
-        src_obj = self._writable(src)
-        current = src_obj.pointers.get(slot)
+        pointers = self._writable(src)
+        current = pointers.get(slot)
         if current is not None:
             self._forget_edge(src, current)
         if slot_existed:
-            src_obj.pointers[slot] = old_target
+            pointers[slot] = old_target
             if old_target is not None:
                 self._remember_edge(src, old_target)
-        elif src_obj.pointers.pop(slot, _NO_SLOT) is not _NO_SLOT:
+        elif pointers.pop(slot, _NO_SLOT) is not _NO_SLOT:
             self.slot_count -= 1
         src_pid = self.placements.part_of(src)
         if src_pid >= 0:
@@ -397,13 +396,13 @@ class ObjectStore:
 
     def resurrect(self, oid: ObjectId) -> None:
         """Revert a death declaration (the disconnecting write was undone)."""
-        obj = self._writable(oid)
-        if not obj.dead:
+        self._require(oid)
+        size = self.placements.set_dead(oid, False)
+        if not size:
             raise StoreError(f"object {oid} is not dead; cannot resurrect")
-        obj.dead = False
-        self.garbage.total_generated -= obj.size
+        self.garbage.total_generated -= size
         pid = self.partition_of(oid)
-        self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - obj.size
+        self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - size
 
     def undo_register_root(self, oid: ObjectId, was_pinned: bool) -> None:
         """Revert a root registration: drop the root and, if registering
@@ -430,11 +429,12 @@ class ObjectStore:
         object's space is only recovered at the partition's next compaction
         (bump allocation cannot un-allocate mid-extent).
         """
-        obj = self._require(oid)
-        if obj.dead:
+        pointers = self.placements.pointers(oid)
+        if pointers is None:
+            raise StoreError(f"unknown object {oid}")
+        if not self.placements.alive(oid):
             raise StoreError(f"object {oid} is dead; expected a live rollback target")
         placement = self.placements.pop(oid)
-        del self.objects[oid]
         partition = self.partitions[placement.partition]
         partition.residents.discard(oid)
         if placement.offset + placement.size == partition.fill:
@@ -445,9 +445,10 @@ class ObjectStore:
             self._partition_free[partition.pid] += placement.size
             self._fit_cursor.clear()  # free bytes grew: a cursor may skip them
             self._reopen_partition(partition.pid)
-        for target in obj.targets():
-            self._forget_edge(oid, target)
-        self.slot_count -= len(obj.pointers)
+        for target in pointers.values():
+            if target is not None:
+                self._forget_edge(oid, target)
+        self.slot_count -= len(pointers)
         dropped = partition.drop_incoming(oid)
         if dropped:
             self.forgets_total += sum(dropped.values())
@@ -507,7 +508,8 @@ class ObjectStore:
     @property
     def live_bytes(self) -> int:
         """Bytes of objects not declared dead."""
-        return sum(obj.size for obj in self.objects.values() if not obj.dead)
+        table = self.placements
+        return sum(table.sizes[oid] for oid in table if table.alive(oid))
 
     @property
     def actual_garbage_bytes(self) -> int:
@@ -574,10 +576,12 @@ class ObjectStore:
         The collector traverses only these (§3.1: "pointers leaving the
         collected partition are not traversed").
         """
-        obj = self._require(oid)
+        pointers = self.placements.pointers(oid)
+        if pointers is None:
+            raise StoreError(f"unknown object {oid}")
         part_of = self.placements.part_of
-        for target in obj.targets():
-            if part_of(target) == pid:
+        for target in pointers.values():
+            if target is not None and part_of(target) == pid:
                 yield target
 
     def plan_compaction(
@@ -780,7 +784,7 @@ class ObjectStore:
         verification oracles and ``collect_global`` call this over the
         entire database.
         """
-        return set(breadth_first_order(self.objects, roots))
+        return set(breadth_first_order(self.placements, roots))
 
     def check_death_annotations(self) -> set[ObjectId]:
         """Objects whose dead flag disagrees with true global reachability.
@@ -799,26 +803,22 @@ class ObjectStore:
     # Internals
     # ------------------------------------------------------------------
 
-    def _require(self, oid: ObjectId) -> StoredObject:
-        obj = self.objects.get(oid)
-        if obj is None:
+    def _require(self, oid: ObjectId) -> None:
+        if oid not in self.placements:
             raise StoreError(f"unknown object {oid}")
-        return obj
 
-    def _writable(self, oid: ObjectId) -> StoredObject:
-        """``oid``'s object, safe to write in place (copy-on-write).
+    def _writable(self, oid: ObjectId) -> dict[str, Optional[ObjectId]]:
+        """``oid``'s pointer dict, safe to write in place (copy-on-write).
 
-        ``build_checkpoint`` bumps :attr:`generation` and keeps a copy of
-        the object table, so an object stamped with an older generation may
-        be one a checkpoint holds. The first write to it after that puts a
-        copy stamped with the current generation under the same key — the
-        table's order does not change — and the write goes to the copy. A
-        checkpoint therefore never sees a later write.
+        ``build_checkpoint`` captures the object table, sharing every
+        pointer dict with it; :meth:`ObjectTable.writable` gives the row a
+        private copy on its first write after that, so a checkpoint never
+        sees a later write.
         """
-        obj = self._require(oid)
-        if obj.gen != self.generation:
-            obj = self.objects[oid] = obj.copy(self.generation)
-        return obj
+        pointers = self.placements.writable(oid)
+        if pointers is None:
+            raise StoreError(f"unknown object {oid}")
+        return pointers
 
     def _placement(self, oid: ObjectId) -> Placement:
         placement = self.placements.get(oid)
@@ -827,7 +827,7 @@ class ObjectStore:
         return placement
 
     def _validate_target(self, target: ObjectId) -> None:
-        if target not in self.objects:
+        if target not in self.placements:
             raise StoreError(f"pointer target {target} does not exist")
 
     def _place(self, oid: ObjectId, size: int) -> tuple[PartitionId, int]:
@@ -941,67 +941,72 @@ class ObjectStore:
         self.trace_epochs[tgt_pid] += 1
 
     def _declare_dead(self, oid: ObjectId) -> None:
-        obj = self.objects.get(oid)
-        if obj is None or obj.dead:
+        size = self.placements.set_dead(oid, True)
+        if not size:  # no such object, or already dead
             return
-        if obj.gen != self.generation:
-            obj = self.objects[oid] = obj.copy(self.generation)
-        obj.dead = True
-        self.garbage.total_generated += obj.size
+        self.garbage.total_generated += size
         pid = self.partition_of(oid)
-        self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) + obj.size
+        self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) + size
 
     def _reclaim_residents(self, pid: PartitionId, reclaimed: list[ObjectId]) -> int:
         """Bookkeeping for the objects a compaction of ``pid`` reclaims.
 
-        One kernel over the whole list: placement rows are cleared in the
-        raw columns, and the dead-byte, garbage-total, placement-count and
-        forget-churn ledgers are accumulated as deltas and written once — in a
-        ``finally``, so a wrong-partition object (put back, then refused)
-        still leaves the ledgers of the objects reclaimed before it
-        consistent. An object's own row is cleared before its outgoing
-        edges are forgotten, and intra-partition targets were never
-        remembered, so skipping them is observationally identical to
-        forgetting every edge.
+        One kernel over the whole list, reading dead flag, size and pointer
+        dict from the table's columns and emptying each row: the dead-byte,
+        garbage-total, row-count and forget-churn ledgers are accumulated
+        as deltas and written once — in a ``finally``, so a wrong-partition
+        object (refused before its row is touched) still leaves the ledgers
+        of the objects reclaimed before it consistent. An object's own row
+        is cleared before its outgoing edges are forgotten, and
+        intra-partition targets were never remembered, so skipping them is
+        observationally identical to forgetting every edge.
+
+        Roots, allocation pins and remembered entries of the reclaimed are
+        dropped with one bulk set operation each. After a trace none can
+        hit — an unreached object is never a frontier member — so each is
+        one disjointness probe.
 
         Returns the bytes reclaimed.
         """
-        objects = self.objects
-        objects_pop = objects.pop
-        placements = self.placements
-        parts = placements.parts
+        table = self.placements
+        parts = table.parts
+        sizes = table.sizes
+        ptrs = table.ptrs
+        kinds = table.kinds
+        dead_col = table.dead
         dense = len(parts)
-        overflow = placements.overflow
+        overflow = table.overflow
         partitions = self.partitions
-        # The partition is fixed, so Partition.drop_incoming is one dict's pop.
-        drop_incoming = partitions[pid].incoming.pop
-        roots_discard = self.roots.discard
-        unlinked_discard = self.unlinked.discard
         count = dead = undeclared = forgets = slots = 0
         try:
             for oid in reclaimed:
-                obj = objects_pop(oid)
                 if 0 <= oid < dense:
-                    found = parts[oid] == pid
-                    if found:
-                        parts[oid] = -1
+                    if parts[oid] != pid:
+                        raise StoreError(f"object {oid} reclaimed from wrong partition")
+                    # ObjectTable.discard, column by column.
+                    parts[oid] = -1
+                    size = sizes[oid]
+                    pointers = ptrs[oid]
+                    ptrs[oid] = None
+                    kinds[oid] = 0
+                    is_dead = dead_col[oid]
+                    dead_col[oid] = 0
                 else:
                     entry = overflow.get(oid)
-                    found = entry is not None and entry[0] == pid
-                    if found:
-                        del overflow[oid]
-                if not found:
-                    objects[oid] = obj
-                    raise StoreError(f"object {oid} reclaimed from wrong partition")
+                    if entry is None or entry[0] != pid:
+                        raise StoreError(f"object {oid} reclaimed from wrong partition")
+                    size = entry[2]
+                    del overflow[oid]
+                    pointers, _, is_dead, _ = table.overflow_rows.pop(oid)
                 count += 1
-                if obj.dead:
-                    dead += obj.size
+                if is_dead:
+                    dead += size
                 else:
-                    undeclared += obj.size
+                    undeclared += size
 
-                # Sever remembered-set state in both directions.
-                slots += len(obj.pointers)
-                for target in obj.pointers.values():
+                # Sever this object's outgoing remembered-set entries.
+                slots += len(pointers)
+                for target in pointers.values():
                     if target is None:
                         continue
                     if 0 <= target < dense:
@@ -1013,13 +1018,18 @@ class ObjectStore:
                         continue
                     if partitions[tgt_pid].forget(oid, target):
                         forgets += 1
-                dropped = drop_incoming(oid, None)
-                if dropped:
-                    forgets += sum(dropped.values())
-                roots_discard(oid)
-                unlinked_discard(oid)
         finally:
-            placements._count -= count
+            done = reclaimed if count == len(reclaimed) else reclaimed[:count]
+            # Incoming references to the reclaimed, and their root and pin
+            # entries: Partition.drop_incoming, roots / unlinked discards.
+            incoming = partitions[pid].incoming
+            if not incoming.keys().isdisjoint(done):
+                for oid in incoming.keys() & done:
+                    forgets += sum(incoming.pop(oid).values())
+            for frontier in (self.roots, self.unlinked):
+                if not frontier.isdisjoint(done):
+                    frontier.difference_update(done)
+            table._count -= count
             self.forgets_total += forgets
             self.slot_count -= slots
             garbage = self.garbage

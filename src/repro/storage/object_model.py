@@ -8,6 +8,10 @@ Objects here carry no application payload — only the attributes the storage
 layer and the garbage collector care about: a size in bytes, a kind tag (used
 by workload generators and reports), and a mapping of pointer-slot names to
 target object ids.
+
+The store does not keep :class:`StoredObject` instances: its rows live in
+the columns of :class:`~repro.storage.objtable.ObjectTable`, and
+``store.objects[oid]`` builds a :class:`StoredObject` snapshot of one.
 """
 
 from __future__ import annotations
@@ -37,13 +41,24 @@ class ObjectKind(enum.Enum):
     CONNECTION = "connection"
     GENERIC = "generic"
 
+    #: The kind's one-byte tag in the object table's ``kinds`` column
+    #: (1, 2, ... in definition order; 0 marks an empty row).
+    code: int
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ObjectKind.{self.name}"
 
 
+for _code, _kind in enumerate(ObjectKind, start=1):
+    _kind.code = _code
+
+
 @dataclass(slots=True)
 class StoredObject:
-    """A single object resident in the database heap.
+    """A single object resident in the database heap, as a value.
+
+    ``store.objects[oid]`` returns one of these: a snapshot of the object's
+    row, whose ``pointers`` is the row's live dict.
 
     Attributes:
         oid: Immutable identity of the object.
@@ -55,11 +70,6 @@ class StoredObject:
         dead: Set by the store when the workload declares the object globally
             unreachable. The collector never reads this flag — it is oracle
             state used for exact garbage accounting.
-        gen: The store generation the object was created or copied in. An
-            object of an older generation may be shared with a checkpoint,
-            so the store writes a copy instead (see
-            :meth:`repro.storage.heap.ObjectStore._writable`). Bookkeeping,
-            not part of the object's value: equality ignores it.
     """
 
     oid: ObjectId
@@ -67,17 +77,10 @@ class StoredObject:
     kind: ObjectKind = ObjectKind.GENERIC
     pointers: dict[str, Optional[ObjectId]] = field(default_factory=dict)
     dead: bool = False
-    gen: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"object size must be positive, got {self.size}")
-
-    def copy(self, gen: int) -> StoredObject:
-        """An equal object with its own pointer map, stamped ``gen``."""
-        return StoredObject(
-            self.oid, self.size, self.kind, self.pointers.copy(), self.dead, gen
-        )
 
     def targets(self) -> Iterator[ObjectId]:
         """Iterate over the non-null pointer targets of this object."""

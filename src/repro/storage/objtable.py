@@ -1,42 +1,62 @@
-"""Flat structure-of-arrays object placement table.
+"""The store's object table: one oid-indexed structure of arrays.
 
-The store's hottest per-event lookups — "which partition holds this oid,
-at what offset, how many bytes" — used to go through a
-``dict[ObjectId, Placement]``: one dict probe plus three attribute loads
-on a heap-allocated dataclass per query, and one dataclass allocation per
-create. :class:`PlacementTable` replaces that with three parallel
-``array('q')`` columns indexed directly by oid:
+Every per-object fact the store keeps lives in one row of parallel
+columns indexed directly by oid:
 
-* ``parts[oid]``  — partition id, or ``-1`` when the oid has no placement;
+* ``parts[oid]``  — partition id, or ``-1`` when the row is empty;
 * ``offs[oid]``   — byte offset within the partition;
-* ``sizes[oid]``  — object size in bytes.
+* ``sizes[oid]``  — object size in bytes;
+* ``ptrs[oid]``   — the pointer dict (slot name → target oid or ``None``);
+* ``kinds[oid]``  — the :class:`~repro.storage.object_model.ObjectKind`'s
+  one-byte ``code``, 0 in an empty row;
+* ``dead[oid]``   — 1 once the workload declared the object dead;
+* ``shared[oid]`` — the copy-on-write generation of the pointer dict, as
+  one bit: 1 while the dict may be shared with a :meth:`capture`.
+
+``parts``/``offs``/``sizes`` are ``array('q')``, ``ptrs`` a list, the
+others ``bytearray``\ s. A row is present exactly when ``parts[oid] >=
+0``; an empty row holds ``None`` pointers and zero kind and dead flag, so
+a create fills a row without reading it first.
 
 Object ids from the workload generators are small and dense (allocated
 sequentially from 1), so direct indexing wastes little space; oids that
-are negative or beyond :data:`DENSE_CEILING` fall back to an overflow
-dict so the table accepts any int key a trace can carry. Slots are
-recycled implicitly: reclaiming an oid just writes ``-1`` back into
-``parts``, and a later create of the same oid re-populates the row.
+are negative or not below :data:`DENSE_CEILING` live in two overflow
+dicts instead — ``overflow`` (oid → ``(pid, offset, size)``) and
+``overflow_rows`` (oid → ``[pointers, kind, dead, shared]``) — so the table
+accepts any int key a trace can carry. A hot loop that indexes the dense
+columns must send such oids elsewhere: a negative index reads a list
+from its end.
 
-The table keeps the mapping surface the previous dict exposed (``get`` /
-``[]`` / ``pop`` / ``in`` / ``len`` / iteration / ``items`` / ``==``), so
-validation, tests and the transaction manager are unchanged — but
-``__getitem__`` returns a fresh :class:`~repro.storage.partition.
-Placement` *snapshot*, not live shared state. Hot paths (the heap's page
-touch, the batched replay interpreter of :mod:`repro.sim.batch`) bypass
-snapshots entirely and read the raw columns.
+The table itself is the store's placement mapping (``store.placements``:
+``get`` / ``[]`` / ``pop`` / ``in`` / ``len`` / iteration / ``items`` /
+``==`` over :class:`~repro.storage.partition.Placement` snapshots);
+:class:`StoredObjects` is the object mapping over the same rows
+(``store.objects``), whose values are
+:class:`~repro.storage.object_model.StoredObject` snapshots sharing the
+row's live pointer dict. Hot paths — the collector's trace and reclaim,
+the fused replay kernels of :mod:`repro.sim.batch` — read the raw columns
+and build neither.
+
+**Copy-on-write.** :meth:`capture` (a checkpoint) copies the columns a
+checkpoint reads at C level — the pointer-dict column as a list of
+references; sizes, kinds and dead flags by value — and marks every row
+``shared``. A shared row's pointer dict may be a capture's too, so every
+pointer write goes through :meth:`writable` (or its kernel mirror), which
+gives the row a private copy first. Dead flags, kinds and sizes need no
+such care: the capture holds its own copies.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Mapping, Optional
+from collections.abc import Mapping
+from typing import Iterator, Optional
 
-from repro.storage.object_model import ObjectId
+from repro.storage.object_model import ObjectId, ObjectKind, StoredObject
 from repro.storage.partition import PartitionId, Placement
 
 #: Dense rows above this oid would cost more memory than a dict entry is
-#: worth; such oids (and negative ones) live in the overflow dict instead.
+#: worth; such oids (and negative ones) live in the overflow dicts instead.
 DENSE_CEILING = 1 << 22
 
 #: ``parts`` value marking an empty row.
@@ -48,21 +68,35 @@ _FILL_ITEM = b"\xff" * 8
 
 _MISSING = object()
 
+#: ``ObjectKind`` by ``kinds`` column code.
+_KINDS = (None, *ObjectKind)
 
-class PlacementTable:
-    """Mapping-compatible oid → (partition, offset, size) in parallel arrays."""
+#: Positions in an ``overflow_rows`` entry.
+_PTRS, _KIND, _DEAD, _SHARED = range(4)
 
-    __slots__ = ("parts", "offs", "sizes", "overflow", "_count")
+
+class ObjectTable:
+    """Every stored object's placement and fields, in parallel columns."""
+
+    __slots__ = (
+        "parts", "offs", "sizes", "ptrs", "kinds", "dead", "shared",
+        "overflow", "overflow_rows", "_count",
+    )
 
     def __init__(self) -> None:
         #: Raw columns — exposed for hot loops. Readers must treat a
-        #: ``parts`` value below zero as "no placement"; writers must go
-        #: through :meth:`put` / :meth:`pop` (or replicate their count
+        #: ``parts`` value below zero as "no row"; writers must go through
+        #: :meth:`insert` / :meth:`discard` (or replicate their count
         #: bookkeeping exactly, as the batched interpreter does).
         self.parts = array("q")
         self.offs = array("q")
         self.sizes = array("q")
+        self.ptrs: list = []  # a pointer dict per row, None in an empty one
+        self.kinds = bytearray()
+        self.dead = bytearray()
+        self.shared = bytearray()
         self.overflow: dict[ObjectId, tuple[int, int, int]] = {}
+        self.overflow_rows: dict[ObjectId, list] = {}
         self._count = 0
 
     # ------------------------------------------------------------------
@@ -80,6 +114,7 @@ class PlacementTable:
         Batched replay calls this once with the trace's maximum create oid
         so the hot loop never pays growth checks; requests beyond
         :data:`DENSE_CEILING` are clamped (such oids overflow anyway).
+        Columns grow in place: a hot loop's aliases stay valid.
         """
         n = min(n, DENSE_CEILING)
         grow = n - len(self.parts)
@@ -89,17 +124,17 @@ class PlacementTable:
         self.parts.frombytes(filler)
         self.offs.frombytes(filler)
         self.sizes.frombytes(filler)
-
-    def _grow_for(self, oid: ObjectId) -> None:
-        current = len(self.parts)
-        self.reserve(max(oid + 1, current * 2 if current else 1024))
+        self.ptrs += [None] * grow
+        self.kinds += bytes(grow)
+        self.dead += bytes(grow)
+        self.shared += bytes(grow)
 
     # ------------------------------------------------------------------
-    # Primitive accessors (int-only, no Placement allocation)
+    # Primitive accessors (int-only, no snapshot allocation)
     # ------------------------------------------------------------------
 
     def part_of(self, oid: ObjectId) -> PartitionId:
-        """Partition holding ``oid``, or ``-1`` when it has no placement."""
+        """Partition holding ``oid``, or ``-1`` when it has no row."""
         if 0 <= oid < len(self.parts):
             return self.parts[oid]
         entry = self.overflow.get(oid)
@@ -114,38 +149,150 @@ class PlacementTable:
             return pid, self.offs[oid], self.sizes[oid]
         return self.overflow.get(oid)
 
-    def put(self, oid: ObjectId, pid: PartitionId, offset: int, size: int) -> None:
-        """Insert or replace ``oid``'s placement."""
+    def pointers(self, oid: ObjectId) -> Optional[dict[str, Optional[ObjectId]]]:
+        """``oid``'s live pointer dict (read it, never write it), or ``None``."""
+        if 0 <= oid < len(self.ptrs):
+            return self.ptrs[oid]
+        row = self.overflow_rows.get(oid)
+        return row[_PTRS] if row is not None else None
+
+    def row(self, oid: ObjectId) -> Optional[tuple]:
+        """``(size, kind, dead, pointers)`` of ``oid``, or ``None``."""
+        if 0 <= oid < len(self.parts):
+            if self.parts[oid] < 0:
+                return None
+            kind = _KINDS[self.kinds[oid]]
+            return self.sizes[oid], kind, bool(self.dead[oid]), self.ptrs[oid]
+        row = self.overflow_rows.get(oid)
+        if row is None:
+            return None
+        return self.overflow[oid][2], row[_KIND], row[_DEAD], row[_PTRS]
+
+    def alive(self, oid: ObjectId) -> bool:
+        """Whether ``oid`` has a row and is not declared dead."""
+        if 0 <= oid < len(self.parts):
+            return self.parts[oid] >= 0 and not self.dead[oid]
+        row = self.overflow_rows.get(oid)
+        return row is not None and not row[_DEAD]
+
+    # ------------------------------------------------------------------
+    # Row writers
+    # ------------------------------------------------------------------
+
+    def insert(
+        self,
+        oid: ObjectId,
+        pid: PartitionId,
+        offset: int,
+        size: int,
+        kind: ObjectKind = ObjectKind.GENERIC,
+    ) -> dict[str, Optional[ObjectId]]:
+        """Fill ``oid``'s empty row — placed, not dead, no slots written —
+        and return its pointer dict, not shared with any capture."""
+        pointers: dict[str, Optional[ObjectId]] = {}
         if 0 <= oid < DENSE_CEILING:
-            parts = self.parts
-            if oid >= len(parts):
-                self._grow_for(oid)
-                parts = self.parts
-            if parts[oid] < 0:
-                self._count += 1
-            parts[oid] = pid
+            if oid >= len(self.parts):
+                self.reserve(max(oid + 1, len(self.parts) * 2 or 1024))
+            self.parts[oid] = pid
+            self.offs[oid] = offset
+            self.sizes[oid] = size
+            self.ptrs[oid] = pointers
+            self.kinds[oid] = kind.code
+            self.shared[oid] = 0
+        else:
+            self.overflow[oid] = (pid, offset, size)
+            self.overflow_rows[oid] = [pointers, kind, False, False]
+        self._count += 1
+        return pointers
+
+    def put(self, oid: ObjectId, pid: PartitionId, offset: int, size: int) -> None:
+        """Place ``oid``: move an existing row, or :meth:`insert` a new one."""
+        if self.locate(oid) is None:
+            self.insert(oid, pid, offset, size)
+        elif 0 <= oid < len(self.parts):
+            self.parts[oid] = pid
             self.offs[oid] = offset
             self.sizes[oid] = size
         else:
-            if oid not in self.overflow:
-                self._count += 1
             self.overflow[oid] = (pid, offset, size)
 
     def discard(self, oid: ObjectId) -> bool:
-        """Remove ``oid``'s placement if present; returns whether it was."""
+        """Empty ``oid``'s row if present; returns whether it was."""
         if 0 <= oid < len(self.parts):
             if self.parts[oid] < 0:
                 return False
             self.parts[oid] = _ABSENT
-            self._count -= 1
-            return True
-        if self.overflow.pop(oid, None) is not None:
-            self._count -= 1
-            return True
-        return False
+            self.ptrs[oid] = None
+            self.kinds[oid] = 0
+            self.dead[oid] = 0
+        elif self.overflow.pop(oid, None) is None:
+            return False
+        else:
+            del self.overflow_rows[oid]
+        self._count -= 1
+        return True
+
+    def writable(self, oid: ObjectId) -> Optional[dict[str, Optional[ObjectId]]]:
+        """``oid``'s pointer dict, safe to write in place, or ``None``.
+
+        A shared row's dict may be a capture's too: the first write after
+        the capture puts a private copy in the row — so a capture never
+        sees a later write.
+        """
+        if 0 <= oid < len(self.ptrs):
+            pointers = self.ptrs[oid]
+            if pointers is not None and self.shared[oid]:
+                pointers = self.ptrs[oid] = pointers.copy()
+                self.shared[oid] = 0
+            return pointers
+        row = self.overflow_rows.get(oid)
+        if row is None:
+            return None
+        if row[_SHARED]:
+            row[_PTRS] = row[_PTRS].copy()
+            row[_SHARED] = False
+        return row[_PTRS]
+
+    def set_dead(self, oid: ObjectId, flag: bool) -> int:
+        """Set ``oid``'s dead flag; returns its size if the flag changed,
+        else 0 (no row, or already so)."""
+        if 0 <= oid < len(self.parts):
+            if self.parts[oid] < 0 or bool(self.dead[oid]) == flag:
+                return 0
+            self.dead[oid] = flag
+            return self.sizes[oid]
+        row = self.overflow_rows.get(oid)
+        if row is None or row[_DEAD] == flag:
+            return 0
+        row[_DEAD] = flag
+        return self.overflow[oid][2]
+
+    def capture(self) -> TableCapture:
+        """The rows as they are now, beyond the reach of later writes.
+
+        C-level copies of the size, kind and dead columns, and of the
+        pointer-dict column as references: every row is marked shared, so
+        this table copies a dict before writing it (:meth:`writable`).
+        """
+        shared = self.shared
+        shared[:] = b"\x01" * len(shared)
+        rows = self.overflow_rows
+        for row in rows.values():
+            row[_SHARED] = True
+        return TableCapture(
+            self.sizes[:],
+            self.ptrs[:],
+            self.kinds[:],
+            self.dead[:],
+            {
+                oid: (entry[2], rows[oid][_KIND], rows[oid][_DEAD], rows[oid][_PTRS])
+                for oid, entry in self.overflow.items()
+            },
+            self._count,
+        )
 
     # ------------------------------------------------------------------
-    # Mapping surface (snapshot-returning)
+    # Placement mapping surface (snapshot-returning)
     # ------------------------------------------------------------------
 
     def get(self, oid: ObjectId, default=None):
@@ -224,7 +371,7 @@ class PlacementTable:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PlacementTable):
+        if isinstance(other, ObjectTable):
             return self._as_tuples() == other._as_tuples()
         if isinstance(other, Mapping):
             if len(other) != self._count:
@@ -242,6 +389,95 @@ class PlacementTable:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"PlacementTable(count={self._count}, dense={len(self.parts)}, "
+            f"ObjectTable(count={self._count}, dense={len(self.parts)}, "
             f"overflow={len(self.overflow)})"
         )
+
+
+class TableCapture:
+    """What :meth:`ObjectTable.capture` keeps of the rows: sizes, kinds and
+    dead flags by value, pointer dicts by reference. Read, never written.
+
+    A row is present when its kind code is set; ``overflow`` maps each
+    overflow oid to ``(size, kind, dead, pointers)``.
+    """
+
+    __slots__ = ("sizes", "ptrs", "kinds", "dead", "overflow", "_count")
+
+    def __init__(self, sizes, ptrs, kinds, dead, overflow, count) -> None:
+        self.sizes = sizes
+        self.ptrs = ptrs
+        self.kinds = kinds
+        self.dead = dead
+        self.overflow = overflow
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[ObjectId]:
+        kinds = self.kinds
+        for oid in range(len(kinds)):
+            if kinds[oid]:
+                yield oid
+        yield from self.overflow
+
+    def rows(self) -> Iterator[tuple]:
+        """``(oid, size, kind, dead, pointers)`` per row, in :meth:`__iter__`
+        order."""
+        sizes, kinds, dead, ptrs = self.sizes, self.kinds, self.dead, self.ptrs
+        for oid in range(len(kinds)):
+            code = kinds[oid]
+            if code:
+                yield oid, sizes[oid], _KINDS[code], bool(dead[oid]), ptrs[oid]
+        for oid, entry in self.overflow.items():
+            yield (oid, *entry)
+
+
+class StoredObjects(Mapping):
+    """The object mapping over an :class:`ObjectTable` (``store.objects``).
+
+    ``[oid]`` returns a :class:`~repro.storage.object_model.StoredObject`
+    snapshot of the row: size, kind and dead flag as they are now, and the
+    row's live pointer dict — read it, never write it (writes go through
+    the store, which copies a dict a checkpoint shares). Iteration is the
+    table's: dense oids ascending, then overflow oids in insertion order.
+    ``pop`` and ``del`` empty a row behind the store's back, for tests that
+    corrupt a store on purpose.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: ObjectTable) -> None:
+        self._table = table
+
+    def __getitem__(self, oid: ObjectId) -> StoredObject:
+        row = self._table.row(oid) if isinstance(oid, int) else None
+        if row is None:
+            raise KeyError(oid)
+        return StoredObject(oid, row[0], row[1], row[3], row[2])
+
+    def __contains__(self, oid) -> bool:
+        return oid in self._table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __iter__(self) -> Iterator[ObjectId]:
+        return iter(self._table)
+
+    def pop(self, oid: ObjectId, default=_MISSING):
+        obj = self.get(oid)
+        if obj is None:
+            if default is _MISSING:
+                raise KeyError(oid)
+            return default
+        self._table.discard(oid)
+        return obj
+
+    def __delitem__(self, oid: ObjectId) -> None:
+        if not self._table.discard(oid):
+            raise KeyError(oid)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"StoredObjects({len(self)} objects)"

@@ -16,13 +16,14 @@ deriving it again from the survivors.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
-from repro.storage.object_model import ObjectId, StoredObject
+from repro.storage.object_model import ObjectId
+from repro.storage.objtable import ObjectTable
 
 
 def cheney_trace(
-    objects: Mapping[ObjectId, StoredObject],
+    table: ObjectTable,
     roots: Iterable[ObjectId],
     within: Optional[Iterable[ObjectId]] = None,
 ) -> tuple[list[ObjectId], set[ObjectId]]:
@@ -33,10 +34,11 @@ def cheney_trace(
     there is no second container. The traversal domain is copied once into
     a private ``todo`` set from which every reached object is removed, so
     the per-edge test is a single probe ("in the domain and not reached
-    yet"); a null slot (``None``) is simply never a member.
+    yet"); a null slot (``None``) is simply never a member. Each scanned
+    object costs one index into the table's pointer-dict column.
 
     Args:
-        objects: The store's object table (oid → object).
+        table: The store's object table.
         roots: Traversal starts here, in the given order — callers wanting
             deterministic copy order pass roots pre-sorted. Roots outside
             the domain, and repeated roots, are skipped (partitioned
@@ -53,7 +55,7 @@ def cheney_trace(
         the scan never reached, in no particular order. The two partition
         the domain.
     """
-    todo: set[ObjectId] = set(objects if within is None else within)
+    todo: set[ObjectId] = set(table if within is None else within)
     reached = todo.remove
     order: list[ObjectId] = []
     copy = order.append
@@ -61,11 +63,24 @@ def cheney_trace(
         if oid in todo:
             reached(oid)
             copy(oid)
+    ptrs = table.ptrs
+    if table.overflow:
+        # Negative or sparse oids in the table: a negative index would read
+        # the dense column from its end, so each scanned oid is classified.
+        dense = len(ptrs)
+        rows = table.overflow_rows
+        for oid in order:
+            pointers = ptrs[oid] if 0 <= oid < dense else rows[oid][0]
+            for target in pointers.values():
+                if target in todo:
+                    reached(target)
+                    copy(target)
+        return order, todo
     # Hot loop — this scan is the larger half of a collection pause. The
     # list iterator re-reads the length at every step, so it is the scan
     # pointer chasing the allocation pointer ``copy`` advances.
     for oid in order:
-        for target in objects[oid].pointers.values():
+        for target in ptrs[oid].values():
             if target in todo:
                 reached(target)
                 copy(target)
@@ -73,10 +88,10 @@ def cheney_trace(
 
 
 def breadth_first_order(
-    objects: Mapping[ObjectId, StoredObject],
+    table: ObjectTable,
     roots: Iterable[ObjectId],
     within: Optional[Iterable[ObjectId]] = None,
 ) -> list[ObjectId]:
     """The copy order of :func:`cheney_trace` alone, for callers that have
     no use for the unreached set (whole-heap reachability)."""
-    return cheney_trace(objects, roots, within)[0]
+    return cheney_trace(table, roots, within)[0]

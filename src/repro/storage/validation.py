@@ -48,6 +48,8 @@ class StoreValidator:
 
     def validate(self, store: ObjectStore) -> ValidationReport:
         report = ValidationReport()
+        if not self._check_rows(store, report):
+            return report  # the other checks read rows as objects
         self._check_placements(store, report)
         self._check_partitions(store, report)
         self._check_first_fit(store, report)
@@ -60,29 +62,31 @@ class StoreValidator:
     # Invariants
     # ------------------------------------------------------------------
 
+    def _check_rows(self, store: ObjectStore, report: ValidationReport) -> bool:
+        """A present row of the object table has a pointer dict and a kind,
+        an empty one neither and no dead flag. Returns whether every row
+        is whole."""
+        table = store.placements
+        torn = len(report.violations)
+        for oid in range(table.dense_limit):
+            present = table.parts[oid] >= 0
+            has_fields = table.ptrs[oid] is not None and table.kinds[oid] != 0
+            if has_fields != present or (not present and table.dead[oid]):
+                report.add("placements", f"row {oid} is torn (placed: {present})")
+        if table.overflow.keys() != table.overflow_rows.keys():
+            report.add("placements", "overflow placements and rows disagree")
+        return len(report.violations) == torn
+
     def _check_placements(self, store: ObjectStore, report: ValidationReport) -> None:
-        """Every object has one placement, of its own size, inside its
-        partition's extent; the table's hand-maintained entry count agrees;
-        placements within a partition never overlap."""
-        if set(store.objects) != set(store.placements):
-            missing = set(store.objects) ^ set(store.placements)
-            report.add("placements", f"objects/placements mismatch: {sorted(missing)[:5]}")
-            return
-        # The key sets above come from iterating the columns; ``len()`` is a
-        # counter the fused replay kernels and the bulk reclaim keep by hand.
-        if len(store.placements) != len(store.objects):
-            report.add(
-                "placements",
-                f"len(placements) {len(store.placements)} != "
-                f"len(objects) {len(store.objects)}",
-            )
-        for oid, obj in store.objects.items():
-            placed = store.placements.locate(oid)[2]
-            if placed != obj.size:
-                report.add(
-                    "placements",
-                    f"object {oid}: placement size {placed} != object size {obj.size}",
-                )
+        """The object table's hand-maintained row count agrees with its
+        columns; every resident's placement is inside its partition's
+        extent and placements within a partition never overlap."""
+        table = store.placements
+        rows = sum(1 for _ in table)
+        # ``len()`` is a counter the fused replay kernels and the bulk
+        # reclaim keep by hand.
+        if len(table) != rows:
+            report.add("placements", f"len(placements) {len(table)} != {rows} rows")
         for partition in store.partitions:
             spans = []
             for oid in partition.residents:
@@ -114,8 +118,9 @@ class StoreValidator:
         matches the sum of resident sizes plus dead space is impossible
         (bump allocation keeps fill equal to the high-water extent); the
         store's pending-overwrite and slot counters are the sums they keep."""
+        table = store.placements
         by_partition: dict[int, set[int]] = {}
-        for oid, placement in store.placements.items():
+        for oid, placement in table.items():
             by_partition.setdefault(placement.partition, set()).add(oid)
         for partition in store.partitions:
             expected = by_partition.get(partition.pid, set())
@@ -143,7 +148,7 @@ class StoreValidator:
                 f"pending-overwrite counter {store.pending_overwrites} != "
                 f"sum of FGS counters {pending}",
             )
-        slots = sum(len(obj.pointers) for obj in store.objects.values())
+        slots = sum(len(table.pointers(oid) or ()) for oid in table)
         if store.slot_count != slots:
             report.add(
                 "partitions",

@@ -249,13 +249,11 @@ class TransactionManager:
             if redo is not None:
                 redo.create(txid, oid, size, kind, tuple((pointers or {}).items()))
         elif op == "write":
-            objects = store.objects
-            if oid not in objects:
+            table = store.placements
+            if oid not in table:
                 raise TransactionError(f"unknown object {oid}")
             # As in write_pointer: log the deaths this write declares.
-            fresh_deaths = tuple(
-                [d for d in dies if d in objects and not objects[d].dead]
-            )
+            fresh_deaths = tuple([d for d in dies if table.alive(d)])
             store.write_pointer(oid, slot, target, dies=dies)
             if wal is not None:
                 wal.append("write")
@@ -325,25 +323,22 @@ class TransactionManager:
         dies: Sequence[ObjectId] = (),
     ) -> None:
         txn = self._require_active(None)
-        src_obj = self.store.objects.get(src)
-        if src_obj is None:
+        table = self.store.placements
+        pointers = table.pointers(src)
+        if pointers is None:
             raise TransactionError(f"unknown object {src}")
-        slot_existed = slot in src_obj.pointers
-        old_target = src_obj.pointers.get(slot)
+        slot_existed = slot in pointers
+        old_target = pointers.get(slot)
         overwrote = old_target is not None
         fgs_partition = None
         if old_target is not None:
-            placement = self.store.placements.get(old_target)
+            placement = table.get(old_target)
             if placement is not None:
                 fgs_partition = placement.partition
         # Only record deaths this write actually declares (idempotence of
         # _declare_dead means already-dead victims must not be resurrected
         # twice on undo).
-        fresh_deaths = tuple(
-            oid
-            for oid in dies
-            if oid in self.store.objects and not self.store.objects[oid].dead
-        )
+        fresh_deaths = tuple(oid for oid in dies if table.alive(oid))
         repin = target if target in self.store.unlinked else None
         self.store.write_pointer(src, slot, target, dies=dies)
         txn.undo_log.append(

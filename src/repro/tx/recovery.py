@@ -36,10 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from repro.storage.heap import ObjectStore, StoreConfig
-from repro.storage.object_model import ObjectId, ObjectKind, StoredObject
+from repro.storage.object_model import ObjectId, ObjectKind
+from repro.storage.objtable import TableCapture
 
 
 class _Columns(NamedTuple):
@@ -71,17 +73,18 @@ class CheckpointSnapshot:
     * the accounting clocks, so rate policies resume with continuous
       signals instead of a cold reset.
 
-    The capture is ``table``, a copy of the store's object table: one
-    reference per object, the objects themselves shared with the store,
+    The capture is ``table``, a copy of the store's object table
+    (:meth:`~repro.storage.objtable.ObjectTable.capture`): sizes, kinds and
+    dead flags copied by value, the pointer dicts shared with the store,
     which copies any of them before writing it (copy-on-write, see
-    ``ObjectStore._writable``) — so the snapshot is immutable, a superseded
+    ``ObjectTable.writable``) — so the snapshot is immutable, a superseded
     one included. Recovery, tests and drills read it as flat **columns**
     (``oids`` ascending, ``sizes``, ``kinds`` as ``ObjectKind`` values,
     ``dead``; ``pointer_srcs`` / ``pointer_slots`` / ``pointer_targets`` in
-    ``(src, slot)`` order, a target may be None), built from the table on
-    the first read of any of them. A checkpoint that a later one supersedes
-    before anything reads it is never turned into columns at all. Two
-    snapshots are equal when their columns, sets and clocks are.
+    ``(src, slot)`` order, a target may be None), built from the captured
+    columns on the first read of any of them. A checkpoint that a later one
+    supersedes before anything reads it is never turned into columns at
+    all. Two snapshots are equal when their columns, sets and clocks are.
 
     ``event_index`` records the absolute stream position the checkpoint
     covers: a resumed service continues the event stream from here.
@@ -89,9 +92,9 @@ class CheckpointSnapshot:
 
     #: Absolute index of the next stream event after the checkpoint.
     event_index: int
-    #: The store's object table at the checkpoint (oid -> object); never
+    #: The store's object table as captured at the checkpoint; never
     #: written, by the store or anyone else.
-    table: Mapping[ObjectId, StoredObject]
+    table: TableCapture
     #: Pointer slots over all objects, for :attr:`estimated_bytes`.
     pointer_count: int
     roots: tuple[ObjectId, ...]
@@ -105,31 +108,31 @@ class CheckpointSnapshot:
 
     @cached_property
     def _columns(self) -> _Columns:
-        """Every column, built from the table on the first read of any."""
-        table = self.table
-        oids = sorted(table)
-        stored = [table[oid] for oid in oids]
+        """Every column, built from the captured table on the first read
+        of any."""
+        # (oid, size, kind, dead, pointers), by oid: dense rows come in
+        # order, so the sort only places overflow rows.
+        rows = sorted(self.table.rows(), key=itemgetter(0))
         srcs: list[ObjectId] = []
         slots: list[str] = []
         targets: list[Optional[ObjectId]] = []
-        for obj in stored:
-            pointers = obj.pointers
+        for oid, _, _, _, pointers in rows:
             if not pointers:
                 continue
             items: Iterable[tuple[str, Optional[ObjectId]]] = pointers.items()
             if len(pointers) > 1:  # slot order within an object is by name
                 items = sorted(items)
             for slot, target in items:
-                srcs.append(obj.oid)
+                srcs.append(oid)
                 slots.append(slot)
                 targets.append(target)
         return _Columns(
-            tuple(oids),
-            tuple([obj.size for obj in stored]),
+            tuple([r[0] for r in rows]),
+            tuple([r[1] for r in rows]),
             # ``_value_`` is the plain attribute behind enum's ``value``
             # descriptor: same string, a sixth of the read cost.
-            tuple([obj.kind._value_ for obj in stored]),
-            tuple([obj.dead for obj in stored]),
+            tuple([r[2]._value_ for r in rows]),
+            tuple([r[3] for r in rows]),
             tuple(srcs),
             tuple(slots),
             tuple(targets),
@@ -196,15 +199,14 @@ def build_checkpoint(store: ObjectStore, event_index: int) -> CheckpointSnapshot
 
     The caller must guarantee no transaction is open (the service only
     checkpoints between transactions); everything in the store is then
-    committed by construction. The capture walks no object: one C-level
-    copy of the table's references, the store's running totals, and a
-    generation bump, after which the store copies any object of the table
-    before it next writes it.
+    committed by construction. The capture walks no object: C-level copies
+    of the object table's columns and the store's running totals, after
+    which the store copies any pointer dict the capture holds before it
+    next writes it.
     """
-    store.generation += 1
     return CheckpointSnapshot(
         event_index=event_index,
-        table=store.objects.copy(),
+        table=store.placements.capture(),
         pointer_count=store.slot_count,
         roots=tuple(sorted(store.roots)),
         unlinked=tuple(sorted(store.unlinked)),

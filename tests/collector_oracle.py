@@ -14,7 +14,7 @@ survivor. Tests require the two to leave the store in the same state under
 reclaim order of the next.
 
 Like ``event_oracle`` it drives the production store underneath
-(``Partition.bump`` / ``forget``, ``PlacementTable.put``): what
+(``Partition.bump`` / ``forget``, ``ObjectTable.put``): what
 is independent here is the order and granularity of the collector's own
 steps, not the data structures.
 """
@@ -51,11 +51,9 @@ def breadth_first_order(objects, roots, within=None):
 
 def reclaim(store, oid, pid):
     """Remove one object the collector found unreachable; returns its size."""
-    obj = store.objects.pop(oid)
     if store.placements.part_of(oid) != pid:
-        store.objects[oid] = obj
         raise StoreError(f"object {oid} reclaimed from wrong partition")
-    store.placements.discard(oid)
+    obj = store.objects.pop(oid)
     if obj.dead:
         store.dead_bytes[pid] = store.dead_bytes.get(pid, 0) - obj.size
     else:

@@ -38,8 +38,7 @@ from repro.gc.selection import RoundRobinSelection
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.storage import heap
 from repro.storage.heap import ObjectStore, StoreConfig, StoreError
-from repro.storage.object_model import StoredObject
-from repro.storage.objtable import DENSE_CEILING
+from repro.storage.objtable import DENSE_CEILING, ObjectTable, StoredObjects
 from repro.storage.traversal import breadth_first_order
 from repro.storage.validation import validate_store
 from repro.workload.compiled import compile_trace
@@ -295,25 +294,23 @@ def graphs(draw):
     # mostly miss it.
     known = [st.sampled_from(oids)] * 3 if oids else []
     targets = st.one_of(st.none(), st.integers(-60, 210), *known)
-    objects = {}
+    table = ObjectTable()
     for oid in oids:
         slots = draw(st.lists(targets, max_size=4))
-        objects[oid] = StoredObject(
-            oid=oid, size=8, pointers={f"s{i}": t for i, t in enumerate(slots)}
-        )
+        table.insert(oid, 0, 0, 8).update({f"s{i}": t for i, t in enumerate(slots)})
     # Roots: duplicates, ids outside the table and outside the domain.
     roots = draw(st.lists(st.one_of(st.integers(-60, 210), *known), max_size=12))
     within = draw(st.one_of(st.none(), st.sets(st.sampled_from(oids)) if oids else st.just(set())))
-    return objects, roots, within
+    return table, roots, within
 
 
 @settings(max_examples=300, deadline=None, phases=PHASES)
 @given(graph=graphs())
 def test_cheney_scan_visits_in_the_queue_search_order(graph):
-    objects, roots, within = graph
+    table, roots, within = graph
     before = None if within is None else set(within)
-    assert breadth_first_order(objects, roots, within) == oracle_order(
-        objects, roots, within
+    assert breadth_first_order(table, roots, within) == oracle_order(
+        StoredObjects(table), roots, within
     )
     # The work set is a private copy: the caller's domain is not consumed.
     assert within == before

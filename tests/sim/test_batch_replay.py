@@ -55,6 +55,7 @@ from repro.sim.spec import (
 )
 from repro.storage.heap import StoreConfig, StoreError
 from repro.storage.iostats import IOStats
+from repro.storage.objtable import DENSE_CEILING
 from repro.tx.manager import TransactionError
 from repro.tx.recovery import RedoLog
 from repro.workload.compiled import compile_trace
@@ -838,10 +839,11 @@ def test_invalid_replay_value_rejected():
 
 
 def _max_create_oid_loop(ops, arg0):
-    """The per-event loop ``batch._max_create_oid`` replaced."""
+    """The per-event loop ``batch._max_create_oid`` replaced: oids from
+    ``DENSE_CEILING`` up overflow, so they reserve no dense rows."""
     best = 0
     for i, op in enumerate(ops):
-        if op == 0 and arg0[i] > best:
+        if op == 0 and best < arg0[i] < DENSE_CEILING:
             best = arg0[i]
     return best
 

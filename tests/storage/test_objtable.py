@@ -1,23 +1,25 @@
-"""PlacementTable: flat-array placement columns with a dict-shaped surface.
+"""ObjectTable as the placement mapping: flat-array columns with a
+dict-shaped surface.
 
 The table replaced ``dict[ObjectId, Placement]`` under the store's hot
 lookups; these tests pin the mapping contract (model-checked against a
 plain dict), the dense/overflow split, slot recycling, and the raw-column
-invariants the batched replay interpreter reads directly.
+invariants the batched replay interpreter reads directly. The object
+fields of the same rows are property-tested in ``test_object_table.py``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.objtable import DENSE_CEILING, PlacementTable
+from repro.storage.objtable import DENSE_CEILING, ObjectTable
 from repro.storage.partition import Placement
 
 # ---------------------------------------------------------------- basics
 
 
 def test_empty_table():
-    table = PlacementTable()
+    table = ObjectTable()
     assert len(table) == 0
     assert table.locate(0) is None
     assert table.part_of(0) == -1
@@ -29,7 +31,7 @@ def test_empty_table():
 
 
 def test_put_locate_roundtrip():
-    table = PlacementTable()
+    table = ObjectTable()
     table.put(3, pid=2, offset=128, size=64)
     assert table.locate(3) == (2, 128, 64)
     assert table.part_of(3) == 2
@@ -39,7 +41,7 @@ def test_put_locate_roundtrip():
 
 
 def test_getitem_returns_snapshot_not_live_state():
-    table = PlacementTable()
+    table = ObjectTable()
     table.put(1, pid=0, offset=0, size=10)
     snapshot = table[1]
     table.put(1, pid=5, offset=99, size=20)
@@ -48,7 +50,7 @@ def test_getitem_returns_snapshot_not_live_state():
 
 
 def test_replace_does_not_double_count():
-    table = PlacementTable()
+    table = ObjectTable()
     table.put(4, pid=1, offset=0, size=8)
     table.put(4, pid=2, offset=16, size=8)
     assert len(table) == 1
@@ -56,7 +58,7 @@ def test_replace_does_not_double_count():
 
 
 def test_setitem_delitem_pop():
-    table = PlacementTable()
+    table = ObjectTable()
     table[9] = Placement(partition=1, offset=32, size=48)
     assert table.pop(9) == Placement(partition=1, offset=32, size=48)
     assert len(table) == 0
@@ -69,7 +71,7 @@ def test_setitem_delitem_pop():
 
 def test_slot_recycling():
     """Discard writes -1 back; a later create of the same oid reuses the row."""
-    table = PlacementTable()
+    table = ObjectTable()
     table.put(6, pid=3, offset=0, size=100)
     assert table.discard(6)
     assert not table.discard(6)
@@ -84,7 +86,7 @@ def test_slot_recycling():
 
 
 def test_reserve_grows_dense_columns_with_absent_fill():
-    table = PlacementTable()
+    table = ObjectTable()
     table.reserve(100)
     assert table.dense_limit == 100
     assert all(table.parts[i] == -1 for i in range(100))
@@ -93,13 +95,13 @@ def test_reserve_grows_dense_columns_with_absent_fill():
 
 
 def test_reserve_clamps_at_dense_ceiling():
-    table = PlacementTable()
+    table = ObjectTable()
     table.reserve(DENSE_CEILING + 1000)
     assert table.dense_limit == DENSE_CEILING
 
 
 def test_put_beyond_current_extent_grows():
-    table = PlacementTable()
+    table = ObjectTable()
     table.put(5000, pid=1, offset=0, size=1)
     assert table.dense_limit > 5000
     assert table.locate(5000) == (1, 0, 1)
@@ -111,7 +113,7 @@ def test_put_beyond_current_extent_grows():
 
 @pytest.mark.parametrize("oid", [-1, DENSE_CEILING, DENSE_CEILING + 12345])
 def test_sparse_oids_fall_back_to_overflow(oid):
-    table = PlacementTable()
+    table = ObjectTable()
     table.put(oid, pid=2, offset=64, size=32)
     assert oid in table.overflow
     assert table.dense_limit == 0, "sparse oids must not grow the columns"
@@ -124,7 +126,7 @@ def test_sparse_oids_fall_back_to_overflow(oid):
 
 
 def test_iteration_covers_dense_and_overflow():
-    table = PlacementTable()
+    table = ObjectTable()
     table.put(2, pid=0, offset=0, size=4)
     table.put(DENSE_CEILING + 1, pid=1, offset=8, size=4)
     assert set(table) == {2, DENSE_CEILING + 1}
@@ -140,7 +142,7 @@ def test_iteration_covers_dense_and_overflow():
 
 
 def test_equality_against_dict_of_placements():
-    table = PlacementTable()
+    table = ObjectTable()
     table.put(1, pid=0, offset=0, size=10)
     table.put(2, pid=1, offset=16, size=20)
     assert table == {
@@ -148,7 +150,7 @@ def test_equality_against_dict_of_placements():
         2: Placement(partition=1, offset=16, size=20),
     }
     assert table != {1: Placement(partition=0, offset=0, size=10)}
-    other = PlacementTable()
+    other = ObjectTable()
     other.put(2, pid=1, offset=16, size=20)
     other.put(1, pid=0, offset=0, size=10)
     assert table == other
@@ -173,7 +175,7 @@ _ops = st.lists(
 @settings(max_examples=120, deadline=None)
 def test_behaves_like_a_dict(ops):
     """Model-check the mapping surface against a plain dict."""
-    table = PlacementTable()
+    table = ObjectTable()
     model: dict[int, Placement] = {}
     for action, oid, salt in ops:
         if action == "put":

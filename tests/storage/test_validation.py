@@ -58,20 +58,23 @@ def test_detects_placement_overlap(store):
 
 
 def test_detects_placement_count_drift(store):
-    # The count is kept by hand (fused replay, bulk reclaim); the key sets
-    # the validator compares first cannot see it drift.
+    # The count is kept by hand (fused replay, bulk reclaim); the rows the
+    # validator counts in the columns cannot see it drift.
     store.placements._count += 5
     report = validate_store(store, strict=False)
-    assert report.violations == ["[placements] len(placements) 8 != len(objects) 3"]
+    assert report.violations == ["[placements] len(placements) 8 != 3 rows"]
 
 
-def test_detects_placement_size_drift(store):
+def test_detects_a_torn_row(store):
+    # A placed row without its pointer dict, and an empty row still
+    # flagged dead: neither is an object nor a hole.
     oid = min(store.partitions[0].residents)
-    store.placements.sizes[oid] -= 1
+    store.placements.ptrs[oid] = None
+    hole = store.placements.dense_limit - 1
+    store.placements.dead[hole] = 1
     report = validate_store(store, strict=False)
-    assert report.violations == [
-        f"[placements] object {oid}: placement size 9 != object size 10"
-    ]
+    assert f"[placements] row {oid} is torn (placed: True)" in report.violations
+    assert f"[placements] row {hole} is torn (placed: False)" in report.violations
 
 
 def test_detects_resident_mismatch(store):
@@ -130,7 +133,7 @@ def test_detects_dangling_live_pointer(store):
         for _ in [None]
     )
     target = next(iter(store.objects[victim].targets()))
-    placement = store.placements.pop(target)
+    placement = store.placements[target]
     store.partitions[placement.partition].residents.discard(target)
     del store.objects[target]
     report = StoreValidator().validate(store)

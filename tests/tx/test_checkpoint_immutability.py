@@ -1,8 +1,8 @@
 """Property: a checkpoint never changes after it is taken.
 
-``build_checkpoint`` keeps a copy of the store's object table and shares
-the objects in it with the store, which copies an object before it writes
-it (copy-on-write). Here one service run takes a checkpoint every few
+``build_checkpoint`` keeps a copy of the store's object table columns and
+shares the pointer dicts in it with the store, which copies a dict before
+it writes it (copy-on-write); dead flags are copied by value. Here one service run takes a checkpoint every few
 events while its stream mutates the store through every route: the fused
 WRITE / dies kernels (``replay="auto"``), the guarded ``write_pointer``
 (``replay="scalar"``), transaction aborts (undo, resurrect, expunge) and
@@ -156,7 +156,7 @@ def test_every_checkpoint_is_the_store_at_its_moment(events, every, replay):
 
 def test_superseded_snapshots_hold_objects_the_store_has_since_copied():
     """A fixed program in which every mechanism fires: the snapshots that
-    later checkpoints superseded hold objects the store replaced with
+    later checkpoints superseded hold pointer dicts the store replaced with
     private copies, and they still read as their own moment."""
     events = [CreateEvent(1, 64), RootEvent(1)]
     oid = 2
@@ -179,12 +179,12 @@ def test_superseded_snapshots_hold_objects_the_store_has_since_copied():
         assert service.sim.tx.aborted == 30
         if replay == "auto":
             assert report.events_fused > 0
-        store = service.sim.store
+        table = service.sim.store.placements
         copied = sum(
             1
             for snapshot, *_ in taken[:-1]
-            for key, obj in snapshot.table.items()
-            if key in store.objects and store.objects[key] is not obj
+            for key, *_, held in snapshot.table.rows()
+            if key in table and table.pointers(key) is not held
         )
-        assert copied > 0, "no object a snapshot holds was ever written again"
+        assert copied > 0, "no pointer dict a snapshot holds was ever written again"
         _assert_each_snapshot_is_its_moment(taken)
