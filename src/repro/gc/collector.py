@@ -13,7 +13,8 @@ The collector implements the algorithm of §3.1, following [CWZ94] and [Che70]:
   reclaimed. The trace computes both sides at once: its to-space is the
   survivor order and its leftover work set the reclaimed set, so the
   compaction plan is built from the trace's output with no second pass over
-  the residents and no per-survivor object lookup.
+  the residents and no per-survivor object lookup. The plan also takes
+  every read reclamation needs, so applying it only writes.
 
 I/O cost model (documented in DESIGN.md): a collection
 
@@ -162,8 +163,10 @@ class CopyingCollector:
         trace, under the same validity contract; a caller with survivors
         but no trace (``collect_global``) brings none, and the store's
         front door derives the identical plan inside the pause. Either way
-        compaction is the one route ``plan → bulk reclaim → offset
-        scatter``.
+        compaction is the one route: the plan takes every read, then
+        :meth:`~repro.storage.heap.ObjectStore.compact_partition` only
+        writes (rows emptied, planned forgets, resident set swapped in,
+        offsets scattered).
         """
         store = self._store
         partition = store.partitions[pid]

@@ -15,21 +15,26 @@ stop-the-world window. This module decouples them:
    instant. A snapshot whose epochs still hold is kept, not retaken.
 2. **Trace + plan.** The snapshot is Cheney-traced over the live heap (the
    object table and the victim's resident set) and the compaction plan
-   (:meth:`~repro.storage.heap.ObjectStore.plan_compaction`: reclaimed
-   list and layout) is built from the trace's survivors and its unreached
-   set, by the same :meth:`~repro.gc.collector.CopyingCollector.trace` the
-   serial ``prepare`` runs, inline at the pump point: both are paid
-   between two events of the replay / stream-admission loop, not inside
-   the stop-the-world window.
+   (:meth:`~repro.storage.heap.ObjectStore.plan_compaction`) is built
+   from the trace's survivors and its unreached set, by the same
+   :meth:`~repro.gc.collector.CopyingCollector.trace` the serial
+   ``prepare`` runs, inline at the pump point. The plan holds every read
+   the compaction needs — reclaimed list, layout, the reclaimed objects'
+   outgoing cross-partition edges and slot counts, the new resident set —
+   so all of it is paid between two events of the replay /
+   stream-admission loop, not inside the stop-the-world window.
 3. **Validate + ordered apply.** When the trigger actually fires, the
    scheduler re-checks the victim's trace epochs and applies reclamation
    through the exact serial sequence (:meth:`~repro.gc.collector.
-   CopyingCollector.apply`). A stale snapshot — any frontier- or
+   CopyingCollector.apply`). A validated plan leaves the pause only
+   writes: rows emptied (dead flags are read there — a death declared
+   elsewhere bumps no epoch), planned forgets, the resident set swapped
+   in, offsets scattered. A stale snapshot — any frontier- or
    graph-affecting mutation bumped the partition's epoch, or any
    compaction bumped the global epoch — is discarded and trace and plan
-   re-run inline, which *is* the serial path: the pause runs the same
-   three kernels either way and speculation only decides how many of
-   them are already done.
+   re-run inline, which *is* the serial path: *plan reads → pause
+   writes* either way, and speculation only decides whether the reads
+   are already done.
 
 **The window is under feedback.** How far ahead of the trigger to start
 is the one rate this collector sets for itself, and a fixed fraction of

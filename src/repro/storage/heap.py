@@ -58,17 +58,21 @@ _NO_SLOT = object()
 
 @dataclass
 class CompactionPlan:
-    """What one ``compact_partition`` call derives read-only from state.
+    """Every read one ``compact_partition`` call needs, taken in advance.
 
-    The reclaimed list and the post-compaction layout (new offset per
-    survivor), built by :meth:`ObjectStore.plan_compaction` and applied by
+    Built by :meth:`ObjectStore.plan_compaction` and applied by
     :meth:`ObjectStore.compact_partition` — the only way a partition is
-    ever compacted. A serial collection builds its plan inside the pause;
-    the parallel scheduler builds it at a pump point, outside the pause,
-    and such a plan is only valid while the victim's trace epoch and the
-    global compaction epoch are unchanged (the scheduler validates both
-    before use): every input the plan froze is then provably what an
-    in-pause plan would read.
+    ever compacted — which then only writes. A serial collection builds
+    its plan inside the pause; the parallel scheduler builds it at a pump
+    point, outside the pause, and such a plan is only valid while the
+    victim's trace epoch and the global compaction epoch are unchanged
+    (the scheduler validates both before use). Every value the plan
+    freezes is guarded by one of the two or is harmless when stale:
+    pointer slots, roots, pins and remembered entries of the victim bump
+    its epoch, a compaction anywhere bumps the global one, and a forget
+    aimed at a target that has gone since finds nothing to drop. Dead
+    flags are not frozen: a ``dies`` list can kill a victim resident from
+    a write in another partition, which bumps neither epoch.
     """
 
     #: Survivors in copy order (the ``survivors`` argument the plan was
@@ -88,6 +92,23 @@ class CompactionPlan:
     dense_offs: Any
     #: Overflow-dict survivors: ``(oid, (pid, new_offset, size))``.
     overflow: list[tuple[ObjectId, tuple[int, int, int]]]
+    #: The victim's resident set after compaction, ``set(survivors)``:
+    #: the same insertion history as bump-allocating each survivor in copy
+    #: order, so it iterates — and the partition's next collection copies
+    #: its work set — in that order. Compaction swaps it in whole.
+    residents: set[ObjectId]
+    #: The reclaimed objects' outgoing cross-partition edges, in reclaimed
+    #: order: ``(target_pid, source, target)`` per non-null slot whose
+    #: target lived in another partition — the remembered references the
+    #: compaction forgets.
+    forgets: list[tuple[PartitionId, ObjectId, ObjectId]]
+    #: Pointer slots of each reclaimed object, in reclaimed order.
+    slot_counts: list[int]
+    #: Whether some reclaimed object is a root, an allocation pin or a
+    #: remembered target of the victim. Never after a trace (an unreached
+    #: object is no frontier member); survivors brought without a trace
+    #: may leave such entries to drop.
+    frontier: bool
 
 
 @dataclass(frozen=True)
@@ -608,12 +629,19 @@ class ObjectStore:
         does not need it: Cheney's survivors are distinct residents by
         construction.
 
+        Reclamation's reads are taken here too, so the compaction itself
+        only writes: each reclaimed object's outgoing cross-partition
+        edges and slot count, whether any of them is on the victim's
+        frontier, and the new resident set. A row that is not the
+        victim's ends the walk; the compaction refuses that object.
+
         Also runs at the parallel scheduler's pump points, between events
         ahead of the pause; the epochs decide whether the plan is still
         the one the pause would build.
         """
+        partition = self.partitions[pid]
         if unreached is None:
-            residents = self.partitions[pid].residents
+            residents = partition.residents
             survivors = list(survivors)
             survivor_set = set(survivors)
             unknown = survivor_set - residents
@@ -627,17 +655,54 @@ class ObjectStore:
                     f"survivors {repeated} are listed more than once for partition {pid}"
                 )
             unreached = residents - survivor_set
+        else:
+            survivor_set = set(survivors)
+        reclaimed = list(unreached)
         placements = self.placements
+        parts = placements.parts
+        ptrs = placements.ptrs
+        dense = len(parts)
+        sparse = placements.overflow
+        rows = placements.overflow_rows
+        forgets: list[tuple[PartitionId, ObjectId, ObjectId]] = []
+        add_forget = forgets.append
+        slot_counts: list[int] = []
+        add_slots = slot_counts.append
+        for oid in reclaimed:
+            if 0 <= oid < dense:
+                if parts[oid] != pid:
+                    break
+                pointers = ptrs[oid]
+            else:
+                entry = sparse.get(oid)
+                if entry is None or entry[0] != pid:
+                    break
+                pointers = rows[oid][0]
+            add_slots(len(pointers))
+            for target in pointers.values():
+                if target is None:
+                    continue
+                if 0 <= target < dense:
+                    tgt_pid = parts[target]
+                else:
+                    entry = sparse.get(target)
+                    tgt_pid = entry[0] if entry is not None else -1
+                if tgt_pid >= 0 and tgt_pid != pid:
+                    add_forget((tgt_pid, oid, target))
+        frontier = not (
+            partition.incoming.keys().isdisjoint(reclaimed)
+            and self.roots.isdisjoint(reclaimed)
+            and self.unlinked.isdisjoint(reclaimed)
+        )
         overflow: list[tuple[ObjectId, tuple[int, int, int]]] = []
         dense_oids: Any
         dense_offs: Any
-        if placements.overflow:
+        if sparse:
             # Sparse or negative oids somewhere in the heap: split the
             # survivors by representation. Classification by DENSE_CEILING
             # (not current column length) is stable — a resident survivor
             # already has its placement where its oid selects.
             sizes = placements.sizes
-            sparse = placements.overflow
             dense_oids = []
             dense_offs = []
             fill = 0
@@ -668,11 +733,15 @@ class ObjectStore:
             fill = dense_offs.pop()
         return CompactionPlan(
             survivors=survivors,
-            reclaimed=list(unreached),
+            reclaimed=reclaimed,
             fill=fill,
             dense_oids=dense_oids,
             dense_offs=dense_offs,
             overflow=overflow,
+            residents=survivor_set,
+            forgets=forgets,
+            slot_counts=slot_counts,
+            frontier=frontier,
         )
 
     def compact_partition(
@@ -687,42 +756,115 @@ class ObjectStore:
         of bytes reclaimed. The caller (the collector) is responsible for
         charging I/O and invalidating buffered pages.
 
-        There is one route: reclaim ``plan.reclaimed`` in bulk, then
-        relocate by re-inserting the survivors into the residents set in
-        copy order and scattering the planned offsets (survivors keep their
-        partition and size columns through a compaction). ``plan`` is a
-        :class:`CompactionPlan` built by :meth:`plan_compaction` from these
-        exact survivors and *validated against unchanged trace epochs*; a
-        caller that brings none gets one built here, inside the pause, by
-        the same method's front door — which is also where survivors that
-        are not residents, or are listed twice, are refused, after nothing
-        but the two epoch bumps.
+        There is one route, and it only writes: ``plan`` holds every read
+        (:class:`CompactionPlan`). ``plan`` is built by
+        :meth:`plan_compaction` from these exact survivors and *validated
+        against unchanged trace epochs*; a caller that brings none gets one
+        built here, inside the pause, by the same method's front door —
+        which is also where survivors that are not residents, or are listed
+        twice, are refused, after nothing but the two epoch bumps.
+
+        Reclamation is one loop over ``plan.reclaimed`` that empties each
+        row in the table's raw columns and splits the bytes by dead flag
+        (read here: a death declared since the plan bumps no epoch), then
+        the planned forgets. The ledgers — dead bytes, garbage totals, row
+        count, slot count, forget churn — are written once, in a
+        ``finally``, so a wrong-partition object (refused before its row is
+        touched) still leaves the objects reclaimed before it accounted
+        for. Relocation swaps in the plan's resident set and scatters the
+        planned offsets: survivors keep their partition and size columns.
         """
         partition = self.partitions[pid]
         self.compaction_epoch += 1
         self.trace_epochs[pid] += 1
         plan = plan or self.plan_compaction(pid, survivors)
-        reclaimed_bytes = self._reclaim_residents(pid, plan.reclaimed)
+        table = self.placements
+        parts = table.parts
+        sizes = table.sizes
+        ptrs = table.ptrs
+        kinds = table.kinds
+        dead_col = table.dead
+        dense = len(parts)
+        overflow = table.overflow
+        reclaimed = plan.reclaimed
+        count = dead = undeclared = 0
+        try:
+            for oid in reclaimed:
+                if 0 <= oid < dense:
+                    if parts[oid] != pid:
+                        raise StoreError(f"object {oid} reclaimed from wrong partition")
+                    # ObjectTable.discard, column by column.
+                    parts[oid] = -1
+                    ptrs[oid] = None
+                    kinds[oid] = 0
+                    if dead_col[oid]:
+                        dead_col[oid] = 0
+                        dead += sizes[oid]
+                    else:
+                        undeclared += sizes[oid]
+                else:
+                    entry = overflow.get(oid)
+                    if entry is None or entry[0] != pid:
+                        raise StoreError(f"object {oid} reclaimed from wrong partition")
+                    del overflow[oid]
+                    if table.overflow_rows.pop(oid)[2]:
+                        dead += entry[2]
+                    else:
+                        undeclared += entry[2]
+                count += 1
+        finally:
+            forgets = plan.forgets
+            slot_counts = plan.slot_counts
+            done = reclaimed
+            if count < len(reclaimed):  # refused: only what was reclaimed
+                done = reclaimed[:count]
+                slot_counts = slot_counts[:count]
+                kept = set(done)
+                forgets = [edge for edge in forgets if edge[1] in kept]
+            # Outgoing references of the reclaimed: Partition.forget each.
+            partitions = self.partitions
+            forgot = 0
+            for tgt_pid, src, target in forgets:
+                if partitions[tgt_pid].forget(src, target):
+                    forgot += 1
+            if plan.frontier:
+                # Incoming references to the reclaimed, and their root and
+                # pin entries: Partition.drop_incoming, roots / unlinked
+                # discards.
+                incoming = partition.incoming
+                for oid in incoming.keys() & done:
+                    forgot += sum(incoming.pop(oid).values())
+                for frontier in (self.roots, self.unlinked):
+                    if not frontier.isdisjoint(done):
+                        frontier.difference_update(done)
+            table._count -= count
+            self.forgets_total += forgot
+            self.slot_count -= sum(slot_counts)
+            garbage = self.garbage
+            if dead:
+                self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - dead
+            if undeclared:
+                # The workload never declared these objects dead, yet the
+                # collector found them unreachable within their partition.
+                # Fold them into both totals so ActGarb stays consistent,
+                # and count them for tests.
+                garbage.total_generated += undeclared
+                garbage.undeclared += undeclared
+            garbage.total_collected += dead + undeclared
 
         fill_before = partition.fill
         self.pending_overwrites -= partition.pointer_overwrites
         partition.reset_for_compaction()
-        # The same insertion history as bump-allocating each survivor in
-        # turn, so the set iterates — and the next collection reclaims —
-        # in the same order.
-        partition.residents.update(plan.survivors)
+        partition.residents = plan.residents
         partition.fill = plan.fill
-        placements = self.placements
         if _np is not None and len(plan.dense_oids):
-            _np.frombuffer(placements.offs, dtype=_np.int64)[
-                plan.dense_oids
-            ] = plan.dense_offs
+            _np.frombuffer(table.offs, dtype=_np.int64)[plan.dense_oids] = plan.dense_offs
         else:
-            offs = placements.offs
+            offs = table.offs
             for oid, off in zip(plan.dense_oids, plan.dense_offs):
                 offs[oid] = off
         for oid, entry in plan.overflow:
-            placements.overflow[oid] = entry
+            overflow[oid] = entry
         # The allocated-bytes ledger shrinks by the whole recovered extent:
         # reclaimed objects plus any holes left by transaction rollbacks.
         self._allocated_bytes -= fill_before - partition.fill
@@ -730,7 +872,7 @@ class ObjectStore:
         self._fit_cursor.clear()  # free bytes grew: a cursor may skip them
         if partition.fill < partition.capacity:
             self._reopen_partition(pid)
-        return reclaimed_bytes
+        return dead + undeclared
 
     def external_source_pages(self, pid: PartitionId) -> set[PageId]:
         """Pages of external objects holding pointers into partition ``pid``.
@@ -947,100 +1089,3 @@ class ObjectStore:
         self.garbage.total_generated += size
         pid = self.partition_of(oid)
         self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) + size
-
-    def _reclaim_residents(self, pid: PartitionId, reclaimed: list[ObjectId]) -> int:
-        """Bookkeeping for the objects a compaction of ``pid`` reclaims.
-
-        One kernel over the whole list, reading dead flag, size and pointer
-        dict from the table's columns and emptying each row: the dead-byte,
-        garbage-total, row-count and forget-churn ledgers are accumulated
-        as deltas and written once — in a ``finally``, so a wrong-partition
-        object (refused before its row is touched) still leaves the ledgers
-        of the objects reclaimed before it consistent. An object's own row
-        is cleared before its outgoing edges are forgotten, and
-        intra-partition targets were never remembered, so skipping them is
-        observationally identical to forgetting every edge.
-
-        Roots, allocation pins and remembered entries of the reclaimed are
-        dropped with one bulk set operation each. After a trace none can
-        hit — an unreached object is never a frontier member — so each is
-        one disjointness probe.
-
-        Returns the bytes reclaimed.
-        """
-        table = self.placements
-        parts = table.parts
-        sizes = table.sizes
-        ptrs = table.ptrs
-        kinds = table.kinds
-        dead_col = table.dead
-        dense = len(parts)
-        overflow = table.overflow
-        partitions = self.partitions
-        count = dead = undeclared = forgets = slots = 0
-        try:
-            for oid in reclaimed:
-                if 0 <= oid < dense:
-                    if parts[oid] != pid:
-                        raise StoreError(f"object {oid} reclaimed from wrong partition")
-                    # ObjectTable.discard, column by column.
-                    parts[oid] = -1
-                    size = sizes[oid]
-                    pointers = ptrs[oid]
-                    ptrs[oid] = None
-                    kinds[oid] = 0
-                    is_dead = dead_col[oid]
-                    dead_col[oid] = 0
-                else:
-                    entry = overflow.get(oid)
-                    if entry is None or entry[0] != pid:
-                        raise StoreError(f"object {oid} reclaimed from wrong partition")
-                    size = entry[2]
-                    del overflow[oid]
-                    pointers, _, is_dead, _ = table.overflow_rows.pop(oid)
-                count += 1
-                if is_dead:
-                    dead += size
-                else:
-                    undeclared += size
-
-                # Sever this object's outgoing remembered-set entries.
-                slots += len(pointers)
-                for target in pointers.values():
-                    if target is None:
-                        continue
-                    if 0 <= target < dense:
-                        tgt_pid = parts[target]
-                    else:
-                        entry = overflow.get(target)
-                        tgt_pid = entry[0] if entry is not None else -1
-                    if tgt_pid < 0 or tgt_pid == pid:
-                        continue
-                    if partitions[tgt_pid].forget(oid, target):
-                        forgets += 1
-        finally:
-            done = reclaimed if count == len(reclaimed) else reclaimed[:count]
-            # Incoming references to the reclaimed, and their root and pin
-            # entries: Partition.drop_incoming, roots / unlinked discards.
-            incoming = partitions[pid].incoming
-            if not incoming.keys().isdisjoint(done):
-                for oid in incoming.keys() & done:
-                    forgets += sum(incoming.pop(oid).values())
-            for frontier in (self.roots, self.unlinked):
-                if not frontier.isdisjoint(done):
-                    frontier.difference_update(done)
-            table._count -= count
-            self.forgets_total += forgets
-            self.slot_count -= slots
-            garbage = self.garbage
-            if dead:
-                self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - dead
-            if undeclared:
-                # The workload never declared these objects dead, yet the
-                # collector found them unreachable within their partition.
-                # Fold them into both totals so ActGarb stays consistent,
-                # and count them for tests.
-                garbage.total_generated += undeclared
-                garbage.undeclared += undeclared
-            garbage.total_collected += dead + undeclared
-        return dead + undeclared

@@ -13,10 +13,10 @@ columns indexed directly by oid:
 * ``shared[oid]`` — the copy-on-write generation of the pointer dict, as
   one bit: 1 while the dict may be shared with a :meth:`capture`.
 
-``parts``/``offs``/``sizes`` are ``array('q')``, ``ptrs`` a list, the
-others ``bytearray``\ s. A row is present exactly when ``parts[oid] >=
-0``; an empty row holds ``None`` pointers and zero kind and dead flag, so
-a create fills a row without reading it first.
+``parts``/``offs``/``sizes`` are ``array('q')``, ``ptrs`` a list, and
+the other three are ``bytearray`` columns. A row is present exactly when
+``parts[oid] >= 0``; an empty row holds ``None`` pointers and zero kind
+and dead flag, so a create fills a row without reading it first.
 
 Object ids from the workload generators are small and dense (allocated
 sequentially from 1), so direct indexing wastes little space; oids that

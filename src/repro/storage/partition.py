@@ -120,8 +120,9 @@ class Partition:
     def reset_for_compaction(self) -> None:
         """Empty the partition prior to re-placing its survivors.
 
-        The collector calls this, then re-allocates each survivor in copy
-        order. The remembered set is preserved for surviving residents and
+        The store calls this, then installs the survivors' resident set
+        (``set(survivors)``, the history of bumping each survivor in copy
+        order) and their offsets. The remembered set is preserved for surviving residents and
         pruned by the store as part of collection bookkeeping; the
         pointer-overwrite counter resets to zero (§2.4: "the FGS value of one
         single partition changes from x to 0").

@@ -719,6 +719,103 @@ def test_stale_speculation_is_discarded():
     assert doomed not in store.objects
 
 
+class _CountingPtrs(list):
+    """The pointer-dict column, counting every read of a row."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _garbage_with_far_edges():
+    """Partition 0 holds a root, a live object and ten garbage objects,
+    each pointing into partition 1: reclaiming them forgets ten
+    remembered references. Partition 0 has every pointer overwrite, so
+    the updated-pointer policy picks it."""
+    store = ObjectStore(STORE)
+    root = store.create(size=100)
+    store.register_root(root)
+    keep = store.create(size=100)
+    store.write_pointer(root, "keep", keep)
+    doomed = [store.create(size=1618) for _ in range(10)]  # fills partition 0
+    for i, oid in enumerate(doomed):
+        store.write_pointer(root, f"g{i}", oid)
+        far = store.create(size=500)
+        assert store.partition_of(far) == 1
+        store.write_pointer(oid, "far", far)
+    for i, oid in enumerate(doomed):
+        store.write_pointer(root, f"g{i}", None, dies=[oid])
+    return store, keep
+
+
+def _counted_collection(monkeypatch, store, collect):
+    """Run ``collect()`` with the store's pointer-dict reads and the
+    collection modules' ``set(...)`` constructions counted."""
+    from repro.gc import collector as collector_module
+    from repro.gc import parallel as parallel_module
+    from repro.storage import heap as heap_module
+    from repro.storage import traversal as traversal_module
+
+    built = []
+
+    def counting_set(*args):
+        built.append(args)
+        return set(*args)
+
+    with monkeypatch.context() as patch:
+        for module in (heap_module, traversal_module, collector_module, parallel_module):
+            patch.setattr(module, "set", counting_set, raising=False)
+        store.placements.ptrs = ptrs = _CountingPtrs(store.placements.ptrs)
+        result = collect()
+    return result, ptrs.reads, len(built)
+
+
+def test_a_validated_speculation_pauses_without_reads(monkeypatch):
+    """The plan a pump built holds every read the compaction needs, so a
+    speculation hit's pause reads no pointer dict and builds no set; a
+    stale one re-traces and re-plans inline, reading what the serial
+    collector reads."""
+    from repro.gc.collector import CopyingCollector
+    from repro.gc.selection import UpdatedPointerSelection
+
+    def scheduler(store):
+        return ParallelCollectionScheduler(
+            store, CopyingCollector(store), UpdatedPointerSelection()
+        )
+
+    serial_store, _keep = _garbage_with_far_edges()
+    serial, _, _ = _counted_collection(
+        monkeypatch, serial_store, lambda: CopyingCollector(serial_store).collect(0)
+    )
+    assert serial.reclaimed_objects == 10
+
+    store, _keep = _garbage_with_far_edges()
+    hit = scheduler(store)
+    hit.pump()
+    result, reads, built = _counted_collection(monkeypatch, store, lambda: hit.collect(0))
+    assert hit.speculation_hits == 1
+    assert (reads, built) == (0, 0)
+    assert result == serial
+    assert state_digest(store) == state_digest(serial_store)
+
+    # Stale: a slot written in the victim after the pump.
+    reference, keep = _garbage_with_far_edges()
+    reference.write_pointer(keep, "x", None)
+    expected = _counted_collection(
+        monkeypatch, reference, lambda: CopyingCollector(reference).collect(0)
+    )
+    store, keep = _garbage_with_far_edges()
+    stale = scheduler(store)
+    stale.pump()
+    store.write_pointer(keep, "x", None)
+    counted = _counted_collection(monkeypatch, store, lambda: stale.collect(0))
+    assert stale.speculation_stale == 1
+    assert counted == expected
+    assert counted[1] >= 12  # two survivors traced, ten reclaimed planned
+
+
 # ------------------------------------------------- config plumbing
 
 
