@@ -1,29 +1,17 @@
 """Analytical models validated against the simulator."""
 
-from repro.analysis.cost_model import (
-    CollectionCostBreakdown,
-    predict_collection_cost,
-)
+from repro.analysis.cost_model import predict_collection_cost
 from repro.analysis.steady_state import (
-    DEFAULT_SELECTION_SKEW,
     WorkloadModel,
     expected_collections,
     fixed_rate_garbage_fraction,
     fixed_rate_yield,
-    saga_interval,
-    saga_sawtooth_mean,
-    saio_interval,
 )
 
 __all__ = [
-    "CollectionCostBreakdown",
-    "DEFAULT_SELECTION_SKEW",
     "WorkloadModel",
     "expected_collections",
     "fixed_rate_garbage_fraction",
     "fixed_rate_yield",
     "predict_collection_cost",
-    "saga_interval",
-    "saga_sawtooth_mean",
-    "saio_interval",
 ]

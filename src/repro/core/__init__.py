@@ -1,52 +1,1 @@
 """The paper's contribution: adaptive collection-rate policies and estimators."""
-
-from repro.core.control import ExponentialMean, SmoothedSlopeEstimator, clamp
-from repro.core.estimators import (
-    CgsCbEstimator,
-    CgsHbEstimator,
-    DecayingOracleBlend,
-    FgsCbEstimator,
-    FgsHbEstimator,
-    GarbageEstimator,
-    OracleEstimator,
-    estimator_names,
-    make_estimator,
-    register_estimator,
-)
-from repro.core.extensions import CoupledSaioSagaPolicy, OpportunisticPolicy
-from repro.core.fixed import (
-    AllocationRatePolicy,
-    FixedRatePolicy,
-    PartitionHeuristicPolicy,
-)
-from repro.core.rate_policy import PolicyContext, RatePolicy, TimeBase, Trigger
-from repro.core.saga import SagaPolicy
-from repro.core.saio import UNLIMITED_HISTORY, SaioPolicy
-
-__all__ = [
-    "AllocationRatePolicy",
-    "CgsCbEstimator",
-    "CgsHbEstimator",
-    "CoupledSaioSagaPolicy",
-    "DecayingOracleBlend",
-    "ExponentialMean",
-    "FgsCbEstimator",
-    "FgsHbEstimator",
-    "FixedRatePolicy",
-    "GarbageEstimator",
-    "OpportunisticPolicy",
-    "OracleEstimator",
-    "PartitionHeuristicPolicy",
-    "PolicyContext",
-    "RatePolicy",
-    "SagaPolicy",
-    "SaioPolicy",
-    "SmoothedSlopeEstimator",
-    "TimeBase",
-    "Trigger",
-    "UNLIMITED_HISTORY",
-    "clamp",
-    "estimator_names",
-    "make_estimator",
-    "register_estimator",
-]

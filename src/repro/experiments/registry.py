@@ -167,7 +167,8 @@ def _drill(seeds, options: RunOptions) -> str:
     uses_engine=False,
 )
 def _describe(seeds, options: RunOptions) -> str:
-    from repro.oo7 import SMALL_PRIME, describe_phases, describe_structure
+    from repro.oo7.config import SMALL_PRIME
+    from repro.oo7.describe import describe_phases, describe_structure
 
     return "\n\n".join([describe_phases(), describe_structure(SMALL_PRIME)])
 

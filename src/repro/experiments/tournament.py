@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from repro.cli import COMMON_ENGINE_FLAGS, add_engine_flags, positive_float, run_options
 from repro.fleet import _default_sim_config
-from repro.gc.learned import LearnedModel, train_model
+from repro.gc.learned import LearnedModel, ModelError, train_model
 from repro.obs.features import load_training_rows
 from repro.sim.engine import ParallelRunner, RunOptions
 from repro.sim.report import format_percent, format_table
@@ -442,14 +442,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(
-        list(argv) if argv is not None else sys.argv[1:]
-    )
+    parser = _build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else sys.argv[1:])
+    model = None
+    if args.model is not None:
+        try:
+            model = LearnedModel.load(args.model)
+        except ModelError as exc:
+            parser.error(f"argument --model: {exc}")
     options = run_options(args)
     reporter = options.progress
     started = time.time()
     result = run_tournament(
         seeds=args.seeds,
+        model=model,
         model_path=args.model,
         scale=args.scale,
         train_seed=args.train_seed,

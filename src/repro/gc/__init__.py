@@ -1,46 +1,1 @@
 """Partitioned copying garbage collector and partition-selection policies."""
-
-from repro.gc.collector import CollectionResult, CopyingCollector
-from repro.gc.learned import (
-    FeatureTracker,
-    LearnedEstimator,
-    LearnedModel,
-    estimator_from_spec,
-    model_spec,
-    train_model,
-)
-from repro.gc.parallel import (
-    COLLECTION_MODES,
-    DEFAULT_GC_MARGIN,
-    ParallelCollectionScheduler,
-    peek_selection,
-)
-from repro.gc.selection import (
-    MostGarbageOracleSelection,
-    PartitionSelectionPolicy,
-    RandomSelection,
-    RoundRobinSelection,
-    UpdatedPointerSelection,
-    make_selection_policy,
-)
-
-__all__ = [
-    "COLLECTION_MODES",
-    "DEFAULT_GC_MARGIN",
-    "CollectionResult",
-    "CopyingCollector",
-    "FeatureTracker",
-    "LearnedEstimator",
-    "LearnedModel",
-    "MostGarbageOracleSelection",
-    "ParallelCollectionScheduler",
-    "PartitionSelectionPolicy",
-    "RandomSelection",
-    "RoundRobinSelection",
-    "UpdatedPointerSelection",
-    "estimator_from_spec",
-    "make_selection_policy",
-    "model_spec",
-    "peek_selection",
-    "train_model",
-]

@@ -92,8 +92,8 @@ class CopyingCollector:
     Each collection's frontier (conservative roots + external fix-up
     pages) is derived by the store from the victim's remembered set
     (``Partition.incoming``) and its root and pin sets, in
-    O(partition + boundary); :func:`repro.gc.remembered.full_scan_frontier`
-    is the O(heap) from-scratch reference the tests compare it against.
+    O(partition + boundary); the tests compare it against an O(heap)
+    from-scratch scan (``tests/frontier_oracle.py``).
 
     Args:
         store: The heap to collect.

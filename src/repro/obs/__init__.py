@@ -13,33 +13,3 @@ option (``--telemetry DIR`` on the CLI).
 Telemetry never changes simulation results — see the determinism contract
 in :mod:`repro.obs.telemetry`.
 """
-
-from repro.obs.features import FeatureMatrix, collection_rows, load_training_rows
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.spans import SpanRecord, Tracer
-from repro.obs.telemetry import (
-    TELEMETRY_FORMAT,
-    RunTelemetry,
-    TelemetryError,
-    iter_telemetry_files,
-    load_telemetry,
-    run_telemetry_path,
-)
-
-__all__ = [
-    "Counter",
-    "FeatureMatrix",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RunTelemetry",
-    "SpanRecord",
-    "TELEMETRY_FORMAT",
-    "TelemetryError",
-    "Tracer",
-    "collection_rows",
-    "iter_telemetry_files",
-    "load_telemetry",
-    "load_training_rows",
-    "run_telemetry_path",
-]

@@ -1,31 +1,1 @@
 """OO7 benchmark database: parameters, logical schema graph, builders."""
-
-from repro.oo7.builder import BuiltDatabase, apply_event, build_database
-from repro.oo7.config import SMALL, SMALL_PRIME, TINY, OO7Config
-from repro.oo7.describe import describe_phases, describe_structure
-from repro.oo7.schema import (
-    AssemblyNode,
-    AtomicPartNode,
-    CompositeNode,
-    ConnectionNode,
-    ModuleNode,
-    Oo7Graph,
-)
-
-__all__ = [
-    "AssemblyNode",
-    "AtomicPartNode",
-    "BuiltDatabase",
-    "CompositeNode",
-    "ConnectionNode",
-    "ModuleNode",
-    "OO7Config",
-    "Oo7Graph",
-    "SMALL",
-    "SMALL_PRIME",
-    "TINY",
-    "apply_event",
-    "build_database",
-    "describe_phases",
-    "describe_structure",
-]

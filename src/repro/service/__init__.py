@@ -4,7 +4,7 @@ The paper evaluates its controllers on finite 67k-event traces; this
 package runs the same engine as a long-lived service over *unbounded*
 event streams — the ROADMAP's online posture. The pieces:
 
-* :mod:`repro.service.config` — :class:`ServiceConfig`, the service knobs
+* :mod:`repro.service.config` — ``ServiceConfig``, the service knobs
   (pacing, checkpoint cadence, heap/log bounds, backpressure mode);
 * :mod:`repro.service.stream` — replayable unbounded streams over the
   grammar/tenant streaming generators, served as bounded column chunks
@@ -13,7 +13,7 @@ event streams — the ROADMAP's online posture. The pieces:
 * :mod:`repro.service.backpressure` — admission control that keeps the
   modelled heap under a hard bound by forcing collections and, as a last
   resort, shedding incoming work (degradation counters in ``repro.obs``);
-* :mod:`repro.service.server` — :class:`GcService`, the chunk loop over
+* :mod:`repro.service.server` — ``GcService``, the chunk loop over
   the column interpreters (fused kernels between the service's
   boundaries, guarded steps where admission control must look at an
   event): periodic WAL checkpoints + redo-log truncation, graceful drain
@@ -25,32 +25,3 @@ event streams — the ROADMAP's online posture. The pieces:
   suffix and resumes the stream at the exact event index; the soak asserts
   byte-identical committed state against an uncrashed reference.
 """
-
-from repro.service.backpressure import AdmissionController, BackpressureStats
-from repro.service.config import ServiceConfig
-from repro.service.server import GcService, ServiceReport
-from repro.service.soak import SoakReport, run_soak_drill
-from repro.service.stream import (
-    EventStream,
-    ReplayableStream,
-    finite_stream,
-    grammar_stream,
-    tenant_stream,
-)
-
-__all__ = sorted(
-    [
-        "AdmissionController",
-        "BackpressureStats",
-        "EventStream",
-        "GcService",
-        "ReplayableStream",
-        "ServiceConfig",
-        "ServiceReport",
-        "SoakReport",
-        "finite_stream",
-        "grammar_stream",
-        "run_soak_drill",
-        "tenant_stream",
-    ]
-)

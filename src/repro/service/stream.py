@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterator, Optional, Protocol, runtime_checkable
 
 from repro.events import TraceEvent, TraceSink, stream_events
 from repro.workload import chunks
@@ -177,16 +177,4 @@ def tenant_stream(
             "seed": seed,
             "max_live_clusters": max_live_clusters,
         },
-    )
-
-
-def finite_stream(
-    events: Sequence[TraceEvent], label: str = "finite"
-) -> ReplayableStream:
-    """A finite, materialised stream (tests and small bounded runs)."""
-    events = list(events)
-    return ReplayableStream(
-        factory=lambda: iter(events),
-        label=label,
-        material={"kind": "finite", "events": len(events)},
     )

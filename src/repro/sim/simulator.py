@@ -248,7 +248,7 @@ class Simulation:
 
         ``trace`` is a :class:`~repro.workload.compiled.CompiledTrace` or
         anything :func:`~repro.workload.compiled.compile_trace` accepts —
-        a workload (:class:`repro.workload.base.WorkloadSpec`, drained
+        a workload (:class:`repro.workload.base.Workload`, drained
         through its ``steps``) or an iterable of events. It is
         compiled whole before the policy is armed or the store touched, so
         a source that fails (a generator that raises, an unknown event

@@ -124,7 +124,7 @@ class ExperimentSpec:
 
 #: A builder receives the run's seed first, then the spec's kwargs.
 PolicyBuilder = Callable[..., RatePolicy]
-WorkloadBuilder = Callable[..., base.WorkloadSpec]
+WorkloadBuilder = Callable[..., base.Workload]
 SelectionBuilder = Callable[..., PartitionSelectionPolicy]
 
 _POLICY_REGISTRY: dict[str, PolicyBuilder] = {}
@@ -161,9 +161,9 @@ def build_policy(spec: PolicySpec, seed: int) -> RatePolicy:
     return _lookup(_POLICY_REGISTRY, spec.kind, "policy")(seed, **dict(spec.kwargs))
 
 
-def build_workload(spec: WorkloadSpec, seed: int) -> base.WorkloadSpec:
+def build_workload(spec: WorkloadSpec, seed: int) -> base.Workload:
     """Resolve a :class:`WorkloadSpec` into a fresh workload for one seed
-    (an instance of the :class:`repro.workload.base.WorkloadSpec`
+    (an instance of the :class:`repro.workload.base.Workload`
     protocol)."""
     return _lookup(_WORKLOAD_REGISTRY, spec.kind, "workload")(
         seed, **dict(spec.kwargs)
@@ -220,7 +220,7 @@ register_policy("saio", _build_saio)
 register_policy("saga", _build_saga)
 
 
-def _build_oo7(seed: int, config: OO7Config, **kwargs) -> base.WorkloadSpec:
+def _build_oo7(seed: int, config: OO7Config, **kwargs) -> base.Workload:
     return Oo7Application(config, seed=seed, **kwargs)
 
 
@@ -229,7 +229,7 @@ register_workload("oo7", _build_oo7)
 
 def _build_transactional(
     seed: int, spec: Optional[TransactionalSpec] = None, initial_clusters: int = 40
-) -> base.WorkloadSpec:
+) -> base.Workload:
     return TransactionalWorkload(
         spec or TransactionalSpec(), seed=seed, initial_clusters=initial_clusters
     )
@@ -240,7 +240,7 @@ register_workload("transactional", _build_transactional)
 
 def _build_grammar(
     seed: int, config: Union[WorkloadConfig, Mapping[str, Any]]
-) -> base.WorkloadSpec:
+) -> base.Workload:
     """``grammar``: a declarative :class:`~repro.workload.grammar.WorkloadConfig`.
 
     ``config`` may be the dataclass or its ``to_dict()`` form (so specs
@@ -258,7 +258,7 @@ register_workload("grammar", _build_grammar)
 
 def _build_tenant_mix(
     seed: int, config: Union[TenantMixConfig, Mapping[str, Any]]
-) -> base.WorkloadSpec:
+) -> base.Workload:
     """``tenant-mix``: an interleaved multi-tenant scenario."""
     if not isinstance(config, TenantMixConfig):
         config = TenantMixConfig.from_dict(dict(config))
@@ -266,20 +266,6 @@ def _build_tenant_mix(
 
 
 register_workload("tenant-mix", _build_tenant_mix)
-
-
-def _build_preset(
-    seed: int, name: str, scale: float = 1.0, initial_clusters: int = 16
-) -> base.WorkloadSpec:
-    """``preset``: a named synthetic preset from :mod:`repro.workload.presets`."""
-    from repro.workload.presets import PresetWorkload
-
-    return PresetWorkload(
-        name, scale=scale, seed=seed, initial_clusters=initial_clusters
-    )
-
-
-register_workload("preset", _build_preset)
 
 
 def _selection_builder(name: str) -> SelectionBuilder:

@@ -1,51 +1,1 @@
 """Storage substrate: object model, partitions, buffer pool, heap, I/O stats."""
-
-from repro.storage.buffer import (
-    DEFAULT_BUFFER_PAGES,
-    DEFAULT_PAGE_SIZE,
-    BufferPool,
-    BufferStats,
-    PageId,
-)
-from repro.storage.heap import GarbageAccounts, ObjectStore, StoreConfig, StoreError
-from repro.storage.iostats import CollectionIORecord, IOCategory, IOLedger, IOStats
-from repro.storage.object_model import ObjectId, ObjectKind, StoredObject
-from repro.storage.partition import (
-    Partition,
-    PartitionFullError,
-    PartitionId,
-    Placement,
-)
-from repro.storage.validation import (
-    StoreInvariantError,
-    StoreValidator,
-    ValidationReport,
-    validate_store,
-)
-
-__all__ = [
-    "BufferPool",
-    "BufferStats",
-    "CollectionIORecord",
-    "DEFAULT_BUFFER_PAGES",
-    "DEFAULT_PAGE_SIZE",
-    "GarbageAccounts",
-    "IOCategory",
-    "IOLedger",
-    "IOStats",
-    "ObjectId",
-    "ObjectKind",
-    "ObjectStore",
-    "PageId",
-    "Partition",
-    "PartitionFullError",
-    "PartitionId",
-    "Placement",
-    "StoreConfig",
-    "StoreError",
-    "StoreInvariantError",
-    "StoreValidator",
-    "StoredObject",
-    "ValidationReport",
-    "validate_store",
-]

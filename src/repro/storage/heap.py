@@ -581,8 +581,8 @@ class ObjectStore:
         O(partition + boundary): a set intersection iterates its smaller
         operand, and every ``incoming`` key is an externally referenced
         resident (``forget`` prunes empty entries, reclamation drops entries
-        of reclaimed residents). :func:`repro.gc.remembered.full_scan_frontier`
-        is the whole-heap reference the tests compare this set against.
+        of reclaimed residents). The tests compare this set against a
+        whole-heap scan (``tests/frontier_oracle.py``).
         """
         partition = self.partitions[pid]
         residents = partition.residents

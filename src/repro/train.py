@@ -96,7 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(list(argv) if argv is not None else sys.argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else sys.argv[1:])
+    for path in args.telemetry:
+        if not path.exists():
+            parser.error(f"argument PATH: no such file or directory: {path}")
     try:
         matrix = load_training_rows(args.telemetry, history=args.history)
     except TelemetryError as exc:

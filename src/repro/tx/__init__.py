@@ -1,23 +1,1 @@
 """Transactions: atomic operation groups with physical undo, GC exclusion."""
-
-from repro.tx.manager import (
-    Transaction,
-    TransactionError,
-    TransactionManager,
-    TransactionState,
-)
-from repro.tx.recovery import RedoLog, RedoRecord, recover
-from repro.tx.wal import RECORD_SIZES, WalStats, WriteAheadLog
-
-__all__ = [
-    "RECORD_SIZES",
-    "RedoLog",
-    "RedoRecord",
-    "recover",
-    "Transaction",
-    "TransactionError",
-    "TransactionManager",
-    "TransactionState",
-    "WalStats",
-    "WriteAheadLog",
-]

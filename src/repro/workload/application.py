@@ -61,7 +61,7 @@ class Oo7Application:
         self.graph = Oo7Graph(self.config, rng=self.rng)
 
     def canonical_material(self) -> dict:
-        """Content-addressing material (:class:`repro.workload.base.WorkloadSpec`)."""
+        """Content-addressing material (:class:`repro.workload.base.Workload`)."""
         return {
             "workload": "oo7",
             "config": self.config,

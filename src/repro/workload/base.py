@@ -4,7 +4,7 @@ Historically each workload class had its own construction idiom —
 :class:`~repro.workload.application.Oo7Application` was a dataclass,
 :class:`~repro.workload.synthetic.SyntheticWorkload` took a phase list,
 presets returned bare phase lists — and only workloads named by registry
-key could be fingerprinted for the trace cache. The :class:`WorkloadSpec`
+key could be fingerprinted for the trace cache. The :class:`Workload`
 protocol collapses that: a workload is anything that exposes
 
 * ``seed`` — the seed all of its randomised behaviour derives from,
@@ -30,10 +30,10 @@ surface, so any conforming workload — OO7, synthetic, transactional,
 grammar-driven, multi-tenant — caches and replays identically through the
 engine.
 
-Naming note: :class:`repro.sim.spec.WorkloadSpec` is the *declarative*
-counterpart — it names a workload by registry key plus kwargs so the spec
-can travel to worker processes as plain data. The protocol here describes
-the *instantiated* workload objects those registry builders construct.
+:class:`repro.sim.spec.WorkloadSpec` is the *declarative* counterpart —
+it names a workload by registry key plus kwargs so the spec can travel to
+worker processes as plain data. The protocol here describes the
+*instantiated* workload objects those registry builders construct.
 The two forms canonicalise differently (a registry spec digests its kind +
 kwargs, an instance digests its ``canonical_material()``), so they address
 separate cache entries; within either form, equal description + equal seed
@@ -48,7 +48,7 @@ from repro.events import TraceEvent, TraceSink
 
 
 @runtime_checkable
-class WorkloadSpec(Protocol):
+class Workload(Protocol):
     """Anything that generates a deterministic, fingerprintable trace.
 
     ``steps`` and ``events()`` are one-shot by convention: most workloads

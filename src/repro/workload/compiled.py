@@ -543,7 +543,7 @@ def compile_trace(events: Iterable[TraceEvent]) -> CompiledTrace:
     Consumes the iterable once. Replaying the result is event-for-event
     equal to the original stream (tests assert this property under
     Hypothesis-generated traces). A workload
-    (:class:`repro.workload.base.WorkloadSpec`) is drained through its
+    (:class:`repro.workload.base.Workload`) is drained through its
     ``steps(out)`` into the columns instead; the trace is the same.
     """
     builder = TraceBuilder()

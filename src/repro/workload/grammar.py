@@ -1,8 +1,8 @@
 """Grammar-driven workload generation: declarative, composable, round-trippable.
 
 The paper evaluates its policies on one hand-built OO7 trace; the synthetic
-presets of :mod:`repro.workload.presets` widen that to a handful of
-hand-tuned phase lists. This module replaces hand-tuning with a *grammar*:
+workloads of :mod:`repro.workload.synthetic` widen that to hand-tuned
+phase lists. This module replaces hand-tuning with a *grammar*:
 a :class:`WorkloadConfig` is plain declarative data — an event budget,
 optional ops/sec pacing, and a sequence of composable :class:`PhaseBlock`
 values, each with an operation-mix distribution, object-size and
@@ -518,7 +518,7 @@ def _skewed_index(rng: random.Random, n: int, skew: float) -> int:
 
 class GrammarWorkload:
     """Generates a trace from a :class:`WorkloadConfig` (the grammar's
-    interpreter). Conforms to :class:`repro.workload.base.WorkloadSpec`.
+    interpreter). Conforms to :class:`repro.workload.base.Workload`.
 
     Args:
         config: The declarative workload.

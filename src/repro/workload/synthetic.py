@@ -114,7 +114,7 @@ class SyntheticWorkload(GrammarWorkload):
         self.initial_clusters = initial_clusters
 
     def canonical_material(self) -> dict:
-        """Content-addressing material (:class:`repro.workload.base.WorkloadSpec`)."""
+        """Content-addressing material (:class:`repro.workload.base.Workload`)."""
         return {
             "workload": "synthetic",
             "phases": self.phases,

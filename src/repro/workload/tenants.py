@@ -235,7 +235,7 @@ _DONE = object()
 class TenantMix:
     """Interleaves N tenant streams into one deterministic trace.
 
-    Conforms to :class:`repro.workload.base.WorkloadSpec`: the merged
+    Conforms to :class:`repro.workload.base.Workload`: the merged
     stream is a function of (config, seed) only, so it fingerprints and
     caches like any single-tenant workload.
 

@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Optional, Union
 from repro.canonical import canonical_value
 from repro.events import TraceSink
 from repro.workload import chunks
-from repro.workload.base import WorkloadSpec
+from repro.workload.base import Workload
 from repro.workload.chunks import Chunk, _generated_chunks
 from repro.workload.compiled import (
     TRACE_FORMAT_VERSION,
@@ -66,7 +66,7 @@ def trace_fingerprint(workload, seed: int) -> str:
     ``workload`` is either a declarative :class:`~repro.sim.spec.WorkloadSpec`
     (registry key + kwargs — or anything else the canonicaliser accepts
     directly) or an instantiated workload conforming to the
-    :class:`repro.workload.base.WorkloadSpec` protocol, in which case its
+    :class:`repro.workload.base.Workload` protocol, in which case its
     ``canonical_material()`` is digested. The package version is part of the
     material so generator changes invalidate stale traces, exactly as the
     result cache invalidates stale summaries.
@@ -235,7 +235,7 @@ class TraceCache:
         return self.stats.builds > before
 
     @staticmethod
-    def _workload(workload, seed: int) -> WorkloadSpec:
+    def _workload(workload, seed: int) -> Workload:
         """The instantiated workload: a registry spec built for ``seed``,
         or ``workload`` itself."""
         # Local import: repro.sim.spec imports repro.workload generators, so

@@ -86,7 +86,7 @@ class TransactionalWorkload(GrammarWorkload):
         self.committed_transactions = 0
 
     def canonical_material(self) -> dict:
-        """Content-addressing material (:class:`repro.workload.base.WorkloadSpec`)."""
+        """Content-addressing material (:class:`repro.workload.base.Workload`)."""
         return {
             "workload": "transactional",
             "spec": self.spec,

@@ -374,3 +374,31 @@ def test_unusable_fault_plan_is_a_usage_error(plan, command, tmp_path,
     err = capsys.readouterr().err
     assert "argument --faults" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["missing", "not-a-model"])
+def test_unusable_tournament_model_is_a_usage_error(model, tmp_path, monkeypatch,
+                                                    capsys):
+    """A ``--model`` artifact that cannot be read or is not a model ends in
+    exit 2 naming ``--model``, before anything is trained or run."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "model.json"
+    if model == "not-a-model":
+        path.write_text('{"x": 1}')
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tournament", "--seeds", "0", "--model", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --model" in err
+    assert "Traceback" not in err
+
+
+def test_train_names_a_missing_telemetry_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "no-such-dir"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", str(missing), "--out", str(tmp_path / "m.json")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err
+    assert "Traceback" not in err

@@ -21,9 +21,8 @@ accounting and the estimator/telemetry layers all report against this same
 definition of reclaimable garbage.
 
 :func:`full_scan_frontier` recomputes the identical frontier by scanning
-the entire heap (O(heap)). No production path calls it; the property tests
-compare the store's derivation against it at every mutation and collection
-point.
+the entire heap (O(heap)). The property tests compare the store's
+derivation against it at every mutation and collection point.
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ def full_scan_frontier(
       least one pointer into ``pid`` (compaction relocates their referents,
       so each needs a read-modify-write).
 
-    O(heap) per call — the test oracle for the store's frontier, never
-    on a production path.
+    O(heap) per call — the test oracle for the store's frontier.
     """
     partition = store.partitions[pid]
     residents = partition.residents

@@ -42,7 +42,8 @@ from repro.storage.objtable import DENSE_CEILING, ObjectTable, StoredObjects
 from repro.storage.traversal import breadth_first_order
 from repro.storage.validation import validate_store
 from repro.workload.compiled import compile_trace
-from repro.workload.presets import PresetWorkload
+
+from presets import PresetWorkload
 
 #: 128-byte partitions (three or four objects each, so most edges cross a
 #: boundary) or 512-byte ones (a victim holds enough objects for the

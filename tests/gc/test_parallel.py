@@ -39,7 +39,6 @@ from repro.gc.parallel import (
     ParallelCollectionScheduler,
     peek_selection,
 )
-from repro.gc.remembered import full_scan_frontier
 from repro.gc.selection import (
     PartitionSelectionPolicy,
     RandomSelection,
@@ -60,11 +59,12 @@ from repro.sim.spec import (
 )
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.workload.compiled import compile_trace
-from repro.workload.presets import PresetWorkload
 from repro.workload.synthetic import SyntheticPhase, SyntheticWorkload
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
 from event_oracle import replay_events
+from frontier_oracle import full_scan_frontier
+from presets import PresetWorkload
 
 STORE = StoreConfig(page_size=2048, partition_pages=8, buffer_pages=8)
 

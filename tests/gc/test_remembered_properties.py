@@ -1,12 +1,12 @@
 """Property-based tests: the derived frontier vs from-scratch scans.
 
-The contract of :mod:`repro.gc.remembered`: after *any* sequence of store
-mutations, the frontier the store derives from ``Partition.incoming`` and
+The contract of the remembered set (``tests/frontier_oracle.py``): after
+*any* sequence of store mutations, the frontier the store derives from ``Partition.incoming`` and
 its own root and pin sets (roots, allocation pins, boundary sources) equals
 what a full heap scan recomputes from scratch — and therefore both
 derivations trace the identical survivor set. :func:`full_scan_frontier`
-is the oracle: no production path calls it, every check here compares the
-collector's frontier against it. Plus the documented conservatism caveat:
+is the oracle: every check here compares the collector's frontier against
+it. Plus the documented conservatism caveat:
 a cross-partition garbage cycle is retained by partition collection (the
 oracle agrees it must be) and reclaimed only by ``collect_global``.
 """
@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gc.collector import CopyingCollector
-from repro.gc.remembered import full_scan_frontier
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
+
+from frontier_oracle import full_scan_frontier
 
 CFG = StoreConfig(page_size=128, partition_pages=4, buffer_pages=3)
 

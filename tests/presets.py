@@ -1,4 +1,4 @@
-"""Canned synthetic workload presets.
+"""Canned synthetic workload presets: test fixtures.
 
 Ready-made phase sequences for the behaviours the paper's discussion keeps
 returning to: steady churn (the estimators' best case), bursty garbage
@@ -10,6 +10,9 @@ Each preset returns a list of :class:`~repro.workload.synthetic.SyntheticPhase`
 objects that can be passed straight to
 :class:`~repro.workload.synthetic.SyntheticWorkload`; the ``scale`` argument
 multiplies every phase's operation count.
+
+A test that names a preset in a :class:`~repro.sim.spec.WorkloadSpec`
+registers the kind first: ``register_workload("preset", build_preset)``.
 """
 
 from __future__ import annotations
@@ -177,7 +180,7 @@ def make_preset(
     """Instantiate a preset by name.
 
     Returns a :class:`PresetWorkload` (a real workload conforming to
-    :class:`repro.workload.base.WorkloadSpec`); its phases are ``.phases``.
+    :class:`repro.workload.base.Workload`); its phases are ``.phases``.
 
     Raises:
         ValueError: on an unknown name, listing the valid preset names.
@@ -185,3 +188,8 @@ def make_preset(
     return PresetWorkload(
         name, scale=scale, seed=seed, initial_clusters=initial_clusters
     )
+
+
+def build_preset(seed: int, **kwargs) -> PresetWorkload:
+    """The ``preset`` workload kind's builder: ``PresetWorkload(name, ...)``."""
+    return PresetWorkload(seed=seed, **kwargs)

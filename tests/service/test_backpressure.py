@@ -150,7 +150,7 @@ def test_forced_collection_inside_a_transaction_leaves_its_deaths_undoable():
     itself declared dead, and a later abort — the trace's or the shed
     path's — could not resurrect them (``StoreError: unknown object``, as
     this run raised until admission aborted the block first)."""
-    from repro.service.stream import finite_stream
+    from streams import finite_stream
     from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
     workload = TransactionalWorkload(

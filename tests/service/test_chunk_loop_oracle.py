@@ -36,7 +36,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.service import server as server_module
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
-from repro.service.stream import finite_stream, grammar_stream, tenant_stream
+from repro.service.stream import grammar_stream, tenant_stream
 from repro.sim import batch
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import PolicySpec, build_policy
@@ -49,6 +49,7 @@ from repro.workload.tenants import make_profile, tenant_mix
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
 from event_loop_oracle import EventLoopService
+from streams import finite_stream
 
 POLICY = PolicySpec("fixed", {"overwrites_per_collection": 200.0})
 

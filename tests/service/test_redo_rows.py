@@ -29,7 +29,6 @@ from repro.faults.drill import state_digest
 from repro.service import server as server_module
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
-from repro.service.stream import finite_stream
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import PolicySpec, build_policy
 from repro.storage.heap import ObjectStore, StoreConfig, StoreError
@@ -38,6 +37,7 @@ from repro.tx.manager import TransactionError
 from repro.tx.recovery import RedoLog, RedoRecord, build_checkpoint, recover
 
 from event_loop_oracle import EventLoopService
+from streams import finite_stream
 
 STORE = StoreConfig(page_size=256, partition_pages=4, buffer_pages=4)
 POLICY = PolicySpec("fixed", {"overwrites_per_collection": 25.0})

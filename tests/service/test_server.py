@@ -9,10 +9,12 @@ from repro.events import RootEvent
 from repro.faults.drill import state_digest
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
-from repro.service.stream import ReplayableStream, finite_stream, grammar_stream
+from repro.service.stream import grammar_stream
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.sim.spec import PolicySpec, build_policy
 from repro.workload.tenants import make_profile
+
+from streams import finite_stream
 
 POLICY = PolicySpec("fixed", {"overwrites_per_collection": 200.0})
 

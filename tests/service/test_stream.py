@@ -16,7 +16,6 @@ from repro.service.config import ServiceConfig
 from repro.service.server import GcService
 from repro.service.stream import (
     ReplayableStream,
-    finite_stream,
     grammar_stream,
     tenant_stream,
 )
@@ -25,6 +24,8 @@ from repro.tx.recovery import recover
 from repro.workload import chunks
 from repro.workload.grammar import GrammarWorkload
 from repro.workload.tenants import make_profile, tenant_mix
+
+from streams import finite_stream
 
 
 def take(stream, n, start=0):

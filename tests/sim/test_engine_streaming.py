@@ -40,6 +40,8 @@ from repro.workload.compiled import compile_trace
 from repro.workload.tenants import make_profile, tenant_mix
 from repro.workload.trace_cache import StreamedTrace, TraceCache, trace_fingerprint
 
+from presets import build_preset
+
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 SIM = SimulationConfig(store=TINY_STORE, preamble_collections=0)
 
@@ -56,6 +58,8 @@ POLICIES = {
     "fixed": PolicySpec("fixed", {"overwrites_per_collection": 50.0}),
 }
 SEEDS = (0, 1, 2)
+
+register_workload("preset", build_preset)
 
 needs_helper = pytest.mark.skipif(
     not stream_helper._spare_core(), reason="the helper needs a second CPU"

@@ -30,7 +30,6 @@ from repro.events import (
 )
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
-from repro.service.stream import finite_stream
 from repro.sim import batch
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import PolicySpec, build_policy
@@ -39,6 +38,7 @@ from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
 
 from event_oracle import store_fields
+from streams import finite_stream
 
 #: 1 KB partitions: a few objects fill one, and most leave a sliver.
 STORE = StoreConfig(page_size=256, partition_pages=4, buffer_pages=4)

@@ -58,7 +58,6 @@ WORKLOAD_KWARGS = {
     "transactional": {"initial_clusters": 4},
     "grammar": {"config": make_profile("oltp-churn")},
     "tenant-mix": {"config": tenant_mix(["oltp-churn"], scale=0.05)},
-    "preset": {"name": "steady-churn", "scale": 0.01},
 }
 
 
@@ -73,7 +72,7 @@ def test_every_workload_builder_returns_a_stepped_workload():
     assert sorted(built_in) == sorted(WORKLOAD_KWARGS)
     for kind in built_in:
         workload = build_workload(WorkloadSpec(kind, WORKLOAD_KWARGS[kind]), 3)
-        assert isinstance(workload, base.WorkloadSpec), kind
+        assert isinstance(workload, base.Workload), kind
         assert workload.seed == 3
         assert callable(workload.steps)
 

@@ -1,10 +1,15 @@
-"""Public-API hygiene: everything exported exists and is documented."""
+"""Public-API hygiene: everything exported exists, is documented and is
+imported through its package by some caller."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -71,3 +76,48 @@ def test_removed_trace_routes_stay_removed():
 
 def test_version_is_exposed():
     assert repro.__version__
+
+
+# A facade name earns its place when some caller imports it through the
+# package: ``from repro.X import name`` or ``repro.X.name``. The callers are
+# the package itself, the benchmark harnesses, the examples, the tests (this
+# module aside: it names every export) and the code blocks of README and
+# EXPERIMENTS.
+_FROM_IMPORT = re.compile(r"from\s+(repro(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n]*)")
+_DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+_CODE_BLOCK = re.compile(r"```[a-z]*\n(.*?)```", re.S)
+
+
+def _caller_texts():
+    for top in ("src", "bench", "examples", "benchmarks", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.resolve() != Path(__file__).resolve():
+                yield path.read_text()
+    for doc in ("README.md", "EXPERIMENTS.md"):
+        yield "\n".join(_CODE_BLOCK.findall((ROOT / doc).read_text()))
+
+
+def _imported_through():
+    """``{package: names some caller imports through it}``."""
+    used = {}
+    for text in _caller_texts():
+        for package, names in _FROM_IMPORT.findall(text):
+            for name in re.sub(r"#[^\n]*", "", names).strip("()").split(","):
+                if name.split():
+                    used.setdefault(package, set()).add(name.split()[0])
+        for dotted in _DOTTED.findall(text):
+            parts = dotted.split(".")
+            for i in range(1, len(parts)):
+                used.setdefault(".".join(parts[:i]), set()).add(parts[i])
+    return used
+
+
+def test_every_export_is_imported_through_its_package():
+    used = _imported_through()
+    unused = [
+        f"{package_name}.{name}"
+        for package_name in PACKAGES
+        for name in getattr(importlib.import_module(package_name), "__all__", [])
+        if name not in used.get(package_name, ())
+    ]
+    assert unused == [], f"{len(unused)} exports nothing imports: {unused}"

@@ -32,13 +32,13 @@ from repro.faults.drill import state_digest
 from repro.service import server as server_module
 from repro.service.config import ServiceConfig
 from repro.service.server import GcService
-from repro.service.stream import finite_stream
 from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import PolicySpec, build_policy
 from repro.storage.heap import StoreConfig
 from repro.storage.validation import validate_store
 from repro.tx.recovery import RedoLog, recover
 
+from streams import finite_stream
 from test_checkpoint_properties import _full_view, _row_checkpoint
 
 STORE = StoreConfig(page_size=256, partition_pages=4, buffer_pages=4)

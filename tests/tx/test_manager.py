@@ -3,10 +3,11 @@
 import pytest
 
 from repro.gc.collector import CopyingCollector
-from repro.gc.remembered import full_scan_frontier
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
 from repro.tx.manager import TransactionError, TransactionManager, TransactionState
+
+from frontier_oracle import full_scan_frontier
 
 CFG = StoreConfig(page_size=256, partition_pages=4, buffer_pages=4)
 

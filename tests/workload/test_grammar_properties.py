@@ -12,8 +12,9 @@ from repro.workload.grammar import (
     Uniform,
     WorkloadConfig,
 )
-from repro.workload.presets import PRESETS, make_preset
 from repro.workload.trace_cache import trace_fingerprint
+
+from presets import PRESETS, make_preset
 
 _sizes = st.integers(min_value=1, max_value=4096)
 

@@ -6,7 +6,9 @@ from repro.core.fixed import AllocationRatePolicy, FixedRatePolicy
 from repro.events import IdleEvent, PhaseMarkerEvent
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.storage.heap import StoreConfig
-from repro.workload.presets import (
+from repro.workload.synthetic import SyntheticWorkload
+
+from presets import (
     PRESETS,
     bulk_load_then_serve,
     daily_cycle,
@@ -14,7 +16,6 @@ from repro.workload.presets import (
     make_preset,
     steady_churn,
 )
-from repro.workload.synthetic import SyntheticWorkload
 
 STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 

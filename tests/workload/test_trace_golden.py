@@ -20,15 +20,18 @@ import pytest
 
 from repro.oo7.config import SMALL_PRIME, TINY
 from repro.service.stream import grammar_stream, tenant_stream
-from repro.sim.spec import WorkloadSpec
+from repro.sim.spec import WorkloadSpec, register_workload
 from repro.workload.application import Oo7Application
 from repro.workload.compiled import CompiledTrace, compile_trace
 from repro.workload.grammar import GrammarWorkload
-from repro.workload.presets import PresetWorkload
 from repro.workload.synthetic import SyntheticPhase, SyntheticWorkload
 from repro.workload.tenants import TenantMix, make_profile, tenant_mix
 from repro.workload.trace_cache import TraceCache
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
+
+from presets import PresetWorkload, build_preset
+
+register_workload("preset", build_preset)
 
 GOLDEN = [
     pytest.param(

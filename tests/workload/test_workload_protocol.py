@@ -1,13 +1,12 @@
-"""The unified WorkloadSpec protocol and trace-fingerprint stability.
+"""The unified Workload protocol and trace-fingerprint stability.
 
-Covers the ISSUE's API-redesign satellites: every workload class conforms
-to :class:`repro.workload.base.WorkloadSpec`, fingerprints derive from
-``canonical_material()``, the deprecated bare-list preset surface still
-works (with a warning), and same (config, seed) means byte-identical
-fingerprints — in-process, across processes, and across serialisation
-round-trips.
+Every workload class conforms to :class:`repro.workload.base.Workload`,
+fingerprints derive from ``canonical_material()``, a preset is a workload,
+and same (config, seed) means byte-identical fingerprints — in-process,
+across processes, and across serialisation round-trips.
 """
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -18,18 +17,17 @@ from repro.oo7.config import TINY
 from repro.workload import (
     GrammarWorkload,
     Oo7Application,
-    PresetWorkload,
     SyntheticWorkload,
     TenantMix,
     TransactionalWorkload,
-    WorkloadSpec,
-    make_preset,
-    steady_churn,
+    Workload,
     tenant_mix,
 )
 from repro.workload.grammar import OpMix, PhaseBlock, WorkloadConfig
 from repro.workload.trace_cache import TraceCache, trace_fingerprint
 from repro.workload.transactional import TransactionalSpec
+
+from presets import PresetWorkload, make_preset, steady_churn
 
 
 def _grammar_config():
@@ -56,7 +54,7 @@ def _workloads():
     "workload", _workloads(), ids=lambda w: type(w).__name__
 )
 def test_every_workload_conforms_to_the_protocol(workload):
-    assert isinstance(workload, WorkloadSpec)
+    assert isinstance(workload, Workload)
     assert workload.seed == 1
     material = workload.canonical_material()
     assert isinstance(material, dict) and "workload" in material
@@ -137,10 +135,10 @@ def test_make_preset_unknown_name_lists_choices():
 
 _SUBPROCESS_SNIPPET = textwrap.dedent(
     """
+    from presets import make_preset
+
     from repro.oo7.config import TINY
-    from repro.workload import (
-        GrammarWorkload, Oo7Application, make_preset, tenant_mix, TenantMix,
-    )
+    from repro.workload import GrammarWorkload, Oo7Application, tenant_mix, TenantMix
     from repro.workload.grammar import OpMix, PhaseBlock, WorkloadConfig
     from repro.workload.trace_cache import trace_fingerprint
 
@@ -165,6 +163,7 @@ def test_fingerprints_are_stable_across_processes():
     def run():
         return subprocess.run(
             [sys.executable, "-c", _SUBPROCESS_SNIPPET],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
             capture_output=True,
             text=True,
             check=True,
