@@ -12,9 +12,9 @@ The package provides:
 
 Quickstart::
 
-    from repro import Oo7Application, SaioPolicy, Simulation, TINY
+    from repro import Oo7Application, SaioPolicy, Simulation, SMALL_PRIME
 
-    app = Oo7Application(TINY, seed=1)
+    app = Oo7Application(SMALL_PRIME, seed=1)
     sim = Simulation(policy=SaioPolicy(io_fraction=0.10))
     result = sim.run(app)
     print(result.summary.gc_io_fraction)  # ≈ 0.10

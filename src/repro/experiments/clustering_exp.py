@@ -20,10 +20,9 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from repro.events import stream_events
 from repro.experiments.common import DEFAULT_CONFIG, default_seeds
 from repro.gc.collector import CopyingCollector
-from repro.oo7.builder import apply_event
+from repro.oo7.builder import apply_steps
 from repro.oo7.config import OO7Config
 from repro.oo7.schema import Oo7Graph
 from repro.sim.clustering import (
@@ -73,16 +72,13 @@ def run_clustering_experiment(
         rng = random.Random(seed)
         graph = Oo7Graph(config, rng=rng)
         store = ObjectStore(StoreConfig())
-        for event in stream_events(partial(gen_db_steps, graph)):
-            apply_event(store, event)
+        apply_steps(store, partial(gen_db_steps, graph))
         measurements = [_measure(store, graph, "after GenDB")]
 
-        for event in stream_events(partial(reorg1_steps, graph, rng, 0.5)):
-            apply_event(store, event)
+        apply_steps(store, partial(reorg1_steps, graph, rng, 0.5))
         measurements.append(_measure(store, graph, "after Reorg1"))
 
-        for event in stream_events(partial(reorg2_steps, graph, rng, 0.5)):
-            apply_event(store, event)
+        apply_steps(store, partial(reorg2_steps, graph, rng, 0.5))
         measurements.append(_measure(store, graph, "after Reorg2"))
 
         collector = CopyingCollector(store)

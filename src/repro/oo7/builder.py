@@ -1,56 +1,43 @@
 """Convenience builders for OO7 databases.
 
 Most users drive a full application trace through the simulator; these
-helpers materialise just the GenDB phase into a store, for tests, examples,
-and Table 1 verification.
+helpers materialise one phase at a time into a store — GenDB for tests,
+examples and Table 1 verification, the reorganisations for the §3.4
+clustering ablation. They take the simulator's route too: a phase is cut
+into a compiled trace and replayed under a policy that never collects.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
+from repro.core.fixed import FixedRatePolicy
+from repro.events import TraceSink
 from repro.oo7.config import OO7Config
 from repro.oo7.schema import Oo7Graph
+from repro.sim.simulator import Simulation, SimulationConfig
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.object_model import ObjectKind
-from repro.events import (
-    AccessEvent,
-    CreateEvent,
-    IdleEvent,
-    PhaseMarkerEvent,
-    PointerWriteEvent,
-    RootEvent,
-    TraceEvent,
-    UpdateEvent,
-)
+from repro.workload.compiled import TraceBuilder
 
 
-def apply_event(store: ObjectStore, event: TraceEvent) -> None:
-    """Apply a single trace event to a store (no collection triggering).
+def apply_steps(
+    store: ObjectStore, steps: Callable[[TraceSink], Iterator[None]]
+) -> None:
+    """Replay a step generator's trace onto ``store`` without collecting.
 
-    The simulator has its own event dispatch with policy hooks; this helper
-    exists for building databases outside a simulation.
+    ``steps(out)`` is cut whole into a compiled trace before the store is
+    touched; the replay is a simulation run whose trigger never fires.
     """
-    if isinstance(event, CreateEvent):
-        store.create(
-            size=event.size,
-            kind=event.kind,
-            pointers=dict(event.pointers),
-            oid=event.oid,
-        )
-    elif isinstance(event, AccessEvent):
-        store.access(event.oid)
-    elif isinstance(event, UpdateEvent):
-        store.update(event.oid)
-    elif isinstance(event, PointerWriteEvent):
-        store.write_pointer(event.src, event.slot, event.target, dies=event.dies)
-    elif isinstance(event, RootEvent):
-        store.register_root(event.oid)
-    elif isinstance(event, (PhaseMarkerEvent, IdleEvent)):
+    builder = TraceBuilder()
+    for _ in steps(builder):
         pass
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown trace event {event!r}")
+    policy = FixedRatePolicy(math.inf)
+    config = SimulationConfig(store=store.config)
+    Simulation(policy, config=config, store=store).run(builder.finish())
 
 
 @dataclass
@@ -102,6 +89,5 @@ def build_database(
     """Run GenDB into a fresh store and return it with its logical graph."""
     store = ObjectStore(store_config)
     graph = Oo7Graph(config, rng=random.Random(config.seed if seed is None else seed))
-    for event in graph.generate():
-        apply_event(store, event)
+    apply_steps(store, graph.generate_steps)
     return BuiltDatabase(store=store, graph=graph, config=config)

@@ -21,8 +21,8 @@ garbage drains).
 
 Every mutation exists once, as an ``emit_*`` method (or the
 ``generate_steps`` step generator) writing into a
-:class:`~repro.events.TraceSink`; the event-returning public methods run the
-same code into an :class:`~repro.events.EventSink`.
+:class:`~repro.events.TraceSink` — compiled-trace columns for the
+simulator, or event objects through an :class:`~repro.events.EventSink`.
 
 Dead nodes leave every list at the moment they die, so ``parts``,
 ``out_conns`` and ``in_conns`` hold alive nodes only.
@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.events import EventSink, TraceEvent, TraceSink, stream_events
+from repro.events import TraceSink
 from repro.oo7.config import OO7Config
 from repro.storage.object_model import ObjectId, ObjectKind
 
@@ -207,18 +207,15 @@ class Oo7Graph:
     # GenDB: initial database generation
     # ------------------------------------------------------------------
 
-    def generate(self) -> Iterator[TraceEvent]:
-        """Emit the GenDB event stream, building the logical graph as it goes.
+    def generate_steps(self, out: TraceSink) -> Iterator[None]:
+        """GenDB into ``out``, one step per composite part, building the
+        logical graph as it goes.
 
         Ordering is chosen so every created object is referenced from the
         rooted graph within at most two subsequent events (the simulator's
         allocation pinning covers the gap); a collection may therefore fire
         at any point during generation without reclaiming live data.
         """
-        return stream_events(self.generate_steps)
-
-    def generate_steps(self, out: TraceSink) -> Iterator[None]:
-        """GenDB into ``out``, one step per composite part."""
         for _module_index in range(self.config.num_modules):
             yield from self._generate_module(out)
 
@@ -370,13 +367,6 @@ class Oo7Graph:
         out.create(conn.oid, size, ObjectKind.CONNECTION, (("to", dst.oid),))
         out.write(src.oid, slot, conn.oid)
 
-    def insert_part(
-        self, composite: CompositeNode
-    ) -> tuple[AtomicPartNode, list[TraceEvent]]:
-        """:meth:`emit_insert_part`, returning the events it emits."""
-        sink = EventSink()
-        return self.emit_insert_part(composite, sink), sink.events
-
     def emit_insert_part(
         self, composite: CompositeNode, out: TraceSink
     ) -> AtomicPartNode:
@@ -409,12 +399,6 @@ class Oo7Graph:
     # Document replacement
     # ------------------------------------------------------------------
 
-    def replace_document(self, composite: CompositeNode) -> list[TraceEvent]:
-        """:meth:`emit_replace_document`, returning the events it emits."""
-        sink = EventSink()
-        self.emit_replace_document(composite, sink)
-        return sink.events
-
     def emit_replace_document(self, composite: CompositeNode, out: TraceSink) -> None:
         """Replace a composite's document with a freshly written one.
 
@@ -433,12 +417,6 @@ class Oo7Graph:
     # ------------------------------------------------------------------
     # Part deletion
     # ------------------------------------------------------------------
-
-    def delete_part(self, part: AtomicPartNode) -> list[TraceEvent]:
-        """:meth:`emit_delete_part`, returning the events it emits."""
-        sink = EventSink()
-        self.emit_delete_part(part, sink)
-        return sink.events
 
     def emit_delete_part(self, part: AtomicPartNode, out: TraceSink) -> None:
         """Delete an atomic part, emitting the disconnection events.

@@ -8,8 +8,8 @@ event streams — the ROADMAP's online posture. The pieces:
   (pacing, checkpoint cadence, heap/log bounds, backpressure mode);
 * :mod:`repro.service.stream` — replayable unbounded streams over the
   grammar/tenant streaming generators, served as bounded column chunks
-  (``chunks_from(start_index)`` / ``events_from(start_index)`` are the
-  unbounded analogue of ``CompiledTrace.replay``);
+  (``chunks_from(start_index)``, which resumes by regenerating where a
+  finite run replays its compiled trace from ``start_index``);
 * :mod:`repro.service.backpressure` — admission control that keeps the
   modelled heap under a hard bound by forcing collections and, as a last
   resort, shedding incoming work (degradation counters in ``repro.obs``);

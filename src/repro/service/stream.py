@@ -1,6 +1,6 @@
 """Replayable event streams: the unbounded analogue of compiled traces.
 
-A finite drill resumes after a crash with ``CompiledTrace.replay(start)``;
+A finite drill resumes after a crash with ``Simulation.run(trace, start)``;
 a service over an unbounded stream cannot materialise the trace, so it
 resumes by *regenerating*: every stream here is a pure function of its
 construction arguments, and resuming re-instantiates the generator and
@@ -24,8 +24,8 @@ start, chunk length), so where they are cut changes nothing in them. A
 :func:`tenant_stream` build theirs from ``functools.partial`` — is cut by
 this process's helper interpreter on a second CPU, about one chunk ahead
 of the service (:mod:`repro.workload.stream_helper`); everything else
-(``factory`` streams, lambda ``steps``, events-only wrappers, a one-CPU
-host) is cut inline by the consumer. Both hosts run
+(lambda ``steps``, events-only wrappers, a one-CPU host) is cut inline by
+the consumer. Both hosts run
 :func:`~repro.workload.chunks._generated_chunks`, and a helper that dies
 mid-stream hands over to it at the position reached. Every chunk route
 returns a :class:`~repro.workload.stream_helper.ChunkFeed`, which says
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Iterator, Protocol, runtime_checkable
 
 from repro.events import TraceEvent, TraceSink, stream_events
 from repro.workload import chunks
@@ -89,29 +89,23 @@ def stream_chunks(stream: EventStream, start_index: int = 0) -> ChunkFeed:
 
 @dataclass
 class ReplayableStream:
-    """An :class:`EventStream` over a generator factory.
+    """An :class:`EventStream` over a step generator.
 
-    Give either ``factory``, a zero-argument callable returning a *new*
-    event iterator, or ``steps``, a sink-emitting step generator
-    (``steps(out)`` emits into ``out`` and yields between events). Either
-    must reproduce the identical sequence on every call (seeded generators
-    qualify; a one-shot iterator object does not).
+    ``steps`` is a sink-emitting step generator (``steps(out)`` emits into
+    ``out`` and yields between events). It must reproduce the identical
+    sequence on every call (seeded generators qualify; a one-shot iterator
+    object does not).
     """
 
-    factory: Optional[Callable[[], Iterator[TraceEvent]]] = None
+    steps: Callable[[TraceSink], Iterator[None]]
     label: str = "stream"
     #: Plain-data description, for logs and soak reports.
     material: dict[str, Any] = field(default_factory=dict)
-    steps: Optional[Callable[[TraceSink], Iterator[None]]] = None
-
-    def __post_init__(self) -> None:
-        if (self.factory is None) == (self.steps is None):
-            raise ValueError("give exactly one of 'factory' and 'steps'")
 
     def events_from(self, start_index: int = 0) -> Iterator[TraceEvent]:
         if start_index < 0:
             raise ValueError(f"start_index must be >= 0, got {start_index}")
-        events = self.factory() if self.steps is None else stream_events(self.steps)
+        events = stream_events(self.steps)
         if start_index:
             events = itertools.islice(events, start_index, None)
         return events
@@ -119,17 +113,13 @@ class ReplayableStream:
     def chunks_from(self, start_index: int = 0) -> ChunkFeed:
         """Column chunks covering the stream from ``start_index`` on.
 
-        A ``steps`` stream is cut by
-        :func:`~repro.workload.chunks._generated_chunks` — in this process's
-        helper interpreter when ``steps`` pickles and a second CPU is there,
-        inline otherwise; a ``factory`` stream compiles ``events_from``. The
-        chunk length is :data:`~repro.workload.chunks.CHUNK_EVENTS` as it
-        reads now.
+        They are cut by :func:`~repro.workload.chunks._generated_chunks` —
+        in this process's helper interpreter when ``steps`` pickles and a
+        second CPU is there, inline otherwise. The chunk length is
+        :data:`~repro.workload.chunks.CHUNK_EVENTS` as it reads now.
         """
         if start_index < 0:
             raise ValueError(f"start_index must be >= 0, got {start_index}")
-        if self.steps is None:
-            return ChunkFeed(_compiled_chunks(self.events_from(start_index)))
         return ChunkFeed.cut(
             functools.partial(_generated_chunks, self.steps, chunks.CHUNK_EVENTS),
             start_index,

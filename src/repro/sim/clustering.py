@@ -15,13 +15,12 @@ module measures those effects directly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from repro.events import AccessEvent, stream_events
 from repro.oo7.schema import Oo7Graph
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import ObjectStore
 from repro.storage.iostats import IOCategory, IOStats
+from repro.workload.compiled import _OP_ACCESS, TraceBuilder
 from repro.workload.phases import traverse_steps
 
 
@@ -58,6 +57,14 @@ def composite_spread(store: ObjectStore, graph: Oo7Graph) -> SpreadStats:
     )
 
 
+def _traversal_accesses(graph: Oo7Graph) -> list[int]:
+    """The oids one full Traverse phase accesses, in order."""
+    builder = TraceBuilder()
+    for _ in traverse_steps(graph, builder):
+        pass
+    return [oid for op, oid in zip(builder.ops, builder.arg0) if op == _OP_ACCESS]
+
+
 def traverse_hit_rate(store: ObjectStore, graph: Oo7Graph) -> float:
     """Buffer hit rate of one full read-only traversal over the database.
 
@@ -68,10 +75,8 @@ def traverse_hit_rate(store: ObjectStore, graph: Oo7Graph) -> float:
     """
     scratch_stats = IOStats()
     scratch = BufferPool(store.config.buffer_pages, scratch_stats)
-    for event in stream_events(partial(traverse_steps, graph)):
-        if not isinstance(event, AccessEvent):
-            continue
-        for page in store.pages_of(event.oid):
+    for oid in _traversal_accesses(graph):
+        for page in store.pages_of(oid):
             scratch.touch(page, IOCategory.APPLICATION)
     return scratch.stats.hit_rate
 
@@ -84,7 +89,6 @@ def traverse_page_footprint(store: ObjectStore, graph: Oo7Graph) -> int:
     though objects never migrate between partitions.
     """
     pages: set = set()
-    for event in stream_events(partial(traverse_steps, graph)):
-        if isinstance(event, AccessEvent):
-            pages.update(store.pages_of(event.oid))
+    for oid in _traversal_accesses(graph):
+        pages.update(store.pages_of(oid))
     return len(pages)

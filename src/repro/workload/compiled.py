@@ -357,14 +357,6 @@ class CompiledTrace:
             raise CompiledTraceError("event columns disagree on length")
         return cls(ops, arg0, arg1, strings, *columns[3:])
 
-    def byte_size(self) -> int:
-        """Approximate in-memory footprint of the columns, in bytes."""
-        total = sum(len(s.encode("utf-8")) for s in self.strings)
-        for name in self._COLUMNS:
-            column = getattr(self, name)
-            total += len(column) * column.itemsize
-        return total
-
 
 class TraceBuilder:
     """The one encoder of :class:`CompiledTrace`: owns the column layout and

@@ -3,7 +3,7 @@
 Figure 2: **GenDB → Reorg1 → Traverse → Reorg2**.
 
 * **GenDB** generates the initial database (delegated to
-  :meth:`repro.oo7.schema.Oo7Graph.generate`).
+  :meth:`repro.oo7.schema.Oo7Graph.generate_steps`).
 * **Reorg1** deletes half the (deletable) atomic parts and reinserts them,
   composite by composite — re-inserted parts of one composite are allocated
   together, preserving clustering.

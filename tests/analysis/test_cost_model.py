@@ -6,9 +6,8 @@ from functools import partial
 import pytest
 
 from repro.analysis.cost_model import predict_collection_cost
-from repro.events import stream_events
 from repro.gc.collector import CopyingCollector
-from repro.oo7.builder import apply_event, build_database
+from repro.oo7.builder import apply_steps, build_database
 from repro.oo7.config import TINY
 from repro.oo7.schema import Oo7Graph
 from repro.storage.heap import ObjectStore, StoreConfig
@@ -21,10 +20,8 @@ def _churned_store(seed=0):
     rng = random.Random(seed)
     graph = Oo7Graph(TINY, rng=rng)
     store = ObjectStore(TINY_STORE)
-    for event in stream_events(partial(gen_db_steps, graph)):
-        apply_event(store, event)
-    for event in stream_events(partial(reorg1_steps, graph, rng, 0.5)):
-        apply_event(store, event)
+    apply_steps(store, partial(gen_db_steps, graph))
+    apply_steps(store, partial(reorg1_steps, graph, rng, 0.5))
     return store
 
 

@@ -27,6 +27,7 @@ from repro.events import (
     BeginTransactionEvent,
     CommitTransactionEvent,
     CreateEvent,
+    EventSink,
     IdleEvent,
     PhaseMarkerEvent,
     PointerWriteEvent,
@@ -117,6 +118,22 @@ def dispatch(sim, event, sink) -> None:
         pass  # Quiescence: no store activity.
     else:
         raise TypeError(f"unknown trace event {event!r}")
+
+
+def apply_to_store(store, event) -> None:
+    """Apply one event straight to a store, outside any simulation — the
+    event-by-event build that ``repro.oo7.builder.apply_steps`` (a replay
+    through the simulator) must agree with. Phase markers and idle ticks
+    do nothing to a store; transaction events have no manager to go to."""
+    if not isinstance(event, (PhaseMarkerEvent, IdleEvent)):
+        dispatch(None, event, store)
+
+
+def emitted(emit, *args):
+    """Run one ``Oo7Graph.emit_*`` operation into an ``EventSink``: what
+    it returns, and the events it emitted."""
+    sink = EventSink()
+    return emit(*args, sink), sink.events
 
 
 def apply_event(sim, event) -> None:

@@ -1,5 +1,7 @@
 """Driver tests for the estimator-space and clustering experiments."""
 
+import dataclasses
+
 from repro.experiments.clustering_exp import (
     format_clustering_experiment,
     run_clustering_experiment,
@@ -54,5 +56,12 @@ def test_clustering_driver():
         assert 0.0 <= row.clustered_fraction <= 1.0
         assert 0.0 <= row.hit_rate <= 1.0
         assert row.footprint_pages > 0
+    # Pinned: the route a phase takes to the store must not move a figure.
+    assert [dataclasses.astuple(row)[1:] for row in result.rows] == [
+        (1.05, 1.0, 0.977340488968396, 34.0),
+        (2.075, 0.925, 0.9093988145639289, 45.0),
+        (3.225, 0.0, 0.842067480258435, 56.0),
+        (3.225, 0.0, 0.8048780487804879, 34.0),
+    ]
     report = format_clustering_experiment(result)
     assert "reclustering" in report

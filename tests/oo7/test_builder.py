@@ -1,11 +1,17 @@
 """Tests for OO7 database building: Table 1 verification on a real store."""
 
+import random
+
 import pytest
 
+from repro.events import stream_events
 from repro.oo7.builder import build_database
 from repro.oo7.config import SMALL_PRIME, TINY
-from repro.storage.heap import StoreConfig
+from repro.oo7.schema import Oo7Graph
+from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.object_model import ObjectKind
+
+from event_oracle import apply_to_store, store_fields
 
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 
@@ -53,6 +59,24 @@ def test_atomic_part_in_degree_matches_paper_connectivity(tiny_db):
 
 def test_database_spans_multiple_partitions(tiny_db):
     assert tiny_db.store.partition_count > 3
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "config, store_config",
+    [(TINY, TINY_STORE), (SMALL_PRIME, StoreConfig())],
+    ids=["tiny", "small-prime"],
+)
+def test_built_db_equals_the_event_by_event_build(config, store_config, seed):
+    """GenDB replayed through the simulator leaves the store that applying
+    its events one by one leaves, field for field."""
+    db = build_database(config, store_config=store_config, seed=seed)
+    graph = Oo7Graph(config, rng=random.Random(seed))
+    store = ObjectStore(store_config)
+    for event in stream_events(graph.generate_steps):
+        apply_to_store(store, event)
+    assert store_fields(db.store) == store_fields(store)
+    assert db.graph.object_sizes == graph.object_sizes
 
 
 @pytest.mark.slow

@@ -3,8 +3,8 @@
 import random
 from functools import partial
 
-
 from repro.core.fixed import FixedRatePolicy
+from repro.events import stream_events
 from repro.oo7.builder import build_database
 from repro.oo7.config import TINY, OO7Config
 from repro.oo7.schema import Oo7Graph
@@ -25,7 +25,7 @@ STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 
 def test_generation_creates_every_module():
     graph = Oo7Graph(MULTI, rng=random.Random(0))
-    list(graph.generate())
+    list(stream_events(graph.generate_steps))
     assert len(graph.modules) == 3
     assert len(graph.composites) == 3 * MULTI.num_comp_per_module
     assert len(graph.assemblies) == 3 * MULTI.assemblies_per_module
@@ -58,7 +58,7 @@ def test_expected_counts_scale_with_modules():
 
 def test_composites_wired_within_their_module():
     graph = Oo7Graph(MULTI, rng=random.Random(1))
-    list(graph.generate())
+    list(stream_events(graph.generate_steps))
     for module in graph.modules:
         own = set(map(id, module.composites))
         for base in module.base_assemblies():
@@ -80,7 +80,7 @@ def test_full_application_over_multi_module_database():
 
 
 def test_traverse_visits_all_modules():
-    from repro.events import AccessEvent, stream_events
+    from repro.events import AccessEvent
     from repro.workload.phases import gen_db_steps, traverse_steps
 
     graph = Oo7Graph(MULTI, rng=random.Random(3))
@@ -95,7 +95,7 @@ def test_traverse_visits_all_modules():
 
 def test_single_module_accessors_still_work():
     graph = Oo7Graph(TINY, rng=random.Random(0))
-    list(graph.generate())
+    list(stream_events(graph.generate_steps))
     assert graph.module_oid == graph.modules[0].oid
     assert graph.manual_oid == graph.modules[0].manual_oid
     assert graph.root_assembly is graph.modules[0].root_assembly

@@ -4,18 +4,20 @@ import random
 
 import pytest
 
-from repro.events import CreateEvent, PointerWriteEvent, RootEvent
-from repro.oo7.builder import apply_event
+from repro.events import CreateEvent, PointerWriteEvent, RootEvent, stream_events
+from repro.oo7.builder import apply_steps
 from repro.oo7.config import TINY
 from repro.oo7.schema import Oo7Graph
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.object_model import ObjectKind
 
+from event_oracle import apply_to_store, emitted
+
 
 @pytest.fixture
 def graph() -> Oo7Graph:
     graph = Oo7Graph(TINY, rng=random.Random(42))
-    list(graph.generate())  # materialise
+    list(stream_events(graph.generate_steps))  # materialise
     return graph
 
 
@@ -29,7 +31,7 @@ def _kind_counts(events):
 
 def test_generation_object_counts_match_config():
     graph = Oo7Graph(TINY, rng=random.Random(0))
-    events = list(graph.generate())
+    events = list(stream_events(graph.generate_steps))
     counts = _kind_counts(events)
     assert counts[ObjectKind.MODULE] == 1
     assert counts[ObjectKind.MANUAL] == 1
@@ -43,7 +45,7 @@ def test_generation_object_counts_match_config():
 
 def test_generation_roots_exactly_the_module():
     graph = Oo7Graph(TINY, rng=random.Random(0))
-    events = list(graph.generate())
+    events = list(stream_events(graph.generate_steps))
     roots = [e for e in events if isinstance(e, RootEvent)]
     assert len(roots) == 1
     assert roots[0].oid == graph.module_oid
@@ -95,15 +97,19 @@ def test_average_part_in_degree_is_connectivity_plus_one(graph):
     assert total_in / len(parts) == pytest.approx(TINY.num_conn_per_atomic + 1)
 
 
+def _gen_db(seed):
+    return list(stream_events(Oo7Graph(TINY, rng=random.Random(seed)).generate_steps))
+
+
 def test_generation_is_deterministic_for_equal_seeds():
-    a = list(Oo7Graph(TINY, rng=random.Random(5)).generate())
-    b = list(Oo7Graph(TINY, rng=random.Random(5)).generate())
+    a = _gen_db(5)
+    b = _gen_db(5)
     assert a == b
 
 
 def test_generation_varies_with_seed():
-    a = list(Oo7Graph(TINY, rng=random.Random(1)).generate())
-    b = list(Oo7Graph(TINY, rng=random.Random(2)).generate())
+    a = _gen_db(1)
+    b = _gen_db(2)
     assert a != b
 
 
@@ -117,7 +123,7 @@ def test_delete_part_emits_disconnections_and_deaths(graph):
     part = composite.deletable_parts()[0]
     in_conns = part.alive_in_conns()
     out_conns = part.alive_out_conns()
-    events = graph.delete_part(part)
+    _, events = emitted(graph.emit_delete_part, part)
 
     # One retargeting overwrite per incoming connection + the composite clear.
     assert all(isinstance(e, PointerWriteEvent) for e in events)
@@ -146,7 +152,7 @@ def test_delete_part_retargets_neighbour_connections(graph):
     in_conns = part.alive_in_conns()
     sources = [c.src for c in in_conns]
     degrees_before = [len(s.alive_out_conns()) for s in sources]
-    events = graph.delete_part(part)
+    _, events = emitted(graph.emit_delete_part, part)
 
     degrees_after = [len(s.alive_out_conns()) for s in sources]
     assert degrees_after == degrees_before
@@ -164,9 +170,9 @@ def test_connection_population_is_stationary_under_churn(graph):
     composite = graph.composites[0]
     victims = composite.deletable_parts()[:2]
     for part in victims:
-        graph.delete_part(part)
+        emitted(graph.emit_delete_part, part)
     for _ in victims:
-        graph.insert_part(composite)
+        emitted(graph.emit_insert_part, composite)
     assert graph.alive_connection_count() == before
 
 
@@ -174,7 +180,7 @@ def test_delete_part_updates_graph_state(graph):
     composite = graph.composites[0]
     before = len(composite.alive_parts())
     part = composite.deletable_parts()[0]
-    graph.delete_part(part)
+    emitted(graph.emit_delete_part, part)
     assert part.dead
     assert len(composite.alive_parts()) == before - 1
     assert part.slot in composite.free_part_slots
@@ -182,14 +188,14 @@ def test_delete_part_updates_graph_state(graph):
 
 def test_delete_part_rejects_root_part(graph):
     with pytest.raises(ValueError, match="root part"):
-        graph.delete_part(graph.composites[0].root_part)
+        emitted(graph.emit_delete_part, graph.composites[0].root_part)
 
 
 def test_delete_part_rejects_double_delete(graph):
     part = graph.composites[0].deletable_parts()[0]
-    graph.delete_part(part)
+    emitted(graph.emit_delete_part, part)
     with pytest.raises(ValueError, match="already dead"):
-        graph.delete_part(part)
+        emitted(graph.emit_delete_part, part)
 
 
 def test_deleting_neighbour_first_shrinks_out_death_set(graph):
@@ -200,8 +206,8 @@ def test_deleting_neighbour_first_shrinks_out_death_set(graph):
     victim_neighbour = next(iter(neighbours), None)
     if victim_neighbour is None:
         pytest.skip("part only connects to the root part in this draw")
-    graph.delete_part(victim_neighbour)
-    events = graph.delete_part(part)
+    emitted(graph.emit_delete_part, victim_neighbour)
+    _, events = emitted(graph.emit_delete_part, part)
     all_deaths = [
         oid
         for e in events
@@ -221,14 +227,14 @@ def test_insert_part_reuses_freed_slot(graph):
     composite = graph.composites[0]
     part = composite.deletable_parts()[0]
     freed_slot = part.slot
-    graph.delete_part(part)
-    new_part, _events = graph.insert_part(composite)
+    emitted(graph.emit_delete_part, part)
+    new_part, _events = emitted(graph.emit_insert_part, composite)
     assert new_part.slot == freed_slot
 
 
 def test_insert_part_creates_part_and_connections(graph):
     composite = graph.composites[0]
-    new_part, events = graph.insert_part(composite)
+    new_part, events = emitted(graph.emit_insert_part, composite)
     creates = [e for e in events if isinstance(e, CreateEvent)]
     assert creates[0].kind == ObjectKind.ATOMIC_PART
     assert len(creates) == 1 + TINY.num_conn_per_atomic
@@ -240,7 +246,7 @@ def test_insert_part_creates_part_and_connections(graph):
 def test_insert_part_targets_are_preexisting_alive_parts(graph):
     composite = graph.composites[0]
     before = set(composite.alive_parts())
-    new_part, _events = graph.insert_part(composite)
+    new_part, _events = emitted(graph.emit_insert_part, composite)
     for conn in new_part.alive_out_conns():
         assert conn.dst in before
 
@@ -261,24 +267,24 @@ def _reachable_connections(store: ObjectStore) -> int:
 def test_composite_churned_to_its_root_is_repaired_by_insertion():
     graph = Oo7Graph(TINY, rng=random.Random(7))
     store = ObjectStore(StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4))
-    for event in graph.generate():
-        apply_event(store, event)
+    apply_steps(store, graph.generate_steps)
     composite = graph.composites[0]
     root = composite.root_part
 
     victims = composite.deletable_parts()
     for part in victims[:-1]:
-        for event in graph.delete_part(part):
-            apply_event(store, event)
+        _, events = emitted(graph.emit_delete_part, part)
+        for event in events:
+            apply_to_store(store, event)
     # Two parts left: every connection of the root targets the last victim.
     last = victims[-1]
     root_conns = last.alive_in_conns()
     assert len(root_conns) == TINY.num_conn_per_atomic
     assert all(conn.src is root for conn in root_conns)
 
-    events = graph.delete_part(last)
+    _, events = emitted(graph.emit_delete_part, last)
     for event in events:
-        apply_event(store, event)
+        apply_to_store(store, event)
     # Nothing to retarget to: the root's connections die with their target.
     assert events[:-1] == [
         PointerWriteEvent(root.oid, conn.slot, None, dies=(conn.oid,))
@@ -290,9 +296,9 @@ def test_composite_churned_to_its_root_is_repaired_by_insertion():
     assert graph.alive_connection_count() == _reachable_connections(store)
     assert store.check_death_annotations() == set()
 
-    new_part, events = graph.insert_part(composite)
+    new_part, events = emitted(graph.emit_insert_part, composite)
     for event in events:
-        apply_event(store, event)
+        apply_to_store(store, event)
     # The insertion wires the new part and repairs the root's deficit.
     assert composite.alive_parts() == [root, new_part]
     for part in composite.alive_parts():
@@ -302,6 +308,6 @@ def test_composite_churned_to_its_root_is_repaired_by_insertion():
     assert store.check_death_annotations() == set()
 
     # Repaired means repaired: a further insertion adds only its own wiring.
-    _part, events = graph.insert_part(composite)
+    _part, events = emitted(graph.emit_insert_part, composite)
     creates = [e for e in events if isinstance(e, CreateEvent)]
     assert len(creates) == 1 + TINY.num_conn_per_atomic

@@ -7,11 +7,12 @@ store. This is the contract the oracle garbage accounting rests on.
 """
 
 import random
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oo7.builder import apply_event
+from repro.oo7.builder import apply_steps
 from repro.oo7.config import OO7Config
 from repro.oo7.schema import Oo7Graph
 from repro.storage.heap import ObjectStore, StoreConfig
@@ -44,8 +45,8 @@ _operations = st.lists(
 )
 
 
-def _churn(graph: Oo7Graph, store: ObjectStore, operations, rng: random.Random):
-    """Apply a random churn sequence, returning events applied."""
+def _churn(graph: Oo7Graph, operations, rng: random.Random, out):
+    """Emit a random churn sequence into ``out``, one step per operation."""
     for op in operations:
         if isinstance(op, tuple):
             index, fraction = op
@@ -53,49 +54,43 @@ def _churn(graph: Oo7Graph, store: ObjectStore, operations, rng: random.Random):
             candidates = composite.deletable_parts()
             victims = rng.sample(candidates, int(len(candidates) * fraction))
             for victim in victims:
-                for event in graph.delete_part(victim):
-                    apply_event(store, event)
+                graph.emit_delete_part(victim, out)
             # Reinsert one fewer: composites shrink over repeated steps, so
             # some end the run as a lone root still carrying its deficit.
             for _ in victims[1:]:
-                _part, events = graph.insert_part(composite)
-                for event in events:
-                    apply_event(store, event)
-            continue
-        composite = graph.composites[op % len(graph.composites)]
-        if op % 2 == 0:
-            victims = composite.deletable_parts()
-            if victims:
-                victim = victims[op % len(victims)]
-                for event in graph.delete_part(victim):
-                    apply_event(store, event)
+                graph.emit_insert_part(composite, out)
         else:
-            _part, events = graph.insert_part(composite)
-            for event in events:
-                apply_event(store, event)
+            composite = graph.composites[op % len(graph.composites)]
+            if op % 2 == 0:
+                victims = composite.deletable_parts()
+                if victims:
+                    graph.emit_delete_part(victims[op % len(victims)], out)
+            else:
+                graph.emit_insert_part(composite, out)
+        yield
+
+
+def _churned(seed, operations):
+    """GenDB, then the churn sequence, applied to a fresh store."""
+    rng = random.Random(seed)
+    graph = Oo7Graph(SMALL_GRAPH, rng=rng)
+    store = ObjectStore(STORE_CFG)
+    apply_steps(store, graph.generate_steps)
+    apply_steps(store, partial(_churn, graph, operations, rng))
+    return graph, store
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**16), _operations)
 def test_death_annotations_always_match_reachability(seed, operations):
-    rng = random.Random(seed)
-    graph = Oo7Graph(SMALL_GRAPH, rng=rng)
-    store = ObjectStore(STORE_CFG)
-    for event in graph.generate():
-        apply_event(store, event)
-    _churn(graph, store, operations, rng)
+    graph, store = _churned(seed, operations)
     assert store.check_death_annotations() == set()
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**16), _operations)
 def test_structural_invariants_under_churn(seed, operations):
-    rng = random.Random(seed)
-    graph = Oo7Graph(SMALL_GRAPH, rng=rng)
-    store = ObjectStore(STORE_CFG)
-    for event in graph.generate():
-        apply_event(store, event)
-    _churn(graph, store, operations, rng)
+    graph, store = _churned(seed, operations)
 
     for composite in graph.composites:
         alive = composite.alive_parts()
@@ -128,12 +123,7 @@ def test_structural_invariants_under_churn(seed, operations):
 @given(st.integers(min_value=0, max_value=2**16), _operations)
 def test_store_graph_agreement_under_churn(seed, operations):
     """The store's pointer state mirrors the logical graph exactly."""
-    rng = random.Random(seed)
-    graph = Oo7Graph(SMALL_GRAPH, rng=rng)
-    store = ObjectStore(STORE_CFG)
-    for event in graph.generate():
-        apply_event(store, event)
-    _churn(graph, store, operations, rng)
+    graph, store = _churned(seed, operations)
 
     for composite in graph.composites:
         composite_obj = store.objects[composite.oid]

@@ -17,6 +17,7 @@ from repro.service.server import GcService
 from repro.service.stream import (
     ReplayableStream,
     grammar_stream,
+    stream_chunks,
     tenant_stream,
 )
 from repro.sim.spec import PolicySpec, build_policy
@@ -36,7 +37,7 @@ def test_finite_stream_replays_identically():
     events = take(grammar_stream(make_profile("oltp-churn"), seed=1), 500)
     stream = finite_stream(events, label="t")
     assert take(stream, 500) == events
-    assert take(stream, 500) == events  # factory restarts, not one-shot
+    assert take(stream, 500) == events  # restarts, not one-shot
 
 
 def test_events_from_negative_rejected():
@@ -109,7 +110,7 @@ def test_replayable_stream_material_is_plain_data():
     assert stream.material["kind"] == "grammar"
     assert stream.material["seed"] == 2
     assert stream.label == "read-browse"
-    assert ReplayableStream(factory=list, label="x").material == {}
+    assert ReplayableStream(lambda out: iter(()), label="x").material == {}
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +123,7 @@ CHUNK_LENGTHS = [1, 7, 4096]
 def _decode(stream, start, n):
     """The first ``n`` events the chunk route serves from ``start``."""
     events = []
-    for chunk, offset in stream.chunks_from(start):
+    for chunk, offset in stream_chunks(stream, start):
         events.extend(chunk.replay(offset))
         if len(events) >= n:
             break
@@ -160,7 +161,7 @@ def test_chunks_from_any_start_decode_to_the_event_suffix(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chunks, "CHUNK_EVENTS", length)
         decoded = _decode(stream, start, count)
-        first, offset = next(stream.chunks_from(start))
+        first, offset = next(stream_chunks(stream, start))
     assert decoded == reference_events[name][start : start + count]
     # Only the chunk a resume lands in is entered part-way.
     assert 0 <= offset < len(first)
@@ -171,14 +172,14 @@ def test_chunks_from_any_start_decode_to_the_event_suffix(
 def test_chunk_route_rejects_a_negative_start():
     for stream in _chunked_streams().values():
         with pytest.raises(ValueError):
-            stream.chunks_from(-1)
+            stream_chunks(stream, -1)
 
 
 def test_replayable_stream_takes_exactly_one_source():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ReplayableStream(label="neither")
-    with pytest.raises(ValueError):
-        ReplayableStream(factory=list, steps=lambda out: iter(()))
+    with pytest.raises(TypeError):
+        ReplayableStream(factory=list, label="an event factory")
 
 
 @pytest.mark.parametrize("length", CHUNK_LENGTHS)

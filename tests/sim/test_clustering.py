@@ -3,9 +3,7 @@
 import random
 from functools import partial
 
-
-from repro.events import stream_events
-from repro.oo7.builder import apply_event
+from repro.oo7.builder import apply_steps
 from repro.oo7.config import OO7Config
 from repro.oo7.schema import Oo7Graph
 from repro.sim.clustering import composite_spread, traverse_hit_rate
@@ -26,8 +24,7 @@ def _fresh(seed=0):
     rng = random.Random(seed)
     graph = Oo7Graph(CONFIG, rng=rng)
     store = ObjectStore(STORE_CFG)
-    for event in stream_events(partial(gen_db_steps, graph)):
-        apply_event(store, event)
+    apply_steps(store, partial(gen_db_steps, graph))
     return graph, store, rng
 
 
@@ -41,8 +38,7 @@ def test_fresh_database_is_clustered():
 def test_reorg1_roughly_preserves_clustering():
     graph, store, rng = _fresh()
     before = composite_spread(store, graph)
-    for event in stream_events(partial(reorg1_steps, graph, rng, 0.5)):
-        apply_event(store, event)
+    apply_steps(store, partial(reorg1_steps, graph, rng, 0.5))
     after = composite_spread(store, graph)
     # Clustered reinsertion: spread grows only mildly.
     assert after.mean_partitions_per_composite < before.mean_partitions_per_composite + 2.0
@@ -51,13 +47,11 @@ def test_reorg1_roughly_preserves_clustering():
 def test_reorg2_breaks_clustering():
     """The paper's design goal for Reorg2."""
     graph1, store1, rng1 = _fresh()
-    for event in stream_events(partial(reorg1_steps, graph1, rng1, 0.5)):
-        apply_event(store1, event)
+    apply_steps(store1, partial(reorg1_steps, graph1, rng1, 0.5))
     after_reorg1 = composite_spread(store1, graph1)
 
     graph2, store2, rng2 = _fresh()
-    for event in stream_events(partial(reorg2_steps, graph2, rng2, 0.5)):
-        apply_event(store2, event)
+    apply_steps(store2, partial(reorg2_steps, graph2, rng2, 0.5))
     after_reorg2 = composite_spread(store2, graph2)
 
     assert (
@@ -71,13 +65,11 @@ def test_declustering_costs_traversal_locality():
     """De-clustered placement shows up as a worse traversal hit rate —
     the mechanism behind Figure 1a's application-I/O growth."""
     graph1, store1, rng1 = _fresh()
-    for event in stream_events(partial(reorg1_steps, graph1, rng1, 0.5)):
-        apply_event(store1, event)
+    apply_steps(store1, partial(reorg1_steps, graph1, rng1, 0.5))
     clustered_rate = traverse_hit_rate(store1, graph1)
 
     graph2, store2, rng2 = _fresh()
-    for event in stream_events(partial(reorg2_steps, graph2, rng2, 0.5)):
-        apply_event(store2, event)
+    apply_steps(store2, partial(reorg2_steps, graph2, rng2, 0.5))
     declustered_rate = traverse_hit_rate(store2, graph2)
 
     assert declustered_rate < clustered_rate
@@ -93,8 +85,7 @@ def test_compaction_shrinks_traversal_footprint():
     from repro.sim.clustering import traverse_page_footprint
 
     graph, store, rng = _fresh()
-    for event in stream_events(partial(reorg2_steps, graph, rng, 0.5)):
-        apply_event(store, event)
+    apply_steps(store, partial(reorg2_steps, graph, rng, 0.5))
     before = traverse_page_footprint(store, graph)
     collector = CopyingCollector(store)
     for _round in range(2):

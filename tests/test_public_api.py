@@ -1,8 +1,11 @@
 """Public-API hygiene: everything exported exists, is documented and is
 imported through its package by some caller."""
 
+import ast
+import dataclasses
 import importlib
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -62,9 +65,16 @@ def test_all_lists_are_sorted_sets():
 
 def test_removed_trace_routes_stay_removed():
     """The engine has one trace route, through the trace cache: no
-    shared-memory handoff, no cache-less ``ExperimentSpec.resolve`` fork."""
+    shared-memory handoff, no cache-less ``ExperimentSpec.resolve`` fork.
+    A trace reaches a store only through the simulator: no event-by-event
+    applier, no event-list twins of the OO7 graph's ``emit_*`` methods, no
+    event-factory streams, and the phase users read no event objects."""
     import repro.workload
+    from repro.oo7 import builder
+    from repro.oo7.schema import Oo7Graph
+    from repro.service.stream import ReplayableStream
     from repro.sim.spec import ExperimentSpec
+    from repro.workload.compiled import CompiledTrace
 
     for name in ("SharedTraceArena", "attach_trace"):
         assert not hasattr(repro.workload, name)
@@ -72,6 +82,35 @@ def test_removed_trace_routes_stay_removed():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.workload.shm")
     assert not hasattr(ExperimentSpec, "resolve")
+
+    assert not hasattr(builder, "apply_event")
+    for name in ("generate", "insert_part", "replace_document", "delete_part"):
+        assert not hasattr(Oo7Graph, name), name
+    assert "factory" not in {f.name for f in dataclasses.fields(ReplayableStream)}
+    assert not hasattr(CompiledTrace, "byte_size")
+    phase_users = ("oo7/builder.py", "sim/clustering.py", "experiments/clustering_exp.py")
+    for module in phase_users:
+        tree = ast.parse((ROOT / "src" / "repro" / module).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        events = {n for n in imported if n.endswith("Event") or n == "stream_events"}
+        assert not events, f"{module} imports {sorted(events)}"
+
+
+def test_package_quickstart_runs_as_documented(capsys):
+    """The package docstring's quickstart collects, and prints the GC I/O
+    share its comment claims."""
+    code = textwrap.dedent(repro.__doc__.split("Quickstart::", 1)[1])
+    claimed = float(re.search(r"# ≈ ([0-9.]+)", code).group(1))
+    namespace = {}
+    exec(code, namespace)
+    printed = float(capsys.readouterr().out.strip())
+    assert namespace["result"].summary.collections >= 1
+    assert abs(printed - claimed) <= 0.02
 
 
 def test_version_is_exposed():

@@ -6,12 +6,14 @@ from functools import partial
 import pytest
 
 from repro.events import CreateEvent, PointerWriteEvent, stream_events, trace_stats
-from repro.oo7.builder import apply_event
+from repro.oo7.builder import apply_steps
 from repro.oo7.config import TINY
 from repro.oo7.schema import Oo7Graph
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.object_model import ObjectKind
 from repro.workload.phases import doc_churn_steps, gen_db_steps
+
+from event_oracle import apply_to_store, emitted
 
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 
@@ -20,8 +22,7 @@ def _generated(seed=0):
     rng = random.Random(seed)
     graph = Oo7Graph(TINY, rng=rng)
     store = ObjectStore(TINY_STORE)
-    for event in stream_events(partial(gen_db_steps, graph)):
-        apply_event(store, event)
+    apply_steps(store, partial(gen_db_steps, graph))
     return graph, store, rng
 
 
@@ -29,7 +30,7 @@ def test_replace_document_events():
     graph, _store, _rng = _generated()
     composite = graph.composites[0]
     old_doc = composite.doc_oid
-    events = graph.replace_document(composite)
+    _, events = emitted(graph.emit_replace_document, composite)
     assert isinstance(events[0], CreateEvent)
     assert events[0].kind == ObjectKind.DOCUMENT
     assert isinstance(events[1], PointerWriteEvent)
@@ -54,8 +55,7 @@ def test_one_overwrite_kills_one_document():
 
 def test_doc_churn_annotations_consistent_on_store():
     graph, store, rng = _generated()
-    for event in stream_events(partial(doc_churn_steps, graph, rng, 0.5, "DocChurn")):
-        apply_event(store, event)
+    apply_steps(store, partial(doc_churn_steps, graph, rng, 0.5, "DocChurn"))
     assert store.check_death_annotations() == set()
     count = max(1, int(len(graph.composites) * 0.5))
     assert store.actual_garbage_bytes == count * TINY.document_size
@@ -74,7 +74,7 @@ def test_doc_churn_overwrites_advance_clock_on_store():
     before = store.pointer_overwrites
     events = list(stream_events(partial(doc_churn_steps, graph, rng, 1.0, "DocChurn")))
     for event in events:
-        apply_event(store, event)
+        apply_to_store(store, event)
     writes = sum(1 for e in events if isinstance(e, PointerWriteEvent))
     assert store.pointer_overwrites == before + writes
 
@@ -86,11 +86,11 @@ def test_mixed_churn_is_bimodal():
     graph, store, rng = _generated()
     composite = graph.composites[0]
 
-    graph.replace_document(composite)
+    emitted(graph.emit_replace_document, composite)
     doc_gpo = TINY.document_size / 1  # one overwrite
 
     part = composite.deletable_parts()[0]
-    part_events = graph.delete_part(part)
+    _, part_events = emitted(graph.emit_delete_part, part)
     part_deaths = sum(
         graph.object_sizes[oid]
         for e in part_events

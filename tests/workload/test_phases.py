@@ -13,7 +13,7 @@ from repro.events import (
     stream_events,
     trace_stats,
 )
-from repro.oo7.builder import apply_event
+from repro.oo7.builder import apply_steps
 from repro.oo7.config import TINY
 from repro.oo7.schema import Oo7Graph
 from repro.storage.heap import ObjectStore, StoreConfig
@@ -175,18 +175,15 @@ def test_phase_markers_present():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_death_annotations_match_reachability_at_phase_boundaries(seed):
-    graph, rng, gen_events = _generated_graph(seed)
+    rng = random.Random(seed)
+    graph = Oo7Graph(TINY, rng=rng)
     store = ObjectStore(TINY_STORE)
-    for event in gen_events:
-        apply_event(store, event)
-    assert store.check_death_annotations() == set()
-
-    for phase_fn in (
-        lambda: stream_events(partial(reorg1_steps, graph, rng, 0.5)),
-        lambda: stream_events(partial(traverse_steps, graph)),
-        lambda: stream_events(partial(reorg2_steps, graph, rng, 0.5)),
+    for steps in (
+        partial(gen_db_steps, graph),
+        partial(reorg1_steps, graph, rng, 0.5),
+        partial(traverse_steps, graph),
+        partial(reorg2_steps, graph, rng, 0.5),
     ):
-        for event in phase_fn():
-            apply_event(store, event)
+        apply_steps(store, steps)
         assert store.check_death_annotations() == set()
         assert store.garbage.undeclared == 0

@@ -9,7 +9,7 @@ from repro.events import (
     PointerWriteEvent,
     trace_stats,
 )
-from repro.oo7.builder import apply_event
+from repro.oo7.builder import apply_steps
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.workload.synthetic import SyntheticPhase, SyntheticWorkload
 
@@ -157,8 +157,7 @@ def test_death_annotations_match_reachability_on_store():
     ]
     workload = SyntheticWorkload(phases, seed=7, initial_clusters=8)
     store = ObjectStore(TINY_STORE)
-    for event in workload.events():
-        apply_event(store, event)
+    apply_steps(store, workload.steps)
     assert store.check_death_annotations() == set()
 
 
@@ -166,7 +165,6 @@ def test_creates_link_into_rooted_graph():
     phases = [_phase(operations=30, create_weight=1, delete_weight=0, access_weight=0)]
     workload = SyntheticWorkload(phases, seed=4, initial_clusters=0)
     store = ObjectStore(TINY_STORE)
-    for event in workload.events():
-        apply_event(store, event)
+    apply_steps(store, workload.steps)
     assert store.unlinked == set()
     assert store.reachable_from_roots() == set(store.objects)
