@@ -74,7 +74,7 @@ def predict_collection_cost(
             if target not in reached:
                 reached.add(target)
                 stack.append(target)
-    live_bytes = sum(store.objects[oid].size for oid in reached)
+    live_bytes = sum(store.placements.locate(oid)[2] for oid in reached)
     dirty = sum(
         1
         for page in store.buffer.resident_pages()

@@ -56,7 +56,7 @@ def run_table1(
         generated.append(
             GeneratedStats(
                 connectivity=connectivity,
-                objects=len(db.store.objects),
+                objects=len(db.store.placements),
                 db_bytes=db.store.db_size,
                 avg_object_size=db.average_object_size(),
                 part_in_degree=db.atomic_part_in_degree(),

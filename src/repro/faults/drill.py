@@ -52,7 +52,7 @@ def committed_state(store: ObjectStore) -> dict:
     not the other.
     """
     reachable = store.reachable_from_roots()
-    objects = store.objects
+    row = store.placements.row
     return {
         "roots": sorted(store.roots),
         "objects": {
@@ -62,7 +62,7 @@ def committed_state(store: ObjectStore) -> dict:
                 "pointers": {slot: target for slot, target in sorted(obj.pointers.items())},
             }
             for oid in sorted(reachable)
-            for obj in (objects[oid],)
+            for obj in (row(oid),)
         },
     }
 

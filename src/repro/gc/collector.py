@@ -174,7 +174,7 @@ class CopyingCollector:
         overwrite_clock = store.pointer_overwrites
         pages_before = partition.used_pages(store.config.page_size)
         self.traced_objects_total += len(survivors)
-        self.heap_objects_total += len(store.objects)
+        self.heap_objects_total += len(store.placements)
 
         reads_before = store.iostats.collector.reads
         writes_before = store.iostats.collector.writes

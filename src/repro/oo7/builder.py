@@ -51,15 +51,15 @@ class BuiltDatabase:
     def kind_counts(self) -> dict[ObjectKind, int]:
         """Object counts by kind (for Table 1 verification)."""
         counts: dict[ObjectKind, int] = {}
-        for obj in self.store.objects.values():
+        for obj in self.store.placements.rows():
             counts[obj.kind] = counts.get(obj.kind, 0) + 1
         return counts
 
     def average_object_size(self) -> float:
-        if not self.store.objects:
+        table = self.store.placements
+        if not table:
             return 0.0
-        total = sum(obj.size for obj in self.store.objects.values())
-        return total / len(self.store.objects)
+        return sum(obj.size for obj in table.rows()) / len(table)
 
     def atomic_part_in_degree(self) -> float:
         """Mean number of pointers targeting each atomic part.
@@ -69,13 +69,13 @@ class BuiltDatabase:
         one composite reference plus ``NumConnPerAtomic`` incoming
         connections.
         """
-        parts = [o for o in self.store.objects.values() if o.kind == ObjectKind.ATOMIC_PART]
+        objects = list(self.store.placements.rows())
+        parts = [o.oid for o in objects if o.kind == ObjectKind.ATOMIC_PART]
         if not parts:
             return 0.0
-        part_oids = {p.oid for p in parts}
-        in_degree = dict.fromkeys(part_oids, 0)
-        for obj in self.store.objects.values():
-            for target in obj.targets():
+        in_degree = dict.fromkeys(parts, 0)
+        for obj in objects:
+            for target in obj.pointers.values():
                 if target in in_degree:
                     in_degree[target] += 1
         return sum(in_degree.values()) / len(parts)

@@ -35,8 +35,8 @@ from repro.storage.buffer import (
 )
 from repro.storage.iostats import IOCategory, IOStats
 from repro.storage.object_model import ObjectId, ObjectKind, StoredObject
-from repro.storage.objtable import DENSE_CEILING, ObjectTable, StoredObjects
-from repro.storage.partition import Partition, PartitionId, Placement
+from repro.storage.objtable import DENSE_CEILING, ObjectTable
+from repro.storage.partition import Partition, PartitionId
 from repro.storage.traversal import breadth_first_order
 
 try:  # optional: vectorised compaction layout (prefix sum) and offset scatter
@@ -173,11 +173,9 @@ class ObjectStore:
         self.buffer = BufferPool(self.config.buffer_pages, self.iostats)
         self.partitions: list[Partition] = []
         #: The object table: one oid-indexed row of columns per object
-        #: (placement, size, pointer dict, kind, dead flag). As a mapping it
-        #: reads as oid → :class:`Placement` snapshot.
+        #: (placement, size, pointer dict, kind, dead flag), read through
+        #: ``locate`` / ``row`` / ``rows``.
         self.placements = ObjectTable()
-        #: The same rows as a mapping of oid → :class:`StoredObject` snapshot.
-        self.objects = StoredObjects(self.placements)
         self.roots: set[ObjectId] = set()
         # First-fit state: per-partition free bytes, the ascending list of
         # partitions that had room when last pruned, and one cursor per
@@ -215,7 +213,8 @@ class ObjectStore:
         self.bytes_allocated_total = 0
         #: Pointer writes that did not replace an existing non-null pointer.
         self.pointer_stores = 0
-        #: Pointer slots over all stored objects (Σ ``StoredObject.slot_count``),
+        #: Pointer slots ever written, null ones included, over all stored
+        #: objects (Σ ``len(row.pointers)``),
         #: a running total so a checkpoint's modelled size costs no heap pass.
         self.slot_count = 0
         self._next_oid: ObjectId = 1
@@ -290,7 +289,7 @@ class ObjectStore:
         """Read an object (touches its pages clean through the buffer)."""
         self._require(oid)
         self._touch_object_pages(oid, IOCategory.APPLICATION, dirty=False)
-        return self.objects[oid]
+        return self.placements.row(oid)
 
     def update(self, oid: ObjectId) -> None:
         """Modify an object's non-pointer data (dirty page touch only)."""
@@ -455,15 +454,16 @@ class ObjectStore:
             raise StoreError(f"unknown object {oid}")
         if not self.placements.alive(oid):
             raise StoreError(f"object {oid} is dead; expected a live rollback target")
-        placement = self.placements.pop(oid)
-        partition = self.partitions[placement.partition]
+        pid, offset, size = self.placements.locate(oid)
+        self.placements.discard(oid)
+        partition = self.partitions[pid]
         partition.residents.discard(oid)
-        if placement.offset + placement.size == partition.fill:
+        if offset + size == partition.fill:
             # The common rollback case: the newest allocation — reclaim the
             # tail of the bump extent directly.
-            partition.fill -= placement.size
-            self._allocated_bytes -= placement.size
-            self._partition_free[partition.pid] += placement.size
+            partition.fill -= size
+            self._allocated_bytes -= size
+            self._partition_free[pid] += size
             self._fit_cursor.clear()  # free bytes grew: a cursor may skip them
             self._reopen_partition(partition.pid)
         for target in pointers.values():
@@ -475,7 +475,7 @@ class ObjectStore:
             self.forgets_total += sum(dropped.values())
         self.roots.discard(oid)
         self.unlinked.discard(oid)
-        self.trace_epochs[placement.partition] += 1
+        self.trace_epochs[pid] += 1
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -504,17 +504,15 @@ class ObjectStore:
             raise StoreError(f"object {oid} has no placement")
         return pid
 
-    def placement_of(self, oid: ObjectId) -> Placement:
-        """Current placement (partition, offset, size) of ``oid``."""
-        return self._placement(oid)
-
     def pages_of(self, oid: ObjectId) -> list[PageId]:
         """Page ids the object currently spans."""
-        placement = self._placement(oid)
-        return [
-            (placement.partition, index)
-            for index in placement.pages(self.config.page_size)
-        ]
+        loc = self.placements.locate(oid)
+        if loc is None:
+            raise StoreError(f"object {oid} has no placement")
+        pid, offset, size = loc
+        page_size = self.config.page_size
+        last = (offset + size - 1) // page_size
+        return [(pid, index) for index in range(offset // page_size, last + 1)]
 
     @property
     def partition_count(self) -> int:
@@ -529,8 +527,7 @@ class ObjectStore:
     @property
     def live_bytes(self) -> int:
         """Bytes of objects not declared dead."""
-        table = self.placements
-        return sum(table.sizes[oid] for oid in table if table.alive(oid))
+        return sum(obj.size for obj in self.placements.rows() if not obj.dead)
 
     @property
     def actual_garbage_bytes(self) -> int:
@@ -886,7 +883,7 @@ class ObjectStore:
         """
         pages: set[PageId] = set()
         page_size = self.config.page_size
-        # PlacementTable.locate, column by column: one lookup per source.
+        # ObjectTable.locate, column by column: one lookup per source.
         table = self.placements
         parts, offs, sizes = table.parts, table.offs, table.sizes
         dense = len(parts)
@@ -935,11 +932,8 @@ class ObjectStore:
         can assert annotation fidelity on real traces.
         """
         reachable = self.reachable_from_roots()
-        mismatched: set[ObjectId] = set()
-        for oid, obj in self.objects.items():
-            if obj.dead == (oid in reachable):
-                mismatched.add(oid)
-        return mismatched
+        rows = self.placements.rows()
+        return {obj.oid for obj in rows if obj.dead == (obj.oid in reachable)}
 
     # ------------------------------------------------------------------
     # Internals
@@ -961,12 +955,6 @@ class ObjectStore:
         if pointers is None:
             raise StoreError(f"unknown object {oid}")
         return pointers
-
-    def _placement(self, oid: ObjectId) -> Placement:
-        placement = self.placements.get(oid)
-        if placement is None:
-            raise StoreError(f"object {oid} has no placement")
-        return placement
 
     def _validate_target(self, target: ObjectId) -> None:
         if target not in self.placements:

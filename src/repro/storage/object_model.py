@@ -10,15 +10,15 @@ by workload generators and reports), and a mapping of pointer-slot names to
 target object ids.
 
 The store does not keep :class:`StoredObject` instances: its rows live in
-the columns of :class:`~repro.storage.objtable.ObjectTable`, and
-``store.objects[oid]`` builds a :class:`StoredObject` snapshot of one.
+the columns of :class:`~repro.storage.objtable.ObjectTable`, whose
+``row(oid)`` and ``rows()`` build :class:`StoredObject` snapshots of them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 #: Object identifiers are plain integers, allocated sequentially by the store.
 ObjectId = int
@@ -57,8 +57,8 @@ for _code, _kind in enumerate(ObjectKind, start=1):
 class StoredObject:
     """A single object resident in the database heap, as a value.
 
-    ``store.objects[oid]`` returns one of these: a snapshot of the object's
-    row, whose ``pointers`` is the row's live dict.
+    ``store.placements.row(oid)`` returns one of these: a snapshot of the
+    object's row, whose ``pointers`` is the row's live dict.
 
     Attributes:
         oid: Immutable identity of the object.
@@ -81,23 +81,3 @@ class StoredObject:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"object size must be positive, got {self.size}")
-
-    def targets(self) -> Iterator[ObjectId]:
-        """Iterate over the non-null pointer targets of this object."""
-        for target in self.pointers.values():
-            if target is not None:
-                yield target
-
-    def slot_count(self) -> int:
-        """Number of pointer slots that have ever been written."""
-        return len(self.pointers)
-
-    def points_to(self, oid: ObjectId) -> bool:
-        """Return True if any slot of this object targets ``oid``.
-
-        Null slots never match — a null pointer is not a reference, even when
-        asked about ``None``.
-        """
-        if oid is None:
-            return False
-        return any(target == oid for target in self.pointers.values())

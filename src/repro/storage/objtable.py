@@ -27,15 +27,14 @@ accepts any int key a trace can carry. A hot loop that indexes the dense
 columns must send such oids elsewhere: a negative index reads a list
 from its end.
 
-The table itself is the store's placement mapping (``store.placements``:
-``get`` / ``[]`` / ``pop`` / ``in`` / ``len`` / iteration / ``items`` /
-``==`` over :class:`~repro.storage.partition.Placement` snapshots);
-:class:`StoredObjects` is the object mapping over the same rows
-(``store.objects``), whose values are
-:class:`~repro.storage.object_model.StoredObject` snapshots sharing the
-row's live pointer dict. Hot paths — the collector's trace and reclaim,
-the fused replay kernels of :mod:`repro.sim.batch` — read the raw columns
-and build neither.
+The table has one read surface. :meth:`locate` says where an object is
+— ``(pid, offset, size)`` — and :meth:`row` what it is: a
+:class:`~repro.storage.object_model.StoredObject` snapshot of the row
+(size, kind and dead flag as they are now, and the row's live pointer
+dict). :meth:`rows` yields one such snapshot per present row; ``len()``
+and ``in`` count and probe rows. Hot paths — the collector's trace and
+reclaim, the fused replay kernels of :mod:`repro.sim.batch` — read the
+raw columns and build no snapshot.
 
 **Copy-on-write.** :meth:`capture` (a checkpoint) copies the columns a
 checkpoint reads at C level — the pointer-dict column as a list of
@@ -49,11 +48,10 @@ such care: the capture holds its own copies.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
 from typing import Iterator, Optional
 
 from repro.storage.object_model import ObjectId, ObjectKind, StoredObject
-from repro.storage.partition import PartitionId, Placement
+from repro.storage.partition import PartitionId
 
 #: Dense rows above this oid would cost more memory than a dict entry is
 #: worth; such oids (and negative ones) live in the overflow dicts instead.
@@ -65,8 +63,6 @@ _ABSENT = -1
 #: One int64 ``-1`` in little/big-endian alike (all bits set); used to
 #: bulk-fill freshly grown column extents.
 _FILL_ITEM = b"\xff" * 8
-
-_MISSING = object()
 
 #: ``ObjectKind`` by ``kinds`` column code.
 _KINDS = (None, *ObjectKind)
@@ -130,7 +126,8 @@ class ObjectTable:
         self.shared += bytes(grow)
 
     # ------------------------------------------------------------------
-    # Primitive accessors (int-only, no snapshot allocation)
+    # Readers: locate / row / rows, and int-only accessors for the
+    # store's writers
     # ------------------------------------------------------------------
 
     def part_of(self, oid: ObjectId) -> PartitionId:
@@ -156,17 +153,34 @@ class ObjectTable:
         row = self.overflow_rows.get(oid)
         return row[_PTRS] if row is not None else None
 
-    def row(self, oid: ObjectId) -> Optional[tuple]:
-        """``(size, kind, dead, pointers)`` of ``oid``, or ``None``."""
+    def row(self, oid: ObjectId) -> Optional[StoredObject]:
+        """What ``oid`` is: a snapshot of its row — size, kind and dead
+        flag as they are now, and the row's live pointer dict (read it,
+        never write it) — or ``None``."""
         if 0 <= oid < len(self.parts):
             if self.parts[oid] < 0:
                 return None
             kind = _KINDS[self.kinds[oid]]
-            return self.sizes[oid], kind, bool(self.dead[oid]), self.ptrs[oid]
+            dead = bool(self.dead[oid])
+            return StoredObject(oid, self.sizes[oid], kind, self.ptrs[oid], dead)
         row = self.overflow_rows.get(oid)
         if row is None:
             return None
-        return self.overflow[oid][2], row[_KIND], row[_DEAD], row[_PTRS]
+        return StoredObject(oid, self.overflow[oid][2], row[_KIND], row[_PTRS], row[_DEAD])
+
+    def rows(self) -> Iterator[StoredObject]:
+        """A :meth:`row` snapshot per present row: dense oids ascending,
+        then overflow oids in insertion order."""
+        parts, sizes, kinds, ptrs = self.parts, self.sizes, self.kinds, self.ptrs
+        dead = self.dead
+        for oid in range(len(parts)):
+            if parts[oid] >= 0:
+                kind = _KINDS[kinds[oid]]
+                yield StoredObject(oid, sizes[oid], kind, ptrs[oid], bool(dead[oid]))
+        rows = self.overflow_rows
+        for oid, entry in self.overflow.items():
+            row = rows[oid]
+            yield StoredObject(oid, entry[2], row[_KIND], row[_PTRS], row[_DEAD])
 
     def alive(self, oid: ObjectId) -> bool:
         """Whether ``oid`` has a row and is not declared dead."""
@@ -174,6 +188,12 @@ class ObjectTable:
             return self.parts[oid] >= 0 and not self.dead[oid]
         row = self.overflow_rows.get(oid)
         return row is not None and not row[_DEAD]
+
+    def __contains__(self, oid) -> bool:
+        return isinstance(oid, int) and self.locate(oid) is not None
+
+    def __len__(self) -> int:
+        return self._count
 
     # ------------------------------------------------------------------
     # Row writers
@@ -204,17 +224,6 @@ class ObjectTable:
             self.overflow_rows[oid] = [pointers, kind, False, False]
         self._count += 1
         return pointers
-
-    def put(self, oid: ObjectId, pid: PartitionId, offset: int, size: int) -> None:
-        """Place ``oid``: move an existing row, or :meth:`insert` a new one."""
-        if self.locate(oid) is None:
-            self.insert(oid, pid, offset, size)
-        elif 0 <= oid < len(self.parts):
-            self.parts[oid] = pid
-            self.offs[oid] = offset
-            self.sizes[oid] = size
-        else:
-            self.overflow[oid] = (pid, offset, size)
 
     def discard(self, oid: ObjectId) -> bool:
         """Empty ``oid``'s row if present; returns whether it was."""
@@ -291,102 +300,6 @@ class ObjectTable:
             self._count,
         )
 
-    # ------------------------------------------------------------------
-    # Placement mapping surface (snapshot-returning)
-    # ------------------------------------------------------------------
-
-    def get(self, oid: ObjectId, default=None):
-        loc = self.locate(oid)
-        if loc is None:
-            return default
-        return Placement(partition=loc[0], offset=loc[1], size=loc[2])
-
-    def __getitem__(self, oid: ObjectId) -> Placement:
-        loc = self.locate(oid)
-        if loc is None:
-            raise KeyError(oid)
-        return Placement(partition=loc[0], offset=loc[1], size=loc[2])
-
-    def __setitem__(self, oid: ObjectId, placement: Placement) -> None:
-        self.put(oid, placement.partition, placement.offset, placement.size)
-
-    def pop(self, oid: ObjectId, default=_MISSING):
-        loc = self.locate(oid)
-        if loc is None:
-            if default is _MISSING:
-                raise KeyError(oid)
-            return default
-        self.discard(oid)
-        return Placement(partition=loc[0], offset=loc[1], size=loc[2])
-
-    def __delitem__(self, oid: ObjectId) -> None:
-        if not self.discard(oid):
-            raise KeyError(oid)
-
-    def __contains__(self, oid) -> bool:
-        return isinstance(oid, int) and self.locate(oid) is not None
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[ObjectId]:
-        parts = self.parts
-        for oid in range(len(parts)):
-            if parts[oid] >= 0:
-                yield oid
-        yield from self.overflow
-
-    def keys(self) -> Iterator[ObjectId]:
-        return iter(self)
-
-    def items(self) -> Iterator[tuple[ObjectId, Placement]]:
-        parts = self.parts
-        offs = self.offs
-        sizes = self.sizes
-        for oid in range(len(parts)):
-            pid = parts[oid]
-            if pid >= 0:
-                yield oid, Placement(partition=pid, offset=offs[oid], size=sizes[oid])
-        for oid, entry in self.overflow.items():
-            yield oid, Placement(partition=entry[0], offset=entry[1], size=entry[2])
-
-    def values(self) -> Iterator[Placement]:
-        for _oid, placement in self.items():
-            yield placement
-
-    # ------------------------------------------------------------------
-    # Equality (tests compare whole tables, and tables against dicts)
-    # ------------------------------------------------------------------
-
-    def _as_tuples(self) -> dict[ObjectId, tuple[int, int, int]]:
-        out: dict[ObjectId, tuple[int, int, int]] = {}
-        parts = self.parts
-        offs = self.offs
-        sizes = self.sizes
-        for oid in range(len(parts)):
-            pid = parts[oid]
-            if pid >= 0:
-                out[oid] = (pid, offs[oid], sizes[oid])
-        out.update(self.overflow)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ObjectTable):
-            return self._as_tuples() == other._as_tuples()
-        if isinstance(other, Mapping):
-            if len(other) != self._count:
-                return False
-            for oid, placement in other.items():
-                loc = self.locate(oid)
-                if loc is None or loc != (
-                    placement.partition, placement.offset, placement.size
-                ):
-                    return False
-            return True
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ObjectTable(count={self._count}, dense={len(self.parts)}, "
@@ -432,52 +345,3 @@ class TableCapture:
                 yield oid, sizes[oid], _KINDS[code], bool(dead[oid]), ptrs[oid]
         for oid, entry in self.overflow.items():
             yield (oid, *entry)
-
-
-class StoredObjects(Mapping):
-    """The object mapping over an :class:`ObjectTable` (``store.objects``).
-
-    ``[oid]`` returns a :class:`~repro.storage.object_model.StoredObject`
-    snapshot of the row: size, kind and dead flag as they are now, and the
-    row's live pointer dict — read it, never write it (writes go through
-    the store, which copies a dict a checkpoint shares). Iteration is the
-    table's: dense oids ascending, then overflow oids in insertion order.
-    ``pop`` and ``del`` empty a row behind the store's back, for tests that
-    corrupt a store on purpose.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: ObjectTable) -> None:
-        self._table = table
-
-    def __getitem__(self, oid: ObjectId) -> StoredObject:
-        row = self._table.row(oid) if isinstance(oid, int) else None
-        if row is None:
-            raise KeyError(oid)
-        return StoredObject(oid, row[0], row[1], row[3], row[2])
-
-    def __contains__(self, oid) -> bool:
-        return oid in self._table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __iter__(self) -> Iterator[ObjectId]:
-        return iter(self._table)
-
-    def pop(self, oid: ObjectId, default=_MISSING):
-        obj = self.get(oid)
-        if obj is None:
-            if default is _MISSING:
-                raise KeyError(oid)
-            return default
-        self._table.discard(oid)
-        return obj
-
-    def __delitem__(self, oid: ObjectId) -> None:
-        if not self._table.discard(oid):
-            raise KeyError(oid)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StoredObjects({len(self)} objects)"

@@ -1,8 +1,10 @@
 """Partitions: the disjoint units of disk space the collector works on.
 
 A partition is a fixed-size region of the database file, subdivided into
-pages (see :mod:`repro.storage.buffer`). Objects are placed at byte offsets
-within a partition; the page an object lives on is derived from its offset.
+pages (see :mod:`repro.storage.buffer`). Objects are bump-allocated at byte
+offsets within a partition (:meth:`Partition.bump`); the object table
+records each placement, and the pages an object spans are derived from its
+offset and size (``ObjectStore.pages_of``).
 
 Partitions also carry the two pieces of per-partition state the paper's
 policies need:
@@ -22,25 +24,6 @@ from repro.storage.object_model import ObjectId
 
 #: Partition identifiers are small sequential integers.
 PartitionId = int
-
-
-class PartitionFullError(Exception):
-    """Raised when an allocation does not fit in the partition's free space."""
-
-
-@dataclass
-class Placement:
-    """Where an object currently resides: partition, byte offset, byte size."""
-
-    partition: PartitionId
-    offset: int
-    size: int
-
-    def pages(self, page_size: int) -> range:
-        """The partition-local page indexes this placement spans."""
-        first = self.offset // page_size
-        last = (self.offset + self.size - 1) // page_size
-        return range(first, last + 1)
 
 
 @dataclass(slots=True)
@@ -92,30 +75,16 @@ class Partition:
         return size <= self.free_bytes
 
     def bump(self, oid: ObjectId, size: int) -> int:
-        """Unchecked bump allocation; returns the placement offset.
+        """Bump allocation, unchecked; returns the placement offset.
 
         The store's first-fit scan (and the batched replay interpreter) has
-        already proven the object fits, so this skips the ``fits`` check and
-        the :class:`Placement` construction — the flat placement table stores
-        the three ints directly.
+        already proven the object fits (:meth:`fits`); the object table
+        stores the partition, this offset and the size as three ints.
         """
         offset = self.fill
         self.fill = offset + size
         self.residents.add(oid)
         return offset
-
-    def allocate(self, oid: ObjectId, size: int) -> Placement:
-        """Place ``oid`` at the current fill offset.
-
-        Raises:
-            PartitionFullError: if the object does not fit.
-        """
-        if not self.fits(size):
-            raise PartitionFullError(
-                f"partition {self.pid}: cannot allocate {size} bytes "
-                f"({self.free_bytes} free of {self.capacity})"
-            )
-        return Placement(partition=self.pid, offset=self.bump(oid, size), size=size)
 
     def reset_for_compaction(self) -> None:
         """Empty the partition prior to re-placing its survivors.

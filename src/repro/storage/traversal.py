@@ -55,7 +55,11 @@ def cheney_trace(
         the scan never reached, in no particular order. The two partition
         the domain.
     """
-    todo: set[ObjectId] = set(table if within is None else within)
+    if within is None:
+        parts = table.parts
+        within = [oid for oid in range(len(parts)) if parts[oid] >= 0]
+        within += table.overflow
+    todo: set[ObjectId] = set(within)
     reached = todo.remove
     order: list[ObjectId] = []
     copy = order.append

@@ -82,7 +82,7 @@ class StoreValidator:
         columns; every resident's placement is inside its partition's
         extent and placements within a partition never overlap."""
         table = store.placements
-        rows = sum(1 for _ in table)
+        rows = sum(1 for _ in table.rows())
         # ``len()`` is a counter the fused replay kernels and the bulk
         # reclaim keep by hand.
         if len(table) != rows:
@@ -90,14 +90,14 @@ class StoreValidator:
         for partition in store.partitions:
             spans = []
             for oid in partition.residents:
-                placement = store.placements.get(oid)
-                if placement is None or placement.partition != partition.pid:
+                loc = table.locate(oid)
+                if loc is None or loc[0] != partition.pid:
                     report.add(
                         "placements",
                         f"resident {oid} of partition {partition.pid} misplaced",
                     )
                     continue
-                spans.append((placement.offset, placement.size, oid))
+                spans.append((loc[1], loc[2], oid))
             cursor = 0
             for offset, size, oid in sorted(spans):
                 if offset < cursor:
@@ -120,8 +120,10 @@ class StoreValidator:
         store's pending-overwrite and slot counters are the sums they keep."""
         table = store.placements
         by_partition: dict[int, set[int]] = {}
-        for oid, placement in table.items():
-            by_partition.setdefault(placement.partition, set()).add(oid)
+        slots = 0
+        for obj in table.rows():
+            by_partition.setdefault(table.part_of(obj.oid), set()).add(obj.oid)
+            slots += len(obj.pointers)
         for partition in store.partitions:
             expected = by_partition.get(partition.pid, set())
             if partition.residents != expected:
@@ -148,7 +150,6 @@ class StoreValidator:
                 f"pending-overwrite counter {store.pending_overwrites} != "
                 f"sum of FGS counters {pending}",
             )
-        slots = sum(len(table.pointers(oid) or ()) for oid in table)
         if store.slot_count != slots:
             report.add(
                 "partitions",
@@ -199,14 +200,15 @@ class StoreValidator:
 
     def _check_pointers(self, store: ObjectStore, report: ValidationReport) -> None:
         """Live (non-dead) objects never hold dangling pointers."""
-        for oid, obj in store.objects.items():
+        table = store.placements
+        for obj in table.rows():
             if obj.dead:
                 continue  # dead objects may dangle into reclaimed space
-            for target in obj.targets():
-                if target not in store.objects:
+            for target in obj.pointers.values():
+                if target is not None and target not in table:
                     report.add(
                         "pointers",
-                        f"live object {oid} dangles to reclaimed {target}",
+                        f"live object {obj.oid} dangles to reclaimed {target}",
                     )
 
     def _check_remembered_sets(self, store: ObjectStore, report: ValidationReport) -> None:
@@ -214,14 +216,16 @@ class StoreValidator:
         (with correct multiplicity), and the store's churn counters differ
         by that edge count."""
         expected: dict[int, dict[tuple[int, int], int]] = {}
-        for oid, obj in store.objects.items():
-            src_pid = store.placements[oid].partition
-            for target in obj.targets():
-                placement = store.placements.get(target)
-                if placement is None or placement.partition == src_pid:
+        table = store.placements
+        for obj in table.rows():
+            src_pid = table.part_of(obj.oid)
+            for target in obj.pointers.values():
+                tgt_pid = -1 if target is None else table.part_of(target)
+                if tgt_pid < 0 or tgt_pid == src_pid:
                     continue
-                bucket = expected.setdefault(placement.partition, {})
-                bucket[(oid, target)] = bucket.get((oid, target), 0) + 1
+                edge = (obj.oid, target)
+                bucket = expected.setdefault(tgt_pid, {})
+                bucket[edge] = bucket.get(edge, 0) + 1
         for partition in store.partitions:
             actual: dict[tuple[int, int], int] = {}
             for target, sources in partition.incoming.items():
@@ -246,7 +250,13 @@ class StoreValidator:
 
     def _check_garbage_accounting(self, store: ObjectStore, report: ValidationReport) -> None:
         """ActGarb identity and per-partition dead-byte ledger."""
-        dead_total = sum(obj.size for obj in store.objects.values() if obj.dead)
+        table = store.placements
+        per_partition: dict[int, int] = {}
+        for obj in table.rows():
+            if obj.dead:
+                pid = table.part_of(obj.oid)
+                per_partition[pid] = per_partition.get(pid, 0) + obj.size
+        dead_total = sum(per_partition.values())
         if store.actual_garbage_bytes != dead_total:
             report.add(
                 "garbage",
@@ -256,11 +266,6 @@ class StoreValidator:
             store.garbage.total_generated - store.garbage.total_collected
         ):
             report.add("garbage", "TotGarb - TotColl identity violated")
-        per_partition = {}
-        for oid, obj in store.objects.items():
-            if obj.dead:
-                pid = store.placements[oid].partition
-                per_partition[pid] = per_partition.get(pid, 0) + obj.size
         for pid, partition_bytes in per_partition.items():
             ledger = store.dead_bytes.get(pid, 0)
             if ledger != partition_bytes:

@@ -331,10 +331,8 @@ class TransactionManager:
         old_target = pointers.get(slot)
         overwrote = old_target is not None
         fgs_partition = None
-        if old_target is not None:
-            placement = table.get(old_target)
-            if placement is not None:
-                fgs_partition = placement.partition
+        if old_target is not None and (pid := table.part_of(old_target)) >= 0:
+            fgs_partition = pid
         # Only record deaths this write actually declares (idempotence of
         # _declare_dead means already-dead victims must not be resurrected
         # twice on undo).

@@ -44,8 +44,8 @@ from repro.storage.object_model import ObjectId, ObjectKind
 from repro.storage.objtable import TableCapture
 
 
-class _Columns(NamedTuple):
-    """A checkpoint's flat columns (see :class:`CheckpointSnapshot`)."""
+class SnapshotColumns(NamedTuple):
+    """A checkpoint's flat columns (:attr:`CheckpointSnapshot.columns`)."""
 
     oids: tuple[ObjectId, ...]
     sizes: tuple[int, ...]
@@ -78,11 +78,11 @@ class CheckpointSnapshot:
     dead flags copied by value, the pointer dicts shared with the store,
     which copies any of them before writing it (copy-on-write, see
     ``ObjectTable.writable``) — so the snapshot is immutable, a superseded
-    one included. Recovery, tests and drills read it as flat **columns**
-    (``oids`` ascending, ``sizes``, ``kinds`` as ``ObjectKind`` values,
-    ``dead``; ``pointer_srcs`` / ``pointer_slots`` / ``pointer_targets`` in
-    ``(src, slot)`` order, a target may be None), built from the captured
-    columns on the first read of any of them. A checkpoint that a later one
+    one included. Recovery, tests and drills read it as flat
+    :attr:`columns` (``oids`` ascending, ``sizes``, ``kinds`` as
+    ``ObjectKind`` values, ``dead``; ``pointer_srcs`` / ``pointer_slots`` /
+    ``pointer_targets`` in ``(src, slot)`` order, a target may be None),
+    built from the capture on first read. A checkpoint that a later one
     supersedes before anything reads it is never turned into columns at
     all. Two snapshots are equal when their columns, sets and clocks are.
 
@@ -107,9 +107,8 @@ class CheckpointSnapshot:
     bytes_allocated_total: int = 0
 
     @cached_property
-    def _columns(self) -> _Columns:
-        """Every column, built from the captured table on the first read
-        of any."""
+    def columns(self) -> SnapshotColumns:
+        """Every column, built from the captured table on the first read."""
         # (oid, size, kind, dead, pointers), by oid: dense rows come in
         # order, so the sort only places overflow rows.
         rows = sorted(self.table.rows(), key=itemgetter(0))
@@ -126,7 +125,7 @@ class CheckpointSnapshot:
                 srcs.append(oid)
                 slots.append(slot)
                 targets.append(target)
-        return _Columns(
+        return SnapshotColumns(
             tuple([r[0] for r in rows]),
             tuple([r[1] for r in rows]),
             # ``_value_`` is the plain attribute behind enum's ``value``
@@ -138,34 +137,6 @@ class CheckpointSnapshot:
             tuple(targets),
         )
 
-    @property
-    def oids(self) -> tuple[ObjectId, ...]:
-        return self._columns.oids
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self._columns.sizes
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return self._columns.kinds
-
-    @property
-    def dead(self) -> tuple[bool, ...]:
-        return self._columns.dead
-
-    @property
-    def pointer_srcs(self) -> tuple[ObjectId, ...]:
-        return self._columns.pointer_srcs
-
-    @property
-    def pointer_slots(self) -> tuple[str, ...]:
-        return self._columns.pointer_slots
-
-    @property
-    def pointer_targets(self) -> tuple[Optional[ObjectId], ...]:
-        return self._columns.pointer_targets
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CheckpointSnapshot):
             return NotImplemented
@@ -174,7 +145,7 @@ class CheckpointSnapshot:
     def _value(self) -> tuple:
         return (
             self.event_index,
-            self._columns,
+            self.columns,
             self.roots,
             self.unlinked,
             self.garbage,
@@ -445,15 +416,16 @@ def _restore_checkpoint(
     snapshot place every object identically.
     """
     store = ObjectStore(store_config)
-    for oid, size, kind_value in zip(snapshot.oids, snapshot.sizes, snapshot.kinds):
+    columns = snapshot.columns
+    for oid, size, kind_value in zip(columns.oids, columns.sizes, columns.kinds):
         store.create(size=size, kind=ObjectKind(kind_value), oid=oid)
     for src, slot, target in zip(
-        snapshot.pointer_srcs, snapshot.pointer_slots, snapshot.pointer_targets
+        columns.pointer_srcs, columns.pointer_slots, columns.pointer_targets
     ):
         store.write_pointer(src, slot, target)
     for oid in snapshot.roots:
         store.register_root(oid)
-    for oid, dead in zip(snapshot.oids, snapshot.dead):
+    for oid, dead in zip(columns.oids, columns.dead):
         if dead:
             store.declare_dead(oid)
     pinned = set(snapshot.unlinked)
@@ -520,7 +492,7 @@ def recover_with_info(
         records_replayed=log.suffix_length,
         from_checkpoint=snapshot is not None,
         checkpoint_event_index=snapshot.event_index if snapshot is not None else 0,
-        objects=len(store.objects),
+        objects=len(store.placements),
     )
     return store, info
 

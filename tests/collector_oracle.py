@@ -14,7 +14,8 @@ survivor. Tests require the two to leave the store in the same state under
 reclaim order of the next.
 
 Like ``event_oracle`` it drives the production store underneath
-(``Partition.bump`` / ``forget``, ``ObjectTable.put``): what
+(``Partition.bump`` / ``forget``, ``ObjectTable.discard`` and its offset
+column): what
 is independent here is the order and granularity of the collector's own
 steps, not the data structures.
 """
@@ -24,8 +25,10 @@ from contextlib import contextmanager
 from functools import partial
 
 from event_oracle import store_fields
+from stored import objects
 
 from repro.storage.heap import StoreError
+from repro.storage.objtable import DENSE_CEILING
 
 
 def breadth_first_order(objects, roots, within=None):
@@ -53,7 +56,8 @@ def reclaim(store, oid, pid):
     """Remove one object the collector found unreachable; returns its size."""
     if store.placements.part_of(oid) != pid:
         raise StoreError(f"object {oid} reclaimed from wrong partition")
-    obj = store.objects.pop(oid)
+    obj = store.placements.row(oid)
+    store.placements.discard(oid)
     if obj.dead:
         store.dead_bytes[pid] = store.dead_bytes.get(pid, 0) - obj.size
     else:
@@ -61,8 +65,8 @@ def reclaim(store, oid, pid):
         store.garbage.undeclared += obj.size
     store.garbage.total_collected += obj.size
     store.slot_count -= len(obj.pointers)
-    for target in obj.targets():
-        tgt_pid = store.placements.part_of(target)
+    for target in obj.pointers.values():
+        tgt_pid = -1 if target is None else store.placements.part_of(target)
         if tgt_pid < 0 or tgt_pid == pid:
             continue
         if store.partitions[tgt_pid].forget(oid, target):
@@ -93,9 +97,14 @@ def compact_partition(store, pid, survivors, plan=None):
     fill_before = partition.fill
     store.pending_overwrites -= partition.pointer_overwrites
     partition.reset_for_compaction()
+    table = store.placements
     for oid in survivors:
-        size = store.objects[oid].size
-        store.placements.put(oid, pid, partition.bump(oid, size), size)
+        _, _, size = table.locate(oid)
+        offset = partition.bump(oid, size)
+        if 0 <= oid < DENSE_CEILING:
+            table.offs[oid] = offset
+        else:
+            table.overflow[oid] = (pid, offset, size)
     store._allocated_bytes -= fill_before - partition.fill
     store._partition_free[pid] = partition.capacity - partition.fill
     store._fit_cursor.clear()  # free bytes grew: a cursor may skip them
@@ -119,7 +128,7 @@ def collect(collector, pid):
     the I/O charges and the result record stay ``CopyingCollector.apply``'s."""
     store = collector._store
     survivors = breadth_first_order(
-        store.objects,
+        objects(store),
         sorted(store.partition_roots(pid)),
         within=store.partitions[pid].residents,
     )
@@ -132,7 +141,7 @@ def ordered_fields(store) -> dict:
     collection writes (``list(part.residents)`` is already in there)."""
     return {
         **store_fields(store),
-        "objects_order": list(store.objects),
+        "objects_order": list(objects(store)),
         "overflow_order": list(store.placements.overflow.items()),
         "incoming_order": [
             [(target, list(sources.items())) for target, sources in part.incoming.items()]

@@ -46,10 +46,12 @@ def store_fields(store) -> dict:
     from the oracle somewhere in here even when the summary does not."""
     return {
         "objects": {
-            oid: (obj.size, obj.kind, dict(obj.pointers), obj.dead)
-            for oid, obj in store.objects.items()
+            obj.oid: (obj.size, obj.kind, dict(obj.pointers), obj.dead)
+            for obj in store.placements.rows()
         },
-        "placements": {oid: store.placements.locate(oid) for oid in store.objects},
+        "placements": {
+            obj.oid: store.placements.locate(obj.oid) for obj in store.placements.rows()
+        },
         "placement_count": len(store.placements),
         # Residents in iteration order: it is the order the next collection
         # of the partition reclaims in.

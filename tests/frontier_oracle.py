@@ -59,16 +59,15 @@ def full_scan_frontier(
     roots = store.roots & residents
     roots |= store.unlinked & residents
     page_size = store.config.page_size
-    # Int-only reads of the flat placement columns: this scan visits every
-    # heap object, so a Placement snapshot per object would dominate it.
     locate = store.placements.locate
     pages: set["PageId"] = set()
-    for src, obj in store.objects.items():
+    for obj in store.placements.rows():
+        src = obj.oid
         loc = locate(src)
-        if loc is None or loc[0] == pid:
+        if loc[0] == pid:
             continue
         referenced = False
-        for target in obj.targets():
+        for target in obj.pointers.values():
             if target in residents:
                 roots.add(target)
                 referenced = True

@@ -30,6 +30,8 @@ from collector_oracle import ordered_fields, per_object_compaction
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from stored import objects
+
 from repro.core.fixed import FixedRatePolicy
 from repro.gc import parallel
 from repro.gc.collector import CopyingCollector
@@ -38,7 +40,7 @@ from repro.gc.selection import RoundRobinSelection
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.storage import heap
 from repro.storage.heap import ObjectStore, StoreConfig, StoreError
-from repro.storage.objtable import DENSE_CEILING, ObjectTable, StoredObjects
+from repro.storage.objtable import DENSE_CEILING, ObjectTable
 from repro.storage.traversal import breadth_first_order
 from repro.storage.validation import validate_store
 from repro.workload.compiled import compile_trace
@@ -115,7 +117,7 @@ def programs(draw):
 def _mutate(stores, op, fresh):
     """Apply one non-collect op, resolved against the first store's state,
     identically to every store."""
-    live = list(stores[0].objects)
+    live = list(objects(stores[0]))
     kind = op[0]
 
     def pick(index):
@@ -142,7 +144,7 @@ def _mutate(stores, op, fresh):
             store.write_pointer(pick(op[1]), f"s{op[2]}", target)
         elif kind == "strand":
             victim = pick(op[1])
-            for src, obj in list(store.objects.items()):
+            for src, obj in list(objects(store).items()):
                 for slot, target in list(obj.pointers.items()):
                     if target == victim:
                         store.write_pointer(src, slot, None)
@@ -311,7 +313,7 @@ def test_cheney_scan_visits_in_the_queue_search_order(graph):
     table, roots, within = graph
     before = None if within is None else set(within)
     assert breadth_first_order(table, roots, within) == oracle_order(
-        StoredObjects(table), roots, within
+        {obj.oid: obj for obj in table.rows()}, roots, within
     )
     # The work set is a private copy: the caller's domain is not consumed.
     assert within == before
@@ -366,7 +368,7 @@ def test_wrong_partition_reclaim_flushes_what_was_already_reclaimed():
     with pytest.raises(StoreError, match=f"object {far} reclaimed from wrong partition"):
         store.compact_partition(0, [], plan=plan)
     # ``far`` was put back; ``a`` and ``b`` are gone and every ledger says so.
-    assert set(store.objects) == {far}
+    assert set(objects(store)) == {far}
     assert len(store.placements) == 1
     assert store.placements.part_of(far) == 1
     assert store.dead_bytes[0] == 0

@@ -2,6 +2,8 @@
 
 import pytest
 
+from stored import objects
+
 from repro.gc.collector import CopyingCollector
 from repro.storage.heap import ObjectStore, StoreConfig
 
@@ -38,21 +40,17 @@ def test_collect_reclaims_unreachable_and_keeps_live(store, collector):
     assert result.reclaimed_bytes == 80
     assert result.reclaimed_objects == 1
     assert result.live_objects == 3
-    assert g not in store.objects
-    assert {root, a, b} <= set(store.objects)
+    assert g not in store.placements
+    assert {root, a, b} <= set(objects(store))
 
 
 def test_collect_compacts_survivors_contiguously(store, collector):
     root, a, b, _g = _build_simple_db(store)
     collector.collect(0)
-    placements = sorted(
-        (store.placement_of(oid) for oid in (root, a, b)),
-        key=lambda placement: placement.offset,
-    )
     cursor = 0
-    for placement in placements:
-        assert placement.offset == cursor
-        cursor += placement.size
+    for _pid, offset, size in sorted(store.placements.locate(oid) for oid in (root, a, b)):
+        assert offset == cursor
+        cursor += size
     assert store.partitions[0].fill == 50 + 60 + 70
 
 
@@ -67,7 +65,7 @@ def test_collect_copies_in_breadth_first_order(store, collector):
     store.write_pointer(root, "y", b)
     store.write_pointer(a, "z", c)
     collector.collect(0)
-    offsets = {oid: store.placement_of(oid).offset for oid in (root, a, b, c)}
+    offsets = {oid: store.placements.locate(oid)[1] for oid in (root, a, b, c)}
     assert offsets[root] < offsets[a] < offsets[b] < offsets[c]
 
 
@@ -106,7 +104,7 @@ def test_external_reference_keeps_object_alive(store, collector):
     store.register_root(a)
     store.write_pointer(a, "x", b)
     result = collector.collect(1)
-    assert b in store.objects
+    assert b in store.placements
     assert result.live_objects == 1
 
 
@@ -123,13 +121,13 @@ def test_floating_garbage_survives_until_referrer_reclaimed(store, collector):
 
     # Collect b's partition first: b floats (dead a still references it).
     collector.collect(1)
-    assert b in store.objects
+    assert b in store.placements
     # Collect a's partition: a reclaimed, its reference to b dropped.
     collector.collect(0)
-    assert a not in store.objects
+    assert a not in store.placements
     # Now b is collectable.
     collector.collect(1)
-    assert b not in store.objects
+    assert b not in store.placements
     assert store.actual_garbage_bytes == 0
 
 
@@ -143,7 +141,7 @@ def test_pointers_leaving_partition_not_traversed(store, collector):
     fill_before = store.partitions[1].fill
     collector.collect(0)
     assert store.partitions[1].fill == fill_before
-    assert b in store.objects
+    assert b in store.placements
 
 
 def test_collect_invalidates_buffered_victim_pages(store, collector):

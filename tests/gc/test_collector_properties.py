@@ -14,6 +14,8 @@ full-database reachability oracle:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stored import objects
+
 from repro.gc.collector import CopyingCollector
 from repro.storage.heap import ObjectStore, StoreConfig
 
@@ -52,7 +54,7 @@ def _collect_to_fixpoint(store: ObjectStore, collector: CopyingCollector) -> Non
     Floating garbage drains one "layer" per round, so a chain of N objects
     needs at most N rounds; bound by the object count for safety.
     """
-    for _round in range(len(store.objects) + 2):
+    for _round in range(len(store.placements) + 2):
         reclaimed = 0
         for pid in range(len(store.partitions)):
             reclaimed += collector.collect(pid).reclaimed_bytes
@@ -74,14 +76,15 @@ def _expected_fixpoint_survivors(store: ObjectStore) -> set[int]:
     "everything survives" downward converges to exactly what repeated
     partition collections leave behind (objects never move between
     partitions and pointers are not mutated by collection)."""
+    stored = objects(store)
     pointers = {
-        oid: [t for t in obj.targets() if t in store.objects]
-        for oid, obj in store.objects.items()
+        oid: [t for t in obj.pointers.values() if t in store.placements]
+        for oid, obj in stored.items()
     }
-    partition_of = {oid: store.placements[oid].partition for oid in store.objects}
-    pinned = (store.roots | store.unlinked) & set(store.objects)
+    partition_of = {oid: store.partition_of(oid) for oid in stored}
+    pinned = (store.roots | store.unlinked) & set(stored)
 
-    kept = set(store.objects)
+    kept = set(stored)
     while True:
         new_kept: set[int] = set()
         for partition in store.partitions:
@@ -118,7 +121,7 @@ def test_collector_never_reclaims_reachable_objects(store):
     collector = CopyingCollector(store)
     reachable_before = _live_oracle(store)
     _collect_to_fixpoint(store, collector)
-    assert reachable_before <= set(store.objects)
+    assert reachable_before <= set(objects(store))
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,7 +133,7 @@ def test_collector_converges_to_exact_partitioned_fixpoint(store):
     collector = CopyingCollector(store)
     expected = _expected_fixpoint_survivors(store)
     _collect_to_fixpoint(store, collector)
-    assert set(store.objects) == expected
+    assert set(objects(store)) == expected
     # Sanity: everything globally reachable is part of the fixpoint.
     assert _live_oracle(store) <= expected
 
@@ -142,15 +145,15 @@ def test_pointers_remain_valid_after_collections(store):
     placed inside its partition's allocated extent."""
     collector = CopyingCollector(store)
     _collect_to_fixpoint(store, collector)
-    for oid, obj in store.objects.items():
-        placement = store.placements[oid]
-        partition = store.partitions[placement.partition]
+    for oid, obj in objects(store).items():
+        pid, offset, size = store.placements.locate(oid)
+        partition = store.partitions[pid]
         assert oid in partition.residents
-        assert placement.offset + placement.size <= partition.fill
-        for target in obj.targets():
+        assert offset + size <= partition.fill
+        for target in obj.pointers.values():
             # Dangling pointers to reclaimed garbage are permitted only from
             # unreachable (dead) sources; live objects never dangle.
-            if target not in store.objects:
+            if target is not None and target not in store.placements:
                 assert oid not in _live_oracle(store)
 
 
@@ -160,7 +163,7 @@ def test_garbage_accounting_identity(store):
     """TotGarb - TotColl == ActGarb == sum of declared-dead resident bytes."""
     collector = CopyingCollector(store)
     _collect_to_fixpoint(store, collector)
-    dead_bytes = sum(obj.size for obj in store.objects.values() if obj.dead)
+    dead_bytes = sum(obj.size for obj in store.placements.rows() if obj.dead)
     assert store.actual_garbage_bytes == dead_bytes
     assert (
         store.garbage.total_generated - store.garbage.total_collected
@@ -176,4 +179,4 @@ def test_global_collection_leaves_exactly_the_reachable_set(store):
     collector = CopyingCollector(store)
     expected = _live_oracle(store)
     collector.collect_global()
-    assert set(store.objects) == expected
+    assert set(objects(store)) == expected

@@ -1,6 +1,8 @@
 """Tests for global (whole-database) collection — the cyclic-garbage fallback."""
 
 
+from stored import objects
+
 from repro.gc.collector import CopyingCollector
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
@@ -30,8 +32,8 @@ def test_partitioned_collection_cannot_reclaim_cross_partition_cycle():
         for pid in range(store.partition_count):
             collector.collect(pid)
     # The dead cycle floats forever under per-partition collection.
-    assert a in store.objects
-    assert b in store.objects
+    assert a in store.placements
+    assert b in store.placements
     assert store.actual_garbage_bytes == 2000
 
 
@@ -40,10 +42,10 @@ def test_global_collection_reclaims_the_cycle():
     root, a, b = _cross_partition_cycle(store)
     collector = CopyingCollector(store)
     results = collector.collect_global()
-    assert a not in store.objects
-    assert b not in store.objects
+    assert a not in store.placements
+    assert b not in store.placements
     assert store.actual_garbage_bytes == 0
-    assert root in store.objects
+    assert root in store.placements
     assert sum(r.reclaimed_bytes for r in results) == 2000
     assert validate_store(store).ok
 
@@ -54,10 +56,10 @@ def test_global_collection_preserves_all_reachable():
 
     db = build_database(TINY, store_config=StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4))
     store = db.store
-    before = set(store.objects)
+    before = set(objects(store))
     collector = CopyingCollector(store)
     results = collector.collect_global()
-    assert set(store.objects) == before  # fresh DB: nothing to reclaim
+    assert set(objects(store)) == before  # fresh DB: nothing to reclaim
     assert sum(r.reclaimed_bytes for r in results) == 0
     assert validate_store(store).ok
 

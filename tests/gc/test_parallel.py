@@ -716,7 +716,7 @@ def test_stale_speculation_is_discarded():
     result = scheduler.collect(0)
     assert scheduler.speculation_stale == 1
     assert result.reclaimed_objects == 1
-    assert doomed not in store.objects
+    assert doomed not in store.placements
 
 
 class _CountingPtrs(list):

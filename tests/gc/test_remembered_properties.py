@@ -16,6 +16,8 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stored import objects
+
 from repro.gc.collector import CopyingCollector
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
@@ -81,7 +83,7 @@ def _apply_ops(store, collector, ops):
     """Interpret one abstract op sequence; yields after every applied op."""
     for op in ops:
         kind = op[0]
-        live = sorted(store.objects)
+        live = sorted(objects(store))
         if kind == "create":
             _, size, raw = op
             pointers = None
@@ -121,7 +123,7 @@ def _partition_survivor_oracle(store, pid, roots):
         if oid in seen:
             continue
         seen.add(oid)
-        for target in store.objects[oid].targets():
+        for target in store.placements.row(oid).pointers.values():
             if target in residents and target not in seen:
                 stack.append(target)
     return seen
@@ -159,13 +161,13 @@ def test_remembered_set_equals_brute_force_boundary(ops):
         pass
 
     expected: dict[int, dict[int, dict[int, int]]] = {}
-    for src, obj in store.objects.items():
-        src_pid = store.placements[src].partition
-        for target in obj.targets():
-            placement = store.placements.get(target)
-            if placement is None or placement.partition == src_pid:
+    for src, obj in objects(store).items():
+        src_pid = store.partition_of(src)
+        for target in obj.pointers.values():
+            tgt_pid = -1 if target is None else store.placements.part_of(target)
+            if tgt_pid < 0 or tgt_pid == src_pid:
                 continue
-            per = expected.setdefault(placement.partition, {}).setdefault(target, {})
+            per = expected.setdefault(tgt_pid, {}).setdefault(target, {})
             per[src] = per.get(src, 0) + 1
 
     for partition in store.partitions:
@@ -241,7 +243,7 @@ def _cyclic_cross_partition_store():
     store.register_root(root)
     a = store.create(size=300)
     b = store.create(size=300)
-    assert store.placements[a].partition != store.placements[b].partition
+    assert store.partition_of(a) != store.partition_of(b)
     store.write_pointer(root, "ref", a)
     store.write_pointer(a, "peer", b)
     store.write_pointer(b, "peer", a)
@@ -262,7 +264,7 @@ def test_cross_partition_cycle_is_retained_by_both_modes():
         for pid in range(len(store.partitions)):
             collector.collect(pid)
     assert len(checked) == 3 * len(store.partitions)
-    assert set(store.objects) == {root, a, b}
+    assert set(objects(store)) == {root, a, b}
     # The garbage accounting agrees the cycle is garbage — it is
     # *uncollected*, not live: it stays on the books until a global pass.
     assert store.actual_garbage_bytes == 600
@@ -274,7 +276,7 @@ def test_collect_global_reclaims_the_cycle():
     cycle is unreachable from the true root set and reclaims it."""
     store, root, a, b = _cyclic_cross_partition_store()
     CopyingCollector(store).collect_global()
-    assert set(store.objects) == {root}
+    assert set(objects(store)) == {root}
     assert store.actual_garbage_bytes == 0
     assert validate_store(store).ok
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from stored import objects
+
 from repro.core.estimators import FgsHbEstimator, OracleEstimator
 from repro.core.fixed import FixedRatePolicy
 from repro.core.saga import SagaPolicy
@@ -34,7 +36,7 @@ def test_full_run_preserves_live_database():
     # All currently alive application objects are reachable; the only
     # resident unreachable objects are declared garbage awaiting collection.
     reachable = store.reachable_from_roots()
-    for oid, obj in store.objects.items():
+    for oid, obj in objects(store).items():
         assert obj.dead == (oid not in reachable)
     assert store.garbage.undeclared == 0
 
@@ -42,7 +44,7 @@ def test_full_run_preserves_live_database():
 def test_full_run_live_object_population_is_stationary():
     result = _run(FixedRatePolicy(25))
     expected_live = TINY.expected_object_count
-    live = sum(1 for o in result.store.objects.values() if not o.dead)
+    live = sum(1 for o in result.store.placements.rows() if not o.dead)
     assert live == expected_live
 
 

@@ -71,5 +71,5 @@ def test_combination_runs_clean(policy_name, selection_name):
     assert store.check_death_annotations() == set()
     assert validate_store(store, strict=False).ok
     # Live application state is intact regardless of the combination.
-    live = sum(1 for o in store.objects.values() if not o.dead)
+    live = sum(1 for o in store.placements.rows() if not o.dead)
     assert live == TINY.expected_object_count

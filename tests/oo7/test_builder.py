@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from stored import objects
+
 from repro.events import stream_events
 from repro.oo7.builder import build_database
 from repro.oo7.config import SMALL_PRIME, TINY
@@ -22,7 +24,7 @@ def tiny_db():
 
 
 def test_built_db_object_count(tiny_db):
-    assert len(tiny_db.store.objects) == TINY.expected_object_count
+    assert len(tiny_db.store.placements) == TINY.expected_object_count
 
 
 def test_built_db_byte_total(tiny_db):
@@ -32,7 +34,7 @@ def test_built_db_byte_total(tiny_db):
 def test_built_db_is_fully_reachable(tiny_db):
     """A freshly generated database contains no garbage at all."""
     store = tiny_db.store
-    assert store.reachable_from_roots() == set(store.objects)
+    assert store.reachable_from_roots() == set(objects(store))
     assert store.actual_garbage_bytes == 0
     assert store.check_death_annotations() == set()
 
@@ -83,7 +85,7 @@ def test_built_db_equals_the_event_by_event_build(config, store_config, seed):
 def test_small_prime_scale():
     """The paper's Small' database: 12,666 objects, ~1.5 MB of objects."""
     db = build_database(SMALL_PRIME)
-    assert len(db.store.objects) == SMALL_PRIME.expected_object_count == 12666
+    assert len(db.store.placements) == SMALL_PRIME.expected_object_count == 12666
     assert db.store.db_size == SMALL_PRIME.expected_bytes_per_module
     assert db.store.actual_garbage_bytes == 0
     assert db.atomic_part_in_degree() == pytest.approx(4.0)

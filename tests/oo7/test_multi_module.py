@@ -3,6 +3,8 @@
 import random
 from functools import partial
 
+from stored import objects
+
 from repro.core.fixed import FixedRatePolicy
 from repro.events import stream_events
 from repro.oo7.builder import build_database
@@ -44,8 +46,8 @@ def test_each_module_is_a_root():
 
 def test_multi_module_database_fully_reachable():
     db = build_database(MULTI, store_config=STORE)
-    assert db.store.reachable_from_roots() == set(db.store.objects)
-    assert len(db.store.objects) == MULTI.expected_object_count
+    assert db.store.reachable_from_roots() == set(objects(db.store))
+    assert len(db.store.placements) == MULTI.expected_object_count
     assert db.store.db_size == MULTI.num_modules * MULTI.expected_bytes_per_module
 
 

@@ -260,7 +260,7 @@ def _reachable_connections(store: ObjectStore) -> int:
     return sum(
         1
         for oid in store.reachable_from_roots()
-        if store.objects[oid].kind == ObjectKind.CONNECTION
+        if store.placements.row(oid).kind == ObjectKind.CONNECTION
     )
 
 

@@ -126,16 +126,16 @@ def test_store_graph_agreement_under_churn(seed, operations):
     graph, store = _churned(seed, operations)
 
     for composite in graph.composites:
-        composite_obj = store.objects[composite.oid]
+        composite_obj = store.placements.row(composite.oid)
         for part in composite.alive_parts():
             assert composite_obj.pointers[part.slot] == part.oid
-            part_obj = store.objects[part.oid]
+            part_obj = store.placements.row(part.oid)
             for conn in part.alive_out_conns():
                 assert part_obj.pointers[conn.slot] == conn.oid
-                assert store.objects[conn.oid].pointers["to"] == conn.dst.oid
+                assert store.placements.row(conn.oid).pointers["to"] == conn.dst.oid
     reachable_connections = sum(
         1
         for oid in store.reachable_from_roots()
-        if store.objects[oid].kind == ObjectKind.CONNECTION
+        if store.placements.row(oid).kind == ObjectKind.CONNECTION
     )
     assert graph.alive_connection_count() == reachable_connections

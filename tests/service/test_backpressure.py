@@ -42,7 +42,7 @@ class TestAdmissionController:
             # Model a collection that reclaims the pre-existing object.
             if not freed:
                 store.declare_dead(oid)
-                pid = store.placements[oid].partition
+                pid = store.partition_of(oid)
                 survivors = sorted(
                     o for o in store.partitions[pid].residents if o != oid
                 )

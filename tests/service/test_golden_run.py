@@ -13,6 +13,8 @@ placement).
 import hashlib
 import pickle
 
+from stored import objects
+
 from repro.faults.drill import state_digest
 from repro.fleet import parse_policy
 from repro.service.config import ServiceConfig
@@ -47,9 +49,9 @@ GOLDEN = {
 
 def _placement_digest(store) -> str:
     sha = hashlib.sha256()
-    for oid in sorted(store.objects):
-        placement = store.placements[oid]
-        sha.update(f"{oid}:{placement.partition}:{placement.offset};".encode())
+    for oid in sorted(objects(store)):
+        pid, offset, _size = store.placements.locate(oid)
+        sha.update(f"{oid}:{pid}:{offset};".encode())
     return sha.hexdigest()
 
 

@@ -212,8 +212,8 @@ def test_checkpoint_telemetry_round_trips_through_repro_metrics(tmp_path):
     assert len(checkpoints) == report.checkpoints
     assert all(e["stall_ms"] > 0 for e in checkpoints)
     last = service.sim.redo_log.last_checkpoint()
-    assert checkpoints[-1]["objects"] == len(last.oids)
-    assert len(last.oids) == len(service.sim.store.objects)
+    assert checkpoints[-1]["objects"] == len(last.columns.oids)
+    assert len(last.columns.oids) == len(service.sim.store.placements)
     stalls = digest.checkpoint_stalls_ms
     assert stalls == [e["stall_ms"] for e in checkpoints]
     text = format_file_digest(digest)

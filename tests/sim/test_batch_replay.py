@@ -802,7 +802,7 @@ def test_a_failing_source_leaves_the_simulation_untouched(source, error, replay)
     with pytest.raises(error):
         sim.run(trace)
     assert not armed, "the policy's first trigger was armed"
-    assert not sim.store.objects
+    assert not sim.store.placements
     assert sim._event_index == -1
     assert sim.sampler.event_index == 0
     # The same simulation still runs a good trace from scratch.

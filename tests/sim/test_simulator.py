@@ -79,7 +79,7 @@ def test_all_event_kinds_dispatch():
     ]
     result = sim.run(trace)
     assert result.summary.events == 6  # markers and idles are not DB events
-    assert result.store.objects[2].pointers["a"] is None
+    assert result.store.placements.row(2).pointers["a"] is None
 
 
 def test_unknown_event_rejected():

@@ -41,9 +41,10 @@ def test_double_create_rejected(store):
 def test_create_places_objects_contiguously(store):
     a = store.create(size=100)
     b = store.create(size=100)
-    pa, pb = store.placement_of(a), store.placement_of(b)
-    assert pa.partition == pb.partition == 0
-    assert pb.offset == pa.offset + 100
+    pa, offset_a, _ = store.placements.locate(a)
+    pb, offset_b, _ = store.placements.locate(b)
+    assert pa == pb == 0
+    assert offset_b == offset_a + 100
 
 
 def test_database_grows_when_partition_full(store):
@@ -64,8 +65,7 @@ def test_first_fit_reuses_earlier_free_space(store):
 
 def test_oversized_object_gets_dedicated_partition(store):
     big = store.create(size=5000)  # larger than the 1 KB partition size
-    placement = store.placement_of(big)
-    assert store.partitions[placement.partition].capacity == 5000
+    assert store.partitions[store.partition_of(big)].capacity == 5000
 
 
 def test_create_with_unknown_pointer_target_rejected(store):
@@ -179,7 +179,7 @@ def test_dies_annotation_marks_objects_dead(store):
     victim = store.create(size=100)
     store.write_pointer(root, "x", victim)
     store.write_pointer(root, "x", None, dies=[victim])
-    assert store.objects[victim].dead
+    assert store.placements.row(victim).dead
     assert store.garbage.total_generated == 100
     assert store.actual_garbage_bytes == 100
     assert store.partition_garbage_bytes(store.partition_of(victim)) == 100
@@ -286,12 +286,12 @@ def test_compact_partition_reclaims_non_survivors(store):
 
     reclaimed = store.compact_partition(0, [root, keep])
     assert reclaimed == 200
-    assert drop not in store.objects
+    assert drop not in store.placements
     assert store.garbage.total_collected == 200
     assert store.actual_garbage_bytes == 0
     assert store.partitions[0].fill == 110
-    assert store.placement_of(root).offset == 0
-    assert store.placement_of(keep).offset == 10
+    assert store.placements.locate(root) == (0, 0, 10)
+    assert store.placements.locate(keep) == (0, 10, 100)
 
 
 def test_compact_partition_rejects_foreign_survivors(store):

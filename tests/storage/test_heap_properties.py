@@ -3,6 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stored import objects
+
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.iostats import IOCategory, IOStats
@@ -24,10 +26,7 @@ def test_allocations_never_overlap_within_a_partition(sizes):
     for size in sizes:
         store.create(size=size)
     for partition in store.partitions:
-        spans = sorted(
-            (store.placements[oid].offset, store.placements[oid].size)
-            for oid in partition.residents
-        )
+        spans = sorted(store.placements.locate(oid)[1:] for oid in partition.residents)
         cursor = 0
         for offset, size in spans:
             assert offset >= cursor
@@ -48,7 +47,7 @@ def test_db_size_equals_sum_of_object_sizes(sizes):
 def test_every_object_has_exactly_one_placement(sizes):
     store = ObjectStore(CFG)
     oids = [store.create(size=size) for size in sizes]
-    assert set(store.placements) == set(oids)
+    assert set(objects(store)) == set(oids)
     resident_total = [oid for p in store.partitions for oid in p.residents]
     assert sorted(resident_total) == sorted(oids)
 
@@ -114,9 +113,11 @@ def test_remembered_set_invariant_under_random_pointer_writes(sizes, data):
         store.write_pointer(src, slot, target)
 
     expected: dict[int, set[tuple[int, int]]] = {}
-    for oid, obj in store.objects.items():
+    for oid, obj in objects(store).items():
         src_pid = store.partition_of(oid)
-        for target in obj.targets():
+        for target in obj.pointers.values():
+            if target is None:
+                continue
             tgt_pid = store.partition_of(target)
             if tgt_pid != src_pid:
                 expected.setdefault(tgt_pid, set()).add((oid, target))

@@ -12,28 +12,6 @@ def test_object_requires_positive_size():
         StoredObject(oid=1, size=-8)
 
 
-def test_targets_skips_null_pointers():
-    obj = StoredObject(oid=1, size=64, pointers={"a": 2, "b": None, "c": 3})
-    assert sorted(obj.targets()) == [2, 3]
-
-
-def test_targets_empty_without_pointers():
-    obj = StoredObject(oid=1, size=64)
-    assert list(obj.targets()) == []
-
-
-def test_slot_count_counts_written_slots_including_null():
-    obj = StoredObject(oid=1, size=64, pointers={"a": 2, "b": None})
-    assert obj.slot_count() == 2
-
-
-def test_points_to():
-    obj = StoredObject(oid=1, size=64, pointers={"a": 2, "b": None})
-    assert obj.points_to(2)
-    assert not obj.points_to(3)
-    assert not obj.points_to(None)  # null slots are not references
-
-
 def test_default_kind_is_generic():
     assert StoredObject(oid=1, size=1).kind is ObjectKind.GENERIC
 

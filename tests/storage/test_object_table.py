@@ -1,7 +1,8 @@
 """Property: the store's one object table reads as a dict of objects.
 
 The store keeps every object as one row of oid-indexed columns
-(``ObjectTable``) and ``store.objects`` is a mapping view over them. Here a
+(``ObjectTable``), read back as ``StoredObject`` snapshots by ``row`` and
+``rows``. Here a
 generated program mutates a store through every route that writes a row —
 creates and pointer writes through the fused replay kernels
 (``Simulation.run`` over one-event traces), deaths declared by a write's
@@ -9,11 +10,13 @@ creates and pointer writes through the fused replay kernels
 ``resurrect``, ``undo_pointer_write``), checkpoints and partition
 collections — over dense, negative and ``>= DENSE_CEILING`` oids.
 
-After every step ``store.objects`` must equal a plain dict of
-``StoredObject`` kept beside it, and every checkpoint taken so far must
-still read, pointers and dead flags alike, as that dict did at its capture:
-a write after a checkpoint that skips the copy-on-write copy, or a
-negative oid sent down the dense columns, shows up as a difference.
+After every step the table's rows — through ``rows()``, ``row(oid)`` and
+``locate(oid)`` — must equal a plain dict of ``StoredObject`` kept beside
+it, ``store.live_bytes`` must be that dict's not-dead size sum, and every
+checkpoint taken so far must still read, pointers and dead flags alike, as
+that dict did at its capture: a write after a checkpoint that skips the
+copy-on-write copy, or a negative oid sent down the dense columns, shows
+up as a difference.
 
 A second test collects one partition of negative, dense and sparse oids
 with the production collector and with ``tests/collector_oracle.py``: the
@@ -27,6 +30,7 @@ from collector_oracle import collect as oracle_collect
 from collector_oracle import ordered_fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stored import objects
 
 from repro.core.fixed import FixedRatePolicy
 from repro.events import CreateEvent, PointerWriteEvent
@@ -149,10 +153,16 @@ class _Program:
             del self.shadow[oid]
 
     def check(self):
-        objects = self.store.objects
-        assert len(objects) == len(self.shadow)
-        assert objects == self.shadow
-        assert sorted(objects) == sorted(self.shadow)
+        table, shadow = self.store.placements, self.shadow
+        rows = objects(self.store)
+        assert len(table) == len(rows) == len(shadow)
+        assert rows == shadow
+        for oid in OIDS:
+            assert table.row(oid) == shadow.get(oid)
+            assert (oid in table) == (oid in shadow)
+            assert (table.locate(oid) is None) == (oid not in shadow)
+        live = sum(obj.size for obj in shadow.values() if not obj.dead)
+        assert self.store.live_bytes == live
         for snapshot, held in self.checkpoints:
             assert _row_view(snapshot.table) == held
 
@@ -197,7 +207,7 @@ def test_overflow_oids_collect_as_the_oracle_collects():
     collector = CopyingCollector(produced)
     survivors = collector.prepare(0)[0]
     assert survivors == oracle_order(
-        reference.objects,
+        objects(reference),
         sorted(reference.partition_roots(0)),
         within=reference.partitions[0].residents,
     )

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.storage.partition import Partition, PartitionFullError, Placement
+from repro.storage.heap import ObjectStore, StoreConfig
+from repro.storage.partition import Partition
 
 
 @pytest.fixture
@@ -16,38 +17,34 @@ def test_capacity_must_be_positive():
 
 
 def test_bump_allocation_assigns_consecutive_offsets(partition):
-    p1 = partition.allocate(1, 100)
-    p2 = partition.allocate(2, 250)
-    assert (p1.offset, p1.size) == (0, 100)
-    assert (p2.offset, p2.size) == (100, 250)
+    assert partition.bump(1, 100) == 0
+    assert partition.bump(2, 250) == 100
     assert partition.fill == 350
     assert partition.free_bytes == 650
     assert partition.residents == {1, 2}
 
 
-def test_allocation_beyond_capacity_raises(partition):
-    partition.allocate(1, 900)
-    assert not partition.fits(200)
-    with pytest.raises(PartitionFullError):
-        partition.allocate(2, 200)
-
-
 def test_exact_fit_allocation_succeeds(partition):
-    partition.allocate(1, 1000)
+    assert partition.fits(1000)
+    partition.bump(1, 1000)
     assert partition.free_bytes == 0
+    assert not partition.fits(1)
 
 
 def test_placement_pages_single_and_multi_page():
-    single = Placement(partition=0, offset=100, size=50)
-    assert list(single.pages(page_size=256)) == [0]
-    spanning = Placement(partition=0, offset=200, size=100)
-    assert list(spanning.pages(page_size=256)) == [0, 1]
-    large = Placement(partition=0, offset=0, size=1024)
-    assert list(large.pages(page_size=256)) == [0, 1, 2, 3]
+    """``ObjectStore.pages_of``: the pages an object's placement spans."""
+    store = ObjectStore(StoreConfig(page_size=256, partition_pages=8))
+    single = store.create(size=50, oid=1)  # [0, 50)
+    store.create(size=150, oid=2)  # [50, 200)
+    spanning = store.create(size=100, oid=3)  # [200, 300)
+    large = store.create(size=1024, oid=4)  # [300, 1324)
+    assert store.pages_of(single) == [(0, 0)]
+    assert store.pages_of(spanning) == [(0, 0), (0, 1)]
+    assert store.pages_of(large) == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
 
 
 def test_reset_for_compaction_clears_space_residents_and_po(partition):
-    partition.allocate(1, 100)
+    partition.bump(1, 100)
     partition.pointer_overwrites = 7
     partition.reset_for_compaction()
     assert partition.fill == 0
@@ -56,7 +53,7 @@ def test_reset_for_compaction_clears_space_residents_and_po(partition):
 
 
 def test_remember_and_forget(partition):
-    partition.allocate(5, 10)
+    partition.bump(5, 10)
     partition.remember(source=100, target=5)
     partition.remember(source=101, target=5)
     assert partition.externally_referenced() == {5}
@@ -81,11 +78,11 @@ def test_page_counts():
     partition = Partition(pid=0, capacity=1024)
     assert partition.page_count(page_size=256) == 4
     assert partition.used_pages(page_size=256) == 0
-    partition.allocate(1, 257)
+    partition.bump(1, 257)
     assert partition.used_pages(page_size=256) == 2
 
 
 def test_used_pages_rounds_up():
     partition = Partition(pid=0, capacity=1000)
-    partition.allocate(1, 1)
+    partition.bump(1, 1)
     assert partition.used_pages(page_size=256) == 1

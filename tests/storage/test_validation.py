@@ -50,9 +50,8 @@ def test_validation_after_collections():
 def test_detects_placement_overlap(store):
     # Corrupt: force two objects onto the same offset.
     oids = sorted(store.partitions[0].residents)
-    clobbered = store.placements[oids[1]]
-    clobbered.offset = store.placements[oids[0]].offset
-    store.placements[oids[1]] = clobbered
+    table = store.placements
+    table.offs[oids[1]] = table.locate(oids[0])[1]
     report = StoreValidator().validate(store)
     assert any("placements" in v for v in report.violations)
 
@@ -126,16 +125,10 @@ def test_detects_a_fit_cursor_past_room(store):
 
 def test_detects_dangling_live_pointer(store):
     # Remove the target object behind the store's back.
-    victim = next(
-        oid
-        for oid, obj in store.objects.items()
-        if obj.pointers
-        for _ in [None]
-    )
-    target = next(iter(store.objects[victim].targets()))
-    placement = store.placements[target]
-    store.partitions[placement.partition].residents.discard(target)
-    del store.objects[target]
+    victim = next(obj for obj in store.placements.rows() if obj.pointers)
+    target = next(t for t in victim.pointers.values() if t is not None)
+    store.partitions[store.partition_of(target)].residents.discard(target)
+    store.placements.discard(target)
     report = StoreValidator().validate(store)
     assert any("pointers" in v or "remembered" in v for v in report.violations)
 

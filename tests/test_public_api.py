@@ -101,6 +101,43 @@ def test_removed_trace_routes_stay_removed():
         assert not events, f"{module} imports {sorted(events)}"
 
 
+def test_removed_object_surfaces_stay_removed():
+    """The object table has one read surface — ``locate`` / ``row`` /
+    ``rows`` with ``len`` and ``in``: no ``Placement`` mapping over it, no
+    ``store.objects`` view, no ``Placement`` records or the ``allocate``
+    that made them, and no ``StoredObject`` helpers that only tests
+    called."""
+    from repro.storage.heap import ObjectStore
+    from repro.storage.object_model import StoredObject
+    from repro.storage.objtable import ObjectTable
+    from repro.storage.partition import Partition
+
+    refused = re.compile(
+        r"\bStoredObjects\b|\bPlacement\b|\bPartitionFullError\b|\bplacement_of\b"
+        r"|\._placement\b|\.allocate\(|\.objects\[|\.objects\.|\bpoints_to\b"
+        r"|\b_as_tuples\b"
+    )
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if refused.search(line)
+    ]
+    assert hits == []
+    mapping = ("get", "__getitem__", "__setitem__", "put", "pop", "__delitem__")
+    for name in (*mapping, "__iter__", "keys", "items", "values", "_as_tuples"):
+        assert not hasattr(ObjectTable, name), name
+    assert ObjectTable.__eq__ is object.__eq__
+    assert ObjectTable.__hash__ is object.__hash__
+    for name in ("objects", "placement_of", "_placement"):
+        assert not hasattr(ObjectStore(), name), name
+    assert not hasattr(Partition, "allocate")
+    for name in ("targets", "slot_count", "points_to"):
+        assert not hasattr(StoredObject, name), name
+    kept = {"locate", "row", "rows", "__len__", "__contains__"}
+    assert kept <= set(dir(ObjectTable))
+
+
 def test_package_quickstart_runs_as_documented(capsys):
     """The package docstring's quickstart collects, and prints the GC I/O
     share its comment claims."""

@@ -9,6 +9,8 @@ fused kernels write the same records without any call.
 
 import pytest
 
+from stored import objects
+
 from repro.core.fixed import FixedRatePolicy
 from repro.events import RootEvent
 from repro.faults.injector import FaultInjector, SimulatedCrash
@@ -67,11 +69,9 @@ def _state(manager):
     return {
         "objects": {
             oid: (obj.size, obj.kind, dict(obj.pointers), obj.dead)
-            for oid, obj in store.objects.items()
+            for oid, obj in objects(store).items()
         },
-        "placements": {
-            oid: (p.partition, p.offset, p.size) for oid, p in store.placements.items()
-        },
+        "placements": {oid: store.placements.locate(oid) for oid in objects(store)},
         "roots": set(store.roots),
         "unlinked": set(store.unlinked),
         "clocks": (

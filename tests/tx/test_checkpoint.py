@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from stored import objects
+
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.tx.manager import TransactionManager
 from repro.tx.recovery import (
@@ -26,7 +28,7 @@ def _view(store: ObjectStore):
     return {
         "objects": {
             oid: (obj.size, obj.kind, dict(obj.pointers), obj.dead)
-            for oid, obj in store.objects.items()
+            for oid, obj in objects(store).items()
         },
         "roots": set(store.roots),
         "unlinked": set(store.unlinked),
@@ -129,8 +131,8 @@ def test_reused_txid_does_not_resurrect_in_flight_records():
     log.create(-1, 2, 64, None, ())
 
     recovered = recover(log, store_config=CFG)
-    assert 1 in recovered.objects
-    assert 2 not in recovered.objects
+    assert 1 in recovered.placements
+    assert 2 not in recovered.placements
 
 
 def test_orphaned_records_are_superseded_by_a_new_begin():
@@ -143,8 +145,8 @@ def test_orphaned_records_are_superseded_by_a_new_begin():
     log.commit(-1)
 
     recovered = recover(log, store_config=CFG)
-    assert 2 in recovered.objects
-    assert 1 not in recovered.objects
+    assert 2 in recovered.placements
+    assert 1 not in recovered.placements
 
 
 def test_install_checkpoint_truncates_and_counts():
@@ -210,7 +212,7 @@ def test_estimated_bytes_scales_with_content():
     for oid in (0, 1, 2):
         store.register_root(oid)
     full = build_checkpoint(store, 0)
-    assert full.pointer_count == len(full.pointer_srcs) == 100
+    assert full.pointer_count == len(full.columns.pointer_srcs) == 100
     assert len(full.unlinked) == 0
     assert empty.estimated_bytes == 64
     assert full.estimated_bytes == 64 + 48 * 100 + 24 * 100 + 8 * 3

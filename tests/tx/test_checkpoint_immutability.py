@@ -129,12 +129,10 @@ def _serve(events, every, replay):
 
 def _assert_each_snapshot_is_its_moment(taken):
     for snapshot, (objects, pointers), view, digest in taken:
-        assert (
-            tuple(zip(snapshot.oids, snapshot.sizes, snapshot.kinds, snapshot.dead))
-            == objects
-        )
-        columns = (snapshot.pointer_srcs, snapshot.pointer_slots, snapshot.pointer_targets)
-        assert tuple(zip(*columns)) == pointers
+        columns = snapshot.columns
+        assert tuple(zip(columns.oids, columns.sizes, columns.kinds, columns.dead)) == objects
+        pointer_columns = (columns.pointer_srcs, columns.pointer_slots, columns.pointer_targets)
+        assert tuple(zip(*pointer_columns)) == pointers
         assert snapshot.pointer_count == len(pointers)
         log = RedoLog()
         log.install_checkpoint(snapshot)

@@ -14,6 +14,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stored import objects
+
 from repro.gc.collector import CopyingCollector
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.tx.manager import TransactionManager
@@ -27,7 +29,7 @@ def _full_view(store: ObjectStore):
     return {
         "objects": {
             oid: (obj.size, obj.kind, dict(obj.pointers), obj.dead)
-            for oid, obj in store.objects.items()
+            for oid, obj in objects(store).items()
         },
         "roots": set(store.roots),
         "unlinked": set(store.unlinked),
@@ -49,7 +51,7 @@ def _committed_view(store: ObjectStore):
     return {
         "objects": {
             oid: (obj.size, obj.kind, dict(obj.pointers), obj.dead)
-            for oid, obj in store.objects.items()
+            for oid, obj in objects(store).items()
         },
         "roots": set(store.roots),
     }
@@ -119,7 +121,7 @@ def _execute(history, rng_choices, at_boundary=None):
         boundaries.append((len(log.records), _committed_view(store)))
         if at_boundary is not None:
             at_boundary(store, log, pick)
-            durable = [oid for oid in durable if oid in store.objects]
+            durable = [oid for oid in durable if oid in store.placements]
     return store, log, boundaries
 
 
@@ -196,22 +198,20 @@ def test_checkpointed_recovery_survives_a_torn_suffix(history, rng_choices):
 
 def _row_checkpoint(store: ObjectStore):
     """The old builder, kept as the oracle: one tuple per object and slot."""
-    objects = tuple(
-        (oid, obj.size, obj.kind.value, obj.dead)
-        for oid, obj in sorted(store.objects.items())
-    )
+    stored = sorted(objects(store).items())
+    rows = tuple((oid, obj.size, obj.kind.value, obj.dead) for oid, obj in stored)
     pointers = tuple(
         (oid, slot, target)
-        for oid, obj in sorted(store.objects.items())
+        for oid, obj in stored
         for slot, target in sorted(obj.pointers.items())
     )
-    return objects, pointers
+    return rows, pointers
 
 
-def _row_estimated_bytes(objects, pointers, roots, unlinked) -> int:
+def _row_estimated_bytes(rows, pointers, roots, unlinked) -> int:
     return (
         64
-        + 48 * len(objects)
+        + 48 * len(rows)
         + 24 * len(pointers)
         + 8 * (len(roots) + len(unlinked))
     )
@@ -235,23 +235,15 @@ def test_columns_equal_the_row_builder_and_round_trip(history, rng_choices):
         if next(pick) % 2 and store.partitions:
             CopyingCollector(store).collect(next(pick) % len(store.partitions))
         snapshot = build_checkpoint(store, event_index=len(checked))
-        objects, pointers = _row_checkpoint(store)
+        rows, pointers = _row_checkpoint(store)
+        columns = snapshot.columns
+        assert tuple(zip(columns.oids, columns.sizes, columns.kinds, columns.dead)) == rows
         assert (
-            tuple(zip(snapshot.oids, snapshot.sizes, snapshot.kinds, snapshot.dead))
-            == objects
-        )
-        assert (
-            tuple(
-                zip(
-                    snapshot.pointer_srcs,
-                    snapshot.pointer_slots,
-                    snapshot.pointer_targets,
-                )
-            )
+            tuple(zip(columns.pointer_srcs, columns.pointer_slots, columns.pointer_targets))
             == pointers
         )
         assert snapshot.estimated_bytes == _row_estimated_bytes(
-            objects, pointers, snapshot.roots, snapshot.unlinked
+            rows, pointers, snapshot.roots, snapshot.unlinked
         )
         log.install_checkpoint(snapshot)
         recovered = recover(log, store_config=CFG)

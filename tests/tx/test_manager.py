@@ -91,8 +91,8 @@ def test_committed_effects_persist(manager, store):
     child = manager.create(size=50)
     manager.write_pointer(root, "child", child)
     manager.commit()
-    assert child in store.objects
-    assert store.objects[root].pointers["child"] == child
+    assert child in store.placements
+    assert store.placements.row(root).pointers["child"] == child
     assert validate_store(store).ok
 
 
@@ -107,7 +107,7 @@ def test_abort_expunges_created_objects(manager, store):
     manager.begin()
     created = manager.create(size=50)
     manager.abort()
-    assert created not in store.objects
+    assert created not in store.placements
     assert store.db_size == size_before
     assert validate_store(store).ok
 
@@ -121,8 +121,8 @@ def test_abort_reverts_pointer_writes(manager, store):
     manager.write_pointer(root, "x", b)
     manager.write_pointer(root, "y", b)  # brand-new slot
     manager.abort()
-    assert store.objects[root].pointers["x"] == a
-    assert "y" not in store.objects[root].pointers
+    assert store.placements.row(root).pointers["x"] == a
+    assert "y" not in store.placements.row(root).pointers
     assert validate_store(store).ok
 
 
@@ -134,7 +134,7 @@ def test_abort_resurrects_dead_objects(manager, store):
     manager.write_pointer(root, "v", None, dies=[victim])
     assert store.actual_garbage_bytes == 100
     manager.abort()
-    assert not store.objects[victim].dead
+    assert not store.placements.row(victim).dead
     assert store.actual_garbage_bytes == 0
     assert store.garbage.total_generated == 0
     assert store.check_death_annotations() == set()
@@ -172,7 +172,7 @@ def _survives_a_collection_of_its_partition(store, oid):
     pid = store.partition_of(oid)
     assert oid in store.partition_roots(pid)
     CopyingCollector(store).collect(pid)
-    assert oid in store.objects
+    assert oid in store.placements
     assert validate_store(store).ok
 
 
@@ -199,7 +199,7 @@ def test_abort_restores_the_pin_a_pointer_write_took(manager, store):
     assert x not in store.unlinked
     epoch = store.trace_epochs[store.partition_of(x)]
     manager.abort()
-    assert "x" not in store.objects[root].pointers
+    assert "x" not in store.placements.row(root).pointers
     assert x in store.unlinked
     assert store.trace_epochs[store.partition_of(x)] > epoch
     _survives_a_collection_of_its_partition(store, x)
@@ -222,8 +222,8 @@ def test_create_then_delete_then_abort(manager, store):
     manager.write_pointer(root, "c", child)
     manager.write_pointer(root, "c", None, dies=[child])
     manager.abort()
-    assert child not in store.objects
-    assert "c" not in store.objects[root].pointers
+    assert child not in store.placements
+    assert "c" not in store.placements.row(root).pointers
     assert store.garbage.total_generated == 0
     assert validate_store(store).ok
 
@@ -261,7 +261,7 @@ def test_transaction_rollback_always_expunges_from_the_tail(manager, store):
     manager.write_pointer(root, "a", a)
     manager.write_pointer(root, "b", b)
     manager.abort()
-    assert a not in store.objects and b not in store.objects
+    assert a not in store.placements and b not in store.placements
     assert store.partitions[0].fill == fill_before
     assert validate_store(store).ok
 
@@ -276,12 +276,12 @@ def test_direct_mid_extent_expunge_leaves_hole_until_compaction(store):
     fill_before = store.partitions[0].fill
     store.expunge(middle)
     assert store.partitions[0].fill == fill_before  # hole, not reclaimed
-    assert middle not in store.objects
+    assert middle not in store.placements
     # Compaction recovers the hole.
     survivors = sorted(store.partitions[0].residents)
     store.compact_partition(0, survivors)
     assert store.partitions[0].fill == fill_before - 64
-    assert store.db_size == sum(o.size for o in store.objects.values())
+    assert store.db_size == sum(o.size for o in store.placements.rows())
     assert validate_store(store).ok
 
 

@@ -5,6 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stored import objects
+
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.object_model import ObjectKind
 from repro.storage.validation import validate_store
@@ -19,7 +21,7 @@ def _logical_state(store: ObjectStore):
     return {
         "objects": {
             oid: (obj.size, obj.kind, dict(obj.pointers), obj.dead)
-            for oid, obj in store.objects.items()
+            for oid, obj in objects(store).items()
         },
         "roots": set(store.roots),
         "garbage_generated": store.garbage.total_generated,
@@ -35,7 +37,7 @@ def _fresh_manager():
 
 def test_recover_empty_log():
     store = recover(RedoLog(), store_config=CFG)
-    assert store.objects == {}
+    assert objects(store) == {}
 
 
 def test_committed_transaction_is_recovered():
@@ -63,7 +65,7 @@ def test_uncommitted_transaction_is_not_recovered():
     manager.create(size=500)
 
     recovered = recover(log, store_config=CFG)
-    assert set(recovered.objects) == {root}
+    assert set(objects(recovered)) == {root}
 
 
 def test_aborted_transaction_is_not_recovered():
@@ -93,7 +95,7 @@ def test_deaths_are_replayed_into_oracle_accounting():
     manager.commit()
 
     recovered = recover(log, store_config=CFG)
-    assert recovered.objects[victim].dead
+    assert recovered.placements.row(victim).dead
     assert recovered.actual_garbage_bytes == 100
     assert recovered.check_death_annotations() == set()
 

@@ -12,6 +12,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stored import objects
+
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.tx.manager import TransactionManager
 from repro.tx.recovery import RedoLog, recover
@@ -24,7 +26,7 @@ def _committed_view(store: ObjectStore):
     return {
         "objects": {
             oid: (obj.size, obj.kind, dict(obj.pointers), obj.dead)
-            for oid, obj in store.objects.items()
+            for oid, obj in objects(store).items()
         },
         "roots": set(store.roots),
     }

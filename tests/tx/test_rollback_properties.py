@@ -11,6 +11,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stored import objects
+
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
 from repro.tx.manager import TransactionManager
@@ -35,11 +37,9 @@ def _snapshot(store: ObjectStore):
     return {
         "objects": {
             oid: (obj.size, obj.kind, dict(obj.pointers), obj.dead)
-            for oid, obj in store.objects.items()
+            for oid, obj in objects(store).items()
         },
-        "placements": {
-            oid: (p.partition, p.offset, p.size) for oid, p in store.placements.items()
-        },
+        "placements": {oid: store.placements.locate(oid) for oid in objects(store)},
         "roots": set(store.roots),
         "unlinked": set(store.unlinked),
         "overwrites": store.pointer_overwrites,
@@ -75,7 +75,7 @@ def _seed_store(rng: random.Random) -> tuple[ObjectStore, list[int]]:
 def _random_ops(manager: TransactionManager, oids: list[int], rng: random.Random, count: int):
     """Random transactional operations; keeps a live-oid list for targets."""
     store = manager.store
-    live = [oid for oid in oids if oid in store.objects]
+    live = [oid for oid in oids if oid in store.placements]
     for _ in range(count):
         choice = rng.random()
         if choice < 0.35:
@@ -89,7 +89,7 @@ def _random_ops(manager: TransactionManager, oids: list[int], rng: random.Random
             manager.write_pointer(src, f"w{rng.randrange(6)}", target)
         elif live:
             victim = rng.choice(live)
-            if not store.objects[victim].dead and victim not in store.roots:
+            if not store.placements.row(victim).dead and victim not in store.roots:
                 # Declare a death explicitly (annotation fidelity is not the
                 # point here; resurrection symmetry is).
                 manager.write_pointer(

@@ -92,7 +92,7 @@ def test_aborted_transactions_leave_no_policy_signal():
     assert store.actual_garbage_bytes == 0
     # Exactly the setup objects survive: registry + initial clusters.
     expected = 1 + 10 * spec.cluster_size
-    assert len(store.objects) == expected
+    assert len(store.placements) == expected
     assert validate_store(store).ok
 
 
@@ -108,9 +108,9 @@ def test_commit_only_equivalence():
     # alive and rooted, every untracked one is dead or collected.
     for cluster in workload.clusters:
         head = cluster.members[0]
-        assert store.objects[workload.registry_oid].pointers[cluster.slot] == head
+        assert store.placements.row(workload.registry_oid).pointers[cluster.slot] == head
         for member in cluster.members:
-            assert not store.objects[member].dead
+            assert not store.placements.row(member).dead
     assert store.check_death_annotations() == set()
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from stored import objects
+
 from repro.events import (
     AccessEvent,
     IdleEvent,
@@ -167,4 +169,4 @@ def test_creates_link_into_rooted_graph():
     store = ObjectStore(TINY_STORE)
     apply_steps(store, workload.steps)
     assert store.unlinked == set()
-    assert store.reachable_from_roots() == set(store.objects)
+    assert store.reachable_from_roots() == set(objects(store))
