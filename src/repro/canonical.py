@@ -22,13 +22,13 @@ import enum
 from typing import Any, Mapping
 
 #: Dataclass fields excluded from canonical material, by class name.
-#: ``SimulationConfig.replay`` selects *which interpreter* drives the trace
-#: and ``SimulationConfig.collection`` / ``gc_workers`` select how
-#: collections are executed (serial, or speculatively pre-traced by N
-#: workers and validated at apply) — none changes *what* is simulated: each
-#: mode produces identical results (property-tested), so including them
-#: would split the result cache and invalidate every fingerprint minted
-#: before the fields existed.
+#: ``SimulationConfig.replay`` selects *which interpreter* drives the trace,
+#: which changes nothing that is simulated: both produce identical results
+#: (property-tested). ``SimulationConfig.collection`` / ``gc_workers``
+#: select nothing at all — every run collects through one scheduler — and
+#: are only still validated because ``bench/`` sets them. Including any of
+#: the three would split the result cache and invalidate every fingerprint
+#: minted before the fields existed.
 CANONICAL_EXCLUDED_FIELDS: dict[str, frozenset[str]] = {
     "SimulationConfig": frozenset({"replay", "collection", "gc_workers"}),
 }

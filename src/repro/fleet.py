@@ -50,7 +50,6 @@ from repro.cli import (
     run_options,
 )
 from repro.gc.learned import ModelError, model_spec, parse_model_spec
-from repro.gc.parallel import COLLECTION_MODES
 from repro.sim.engine import AggregateResult, ParallelRunner, RunOptions
 from repro.sim.metrics import SimulationSummary
 from repro.sim.report import format_percent, format_table
@@ -211,7 +210,6 @@ def _default_sim_config(
     buffer_pages: int = DEFAULT_BUFFER_PAGES,
     preamble: int = 0,
     replay: str = "auto",
-    collection: str = "serial",
 ) -> SimulationConfig:
     return SimulationConfig(
         store=StoreConfig(
@@ -221,7 +219,6 @@ def _default_sim_config(
         ),
         preamble_collections=preamble,
         replay=replay,
-        collection=collection,
     )
 
 
@@ -304,7 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro fleet",
         description=(
             "Sweep a (grammar × tenants × seeds × policies) scenario grid "
-            "through the parallel experiment engine."
+            "through the parallel experiment engine. Every run collects "
+            "one way: the victim partition is traced and planned at "
+            "wake-ups before the trigger, when the trace still holds, and "
+            "inside the pause otherwise."
         ),
     )
     scenario = parser.add_mutually_exclusive_group()
@@ -401,17 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--collection",
-        choices=COLLECTION_MODES,
-        default="serial",
-        help=(
-            "collection execution mode: serial (trace + reclaim in the "
-            "trigger window) or parallel (the victim pre-traced shortly "
-            "before the trigger, validated at apply) — both produce "
-            "identical reports; excluded from result-cache fingerprints"
-        ),
-    )
-    parser.add_argument(
         "--summary-csv",
         type=Path,
         default=None,
@@ -473,7 +462,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sim=_default_sim_config(
                 preamble=args.preamble,
                 replay=args.replay,
-                collection=args.collection,
             ),
         )
     except (GrammarError, ModelError, ValueError, OSError) as exc:

@@ -124,7 +124,7 @@ class CopyingCollector:
         pages, Cheney-traces the survivors and plans the compaction from
         what the trace left unreached (:meth:`trace`). Mutates nothing and
         charges no I/O, so it can run speculatively ahead of the trigger
-        (the parallel scheduler of :mod:`repro.gc.parallel` does exactly
+        (the scheduler of :mod:`repro.gc.parallel` does exactly
         that) — ``collect(pid)`` is always ``prepare`` + ``apply``.
         """
         plan = self.trace(pid, sorted(self._store.partition_roots(pid)))

@@ -1,8 +1,9 @@
 """Pipelined collection: speculative tracing ahead of the trigger.
 
-The serial collector runs both halves of a collection — the read-only
-survivor trace and the mutating reclamation — inside the trigger's
-stop-the-world window. This module decouples them:
+Every triggered collection of a :class:`~repro.sim.simulator.Simulation`
+runs through the scheduler of this module. A collection has two halves:
+the read-only survivor trace with its compaction plan, and the mutating
+reclamation. The scheduler decouples them:
 
 1. **Snapshot.** When the clock comes within the scheduler's *window* of
    the due point, and again at each wake-up after it — every wake-up
@@ -17,7 +18,7 @@ stop-the-world window. This module decouples them:
    object table and the victim's resident set) and the compaction plan
    (:meth:`~repro.storage.heap.ObjectStore.plan_compaction`) is built
    from the trace's survivors and its unreached set, by the same
-   :meth:`~repro.gc.collector.CopyingCollector.trace` the serial
+   :meth:`~repro.gc.collector.CopyingCollector.trace` the inline
    ``prepare`` runs, inline at the pump point. The plan holds every read
    the compaction needs — reclaimed list, layout, the reclaimed objects'
    outgoing cross-partition edges and slot counts, the new resident set —
@@ -25,16 +26,17 @@ stop-the-world window. This module decouples them:
    stream-admission loop, not inside the stop-the-world window.
 3. **Validate + ordered apply.** When the trigger actually fires, the
    scheduler re-checks the victim's trace epochs and applies reclamation
-   through the exact serial sequence (:meth:`~repro.gc.collector.
+   through the one ``apply`` sequence (:meth:`~repro.gc.collector.
    CopyingCollector.apply`). A validated plan leaves the pause only
    writes: rows emptied (dead flags are read there — a death declared
    elsewhere bumps no epoch), planned forgets, the resident set swapped
    in, offsets scattered. A stale snapshot — any frontier- or
    graph-affecting mutation bumped the partition's epoch, or any
    compaction bumped the global epoch — is discarded and trace and plan
-   re-run inline, which *is* the serial path: *plan reads → pause
-   writes* either way, and speculation only decides whether the reads
-   are already done.
+   re-run inline, as the reference
+   :meth:`~repro.gc.collector.CopyingCollector.collect` does: *plan
+   reads → pause writes* either way, and speculation only decides
+   whether the reads are already done.
 
 **The window is under feedback.** How far ahead of the trigger to start
 is the one rate this collector sets for itself, and a fixed fraction of
@@ -50,14 +52,15 @@ the first cycle's value. The asymmetry is the point: a miss costs a full-length
 pause, a wasted trace only throughput.
 
 Because a speculative trace is only ever used when the epochs prove it
-equals what an inline trace would compute, results are **identical to the
-serial collector whatever the window is**: pickle-equal summaries,
-identical iostats, identical crash/recovery drills. The window and the
-margin affect wall-clock only — which is why ``collection=`` /
-``gc_workers=`` are excluded from result-cache fingerprints, exactly like
-``replay=``.
+equals what an inline trace would compute, results are **identical to
+the inline reference whatever the window is**: pickle-equal summaries,
+identical iostats, identical crash/recovery drills. A lead of zero wakes
+nothing before the trigger, so every collection misses and runs
+``prepare`` + ``apply`` inline; ``tests/`` pins the lead there as the
+oracle every pipelined run is compared against. The window and the
+margin affect wall-clock only.
 
-Conservatism is unchanged from the serial collector: a remembered-in
+Conservatism is unchanged from the inline trace: a remembered-in
 reference is a root even when its source is garbage, so cross-partition
 cycles still survive until :meth:`~repro.gc.collector.CopyingCollector.
 collect_global` — speculation neither widens nor narrows the frontier.
@@ -82,12 +85,6 @@ from repro.storage.partition import PartitionId
 if TYPE_CHECKING:
     from repro.storage.buffer import PageId
     from repro.storage.heap import CompactionPlan
-
-#: Valid ``collection`` modes: ``"serial"`` runs trace + apply inside the
-#: trigger window; ``"parallel"`` pre-traces the likely victim shortly
-#: before the trigger and validates at apply.
-#: Both produce identical results — the serial path is the A/B reference.
-COLLECTION_MODES = ("serial", "parallel")
 
 #: Default margin: the largest fraction of the trigger interval before
 #: the due point at which the simulator starts waking the scheduler — the
@@ -119,7 +116,7 @@ def peek_selection(
     cursor, ``Random``'s generator state — consuming entropy here would
     desynchronise the real draw and change results). Unknown policy
     subclasses return ``None``: no speculation, the collection simply runs
-    the serial path inline.
+    the inline path.
     """
     kind = type(selection)
     if kind is UpdatedPointerSelection or kind is MostGarbageOracleSelection:
@@ -173,9 +170,9 @@ class ParallelCollectionScheduler:
 
     Args:
         store: The heap being collected.
-        collector: The serial collector whose ``prepare``/``apply`` split
-            this scheduler drives; apply order (and therefore every
-            result) is exactly the serial trigger order.
+        collector: The collector whose ``prepare``/``apply`` split this
+            scheduler drives; apply order (and therefore every result) is
+            exactly the trigger order.
         selection: The run's partition-selection policy, probed
             non-mutatingly to predict victims.
     """
@@ -247,7 +244,7 @@ class ParallelCollectionScheduler:
         self.speculative_traces += 1
 
     # ------------------------------------------------------------------
-    # Apply: validate + deterministic serial-order reclamation
+    # Apply: validate + deterministic trigger-order reclamation
     # ------------------------------------------------------------------
 
     def collect(self, pid: PartitionId) -> CollectionResult:
@@ -255,10 +252,11 @@ class ParallelCollectionScheduler:
 
         Validates the victim's snapshot against the store's current
         epochs, and falls back to an inline
-        :meth:`~repro.gc.collector.CopyingCollector.prepare` — the serial
-        path — when the snapshot is stale or absent. Reclamation is then
-        applied through the serial ``apply`` sequence, so the result is
-        byte-identical to ``CopyingCollector.collect(pid)``.
+        :meth:`~repro.gc.collector.CopyingCollector.prepare` — the
+        reference path — when the snapshot is stale or absent.
+        Reclamation is then applied through the one ``apply`` sequence,
+        so the result is byte-identical to
+        ``CopyingCollector.collect(pid)``.
         """
         spec = self._pending.pop(pid, None)
         # Compaction bumps the global epoch, invalidating every other
@@ -301,7 +299,7 @@ class ParallelCollectionScheduler:
         Pump points fall between events, so the remembered set and the
         placement columns read here are the ones the trigger would see if
         no event intervened. Roots are sorted here — the same stable order
-        the serial trace enqueues. The trace and its compaction plan are
+        the inline trace enqueues. The trace and its compaction plan are
         :meth:`~repro.gc.collector.CopyingCollector.trace`'s, run inline —
         outside the collection pause all the same — and guarded by the
         same epoch pair.

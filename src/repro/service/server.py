@@ -107,7 +107,7 @@ class ServiceReport:
 def _forced_collect(sim: Simulation) -> bool:
     """Backpressure hit the heap bound: fall back to stop-the-world.
 
-    ``force=True`` bypasses the parallel scheduler's pump phase so the
+    ``force=True`` bypasses the collection scheduler's pump phase so the
     collection happens *now* (a valid speculative trace is still harvested,
     but admission never proceeds on a promise). A function of the
     simulation, not a service method, so the admission controller holds no

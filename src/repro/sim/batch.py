@@ -29,9 +29,9 @@ traffic on the store/sampler/buffer objects — used to dominate wall time.
   (a fault or write hook, a method shadowed on one instance), fault
   injector or subclassed component routes to guarded mode instead, as
   does ``replay="scalar"``.
-  ``collection="parallel"`` runs are eligible: the kernels keep the
-  store's trace epochs in step, and the scheduler's wake-ups are
-  ordinary run boundaries.
+  The collection scheduler does not disqualify a run: the kernels keep
+  the store's trace epochs in step, and its wake-ups are ordinary run
+  boundaries.
 
 * **guarded mode** (:func:`_replay_guarded`) — a per-event loop over the
   same columns that calls the real store/transaction/sampler methods, one
@@ -442,13 +442,13 @@ def _run_fused(sim, trace, cache, i, n, ci, wi, deadline, heap_bound=None):
     application write ahead of the sample and the trigger check. What the
     WAL counts is summed up at the flush (:func:`_fold_singletons`).
 
-    Under ``collection="parallel"`` the scheduler runs from
-    ``sim._collect``, between two runs, so it sees what the guarded loop
-    would show it; the kernels bump ``epochs`` where the store's mutators
-    do, in the same event. Checkpoints too fall between runs: WRITE copies
-    a pointer dict a checkpoint shares before writing it, as
-    ``ObjectTable.writable`` does (copy-on-write); dies write the store's
-    dead column, which no checkpoint shares.
+    The collection scheduler runs from ``sim._collect``, between two
+    runs, so it sees what the guarded loop would show it; the kernels bump
+    ``epochs`` where the store's mutators do, in the same event.
+    Checkpoints too fall between runs: WRITE copies a pointer dict a
+    checkpoint shares before writing it, as ``ObjectTable.writable`` does
+    (copy-on-write); dies write the store's dead column, which no
+    checkpoint shares.
     """
     ops = cache.ops
     g0 = cache.arg0

@@ -35,6 +35,7 @@ from repro.events import TraceEvent
 from repro.faults.injector import FaultInjector, SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.gc.collector import CollectionResult, CopyingCollector
+from repro.gc.parallel import ParallelCollectionScheduler
 from repro.gc.selection import PartitionSelectionPolicy, UpdatedPointerSelection
 from repro.sim import batch
 from repro.sim.metrics import Sampler, SimulationSummary
@@ -94,24 +95,17 @@ class SimulationConfig:
             property-tested against an independent event-object loop under
             ``tests/``), so this field is excluded from experiment
             fingerprints — see :mod:`repro.canonical`.
-        collection: How triggered collections execute. ``"serial"``
-            (default) traces and reclaims inside the trigger window;
-            ``"parallel"`` pre-traces the likely victim shortly before the
-            trigger, at wake-ups that halve the remaining distance to it
-            (the scheduler of :mod:`repro.gc.parallel`, which sets how
-            early the first one comes by feedback on its own hits and
-            wasted traces), validates the speculative trace against the
-            store's trace epochs at the due point, and applies reclamation
-            in the exact serial order. Results are identical in both modes
-            (pickle-equal summaries, property-tested), so this field — and
-            ``gc_workers`` — is excluded from experiment fingerprints like
-            ``replay``.
-        gc_workers: No effect. Once the width of a thread fan-out for
-            ``collection="parallel"``; no threaded candidate ever supplied
-            a collection's trace and the threads are gone (PR 24). Still
-            validated (>= 1, and 1 unless ``collection="parallel"``)
-            because ``bench/`` sets it; it goes when ``bench/`` is next
-            open (ROADMAP item 1).
+        collection: No effect. Every triggered collection runs through
+            the pipelined scheduler of :mod:`repro.gc.parallel`, which
+            traces and plans the likely victim at wake-ups before the
+            trigger when its lead allows, and inline in the pause when it
+            does not. This field once chose between those two ways and
+            ``gc_workers`` once sized a thread fan-out that no longer
+            exists. Both are still validated (``"serial"`` or
+            ``"parallel"``; >= 1) and excluded from experiment
+            fingerprints like ``replay``, because ``bench/`` sets them;
+            they go when ``bench/`` is next open (ROADMAP items 1 and 7).
+        gc_workers: No effect; see ``collection``.
     """
 
     store: StoreConfig = field(default_factory=StoreConfig)
@@ -191,15 +185,9 @@ class Simulation:
             raise ValueError(
                 f"gc_workers must be >= 1, got {self.config.gc_workers}"
             )
-        self._par = None
-        if self.config.collection == "parallel":
-            from repro.gc.parallel import ParallelCollectionScheduler
-
-            self._par = ParallelCollectionScheduler(
-                self.store, self.collector, self.selection
-            )
-        elif self.config.gc_workers != 1:
-            raise ValueError("gc_workers requires collection='parallel'")
+        self._par = ParallelCollectionScheduler(
+            self.store, self.collector, self.selection
+        )
         self.sampler = Sampler(preamble_collections=self.config.preamble_collections)
         wal = None
         if self.config.enable_wal:
@@ -224,10 +212,10 @@ class Simulation:
         self._trigger: Optional[Trigger] = None
         self._clock_read = _CLOCK_READERS[TimeBase.APP_IO]
         self._due_at: float = float("inf")
-        # The true trigger deadline. In parallel-collection mode _due_at is
-        # pulled earlier to the margin point so the replay loops wake the
-        # scheduler to pump speculative traces; collections themselves still
-        # happen exactly when the clock reaches _real_due_at.
+        # The true trigger deadline. _due_at is pulled earlier, by the
+        # scheduler's lead, so the replay loops wake the scheduler to pump
+        # speculative traces; collections themselves still happen exactly
+        # when the clock reaches _real_due_at.
         self._real_due_at: float = float("inf")
         self._event_index = -1
         self._event_applied = True
@@ -356,19 +344,18 @@ class Simulation:
         now = self._clock_read(self.store)
         due = now + trigger.interval
         self._real_due_at = due
-        par = self._par
-        if par is None or due == math.inf:
+        if due == math.inf:
             self._due_at = due
         else:
             # Wake early, the scheduler's current lead ahead of the
             # trigger, to pump speculative traces; the pump is read-only
             # and the loops re-check against the real deadline, so
             # collection timing is unchanged.
-            self._due_at = due - par.lead(trigger.interval)
+            self._due_at = due - self._par.lead(trigger.interval)
 
     def _collect(self, force: bool = False) -> None:
         par = self._par
-        if par is not None and not force and (now := self._clock()) < self._real_due_at:
+        if not force and (now := self._clock()) < self._real_due_at:
             # Inside the window: the trigger has not fired yet. Snapshot and
             # trace the likely victim, refreshing a snapshot the mutator
             # invalidated, then wake again halfway to the real deadline.
@@ -400,7 +387,7 @@ class Simulation:
             self.faults.fire("gc.collect")
         obs = self.obs
         started = time.perf_counter() if obs is not None else 0.0
-        result = par.collect(pid) if par is not None else self.collector.collect(pid)
+        result = par.collect(pid)
         self.store.iostats.mark_collection()
         ctx = PolicyContext(result=result, store=self.store, iostats=self.store.iostats)
         trigger = self.policy.next_trigger(ctx)
@@ -411,8 +398,7 @@ class Simulation:
                 self.sampler.collection_records[-1],
                 time.perf_counter() - started,
             )
-            if par is not None:
-                obs.metrics.set_many(par.stats(), prefix="gc.parallel.")
+            obs.metrics.set_many(par.stats(), prefix="gc.parallel.")
         self._schedule(trigger)
         if (
             self.config.validate_every
@@ -444,5 +430,5 @@ class Simulation:
         for _tick in range(ticks):
             if self.policy.note_idle(self.store):
                 # Opportunistic collections happen now regardless of the
-                # trigger deadline — bypass the parallel pump phase.
+                # trigger deadline — bypass the scheduler's pump phase.
                 self._collect(force=True)

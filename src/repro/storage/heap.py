@@ -62,9 +62,9 @@ class CompactionPlan:
 
     Built by :meth:`ObjectStore.plan_compaction` and applied by
     :meth:`ObjectStore.compact_partition` — the only way a partition is
-    ever compacted — which then only writes. A serial collection builds
-    its plan inside the pause; the parallel scheduler builds it at a pump
-    point, outside the pause, and such a plan is only valid while the
+    ever compacted — which then only writes. The collection scheduler
+    builds it at a pump point, outside the pause, or inside the pause
+    when no valid one is pending; a pumped plan is only valid while the
     victim's trace epoch and the global compaction epoch are unchanged
     (the scheduler validates both before use). Every value the plan
     freezes is guarded by one of the two or is harmless when stale:

@@ -15,6 +15,8 @@ from repro.sim.spec import PolicySpec
 from repro.workload.grammar import GrammarError, WorkloadConfig
 from repro.workload.tenants import TenantMixConfig, make_profile, tenant_mix
 
+from serial_oracle import serially
+
 
 # ----------------------------------------------------------------------
 # Policy parsing
@@ -224,7 +226,7 @@ def test_fleet_demo_experiment_runs(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Per-run summary CSV and parallel collection flags
+# Per-run summary CSV and the one collection path
 # ----------------------------------------------------------------------
 
 
@@ -262,38 +264,21 @@ def test_fleet_summary_csv_byte_identical_across_jobs(tmp_path):
     assert csv1.read_bytes() == csv2.read_bytes()
 
 
-def test_fleet_parallel_collection_report_identical(tmp_path):
-    """--collection parallel is an execution detail: same report bytes, and
-    the serial cells' cache entries answer it."""
-    serial_out = tmp_path / "serial.txt"
-    code = fleet_main(
-        [*_BASE, "--cache-dir", str(tmp_path / "cache"),
-         "--out", str(serial_out)]
-    )
-    assert code == 0
-    parallel_out = tmp_path / "parallel.txt"
-    code = fleet_main(
-        [*_BASE, "--cache-dir", str(tmp_path / "cache"),
-         "--out", str(parallel_out),
-         "--collection", "parallel", "--expect-all-cached"]
-    )
-    assert code == 0, "parallel cells must share the serial fingerprints"
-    assert parallel_out.read_bytes() == serial_out.read_bytes()
+def test_fleet_report_matches_the_serial_oracle(tmp_path):
+    """Every run pipelines its collections, an execution detail: the
+    report and the per-seed summary CSV are byte-identical to the ones
+    made under the zero-lead oracle, which traces inside every pause."""
 
+    def sweep(name):
+        code = fleet_main(
+            [*_BASE, "--jobs", "1", "--no-cache",
+             "--summary-csv", str(tmp_path / f"{name}.csv"),
+             "--out", str(tmp_path / f"{name}.txt")]
+        )
+        assert code == 0
+        return [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".txt", ".csv")]
 
-def test_fleet_parallel_collection_uncached_matches_serial(tmp_path):
-    """Without a cache the parallel cells actually simulate — the report
-    must still match the serial run byte for byte."""
-    serial_out = tmp_path / "serial.txt"
-    code = fleet_main([*_BASE, "--no-cache", "--out", str(serial_out)])
-    assert code == 0
-    parallel_out = tmp_path / "parallel.txt"
-    code = fleet_main(
-        [*_BASE, "--no-cache", "--out", str(parallel_out),
-         "--collection", "parallel"]
-    )
-    assert code == 0
-    assert parallel_out.read_bytes() == serial_out.read_bytes()
+    assert sweep("pipelined") == serially(sweep, "serial")
 
 
 def test_format_summary_csv_quarantined_seed_gets_error_row():

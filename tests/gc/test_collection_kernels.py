@@ -8,8 +8,8 @@ dead object, one bump per survivor). They must agree on the result record
 and on ``ordered_fields`` — every field, and every dict's and set's
 iteration order — after each collection, on both numpy legs.
 
-The same programs run the comparison under ``collection="parallel"``, with
-every collection applying the plan a pump built, and check at every
+The same programs run the comparison through the collection scheduler,
+with every collection applying the plan a pump built, and check at every
 collection that the plan built from the trace's unreached set equals the
 one the front door derives for the same survivors.
 
@@ -46,6 +46,7 @@ from repro.storage.validation import validate_store
 from repro.workload.compiled import compile_trace
 
 from presets import PresetWorkload
+from serial_oracle import serially
 
 #: 128-byte partitions (three or four objects each, so most edges cross a
 #: boundary) or 512-byte ones (a victim holds enough objects for the
@@ -198,8 +199,8 @@ def _next_collects(ops):
 @settings(max_examples=120, deadline=None, phases=PHASES)
 @given(program=programs())
 def test_pumped_plans_leave_the_store_the_oracle_leaves(leg, program):
-    """The oracle comparison above under ``collection="parallel"``: the
-    scheduler pumps after every mutation and once more before each
+    """The oracle comparison above through the collection scheduler: it
+    pumps after every mutation and once more before each
     collection, always predicting the program's next victim, so every
     collection applies a plan the pump built — some of them several
     mutations old and kept because their epochs still held."""
@@ -380,7 +381,10 @@ def test_wrong_partition_reclaim_flushes_what_was_already_reclaimed():
 def test_numpy_and_python_legs_are_byte_identical(monkeypatch, collection):
     """One multi-collection cell, once as imported and once with numpy
     taken away: the vectorised layout and scatter may cost less, never
-    differ — down to the iteration order of every set they fill."""
+    differ — down to the iteration order of every set they fill.
+    ``serial`` runs the cell under the zero-lead oracle (every plan built
+    inside its pause), ``parallel`` as it runs (plans built by pumps),
+    which must also equal the oracle's cell."""
     trace = compile_trace(list(PresetWorkload("steady-churn", scale=0.4, seed=7).events()))
 
     def cell():
@@ -389,14 +393,15 @@ def test_numpy_and_python_legs_are_byte_identical(monkeypatch, collection):
             config=SimulationConfig(
                 store=StoreConfig(page_size=2048, partition_pages=8, buffer_pages=8),
                 preamble_collections=0,
-                collection=collection,
-                gc_workers=2 if collection == "parallel" else 1,
             ),
         )
         summary = sim.run(trace).summary
         return pickle.dumps(summary), ordered_fields(sim.store), summary.collections
 
-    imported = cell()
+    run = cell if collection == "parallel" else lambda: serially(cell)
+    imported = run()
+    if collection == "parallel":
+        assert imported == serially(cell)
     monkeypatch.setattr(heap, "_np", None)
-    assert cell() == imported
+    assert run() == imported
     assert imported[2] >= 20, "the cell must collect many times"

@@ -1,19 +1,19 @@
-"""The partition-parallel collector must be invisible.
+"""The pipelined collector must be invisible.
 
-``repro.gc.parallel`` pre-traces the likely victim partition inside a
-window before the trigger — a lead it sets itself, by feedback — and
-validates each speculation against the store's trace epochs before use;
-these tests pin the contract that makes ``collection="parallel"`` safe
-to enable whatever that window is (and at any value of the now inert
-``gc_workers``): byte-identical ``SimulationSummary`` pickles and
-identical committed store state versus the serial collector — across
-selection policies, interpreters (guarded and fused, and the event-object
-oracle of ``tests/event_oracle.py``), transactional rollback,
-crash/recovery drills and service mode — with no effect on
-result-cache fingerprints and no mutation of policy state by victim
-prediction. The window itself is pinned by counters: one scenario per
-trigger time base must keep the hits the quarter-interval window got
-while tracing about once per collection.
+Every ``Simulation`` collects through ``repro.gc.parallel``'s scheduler,
+which pre-traces the likely victim partition inside a window before the
+trigger — a lead it sets itself, by feedback — and validates each
+speculation against the store's trace epochs before use. These tests pin
+the contract that makes that safe whatever the window is: byte-identical
+``SimulationSummary`` pickles and identical committed store state versus
+the zero-lead oracle of ``tests/serial_oracle.py`` (every collection traced
+and planned inside its pause) — across selection policies, interpreters
+(guarded and fused, and the event-object oracle of
+``tests/event_oracle.py``), transactional rollback, crash/recovery drills
+and service mode — with no effect on result-cache fingerprints and no
+mutation of policy state by victim prediction. The window itself is
+pinned by counters: one scenario per trigger time base must keep the hits
+the quarter-interval window got while tracing about once per collection.
 """
 
 import dataclasses
@@ -34,7 +34,6 @@ from repro.events import (
 from repro.faults.drill import CrashRecoveryLoop, state_digest
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.gc.parallel import (
-    COLLECTION_MODES,
     DEFAULT_GC_MARGIN,
     ParallelCollectionScheduler,
     peek_selection,
@@ -65,6 +64,7 @@ from repro.workload.transactional import TransactionalSpec, TransactionalWorkloa
 from event_oracle import replay_events
 from frontier_oracle import full_scan_frontier
 from presets import PresetWorkload
+from serial_oracle import serial_collections, serially
 
 STORE = StoreConfig(page_size=2048, partition_pages=8, buffer_pages=8)
 
@@ -102,17 +102,19 @@ def _outcome(sim, result):
     return pickle.dumps(result.summary), state_digest(sim.store)
 
 
+def _serial(workload_events, **kwargs):
+    """The outcome of ``_run`` under the zero-lead oracle."""
+    return serially(lambda: _outcome(*_run(workload_events, **kwargs)))
+
+
 # ------------------------------------------------- serial equivalence
 
 
 @pytest.mark.parametrize("selection", ["updated-pointer", "round-robin", "random"])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_matches_serial_across_policies_and_workers(selection, workers):
+def test_parallel_matches_serial_across_policies(selection):
     events = _preset_events()
-    serial = _outcome(*_run(events, selection=selection))
-    sim_p, res_p = _run(
-        events, selection=selection, collection="parallel", gc_workers=workers
-    )
+    serial = _serial(events, selection=selection)
+    sim_p, res_p = _run(events, selection=selection)
     assert _outcome(sim_p, res_p) == serial
     assert res_p.summary.collections > 0, "the workload must trigger GC"
 
@@ -120,7 +122,7 @@ def test_parallel_matches_serial_across_policies_and_workers(selection, workers)
 def test_speculation_actually_engages():
     """The equivalence tests are vacuous if every snapshot goes stale."""
     events = _preset_events()
-    sim, res = _run(events, collection="parallel")
+    sim, res = _run(events)
     stats = sim._par.stats()
     assert stats["pumps"] > 0
     assert stats["speculation_hits"] > 0, stats
@@ -148,22 +150,22 @@ def test_parallel_matches_serial_full_reachability(monkeypatch):
 
     monkeypatch.setattr(ParallelCollectionScheduler, "_snapshot", checking_snapshot)
     events = _preset_events()
-    serial = _outcome(*_run(events))
-    parallel = _outcome(*_run(events, collection="parallel", gc_workers=2))
+    serial = _serial(events)
+    assert not checked, "the oracle must take no snapshot"
+    parallel = _outcome(*_run(events))
     assert parallel == serial
     assert checked, "no snapshot was taken"
 
 
 def test_parallel_matches_serial_under_batched_replay():
-    """Parallel sims take the fused interpreter; results match the serial
-    event-object oracle over the same events."""
+    """Pipelined sims take the fused interpreter; results match the
+    event-object oracle over the same events under the zero-lead oracle."""
     events = _preset_events()
     trace = compile_trace(events)
-    oracle = _sim()
-    serial = _outcome(oracle, replay_events(oracle, events))
-    parallel = _outcome(
-        *_run(trace, replay="auto", collection="parallel", gc_workers=4)
-    )
+    with serial_collections():
+        oracle = _sim()
+        serial = _outcome(oracle, replay_events(oracle, events))
+    parallel = _outcome(*_run(trace, replay="auto"))
     assert parallel == serial
 
 
@@ -178,7 +180,7 @@ def test_parallel_matches_serial_under_batched_replay():
 )
 @pytest.mark.parametrize("transactional", [False, True], ids=["plain", "tx-spans"])
 def test_fast_path_parallel_matches_serial(policy_spec, transactional):
-    """Fused replay under parallel collection, on both trigger clocks
+    """Fused replay with pipelined collections, on both trigger clocks
     (overwrites for fixed/SAGA, application I/O for SAIO) and across the
     fast -> guarded -> fast handoff around every transaction span."""
     if transactional:
@@ -187,24 +189,15 @@ def test_fast_path_parallel_matches_serial(policy_spec, transactional):
     else:
         events = _preset_events()
     trace = compile_trace(events)
-    serial = _outcome(
-        *_run(trace, policy=build_policy(policy_spec, 0), replay="auto")
-    )
-    for workers in (1, 2):
-        sim, res = _run(
-            trace,
-            policy=build_policy(policy_spec, 0),
-            replay="auto",
-            collection="parallel",
-            gc_workers=workers,
-        )
-        assert _outcome(sim, res) == serial
-        assert res.summary.collections > 0, "the workload must trigger GC"
-        assert sim._par.pumps > 0
-        if not transactional:
-            # (Collections deferred to a commit find the victim mutated by
-            # the transaction itself; only the plain trace must hit.)
-            assert sim._par.speculation_hits > 0, sim._par.stats()
+    serial = _serial(trace, policy=build_policy(policy_spec, 0), replay="auto")
+    sim, res = _run(trace, policy=build_policy(policy_spec, 0), replay="auto")
+    assert _outcome(sim, res) == serial
+    assert res.summary.collections > 0, "the workload must trigger GC"
+    assert sim._par.pumps > 0
+    if not transactional:
+        # (Collections deferred to a commit find the victim mutated by
+        # the transaction itself; only the plain trace must hit.)
+        assert sim._par.speculation_hits > 0, sim._par.stats()
 
 
 # ------------------------------------------------- fast path + wake-ups
@@ -213,14 +206,14 @@ def test_fast_path_parallel_matches_serial(policy_spec, transactional):
 def test_stock_parallel_simulation_is_fast_eligible():
     sim = Simulation(
         policy=FixedRatePolicy(40.0),
-        config=_config(replay="auto", collection="parallel", gc_workers=2),
+        config=_config(replay="auto"),
     )
     assert batch._fast_eligible(sim)
 
 
 def test_speculation_counters_equal_fast_and_guarded(monkeypatch):
-    """At gc_workers=1 the scheduler's counters are a function of the trace:
-    the fused interpreter must produce the ones the per-event route does."""
+    """The scheduler's counters are a function of the trace: the fused
+    interpreter must produce the ones the per-event route does."""
     trace = compile_trace(_preset_events())
     fast_spans = []
     replay_fast = batch._replay_fast
@@ -230,11 +223,11 @@ def test_speculation_counters_equal_fast_and_guarded(monkeypatch):
         return replay_fast(sim, *args)
 
     monkeypatch.setattr(batch, "_replay_fast", spy)
-    sim_f, res_f = _run(trace, replay="auto", collection="parallel")
-    assert fast_spans == [sim_f], "the parallel run must replay fused"
+    sim_f, res_f = _run(trace, replay="auto")
+    assert fast_spans == [sim_f], "the pipelined run must replay fused"
 
     monkeypatch.setattr(batch, "_fast_eligible", lambda sim: False)
-    sim_g, res_g = _run(trace, replay="auto", collection="parallel")
+    sim_g, res_g = _run(trace, replay="auto")
     assert fast_spans == [sim_f], "the reference run must replay guarded"
 
     assert sim_f._par.stats() == sim_g._par.stats()
@@ -245,9 +238,9 @@ def test_speculation_counters_equal_fast_and_guarded(monkeypatch):
 
 
 def _recording_sim(policy, **overrides):
-    """A parallel simulation (gc_workers=1) that records ``(clock,
-    deadline)`` at every pump and the deadline of every collection."""
-    sim = Simulation(policy=policy, config=_config(collection="parallel", **overrides))
+    """A simulation that records ``(clock, deadline)`` at every pump and
+    the deadline of every collection."""
+    sim = Simulation(policy=policy, config=_config(**overrides))
     par = sim._par
     pumps, deadlines = [], []
     pump, collect = par.pump, par.collect
@@ -336,13 +329,10 @@ def preset_trace():
 def test_property_no_window_can_reach_a_result(preset_trace, fractions, policy_spec):
     """Hand the scheduler an arbitrary window before every trigger it is
     armed for — one tick, the cap, ``inf``, anything between: summaries
-    stay pickle-equal and the committed state digest-equal to serial."""
-    serial = _outcome(
-        *_run(preset_trace, policy=build_policy(policy_spec, 0), replay="auto")
-    )
-    sim = _sim(
-        policy=build_policy(policy_spec, 0), replay="auto", collection="parallel"
-    )
+    stay pickle-equal and the committed state digest-equal to the zero-lead
+    oracle's."""
+    serial = _serial(preset_trace, policy=build_policy(policy_spec, 0), replay="auto")
+    sim = _sim(policy=build_policy(policy_spec, 0), replay="auto")
     par = sim._par
     lead = par.lead
     draws = itertools.cycle(fractions)
@@ -375,13 +365,11 @@ def churn_trace():
     return compile_trace(list(generator.events()))
 
 
-def _churn_sim(policy_spec, collection, gc_workers=1):
+def _churn_sim(policy_spec):
     return Simulation(
         policy=build_policy(policy_spec, 5),
         config=SimulationConfig(
-            store=StoreConfig(page_size=2048, partition_pages=64, buffer_pages=8),
-            collection=collection,
-            gc_workers=gc_workers,
+            store=StoreConfig(page_size=2048, partition_pages=64, buffer_pages=8)
         ),
     )
 
@@ -406,8 +394,8 @@ def test_window_keeps_the_hits_at_one_trace_per_collection(
     """The fixed quarter-interval window traced 1.8 / 2.3 / 3.1 times per
     collection here for the hits in the table; the feedback window must
     keep those hits (to within one) at no more than 1.25 traces."""
-    serial = _churn_sim(policy_spec, "serial").run(churn_trace)
-    sim = _churn_sim(policy_spec, "parallel")
+    serial = serially(_churn_sim(policy_spec).run, churn_trace)
+    sim = _churn_sim(policy_spec)
     result = sim.run(churn_trace)
     assert pickle.dumps(result.summary) == pickle.dumps(serial.summary)
     stats = sim._par.stats()
@@ -424,11 +412,31 @@ def test_window_keeps_the_hits_at_one_trace_per_collection(
         + stats["wasted_traces"]
     )
     assert 0 <= stats["speculative_traces"] - accounted <= 1, stats
-    # The counters and the window are a function of the trace alone, and
-    # gc_workers no longer reaches the scheduler.
-    again = _churn_sim(policy_spec, "parallel", gc_workers=2)
-    again.run(churn_trace)
-    assert again._par.stats() == stats
+
+
+def test_fleet_cell_speculates_about_once_per_collection(tmp_path):
+    """Count-based gate on one seeded multi-profile fleet cell, no timings:
+    a handful of pumps per collection (the wake-ups are geometric), about
+    one speculative trace each, and most traces still valid at the
+    trigger. The cell read 3.9 pumps, 1.25 traces and 0.94 hits per
+    collection over 52 collections when the gate was set."""
+    from repro.fleet import main as fleet_main
+    from repro.obs.report import digest_file
+
+    code = fleet_main(
+        ["--profiles", "read-browse", "hot-key-skew", "diurnal", "--scale", "2",
+         "--seeds", "0", "--policies", "saio:0.1", "--no-cache", "--jobs", "1",
+         "--telemetry", str(tmp_path / "telemetry"),
+         "--out", str(tmp_path / "report.txt")]
+    )
+    assert code == 0
+    (run_file,) = (tmp_path / "telemetry").glob("run_*.jsonl")
+    metrics = digest_file(run_file).metrics
+    gauges, collections = metrics["gauges"], metrics["counters"]["gc.collections"]
+    assert collections >= 30, collections
+    assert gauges["gc.parallel.pumps"] / collections <= 6, gauges
+    assert gauges["gc.parallel.speculative_traces"] / collections <= 1.3, gauges
+    assert gauges["gc.parallel.speculation_hits"] / collections >= 0.8, gauges
 
 
 def test_rearming_an_uncollectable_trigger_leaves_the_window_alone():
@@ -444,7 +452,7 @@ def test_rearming_an_uncollectable_trigger_leaves_the_window_alone():
     sim = Simulation(
         policy=FixedRatePolicy(40.0),
         selection=NothingCollectable(),
-        config=_config(collection="parallel"),
+        config=_config(),
     )
     par = sim._par
     par.window = 3.0
@@ -469,40 +477,25 @@ def test_parallel_matches_serial_transactional_rollback():
     still validate correctly."""
     spec = TransactionalSpec(transactions=60, abort_probability=0.4)
     events = list(TransactionalWorkload(spec, seed=3, initial_clusters=20).events())
-    serial = _outcome(*_run(events, rate=25.0))
-    for workers in (1, 4):
-        parallel = _outcome(
-            *_run(events, rate=25.0, collection="parallel", gc_workers=workers)
-        )
-        assert parallel == serial
+    assert _outcome(*_run(events, rate=25.0)) == _serial(events, rate=25.0)
 
 
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    workers=st.sampled_from([1, 2, 4]),
     selection=st.sampled_from(["updated-pointer", "round-robin", "random"]),
 )
 @settings(max_examples=20, deadline=None)
-def test_property_summaries_pickle_equal(seed, workers, selection):
+def test_property_summaries_pickle_equal(seed, selection):
     events = list(PresetWorkload("steady-churn", scale=0.25, seed=seed).events())
-    serial = _outcome(*_run(events, selection=selection, seed=seed))
-    parallel = _outcome(
-        *_run(
-            events,
-            selection=selection,
-            seed=seed,
-            collection="parallel",
-            gc_workers=workers,
-        )
-    )
+    serial = _serial(events, selection=selection, seed=seed)
+    parallel = _outcome(*_run(events, selection=selection, seed=seed))
     assert parallel == serial
 
 
 # ------------------------------------------------- crash drills
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_crash_drill_matches_serial(workers):
+def test_crash_drill_matches_serial():
     """Fault-injected crash–recover–continue runs must be identical:
     same resume indices, same committed state, same summary."""
     spec = ExperimentSpec(
@@ -514,10 +507,8 @@ def test_crash_drill_matches_serial(workers):
     events = list(build_workload(spec.workload, 0))
     plan = FaultPlan(faults=(FaultSpec(site="gc.collect", at=2),))
 
-    def drilled(collection, gc_workers):
-        config = dataclasses.replace(
-            spec.sim, collection=collection, gc_workers=gc_workers
-        )
+    def drilled():
+        config = spec.sim
         loop = CrashRecoveryLoop(plan, store_config=config.store, max_crashes=10)
 
         def segment(start, store):
@@ -529,7 +520,7 @@ def test_crash_drill_matches_serial(workers):
                 store=store,
                 redo_log=loop.log,
             )
-            if store is not None and sim._par is not None:
+            if store is not None:
                 # A fresh scheduler: the window is back at the cap.
                 assert sim._par.window == math.inf
             sim.run(events, start_index=start)
@@ -540,9 +531,9 @@ def test_crash_drill_matches_serial(workers):
         summary = sim.sampler.summary(sim.store, sim.store.iostats)
         return resumes, state_digest(sim.store), pickle.dumps(summary)
 
-    serial = drilled("serial", 1)
+    serial = serially(drilled)
     assert serial[0], "the plan must actually crash the run"
-    assert drilled("parallel", gc_workers=workers) == serial
+    assert drilled() == serial
 
 
 # ------------------------------------------------- victim prediction
@@ -589,7 +580,7 @@ def test_peek_selection_unknown_policy_declines():
 
 def test_unknown_policy_runs_serial_path_inline():
     """No prediction → every collection is a speculation miss, but the
-    run still completes with serial-identical results."""
+    run still completes with the zero-lead oracle's results."""
 
     class EveryOther(PartitionSelectionPolicy):
         """Deterministic custom policy the scheduler cannot peek."""
@@ -607,17 +598,17 @@ def test_unknown_policy_runs_serial_path_inline():
 
     events = _preset_events()
 
-    def run(collection, workers):
+    def run():
         sim = Simulation(
             policy=FixedRatePolicy(40.0),
             selection=EveryOther(),
-            config=_config(collection=collection, gc_workers=workers),
+            config=_config(),
         )
         result = sim.run(events)
         return sim, result
 
-    serial = _outcome(*run("serial", 1))
-    sim_p, res_p = run("parallel", 4)
+    serial = _outcome(*serially(run))
+    sim_p, res_p = run()
     assert _outcome(sim_p, res_p) == serial
     stats = sim_p._par.stats()
     assert stats["speculation_hits"] == 0
@@ -827,22 +818,25 @@ def test_invalid_collection_mode_rejected():
         )
 
 
-def test_gc_workers_without_parallel_rejected():
-    with pytest.raises(ValueError, match="gc_workers"):
-        Simulation(
-            policy=FixedRatePolicy(10),
-            config=_config(collection="serial", gc_workers=2),
-        )
-
-
 def test_scheduler_validates_arguments():
     with pytest.raises(ValueError, match="gc_workers"):
-        Simulation(
-            policy=FixedRatePolicy(10),
-            config=_config(collection="parallel", gc_workers=0),
-        )
-    assert "serial" in COLLECTION_MODES and "parallel" in COLLECTION_MODES
+        Simulation(policy=FixedRatePolicy(10), config=_config(gc_workers=0))
     assert 0.0 <= DEFAULT_GC_MARGIN < 1.0
+
+
+def test_collection_and_gc_workers_are_accepted_and_inert():
+    """Both fields are still validated and still accepted at every value
+    they ever took, but select nothing: every run pipelines, with the
+    same counters, the same window and the same outcome."""
+    events = _preset_events()
+    runs = [
+        _run(events, collection=collection, gc_workers=workers)
+        for collection, workers in [("serial", 1), ("parallel", 2), ("serial", 4)]
+    ]
+    assert len({_outcome(sim, res) for sim, res in runs}) == 1
+    stats = [sim._par.stats() for sim, _res in runs]
+    assert stats[0]["speculation_hits"] > 0
+    assert stats == [stats[0]] * len(stats)
 
 
 def test_collection_choice_does_not_change_fingerprint():

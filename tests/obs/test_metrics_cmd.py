@@ -91,18 +91,12 @@ def test_digest_captures_estimator_error(tmp_path):
 
 
 def test_parallel_run_reports_speculation(tmp_path, capsys):
-    """Under ``collection="parallel"`` the ``gc.parallel.*`` gauges carry the
-    scheduler's counters plus its window, and the report shows them as
-    traces per collection and a hit rate."""
-    import dataclasses
-
+    """Every run pipelines its collections: the ``gc.parallel.*`` gauges
+    carry the scheduler's counters plus its window, and the report shows
+    them as traces per collection and a hit rate."""
     from repro.sim.engine import run_experiment
 
-    spec = make_tiny_spec()
-    spec = dataclasses.replace(
-        spec, sim=dataclasses.replace(spec.sim, collection="parallel")
-    )
-    run_experiment(spec, seeds=[1], jobs=1, telemetry=tmp_path)
+    run_experiment(make_tiny_spec(), seeds=[1], jobs=1, telemetry=tmp_path)
     (run_file,) = tmp_path.glob("run_*.jsonl")
     gauges = digest_file(run_file).metrics["gauges"]
     traces = gauges["gc.parallel.speculative_traces"]

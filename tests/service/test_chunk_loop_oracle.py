@@ -49,6 +49,7 @@ from repro.workload.tenants import make_profile, tenant_mix
 from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
 from event_loop_oracle import EventLoopService
+from serial_oracle import serially
 from streams import finite_stream
 
 POLICY = PolicySpec("fixed", {"overwrites_per_collection": 200.0})
@@ -421,8 +422,9 @@ def test_root_events_take_a_guarded_step_wherever_they_fall():
 
 
 def test_parallel_collection_service_run():
-    """``collection="parallel"``: the scheduler's margin wake-ups are run
-    boundaries like any other, on a chunked stream as on a finite trace."""
+    """Pipelined collections: the scheduler's margin wake-ups are run
+    boundaries like any other, on a chunked stream as on a finite trace,
+    and every route matches the zero-lead oracle's."""
     knobs = dict(
         max_events=9_000,
         checkpoint_every_events=3_000,
@@ -430,14 +432,8 @@ def test_parallel_collection_service_run():
         backpressure="shed",
     )
     often = PolicySpec("fixed", {"overwrites_per_collection": 20.0})
-    serial = _all_routes(_overload_stream(), knobs, policy=often)
-    parallel = _all_routes(
-        _overload_stream(),
-        knobs,
-        policy=often,
-        sim=SimulationConfig(collection="parallel", gc_workers=2),
-    )
-    assert parallel == serial
+    serial = serially(_all_routes, _overload_stream(), knobs, policy=often)
+    assert _all_routes(_overload_stream(), knobs, policy=often) == serial
     assert serial["report"]["collections"] > 20
     assert serial["report"]["backpressure"]["forced_collections"] > 0
 

@@ -1,24 +1,23 @@
-"""Service mode with the partition-parallel collector.
+"""Service mode with pipelined collections.
 
 The service admits stream events one at a time, pumping speculative
 traces between events and falling back to stop-the-world collections
 under backpressure (``_forced_collect`` bypasses the pump). Every
 shedding decision, counter and checkpoint must be identical to the
-serial collector's.
+zero-lead oracle's, which traces every collection inside its pause.
 """
 
 import dataclasses
 
-import pytest
-
 from repro.service.server import GcService, ServiceConfig
 from repro.service.stream import grammar_stream
-from repro.sim.simulator import SimulationConfig
 from repro.sim.spec import PolicySpec, build_policy
 from repro.workload.tenants import make_profile
 
+from serial_oracle import serially
 
-def _report(collection, gc_workers, *, backpressure=None):
+
+def _report(*, backpressure=None):
     service_kwargs = dict(max_events=15_000, checkpoint_every_events=5_000)
     if backpressure:
         service_kwargs.update(max_heap_bytes=12_000, backpressure=backpressure)
@@ -27,9 +26,6 @@ def _report(collection, gc_workers, *, backpressure=None):
             PolicySpec("fixed", {"overwrites_per_collection": 200.0}), 3
         ),
         stream=grammar_stream(make_profile("oltp-churn"), seed=3),
-        sim_config=SimulationConfig(
-            collection=collection, gc_workers=gc_workers
-        ),
         service=ServiceConfig(**service_kwargs),
     )
     report = service.run()
@@ -40,15 +36,13 @@ def _report(collection, gc_workers, *, backpressure=None):
     return fields
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_service_report_identical_to_serial(workers):
-    assert _report("parallel", workers) == _report("serial", 1)
+def test_service_report_identical_to_serial():
+    assert _report() == serially(_report)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_service_backpressure_identical_to_serial(workers):
+def test_service_backpressure_identical_to_serial():
     """Forced collections run stop-the-world immediately — shedding
     decisions must not shift by a single event."""
-    serial = _report("serial", 1, backpressure="shed")
+    serial = serially(_report, backpressure="shed")
     assert serial["backpressure"]["shed_events"] > 0, "the drill must shed"
-    assert _report("parallel", workers, backpressure="shed") == serial
+    assert _report(backpressure="shed") == serial

@@ -138,6 +138,46 @@ def test_removed_object_surfaces_stay_removed():
     assert kept <= set(dir(ObjectTable))
 
 
+def test_one_collection_path_stays_one():
+    """Every run collects through the pipelined scheduler: no mode list,
+    no ``repro fleet --collection``, and the simulator reads
+    ``config.collection`` / ``config.gc_workers`` only to validate them —
+    in an ``if`` whose body only raises."""
+    from repro.fleet import _build_parser
+
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if "COLLECTION_MODES" in line
+    ]
+    assert hits == []
+    assert "--collection" not in _build_parser()._option_string_actions
+
+    tree = ast.parse((ROOT / "src" / "repro" / "sim" / "simulator.py").read_text())
+
+    def reads(node):
+        return [
+            sub
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and sub.attr in ("collection", "gc_workers")
+            and isinstance(sub.value, ast.Attribute)
+            and sub.value.attr == "config"
+        ]
+
+    validated = {
+        id(read)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and not node.orelse
+        and all(isinstance(stmt, ast.Raise) for stmt in node.body)
+        for read in reads(node)
+    }
+    unvalidated = [read.lineno for read in reads(tree) if id(read) not in validated]
+    assert unvalidated == [], f"simulator.py reads the field at lines {unvalidated}"
+
+
 def test_package_quickstart_runs_as_documented(capsys):
     """The package docstring's quickstart collects, and prints the GC I/O
     share its comment claims."""

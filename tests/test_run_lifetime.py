@@ -38,6 +38,8 @@ from repro.storage.heap import ObjectStore, StoreConfig
 from repro.workload.compiled import CompiledTrace, compile_trace
 from repro.workload.tenants import make_profile
 
+from serial_oracle import serially
+
 TINY_STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 FIXED = PolicySpec("fixed", {"overwrites_per_collection": 50})
 SERVICE_POLICY = PolicySpec("fixed", {"overwrites_per_collection": 200.0})
@@ -60,9 +62,10 @@ def run_fused(tmp_path) -> None:
     Simulation(policy=build_policy(FIXED, 0), config=_sim_config()).run(_oo7_trace())
 
 
-def run_parallel(tmp_path) -> None:
-    config = _sim_config(collection="parallel")
-    Simulation(policy=build_policy(FIXED, 0), config=config).run(_oo7_trace())
+def run_serial(tmp_path) -> None:
+    # The zero-lead oracle: every collection traced inside its pause.
+    sim = Simulation(policy=build_policy(FIXED, 0), config=_sim_config())
+    serially(sim.run, _oo7_trace())
 
 
 def run_traced(tmp_path) -> None:
@@ -146,8 +149,8 @@ def _qualname(obj) -> str:
 
 @pytest.mark.parametrize(
     "run",
-    [run_fused, run_parallel, run_traced, run_service, run_engine, run_drill, run_soak],
-    ids=["fused", "parallel", "traced", "service", "engine", "drill", "soak"],
+    [run_fused, run_serial, run_traced, run_service, run_engine, run_drill, run_soak],
+    ids=["fused", "serial", "traced", "service", "engine", "drill", "soak"],
 )
 def test_a_finished_run_is_freed_by_reference_counting(run, tmp_path, monkeypatch):
     stores = []
